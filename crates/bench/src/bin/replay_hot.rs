@@ -24,11 +24,13 @@
 //!    1.5× the PR 5 baseline, guarding the order-statistic free-list
 //!    layer's speedup (lazy rank replica, bitmap size set, O(1) hit
 //!    charges) at both quick and full scale;
-//! 4. **sweep gate** (release full-scale only) — the projected + fused
-//!    sweep must strictly reduce replays, fire the projection tier, and
-//!    finish at least 1.5× faster wall-clock than the plain serial
-//!    sweep, with the winner bit-identical (asserted inside the
-//!    harness).
+//! 4. **sweep gate** — both sweeps' counters must partition the
+//!    enumerated space and, in release builds, the projected sweep must
+//!    fire the projection tier and strictly reduce replays against the
+//!    plain serial sweep, with the winner bit-identical (asserted inside
+//!    the harness). The gate counts; it never times. The wall-clock ratio
+//!    is printed and recorded, but sweep wall-clock is a benchmark
+//!    figure (`perfbench`'s sweep-drr workload), not a pass/fail check.
 
 fn main() {
     let opts = dmm_bench::opts::parse();
@@ -50,18 +52,16 @@ fn main() {
     eprintln!("wrote {out}");
     let e = &report.exploration;
     eprintln!(
-        "exploration ({}): {} enumerated -> {} evaluations ({} replays, {} cache hits, \
-         {} projection hits, {} statically pruned, {} bound pruned, {} quarantined, \
-         {} budget exceeded)",
-        e.workload, e.enumerated, e.evaluations, e.replays, e.cache_hits, e.projection_hits,
+        "exploration ({}): {} enumerated -> {} evaluations ({} replays, {} projection hits, \
+         {} statically pruned, {} bound pruned, {} quarantined, {} budget exceeded)",
+        e.workload, e.enumerated, e.evaluations, e.replays, e.projection_hits,
         e.statically_pruned, e.bound_pruned, e.quarantined, e.budget_exceeded
     );
     let s = &report.sweep;
     eprintln!(
-        "sweep ({}, batch {}): baseline {} replays in {:.3}s vs projected {} replays \
+        "sweep ({}): baseline {} replays in {:.3}s vs projected {} replays \
          ({} projection hits) in {:.3}s -> {:.2}x wall-clock, {:.1}% of enumerated replayed",
         s.workload,
-        s.batch,
         s.baseline.replays,
         s.baseline.wallclock_secs,
         s.projected.replays,
@@ -87,14 +87,6 @@ fn main() {
                  fired ({} + {} + {} + {} + {} + {} vs {} enumerated)",
                 e.evaluations, e.projection_hits, e.statically_pruned, e.bound_pruned,
                 e.quarantined, e.budget_exceeded, e.enumerated
-            );
-            std::process::exit(1);
-        }
-        if e.cache_hits != 0 {
-            eprintln!(
-                "REGRESSION: {} structural cache hits on an exhaustive sweep — the space \
-                 iterator must enumerate each coherent config exactly once",
-                e.cache_hits
             );
             std::process::exit(1);
         }
@@ -153,14 +145,12 @@ fn main() {
             );
         }
 
-        // Sweep gate: projection + fused batching must pay for themselves
-        // on the full branch-and-bound space. Winner bit-identity was
-        // already asserted inside the harness; here the speed and replay
-        // reduction are enforced. Debug builds run the shadow oracle (a
-        // fresh replay per projection hit — the soundness check), so the
-        // speed half of the gate is release-only; the accounting half
-        // always holds.
-        const SWEEP_GATE: f64 = 1.5;
+        // Sweep gate: projection must pay for itself in replays on the
+        // branch-and-bound space. Winner bit-identity was already asserted
+        // inside the harness; here the accounting and the replay reduction
+        // are enforced. Debug builds sweep a prefix too uniform to collapse,
+        // so the replay half is release-only; the accounting half always
+        // holds.
         for side in [&s.baseline, &s.projected] {
             if side.evaluations + side.projection_hits + side.statically_pruned
                 + side.bound_pruned
@@ -183,23 +173,14 @@ fn main() {
                 );
                 std::process::exit(1);
             }
-            if s.sweep_wallclock_speedup < SWEEP_GATE {
-                eprintln!(
-                    "REGRESSION: projected+batched sweep is only {:.2}x the serial baseline \
-                     (gate {SWEEP_GATE}x; {:.3}s vs {:.3}s)",
-                    s.sweep_wallclock_speedup, s.projected.wallclock_secs,
-                    s.baseline.wallclock_secs
-                );
-                std::process::exit(1);
-            }
             eprintln!(
-                "sweep gate ok: {:.2}x wall-clock, replays {} -> {} ({} projection hits, \
-                 {:.1}% of enumerated replayed)",
-                s.sweep_wallclock_speedup, s.baseline.replays, s.projected.replays,
-                s.projected.projection_hits, 100.0 * s.projected_replay_ratio
+                "sweep gate ok: replays {} -> {} ({} projection hits, {:.1}% of enumerated \
+                 replayed; {:.2}x wall-clock, not gated)",
+                s.baseline.replays, s.projected.replays, s.projected.projection_hits,
+                100.0 * s.projected_replay_ratio, s.sweep_wallclock_speedup
             );
         } else {
-            eprintln!("sweep gate: accounting ok (speed half is release-only)");
+            eprintln!("sweep gate: accounting ok (replay half is release-only)");
         }
     }
 }

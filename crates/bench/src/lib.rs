@@ -813,19 +813,10 @@ pub struct ExplorationPruningReport {
     pub workload: String,
     /// Configurations enumerated from the (possibly limited) space.
     pub enumerated: usize,
-    /// Candidates actually evaluated (replays + cache hits).
+    /// Candidates actually evaluated.
     pub evaluations: usize,
     /// Evaluations that required a fresh replay.
     pub replays: usize,
-    /// Evaluations served from the replay cache.
-    ///
-    /// Structurally this is 0 on an exhaustive sweep: the space iterator
-    /// enumerates each coherent configuration exactly once, and pruned
-    /// candidates never reach the cache — see the module docs of
-    /// `dmm_core::methodology::cache` for the full argument. The
-    /// `replay_hot` harness asserts the invariant; cross-candidate reuse
-    /// comes from the *projection* tier instead.
-    pub cache_hits: usize,
     /// Candidates served from the trace-conditioned projection tier — a
     /// behaviorally-identical sibling was already replayed, so the stats
     /// were copied without a replay. 0 on the baseline (unprojected)
@@ -889,7 +880,6 @@ pub fn exploration_pruning(quick: bool) -> Result<ExplorationPruningReport> {
             + c.budget_exceeded,
         evaluations: evaluated,
         replays: c.replays,
-        cache_hits: c.cache_hits,
         projection_hits: c.projection_hits,
         statically_pruned: c.statically_pruned,
         bound_pruned: c.bound_pruned,
@@ -902,13 +892,13 @@ pub fn exploration_pruning(quick: bool) -> Result<ExplorationPruningReport> {
 /// timed end to end, with its counter partition and winner identity.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct SweepSide {
-    /// Which engine ran: `baseline` or `projected+batched`.
+    /// Which engine ran: `baseline` or `projected`.
     pub label: String,
     /// End-to-end wall-clock of the sweep, seconds.
     pub wallclock_secs: f64,
     /// Configurations enumerated from the (possibly limited) space.
     pub enumerated: usize,
-    /// Candidates actually evaluated (replays + cache hits).
+    /// Candidates actually evaluated.
     pub evaluations: usize,
     /// Evaluations that required a fresh replay.
     pub replays: usize,
@@ -926,18 +916,16 @@ pub struct SweepSide {
 
 /// The `sweep` block of `BENCH_replay.json`: the same full
 /// branch-and-bound sweep run twice — once on a plain serial engine, once
-/// with trace-conditioned projection and the fused multi-candidate kernel
-/// — with the winner asserted bit-identical and the wall-clock/replay
-/// savings recorded (and gated by `replay_hot --check` in release).
+/// with trace-conditioned projection — with the winner asserted
+/// bit-identical and the wall-clock/replay savings recorded (the replay
+/// savings are gated by `replay_hot --check` in release).
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct SweepReport {
     /// Workload swept.
     pub workload: String,
-    /// Fused batch width of the projected side.
-    pub batch: usize,
     /// The plain serial sweep.
     pub baseline: SweepSide,
-    /// The projected + batched sweep.
+    /// The projected sweep.
     pub projected: SweepSide,
     /// `baseline.wallclock_secs / projected.wallclock_secs`.
     pub sweep_wallclock_speedup: f64,
@@ -946,13 +934,10 @@ pub struct SweepReport {
     pub projected_replay_ratio: f64,
 }
 
-/// Width of the fused batches [`sweep_comparison`] runs with.
-pub const SWEEP_BATCH: usize = 16;
-
 /// Run the DRR branch-and-bound sweep twice — plain serial baseline vs
-/// projection + fused batching — and report the comparison. Panics if the
-/// two winners (fingerprint or peak) disagree: the optimisation's
-/// bit-identity contract is checked on every run, not just in CI.
+/// projection — and report the comparison. Panics if the two winners
+/// (fingerprint or peak) disagree: the optimisation's bit-identity
+/// contract is checked on every run, not just in CI.
 ///
 /// # Errors
 ///
@@ -970,7 +955,7 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
     let trace = w.record()?;
     // Same scale convention as `exploration_pruning`: debug bounds the
     // walk (and its shadow oracle re-replays every projection hit — the
-    // *soundness* check), release sweeps the whole space (the *speed*
+    // *soundness* check), release sweeps the whole space (the replay
     // gates fire there).
     let limit = if cfg!(debug_assertions) {
         Some(300)
@@ -1002,15 +987,13 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
 
     let baseline = run("baseline", &ExplorationEngine::serial())?;
     let projected = run(
-        "projected+batched",
-        &ExplorationEngine::serial()
-            .with_projection(true)
-            .with_batch(SWEEP_BATCH),
+        "projected",
+        &ExplorationEngine::serial().with_projection(true),
     )?;
     assert_eq!(
         (&baseline.winner_fingerprint, baseline.winner_peak),
         (&projected.winner_fingerprint, projected.winner_peak),
-        "projection/batching broke the bit-identical-winner contract"
+        "projection broke the bit-identical-winner contract"
     );
     let sweep_wallclock_speedup = baseline.wallclock_secs
         / projected.wallclock_secs.max(f64::MIN_POSITIVE);
@@ -1018,7 +1001,6 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
         projected.replays as f64 / projected.enumerated.max(1) as f64;
     Ok(SweepReport {
         workload: w.name().to_string(),
-        batch: SWEEP_BATCH,
         baseline,
         projected,
         sweep_wallclock_speedup,
@@ -1040,9 +1022,9 @@ pub struct ReplayHotReport {
     /// Branch-and-bound pruning telemetry of the exhaustive sweep on the
     /// DRR trace (see [`exploration_pruning`]).
     pub exploration: ExplorationPruningReport,
-    /// Baseline vs projected+batched sweep comparison on the same space
-    /// (see [`sweep_comparison`]): wall-clock speedup, replay reduction,
-    /// winner bit-identity.
+    /// Baseline vs projected sweep comparison on the same space (see
+    /// [`sweep_comparison`]): wall-clock speedup, replay reduction, winner
+    /// bit-identity.
     pub sweep: SweepReport,
     /// Manager-bound trajectory: `(drr/nop) / (PR 4 drr/nop)` on the
     /// `large_churn` gate workload — how much faster the end-to-end
@@ -1455,12 +1437,7 @@ mod tests {
             e.enumerated,
             "every enumerated candidate lands in exactly one bucket"
         );
-        assert_eq!(e.replays + e.cache_hits, e.evaluations);
-        assert_eq!(
-            e.cache_hits, 0,
-            "an exhaustive sweep enumerates each structural key exactly \
-             once — structural cache hits would mean duplicate enumeration"
-        );
+        assert_eq!(e.replays, e.evaluations);
         assert!(e.statically_pruned > 0, "static pruning never fired");
         assert_eq!(
             (e.quarantined, e.budget_exceeded),
@@ -1489,7 +1466,7 @@ mod tests {
         }
         assert!(
             s.projected.replays <= s.baseline.replays,
-            "projection/batching must never add replays"
+            "projection must never add replays"
         );
         assert!(s.sweep_wallclock_speedup > 0.0);
         // The debug prefix is too uniform to collapse (and its shadow

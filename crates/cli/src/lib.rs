@@ -96,124 +96,104 @@ pub struct Invocation {
     /// `--budget-ms=N`: per-candidate replay budget in wall-clock
     /// milliseconds (malformed values read as 0).
     pub budget_ms: Option<u64>,
-    /// `--batch=N`: fused multi-candidate replay width for exhaustive
-    /// sweeps — N candidates share one pass over the compiled event
-    /// stream, and trace-conditioned projection collapses
-    /// behaviorally-identical candidates onto one replay (1 = the serial
-    /// kernel, no projection).
-    pub batch: usize,
 }
 
 impl Invocation {
-    /// Parse raw arguments (without the program name).
-    pub fn parse(args: &[String]) -> Invocation {
-        let mut command = String::from("help");
-        let mut positional = Vec::new();
-        let mut full = false;
-        let mut seed = 0u64;
-        let mut jobs = 0usize;
-        let mut shards = 1usize;
-        let mut json = false;
-        let mut all_presets = false;
-        let mut explain = None;
-        let mut deny = None;
-        let mut trace = None;
-        let mut out = None;
-        let mut checkpoint = None;
-        let mut resume = false;
-        let mut recover = false;
-        let mut budget_steps = None;
-        let mut budget_ms = None;
-        let mut batch = 1usize;
-        let mut expect_explain = false;
-        let mut expect_deny = false;
+    /// Parse raw arguments (without the program name). `--help` or `-h`
+    /// anywhere selects the `help` command.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] naming the flag for an unrecognised flag
+    /// or a malformed `--seed`. Malformed `--jobs`, `--shards` and
+    /// `--budget-*` values keep their documented fallbacks instead.
+    pub fn parse(args: &[String]) -> Result<Invocation> {
+        let mut inv = Invocation {
+            command: String::from("help"),
+            positional: Vec::new(),
+            full: false,
+            seed: 0,
+            jobs: 0,
+            shards: 1,
+            json: false,
+            all_presets: false,
+            explain: None,
+            deny: None,
+            trace: None,
+            out: None,
+            checkpoint: None,
+            resume: false,
+            recover: false,
+            budget_steps: None,
+            budget_ms: None,
+        };
+        let mut help = false;
         let mut seen_command = false;
-        for a in args {
-            if expect_explain {
-                explain = Some(a.clone());
-                expect_explain = false;
-            } else if expect_deny {
-                deny = Some(a.clone());
-                expect_deny = false;
-            } else if a == "--json" {
-                json = true;
-            } else if a == "--all-presets" {
-                all_presets = true;
-            } else if a == "--explain" {
-                // The code follows as the next argument.
-                expect_explain = true;
-            } else if let Some(s) = a.strip_prefix("--explain=") {
-                explain = Some(s.to_string());
+        let mut args = args.iter();
+        while let Some(a) = args.next() {
+            // `--explain`/`--deny` take the next argument as their value. A
+            // dangling flag reads as an unknown empty value (the lint
+            // handler reports it), not a silent no-op.
+            if a == "--explain" {
+                inv.explain = Some(args.next().cloned().unwrap_or_default());
             } else if a == "--deny" {
-                // The severity follows as the next argument.
-                expect_deny = true;
+                inv.deny = Some(args.next().cloned().unwrap_or_default());
+            } else if let Some(s) = a.strip_prefix("--explain=") {
+                inv.explain = Some(s.to_string());
             } else if let Some(s) = a.strip_prefix("--deny=") {
-                deny = Some(s.to_string());
+                inv.deny = Some(s.to_string());
+            } else if a == "--json" {
+                inv.json = true;
+            } else if a == "--all-presets" {
+                inv.all_presets = true;
             } else if a == "--full" {
-                full = true;
+                inv.full = true;
             } else if a == "--resume" {
-                resume = true;
+                inv.resume = true;
             } else if a == "--recover" {
-                recover = true;
+                inv.recover = true;
+            } else if a == "--help" || a == "-h" {
+                help = true;
             } else if let Some(s) = a.strip_prefix("--trace=") {
-                trace = Some(s.to_string());
+                inv.trace = Some(s.to_string());
             } else if let Some(s) = a.strip_prefix("--out=") {
-                out = Some(s.to_string());
+                inv.out = Some(s.to_string());
             } else if let Some(s) = a.strip_prefix("--checkpoint=") {
-                checkpoint = Some(s.to_string());
+                inv.checkpoint = Some(s.to_string());
             } else if let Some(s) = a.strip_prefix("--budget-steps=") {
                 // A malformed budget trips immediately (0) rather than
                 // silently running unlimited.
-                budget_steps = Some(s.parse().unwrap_or(0));
+                inv.budget_steps = Some(s.parse().unwrap_or(0));
             } else if let Some(s) = a.strip_prefix("--budget-ms=") {
-                budget_ms = Some(s.parse().unwrap_or(0));
+                inv.budget_ms = Some(s.parse().unwrap_or(0));
             } else if let Some(s) = a.strip_prefix("--seed=") {
-                seed = s.parse().unwrap_or(0);
+                inv.seed = s.parse().map_err(|_| {
+                    Error::InvalidConfig(format!(
+                        "malformed --seed value '{s}' (expected a non-negative integer)"
+                    ))
+                })?;
             } else if let Some(s) = a.strip_prefix("--jobs=") {
                 // A malformed value falls back to serial (1), not to all
                 // cores (0) — the opposite extreme of a likely typo.
-                jobs = s.parse().unwrap_or(1);
+                inv.jobs = s.parse().unwrap_or(1);
             } else if let Some(s) = a.strip_prefix("--shards=") {
                 // Malformed or zero means unsharded.
-                shards = s.parse().unwrap_or(1).max(1);
-            } else if let Some(s) = a.strip_prefix("--batch=") {
-                // Malformed or zero means the serial kernel.
-                batch = s.parse().unwrap_or(1).max(1);
+                inv.shards = s.parse().unwrap_or(1).max(1);
+            } else if a.starts_with('-') {
+                return Err(Error::InvalidConfig(format!(
+                    "unknown flag '{a}' — try 'dmm help'"
+                )));
             } else if !seen_command {
-                command = a.clone();
+                inv.command = a.clone();
                 seen_command = true;
             } else {
-                positional.push(a.clone());
+                inv.positional.push(a.clone());
             }
         }
-        // A dangling `--explain`/`--deny` with no value behaves like an
-        // unknown value (the lint handler reports it), not a silent no-op.
-        if expect_explain {
-            explain = Some(String::new());
+        if help {
+            inv.command = String::from("help");
         }
-        if expect_deny {
-            deny = Some(String::new());
-        }
-        Invocation {
-            command,
-            positional,
-            full,
-            seed,
-            jobs,
-            shards,
-            json,
-            all_presets,
-            explain,
-            deny,
-            trace,
-            out,
-            checkpoint,
-            resume,
-            recover,
-            budget_steps,
-            budget_ms,
-            batch,
-        }
+        Ok(inv)
     }
 }
 
@@ -272,10 +252,6 @@ fn engine_for(inv: &Invocation) -> Result<ExplorationEngine> {
         ));
     }
     let mut engine = ExplorationEngine::new(inv.jobs);
-    if inv.batch > 1 {
-        engine.set_batch(inv.batch);
-        engine.set_projection(true);
-    }
     if inv.budget_steps.is_some() || inv.budget_ms.is_some() {
         engine.set_budget(BudgetSpec {
             max_steps: inv.budget_steps,
@@ -405,10 +381,7 @@ pub fn help_text() -> String {
      --checkpoint=FILE journals every completed replay; after a crash,\n\
      --resume skips the journalled candidates (bit-identical winner)\n\
      --budget-steps=N / --budget-ms=N bound each candidate replay; a\n\
-     tripped budget aborts that candidate, not the sweep\n\
-     --batch=N fuses N candidates into one pass over the compiled event\n\
-     stream and projects behaviourally-identical candidates onto one\n\
-     replay (bit-identical winner; 1 = the serial kernel)\n"
+     tripped budget aborts that candidate, not the sweep\n"
         .to_string()
 }
 
@@ -995,7 +968,7 @@ pub fn run(inv: &Invocation) -> Result<String> {
         "lint" => lint_text(inv),
         "bounds" => bounds_text(inv),
         "record" => record_text(inv),
-        "help" | "--help" | "-h" => Ok(help_text()),
+        "help" => Ok(help_text()),
         other => Err(Error::InvalidConfig(format!(
             "unknown command '{other}' — try 'dmm help'"
         ))),
@@ -1006,8 +979,12 @@ pub fn run(inv: &Invocation) -> Result<String> {
 mod tests {
     use super::*;
 
-    fn inv(parts: &[&str]) -> Invocation {
+    fn parse(parts: &[&str]) -> Result<Invocation> {
         Invocation::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    fn inv(parts: &[&str]) -> Invocation {
+        parse(parts).unwrap()
     }
 
     #[test]
@@ -1040,14 +1017,24 @@ mod tests {
             "malformed shard count falls back to unsharded"
         );
         assert_eq!(inv(&["explore", "--shards=0"]).shards, 1);
-        assert_eq!(inv(&["explore"]).batch, 1, "batch defaults to serial");
-        assert_eq!(inv(&["explore", "--batch=16"]).batch, 16);
-        assert_eq!(
-            inv(&["explore", "--batch=oops"]).batch,
-            1,
-            "malformed batch width falls back to the serial kernel"
-        );
-        assert_eq!(inv(&["explore", "--batch=0"]).batch, 1);
+    }
+
+    #[test]
+    fn parse_rejects_malformed_seeds_and_unknown_flags() {
+        for bad in ["--seed=oops", "--seed=-1", "--seed="] {
+            let err = parse(&["explore", "drr", bad]).unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains("--seed"), "{err}");
+        }
+        for flag in ["--width=8", "--bogus", "--seed", "-x"] {
+            let err = parse(&["explore", "drr", flag]).unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains(flag), "{err}");
+        }
+        // Help still parses, as a command or anywhere after one.
+        for args in [&["--help"][..], &["-h"], &["explore", "--help"]] {
+            assert!(run(&inv(args)).unwrap().contains("USAGE"), "{args:?}");
+        }
     }
 
     #[test]
@@ -1065,21 +1052,6 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(tail(&serial), tail(&parallel));
-    }
-
-    #[test]
-    fn explore_batched_projection_agrees_with_serial() {
-        // --batch=N turns on the fused kernel and the projection tier;
-        // the designed manager must not change.
-        let serial = explore_text(&inv(&["explore", "drr", "--jobs=1"])).unwrap();
-        let batched = explore_text(&inv(&["explore", "drr", "--jobs=1", "--batch=8"])).unwrap();
-        let tail = |s: &str| {
-            s.lines()
-                .skip_while(|l| !l.starts_with("decision log"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(tail(&serial), tail(&batched));
     }
 
     #[test]

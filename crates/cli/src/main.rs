@@ -4,8 +4,7 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let inv = dmm_cli::Invocation::parse(&args);
-    match dmm_cli::run(&inv) {
+    match dmm_cli::Invocation::parse(&args).and_then(|inv| dmm_cli::run(&inv)) {
         Ok(text) => print!("{text}"),
         Err(e) => {
             eprintln!("dmm: {e}");

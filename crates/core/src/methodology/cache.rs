@@ -18,17 +18,19 @@
 //! [`explore_phases`](crate::methodology::Methodology::explore_phases), or
 //! across repeated designs in a bench harness).
 //!
-//! # Why an exhaustive sweep has `cache_hits: 0` on structural keys
+//! # Sweeps bypass the structural tier
 //!
 //! The structural cache only pays off when the *same* `(trace, config)`
 //! pair is evaluated twice — which the greedy traversal and the portfolio
 //! probes do constantly, but an exhaustive branch-and-bound sweep never
 //! does: [`SpaceIter`](crate::space::enumerate::SpaceIter) enumerates each
-//! coherent configuration exactly once, and pruned candidates skip the
-//! cache entirely. The committed full-sweep telemetry in
-//! `BENCH_replay.json` therefore reports `cache_hits: 0` by construction
-//! (the `replay_hot` bench asserts this invariant). Collapsing the sweep
-//! needs a *coarser* equivalence than structural identity — that is what
+//! coherent configuration exactly once (a property
+//! `space::enumerate`'s tests check over the whole space). So the sweep
+//! entry point,
+//! [`ExplorationEngine::evaluate_bounded`](crate::methodology::ExplorationEngine::evaluate_bounded),
+//! neither reads nor writes this tier; storing one entry per replayed
+//! candidate would only hold memory. Collapsing the sweep needs a
+//! *coarser* equivalence than structural identity — that is what
 //! [`ProjectedKey`] provides.
 //!
 //! # Trace-conditioned config projection
@@ -317,7 +319,7 @@ impl ProjectedKey {
 /// # Examples
 ///
 /// ```
-/// use dmm_core::methodology::cache::ReplayCache;
+/// use dmm_core::methodology::cache::{ReplayCache, TraceKey};
 /// use dmm_core::manager::PolicyAllocator;
 /// use dmm_core::space::presets;
 /// use dmm_core::trace::{replay, Trace};
@@ -329,11 +331,12 @@ impl ProjectedKey {
 /// let trace = b.finish()?;
 ///
 /// let cache = ReplayCache::new();
+/// let key = TraceKey::of(&trace);
 /// let cfg = presets::drr_paper();
-/// assert!(cache.get(&trace, &cfg).is_none());
+/// assert!(cache.get(key, &cfg).is_none());
 /// let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone())?)?;
-/// cache.insert(&trace, &cfg, fs.clone());
-/// assert_eq!(cache.get(&trace, &cfg), Some(fs));
+/// cache.insert(key, &cfg, fs.clone());
+/// assert_eq!(cache.get(key, &cfg), Some(fs));
 /// # Ok(())
 /// # }
 /// ```
@@ -353,17 +356,12 @@ impl ReplayCache {
         ReplayCache::default()
     }
 
-    /// Cached replay statistics of `cfg` on `trace`, if present.
+    /// Cached replay statistics of `cfg` on the trace fingerprinted as
+    /// `trace`, if present.
     ///
     /// The returned statistics carry the *cached* manager name; callers
     /// that care about labels should restore their own (the engine does).
-    pub fn get(&self, trace: &Trace, cfg: &DmConfig) -> Option<FootprintStats> {
-        self.get_keyed(TraceKey::of(trace), cfg)
-    }
-
-    /// Like [`ReplayCache::get`] with a precomputed [`TraceKey`] (avoids
-    /// re-hashing the trace for every candidate of one tree).
-    pub fn get_keyed(&self, trace: TraceKey, cfg: &DmConfig) -> Option<FootprintStats> {
+    pub fn get(&self, trace: TraceKey, cfg: &DmConfig) -> Option<FootprintStats> {
         self.map
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -371,13 +369,9 @@ impl ReplayCache {
             .cloned()
     }
 
-    /// Record the replay statistics of `cfg` on `trace`.
-    pub fn insert(&self, trace: &Trace, cfg: &DmConfig, stats: FootprintStats) {
-        self.insert_keyed(TraceKey::of(trace), cfg, stats);
-    }
-
-    /// Like [`ReplayCache::insert`] with a precomputed [`TraceKey`].
-    pub fn insert_keyed(&self, trace: TraceKey, cfg: &DmConfig, stats: FootprintStats) {
+    /// Record the replay statistics of `cfg` on the trace fingerprinted as
+    /// `trace`.
+    pub fn insert(&self, trace: TraceKey, cfg: &DmConfig, stats: FootprintStats) {
         self.map
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -441,14 +435,15 @@ mod tests {
     fn name_is_excluded_from_the_key() {
         let trace = tiny_trace();
         let cache = ReplayCache::new();
+        let key = TraceKey::of(&trace);
         let cfg = presets::drr_paper();
         let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-        cache.insert(&trace, &cfg, fs.clone());
+        cache.insert(key, &cfg, fs.clone());
 
         let mut renamed = cfg.clone();
         renamed.name = "same machinery, different label".into();
         assert_eq!(
-            cache.get(&trace, &renamed),
+            cache.get(key, &renamed),
             Some(fs),
             "a rename must not defeat memoisation"
         );
@@ -459,15 +454,16 @@ mod tests {
     fn different_configs_and_traces_miss() {
         let trace = tiny_trace();
         let cache = ReplayCache::new();
+        let key = TraceKey::of(&trace);
         let cfg = presets::drr_paper();
         let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-        cache.insert(&trace, &cfg, fs);
+        cache.insert(key, &cfg, fs);
 
-        assert!(cache.get(&trace, &presets::kingsley_like()).is_none());
+        assert!(cache.get(key, &presets::kingsley_like()).is_none());
         let mut reparam = presets::drr_paper();
         reparam.params.trim_threshold = None;
         assert!(
-            cache.get(&trace, &reparam).is_none(),
+            cache.get(key, &reparam).is_none(),
             "params are part of the structural key"
         );
 
@@ -475,7 +471,9 @@ mod tests {
         let a = b.alloc(101); // one byte different
         b.free(a);
         let other = b.finish().unwrap();
-        assert!(cache.get(&other, &presets::drr_paper()).is_none());
+        assert!(cache
+            .get(TraceKey::of(&other), &presets::drr_paper())
+            .is_none());
     }
 
     fn alloc_only_trace() -> Trace {

@@ -9,6 +9,14 @@
 //! caller that folds them sequentially gets bit-identical argmins and
 //! tie-breaks whether the engine ran with one job or many.
 //!
+//! Each cache tier serves one kind of traffic. The greedy and sharded
+//! entry points ([`ExplorationEngine::evaluate_all`],
+//! [`ExplorationEngine::evaluate_config`]) re-derive the same full
+//! configurations over and over, so they go through the structural tier.
+//! The sweep entry point ([`ExplorationEngine::evaluate_bounded`]) sees
+//! each configuration once and could never hit that tier, so it goes
+//! lint → bound → projected tier (when on) → fresh replay instead.
+//!
 //! One engine may serve many explorations — the cache key includes a trace
 //! fingerprint, so sharing an engine across portfolio probes, phases,
 //! objective sweeps or repeated designs only ever *adds* cache hits.
@@ -27,8 +35,8 @@ use crate::methodology::checkpoint::CheckpointJournal;
 use crate::metrics::FootprintStats;
 use crate::space::config::DmConfig;
 use crate::trace::{
-    replay_compiled_batch, replay_compiled_budgeted, replay_compiled_with, BatchScratch,
-    CompiledTrace, ReplayBudget, ReplayScratch, Trace,
+    replay_compiled_budgeted, replay_compiled_with, CompiledTrace, ReplayBudget, ReplayScratch,
+    Trace,
 };
 
 thread_local! {
@@ -39,10 +47,6 @@ thread_local! {
     /// safe — and allocation-free once the table has grown to the largest
     /// slot count seen.
     static REPLAY_SCRATCH: RefCell<ReplayScratch> = RefCell::new(ReplayScratch::new());
-    /// Per-worker slot matrix for the fused multi-candidate kernel
-    /// ([`replay_compiled_batch`]); same reuse contract as
-    /// [`REPLAY_SCRATCH`].
-    static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::new());
 }
 
 /// Monotonic counters of one engine's work.
@@ -52,7 +56,8 @@ pub struct EngineCounters {
     pub evaluations: usize,
     /// Full trace replays actually performed.
     pub replays: usize,
-    /// Evaluations served from the replay cache.
+    /// Evaluations served from the structural replay cache or the
+    /// checkpoint journal.
     pub cache_hits: usize,
     /// Candidates rejected by a prune-safe static lint before any replay
     /// (or cache lookup) was scheduled. Not counted in `evaluations`.
@@ -177,15 +182,14 @@ pub struct ExplorationEngine {
     /// across all nesting levels — the shared budget that keeps
     /// phases × hypotheses × candidates from multiplying thread counts.
     spawned: AtomicUsize,
-    /// Quarantine mode: sweep entry points skip (instead of propagate)
-    /// candidates that panic or run out of budget.
+    /// Quarantine mode: the sweep entry point skips (instead of
+    /// propagating) candidates that panic or run out of budget.
     quarantine: bool,
-    /// Trace-conditioned config projection: sweep entry points collapse
-    /// candidates whose [`ProjectedKey`] matches an already-replayed
-    /// sibling into a copied result ([`EngineCounters::projection_hits`]).
+    /// Trace-conditioned config projection: the sweep entry point
+    /// collapses candidates whose [`ProjectedKey`] matches an
+    /// already-replayed sibling into a copied result
+    /// ([`EngineCounters::projection_hits`]).
     projection: bool,
-    /// Candidates per fused-replay batch (1 = the serial kernel).
-    batch: usize,
     /// Per-candidate replay budget, enforced inside the compiled kernel.
     budget: BudgetSpec,
     /// Injected faults (tests only; `None` in production).
@@ -229,21 +233,20 @@ impl ExplorationEngine {
             spawned: AtomicUsize::new(0),
             quarantine: false,
             projection: false,
-            batch: 1,
             budget: BudgetSpec::default(),
             fault_plan: None,
             journal: None,
         }
     }
 
-    /// Enable/disable quarantine mode: with it on, the sweep entry points
-    /// ([`ExplorationEngine::evaluate_pruned`],
-    /// [`ExplorationEngine::evaluate_bounded`]) *skip* candidates that
+    /// Enable/disable quarantine mode: with it on, the sweep entry point
+    /// ([`ExplorationEngine::evaluate_bounded`]) *skips* candidates that
     /// panic ([`EngineCounters::quarantined`], `EX001`) or exceed their
     /// replay budget ([`EngineCounters::budget_exceeded`], `EX002`)
     /// instead of failing the whole sweep. All other errors still
     /// propagate, and the strict entry points
-    /// ([`ExplorationEngine::evaluate_all`] and friends) always propagate
+    /// ([`ExplorationEngine::evaluate_all`],
+    /// [`ExplorationEngine::evaluate_config`]) always propagate
     /// everything — a greedy traversal needs every score it asks for.
     pub fn set_quarantine(&mut self, on: bool) {
         self.quarantine = on;
@@ -262,10 +265,9 @@ impl ExplorationEngine {
     }
 
     /// Enable/disable trace-conditioned config projection on the sweep
-    /// entry points ([`ExplorationEngine::evaluate_bounded`],
-    /// [`ExplorationEngine::evaluate_bounded_batch`]): candidates whose
-    /// [`ProjectedKey`] matches an already-replayed sibling are served a
-    /// copy of that sibling's stats — counted in
+    /// entry point ([`ExplorationEngine::evaluate_bounded`]): candidates
+    /// whose [`ProjectedKey`] matches an already-replayed sibling are
+    /// served a copy of that sibling's stats — counted in
     /// [`EngineCounters::projection_hits`], never in `evaluations` — and
     /// in debug builds every served copy is checked against a fresh
     /// shadow replay (the soundness oracle). The greedy/strict entry
@@ -285,28 +287,6 @@ impl ExplorationEngine {
     /// Whether trace-conditioned projection is on.
     pub fn projection(&self) -> bool {
         self.projection
-    }
-
-    /// Set the fused-replay batch width: sweeps evaluate up to `batch`
-    /// candidates per worker down **one pass** of the compiled event
-    /// stream ([`replay_compiled_batch`]). `0` and `1` both mean the
-    /// serial kernel. Budgeted, fault-injected, journalled or quarantined
-    /// engines fall back to the serial kernel per candidate — those paths
-    /// need per-candidate control the fused loop does not have.
-    pub fn set_batch(&mut self, batch: usize) {
-        self.batch = batch.max(1);
-    }
-
-    /// Builder form of [`ExplorationEngine::set_batch`].
-    #[must_use]
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.set_batch(batch);
-        self
-    }
-
-    /// The fused-replay batch width (1 = serial kernel).
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 
     /// Set the per-candidate replay budget (applies to every subsequent
@@ -415,97 +395,73 @@ impl ExplorationEngine {
         &self.cache
     }
 
-    /// Evaluate every configuration against `trace`, memoised and fanned
-    /// out over the engine's jobs. The result vector is **in input
-    /// order**; on failure the error of the earliest failing input is
-    /// returned, exactly as a serial loop would surface it.
+    /// Evaluate every configuration against `trace` (fingerprinted as
+    /// `key`, so a caller scoring many candidate sets against one trace —
+    /// the greedy traversal does, once per tree — hashes it once),
+    /// memoised in the structural tier and fanned out over the engine's
+    /// jobs. The result vector is **in input order**; on failure the error
+    /// of the earliest failing input is returned, exactly as a serial loop
+    /// would surface it.
     ///
     /// # Errors
     ///
     /// Propagates manager construction and replay failures.
-    pub fn evaluate_all(&self, trace: &Trace, cfgs: &[DmConfig]) -> Result<Vec<Evaluation>> {
-        self.evaluate_all_keyed(trace, TraceKey::of(trace), cfgs)
-    }
-
-    /// Like [`ExplorationEngine::evaluate_all`] with a precomputed
-    /// [`TraceKey`], so a caller evaluating many candidate sets against
-    /// one trace (the greedy traversal does, once per tree) hashes the
-    /// trace once instead of per call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates manager construction and replay failures.
-    pub fn evaluate_all_keyed(
+    pub fn evaluate_all(
         &self,
         trace: &Trace,
         key: TraceKey,
         cfgs: &[DmConfig],
     ) -> Result<Vec<Evaluation>> {
-        let results = self.run_parallel(cfgs, |cfg| self.evaluate_one(trace, key, cfg));
+        let results = self.run_parallel(cfgs, |cfg| self.evaluate_config(trace, key, cfg));
         results.into_iter().collect()
     }
 
-    /// Evaluate a single configuration against `trace`, memoised under the
-    /// trace's own fingerprint. Sharded exploration leans on this: each
-    /// shard is its own cache partition, so replaying the merged design
-    /// over a shard whose exploration already scored that configuration is
-    /// a cache hit, not a second replay.
+    /// Evaluate a single configuration against `trace` (fingerprinted as
+    /// `key`), memoised in the structural tier: a hit is served from the
+    /// cache, a miss replays and is remembered. Sharded exploration leans
+    /// on this: each shard is its own cache partition, so replaying the
+    /// merged design over a shard whose exploration already scored that
+    /// configuration is a cache hit, not a second replay.
     ///
     /// # Errors
     ///
     /// Propagates manager construction and replay failures.
-    pub fn evaluate_config(&self, trace: &Trace, cfg: &DmConfig) -> Result<Evaluation> {
-        self.evaluate_one(trace, TraceKey::of(trace), cfg)
-    }
-
-    /// Like [`ExplorationEngine::evaluate_config`] with a precomputed
-    /// [`TraceKey`], so a caller that also needs the key for its own
-    /// bookkeeping (e.g. to release the compiled trace afterwards)
-    /// fingerprints the trace once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates manager construction and replay failures.
-    pub fn evaluate_config_keyed(
+    pub fn evaluate_config(
         &self,
         trace: &Trace,
         key: TraceKey,
         cfg: &DmConfig,
     ) -> Result<Evaluation> {
-        self.evaluate_one(trace, key, cfg)
-    }
-
-    /// Like [`ExplorationEngine::evaluate_config_keyed`], but first asks
-    /// the static analyser for a **prune-safe** dominance reason. If one
-    /// fires, the candidate is skipped — `Ok(None)` — and counted in
-    /// [`ExplorationEngine::statically_pruned`] instead of scheduling a
-    /// replay. Prune-safe lints only fire when an earlier-enumerated
-    /// sibling replays bit-identically, so an exhaustive fold that keeps
-    /// the first-seen minimum is unaffected by the skips.
-    ///
-    /// # Errors
-    ///
-    /// Propagates manager construction and replay failures of candidates
-    /// that were *not* pruned.
-    pub fn evaluate_pruned(
-        &self,
-        trace: &Trace,
-        key: TraceKey,
-        cfg: &DmConfig,
-    ) -> Result<Option<Evaluation>> {
-        if crate::analyze::prune_reason(cfg).is_some() {
-            self.statically_pruned.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
+        if let Some(stats) = self.cache.get(key, cfg) {
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Evaluation {
+                stats: relabel(stats, cfg),
+                cache_hit: true,
+                projected: false,
+            });
         }
-        self.quarantine_or_raise(self.evaluate_one(trace, key, cfg))
+        let eval = self.replay_fresh(trace, key, cfg)?;
+        self.cache.insert(key, cfg, eval.stats.clone());
+        Ok(eval)
     }
 
-    /// Branch-and-bound evaluation: [`ExplorationEngine::evaluate_pruned`]
-    /// plus an admission test against the incumbent's **actual** replayed
-    /// peak. A candidate whose admissible footprint floor (`bound`, from
-    /// [`crate::analyze::lower_bound_peak`]) already loses is skipped —
-    /// `Ok(None)` — and counted in [`ExplorationEngine::bound_pruned`],
-    /// with no replay *or cache lookup* scheduled.
+    /// Branch-and-bound evaluation — the sweep entry point. A candidate is
+    /// skipped (`Ok(None)`) when
+    ///
+    /// - a **prune-safe** static lint ([`crate::analyze::prune_reason`])
+    ///   proves an earlier-enumerated sibling replays bit-identically
+    ///   (counted in [`ExplorationEngine::statically_pruned`]), or
+    /// - its admissible footprint floor (`bound`, from
+    ///   [`crate::analyze::lower_bound_peak`]) already loses to the
+    ///   `incumbent`'s **actual** replayed peak (counted in
+    ///   [`ExplorationEngine::bound_pruned`]); `incumbent: None` admits
+    ///   every candidate the lints let through.
+    ///
+    /// Survivors are served from the projected tier when projection is on
+    /// ([`ExplorationEngine::set_projection`]) and replayed otherwise. The
+    /// structural tier is never read or written: a sweep sees each
+    /// configuration once, so it could never hit.
     ///
     /// "Loses" is exact, not merely strict: with `bound > incumbent.peak`
     /// the candidate's peak can only be worse; with `bound ==
@@ -519,7 +475,8 @@ impl ExplorationEngine {
     /// # Errors
     ///
     /// Propagates manager construction and replay failures of candidates
-    /// that were *not* skipped.
+    /// that were *not* skipped (panics and budget trips become counted
+    /// skips in quarantine mode — see [`ExplorationEngine::set_quarantine`]).
     pub fn evaluate_bounded(
         &self,
         trace: &Trace,
@@ -539,206 +496,28 @@ impl ExplorationEngine {
                 return Ok(None);
             }
         }
-        if self.projection {
-            return self.quarantine_or_raise(self.evaluate_projected(trace, key, cfg));
-        }
-        self.quarantine_or_raise(self.evaluate_one(trace, key, cfg))
+        let result = if self.projection {
+            self.evaluate_projected(trace, key, cfg)
+        } else {
+            self.replay_fresh(trace, key, cfg)
+        };
+        self.quarantine_or_raise(result)
     }
 
-    /// Branch-and-bound evaluation of a whole bound-ordered batch —
-    /// `items` is a window of `(order, bound)` entries from
-    /// [`crate::analyze::rank_by_bound`], `incumbent` the best replayed
-    /// peak *before the window started*. Returns one slot per item, in
-    /// item order: `None` for pruned/quarantined candidates, `Some` for
-    /// evaluated ones.
-    ///
-    /// The fast path fuses every candidate that survives pruning and both
-    /// cache tiers into **one** [`replay_compiled_batch`] pass over the
-    /// compiled event stream. With projection on, candidates sharing a
-    /// [`ProjectedKey`] are first collapsed to one representative — the
-    /// earliest item of the window, which is also the earliest enumeration
-    /// order among them, because equal projected keys imply equal bounds
-    /// and the window is bound-ordered — and the others are served copies
-    /// ([`EngineCounters::projection_hits`]).
-    ///
-    /// Engines with budgets, fault plans, journals or quarantine fall back
-    /// to the per-candidate serial path: those features need per-candidate
-    /// control (deterministic step budgets, typed panic attribution,
-    /// journalling at replay granularity) that a fused loop cannot give.
-    /// If the fused kernel itself panics, the window is redone serially so
-    /// the panic is attributed to its owner as a typed
-    /// [`Error::CandidatePanicked`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates manager construction and replay failures of candidates
-    /// that were *not* pruned.
-    pub fn evaluate_bounded_batch(
+    /// The sweep path with projection on: projected-tier lookup first,
+    /// then a fresh replay, publishing the result to the projected tier so
+    /// behaviorally-identical later candidates hit.
+    fn evaluate_projected(
         &self,
         trace: &Trace,
         key: TraceKey,
-        configs: &[DmConfig],
-        items: &[(usize, usize)],
-        incumbent: Option<Incumbent>,
-    ) -> Result<Vec<Option<Evaluation>>> {
-        let mut out: Vec<Option<Evaluation>> = (0..items.len()).map(|_| None).collect();
-        let mut survivors: Vec<usize> = Vec::with_capacity(items.len());
-        for (i, &(order, bound)) in items.iter().enumerate() {
-            let cfg = &configs[order];
-            if crate::analyze::prune_reason(cfg).is_some() {
-                self.statically_pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if let Some(inc) = incumbent {
-                if bound > inc.peak || (bound == inc.peak && order > inc.order) {
-                    self.bound_pruned.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-            }
-            survivors.push(i);
-        }
-        let healthy = !self.budget.is_bounded()
-            && self.fault_plan.is_none()
-            && self.journal.is_none()
-            && !self.quarantine;
-        if !healthy {
-            for &i in &survivors {
-                let cfg = &configs[items[i].0];
-                out[i] = if self.projection {
-                    self.quarantine_or_raise(self.evaluate_projected(trace, key, cfg))?
-                } else {
-                    self.quarantine_or_raise(self.evaluate_one(trace, key, cfg))?
-                };
-            }
-            return Ok(out);
-        }
-        // Serve projected-cache hits; group the misses by ProjectedKey so
-        // each behavioral equivalence class replays exactly once. The
-        // first member of a group (earliest item index) is its
-        // representative.
-        let projection = self.projection.then(|| self.projection_for(key, trace));
-        let mut groups: Vec<(Option<ProjectedKey>, Vec<usize>)> = Vec::new();
-        let mut group_of: HashMap<ProjectedKey, usize> = HashMap::new();
-        for &i in &survivors {
-            let cfg = &configs[items[i].0];
-            let Some(projection) = &projection else {
-                groups.push((None, vec![i]));
-                continue;
-            };
-            let pkey = ProjectedKey::of(cfg, projection);
-            if let Some(mut stats) = self.cache.get_projected(key, &pkey) {
-                self.projection_hits.fetch_add(1, Ordering::Relaxed);
-                if stats.manager.as_ref() != cfg.name {
-                    stats.manager = Arc::from(cfg.name.as_str());
-                }
-                #[cfg(debug_assertions)]
-                self.shadow_oracle_check(trace, key, cfg, &stats);
-                out[i] = Some(Evaluation {
-                    stats,
-                    cache_hit: true,
-                    projected: true,
-                });
-                continue;
-            }
-            match group_of.get(&pkey) {
-                Some(&g) => groups[g].1.push(i),
-                None => {
-                    group_of.insert(pkey.clone(), groups.len());
-                    groups.push((Some(pkey), vec![i]));
-                }
-            }
-        }
-        // Representatives already known structurally (or via the journal)
-        // are served through the ordinary path; the rest go to the fused
-        // kernel.
-        let mut fused: Vec<usize> = Vec::new();
-        for (g, (_, members)) in groups.iter().enumerate() {
-            let cfg = &configs[items[members[0]].0];
-            if self.cache.get_keyed(key, cfg).is_some() {
-                out[members[0]] = Some(self.evaluate_one(trace, key, cfg)?);
-            } else {
-                fused.push(g);
-            }
-        }
-        if !fused.is_empty() {
-            let compiled = self.compiled_for(key, trace);
-            let mut managers = Vec::with_capacity(fused.len());
-            for &g in &fused {
-                managers.push(PolicyAllocator::new(configs[items[groups[g].1[0]].0].clone())?);
-            }
-            let replayed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                BATCH_SCRATCH.with(|s| {
-                    replay_compiled_batch(&compiled, &mut managers, &mut s.borrow_mut())
-                })
-            }));
-            match replayed {
-                Ok(results) => {
-                    for (&g, result) in fused.iter().zip(results) {
-                        let rep = groups[g].1[0];
-                        let cfg = &configs[items[rep].0];
-                        let stats = result?;
-                        self.evaluations.fetch_add(1, Ordering::Relaxed);
-                        self.replays.fetch_add(1, Ordering::Relaxed);
-                        self.cache.insert_keyed(key, cfg, stats.clone());
-                        out[rep] = Some(Evaluation {
-                            stats,
-                            cache_hit: false,
-                            projected: false,
-                        });
-                    }
-                }
-                Err(_) => {
-                    // Some candidate panicked inside the fused pass, taking
-                    // the whole window down before any counter or cache was
-                    // touched. Redo the window serially: the serial path's
-                    // catch_unwind attributes the panic to its owner as a
-                    // typed error.
-                    for &g in &fused {
-                        let rep = groups[g].1[0];
-                        out[rep] = Some(self.evaluate_one(trace, key, &configs[items[rep].0])?);
-                    }
-                }
-            }
-        }
-        // Publish each representative's stats to the projection tier and
-        // serve the other members of its equivalence class.
-        for (pkey, members) in groups {
-            let Some(pkey) = pkey else { continue };
-            let Some(rep_eval) = out[members[0]].as_ref() else {
-                continue;
-            };
-            let rep_stats = rep_eval.stats.clone();
-            self.cache.insert_projected(key, pkey, rep_stats.clone());
-            for &m in &members[1..] {
-                let cfg = &configs[items[m].0];
-                let mut stats = rep_stats.clone();
-                if stats.manager.as_ref() != cfg.name {
-                    stats.manager = Arc::from(cfg.name.as_str());
-                }
-                #[cfg(debug_assertions)]
-                self.shadow_oracle_check(trace, key, cfg, &stats);
-                self.projection_hits.fetch_add(1, Ordering::Relaxed);
-                out[m] = Some(Evaluation {
-                    stats,
-                    cache_hit: true,
-                    projected: true,
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    /// The sweep path with projection on: projected-cache lookup first,
-    /// then the ordinary structural path, publishing the fresh result to
-    /// the projection tier so behaviorally-identical later candidates hit.
-    fn evaluate_projected(&self, trace: &Trace, key: TraceKey, cfg: &DmConfig) -> Result<Evaluation> {
+        cfg: &DmConfig,
+    ) -> Result<Evaluation> {
         let projection = self.projection_for(key, trace);
         let pkey = ProjectedKey::of(cfg, &projection);
-        if let Some(mut stats) = self.cache.get_projected(key, &pkey) {
+        if let Some(stats) = self.cache.get_projected(key, &pkey) {
             self.projection_hits.fetch_add(1, Ordering::Relaxed);
-            if stats.manager.as_ref() != cfg.name {
-                stats.manager = Arc::from(cfg.name.as_str());
-            }
+            let stats = relabel(stats, cfg);
             #[cfg(debug_assertions)]
             self.shadow_oracle_check(trace, key, cfg, &stats);
             return Ok(Evaluation {
@@ -747,7 +526,7 @@ impl ExplorationEngine {
                 projected: true,
             });
         }
-        let eval = self.evaluate_one(trace, key, cfg)?;
+        let eval = self.replay_fresh(trace, key, cfg)?;
         self.cache.insert_projected(key, pkey, eval.stats.clone());
         Ok(eval)
     }
@@ -768,24 +547,22 @@ impl ExplorationEngine {
         let mut mgr = PolicyAllocator::new(cfg.clone())
             .expect("shadow oracle: projected candidate must construct");
         let mut scratch = ReplayScratch::new();
-        let mut fresh = replay_compiled_with(&compiled, &mut mgr, &mut scratch)
+        let fresh = replay_compiled_with(&compiled, &mut mgr, &mut scratch)
             .expect("shadow oracle: projected candidate must replay");
-        if fresh.manager.as_ref() != cfg.name {
-            fresh.manager = Arc::from(cfg.name.as_str());
-        }
         assert_eq!(
-            &fresh, served,
+            &relabel(fresh, cfg),
+            served,
             "projection oracle violated for '{}': served stats differ from a fresh replay",
             cfg.name
         );
     }
 
-    /// The sweep entry points' failure policy. In quarantine mode a
+    /// The sweep entry point's failure policy. In quarantine mode a
     /// panicking (`EX001`) or over-budget (`EX002`) candidate becomes a
     /// counted skip — `Ok(None)` — keeping the partition invariant
-    /// `evaluations + statically_pruned + bound_pruned + quarantined +
-    /// budget_exceeded == enumerated`. Everything else (and everything,
-    /// with quarantine off) propagates.
+    /// `evaluations + projection_hits + statically_pruned + bound_pruned +
+    /// quarantined + budget_exceeded == enumerated`. Everything else (and
+    /// everything, with quarantine off) propagates.
     fn quarantine_or_raise(&self, result: Result<Evaluation>) -> Result<Option<Evaluation>> {
         match result {
             Ok(e) => Ok(Some(e)),
@@ -802,38 +579,19 @@ impl ExplorationEngine {
         }
     }
 
-    /// Evaluate one candidate: cache → journal → fresh replay. Counters
-    /// are bumped only on success, so failed candidates can be
-    /// re-attributed (quarantined, over budget) by the caller without
-    /// breaking the partition invariant.
-    fn evaluate_one(&self, trace: &Trace, key: TraceKey, cfg: &DmConfig) -> Result<Evaluation> {
-        if let Some(mut stats) = self.cache.get_keyed(key, cfg) {
-            self.evaluations.fetch_add(1, Ordering::Relaxed);
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            // The cache key ignores names; restore this candidate's label
-            // so hit and miss paths are indistinguishable to the caller.
-            // Candidate completions usually inherit the methodology's one
-            // name, so this is normally a comparison, not an allocation.
-            if stats.manager.as_ref() != cfg.name {
-                stats.manager = Arc::from(cfg.name.as_str());
-            }
-            return Ok(Evaluation {
-                stats,
-                cache_hit: true,
-                projected: false,
-            });
-        }
+    /// Score one candidate without touching either cache tier: journal →
+    /// fresh replay under the engine's budget and fault plan, inside the
+    /// quarantine boundary. Counters are bumped only on success, so failed
+    /// candidates can be re-attributed (quarantined, over budget) by the
+    /// caller without breaking the partition invariant.
+    fn replay_fresh(&self, trace: &Trace, key: TraceKey, cfg: &DmConfig) -> Result<Evaluation> {
         let fingerprint = cfg.fingerprint();
         if let Some(journal) = &self.journal {
-            if let Some(mut stats) = journal.lookup(key.fingerprint(), key.events(), fingerprint) {
+            if let Some(stats) = journal.lookup(key.fingerprint(), key.events(), fingerprint) {
                 self.evaluations.fetch_add(1, Ordering::Relaxed);
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                if stats.manager.as_ref() != cfg.name {
-                    stats.manager = Arc::from(cfg.name.as_str());
-                }
-                self.cache.insert_keyed(key, cfg, stats.clone());
                 return Ok(Evaluation {
-                    stats,
+                    stats: relabel(stats, cfg),
                     cache_hit: true,
                     projected: false,
                 });
@@ -876,7 +634,6 @@ impl ExplorationEngine {
         };
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         self.replays.fetch_add(1, Ordering::Relaxed);
-        self.cache.insert_keyed(key, cfg, stats.clone());
         if let Some(journal) = &self.journal {
             journal.record(key.fingerprint(), key.events(), fingerprint, &stats)?;
         }
@@ -930,20 +687,15 @@ impl ExplorationEngine {
         self.compiled.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
-    /// Forget the compiled form of `trace`. The compiled copy is O(trace)
-    /// bytes, so streaming callers that promise trace memory bounded by
-    /// the largest shard ([`Methodology::explore_shard_stream`](crate::methodology::Methodology::explore_shard_stream))
+    /// Forget the compiled form (and projection) of the trace
+    /// fingerprinted as `key`. The compiled copy is O(trace) bytes, so
+    /// streaming callers that promise trace memory bounded by the largest
+    /// shard ([`Methodology::explore_shard_stream`](crate::methodology::Methodology::explore_shard_stream))
     /// release each shard's compilation as soon as they drop the shard —
     /// otherwise the table would quietly accumulate the whole trace.
     /// Safe at any time: a later evaluation of the same trace simply
     /// recompiles.
-    pub fn release_compiled(&self, trace: &Trace) {
-        self.release_compiled_keyed(TraceKey::of(trace));
-    }
-
-    /// Like [`ExplorationEngine::release_compiled`] with a precomputed
-    /// [`TraceKey`], avoiding a second O(n) fingerprint of the trace.
-    pub fn release_compiled_keyed(&self, key: TraceKey) {
+    pub fn release_compiled(&self, key: TraceKey) {
         self.compiled
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -1006,6 +758,19 @@ impl ExplorationEngine {
     }
 }
 
+/// `stats` labelled with `cfg`'s name. Cache keys ignore names, so cached,
+/// projected and journalled stats carry whichever name they were replayed
+/// under; restoring the caller's label keeps hit and miss paths
+/// indistinguishable. Candidate completions usually inherit the
+/// methodology's one name, so this is normally a comparison, not an
+/// allocation.
+fn relabel(mut stats: FootprintStats, cfg: &DmConfig) -> FootprintStats {
+    if stats.manager.as_ref() != cfg.name {
+        stats.manager = Arc::from(cfg.name.as_str());
+    }
+    stats
+}
+
 /// Best-effort stringification of a caught panic payload.
 pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -1064,7 +829,7 @@ mod tests {
         let engine = ExplorationEngine::serial();
         let cfg = presets::drr_paper();
         let cfgs = vec![cfg.clone(), presets::lea_like(), cfg.clone()];
-        let evals = engine.evaluate_all(&t, &cfgs).unwrap();
+        let evals = engine.evaluate_all(&t, TraceKey::of(&t), &cfgs).unwrap();
         assert!(!evals[0].cache_hit && !evals[1].cache_hit);
         assert!(evals[2].cache_hit, "third config duplicates the first");
         assert_eq!(evals[0].stats, evals[2].stats);
@@ -1078,9 +843,14 @@ mod tests {
     #[test]
     fn parallel_results_match_serial_in_order() {
         let t = trace();
+        let key = TraceKey::of(&t);
         let cfgs: Vec<DmConfig> = presets::all();
-        let serial = ExplorationEngine::serial().evaluate_all(&t, &cfgs).unwrap();
-        let parallel = ExplorationEngine::new(4).evaluate_all(&t, &cfgs).unwrap();
+        let serial = ExplorationEngine::serial()
+            .evaluate_all(&t, key, &cfgs)
+            .unwrap();
+        let parallel = ExplorationEngine::new(4)
+            .evaluate_all(&t, key, &cfgs)
+            .unwrap();
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.stats, p.stats);
@@ -1098,7 +868,7 @@ mod tests {
         bad_late.params.arena_limit = Some(96);
         let cfgs = vec![presets::lea_like(), bad_early, bad_late];
         let err = ExplorationEngine::new(4)
-            .evaluate_all(&t, &cfgs)
+            .evaluate_all(&t, TraceKey::of(&t), &cfgs)
             .unwrap_err();
         assert!(
             matches!(err, crate::error::Error::OutOfMemory { limit: 64, .. }),
@@ -1114,18 +884,19 @@ mod tests {
         // stale handle would surface as a bogus free in another config's
         // replay. Compare against a fresh engine to prove nothing leaked.
         let t = trace();
+        let key = TraceKey::of(&t);
         let engine = ExplorationEngine::serial();
         let mut tight = presets::drr_paper();
         tight.params.arena_limit = Some(512);
         assert!(
-            engine.evaluate_all(&t, &[tight]).is_err(),
+            engine.evaluate_all(&t, key, &[tight]).is_err(),
             "tight arena must OOM mid-replay"
         );
         let reused = engine
-            .evaluate_all(&t, &[presets::lea_like()])
+            .evaluate_all(&t, key, &[presets::lea_like()])
             .unwrap();
         let fresh = ExplorationEngine::serial()
-            .evaluate_all(&t, &[presets::lea_like()])
+            .evaluate_all(&t, key, &[presets::lea_like()])
             .unwrap();
         assert_eq!(reused[0].stats, fresh[0].stats);
     }
@@ -1133,13 +904,14 @@ mod tests {
     #[test]
     fn engine_compiles_each_trace_exactly_once() {
         let t = trace();
+        let key = TraceKey::of(&t);
         let engine = ExplorationEngine::serial();
-        let _ = engine.evaluate_all(&t, &presets::all()).unwrap();
+        let _ = engine.evaluate_all(&t, key, &presets::all()).unwrap();
         assert_eq!(engine.compiled_traces(), 1);
         // Re-evaluating (even with fresh configs) reuses the compilation.
         let mut renamed = presets::drr_paper();
         renamed.name = "renamed".into();
-        let _ = engine.evaluate_all(&t, &[renamed]).unwrap();
+        let _ = engine.evaluate_all(&t, key, &[renamed]).unwrap();
         assert_eq!(engine.compiled_traces(), 1);
     }
 
@@ -1157,8 +929,7 @@ mod tests {
             peak: eval.stats.peak_footprint,
             order: 0,
         };
-        let cached = engine.cache().len();
-        // Strictly losing bound: skipped, and the cache is untouched.
+        // Strictly losing bound: skipped.
         let skipped = engine
             .evaluate_bounded(&t, key, &presets::lea_like(), inc.peak + 1, 1, Some(inc))
             .unwrap();
@@ -1169,7 +940,6 @@ mod tests {
             .evaluate_bounded(&t, key, &presets::lea_like(), inc.peak, 2, Some(inc))
             .unwrap();
         assert!(tied_later.is_none());
-        assert_eq!(engine.cache().len(), cached, "skips must not touch the cache");
         assert_eq!(engine.bound_pruned(), 2);
         // A tie that enumerates *earlier* could displace the incumbent in
         // the plain fold: it must still be evaluated.
@@ -1190,6 +960,10 @@ mod tests {
         let c = engine.counters();
         assert_eq!(c.bound_pruned, 2);
         assert_eq!(c.evaluations, 2, "incumbent + earlier tie");
+        assert!(
+            engine.cache().is_empty(),
+            "sweeps never write the structural tier"
+        );
     }
 
     #[test]
@@ -1202,20 +976,30 @@ mod tests {
         // Quarantine on: the sweep skips the offender and keeps going.
         let engine = ExplorationEngine::serial()
             .with_quarantine(true)
+            .with_projection(true)
             .with_fault_plan(FaultPlan::new().panic_candidate(victim.fingerprint()));
-        assert!(engine.evaluate_pruned(&t, key, &victim).unwrap().is_none());
         assert!(engine
-            .evaluate_pruned(&t, key, &presets::drr_paper())
+            .evaluate_bounded(&t, key, &victim, 0, 0, None)
+            .unwrap()
+            .is_none());
+        assert!(engine
+            .evaluate_bounded(&t, key, &presets::drr_paper(), 0, 1, None)
             .unwrap()
             .is_some());
         let c = engine.counters();
         assert_eq!(c.quarantined, 1);
         assert_eq!(c.evaluations, 1, "the quarantined candidate is not an evaluation");
-        assert_eq!(engine.cache().len(), 1, "no poisoned score enters the cache");
+        assert_eq!(
+            engine.cache().projected_len(),
+            1,
+            "no poisoned score enters the cache"
+        );
 
         // Quarantine off (the default): the panic surfaces as a typed error.
         let strict = ExplorationEngine::serial().with_fault_plan(plan);
-        let err = strict.evaluate_pruned(&t, key, &victim).unwrap_err();
+        let err = strict
+            .evaluate_bounded(&t, key, &victim, 0, 0, None)
+            .unwrap_err();
         assert!(
             matches!(err, Error::CandidatePanicked { fingerprint, .. }
                 if fingerprint == victim.fingerprint()),
@@ -1225,7 +1009,7 @@ mod tests {
         let greedy = ExplorationEngine::serial()
             .with_quarantine(true)
             .with_fault_plan(FaultPlan::new().panic_candidate(victim.fingerprint()));
-        assert!(greedy.evaluate_all(&t, &[victim]).is_err());
+        assert!(greedy.evaluate_all(&t, key, &[victim]).is_err());
     }
 
     #[test]
@@ -1259,7 +1043,7 @@ mod tests {
             max_millis: None,
         });
         let err = strict
-            .evaluate_config_keyed(&t, key, &presets::drr_paper())
+            .evaluate_config(&t, key, &presets::drr_paper())
             .unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { limit: 1, .. }), "{err}");
         // A generous budget changes nothing.
@@ -1268,10 +1052,10 @@ mod tests {
             max_millis: None,
         });
         let budgeted = roomy
-            .evaluate_config_keyed(&t, key, &presets::drr_paper())
+            .evaluate_config(&t, key, &presets::drr_paper())
             .unwrap();
         let plain = ExplorationEngine::serial()
-            .evaluate_config_keyed(&t, key, &presets::drr_paper())
+            .evaluate_config(&t, key, &presets::drr_paper())
             .unwrap();
         assert_eq!(budgeted.stats, plain.stats);
     }
@@ -1283,18 +1067,19 @@ mod tests {
         let path = dir.join("engine.journal");
         std::fs::remove_file(&path).ok();
         let t = trace();
+        let key = TraceKey::of(&t);
         let cfgs = presets::all();
 
         let first = ExplorationEngine::serial()
             .with_journal(CheckpointJournal::create(&path).unwrap());
-        let original = first.evaluate_all(&t, &cfgs).unwrap();
+        let original = first.evaluate_all(&t, key, &cfgs).unwrap();
         assert_eq!(first.counters().replays, cfgs.len());
 
         // A brand-new engine (fresh cache, fresh process in spirit) resumes
         // from the journal: same stats, zero replays.
         let second = ExplorationEngine::serial()
             .with_journal(CheckpointJournal::resume(&path).unwrap());
-        let resumed = second.evaluate_all(&t, &cfgs).unwrap();
+        let resumed = second.evaluate_all(&t, key, &cfgs).unwrap();
         let c = second.counters();
         assert_eq!(c.replays, 0, "every score must come from the journal");
         assert_eq!(c.cache_hits, cfgs.len());
@@ -1340,100 +1125,7 @@ mod tests {
         assert_eq!(c.projection_hits, 1);
         assert_eq!(c.evaluations, 1, "projection hits are not evaluations");
         assert_eq!(engine.cache().projected_len(), 1);
-    }
-
-    #[test]
-    fn batched_window_matches_per_candidate_evaluation() {
-        let t = trace();
-        let key = TraceKey::of(&t);
-        let configs = presets::all();
-        let items: Vec<(usize, usize)> = (0..configs.len()).map(|i| (i, 0)).collect();
-        let batched_engine = ExplorationEngine::serial().with_batch(8);
-        assert_eq!(batched_engine.batch(), 8);
-        let batched = batched_engine
-            .evaluate_bounded_batch(&t, key, &configs, &items, None)
-            .unwrap();
-        let serial_engine = ExplorationEngine::serial();
-        for (i, got) in batched.iter().enumerate() {
-            let want = serial_engine
-                .evaluate_bounded(&t, key, &configs[i], 0, i, None)
-                .unwrap();
-            match (got, want) {
-                (Some(g), Some(w)) => assert_eq!(g.stats, w.stats, "{}", configs[i].name),
-                (None, None) => {}
-                other => panic!("slot {i} diverged: {other:?}"),
-            }
-        }
-        assert_eq!(
-            batched_engine.counters().replays,
-            serial_engine.counters().replays,
-            "same candidates must replay on both paths"
-        );
-    }
-
-    #[test]
-    fn batched_window_groups_projected_duplicates_onto_one_replay() {
-        let mut b = Trace::builder();
-        for i in 0..25usize {
-            b.alloc(48 + (i % 5) * 32);
-        }
-        let t = b.finish().unwrap();
-        let key = TraceKey::of(&t);
-        let header = presets::drr_paper();
-        let footer = header
-            .clone()
-            .with_leaf(crate::space::trees::Leaf::A3(crate::space::trees::BlockTags::Footer));
-        let configs = vec![header, footer, presets::lea_like()];
-        let items: Vec<(usize, usize)> = (0..configs.len()).map(|i| (i, 0)).collect();
-        let engine = ExplorationEngine::serial().with_projection(true).with_batch(4);
-        let out = engine
-            .evaluate_bounded_batch(&t, key, &configs, &items, None)
-            .unwrap();
-        assert!(!out[0].as_ref().unwrap().projected, "representative replays");
-        assert!(out[1].as_ref().unwrap().projected, "duplicate is served a copy");
-        assert_eq!(out[1].as_ref().unwrap().stats.manager.as_ref(), configs[1].name);
-        assert!(!out[2].as_ref().unwrap().projected, "distinct behavior replays");
-        let c = engine.counters();
-        assert_eq!(c.replays, 2);
-        assert_eq!(c.projection_hits, 1);
-        assert_eq!(
-            c.evaluations + c.projection_hits,
-            configs.len(),
-            "partition over the window"
-        );
-    }
-
-    #[test]
-    fn batched_window_prunes_and_faults_fall_back_per_candidate() {
-        let t = trace();
-        let key = TraceKey::of(&t);
-        let victim = presets::kingsley_like();
-        let configs = vec![presets::drr_paper(), victim.clone(), presets::lea_like()];
-        let items: Vec<(usize, usize)> = (0..configs.len()).map(|i| (i, 0)).collect();
-        // Quarantine + fault plan forces the serial fallback inside the
-        // batch entry point; the panicking victim becomes a counted skip.
-        let engine = ExplorationEngine::serial()
-            .with_batch(4)
-            .with_quarantine(true)
-            .with_fault_plan(FaultPlan::new().panic_candidate(victim.fingerprint()));
-        let out = engine
-            .evaluate_bounded_batch(&t, key, &configs, &items, None)
-            .unwrap();
-        assert!(out[0].is_some() && out[2].is_some());
-        assert!(out[1].is_none(), "the panicking candidate is quarantined");
-        let c = engine.counters();
-        assert_eq!(c.quarantined, 1);
-        assert_eq!(c.evaluations, 2);
-        // Bound pruning inside a window is counted exactly like the serial
-        // path.
-        let inc = Incumbent { peak: 0, order: 0 };
-        let pruned = ExplorationEngine::serial()
-            .with_batch(4);
-        let out = pruned
-            .evaluate_bounded_batch(&t, key, &configs, &[(1, usize::MAX), (2, usize::MAX)], Some(inc))
-            .unwrap();
-        assert!(out.iter().all(Option::is_none));
-        assert_eq!(pruned.counters().bound_pruned, 2);
+        assert!(engine.cache().is_empty(), "the structural tier is untouched");
     }
 
     #[test]

@@ -566,7 +566,7 @@ impl Methodology {
                 trial.set(leaf);
                 completions.push(self.complete(&trial, &params, style)?);
             }
-            let scored = engine.evaluate_all_keyed(trace, trace_key, &completions)?;
+            let scored = engine.evaluate_all(trace, trace_key, &completions)?;
             let mut evals = Vec::with_capacity(candidates.len());
             for ((leaf, cfg), outcome) in
                 candidates.into_iter().zip(completions).zip(scored)
@@ -869,7 +869,7 @@ impl Methodology {
             // The engine compiled this shard for its replays; release the
             // O(shard) compiled copy along with the shard itself, or the
             // engine's table would quietly accumulate the whole trace.
-            engine.release_compiled(&shard.trace);
+            engine.release_compiled(cache::TraceKey::of(&shard.trace));
             match r {
                 Ok(outcome) => per_shard.push(ShardOutcome {
                     index: shard.index,
@@ -1024,10 +1024,10 @@ impl Methodology {
             max_carried = max_carried.max(shard.boundary.carried_bytes);
             // One fingerprint serves both the evaluation and the release.
             let key = cache::TraceKey::of(&shard.trace);
-            let eval = engine.evaluate_config_keyed(&shard.trace, key, &config)?;
+            let eval = engine.evaluate_config(&shard.trace, key, &config)?;
             // Keep the streaming bound: drop the compiled copy (if this
             // evaluation missed the cache and compiled) with the shard.
-            engine.release_compiled_keyed(key);
+            engine.release_compiled(key);
             evaluations += 1;
             if eval.cache_hit {
                 cache_hits += 1;
@@ -1240,15 +1240,14 @@ pub fn exhaustive_best(
 /// of which the first-seen strict-minimum fold would have kept; and the
 /// incumbent replacement rule reproduces that fold's tie-break exactly.
 /// The returned evaluation count is the number of candidates actually
-/// evaluated (replays + cache hits + projection hits), i.e. enumerated
+/// evaluated (replays + journal hits + projection hits), i.e. enumerated
 /// minus pruned.
 ///
-/// Engines with [`ExplorationEngine::set_batch`] > 1 sweep in fused
-/// rounds (see the round loop below); engines with
-/// [`ExplorationEngine::set_projection`] additionally collapse
-/// behaviorally-identical candidates to one replay per
-/// [`cache::ProjectedKey`] equivalence class. Both options preserve the
-/// bit-identical-winner guarantee.
+/// Engines with [`ExplorationEngine::set_projection`] additionally
+/// collapse behaviorally-identical candidates to one replay per
+/// [`cache::ProjectedKey`] equivalence class, preserving the
+/// bit-identical-winner guarantee. The sweep never touches the engine's
+/// structural cache tier (see [`ExplorationEngine::evaluate_bounded`]).
 ///
 /// # Errors
 ///
@@ -1273,51 +1272,17 @@ pub fn exhaustive_best_with_engine(
     // enumeration index among peak ties.
     let mut best: Option<(usize, usize)> = None; // (peak, enum index)
     let mut evaluated = 0usize;
-    if engine.batch() > 1 {
-        // Fused rounds: `batch × jobs` ranked candidates per round, one
-        // bound-ordered window per worker, each window one fused
-        // multi-candidate replay. The incumbent is only refreshed between
-        // rounds — a *weaker* prune than the serial loop's per-candidate
-        // refresh, so every candidate the serial loop evaluates is also
-        // evaluated here (a superset), and folding the rounds' results in
-        // ranked order reproduces the serial incumbent evolution exactly:
-        // the winner is bit-identical, only `bound_pruned` can differ
-        // downward (compensated one-for-one by `evaluations` +
-        // `projection_hits`).
-        let window = engine.batch().saturating_mul(engine.jobs().max(1));
-        let mut at = 0usize;
-        while at < ranked.len() {
-            let round = &ranked[at..ranked.len().min(at + window)];
-            at += round.len();
-            let incumbent = best.map(|(peak, o)| engine::Incumbent { peak, order: o });
-            let chunks: Vec<&[(usize, usize)]> = round.chunks(engine.batch()).collect();
-            let results = engine.run_parallel(&chunks, |chunk| {
-                engine.evaluate_bounded_batch(trace, key, &configs, chunk, incumbent)
-            });
-            for (chunk, result) in chunks.iter().zip(results) {
-                for (&(order, _), eval) in chunk.iter().zip(result?) {
-                    let Some(eval) = eval else { continue };
-                    evaluated += 1;
-                    let peak = eval.stats.peak_footprint;
-                    if best.is_none_or(|(bp, bo)| peak < bp || (peak == bp && order < bo)) {
-                        best = Some((peak, order));
-                    }
-                }
-            }
-        }
-    } else {
-        for &(order, bound) in &ranked {
-            let incumbent = best.map(|(peak, o)| engine::Incumbent { peak, order: o });
-            let Some(eval) =
-                engine.evaluate_bounded(trace, key, &configs[order], bound, order, incumbent)?
-            else {
-                continue;
-            };
-            evaluated += 1;
-            let peak = eval.stats.peak_footprint;
-            if best.is_none_or(|(bp, bo)| peak < bp || (peak == bp && order < bo)) {
-                best = Some((peak, order));
-            }
+    for &(order, bound) in &ranked {
+        let incumbent = best.map(|(peak, o)| engine::Incumbent { peak, order: o });
+        let Some(eval) =
+            engine.evaluate_bounded(trace, key, &configs[order], bound, order, incumbent)?
+        else {
+            continue;
+        };
+        evaluated += 1;
+        let peak = eval.stats.peak_footprint;
+        if best.is_none_or(|(bp, bo)| peak < bp || (peak == bp && order < bo)) {
+            best = Some((peak, order));
         }
     }
     let (peak, order) =
@@ -1865,6 +1830,8 @@ mod tests {
 
     #[test]
     fn projected_batched_sweep_matches_the_plain_engine_bit_for_bit() {
+        // Projection on against projection off: same winner, same peak,
+        // an exact partition, and never more replays.
         let t = fragmenting_trace();
         let params = Methodology::new().seed_params(&Profile::of(&t));
         let limit = Some(150);
@@ -1873,15 +1840,13 @@ mod tests {
         let (want_cfg, want_peak, _) =
             exhaustive_best_with_engine(&t, params.clone(), limit, &plain).unwrap();
 
-        let fused = ExplorationEngine::serial()
-            .with_projection(true)
-            .with_batch(16);
+        let projected = ExplorationEngine::serial().with_projection(true);
         let (got_cfg, got_peak, evaluated) =
-            exhaustive_best_with_engine(&t, params, limit, &fused).unwrap();
+            exhaustive_best_with_engine(&t, params, limit, &projected).unwrap();
 
         assert_eq!(got_cfg.fingerprint(), want_cfg.fingerprint());
         assert_eq!(got_peak, want_peak);
-        let c = fused.counters();
+        let c = projected.counters();
         assert_eq!(
             evaluated,
             c.evaluations + c.projection_hits,
@@ -1893,9 +1858,27 @@ mod tests {
             "sweep partition invariant"
         );
         assert!(
-            c.replays < 150 - c.statically_pruned - c.bound_pruned
-                || c.projection_hits == 0,
+            c.replays <= plain.counters().replays,
             "projection hits must come out of the replay budget"
         );
+    }
+
+    #[test]
+    fn sweeps_bypass_the_structural_tier_and_greedy_still_hits_it() {
+        let t = fragmenting_trace();
+        let params = Methodology::new().seed_params(&Profile::of(&t));
+        for projection in [false, true] {
+            let engine = ExplorationEngine::serial().with_projection(projection);
+            exhaustive_best_with_engine(&t, params.clone(), Some(150), &engine).unwrap();
+            assert_eq!(engine.cache().len(), 0, "projection {projection}");
+            assert_eq!(engine.counters().cache_hits, 0, "projection {projection}");
+        }
+        let engine = ExplorationEngine::serial();
+        let outcome = Methodology::new().explore_with_engine(&t, &engine).unwrap();
+        assert!(
+            outcome.cache_hits > 0,
+            "greedy completions must hit the cache"
+        );
+        assert!(!engine.cache().is_empty());
     }
 }

@@ -445,123 +445,6 @@ fn replay_compiled_inner<A: Allocator + ?Sized>(
     })
 }
 
-/// Per-candidate slot tables for the fused batch kernel
-/// ([`replay_compiled_batch`]): one flat `candidates × slot_count` handle
-/// matrix, candidate-major, reused across batches like [`ReplayScratch`]
-/// is across replays.
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    handles: Vec<BlockHandle>,
-    slot_count: usize,
-}
-
-impl BatchScratch {
-    /// An empty scratch (grows to each batch's dimensions on use).
-    pub fn new() -> Self {
-        BatchScratch::default()
-    }
-
-    /// Clear every slot and cover `candidates × slot_count` slots. Called
-    /// by the batch kernel on entry; public so tests can assert the
-    /// clearing contract.
-    pub fn prepare(&mut self, candidates: usize, slot_count: usize) {
-        self.slot_count = slot_count;
-        self.handles.clear();
-        self.handles
-            .resize(candidates.saturating_mul(slot_count), VACANT);
-    }
-
-    /// Number of slots currently holding a live handle, across all
-    /// candidates.
-    pub fn live_slots(&self) -> usize {
-        self.handles.iter().filter(|h| **h != VACANT).count()
-    }
-}
-
-/// Drive N candidate managers down **one pass** of the compiled event
-/// stream — the fused multi-candidate kernel of the sweep path.
-///
-/// Event decode (opcode/slot/size loads) is paid once per event instead
-/// of once per event per candidate, and the SoA arrays stay hot in cache
-/// while every candidate consumes them. Each candidate owns a disjoint
-/// row of `scratch`, so per-candidate execution is **bit-identical** to a
-/// serial [`replay_compiled`] of the same manager: interleaving candidates
-/// never changes the op sequence any single manager observes.
-///
-/// A candidate that fails mid-trace (e.g.
-/// [`Error::OutOfMemory`](crate::Error::OutOfMemory)) is retired from the
-/// remaining events — its slot in the result carries the error exactly as
-/// the serial kernel would have surfaced it — without disturbing the
-/// other candidates. No sampling and no budgets: the engine routes
-/// budgeted, fault-injected or journalled evaluations through the serial
-/// kernel instead.
-pub fn replay_compiled_batch<A: Allocator>(
-    compiled: &CompiledTrace,
-    managers: &mut [A],
-    scratch: &mut BatchScratch,
-) -> Vec<Result<FootprintStats>> {
-    let n = managers.len();
-    scratch.prepare(n, compiled.slot_count);
-    let stride = compiled.slot_count;
-    let mut failed: Vec<Option<Error>> = std::iter::repeat_with(|| None).take(n).collect();
-    for i in 0..compiled.len() {
-        let op = compiled.ops[i];
-        let slot = compiled.slots[i];
-        let size = compiled.sizes[i];
-        for (c, manager) in managers.iter_mut().enumerate() {
-            if failed[c].is_some() {
-                continue;
-            }
-            let cell = c * stride + slot as usize;
-            match op {
-                Op::Alloc => match manager.alloc(size) {
-                    Ok(h) => scratch.handles[cell] = h,
-                    Err(e) => {
-                        failed[c] = Some(e);
-                        continue;
-                    }
-                },
-                Op::Free => {
-                    let h = std::mem::replace(&mut scratch.handles[cell], VACANT);
-                    debug_assert_ne!(h, VACANT, "candidate {c}: free of a vacant slot {slot}");
-                    if let Err(e) = manager.free(h) {
-                        failed[c] = Some(e);
-                        continue;
-                    }
-                }
-                Op::Phase => manager.set_phase(slot),
-            }
-            // Same per-event debug contract as the serial kernels,
-            // attributed to the candidate that corrupted itself.
-            #[cfg(debug_assertions)]
-            if super::should_deep_check(i) {
-                if let Err(e) = manager.check_invariants() {
-                    panic!("candidate {c}: invariants violated after event {i}: {e}");
-                }
-            }
-        }
-    }
-    managers
-        .iter()
-        .zip(failed)
-        .map(|(manager, err)| match err {
-            Some(e) => Err(e),
-            None => {
-                let stats = manager.stats().clone();
-                Ok(FootprintStats {
-                    manager: manager.name_shared(),
-                    peak_footprint: stats.peak_footprint,
-                    final_footprint: stats.system,
-                    peak_requested: stats.peak_requested,
-                    events: compiled.len(),
-                    stats,
-                    series: None,
-                })
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,102 +644,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fs.events, 0);
-    }
-
-    #[test]
-    fn batch_kernel_is_bit_identical_to_serial_for_every_preset() {
-        let t = churn_trace(400);
-        let ct = CompiledTrace::compile(&t);
-        let cfgs = presets::all();
-        let mut managers: Vec<PolicyAllocator> = cfgs
-            .iter()
-            .map(|cfg| PolicyAllocator::new(cfg.clone()).unwrap())
-            .collect();
-        let mut scratch = BatchScratch::new();
-        let batched = replay_compiled_batch(&ct, &mut managers, &mut scratch);
-        assert_eq!(batched.len(), cfgs.len());
-        for (cfg, got) in cfgs.iter().zip(batched) {
-            let serial =
-                replay_compiled(&ct, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-            assert_eq!(got.unwrap(), serial, "{}", cfg.name);
-        }
-    }
-
-    #[test]
-    fn batch_kernel_drives_phased_traces() {
-        let t = phased_trace();
-        let ct = CompiledTrace::compile(&t);
-        let cfgs = [presets::drr_paper(), presets::lea_like()];
-        let mut managers: Vec<PolicyAllocator> = cfgs
-            .iter()
-            .map(|cfg| PolicyAllocator::new(cfg.clone()).unwrap())
-            .collect();
-        let mut scratch = BatchScratch::new();
-        for (cfg, got) in cfgs
-            .iter()
-            .zip(replay_compiled_batch(&ct, &mut managers, &mut scratch))
-        {
-            let serial =
-                replay_compiled(&ct, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-            assert_eq!(got.unwrap(), serial, "{}", cfg.name);
-        }
-    }
-
-    #[test]
-    fn failing_candidate_retires_alone_without_disturbing_the_batch() {
-        let t = churn_trace(300);
-        let ct = CompiledTrace::compile(&t);
-        let mut tight = presets::drr_paper();
-        tight.params.arena_limit = Some(2048);
-        let cfgs = [presets::lea_like(), tight, presets::kingsley_like()];
-        let mut managers: Vec<PolicyAllocator> = cfgs
-            .iter()
-            .map(|cfg| PolicyAllocator::new(cfg.clone()).unwrap())
-            .collect();
-        let mut scratch = BatchScratch::new();
-        let batched = replay_compiled_batch(&ct, &mut managers, &mut scratch);
-        assert!(
-            matches!(batched[1], Err(Error::OutOfMemory { .. })),
-            "tight arena must OOM: {:?}",
-            batched[1]
-        );
-        for i in [0usize, 2] {
-            let serial = replay_compiled(
-                &ct,
-                &mut PolicyAllocator::new(cfgs[i].clone()).unwrap(),
-            )
-            .unwrap();
-            assert_eq!(
-                *batched[i].as_ref().unwrap(),
-                serial,
-                "survivor {} must be untouched by the casualty",
-                cfgs[i].name
-            );
-        }
-    }
-
-    #[test]
-    fn batch_scratch_is_cleared_between_batches_and_empty_batch_is_fine() {
-        let t = churn_trace(300);
-        let ct = CompiledTrace::compile(&t);
-        let mut scratch = BatchScratch::new();
-        let mut tight = presets::drr_paper();
-        tight.params.arena_limit = Some(2048);
-        let mut casualties = vec![PolicyAllocator::new(tight).unwrap()];
-        let res = replay_compiled_batch(&ct, &mut casualties, &mut scratch);
-        assert!(res[0].is_err());
-        assert!(scratch.live_slots() > 0, "residue proves the hazard");
-        // Reuse the dirty scratch for a clean batch.
-        let mut healthy = vec![PolicyAllocator::new(presets::lea_like()).unwrap()];
-        let reused = replay_compiled_batch(&ct, &mut healthy, &mut scratch);
-        let fresh =
-            replay_compiled(&ct, &mut PolicyAllocator::new(presets::lea_like()).unwrap())
-                .unwrap();
-        assert_eq!(*reused[0].as_ref().unwrap(), fresh);
-        // Zero candidates: no slots, no results, no panic.
-        let mut none: Vec<PolicyAllocator> = Vec::new();
-        assert!(replay_compiled_batch(&ct, &mut none, &mut scratch).is_empty());
-        assert_eq!(scratch.live_slots(), 0);
     }
 
     #[test]

@@ -306,43 +306,6 @@ fn footprint_floor_is_admissible_against_the_goldens() {
     assert_eq!(checked, 16, "workload x preset coverage changed");
 }
 
-/// The fused multi-candidate kernel reproduces the compiled goldens: all
-/// four presets ride one pass over each golden workload's event stream
-/// and every candidate's digest matches its `compiled` golden row. This
-/// pins that batching changes scheduling only, never per-candidate
-/// arithmetic.
-#[test]
-fn batched_replays_match_the_compiled_goldens() {
-    use dmm::core::trace::{replay_compiled_batch, BatchScratch};
-    let mut scratch = BatchScratch::new();
-    let mut checked = 0usize;
-    for (wname, trace) in workloads() {
-        let compiled = CompiledTrace::compile(&trace);
-        let cfgs = presets::all();
-        let mut managers: Vec<PolicyAllocator> = cfgs
-            .iter()
-            .map(|cfg| PolicyAllocator::new(cfg.clone()).expect("valid"))
-            .collect();
-        scratch.prepare(managers.len(), compiled.slot_count());
-        let results = replay_compiled_batch(&compiled, &mut managers, &mut scratch);
-        for (cfg, result) in cfgs.iter().zip(results) {
-            let fs = result.expect("batched replay");
-            let label = format!("{wname}/compiled/{}", cfg.name);
-            let (_, gtuple) = GOLDENS
-                .iter()
-                .find(|(l, _)| *l == label)
-                .expect("every workload x preset has a compiled golden");
-            assert_eq!(
-                Digest::of(&fs),
-                Digest::from_tuple(*gtuple),
-                "{label}: fused batch kernel diverged from the golden"
-            );
-            checked += 1;
-        }
-    }
-    assert_eq!(checked, 16, "workload x preset coverage changed");
-}
-
 #[test]
 fn replays_match_pr4_goldens() {
     assert!(!GOLDENS.is_empty(), "golden table must be populated");
