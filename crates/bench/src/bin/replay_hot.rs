@@ -27,10 +27,12 @@
 //! 4. **sweep gate** — both sweeps' counters must partition the
 //!    enumerated space and, in release builds, the projected sweep must
 //!    fire the projection tier and strictly reduce replays against the
-//!    plain serial sweep, with the winner bit-identical (asserted inside
-//!    the harness). The gate counts; it never times. The wall-clock ratio
-//!    is printed and recorded, but sweep wall-clock is a benchmark
-//!    figure (`perfbench`'s sweep-drr workload), not a pass/fail check.
+//!    plain serial sweep, and each full-space sweep must cut at least one
+//!    losing replay short at its peak cap, with the winner bit-identical
+//!    (asserted inside the harness). The gate counts; it never times. The
+//!    wall-clock ratio is printed and recorded, but sweep wall-clock is a
+//!    benchmark figure (`perfbench`'s sweep-drr workload), not a
+//!    pass/fail check.
 
 fn main() {
     let opts = dmm_bench::opts::parse();
@@ -59,12 +61,15 @@ fn main() {
     );
     let s = &report.sweep;
     eprintln!(
-        "sweep ({}): baseline {} replays in {:.3}s vs projected {} replays \
-         ({} projection hits) in {:.3}s -> {:.2}x wall-clock, {:.1}% of enumerated replayed",
+        "sweep ({}): baseline {} replays ({} cut) in {:.3}s vs projected {} replays \
+         ({} cut, {} projection hits) in {:.3}s -> {:.2}x wall-clock, {:.1}% of enumerated \
+         replayed",
         s.workload,
         s.baseline.replays,
+        s.baseline.peak_cut,
         s.baseline.wallclock_secs,
         s.projected.replays,
+        s.projected.peak_cut,
         s.projected.projection_hits,
         s.projected.wallclock_secs,
         s.sweep_wallclock_speedup,
@@ -76,17 +81,12 @@ fn main() {
         // counters) must partition the enumerated space, both prune kinds
         // must actually fire on the full release sweep, and an uninjected,
         // unbudgeted sweep must be fault-free.
-        if e.evaluations + e.projection_hits + e.statically_pruned + e.bound_pruned
-            + e.quarantined + e.budget_exceeded
-            != e.enumerated
-            || e.statically_pruned == 0
-            || e.bound_pruned == 0
-        {
+        if e.partitioned != e.enumerated || e.statically_pruned == 0 || e.bound_pruned == 0 {
             eprintln!(
                 "REGRESSION: exploration pruning accounting broken or a prune kind never \
-                 fired ({} + {} + {} + {} + {} + {} vs {} enumerated)",
-                e.evaluations, e.projection_hits, e.statically_pruned, e.bound_pruned,
-                e.quarantined, e.budget_exceeded, e.enumerated
+                 fired ({} candidates in the buckets vs {} enumerated; {} statically, {} bound \
+                 pruned)",
+                e.partitioned, e.enumerated, e.statically_pruned, e.bound_pruned
             );
             std::process::exit(1);
         }
@@ -146,20 +146,18 @@ fn main() {
         }
 
         // Sweep gate: projection must pay for itself in replays on the
-        // branch-and-bound space. Winner bit-identity was already asserted
-        // inside the harness; here the accounting and the replay reduction
-        // are enforced. Debug builds sweep a prefix too uniform to collapse,
-        // so the replay half is release-only; the accounting half always
+        // branch-and-bound space, and the peak cut-off must fire. Winner
+        // bit-identity was already asserted inside the harness; here the
+        // accounting, the replay reduction and the cuts are enforced.
+        // Debug builds sweep a prefix too uniform to collapse, so the
+        // replay and cut half is release-only; the accounting half always
         // holds.
         for side in [&s.baseline, &s.projected] {
-            if side.evaluations + side.projection_hits + side.statically_pruned
-                + side.bound_pruned
-                != side.enumerated
-            {
+            if side.partitioned != side.enumerated {
                 eprintln!(
-                    "REGRESSION: {} sweep accounting broken ({} + {} + {} + {} vs {} enumerated)",
-                    side.label, side.evaluations, side.projection_hits,
-                    side.statically_pruned, side.bound_pruned, side.enumerated
+                    "REGRESSION: {} sweep accounting broken ({} candidates in the buckets vs \
+                     {} enumerated)",
+                    side.label, side.partitioned, side.enumerated
                 );
                 std::process::exit(1);
             }
@@ -173,11 +171,22 @@ fn main() {
                 );
                 std::process::exit(1);
             }
+            for side in [&s.baseline, &s.projected] {
+                if side.peak_cut == 0 {
+                    eprintln!(
+                        "REGRESSION: the {} full-space sweep cut no replay at its peak cap \
+                         ({} replays)",
+                        side.label, side.replays
+                    );
+                    std::process::exit(1);
+                }
+            }
             eprintln!(
                 "sweep gate ok: replays {} -> {} ({} projection hits, {:.1}% of enumerated \
-                 replayed; {:.2}x wall-clock, not gated)",
+                 replayed; {} and {} replays cut; {:.2}x wall-clock, not gated)",
                 s.baseline.replays, s.projected.replays, s.projected.projection_hits,
-                100.0 * s.projected_replay_ratio, s.sweep_wallclock_speedup
+                100.0 * s.projected_replay_ratio, s.baseline.peak_cut, s.projected.peak_cut,
+                s.sweep_wallclock_speedup
             );
         } else {
             eprintln!("sweep gate: accounting ok (replay half is release-only)");

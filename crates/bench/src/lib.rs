@@ -804,18 +804,20 @@ pub const PR5_LARGE_CHURN_QUICK: GateBaseline = GateBaseline {
 
 /// Pruning telemetry of one branch-and-bound exhaustive sweep — the
 /// `exploration` block of `BENCH_replay.json`. Every enumerated candidate
-/// lands in exactly one bucket: `evaluations + projection_hits +
-/// statically_pruned + bound_pruned + quarantined + budget_exceeded ==
-/// enumerated`.
+/// lands in exactly one bucket: `partitioned` (the buckets' sum,
+/// [`EngineCounters::candidates`]) equals `enumerated`.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct ExplorationPruningReport {
     /// Workload the sweep replayed against.
     pub workload: String,
-    /// Configurations enumerated from the (possibly limited) space.
+    /// Configurations enumerated from the (possibly limited) space,
+    /// counted independently of the engine.
     pub enumerated: usize,
+    /// Candidates the engine's buckets account for.
+    pub partitioned: usize,
     /// Candidates actually evaluated.
     pub evaluations: usize,
-    /// Evaluations that required a fresh replay.
+    /// Evaluations that required a fresh replay (cut-short ones included).
     pub replays: usize,
     /// Candidates served from the trace-conditioned projection tier — a
     /// behaviorally-identical sibling was already replayed, so the stats
@@ -834,6 +836,17 @@ pub struct ExplorationPruningReport {
     /// Candidates aborted by the per-candidate budget (`EX002`); 0 when
     /// the sweep runs unbudgeted.
     pub budget_exceeded: usize,
+}
+
+/// Number of configurations a sweep over (a `limit` prefix of) the space
+/// enumerates — the engine-independent side of the partition check.
+fn swept_configs(params: &dmm_core::space::config::Params, limit: Option<usize>) -> usize {
+    dmm_core::space::enumerate::SpaceIter::with_order_and_params(
+        TRAVERSAL_ORDER.to_vec(),
+        params.clone(),
+    )
+    .take(limit.unwrap_or(usize::MAX))
+    .count()
 }
 
 /// Run the branch-and-bound exhaustive sweep
@@ -869,15 +882,13 @@ pub fn exploration_pruning(quick: bool) -> Result<ExplorationPruningReport> {
     let mut params = Params::footprint_optimised();
     params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
     let engine = ExplorationEngine::serial();
+    let enumerated = swept_configs(&params, limit);
     let (_, _, evaluated) = exhaustive_best_with_engine(&trace, params, limit, &engine)?;
     let c = engine.counters();
     Ok(ExplorationPruningReport {
         workload: w.name().to_string(),
-        enumerated: evaluated
-            + c.statically_pruned
-            + c.bound_pruned
-            + c.quarantined
-            + c.budget_exceeded,
+        enumerated,
+        partitioned: c.candidates(),
         evaluations: evaluated,
         replays: c.replays,
         projection_hits: c.projection_hits,
@@ -896,12 +907,19 @@ pub struct SweepSide {
     pub label: String,
     /// End-to-end wall-clock of the sweep, seconds.
     pub wallclock_secs: f64,
-    /// Configurations enumerated from the (possibly limited) space.
+    /// Configurations enumerated from the (possibly limited) space,
+    /// counted independently of the engine.
     pub enumerated: usize,
+    /// Candidates the engine's buckets account for
+    /// ([`EngineCounters::candidates`]); equals `enumerated`.
+    pub partitioned: usize,
     /// Candidates actually evaluated.
     pub evaluations: usize,
-    /// Evaluations that required a fresh replay.
+    /// Evaluations that required a fresh replay (cut-short ones included).
     pub replays: usize,
+    /// Replays stopped once the candidate's peak passed the incumbent
+    /// ([`ExplorationEngine::peak_cut`]).
+    pub peak_cut: usize,
     /// Candidates served by trace-conditioned projection (0 on baseline).
     pub projection_hits: usize,
     /// Candidates skipped by the prune-safe config lints.
@@ -964,19 +982,21 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
     };
     let mut params = Params::footprint_optimised();
     params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
+    let enumerated = swept_configs(&params, limit);
 
     let run = |label: &str, engine: &ExplorationEngine| -> Result<SweepSide> {
         let start = std::time::Instant::now();
-        let (cfg, peak, evaluated) =
-            exhaustive_best_with_engine(&trace, params.clone(), limit, engine)?;
+        let (cfg, peak, _) = exhaustive_best_with_engine(&trace, params.clone(), limit, engine)?;
         let wallclock_secs = start.elapsed().as_secs_f64();
         let c = engine.counters();
         Ok(SweepSide {
             label: label.to_string(),
             wallclock_secs,
-            enumerated: evaluated + c.statically_pruned + c.bound_pruned,
+            enumerated,
+            partitioned: c.candidates(),
             evaluations: c.evaluations,
             replays: c.replays,
+            peak_cut: engine.peak_cut(),
             projection_hits: c.projection_hits,
             statically_pruned: c.statically_pruned,
             bound_pruned: c.bound_pruned,
@@ -1432,9 +1452,7 @@ mod tests {
         assert!(json.contains("\"bound_pruned\""), "{json}");
         let e = &report.exploration;
         assert_eq!(
-            e.evaluations + e.projection_hits + e.statically_pruned + e.bound_pruned
-                + e.quarantined + e.budget_exceeded,
-            e.enumerated,
+            e.partitioned, e.enumerated,
             "every enumerated candidate lands in exactly one bucket"
         );
         assert_eq!(e.replays, e.evaluations);
@@ -1457,12 +1475,11 @@ mod tests {
         assert_eq!(s.baseline.projection_hits, 0);
         for side in [&s.baseline, &s.projected] {
             assert_eq!(
-                side.evaluations + side.projection_hits + side.statically_pruned
-                    + side.bound_pruned,
-                side.enumerated,
+                side.partitioned, side.enumerated,
                 "{}: sweep partition invariant",
                 side.label
             );
+            assert!(side.peak_cut <= side.replays, "{}", side.label);
         }
         assert!(
             s.projected.replays <= s.baseline.replays,
@@ -1481,6 +1498,9 @@ mod tests {
                 s.projected.replays < s.baseline.replays,
                 "projection must strictly reduce replays on the full space"
             );
+            for side in [&s.baseline, &s.projected] {
+                assert!(side.peak_cut > 0, "{}: no replay was cut", side.label);
+            }
         }
         assert!(json.contains("\"sweep\""), "{json}");
         assert!(json.contains("sweep_wallclock_speedup"), "{json}");

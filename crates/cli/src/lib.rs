@@ -104,9 +104,10 @@ impl Invocation {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] naming the flag for an unrecognised flag
-    /// or a malformed `--seed`. Malformed `--jobs`, `--shards` and
-    /// `--budget-*` values keep their documented fallbacks instead.
+    /// [`Error::InvalidConfig`] naming the argument for an unrecognised
+    /// flag or a malformed `--seed`. Malformed `--jobs`, `--shards` and
+    /// `--budget-*` values keep their documented fallbacks instead. Any
+    /// argument list parses to one or the other; none panics.
     pub fn parse(args: &[String]) -> Result<Invocation> {
         let mut inv = Invocation {
             command: String::from("help"),
@@ -169,7 +170,7 @@ impl Invocation {
             } else if let Some(s) = a.strip_prefix("--seed=") {
                 inv.seed = s.parse().map_err(|_| {
                     Error::InvalidConfig(format!(
-                        "malformed --seed value '{s}' (expected a non-negative integer)"
+                        "malformed '{a}' (expected --seed=N, N a non-negative integer)"
                     ))
                 })?;
             } else if let Some(s) = a.strip_prefix("--jobs=") {
@@ -1037,6 +1038,67 @@ mod tests {
         }
     }
 
+    /// Argument fragments: flags the parser knows, bare and with `=`,
+    /// malformed values, a bare `=`, empty strings and non-ASCII text.
+    const FRAGMENTS: &[&str] = &[
+        "", "=", "-", "--", "-h", "--help", "--explain", "--deny", "--explain=", "--deny=",
+        "--json", "--full", "--resume", "--trace=", "--checkpoint=", "--budget-steps=",
+        "--budget-ms=", "--seed=", "--jobs=", "--shards=", "--seed", "--bogus", "explore",
+        "drr", "lint", "7", "-1", "oops", "18446744073709551616", "é", "日本", "\u{0}", " ",
+    ];
+
+    /// Parsing is total: `Ok`, or [`Error::InvalidConfig`] naming one of
+    /// the flag arguments it was given — never a panic.
+    fn parses_totally(args: &[String]) -> std::result::Result<(), String> {
+        match Invocation::parse(args) {
+            Ok(_) => Ok(()),
+            Err(Error::InvalidConfig(msg))
+                if args.iter().any(|a| a.starts_with('-') && msg.contains(a.as_str())) =>
+            {
+                Ok(())
+            }
+            Err(e) => Err(format!("{args:?} -> {e:?}")),
+        }
+    }
+
+    #[test]
+    fn parse_is_total_on_edge_arguments() {
+        let cases: &[&[&str]] = &[
+            &[],
+            &[""],
+            &["="],
+            &["", "=", ""],
+            &["explore", "--explain"],
+            &["lint", "--deny"],
+            &["--explain", "--deny"],
+            &["--seed=é"],
+            &["explore", "日本", "--é"],
+            &["--seed=18446744073709551616"],
+        ];
+        for args in cases {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            parses_totally(&args).unwrap();
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_is_total_on_arbitrary_arguments(
+            picks in proptest::collection::vec(
+                proptest::collection::vec(0..FRAGMENTS.len(), 0..4),
+                0..6,
+            ),
+        ) {
+            let args: Vec<String> = picks
+                .iter()
+                .map(|p| p.iter().map(|&i| FRAGMENTS[i]).collect())
+                .collect();
+            parses_totally(&args)?;
+        }
+    }
+
     #[test]
     fn explore_reports_cache_counters_and_jobs_agree() {
         let serial = explore_text(&inv(&["explore", "drr", "--jobs=1"])).unwrap();
@@ -1366,6 +1428,17 @@ mod tests {
         assert_eq!(below_header(&plain), below_header(&budgeted));
         // A zero budget trips on the very first candidate — loudly.
         assert!(explore_text(&inv(&["explore", "drr", "--budget-steps=0"])).is_err());
+    }
+
+    #[test]
+    fn zero_and_malformed_millisecond_budgets_trip_on_the_quick_trace() {
+        // The quick DRR trace is shorter than the kernel's clock stride,
+        // so this holds only because the budget is checked after the last
+        // event too.
+        for budget in ["--budget-ms=0", "--budget-ms=oops"] {
+            let err = explore_text(&inv(&["explore", "drr", "--jobs=1", budget])).unwrap_err();
+            assert!(matches!(err, Error::BudgetExceeded { .. }), "{budget}: {err}");
+        }
     }
 
     #[test]

@@ -50,6 +50,11 @@
 //! [`FootprintStats`]) is argued rule-by-rule on [`ProjectedKey::of`],
 //! enforced in debug builds by the engine's shadow oracle, and
 //! proptested across presets × flat/phased/re-entrant traces.
+//!
+//! A class's entry ([`ProjectedEntry`]) is either a member's full stats or,
+//! when the sweep cut a member's replay short, the floor its peak had
+//! already reached: every member replays identically, so every member's
+//! peak is at least that floor.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -313,6 +318,16 @@ impl ProjectedKey {
     }
 }
 
+/// What the projected tier knows about one equivalence class.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProjectedEntry {
+    /// A member replayed to the end: every member replays to these stats.
+    Stats(FootprintStats),
+    /// A member's replay was cut once its running peak reached this many
+    /// bytes, so every member's peak is at least that.
+    PeakAtLeast(usize),
+}
+
 /// A thread-safe memo table from `(trace, configuration)` to the replay's
 /// [`FootprintStats`].
 ///
@@ -347,7 +362,7 @@ pub struct ReplayCache {
     /// (trace-conditioned), shared by every structural member of the
     /// class. Kept separate from the structural map so the exact-identity
     /// contract of [`ReplayCache::get`] is untouched.
-    projected: Mutex<HashMap<(TraceKey, ProjectedKey), FootprintStats>>,
+    projected: Mutex<HashMap<(TraceKey, ProjectedKey), ProjectedEntry>>,
 }
 
 impl ReplayCache {
@@ -378,12 +393,12 @@ impl ReplayCache {
             .insert((trace, ConfigKey::of(cfg)), stats);
     }
 
-    /// Cached replay statistics of a projected equivalence class, if any
-    /// member of the class was replayed on this trace before.
+    /// What is known of a projected equivalence class, if any member of
+    /// the class was replayed on this trace before.
     ///
-    /// As with [`ReplayCache::get`], the returned statistics carry the
+    /// As with [`ReplayCache::get`], returned statistics carry the
     /// *cached* member's manager name; callers restore their own.
-    pub fn get_projected(&self, trace: TraceKey, key: &ProjectedKey) -> Option<FootprintStats> {
+    pub fn get_projected(&self, trace: TraceKey, key: &ProjectedKey) -> Option<ProjectedEntry> {
         self.projected
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -391,12 +406,15 @@ impl ReplayCache {
             .cloned()
     }
 
-    /// Record the replay statistics of a projected equivalence class.
-    pub fn insert_projected(&self, trace: TraceKey, key: ProjectedKey, stats: FootprintStats) {
+    /// Record what a member of a projected equivalence class revealed,
+    /// replacing what was known. A sweep only replays a member when the
+    /// class holds no stats and at most a floor its cap reaches, so the
+    /// replacement is full stats or a higher floor.
+    pub fn insert_projected(&self, trace: TraceKey, key: ProjectedKey, entry: ProjectedEntry) {
         self.projected
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .insert((trace, key), stats);
+            .insert((trace, key), entry);
     }
 
     /// Number of memoised projected equivalence classes.
@@ -605,8 +623,16 @@ mod tests {
         let pk = ProjectedKey::of(&cfg, &proj);
         assert!(cache.get_projected(key, &pk).is_none());
         let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-        cache.insert_projected(key, pk.clone(), fs.clone());
-        assert_eq!(cache.get_projected(key, &pk), Some(fs));
+        cache.insert_projected(key, pk.clone(), ProjectedEntry::PeakAtLeast(100));
+        assert_eq!(
+            cache.get_projected(key, &pk),
+            Some(ProjectedEntry::PeakAtLeast(100))
+        );
+        cache.insert_projected(key, pk.clone(), ProjectedEntry::Stats(fs.clone()));
+        assert_eq!(
+            cache.get_projected(key, &pk),
+            Some(ProjectedEntry::Stats(fs))
+        );
         assert_eq!(cache.projected_len(), 1);
         assert!(cache.is_empty(), "the structural tier is untouched");
 

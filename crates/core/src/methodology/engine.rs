@@ -15,7 +15,9 @@
 //! configurations over and over, so they go through the structural tier.
 //! The sweep entry point ([`ExplorationEngine::evaluate_bounded`]) sees
 //! each configuration once and could never hit that tier, so it goes
-//! lint → bound → projected tier (when on) → fresh replay instead.
+//! lint → bound → projected tier (when on) → fresh replay instead, and
+//! cuts that replay short once the candidate's running peak shows it
+//! cannot beat the incumbent.
 //!
 //! One engine may serve many explorations — the cache key includes a trace
 //! fingerprint, so sharing an engine across portfolio probes, phases,
@@ -30,13 +32,15 @@ use std::sync::{Arc, Mutex};
 use crate::error::{Error, Result};
 use crate::fault::FaultPlan;
 use crate::manager::PolicyAllocator;
-use crate::methodology::cache::{ProjectedKey, ReplayCache, TraceKey, TraceProjection};
+use crate::methodology::cache::{
+    ProjectedEntry, ProjectedKey, ReplayCache, TraceKey, TraceProjection,
+};
 use crate::methodology::checkpoint::CheckpointJournal;
 use crate::metrics::FootprintStats;
 use crate::space::config::DmConfig;
 use crate::trace::{
-    replay_compiled_budgeted, replay_compiled_with, CompiledTrace, ReplayBudget, ReplayScratch,
-    Trace,
+    replay_compiled_budgeted, replay_compiled_capped, replay_compiled_with, CappedReplay,
+    CompiledTrace, ReplayBudget, ReplayScratch, Trace,
 };
 
 thread_local! {
@@ -78,10 +82,25 @@ pub struct EngineCounters {
     /// Candidates served from the trace-conditioned projection tier of the
     /// cache ([`ProjectedKey`]): a behaviorally-identical sibling was
     /// already replayed on this trace, so the candidate's stats were
-    /// copied, not recomputed. Not counted in `evaluations` — the sweep
-    /// partition is `evaluations + projection_hits + statically_pruned +
-    /// bound_pruned + quarantined + budget_exceeded == enumerated`.
+    /// copied (or its sibling's cut-off floor decided it), not recomputed.
+    /// Not counted in `evaluations` — the sweep partition is
+    /// [`EngineCounters::candidates`]` == enumerated`.
     pub projection_hits: usize,
+}
+
+impl EngineCounters {
+    /// Every candidate a sweep decided, each in exactly one bucket:
+    /// `evaluations + projection_hits + statically_pruned + bound_pruned +
+    /// quarantined + budget_exceeded`. A sweep's partition invariant is
+    /// that this equals the number of configurations it enumerated.
+    pub fn candidates(&self) -> usize {
+        self.evaluations
+            + self.projection_hits
+            + self.statically_pruned
+            + self.bound_pruned
+            + self.quarantined
+            + self.budget_exceeded
+    }
 }
 
 impl std::fmt::Display for EngineCounters {
@@ -124,6 +143,25 @@ pub struct Evaluation {
     /// a behaviorally-identical (not structurally-identical) sibling's
     /// replay was reused.
     pub projected: bool,
+}
+
+/// What a sweep candidate's replay, or its projected-tier lookup, yielded.
+enum Outcome {
+    /// Full statistics (boxed: they dwarf the other variant).
+    Scored(Box<Evaluation>),
+    /// The candidate's peak is at least `floor`, which exceeds its cap:
+    /// it cannot win, and its replay (or a class sibling's) was cut short.
+    Lost { floor: usize },
+}
+
+impl Outcome {
+    /// The evaluation of a replay run without a cap.
+    fn uncapped(self) -> Evaluation {
+        match self {
+            Outcome::Scored(eval) => *eval,
+            Outcome::Lost { .. } => unreachable!("a replay without a cap is never cut"),
+        }
+    }
 }
 
 /// Per-candidate replay budget specification, materialized into a
@@ -178,6 +216,9 @@ pub struct ExplorationEngine {
     bound_pruned: AtomicUsize,
     quarantined: AtomicUsize,
     budget_exceeded: AtomicUsize,
+    /// Sweep replays stopped at their peak cap; each is also an evaluation
+    /// and a replay (see [`ExplorationEngine::peak_cut`]).
+    peak_cut: AtomicUsize,
     /// Worker threads currently spawned by [`ExplorationEngine::run_parallel`]
     /// across all nesting levels — the shared budget that keeps
     /// phases × hypotheses × candidates from multiplying thread counts.
@@ -230,6 +271,7 @@ impl ExplorationEngine {
             bound_pruned: AtomicUsize::new(0),
             quarantined: AtomicUsize::new(0),
             budget_exceeded: AtomicUsize::new(0),
+            peak_cut: AtomicUsize::new(0),
             spawned: AtomicUsize::new(0),
             quarantine: false,
             projection: false,
@@ -291,6 +333,8 @@ impl ExplorationEngine {
 
     /// Set the per-candidate replay budget (applies to every subsequent
     /// fresh replay; cache and journal hits are free and never budgeted).
+    /// A budgeted replay is never cut at its peak cap, so budget outcomes
+    /// are those of an uncut sweep.
     pub fn set_budget(&mut self, budget: BudgetSpec) {
         self.budget = budget;
     }
@@ -390,6 +434,15 @@ impl ExplorationEngine {
         self.projection_hits.load(Ordering::Relaxed)
     }
 
+    /// Sweep replays this engine cut short: the candidate's running peak
+    /// passed its cap (see [`ExplorationEngine::evaluate_bounded`]), so the
+    /// replay stopped at that event. Each one is also counted in
+    /// `evaluations` and `replays`; candidates decided by a cut sibling's
+    /// floor count in `projection_hits` instead, and not here.
+    pub fn peak_cut(&self) -> usize {
+        self.peak_cut.load(Ordering::Relaxed)
+    }
+
     /// The engine's replay cache (for diagnostics/tests).
     pub fn cache(&self) -> &ReplayCache {
         &self.cache
@@ -441,7 +494,7 @@ impl ExplorationEngine {
                 projected: false,
             });
         }
-        let eval = self.replay_fresh(trace, key, cfg)?;
+        let eval = self.replay_fresh(trace, key, cfg, None)?.uncapped();
         self.cache.insert(key, cfg, eval.stats.clone());
         Ok(eval)
     }
@@ -462,6 +515,18 @@ impl ExplorationEngine {
     /// ([`ExplorationEngine::set_projection`]) and replayed otherwise. The
     /// structural tier is never read or written: a sweep sees each
     /// configuration once, so it could never hit.
+    ///
+    /// A survivor's replay is capped at the largest peak that can still
+    /// win: `incumbent.peak` if it enumerates earlier than the incumbent,
+    /// `incumbent.peak - 1` otherwise. The running peak never decreases,
+    /// so the first event that lifts it past the cap stops the replay
+    /// ([`replay_compiled_capped`]) and the candidate is skipped
+    /// (`Ok(None)`, counted in `evaluations`, `replays` and
+    /// [`ExplorationEngine::peak_cut`], never journalled). With projection
+    /// on, the cut leaves its floor in the projected tier, and a later
+    /// class member whose cap is below that floor is skipped without a
+    /// replay (counted in `projection_hits`). A replay under a budget or
+    /// fault plan runs uncut.
     ///
     /// "Loses" is exact, not merely strict: with `bound > incumbent.peak`
     /// the candidate's peak can only be worse; with `bound ==
@@ -496,63 +561,109 @@ impl ExplorationEngine {
                 return Ok(None);
             }
         }
+        // The largest peak that still wins the first-seen-minimum fold: an
+        // earlier-enumerated candidate wins a tie, a later one must beat
+        // the incumbent.
+        let cap = incumbent.map(|inc| {
+            if order < inc.order {
+                inc.peak
+            } else {
+                inc.peak.saturating_sub(1)
+            }
+        });
         let result = if self.projection {
-            self.evaluate_projected(trace, key, cfg)
+            self.evaluate_projected(trace, key, cfg, cap)
         } else {
-            self.replay_fresh(trace, key, cfg)
+            self.replay_fresh(trace, key, cfg, cap)
         };
-        self.quarantine_or_raise(result)
+        Ok(match self.quarantine_or_raise(result)? {
+            Some(Outcome::Scored(eval)) => Some(*eval),
+            Some(Outcome::Lost { .. }) | None => None,
+        })
     }
 
     /// The sweep path with projection on: projected-tier lookup first,
-    /// then a fresh replay, publishing the result to the projected tier so
+    /// then a fresh replay, publishing what it revealed — full stats, or
+    /// the floor a cut replay reached — to the projected tier so
     /// behaviorally-identical later candidates hit.
     fn evaluate_projected(
         &self,
         trace: &Trace,
         key: TraceKey,
         cfg: &DmConfig,
-    ) -> Result<Evaluation> {
+        cap: Option<usize>,
+    ) -> Result<Outcome> {
         let projection = self.projection_for(key, trace);
         let pkey = ProjectedKey::of(cfg, &projection);
-        if let Some(stats) = self.cache.get_projected(key, &pkey) {
-            self.projection_hits.fetch_add(1, Ordering::Relaxed);
-            let stats = relabel(stats, cfg);
-            #[cfg(debug_assertions)]
-            self.shadow_oracle_check(trace, key, cfg, &stats);
-            return Ok(Evaluation {
-                stats,
-                cache_hit: true,
-                projected: true,
-            });
+        match self.cache.get_projected(key, &pkey) {
+            Some(ProjectedEntry::Stats(stats)) => {
+                self.projection_hits.fetch_add(1, Ordering::Relaxed);
+                let stats = relabel(stats, cfg);
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    self.shadow_replay(trace, key, cfg),
+                    stats,
+                    "projection oracle violated for '{}': served stats differ from a fresh replay",
+                    cfg.name
+                );
+                return Ok(Outcome::Scored(Box::new(Evaluation {
+                    stats,
+                    cache_hit: true,
+                    projected: true,
+                })));
+            }
+            // A sibling's replay already passed `floor`, and this member
+            // replays identically: above its cap, it cannot win either.
+            Some(ProjectedEntry::PeakAtLeast(floor)) if cap.is_some_and(|cap| floor > cap) => {
+                self.projection_hits.fetch_add(1, Ordering::Relaxed);
+                #[cfg(debug_assertions)]
+                self.cut_oracle_check(trace, key, cfg, floor, cap);
+                return Ok(Outcome::Lost { floor });
+            }
+            _ => {}
         }
-        let eval = self.replay_fresh(trace, key, cfg)?;
-        self.cache.insert_projected(key, pkey, eval.stats.clone());
-        Ok(eval)
+        let outcome = self.replay_fresh(trace, key, cfg, cap)?;
+        let entry = match &outcome {
+            Outcome::Scored(eval) => ProjectedEntry::Stats(eval.stats.clone()),
+            Outcome::Lost { floor } => ProjectedEntry::PeakAtLeast(*floor),
+        };
+        self.cache.insert_projected(key, pkey, entry);
+        Ok(outcome)
     }
 
-    /// The projection soundness oracle (debug builds only): any stats
-    /// served off a [`ProjectedKey`] match must be **bit-identical** to a
-    /// fresh, uncounted replay of the candidate itself. A failure here is
-    /// a hole in a [`ProjectedKey::of`] canonicalization rule.
+    /// A fresh, uncounted replay of `cfg` to the last event: the debug
+    /// oracle that served projections (a failure is a hole in a
+    /// [`ProjectedKey::of`] canonicalization rule) and peak cut-offs are
+    /// checked against.
     #[cfg(debug_assertions)]
-    fn shadow_oracle_check(
+    fn shadow_replay(&self, trace: &Trace, key: TraceKey, cfg: &DmConfig) -> FootprintStats {
+        let compiled = self.compiled_for(key, trace);
+        let mut mgr =
+            PolicyAllocator::new(cfg.clone()).expect("shadow oracle: candidate must construct");
+        let mut scratch = ReplayScratch::new();
+        let fresh = replay_compiled_with(&compiled, &mut mgr, &mut scratch)
+            .expect("shadow oracle: candidate must replay");
+        relabel(fresh, cfg)
+    }
+
+    /// The cut-off oracle (debug builds only): a candidate skipped because
+    /// its peak reached `floor` above its cap must, replayed in full, peak
+    /// at least at `floor` and above the cap. A failure here means a cut
+    /// could have dropped the winner.
+    #[cfg(debug_assertions)]
+    fn cut_oracle_check(
         &self,
         trace: &Trace,
         key: TraceKey,
         cfg: &DmConfig,
-        served: &FootprintStats,
+        floor: usize,
+        cap: Option<usize>,
     ) {
-        let compiled = self.compiled_for(key, trace);
-        let mut mgr = PolicyAllocator::new(cfg.clone())
-            .expect("shadow oracle: projected candidate must construct");
-        let mut scratch = ReplayScratch::new();
-        let fresh = replay_compiled_with(&compiled, &mut mgr, &mut scratch)
-            .expect("shadow oracle: projected candidate must replay");
-        assert_eq!(
-            &relabel(fresh, cfg),
-            served,
-            "projection oracle violated for '{}': served stats differ from a fresh replay",
+        let peak = self.shadow_replay(trace, key, cfg).peak_footprint;
+        assert!(
+            peak >= floor && cap.is_some_and(|cap| peak > cap),
+            "peak cut-off violated for '{}': the full replay peaks at {peak} B, the cut \
+             claimed at least {floor} B against a cap of {cap:?}",
             cfg.name
         );
     }
@@ -560,10 +671,9 @@ impl ExplorationEngine {
     /// The sweep entry point's failure policy. In quarantine mode a
     /// panicking (`EX001`) or over-budget (`EX002`) candidate becomes a
     /// counted skip — `Ok(None)` — keeping the partition invariant
-    /// `evaluations + projection_hits + statically_pruned + bound_pruned +
-    /// quarantined + budget_exceeded == enumerated`. Everything else (and
-    /// everything, with quarantine off) propagates.
-    fn quarantine_or_raise(&self, result: Result<Evaluation>) -> Result<Option<Evaluation>> {
+    /// [`EngineCounters::candidates`]` == enumerated`. Everything else
+    /// (and everything, with quarantine off) propagates.
+    fn quarantine_or_raise<T>(&self, result: Result<T>) -> Result<Option<T>> {
         match result {
             Ok(e) => Ok(Some(e)),
             Err(e) if !self.quarantine => Err(e),
@@ -581,20 +691,28 @@ impl ExplorationEngine {
 
     /// Score one candidate without touching either cache tier: journal →
     /// fresh replay under the engine's budget and fault plan, inside the
-    /// quarantine boundary. Counters are bumped only on success, so failed
-    /// candidates can be re-attributed (quarantined, over budget) by the
-    /// caller without breaking the partition invariant.
-    fn replay_fresh(&self, trace: &Trace, key: TraceKey, cfg: &DmConfig) -> Result<Evaluation> {
+    /// quarantine boundary, stopped at `cap` when there is one. Counters
+    /// are bumped only on success, so failed candidates can be
+    /// re-attributed (quarantined, over budget) by the caller without
+    /// breaking the partition invariant. Only complete replays are
+    /// journalled: a resumed sweep recomputes its cuts.
+    fn replay_fresh(
+        &self,
+        trace: &Trace,
+        key: TraceKey,
+        cfg: &DmConfig,
+        cap: Option<usize>,
+    ) -> Result<Outcome> {
         let fingerprint = cfg.fingerprint();
         if let Some(journal) = &self.journal {
             if let Some(stats) = journal.lookup(key.fingerprint(), key.events(), fingerprint) {
                 self.evaluations.fetch_add(1, Ordering::Relaxed);
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Evaluation {
+                return Ok(Outcome::Scored(Box::new(Evaluation {
                     stats: relabel(stats, cfg),
                     cache_hit: true,
                     projected: false,
-                });
+                })));
             }
         }
         let compiled = self.compiled_for(key, trace);
@@ -616,14 +734,21 @@ impl ExplorationEngine {
             let mut mgr = PolicyAllocator::new(cfg.clone())?;
             REPLAY_SCRATCH.with(|s| {
                 let mut scratch = s.borrow_mut();
-                match &budget {
-                    Some(b) => replay_compiled_budgeted(&compiled, &mut mgr, &mut scratch, b),
-                    None => replay_compiled_with(&compiled, &mut mgr, &mut scratch),
+                // Budgets take precedence over the cut: a budgeted replay
+                // runs uncut, so it trips exactly where an uncut one would.
+                match (&budget, cap) {
+                    (Some(b), _) => replay_compiled_budgeted(&compiled, &mut mgr, &mut scratch, b)
+                        .map(CappedReplay::Complete),
+                    (None, Some(cap)) => {
+                        replay_compiled_capped(&compiled, &mut mgr, &mut scratch, cap)
+                    }
+                    (None, None) => replay_compiled_with(&compiled, &mut mgr, &mut scratch)
+                        .map(CappedReplay::Complete),
                 }
             })
         }));
-        let stats = match replayed {
-            Ok(Ok(stats)) => stats,
+        let replayed = match replayed {
+            Ok(Ok(replayed)) => replayed,
             Ok(Err(e)) => return Err(e),
             Err(payload) => {
                 return Err(Error::CandidatePanicked {
@@ -634,14 +759,23 @@ impl ExplorationEngine {
         };
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         self.replays.fetch_add(1, Ordering::Relaxed);
+        let stats = match replayed {
+            CappedReplay::Complete(stats) => stats,
+            CappedReplay::Cut { peak, .. } => {
+                self.peak_cut.fetch_add(1, Ordering::Relaxed);
+                #[cfg(debug_assertions)]
+                self.cut_oracle_check(trace, key, cfg, peak, cap);
+                return Ok(Outcome::Lost { floor: peak });
+            }
+        };
         if let Some(journal) = &self.journal {
             journal.record(key.fingerprint(), key.events(), fingerprint, &stats)?;
         }
-        Ok(Evaluation {
+        Ok(Outcome::Scored(Box::new(Evaluation {
             stats,
             cache_hit: false,
             projected: false,
-        })
+        })))
     }
 
     /// The trace-conditioned projection of `trace`, derived on first
@@ -941,29 +1075,150 @@ mod tests {
             .unwrap();
         assert!(tied_later.is_none());
         assert_eq!(engine.bound_pruned(), 2);
-        // A tie that enumerates *earlier* could displace the incumbent in
-        // the plain fold: it must still be evaluated.
-        let tied_earlier = engine
-            .evaluate_bounded(
-                &t,
-                key,
-                &presets::lea_like(),
-                inc.peak,
-                0,
-                Some(Incumbent {
-                    peak: inc.peak,
-                    order: 5,
-                }),
-            )
+        // A bound that ties and enumerates *earlier* could displace the
+        // incumbent in the plain fold: the bound tier lets it through to a
+        // replay (where `lea_like`, whose real peak is higher, is cut).
+        let earlier = Incumbent {
+            peak: inc.peak,
+            order: 5,
+        };
+        engine
+            .evaluate_bounded(&t, key, &presets::lea_like(), inc.peak, 0, Some(earlier))
             .unwrap();
-        assert!(tied_earlier.is_some());
         let c = engine.counters();
-        assert_eq!(c.bound_pruned, 2);
+        assert_eq!(c.bound_pruned, 2, "an earlier tie is not bound-pruned");
         assert_eq!(c.evaluations, 2, "incumbent + earlier tie");
+        // A configuration that really ties, enumerated earlier, is neither
+        // pruned nor cut: it displaces the incumbent.
+        let mut twin = presets::drr_paper();
+        twin.name = "drr_paper twin".into();
+        let tied_earlier = engine
+            .evaluate_bounded(&t, key, &twin, inc.peak, 0, Some(earlier))
+            .unwrap()
+            .expect("an earlier exact tie is kept");
+        assert_eq!(tied_earlier.stats.peak_footprint, inc.peak);
+        assert_eq!(engine.counters().evaluations, 3);
         assert!(
             engine.cache().is_empty(),
             "sweeps never write the structural tier"
         );
+    }
+
+    #[test]
+    fn losing_replays_are_cut_and_their_class_is_decided_by_the_floor() {
+        let dir = std::env::temp_dir().join("dmm-engine-cut-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cut.journal");
+        std::fs::remove_file(&path).ok();
+        let t = trace();
+        let key = TraceKey::of(&t);
+        let engine = ExplorationEngine::serial()
+            .with_projection(true)
+            .with_journal(CheckpointJournal::create(&path).unwrap());
+        let winner = engine
+            .evaluate_bounded(&t, key, &presets::drr_paper(), 0, 0, None)
+            .unwrap()
+            .expect("no incumbent: replayed in full");
+        let inc = Incumbent {
+            peak: winner.stats.peak_footprint,
+            order: 0,
+        };
+        // `kingsley_like` rounds every request up to a power of two, so
+        // its full replay peaks above the incumbent.
+        let loser = presets::kingsley_like();
+        let full = ExplorationEngine::serial()
+            .evaluate_config(&t, key, &loser)
+            .unwrap();
+        assert!(full.stats.peak_footprint > inc.peak, "fixture premise");
+
+        let before = engine.counters();
+        let cut = engine
+            .evaluate_bounded(&t, key, &loser, 0, 1, Some(inc))
+            .unwrap();
+        assert!(cut.is_none(), "a loser is skipped, never partially scored");
+        let c = engine.counters();
+        assert_eq!(c.evaluations, before.evaluations + 1);
+        assert_eq!(c.replays, before.replays + 1);
+        assert_eq!(engine.peak_cut(), 1);
+        assert_eq!(
+            (c.projection_hits, c.quarantined, c.budget_exceeded),
+            (0, 0, 0)
+        );
+        let journal = engine.journal().unwrap();
+        assert_eq!(
+            journal.entries(),
+            1,
+            "only the complete replay is journalled"
+        );
+        assert!(journal
+            .lookup(key.fingerprint(), key.events(), loser.fingerprint())
+            .is_none());
+
+        // A structurally different class member (an arena limit the arena
+        // never reaches is no limit) is decided by the cut's floor.
+        let projection = TraceProjection::of(&crate::analyze::TraceFacts::of(&t));
+        let mut sibling = loser.clone();
+        sibling.params.arena_limit = Some(usize::MAX);
+        assert_ne!(sibling.fingerprint(), loser.fingerprint());
+        assert_eq!(
+            ProjectedKey::of(&sibling, &projection),
+            ProjectedKey::of(&loser, &projection)
+        );
+        let served = engine
+            .evaluate_bounded(&t, key, &sibling, 0, 2, Some(inc))
+            .unwrap();
+        assert!(served.is_none());
+        let c2 = engine.counters();
+        assert_eq!(c2.projection_hits, 1);
+        assert_eq!((c2.evaluations, c2.replays), (c.evaluations, c.replays));
+        assert_eq!(engine.peak_cut(), 1, "a floor-served member is not a cut");
+
+        // A member whose cap the floor does not exceed replays, and its
+        // full stats replace the floor for the rest of the class.
+        let mut uncapped = loser.clone();
+        uncapped.params.arena_limit = Some(usize::MAX - 1);
+        let scored = engine
+            .evaluate_bounded(&t, key, &uncapped, 0, 3, None)
+            .unwrap()
+            .expect("no incumbent: replayed in full");
+        assert_eq!(scored.stats.peak_footprint, full.stats.peak_footprint);
+        assert_eq!(engine.counters().replays, c.replays + 1);
+        let pkey = ProjectedKey::of(&loser, &projection);
+        assert!(matches!(
+            engine.cache().get_projected(key, &pkey),
+            Some(ProjectedEntry::Stats(_))
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn budgeted_replays_are_never_cut() {
+        // A fault-plan exhaustion (a zero step budget) and a roomy budget
+        // both run the candidate uncut, so it is counted exactly as an
+        // uncut sweep would count it.
+        let t = trace();
+        let key = TraceKey::of(&t);
+        let loser = presets::kingsley_like();
+        let inc = Incumbent { peak: 1, order: 0 };
+        let exhausted = ExplorationEngine::serial()
+            .with_quarantine(true)
+            .with_fault_plan(FaultPlan::new().exhaust_candidate(loser.fingerprint()));
+        assert!(exhausted
+            .evaluate_bounded(&t, key, &loser, 0, 1, Some(inc))
+            .unwrap()
+            .is_none());
+        assert_eq!(exhausted.counters().budget_exceeded, 1);
+        assert_eq!(exhausted.peak_cut(), 0);
+
+        let roomy = ExplorationEngine::serial().with_budget(BudgetSpec {
+            max_steps: Some(u64::MAX),
+            max_millis: None,
+        });
+        let scored = roomy
+            .evaluate_bounded(&t, key, &loser, 0, 1, Some(inc))
+            .unwrap();
+        assert!(scored.is_some_and(|e| e.stats.peak_footprint > inc.peak));
+        assert_eq!(roomy.peak_cut(), 0);
     }
 
     #[test]

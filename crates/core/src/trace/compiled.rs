@@ -29,6 +29,11 @@
 //!
 //! Both kernels are **bit-identical** to the classic interpreter: same
 //! [`FootprintStats`], same sampled series, same error surfacing.
+//!
+//! [`replay_compiled_capped`] adds a peak cap for branch-and-bound sweeps:
+//! a replay's running peak never decreases, so the first event that lifts
+//! it past the cap decides that the candidate cannot win, and the kernel
+//! stops there with [`CappedReplay::Cut`].
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -40,9 +45,9 @@ use crate::metrics::{FootprintStats, SeriesPoint, TimeSeries};
 use super::{Trace, TraceEvent};
 
 /// How often (in events) the budgeted kernel samples its step budget. A
-/// power of two so the check is a mask; the budget is a worker-liveness
-/// bound, not an exact accounting, so trailing partial blocks going
-/// unchecked is fine.
+/// power of two so the check is a mask. Both budget axes are checked once
+/// more after the last event, so the trailing partial block — the whole
+/// trace, when it is shorter than a stride — is never left unchecked.
 const BUDGET_STEP_STRIDE: usize = 64;
 
 /// How often (in events) the budgeted kernel consults the wall clock —
@@ -64,9 +69,9 @@ const BUDGET_CLOCK_STRIDE: usize = 1024;
 ///   candidates whose cost the step model under-charges.
 ///
 /// Checks are throttled (every [`BUDGET_STEP_STRIDE`] events for steps,
-/// every [`BUDGET_CLOCK_STRIDE`] for the clock), so a budgeted replay that
-/// stays under budget is bit-identical to — and nearly as fast as — an
-/// unbudgeted one.
+/// every [`BUDGET_CLOCK_STRIDE`] for the clock, and both once after the
+/// last event), so a budgeted replay that stays under budget is
+/// bit-identical to — and nearly as fast as — an unbudgeted one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayBudget {
     max_steps: Option<u64>,
@@ -104,8 +109,9 @@ impl ReplayBudget {
         self.max_steps
     }
 
+    /// Check the step axis, and the clock too when `poll_clock` is set.
     #[inline]
-    fn check(&self, event: usize, stats: &crate::metrics::AllocStats) -> Result<()> {
+    fn check(&self, stats: &crate::metrics::AllocStats, poll_clock: bool) -> Result<()> {
         if let Some(limit) = self.max_steps {
             let spent = stats.search_steps;
             if spent > limit {
@@ -113,7 +119,7 @@ impl ReplayBudget {
             }
         }
         if let Some((deadline, ms)) = self.deadline {
-            if (event + 1).is_multiple_of(BUDGET_CLOCK_STRIDE) && Instant::now() >= deadline {
+            if poll_clock && Instant::now() >= deadline {
                 // Report the time axis in its own units: ms spent vs ms
                 // budgeted (spent >= limit by construction here).
                 return Err(Error::BudgetExceeded {
@@ -124,6 +130,23 @@ impl ReplayBudget {
         }
         Ok(())
     }
+}
+
+/// How a peak-capped replay ([`replay_compiled_capped`]) ended.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CappedReplay {
+    /// The running peak never exceeded the cap: the full replay's stats,
+    /// bit-identical to [`replay_compiled`].
+    Complete(FootprintStats),
+    /// The running peak first exceeded the cap after event `event` and the
+    /// rest of the trace was not replayed. The peak never decreases, so the
+    /// full replay's peak is at least `peak`.
+    Cut {
+        /// The running peak footprint after `event`; greater than the cap.
+        peak: usize,
+        /// Index of the event that lifted the peak past the cap.
+        event: usize,
+    },
 }
 
 /// Opcode of one compiled event.
@@ -302,7 +325,7 @@ pub fn replay_compiled<A: Allocator + ?Sized>(
     manager: &mut A,
 ) -> Result<FootprintStats> {
     let mut scratch = ReplayScratch::new();
-    replay_compiled_inner(compiled, manager, &mut scratch, None, None)
+    replay_uncapped(compiled, manager, &mut scratch, None, None)
 }
 
 /// Like [`replay_compiled`], reusing a caller-owned [`ReplayScratch`] —
@@ -318,7 +341,7 @@ pub fn replay_compiled_with<A: Allocator + ?Sized>(
     manager: &mut A,
     scratch: &mut ReplayScratch,
 ) -> Result<FootprintStats> {
-    replay_compiled_inner(compiled, manager, scratch, None, None)
+    replay_uncapped(compiled, manager, scratch, None, None)
 }
 
 /// Like [`replay_compiled_with`], enforcing a per-candidate
@@ -339,7 +362,29 @@ pub fn replay_compiled_budgeted<A: Allocator + ?Sized>(
     budget: &ReplayBudget,
 ) -> Result<FootprintStats> {
     let budget = budget.is_bounded().then_some(budget);
-    replay_compiled_inner(compiled, manager, scratch, None, budget)
+    replay_uncapped(compiled, manager, scratch, None, budget)
+}
+
+/// Like [`replay_compiled_with`], stopping at the first event after which
+/// the manager's peak footprint exceeds `cap` — the sweep's cut-off for a
+/// candidate that can no longer win (see
+/// [`ExplorationEngine::evaluate_bounded`](crate::methodology::ExplorationEngine::evaluate_bounded)).
+/// The peak is compared after **every** event: it only changes at event
+/// boundaries, and sweep traces are a few hundred events long, so a
+/// coarser stride would forfeit most of the saving. A replay whose peak
+/// stays within the cap returns [`CappedReplay::Complete`] with stats
+/// bit-identical to the uncapped kernel.
+///
+/// # Errors
+///
+/// As for [`replay_compiled`]; a cut is an outcome, not an error.
+pub fn replay_compiled_capped<A: Allocator + ?Sized>(
+    compiled: &CompiledTrace,
+    manager: &mut A,
+    scratch: &mut ReplayScratch,
+    cap: usize,
+) -> Result<CappedReplay> {
+    replay_compiled_inner::<A, true>(compiled, manager, scratch, None, None, cap)
 }
 
 /// Like [`replay_compiled`], additionally sampling the footprint curve
@@ -356,7 +401,7 @@ pub fn replay_compiled_sampled<A: Allocator + ?Sized>(
     sample_every: usize,
 ) -> Result<FootprintStats> {
     let mut scratch = ReplayScratch::new();
-    replay_compiled_inner(
+    replay_uncapped(
         compiled,
         manager,
         &mut scratch,
@@ -365,13 +410,39 @@ pub fn replay_compiled_sampled<A: Allocator + ?Sized>(
     )
 }
 
-fn replay_compiled_inner<A: Allocator + ?Sized>(
+/// The replay loop without a cap, which always reaches the end.
+fn replay_uncapped<A: Allocator + ?Sized>(
     compiled: &CompiledTrace,
     manager: &mut A,
     scratch: &mut ReplayScratch,
     sample_every: Option<usize>,
     budget: Option<&ReplayBudget>,
 ) -> Result<FootprintStats> {
+    let replayed = replay_compiled_inner::<A, false>(
+        compiled,
+        manager,
+        scratch,
+        sample_every,
+        budget,
+        usize::MAX,
+    )?;
+    match replayed {
+        CappedReplay::Complete(stats) => Ok(stats),
+        CappedReplay::Cut { .. } => unreachable!("a replay without a cap is never cut"),
+    }
+}
+
+/// The replay loop. `CAPPED` selects the peak cap at compile time, so the
+/// uncapped kernels carry no per-event cap check; `cap` is read only when
+/// `CAPPED` is set.
+fn replay_compiled_inner<A: Allocator + ?Sized, const CAPPED: bool>(
+    compiled: &CompiledTrace,
+    manager: &mut A,
+    scratch: &mut ReplayScratch,
+    sample_every: Option<usize>,
+    budget: Option<&ReplayBudget>,
+    cap: usize,
+) -> Result<CappedReplay> {
     scratch.prepare(compiled.slot_count);
     let mut series = sample_every.map(|s| TimeSeries {
         sample_every: s,
@@ -403,7 +474,13 @@ fn replay_compiled_inner<A: Allocator + ?Sized>(
         }
         if let Some(b) = budget {
             if (i + 1).is_multiple_of(BUDGET_STEP_STRIDE) {
-                b.check(i, manager.stats())?;
+                b.check(manager.stats(), (i + 1).is_multiple_of(BUDGET_CLOCK_STRIDE))?;
+            }
+        }
+        if CAPPED {
+            let peak = manager.stats().peak_footprint;
+            if peak > cap {
+                return Ok(CappedReplay::Cut { peak, event: i });
             }
         }
         if let Some(ts) = series.as_mut() {
@@ -418,6 +495,9 @@ fn replay_compiled_inner<A: Allocator + ?Sized>(
                 last_sampled = Some(i);
             }
         }
+    }
+    if let Some(b) = budget {
+        b.check(manager.stats(), true)?;
     }
     // Terminal sample: identical contract to the classic interpreter —
     // the curve always ends on the final event.
@@ -434,7 +514,7 @@ fn replay_compiled_inner<A: Allocator + ?Sized>(
         }
     }
     let stats = manager.stats().clone();
-    Ok(FootprintStats {
+    Ok(CappedReplay::Complete(FootprintStats {
         manager: manager.name_shared(),
         peak_footprint: stats.peak_footprint,
         final_footprint: stats.system,
@@ -442,7 +522,7 @@ fn replay_compiled_inner<A: Allocator + ?Sized>(
         events: compiled.len(),
         stats,
         series,
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -689,6 +769,95 @@ mod tests {
         // Step budgets are deterministic: the same replay trips at the
         // same charge every time.
         assert_eq!(run().unwrap_err(), first);
+    }
+
+    #[test]
+    fn capped_replay_stops_at_the_first_event_past_the_cap() {
+        let t = churn_trace(300);
+        let ct = CompiledTrace::compile(&t);
+        let mut scratch = ReplayScratch::new();
+        let cfg = presets::drr_paper();
+        // Footprint after every event; its running maximum is the peak.
+        let sampled =
+            replay_compiled_sampled(&ct, &mut PolicyAllocator::new(cfg.clone()).unwrap(), 1)
+                .unwrap();
+        let curve: Vec<usize> = sampled
+            .series
+            .as_ref()
+            .unwrap()
+            .points
+            .iter()
+            .map(|p| p.footprint)
+            .collect();
+        assert_eq!(curve.iter().max(), Some(&sampled.peak_footprint));
+        let full = replay_compiled(&ct, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
+
+        let mut capped = |cap| {
+            let mut mgr = PolicyAllocator::new(cfg.clone()).unwrap();
+            replay_compiled_capped(&ct, &mut mgr, &mut scratch, cap).unwrap()
+        };
+        assert_eq!(
+            capped(full.peak_footprint),
+            CappedReplay::Complete(full.clone())
+        );
+        let cap = full.peak_footprint / 2;
+        let first_past = curve.iter().position(|&f| f > cap).unwrap();
+        assert_eq!(
+            capped(cap),
+            CappedReplay::Cut {
+                peak: curve[first_past],
+                event: first_past,
+            }
+        );
+    }
+
+    #[test]
+    fn zero_deadline_trips_on_a_trace_shorter_than_the_clock_stride() {
+        let t = churn_trace(100);
+        assert!(t.len() < BUDGET_CLOCK_STRIDE && !t.len().is_multiple_of(BUDGET_STEP_STRIDE));
+        let ct = CompiledTrace::compile(&t);
+        let err = replay_compiled_budgeted(
+            &ct,
+            &mut PolicyAllocator::new(presets::drr_paper()).unwrap(),
+            &mut ReplayScratch::new(),
+            &ReplayBudget::unlimited().with_deadline_ms(0),
+        )
+        .unwrap_err();
+        assert_eq!(err, Error::BudgetExceeded { spent: 1, limit: 0 });
+    }
+
+    #[test]
+    fn step_budget_crossed_in_the_last_partial_block_trips() {
+        // Alloc-only, so every event charges steps and the last partial
+        // block (events 64..100) spends part of the total.
+        let mut b = Trace::builder();
+        for i in 0..100usize {
+            b.alloc(16 + (i % 13) * 8);
+        }
+        let t = b.finish().unwrap();
+        assert!(!t.len().is_multiple_of(BUDGET_STEP_STRIDE));
+        let ct = CompiledTrace::compile(&t);
+        let make = || PolicyAllocator::new(presets::drr_paper()).unwrap();
+        let total = replay_compiled(&ct, &mut make())
+            .unwrap()
+            .stats
+            .search_steps;
+        let err = replay_compiled_budgeted(
+            &ct,
+            &mut make(),
+            &mut ReplayScratch::new(),
+            &ReplayBudget::steps(total - 1),
+        )
+        .unwrap_err();
+        // Tripped on the final count, after the last event: by event 63
+        // fewer steps were spent, and no more than the budget.
+        assert_eq!(
+            err,
+            Error::BudgetExceeded {
+                spent: total,
+                limit: total - 1
+            }
+        );
     }
 
     #[test]

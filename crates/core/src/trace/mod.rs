@@ -12,8 +12,8 @@ pub mod shard;
 pub mod store;
 
 pub use compiled::{
-    replay_compiled, replay_compiled_budgeted, replay_compiled_sampled, replay_compiled_with,
-    CompiledTrace, ReplayBudget, ReplayScratch,
+    replay_compiled, replay_compiled_budgeted, replay_compiled_capped, replay_compiled_sampled,
+    replay_compiled_with, CappedReplay, CompiledTrace, ReplayBudget, ReplayScratch,
 };
 pub use record::RecordingAllocator;
 pub use store::{

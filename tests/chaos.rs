@@ -118,12 +118,7 @@ fn quarantined_sweep_survives_candidate_faults_with_the_same_winner() {
     let c = engine.counters();
     assert!(c.quarantined >= 1, "injected panic was never quarantined");
     assert!(c.budget_exceeded >= 1, "injected exhaustion never fired");
-    assert_eq!(
-        c.evaluations + c.statically_pruned + c.bound_pruned + c.quarantined
-            + c.budget_exceeded,
-        limit,
-        "partition invariant broken: {c}"
-    );
+    assert_eq!(c.candidates(), limit, "partition invariant broken: {c}");
 }
 
 /// Transient worker death: the shard is retried and the run ends

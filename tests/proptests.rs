@@ -778,22 +778,28 @@ proptest! {
     }
 }
 
-// Projected exhaustive sweeps stay bit-identical to the plain
-// branch-and-bound engine on random traces (heavier: few cases).
+// Pruned sweeps — bound, projection and peak cut-off — crown the winner
+// of the unpruned fold on random traces (heavier: few cases).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The projection tier never changes the designed winner: same
-    /// configuration fingerprint, same peak, the engine's buckets still
-    /// partition the enumerated prefix, and projection never adds a
-    /// replay.
+    /// Both engines — plain and projected — cut losing replays short, so
+    /// each is checked against the independent oracle, the unpruned
+    /// classic-interpreter fold `exhaustive_best`: same configuration
+    /// fingerprint, same peak. The engines' buckets still partition the
+    /// enumerated prefix, and projection never adds a replay.
     #[test]
-    fn batched_projected_sweep_matches_serial_on_random_traces(
+    fn projected_sweeps_match_the_unpruned_fold_on_random_traces(
         trace in trace_strategy(60, 1500),
     ) {
-        use dmm::core::methodology::{exhaustive_best_with_engine, ExplorationEngine};
+        use dmm::core::methodology::{
+            exhaustive_best, exhaustive_best_with_engine, ExplorationEngine,
+        };
 
         let limit = 120;
+        let (ocfg, opeak, _) =
+            exhaustive_best(&trace, Params::default(), Some(limit)).expect("unpruned fold");
+
         let plain = ExplorationEngine::serial();
         let (pcfg, ppeak, pevald) =
             exhaustive_best_with_engine(&trace, Params::default(), Some(limit), &plain)
@@ -804,16 +810,19 @@ proptest! {
             exhaustive_best_with_engine(&trace, Params::default(), Some(limit), &projected)
                 .expect("projected sweep");
 
-        prop_assert_eq!(pcfg.fingerprint(), jcfg.fingerprint());
-        prop_assert_eq!(ppeak, jpeak);
+        prop_assert_eq!(pcfg.fingerprint(), ocfg.fingerprint());
+        prop_assert_eq!(ppeak, opeak);
+        prop_assert_eq!(jcfg.fingerprint(), ocfg.fingerprint());
+        prop_assert_eq!(jpeak, opeak);
         let (pc, jc) = (plain.counters(), projected.counters());
         prop_assert_eq!(jevald, jc.evaluations + jc.projection_hits);
         prop_assert_eq!(
-            jc.evaluations + jc.projection_hits + jc.statically_pruned + jc.bound_pruned,
+            jc.candidates(),
             limit,
             "projected buckets must partition the enumerated prefix"
         );
         prop_assert!(jc.replays <= pc.replays);
         prop_assert_eq!(pevald, pc.evaluations + pc.projection_hits);
+        prop_assert_eq!(pc.candidates(), limit);
     }
 }
