@@ -32,7 +32,13 @@
 //!    (asserted inside the harness). The gate counts; it never times. The
 //!    wall-clock ratio is printed and recorded, but sweep wall-clock is a
 //!    benchmark figure (`perfbench`'s sweep-drr workload), not a
-//!    pass/fail check.
+//!    pass/fail check;
+//! 5. **index gate** — on the free-index churn probe (a 255-block
+//!    ascending run, the blocks a fixed-class `grow` slices from one
+//!    granule, inserted and then taken back by first-fit searches, with 0,
+//!    100 and 1,000 other entries present; median of 5 repeats per cell),
+//!    the address-ordered list must cost at most 3× the doubly linked list
+//!    at every background, in the same run.
 
 fn main() {
     let opts = dmm_bench::opts::parse();
@@ -45,10 +51,13 @@ fn main() {
         .to_string();
 
     let (table, report) = dmm_bench::replay_hot(opts.quick).expect("replay_hot harness failed");
+    let churn_table = report.index_churn.table();
     if opts.csv {
         print!("{}", table.to_csv());
+        print!("{}", churn_table.to_csv());
     } else {
         print!("{}", table.to_ascii());
+        print!("{}", churn_table.to_ascii());
     }
     std::fs::write(&out, report.to_json()).expect("failed to write the JSON report");
     eprintln!("wrote {out}");
@@ -191,5 +200,22 @@ fn main() {
         } else {
             eprintln!("sweep gate: accounting ok (replay half is release-only)");
         }
+
+        // Index gate: the address-ordered list's sliced-granule churn must
+        // stay within a small factor of the doubly linked list's.
+        const ADDR_VS_DLL_GATE: f64 = 3.0;
+        let churn = &report.index_churn;
+        if churn.addr_vs_dll > ADDR_VS_DLL_GATE {
+            eprintln!(
+                "REGRESSION: address-ordered index churn costs {:.2}x the doubly linked list \
+                 (gate {ADDR_VS_DLL_GATE}x)",
+                churn.addr_vs_dll
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "index gate ok: address-ordered churn at most {:.2}x the doubly linked list",
+            churn.addr_vs_dll
+        );
     }
 }

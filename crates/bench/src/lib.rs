@@ -1028,6 +1028,150 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
     })
 }
 
+/// Entries already indexed, all too small to fit and below the run, when
+/// the [`index_churn`] probe runs.
+const INDEX_CHURN_BACKGROUNDS: [usize; 3] = [0, 100, 1_000];
+
+/// Blocks in the [`index_churn`] run: what a fixed-class `grow` indexes
+/// when it slices one 4 KiB granule into 16-byte blocks (256, less the
+/// block it hands to the request).
+const INDEX_CHURN_RUN: usize = 255;
+
+/// Repeats per [`index_churn`] cell; the cell reports their median.
+const INDEX_CHURN_REPEATS: usize = 5;
+
+/// One A1 leaf's row of the [`index_churn`] probe.
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct IndexChurnRow {
+    /// The A1 leaf.
+    pub structure: String,
+    /// Nanoseconds per block, one cell per background size, each the
+    /// median of the repeats.
+    pub ns_per_block: Vec<f64>,
+}
+
+/// The `index_churn` block of `BENCH_replay.json`: the free-index cost of
+/// a sliced granule, per A1 leaf.
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct IndexChurnReport {
+    /// Blocks per ascending run.
+    pub run_blocks: usize,
+    /// Entries present besides the run, one row cell each.
+    pub backgrounds: Vec<usize>,
+    /// Timed repeats per cell; the cell is their median.
+    pub repeats: usize,
+    /// One row per A1 leaf.
+    pub rows: Vec<IndexChurnRow>,
+    /// Largest address-ordered / doubly-linked cost ratio over the
+    /// backgrounds — what `replay_hot --check` gates.
+    pub addr_vs_dll: f64,
+}
+
+impl IndexChurnReport {
+    /// Render as a table: one row per A1 leaf, one column per background.
+    pub fn table(&self) -> Table {
+        let mut columns = vec!["A1 leaf".to_string()];
+        columns.extend(
+            self.backgrounds
+                .iter()
+                .map(|b| format!("ns/block, {b} others")),
+        );
+        let mut table = Table::new(
+            format!(
+                "free-index churn: {}-block ascending run inserted, then first fit takes it (median of {})",
+                self.run_blocks, self.repeats
+            ),
+            columns,
+        );
+        for row in &self.rows {
+            table.push_row(
+                row.structure.clone(),
+                row.ns_per_block
+                    .iter()
+                    .map(|&ns| Cell::Number(ns))
+                    .collect(),
+            );
+        }
+        table
+    }
+}
+
+/// Time the free index of every A1 leaf on the pattern a fixed-class
+/// `grow` produces: a run of 255 blocks inserted in ascending address
+/// order above the existing entries, then handed back out one at a time
+/// by first-fit searches (find, then remove the hit), with 0, 100 and
+/// 1,000 other, too-small entries present. The searches keep every
+/// index's query structures live, as in a replay. Each cell is the median
+/// of 5 timed repeats, in nanoseconds per block (one insert, one find,
+/// one remove).
+pub fn index_churn() -> IndexChurnReport {
+    use dmm_core::heap::index::{FreeIndex, PoolIndex};
+    use dmm_core::heap::{BlockRef, Span};
+    use dmm_core::space::trees::{BlockStructure, FitAlgorithm};
+
+    // Debug builds run every search against its shadow walk; a few rounds
+    // exercise the probe there without timing anything meaningful.
+    const ROUNDS: usize = if cfg!(debug_assertions) { 2 } else { 100 };
+    let bref = |offset: usize| BlockRef::from_index((offset / 16) as u32);
+    let run_base = 1 << 24;
+    let mut rows = Vec::new();
+    for structure in BlockStructure::ALL {
+        let mut ns_per_block = Vec::new();
+        for background in INDEX_CHURN_BACKGROUNDS {
+            let mut idx = PoolIndex::new(structure);
+            let mut steps = 0u64;
+            for i in 0..background {
+                let span = Span::new(64 * i, 8);
+                idx.insert(span, bref(span.offset), &mut steps);
+            }
+            let mut samples: Vec<f64> = (0..INDEX_CHURN_REPEATS)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    for _ in 0..ROUNDS {
+                        for k in 0..INDEX_CHURN_RUN {
+                            let span = Span::new(run_base + 16 * k, 16);
+                            idx.insert(span, bref(span.offset), &mut steps);
+                        }
+                        for _ in 0..INDEX_CHURN_RUN {
+                            let f = idx
+                                .find(FitAlgorithm::FirstFit, 16, &mut steps)
+                                .expect("the run fits");
+                            std::hint::black_box(idx.remove(f.token, f.span, &mut steps));
+                        }
+                    }
+                    start.elapsed().as_nanos() as f64 / (ROUNDS * INDEX_CHURN_RUN) as f64
+                })
+                .collect();
+            std::hint::black_box(steps);
+            samples.sort_by(f64::total_cmp);
+            ns_per_block.push(samples[samples.len() / 2]);
+        }
+        rows.push(IndexChurnRow {
+            structure: structure.to_string(),
+            ns_per_block,
+        });
+    }
+    let cost = |s: BlockStructure| {
+        &rows
+            .iter()
+            .find(|r| r.structure == s.to_string())
+            .expect("every A1 leaf has a row")
+            .ns_per_block
+    };
+    let addr_vs_dll = cost(BlockStructure::AddressOrderedList)
+        .iter()
+        .zip(cost(BlockStructure::DoublyLinkedList))
+        .map(|(a, d)| a / d.max(f64::MIN_POSITIVE))
+        .fold(0.0, f64::max);
+    IndexChurnReport {
+        run_blocks: INDEX_CHURN_RUN,
+        backgrounds: INDEX_CHURN_BACKGROUNDS.to_vec(),
+        repeats: INDEX_CHURN_REPEATS,
+        rows,
+        addr_vs_dll,
+    }
+}
+
 /// The machine-readable result of [`replay_hot`] — written to
 /// `BENCH_replay.json` so future changes have a perf trajectory to regress
 /// against.
@@ -1055,6 +1199,9 @@ pub struct ReplayHotReport {
     /// memoised fit walks) — what the rank/order-statistic free-list layer
     /// bought, normalised the same way.
     pub manager_bound_speedup_vs_pr5: f64,
+    /// Free-index cost of a sliced granule per A1 leaf (see
+    /// [`index_churn`]).
+    pub index_churn: IndexChurnReport,
 }
 
 impl ReplayHotReport {
@@ -1274,6 +1421,7 @@ pub fn replay_hot(quick: bool) -> Result<(Table, ReplayHotReport)> {
         sweep: sweep_comparison(quick)?,
         manager_bound_speedup_vs_pr4: 0.0,
         manager_bound_speedup_vs_pr5: 0.0,
+        index_churn: index_churn(),
     };
     report.manager_bound_speedup_vs_pr4 = report.manager_bound_speedup_vs(report.pr4_baseline());
     report.manager_bound_speedup_vs_pr5 = report.manager_bound_speedup_vs(report.pr5_baseline());
@@ -1486,6 +1634,19 @@ mod tests {
             "projection must never add replays"
         );
         assert!(s.sweep_wallclock_speedup > 0.0);
+        // The index-churn probe times every A1 leaf at every background.
+        let churn = &report.index_churn;
+        assert_eq!(churn.rows.len(), 4);
+        for row in &churn.rows {
+            assert_eq!(row.ns_per_block.len(), INDEX_CHURN_BACKGROUNDS.len());
+            assert!(
+                row.ns_per_block.iter().all(|&ns| ns > 0.0),
+                "{}",
+                row.structure
+            );
+        }
+        assert!(churn.addr_vs_dll > 0.0);
+        assert!(json.contains("\"index_churn\""), "{json}");
         // The debug prefix is too uniform to collapse (and its shadow
         // oracle re-replays every hit); the release sweep over the full
         // space is where the projection gates fire (CI `--check`).

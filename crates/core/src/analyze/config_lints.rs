@@ -276,12 +276,15 @@ const PARAM_ENTRY: CatalogEntry = CatalogEntry {
     severity: Severity::Error,
     prune_safe: false,
     summary: "quantitative parameters violate a chosen leaf's requirements",
-    fix: "repair Params (see the message for the failing constraint)",
+    fix: "repair Params (see the message for the failing constraint, e.g. a class not a multiple of 8)",
     details: "The leaves are qualitative; some reference quantitative \
               Params (profiled classes, thresholds, caps). This code fires \
-              when DmConfig::validate rejects those values — e.g. empty or \
-              non-ascending profiled classes, or thresholds below the \
-              minimum block.",
+              when DmConfig::validate rejects those values — e.g. empty, \
+              non-ascending or undersized profiled classes, classes that \
+              are not a multiple of MIN_ALIGN (8 bytes: a fixed-class grow \
+              slices granules into back-to-back blocks of one class, so an \
+              unaligned class misaligns every block after the first), or \
+              thresholds below the minimum block.",
 };
 
 /// The config half of the catalogue (`DM0xx`), unsorted.
@@ -570,6 +573,21 @@ mod tests {
         cfg.params.profiled_classes = vec![64, 32];
         let diags = lint_config(&cfg);
         assert!(diags.iter().any(|d| d.code == "DM012"), "{diags:?}");
+    }
+
+    #[test]
+    fn misaligned_profiled_classes_fire_dm012() {
+        let mut cfg = presets::kingsley_like();
+        cfg.block_sizes = BlockSizes::ProfiledClasses;
+        cfg.params.profiled_classes = vec![20, 36];
+        let diags = lint_config(&cfg);
+        let d = diags
+            .iter()
+            .find(|d| d.code == "DM012")
+            .expect("DM012 fires");
+        assert_eq!(d.severity, Severity::Error);
+        assert!(d.message.contains("profiled class 20"), "{}", d.message);
+        assert!(crate::manager::PolicyAllocator::new(cfg).is_err());
     }
 
     #[test]

@@ -19,13 +19,14 @@
 //!
 //! The simulated cost model is unchanged and bit-identical to the faithful
 //! node-by-node walks, but since the order-statistic layer ([`rank`]) *no
-//! charge is walked at all*: each index mirrors its walk order into a
-//! rank/select tree, so hit distances, early-stop miss charges, and
-//! singly-linked unlink positions are each one O(log) rank query. The
-//! faithful walks stay compiled in as debug shadow oracles — every find
-//! asserts the computed answer and charge against them in debug builds,
-//! and [`FreeIndex::check_oracle`] revalidates the replicas structurally
-//! per replay event.
+//! charge is walked at all*: the linked lists mirror their link order into
+//! a rank/select tree, and the address-ordered list is a chunked sorted
+//! array that answers rank/select queries itself, so hit distances,
+//! early-stop miss charges, and singly-linked unlink positions are each
+//! one sub-linear query. The faithful walks stay compiled in as debug
+//! shadow oracles — every find asserts the computed answer and charge
+//! against them in debug builds, and [`FreeIndex::check_oracle`]
+//! revalidates the rank structures per replay event.
 
 mod linked;
 mod ordered;

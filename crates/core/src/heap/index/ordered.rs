@@ -15,15 +15,19 @@
 //! # Rank-computed walk charges
 //!
 //! [`AddrIndex`] models a linear list: its charges are walk distances in
-//! address order. Those distances are *computed*, not walked — the index
-//! mirrors its membership into an order-statistic tree
-//! ([`PosTree`], key = offset, weight = length) plus a `(len, offset)` set,
-//! so every fit resolves as one O(log) select + rank query, bit-identical
-//! to the faithful scan of `by_offset` which stays compiled in as the
-//! debug shadow oracle ([`walk_find`]); the replica is revalidated
-//! structurally per replay event through [`FreeIndex::check_oracle`]. The
-//! rank structures are simulator-side acceleration, not part of the
-//! modelled manager — they cost nothing in `control_overhead_bytes`.
+//! address order. Those distances are *computed*, not walked — the list is
+//! an [`AddrList`], a chunked address-sorted array that answers rank and
+//! select queries itself. Best and exact fit also need "the
+//! lowest-addressed block of size S", which a `(len, offset)` set answers;
+//! the first best- or exact-fit search builds that set and every insert
+//! and remove maintains it from then on, so first-, next- and worst-fit
+//! managers never pay for it. Every fit resolves as one select or rank
+//! query, bit-identical to the faithful linear scan of the same entries,
+//! which stays compiled in as the debug shadow oracle ([`walk_find`]); the
+//! chunk layout and the length set are revalidated per replay event
+//! through [`FreeIndex::check_oracle`]. The chunk bookkeeping and the
+//! length set are simulator-side acceleration, not part of the modelled
+//! manager — they cost nothing in `control_overhead_bytes`.
 //!
 //! [`SizeTreeIndex`] needs none of this: its `(len, offset)` tree *is* the
 //! modelled structure, and its logarithmic charge (`log_cost`, the subtree
@@ -32,7 +36,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::heap::block::Span;
-use crate::heap::index::rank::PosTree;
+use crate::heap::index::rank::{AddrEntry, AddrList};
 use crate::heap::index::{Found, FreeIndex};
 use crate::heap::tiling::BlockRef;
 use crate::space::trees::FitAlgorithm;
@@ -46,16 +50,19 @@ fn log_cost(n: usize) -> u64 {
 }
 
 /// Free list kept sorted by block address.
+///
+/// NextFit parks its cursor one byte past the block it returned. Block
+/// offsets are aligned, so the cursor never equals a block offset and
+/// removing that block leaves it in place: the roving search resumes at
+/// the first block above the old hit, including blocks inserted later.
 #[derive(Debug, Clone, Default)]
 pub struct AddrIndex {
-    by_offset: BTreeMap<usize, (usize, BlockRef)>,
+    list: AddrList,
     cursor: Option<usize>,
-    /// Order-statistic replica: key = offset, weight = length. Ascending
-    /// key order is exactly the walk order of `by_offset`.
-    pos: PosTree,
-    /// Live `(len, offset)` pairs: the winner resolver for the fits whose
-    /// walk ends on "the lowest-addressed block of size S".
-    by_len: BTreeSet<(usize, usize)>,
+    /// Live `(len, offset)` pairs: the winner resolver for best and exact
+    /// fit, whose walks end on "the lowest-addressed block of size S".
+    /// `None` until the first such search.
+    by_len: Option<BTreeSet<(usize, usize)>>,
 }
 
 impl AddrIndex {
@@ -64,209 +71,164 @@ impl AddrIndex {
         AddrIndex::default()
     }
 
-    /// Rank-computed fit resolution: `(winner (offset, len, block), charge)`,
-    /// bit-identical to [`walk_find`]. Does not move the cursor.
-    fn fast_find(&self, fit: FitAlgorithm, len: usize) -> (Option<(usize, usize)>, u64) {
-        let total = self.by_offset.len() as u64;
+    /// Rank-computed fit resolution: `(winner, charge)`, bit-identical to
+    /// [`walk_find`]. Does not move the cursor.
+    fn fast_find(&self, fit: FitAlgorithm, len: usize) -> (Option<AddrEntry>, u64) {
+        let total = self.list.len() as u64;
+        let list = &self.list;
         match fit {
-            FitAlgorithm::FirstFit => match self.pos.first_at_least(len) {
-                Some((key, _)) => (Some((key as usize, len)), self.pos.rank(key)),
+            FitAlgorithm::FirstFit => match list.first_at_least(len) {
+                Some((e, rank)) => (Some(e), rank),
                 None => (None, total),
             },
             FitAlgorithm::NextFit => {
                 // Pass 1 covers offsets >= the parked cursor; the wrap pass
-                // re-scans everything below it.
-                let start = self.cursor.unwrap_or(0) as u64;
-                let below = self.pos.count_below(start);
-                if let Some((key, _)) = self.pos.first_at_least_from(start, len) {
-                    (Some((key as usize, len)), self.pos.rank(key) - below)
-                } else if let Some((key, _)) = self.pos.first_at_least_below(start, len) {
-                    (Some((key as usize, len)), (total - below) + self.pos.rank(key))
+                // re-scans everything below it. Nothing in pass 1 fits by
+                // then, so the wrap pass stops at the first fit overall.
+                let start = self.cursor.unwrap_or(0);
+                let below = list.count_below(start);
+                if let Some((e, rank)) = list.first_at_least_from(start, len) {
+                    (Some(e), rank - below)
+                } else if let Some((e, rank)) = list.first_at_least(len) {
+                    (Some(e), (total - below) + rank)
                 } else {
                     (None, total)
                 }
             }
-            FitAlgorithm::BestFit => {
-                // With an exact-size block present the faithful walk stops
-                // at the lowest-addressed one (cannot do better).
-                if let Some(&(_, o)) = self.by_len.range((len, 0)..=(len, usize::MAX)).next() {
-                    return (Some((o, len)), self.pos.rank(o as u64));
-                }
-                // Otherwise it scans everything; the winner is the
-                // lowest-addressed block of the smallest fitting size.
-                let winner = self.by_len.range((len, 0)..).next().map(|&(l, o)| (o, l));
-                (winner, total)
-            }
             FitAlgorithm::WorstFit => {
                 // Always a full scan; the winner is the lowest-addressed
                 // block of the largest size, if that size fits.
-                let winner = self
-                    .by_len
-                    .iter()
-                    .next_back()
-                    .filter(|&&(l, _)| l >= len)
-                    .and_then(|&(l, _)| self.by_len.range((l, 0)..).next())
-                    .map(|&(l, o)| (o, l));
-                (winner, total)
+                (list.first_largest().filter(|e| e.len >= len), total)
             }
-            FitAlgorithm::ExactFit => {
-                match self.by_len.range((len, 0)..=(len, usize::MAX)).next() {
-                    Some(&(_, o)) => (Some((o, len)), self.pos.rank(o as u64)),
-                    None => (None, total),
+            FitAlgorithm::BestFit | FitAlgorithm::ExactFit => {
+                let by_len = self.by_len.as_ref().expect("find builds the length set");
+                // With an exact-size block present both walks stop at the
+                // lowest-addressed one (best fit cannot do better).
+                if let Some(&(_, o)) = by_len.range((len, 0)..=(len, usize::MAX)).next() {
+                    let (entry, rank) = list.locate(o).expect("length set names live blocks");
+                    return (Some(entry), rank);
                 }
+                // Otherwise both scan everything; best fit's winner is the
+                // lowest-addressed block of the smallest fitting size.
+                let winner = match fit {
+                    FitAlgorithm::BestFit => by_len.range((len, 0)..).next(),
+                    _ => None,
+                };
+                (winner.and_then(|&(_, o)| list.get(o)), total)
             }
-        }
-    }
-
-    /// Resolve a `fast_find` winner to a [`Found`].
-    fn found_at(&self, offset: usize) -> Found {
-        let &(len, block) = self
-            .by_offset
-            .get(&offset)
-            .expect("rank replica named an absent offset");
-        Found {
-            span: Span::new(offset, len),
-            block,
-            token: NO_TOKEN,
         }
     }
 }
 
 /// The faithful address-order scan — the shadow oracle for
-/// [`AddrIndex::fast_find`]. This is the modelled cost of the A1 leaf.
+/// [`AddrIndex::fast_find`]. This is the modelled cost of the A1 leaf: one
+/// step per block visited, from the list head (or, for next fit, from the
+/// cursor, wrapping round to the head).
 /// Stays compiled in release builds even though only debug builds call it.
 #[cfg_attr(not(debug_assertions), allow(dead_code))]
 fn walk_find(
-    by_offset: &BTreeMap<usize, (usize, BlockRef)>,
+    list: &AddrList,
     cursor: Option<usize>,
     fit: FitAlgorithm,
     len: usize,
 ) -> (Option<usize>, u64) {
+    let start = if fit == FitAlgorithm::NextFit {
+        cursor.unwrap_or(0)
+    } else {
+        0
+    };
+    let from_start = list.iter().filter(|e| e.offset >= start);
+    let wrapped = list.iter().filter(|e| e.offset < start);
     let mut steps = 0u64;
-    match fit {
-        FitAlgorithm::FirstFit => {
-            for (&o, v) in by_offset.iter() {
-                steps += 1;
-                if v.0 >= len {
-                    return (Some(o), steps);
+    let mut kept: Option<&AddrEntry> = None;
+    for e in from_start.chain(wrapped) {
+        steps += 1;
+        match fit {
+            FitAlgorithm::FirstFit | FitAlgorithm::NextFit if e.len >= len => {
+                return (Some(e.offset), steps)
+            }
+            FitAlgorithm::ExactFit if e.len == len => return (Some(e.offset), steps),
+            FitAlgorithm::BestFit if e.len >= len && kept.is_none_or(|b| e.len < b.len) => {
+                kept = Some(e);
+                if e.len == len {
+                    break;
                 }
             }
-            (None, steps)
-        }
-        FitAlgorithm::NextFit => {
-            let start = cursor.unwrap_or(0);
-            let found = by_offset
-                .range(start..)
-                .map(|(o, v)| {
-                    steps += 1;
-                    (*o, *v)
-                })
-                .find(|&(_, (l, _))| l >= len)
-                .or_else(|| {
-                    by_offset
-                        .range(..start)
-                        .map(|(o, v)| {
-                            steps += 1;
-                            (*o, *v)
-                        })
-                        .find(|&(_, (l, _))| l >= len)
-                });
-            (found.map(|(o, _)| o), steps)
-        }
-        FitAlgorithm::BestFit => {
-            let mut best: Option<(usize, usize)> = None;
-            for (&o, v) in by_offset.iter() {
-                steps += 1;
-                if v.0 >= len && best.is_none_or(|(_, bl)| v.0 < bl) {
-                    best = Some((o, v.0));
-                    if v.0 == len {
-                        break;
-                    }
-                }
+            FitAlgorithm::WorstFit if e.len >= len && kept.is_none_or(|w| e.len > w.len) => {
+                kept = Some(e);
             }
-            (best.map(|(o, _)| o), steps)
-        }
-        FitAlgorithm::WorstFit => {
-            let mut worst: Option<(usize, usize)> = None;
-            for (&o, v) in by_offset.iter() {
-                steps += 1;
-                if v.0 >= len && worst.is_none_or(|(_, wl)| v.0 > wl) {
-                    worst = Some((o, v.0));
-                }
-            }
-            (worst.map(|(o, _)| o), steps)
-        }
-        FitAlgorithm::ExactFit => {
-            for (&o, v) in by_offset.iter() {
-                steps += 1;
-                if v.0 == len {
-                    return (Some(o), steps);
-                }
-            }
-            (None, steps)
+            _ => {}
         }
     }
+    (kept.map(|e| e.offset), steps)
 }
 
 impl FreeIndex for AddrIndex {
     fn insert(&mut self, span: Span, block: BlockRef, steps: &mut u64) -> usize {
-        *steps += log_cost(self.by_offset.len());
-        let dup = self.by_offset.insert(span.offset, (span.len, block));
-        debug_assert!(dup.is_none(), "duplicate span at {}", span.offset);
-        self.pos.insert(span.offset as u64, span.len, 0);
-        self.by_len.insert((span.len, span.offset));
+        *steps += log_cost(self.list.len());
+        self.list.insert(AddrEntry {
+            offset: span.offset,
+            len: span.len,
+            block,
+        });
+        if let Some(by_len) = &mut self.by_len {
+            by_len.insert((span.len, span.offset));
+        }
         NO_TOKEN
     }
 
     fn remove(&mut self, _token: usize, span: Span, steps: &mut u64) -> Option<BlockRef> {
-        *steps += log_cost(self.by_offset.len());
-        let (len, block) = self.by_offset.remove(&span.offset)?;
-        debug_assert_eq!(len, span.len, "span length disagrees with the index");
-        let present = self.pos.remove(span.offset as u64);
-        debug_assert!(present, "rank replica missed offset {}", span.offset);
-        let mapped = self.by_len.remove(&(len, span.offset));
-        debug_assert!(mapped, "length set missed ({len}, {})", span.offset);
-        if self.cursor == Some(span.offset) {
-            self.cursor = self.by_offset.range(span.offset..).next().map(|(o, _)| *o);
+        *steps += log_cost(self.list.len());
+        let entry = self.list.remove(span.offset)?;
+        debug_assert_eq!(entry.len, span.len, "span length disagrees with the index");
+        if let Some(by_len) = &mut self.by_len {
+            let mapped = by_len.remove(&(entry.len, span.offset));
+            debug_assert!(mapped, "length set missed ({}, {})", entry.len, span.offset);
         }
-        Some(block)
+        Some(entry.block)
     }
 
     fn find(&mut self, fit: FitAlgorithm, len: usize, steps: &mut u64) -> Option<Found> {
+        if matches!(fit, FitAlgorithm::BestFit | FitAlgorithm::ExactFit) && self.by_len.is_none() {
+            self.by_len = Some(self.list.iter().map(|e| (e.len, e.offset)).collect());
+        }
         let (winner, charged) = self.fast_find(fit, len);
         #[cfg(debug_assertions)]
         {
-            let (walk_winner, walk_steps) = walk_find(&self.by_offset, self.cursor, fit, len);
+            let (walk_winner, walk_steps) = walk_find(&self.list, self.cursor, fit, len);
             debug_assert_eq!(
-                (winner.map(|(o, _)| o), charged),
+                (winner.map(|e| e.offset), charged),
                 (walk_winner, walk_steps),
                 "rank-computed {fit:?} find for {len} diverged from the faithful scan"
             );
         }
         *steps += charged;
-        let (offset, _) = winner?;
+        let entry = winner?;
         if fit == FitAlgorithm::NextFit {
-            self.cursor = Some(offset + 1);
+            self.cursor = Some(entry.offset + 1);
         }
-        Some(self.found_at(offset))
+        Some(Found {
+            span: Span::new(entry.offset, entry.len),
+            block: entry.block,
+            token: NO_TOKEN,
+        })
     }
 
     fn len(&self) -> usize {
-        self.by_offset.len()
+        self.list.len()
     }
 
     fn spans(&self) -> Vec<Span> {
-        self.by_offset
+        self.list
             .iter()
-            .map(|(&o, &(l, _))| Span::new(o, l))
+            .map(|e| Span::new(e.offset, e.len))
             .collect()
     }
 
     fn clear(&mut self) {
-        self.by_offset.clear();
+        self.list.clear();
         self.cursor = None;
-        self.pos.clear();
-        self.by_len.clear();
+        self.by_len = None;
     }
 
     fn control_overhead_bytes(&self) -> usize {
@@ -274,27 +236,20 @@ impl FreeIndex for AddrIndex {
     }
 
     fn check_oracle(&self) -> Result<(), String> {
-        let mut ranked = Vec::with_capacity(self.by_offset.len());
-        self.pos.for_each_in_order(|k, w, _| ranked.push((k as usize, w)));
-        let walked: Vec<(usize, usize)> =
-            self.by_offset.iter().map(|(&o, &(l, _))| (o, l)).collect();
-        if ranked != walked {
-            return Err(format!(
-                "rank replica diverged from address order: {} tree entries vs {} list entries",
-                ranked.len(),
-                walked.len()
-            ));
-        }
-        if self.by_len.len() != self.by_offset.len() {
+        self.list.check()?;
+        let Some(by_len) = &self.by_len else {
+            return Ok(());
+        };
+        if by_len.len() != self.list.len() {
             return Err(format!(
                 "length set has {} entries for {} blocks",
-                self.by_len.len(),
-                self.by_offset.len()
+                by_len.len(),
+                self.list.len()
             ));
         }
-        for &(o, l) in &walked {
-            if !self.by_len.contains(&(l, o)) {
-                return Err(format!("length set missing ({l}, {o})"));
+        for e in self.list.iter() {
+            if !by_len.contains(&(e.len, e.offset)) {
+                return Err(format!("length set missing ({}, {})", e.len, e.offset));
             }
         }
         Ok(())
@@ -476,18 +431,12 @@ mod tests {
         // pinned magic constant.
         let mut spans = addr.spans();
         spans.sort();
-        let mut want_steps = 0u64;
-        let mut want: Option<Span> = None;
-        for sp in &spans {
-            want_steps += 1;
-            if sp.len >= 4096 && want.is_none_or(|b| sp.len < b.len) {
-                want = Some(*sp);
-                if sp.len == 4096 {
-                    break;
-                }
-            }
+        let (want, want_steps) = RefScan {
+            spans: spans.clone(),
+            cursor: None,
         }
-        assert_eq!(hit.span, want.unwrap(), "winner diverged from the scan");
+        .find(FitAlgorithm::BestFit, 4096);
+        assert_eq!(Some(hit.span), want, "winner diverged from the scan");
         assert_eq!(addr_steps, want_steps, "charge diverged from the scan");
         assert!(
             addr_steps as usize > spans.len() / 2,
@@ -496,134 +445,292 @@ mod tests {
         assert!(tree_steps < 16, "{tree_steps}");
     }
 
-    /// Cross-check answer AND charge of every AddrIndex fit — including
-    /// the roving NextFit with its parked cursor — against an independent
-    /// flat scan of the sorted spans, on a churned index.
-    #[test]
-    fn addr_find_matches_reference_scan_under_churn() {
-        struct RefScan {
-            spans: Vec<Span>, // sorted by offset
-            cursor: Option<usize>,
-        }
-        impl RefScan {
-            fn find(&mut self, fit: FitAlgorithm, len: usize) -> (Option<Span>, u64) {
-                let mut steps = 0u64;
-                let (hit, charge) = match fit {
-                    FitAlgorithm::NextFit => {
-                        let start = self.cursor.unwrap_or(0);
-                        let at = self.spans.partition_point(|s| s.offset < start);
-                        let mut hit = None;
-                        for s in &self.spans[at..] {
-                            steps += 1;
-                            if s.len >= len {
-                                hit = Some(*s);
-                                break;
-                            }
-                        }
-                        if hit.is_none() {
-                            for s in &self.spans[..at] {
-                                steps += 1;
-                                if s.len >= len {
-                                    hit = Some(*s);
-                                    break;
-                                }
-                            }
-                        }
-                        if let Some(h) = hit {
-                            self.cursor = Some(h.offset + 1);
-                        }
-                        (hit, steps)
-                    }
-                    FitAlgorithm::FirstFit => {
-                        let mut hit = None;
-                        for s in &self.spans {
-                            steps += 1;
-                            if s.len >= len {
-                                hit = Some(*s);
-                                break;
-                            }
-                        }
-                        (hit, steps)
-                    }
-                    FitAlgorithm::BestFit => {
-                        let mut best: Option<Span> = None;
-                        for s in &self.spans {
-                            steps += 1;
-                            if s.len >= len && best.is_none_or(|b| s.len < b.len) {
-                                best = Some(*s);
-                                if s.len == len {
-                                    break;
-                                }
-                            }
-                        }
-                        (best, steps)
-                    }
-                    FitAlgorithm::WorstFit => {
-                        let mut worst: Option<Span> = None;
-                        for s in &self.spans {
-                            steps += 1;
-                            if s.len >= len && worst.is_none_or(|w| s.len > w.len) {
-                                worst = Some(*s);
-                            }
-                        }
-                        (worst, steps)
-                    }
-                    FitAlgorithm::ExactFit => {
-                        let mut hit = None;
-                        for s in &self.spans {
-                            steps += 1;
-                            if s.len == len {
-                                hit = Some(*s);
-                                break;
-                            }
-                        }
-                        (hit, steps)
-                    }
-                };
-                (hit, charge)
+    /// Independent flat model of the address-ordered list: a sorted span
+    /// vector scanned node by node, with its own NextFit cursor.
+    struct RefScan {
+        spans: Vec<Span>, // sorted by offset
+        cursor: Option<usize>,
+    }
+
+    impl RefScan {
+        fn new() -> Self {
+            RefScan {
+                spans: Vec::new(),
+                cursor: None,
             }
         }
 
-        let mut idx = AddrIndex::new();
-        let mut reference = RefScan {
-            spans: Vec::new(),
-            cursor: None,
-        };
-        let mut x: u64 = 0xC0FF_EE00_DEAD_0001;
-        let mut s = 0u64;
-        for _ in 0..600 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            if reference.spans.len() < 3 || !x.is_multiple_of(3) {
-                let offset = (x % 4096) as usize * 64;
-                if !reference.spans.iter().any(|sp| sp.offset == offset) {
-                    let span = Span::new(offset, 16 + (x >> 32) as usize % 9 * 8);
-                    idx.insert(span, bref(span.offset), &mut s);
-                    let at = reference.spans.partition_point(|sp| sp.offset < offset);
-                    reference.spans.insert(at, span);
+        fn find(&mut self, fit: FitAlgorithm, len: usize) -> (Option<Span>, u64) {
+            let mut steps = 0u64;
+            match fit {
+                FitAlgorithm::NextFit => {
+                    let start = self.cursor.unwrap_or(0);
+                    let at = self.spans.partition_point(|s| s.offset < start);
+                    let (below, from) = self.spans.split_at(at);
+                    let hit = from.iter().chain(below).copied().find(|s| {
+                        steps += 1;
+                        s.len >= len
+                    });
+                    if let Some(h) = hit {
+                        self.cursor = Some(h.offset + 1);
+                    }
+                    (hit, steps)
                 }
-            } else {
-                let i = (x as usize / 5) % reference.spans.len();
-                let span = reference.spans.remove(i);
-                idx.remove(NO_TOKEN, span, &mut s).unwrap();
-                // Mirror AddrIndex's cursor repair on removal.
-                if reference.cursor == Some(span.offset) {
-                    reference.cursor = reference.spans[i..].first().map(|sp| sp.offset);
+                FitAlgorithm::FirstFit | FitAlgorithm::ExactFit => {
+                    let exact = fit == FitAlgorithm::ExactFit;
+                    let hit = self.spans.iter().copied().find(|s| {
+                        steps += 1;
+                        if exact {
+                            s.len == len
+                        } else {
+                            s.len >= len
+                        }
+                    });
+                    (hit, steps)
+                }
+                FitAlgorithm::BestFit => {
+                    let mut best: Option<Span> = None;
+                    for s in &self.spans {
+                        steps += 1;
+                        if s.len >= len && best.is_none_or(|b| s.len < b.len) {
+                            best = Some(*s);
+                            if s.len == len {
+                                break;
+                            }
+                        }
+                    }
+                    (best, steps)
+                }
+                FitAlgorithm::WorstFit => {
+                    let mut worst: Option<Span> = None;
+                    for s in &self.spans {
+                        steps += 1;
+                        if s.len >= len && worst.is_none_or(|w| s.len > w.len) {
+                            worst = Some(*s);
+                        }
+                    }
+                    (worst, steps)
                 }
             }
+        }
+    }
+
+    /// An [`AddrIndex`] driven in lockstep with its [`RefScan`]; every
+    /// step runs the whole fit battery and compares winner, charge and
+    /// cursor.
+    struct Lockstep {
+        idx: AddrIndex,
+        reference: RefScan,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Lockstep {
+                idx: AddrIndex::new(),
+                reference: RefScan::new(),
+            }
+        }
+
+        /// Insert without searching (the cursor stays where it is).
+        fn place(&mut self, span: Span) {
+            let mut s = 0u64;
+            self.idx.insert(span, bref(span.offset), &mut s);
+            let at = self
+                .reference
+                .spans
+                .partition_point(|sp| sp.offset < span.offset);
+            self.reference.spans.insert(at, span);
+        }
+
+        /// Remove the `i`-th block in address order without searching.
+        fn take(&mut self, i: usize) {
+            let span = self.reference.spans.remove(i);
+            let mut s = 0u64;
+            assert_eq!(
+                self.idx.remove(NO_TOKEN, span, &mut s),
+                Some(bref(span.offset))
+            );
+        }
+
+        fn insert(&mut self, span: Span) {
+            self.place(span);
+            self.battery();
+        }
+
+        fn remove_at(&mut self, i: usize) {
+            self.take(i);
+            self.battery();
+        }
+
+        fn has(&self, offset: usize) -> bool {
+            self.reference.spans.iter().any(|sp| sp.offset == offset)
+        }
+
+        /// One NextFit search for `len`, compared like the battery's.
+        fn next_fit(&mut self, len: usize) -> Option<Span> {
+            self.compare(FitAlgorithm::NextFit, len)
+        }
+
+        fn compare(&mut self, fit: FitAlgorithm, len: usize) -> Option<Span> {
+            let (want, want_steps) = self.reference.find(fit, len);
+            let mut got_steps = 0u64;
+            let got = self.idx.find(fit, len, &mut got_steps);
+            assert_eq!(got.map(|f| f.span), want, "{fit:?}/{len}");
+            assert_eq!(got_steps, want_steps, "{fit:?}/{len} charge diverged");
+            assert_eq!(
+                self.idx.cursor, self.reference.cursor,
+                "{fit:?}/{len} cursor"
+            );
+            want
+        }
+
+        fn battery(&mut self) {
             for fit in FitAlgorithm::ALL {
                 for len in [16, 40, 56, 88, 512] {
-                    let (want, want_steps) = reference.find(fit, len);
-                    let mut got_steps = 0u64;
-                    let got = idx.find(fit, len, &mut got_steps);
-                    assert_eq!(got.map(|f| f.span), want, "{fit:?}/{len}");
-                    assert_eq!(got_steps, want_steps, "{fit:?}/{len} charge diverged");
-                    assert_eq!(idx.cursor, reference.cursor, "{fit:?}/{len} cursor");
+                    self.compare(fit, len);
                 }
             }
-            idx.check_oracle().unwrap();
+            self.idx.check_oracle().unwrap();
         }
+    }
+
+    /// Cross-check answer AND charge of every AddrIndex fit — including
+    /// the roving NextFit with its parked cursor — against an independent
+    /// flat scan of the sorted spans: under random churn, across ascending
+    /// runs of more than three chunks drained from either end, with the
+    /// cursor parked across a chunk split and a chunk drop, on stale
+    /// removes, and after `clear()`.
+    #[test]
+    fn addr_find_matches_reference_scan_under_churn() {
+        use crate::heap::index::rank::CHUNK_MAX;
+
+        let mut ls = Lockstep::new();
+        let mut x: u64 = 0xC0FF_EE00_DEAD_0001;
+        let mut churn = |ls: &mut Lockstep, rounds: usize| {
+            for _ in 0..rounds {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if ls.reference.spans.len() < 3 || !x.is_multiple_of(3) {
+                    let offset = (x % 4096) as usize * 64;
+                    if !ls.has(offset) {
+                        ls.insert(Span::new(offset, 16 + (x >> 32) as usize % 9 * 8));
+                    }
+                } else {
+                    let i = (x as usize / 5) % ls.reference.spans.len();
+                    ls.remove_at(i);
+                }
+            }
+        };
+        churn(&mut ls, 600);
+
+        // A sliced granule: an ascending run of more than three chunks
+        // above every churned block, drained from the front, then again
+        // from the back.
+        let base = 1 << 20;
+        let run = 4 * CHUNK_MAX - 1;
+        let run_span = |k: usize| Span::new(base + 32 * k, 16 + (k % 5) * 24);
+        for drain_front in [true, false] {
+            for k in 0..run {
+                ls.insert(run_span(k));
+            }
+            for _ in 0..run {
+                let first = ls.reference.spans.partition_point(|sp| sp.offset < base);
+                let i = if drain_front {
+                    first
+                } else {
+                    ls.reference.spans.len() - 1
+                };
+                ls.remove_at(i);
+            }
+        }
+
+        // Cursor parked inside a chunk that then splits under it: park it
+        // just past the only 512-byte block, then pack more than a chunk's
+        // worth of blocks around it without searching in between.
+        for k in 0..CHUNK_MAX {
+            ls.place(Span::new(base + 1024 * k, 16));
+        }
+        let mid = base + 1024 * (CHUNK_MAX / 2) + 512;
+        ls.place(Span::new(mid, 512));
+        assert_eq!(ls.next_fit(512).map(|sp| sp.offset), Some(mid));
+        for j in 1..=CHUNK_MAX / 2 {
+            ls.place(Span::new(mid - 8 * j, 16));
+            ls.place(Span::new(mid + 8 * j, 16));
+        }
+        ls.idx.check_oracle().unwrap();
+        assert_eq!(ls.next_fit(16).map(|sp| sp.offset), Some(mid + 8));
+        ls.battery();
+
+        // Cursor parked in a chunk that is then emptied and dropped: keep
+        // only the lowest block, so every chunk above the first goes.
+        assert_eq!(ls.next_fit(512).map(|sp| sp.offset), Some(mid));
+        while ls.reference.spans.len() > 1 {
+            ls.take(ls.reference.spans.len() - 1);
+        }
+        ls.idx.check_oracle().unwrap();
+        let lowest = ls.reference.spans[0];
+        assert_eq!(
+            ls.next_fit(lowest.len),
+            Some(lowest),
+            "wraps to the survivor"
+        );
+        ls.place(Span::new(mid + 64, 64));
+        assert_eq!(ls.next_fit(16).map(|sp| sp.offset), Some(mid + 64));
+        ls.battery();
+
+        // A stale remove (the entry is already gone, or never existed)
+        // misses without disturbing anything.
+        ls.remove_at(ls.reference.spans.len() - 1);
+        let mut s = 0u64;
+        assert_eq!(
+            ls.idx.remove(NO_TOKEN, Span::new(mid + 64, 64), &mut s),
+            None
+        );
+        assert_eq!(
+            ls.idx.remove(NO_TOKEN, Span::new(7 << 30, 16), &mut s),
+            None
+        );
+        ls.battery();
+
+        // clear() forgets blocks, cursor and length set; the index is
+        // reusable, and a length set first built over a long list agrees.
+        ls.idx.clear();
+        ls.reference = RefScan::new();
+        assert!(ls.idx.is_empty() && ls.idx.by_len.is_none());
+        for k in 0..run {
+            ls.place(run_span(k));
+        }
+        ls.idx.check_oracle().unwrap();
+        assert!(
+            ls.idx.by_len.is_none(),
+            "only best/exact fit build the length set"
+        );
+        ls.battery();
+        churn(&mut ls, 200);
+    }
+
+    /// The NextFit cursor convention: it parks one byte past its hit, so
+    /// removing the hit block leaves it in place, and a block inserted
+    /// later between that block and its old successor is the next hit.
+    #[test]
+    fn addr_next_fit_cursor_survives_removal_of_its_block() {
+        let mut idx = AddrIndex::new();
+        let mut s = 0u64;
+        for off in [0usize, 256] {
+            idx.insert(Span::new(off, 64), bref(off), &mut s);
+        }
+        let first = idx.find(FitAlgorithm::NextFit, 64, &mut s).unwrap();
+        assert_eq!(first.span.offset, 0);
+        assert_eq!(idx.cursor, Some(1));
+        idx.remove(first.token, first.span, &mut s).unwrap();
+        assert_eq!(idx.cursor, Some(1), "removal must not move the cursor");
+        idx.insert(Span::new(128, 64), bref(128), &mut s);
+        let second = idx.find(FitAlgorithm::NextFit, 64, &mut s).unwrap();
+        assert_eq!(
+            second.span.offset, 128,
+            "the block inserted past the cursor is next"
+        );
     }
 
     #[test]

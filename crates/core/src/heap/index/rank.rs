@@ -1,386 +1,296 @@
 //! Order-statistic rank/select support for the free indexes.
 //!
-//! [`PosTree`] is a weight-augmented balanced tree over `(key, weight)`
-//! pairs that answers, in O(log n), the questions the faithful free-list
-//! walks answer in O(n):
+//! Both structures here answer, in sub-linear time, the questions the
+//! faithful free-list walks answer in O(n):
 //!
-//! - [`PosTree::rank`] — the 1-based position of a key in key order, which
-//!   *is* the walk distance when keys are chosen so that key order equals
-//!   walk order (link order for the linked slab, address order for the
-//!   address-ordered index);
-//! - [`PosTree::count_below`] — how many keys precede a bound (the charge
-//!   of a walk that terminates early at that bound);
-//! - [`PosTree::first_at_least`] / [`PosTree::first_at_least_from`] /
-//!   [`PosTree::first_at_least_below`] — the first position in (a range
-//!   of) key order whose weight satisfies a fit, i.e. the node a
-//!   first/next-fit walk would stop at.
+//! - `rank` (`AddrList::locate`, which also returns the entry) — the
+//!   1-based position of a key in walk order, which *is* the walk distance
+//!   to that node;
+//! - `count_below` — how many keys precede a bound (the charge of a walk
+//!   that terminates early at that bound);
+//! - `first_at_least` / `first_at_least_from` (and, on [`SeqTree`],
+//!   `first_at_least_below`) — the first position in (a range of) walk
+//!   order whose length satisfies a fit, i.e. the node a first/next-fit
+//!   walk would stop at.
 //!
-//! # Invariants
+//! `AddrList` is the address-ordered list itself: a chunked,
+//! address-sorted array that is both the modelled list (walked linearly by
+//! the debug shadow oracle in `ordered.rs`) and its own rank/select
+//! structure. [`SeqTree`] is a *replica* of the linked slab's link order:
+//! every key is inserted exactly when its node becomes reachable by the
+//! faithful walk and removed exactly when it stops being reachable, with
+//! the walked node's span length as its weight.
 //!
-//! The tree is a *replica* of its owner's walk order, never the owner
-//! itself: every key is inserted exactly when its node becomes reachable
-//! by the faithful walk and removed exactly when it stops being reachable,
-//! with `weight` equal to the walked node's span length. Under that
-//! discipline every rank/select answer is bit-identical to the faithful
-//! walk's charge — the owners assert exactly that, per query, in debug
-//! builds (see the shadow-oracle notes in `linked.rs` and `ordered.rs`),
-//! and [`FreeIndex::check_oracle`](crate::heap::index::FreeIndex::check_oracle)
-//! re-validates the whole replica per replay event in debug builds.
-//!
-//! Balance comes from treap priorities derived deterministically from the
-//! key (a splitmix64 hash), so a replay's structure — and therefore its
-//! wall-clock — is reproducible run to run. Like the memo tables of the
-//! previous revision, the tree is simulator-side acceleration: it is *not*
-//! part of the modelled manager, so it contributes nothing to
-//! `control_overhead_bytes`.
+//! Under that discipline every rank/select answer is bit-identical to the
+//! faithful walk's charge — the owners assert exactly that, per query, in
+//! debug builds (see the shadow-oracle notes in `linked.rs` and
+//! `ordered.rs`), and
+//! [`FreeIndex::check_oracle`](crate::heap::index::FreeIndex::check_oracle)
+//! re-validates the structures per replay event in debug builds. Like the
+//! memo tables of earlier revisions, the rank bookkeeping is simulator-side
+//! acceleration: it is *not* part of the modelled manager, so it
+//! contributes nothing to `control_overhead_bytes`.
 
-const NIL: u32 = u32::MAX;
+use crate::heap::tiling::BlockRef;
 
-/// Deterministic treap priority: splitmix64 of the key.
-fn prio_of(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// One free block of the address-ordered list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AddrEntry {
+    /// Block offset — the sort key.
+    pub(crate) offset: usize,
+    /// Block length — the fit weight.
+    pub(crate) len: usize,
+    /// The tiling block the entry indexes.
+    pub(crate) block: BlockRef,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct RankNode {
-    key: u64,
-    /// Caller payload resolved on selects (the linked slab stores its slot
-    /// here; the address index has no use for it and stores 0).
-    payload: u32,
-    weight: usize,
-    max_weight: usize,
-    count: u32,
-    prio: u64,
-    left: u32,
-    right: u32,
+/// Most entries a chunk holds; one more splits it in half.
+pub(super) const CHUNK_MAX: usize = 64;
+
+/// The address-ordered free list as a chunked, address-sorted array.
+///
+/// Entries live in address-sorted chunks of at most [`CHUNK_MAX`] entries
+/// (every offset in chunk `c` is below every offset in chunk `c + 1`; no
+/// chunk is empty). Three flat per-chunk arrays sit beside them: each
+/// chunk's first offset (a binary search locates a key's chunk), its entry
+/// count (prefix sums give ranks) and its largest length (selects skip
+/// chunks that cannot fit). Inserts and removes move at most one chunk's
+/// entries; a rank is one prefix sum over the counts plus one in-chunk
+/// binary search.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AddrList {
+    chunks: Vec<Vec<AddrEntry>>,
+    /// `firsts[c] == chunks[c][0].offset`.
+    firsts: Vec<usize>,
+    /// `counts[c] == chunks[c].len()`.
+    counts: Vec<u32>,
+    /// `maxes[c]` is the largest `len` in `chunks[c]`.
+    maxes: Vec<usize>,
+    len: usize,
 }
 
-/// An order-statistic tree over `(key, weight)` pairs (see module docs).
-#[derive(Debug, Clone)]
-pub struct PosTree {
-    nodes: Vec<RankNode>,
-    free: Vec<u32>,
-    root: u32,
-}
-
-impl Default for PosTree {
-    fn default() -> Self {
-        PosTree::new()
+impl AddrList {
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
-}
 
-impl PosTree {
-    /// An empty tree.
-    pub fn new() -> Self {
-        PosTree {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
+    /// Remove every entry.
+    pub(crate) fn clear(&mut self) {
+        self.chunks.clear();
+        self.firsts.clear();
+        self.counts.clear();
+        self.maxes.clear();
+        self.len = 0;
+    }
+
+    /// Every entry in address order — the faithful walk.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &AddrEntry> {
+        self.chunks.iter().flatten()
+    }
+
+    /// The chunk that holds (or would hold) `offset`: the last chunk whose
+    /// first offset is `<= offset`, or chunk 0 below every chunk. Only
+    /// meaningful on a non-empty list.
+    fn chunk_of(&self, offset: usize) -> usize {
+        self.firsts
+            .partition_point(|&f| f <= offset)
+            .saturating_sub(1)
+    }
+
+    /// Entries in the chunks before chunk `c`.
+    fn count_before(&self, c: usize) -> u64 {
+        self.counts[..c].iter().map(|&n| u64::from(n)).sum()
+    }
+
+    /// Insert an entry whose offset must not already be present.
+    pub(crate) fn insert(&mut self, entry: AddrEntry) {
+        self.len += 1;
+        if self.chunks.is_empty() {
+            self.chunks.push(vec![entry]);
+            self.firsts.push(entry.offset);
+            self.counts.push(1);
+            self.maxes.push(entry.len);
+            return;
+        }
+        let c = self.chunk_of(entry.offset);
+        let chunk = &mut self.chunks[c];
+        let i = chunk.partition_point(|e| e.offset < entry.offset);
+        debug_assert!(
+            chunk.get(i).is_none_or(|e| e.offset != entry.offset),
+            "duplicate offset {}",
+            entry.offset
+        );
+        chunk.insert(i, entry);
+        if i == 0 {
+            self.firsts[c] = entry.offset;
+        }
+        self.counts[c] += 1;
+        self.maxes[c] = self.maxes[c].max(entry.len);
+        if chunk.len() > CHUNK_MAX {
+            self.split(c);
         }
     }
 
-    /// Number of keys in the tree.
-    pub fn len(&self) -> usize {
-        self.count(self.root) as usize
+    /// Split chunk `c` in half, the upper half becoming chunk `c + 1`.
+    fn split(&mut self, c: usize) {
+        let mid = self.chunks[c].len() / 2;
+        let mut upper = Vec::with_capacity(CHUNK_MAX + 1);
+        upper.extend(self.chunks[c].drain(mid..));
+        let max_of = |v: &[AddrEntry]| v.iter().map(|e| e.len).max().unwrap_or(0);
+        self.counts[c] = mid as u32;
+        self.maxes[c] = max_of(&self.chunks[c]);
+        self.firsts.insert(c + 1, upper[0].offset);
+        self.counts.insert(c + 1, upper.len() as u32);
+        self.maxes.insert(c + 1, max_of(&upper));
+        self.chunks.insert(c + 1, upper);
     }
 
-    /// Whether the tree holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.root == NIL
-    }
-
-    /// Remove every key, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.root = NIL;
-    }
-
-    fn count(&self, t: u32) -> u32 {
-        if t == NIL {
-            0
-        } else {
-            self.nodes[t as usize].count
-        }
-    }
-
-    fn max_weight(&self, t: u32) -> usize {
-        if t == NIL {
-            0
-        } else {
-            self.nodes[t as usize].max_weight
-        }
-    }
-
-    fn pull(&mut self, t: u32) {
-        let (l, r) = {
-            let n = &self.nodes[t as usize];
-            (n.left, n.right)
-        };
-        let count = 1 + self.count(l) + self.count(r);
-        let max_weight = self.nodes[t as usize]
-            .weight
-            .max(self.max_weight(l))
-            .max(self.max_weight(r));
-        let n = &mut self.nodes[t as usize];
-        n.count = count;
-        n.max_weight = max_weight;
-    }
-
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.nodes[a as usize].prio >= self.nodes[b as usize].prio {
-            let r = self.nodes[a as usize].right;
-            let r = self.merge(r, b);
-            self.nodes[a as usize].right = r;
-            self.pull(a);
-            a
-        } else {
-            let l = self.nodes[b as usize].left;
-            let l = self.merge(a, l);
-            self.nodes[b as usize].left = l;
-            self.pull(b);
-            b
-        }
-    }
-
-    /// Split into (keys `< key`, keys `>= key`).
-    fn split(&mut self, t: u32, key: u64) -> (u32, u32) {
-        if t == NIL {
-            return (NIL, NIL);
-        }
-        if self.nodes[t as usize].key < key {
-            let r = self.nodes[t as usize].right;
-            let (l, r) = self.split(r, key);
-            self.nodes[t as usize].right = l;
-            self.pull(t);
-            (t, r)
-        } else {
-            let l = self.nodes[t as usize].left;
-            let (l, r) = self.split(l, key);
-            self.nodes[t as usize].left = r;
-            self.pull(t);
-            (l, t)
-        }
-    }
-
-    /// Insert a key that must not already be present.
-    pub fn insert(&mut self, key: u64, weight: usize, payload: u32) {
-        debug_assert!(!self.contains(key), "duplicate rank key {key}");
-        let node = RankNode {
-            key,
-            payload,
-            weight,
-            max_weight: weight,
-            count: 1,
-            prio: prio_of(key),
-            left: NIL,
-            right: NIL,
-        };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.nodes[s as usize] = node;
-                s
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-        };
-        let (l, r) = self.split(self.root, key);
-        let l = self.merge(l, slot);
-        self.root = self.merge(l, r);
-    }
-
-    /// Remove a key; returns whether it was present.
-    pub fn remove(&mut self, key: u64) -> bool {
-        let (l, rest) = self.split(self.root, key);
-        let (mid, r) = if key == u64::MAX {
-            (rest, NIL)
-        } else {
-            self.split(rest, key + 1)
-        };
-        debug_assert!(self.count(mid) <= 1, "keys must be unique");
-        let found = mid != NIL;
-        if found {
-            self.free.push(mid);
-        }
-        self.root = self.merge(l, r);
-        found
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: u64) -> bool {
-        let mut t = self.root;
-        while t != NIL {
-            let n = &self.nodes[t as usize];
-            t = match key.cmp(&n.key) {
-                std::cmp::Ordering::Less => n.left,
-                std::cmp::Ordering::Equal => return true,
-                std::cmp::Ordering::Greater => n.right,
-            };
-        }
-        false
-    }
-
-    /// 1-based position of a *present* key in ascending key order — the
-    /// faithful walk's distance to that node.
-    pub fn rank(&self, key: u64) -> u64 {
-        let mut t = self.root;
-        let mut before = 0u64;
-        while t != NIL {
-            let n = &self.nodes[t as usize];
-            match key.cmp(&n.key) {
-                std::cmp::Ordering::Less => t = n.left,
-                std::cmp::Ordering::Equal => return before + self.count(n.left) as u64 + 1,
-                std::cmp::Ordering::Greater => {
-                    before += self.count(n.left) as u64 + 1;
-                    t = n.right;
-                }
-            }
-        }
-        debug_assert!(false, "rank of absent key {key}");
-        before + 1
-    }
-
-    /// Number of keys strictly below `key` (which need not be present) —
-    /// the charge of a walk that stops just before that bound.
-    pub fn count_below(&self, key: u64) -> u64 {
-        let mut t = self.root;
-        let mut below = 0u64;
-        while t != NIL {
-            let n = &self.nodes[t as usize];
-            if n.key < key {
-                below += self.count(n.left) as u64 + 1;
-                t = n.right;
-            } else {
-                t = n.left;
-            }
-        }
-        below
-    }
-
-    /// First key (ascending) whose weight is `>= min_weight`, with its
-    /// payload — the node a first-fit walk stops at.
-    pub fn first_at_least(&self, min_weight: usize) -> Option<(u64, u32)> {
-        self.select_in(self.root, min_weight)
-    }
-
-    fn select_in(&self, t: u32, min_weight: usize) -> Option<(u64, u32)> {
-        let mut t = t;
-        if t == NIL || self.max_weight(t) < min_weight {
+    /// Remove the entry at `offset`, returning it, or `None` if absent.
+    pub(crate) fn remove(&mut self, offset: usize) -> Option<AddrEntry> {
+        if self.chunks.is_empty() {
             return None;
         }
-        loop {
-            let n = &self.nodes[t as usize];
-            if self.max_weight(n.left) >= min_weight {
-                t = n.left;
-                continue;
-            }
-            if n.weight >= min_weight {
-                return Some((n.key, n.payload));
-            }
-            debug_assert_ne!(n.right, NIL, "max_weight promised a fit");
-            t = n.right;
+        let c = self.chunk_of(offset);
+        let chunk = &mut self.chunks[c];
+        let i = chunk.binary_search_by_key(&offset, |e| e.offset).ok()?;
+        let entry = chunk.remove(i);
+        self.len -= 1;
+        if chunk.is_empty() {
+            self.chunks.remove(c);
+            self.firsts.remove(c);
+            self.counts.remove(c);
+            self.maxes.remove(c);
+            return Some(entry);
         }
+        if i == 0 {
+            self.firsts[c] = chunk[0].offset;
+        }
+        self.counts[c] -= 1;
+        if entry.len == self.maxes[c] {
+            self.maxes[c] = chunk.iter().map(|e| e.len).max().unwrap_or(0);
+        }
+        Some(entry)
     }
 
-    /// First key `>= lo` whose weight is `>= min_weight` — where a roving
-    /// walk starting at `lo`'s position stops before wrapping.
-    pub fn first_at_least_from(&self, lo: u64, min_weight: usize) -> Option<(u64, u32)> {
-        let mut t = self.root;
-        while t != NIL {
-            let n = &self.nodes[t as usize];
-            if self.max_weight(t) < min_weight {
-                return None;
+    /// The entry at `offset`, if present.
+    pub(crate) fn get(&self, offset: usize) -> Option<AddrEntry> {
+        self.locate(offset).map(|(entry, _)| entry)
+    }
+
+    /// The entry at `offset` with its 1-based position in address order —
+    /// the faithful walk's distance to it — if present.
+    pub(crate) fn locate(&self, offset: usize) -> Option<(AddrEntry, u64)> {
+        if self.chunks.is_empty() {
+            return None;
+        }
+        let c = self.chunk_of(offset);
+        let i = self.chunks[c]
+            .binary_search_by_key(&offset, |e| e.offset)
+            .ok()?;
+        Some((self.chunks[c][i], self.count_before(c) + i as u64 + 1))
+    }
+
+    /// Number of entries strictly below `offset` (which need not be
+    /// present) — the charge of a walk that stops just before that bound.
+    pub(crate) fn count_below(&self, offset: usize) -> u64 {
+        if self.chunks.is_empty() {
+            return 0;
+        }
+        let c = self.chunk_of(offset);
+        self.count_before(c) + self.chunks[c].partition_point(|e| e.offset < offset) as u64
+    }
+
+    /// First entry (ascending address) with `len >= min_len`, with its
+    /// rank — the node a first-fit walk stops at.
+    pub(crate) fn first_at_least(&self, min_len: usize) -> Option<(AddrEntry, u64)> {
+        self.first_fit_from_chunk(0, 0, min_len)
+    }
+
+    /// The lowest-addressed entry of the largest length — where a
+    /// worst-fit scan's winner ends up.
+    pub(crate) fn first_largest(&self) -> Option<AddrEntry> {
+        let largest = self.maxes.iter().copied().max()?;
+        self.first_at_least(largest).map(|(entry, _)| entry)
+    }
+
+    /// First entry at or after chunk `c` with `len >= min_len`, where
+    /// `before` entries precede chunk `c`.
+    fn first_fit_from_chunk(
+        &self,
+        mut c: usize,
+        mut before: u64,
+        min_len: usize,
+    ) -> Option<(AddrEntry, u64)> {
+        while c < self.chunks.len() {
+            if self.maxes[c] >= min_len {
+                let chunk = &self.chunks[c];
+                let i = chunk
+                    .iter()
+                    .position(|e| e.len >= min_len)
+                    .expect("chunk maximum promised a fit");
+                return Some((chunk[i], before + i as u64 + 1));
             }
-            if n.key < lo {
-                t = n.right;
-                continue;
-            }
-            // Everything in the left subtree is ≥ lo only partially — it
-            // may still contain keys below the bound, so recurse with the
-            // bound; the node and right subtree are entirely ≥ lo.
-            if let Some(hit) = self.first_from_bounded(n.left, lo, min_weight) {
-                return Some(hit);
-            }
-            if n.weight >= min_weight {
-                return Some((n.key, n.payload));
-            }
-            return self.select_in(n.right, min_weight);
+            before += u64::from(self.counts[c]);
+            c += 1;
         }
         None
     }
 
-    fn first_from_bounded(&self, t: u32, lo: u64, min_weight: usize) -> Option<(u64, u32)> {
-        if t == NIL || self.max_weight(t) < min_weight {
+    /// First entry at offset `>= lo` with `len >= min_len`, with its rank
+    /// — where a roving walk starting at `lo`'s position stops before
+    /// wrapping.
+    pub(crate) fn first_at_least_from(
+        &self,
+        lo: usize,
+        min_len: usize,
+    ) -> Option<(AddrEntry, u64)> {
+        if self.chunks.is_empty() {
             return None;
         }
-        let n = &self.nodes[t as usize];
-        if n.key < lo {
-            return self.first_from_bounded(n.right, lo, min_weight);
+        let c = self.chunk_of(lo);
+        let before = self.count_before(c);
+        if self.maxes[c] >= min_len {
+            let chunk = &self.chunks[c];
+            let start = chunk.partition_point(|e| e.offset < lo);
+            if let Some(j) = chunk[start..].iter().position(|e| e.len >= min_len) {
+                let i = start + j;
+                return Some((chunk[i], before + i as u64 + 1));
+            }
         }
-        if let Some(hit) = self.first_from_bounded(n.left, lo, min_weight) {
-            return Some(hit);
-        }
-        if n.weight >= min_weight {
-            return Some((n.key, n.payload));
-        }
-        self.select_in(n.right, min_weight)
+        self.first_fit_from_chunk(c + 1, before + u64::from(self.counts[c]), min_len)
     }
 
-    /// First key `< hi` whose weight is `>= min_weight` — where a walk
-    /// confined to the positions before `hi` stops.
-    pub fn first_at_least_below(&self, hi: u64, min_weight: usize) -> Option<(u64, u32)> {
-        self.first_below_bounded(self.root, hi, min_weight)
-    }
-
-    fn first_below_bounded(&self, t: u32, hi: u64, min_weight: usize) -> Option<(u64, u32)> {
-        if t == NIL || self.max_weight(t) < min_weight {
-            return None;
+    /// Validate the chunk layout: entries in strictly ascending address
+    /// order, no chunk empty or over [`CHUNK_MAX`], and `firsts`, `counts`,
+    /// `maxes` and the total length all matching the entries.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let n = self.chunks.len();
+        if (self.firsts.len(), self.counts.len(), self.maxes.len()) != (n, n, n) {
+            return Err(format!("{n} chunks with mismatched summary arrays"));
         }
-        let n = &self.nodes[t as usize];
-        if n.key >= hi {
-            return self.first_below_bounded(n.left, hi, min_weight);
+        let walked: Vec<&AddrEntry> = self.iter().collect();
+        if walked.len() != self.len || walked.windows(2).any(|w| w[0].offset >= w[1].offset) {
+            return Err(format!(
+                "{} entries (length {}) not in strictly ascending address order",
+                walked.len(),
+                self.len
+            ));
         }
-        // The left subtree is entirely < hi: unbounded select there first.
-        if let Some(hit) = self.select_in(n.left, min_weight) {
-            return Some(hit);
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            let summary = (self.firsts[c], self.counts[c] as usize, self.maxes[c]);
+            let actual = (
+                chunk.first().map_or(0, |e| e.offset),
+                chunk.len(),
+                chunk.iter().map(|e| e.len).max().unwrap_or(0),
+            );
+            if chunk.is_empty() || chunk.len() > CHUNK_MAX || summary != actual {
+                return Err(format!(
+                    "chunk {c}: (first, count, max) {summary:?} vs entries {actual:?}"
+                ));
+            }
         }
-        if n.weight >= min_weight {
-            return Some((n.key, n.payload));
-        }
-        self.first_below_bounded(n.right, hi, min_weight)
-    }
-
-    /// Visit every `(key, weight, payload)` in ascending key order — the
-    /// per-event oracle check compares this against the owner's walk.
-    pub fn for_each_in_order(&self, mut f: impl FnMut(u64, usize, u32)) {
-        self.in_order(self.root, &mut f);
-    }
-
-    fn in_order(&self, t: u32, f: &mut impl FnMut(u64, usize, u32)) {
-        if t == NIL {
-            return;
-        }
-        let (l, r) = {
-            let n = &self.nodes[t as usize];
-            (n.left, n.right)
-        };
-        self.in_order(l, f);
-        {
-            let n = &self.nodes[t as usize];
-            f(n.key, n.weight, n.payload);
-        }
-        self.in_order(r, f);
+        Ok(())
     }
 }
 
@@ -414,14 +324,12 @@ fn seg_maxw(v: u64) -> u32 {
 /// u64::MAX - key - 1`, i.e. the zero-based push stamp) and the whole tree
 /// flattens into one contiguous array of packed `(count, max weight)`
 /// nodes: updates walk a root path of adjacent sibling pairs (one cache
-/// line per level) instead of chasing treap pointers, which is what makes
+/// line per level) instead of chasing tree pointers, which is what makes
 /// the per-event rank charges cheaper than the walks they replace.
 ///
 /// Ascending key order == *descending* leaf order, so "first in link
 /// order" selects are rightmost-leaf descents and rank/count queries are
-/// suffix counts. The public API mirrors [`PosTree`] exactly — same names,
-/// same key-space semantics — so the fit-search decompositions written
-/// against the treap run unchanged against this structure.
+/// suffix counts.
 #[derive(Debug, Clone, Default)]
 pub struct SeqTree {
     /// `2 * cap` packed nodes; node `i`'s children are `2i` and `2i + 1`,
@@ -758,83 +666,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn churned_tree_matches_flat_reference() {
-        let mut tree = PosTree::new();
-        let mut reference = RefSet::default();
-        let mut x: u64 = 0x0123_4567_89AB_CDEF;
-        let mut keys: Vec<u64> = Vec::new();
-        for round in 0..4000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            if keys.len() < 4 || !x.is_multiple_of(3) {
-                let key = x % 1024; // small space forces collisions
-                if !tree.contains(key) {
-                    let w = 16 + (x >> 32) as usize % 96;
-                    tree.insert(key, w, (key % 7) as u32);
-                    reference.insert(key, w);
-                    keys.push(key);
-                }
-            } else {
-                let i = (x as usize / 5) % keys.len();
-                let key = keys.swap_remove(i);
-                assert!(tree.remove(key));
-                assert!(reference.remove(key));
-            }
-            assert_eq!(tree.len(), reference.0.len());
-            if round % 7 == 0 {
-                for probe in [0u64, 13, 512, 1023, x % 1100] {
-                    assert_eq!(tree.count_below(probe), reference.count_below(probe));
-                    for w in [1usize, 40, 80, 200] {
-                        assert_eq!(
-                            tree.first_at_least(w).map(|(k, _)| k),
-                            reference.first_at_least(w),
-                            "first_at_least({w})"
-                        );
-                        assert_eq!(
-                            tree.first_at_least_from(probe, w).map(|(k, _)| k),
-                            reference.first_from(probe, w),
-                            "first_from({probe},{w})"
-                        );
-                        assert_eq!(
-                            tree.first_at_least_below(probe, w).map(|(k, _)| k),
-                            reference.first_below(probe, w),
-                            "first_below({probe},{w})"
-                        );
-                    }
-                }
-                if let Some(&key) = keys.first() {
-                    assert_eq!(tree.rank(key), reference.rank(key));
-                }
-            }
-        }
-        // In-order traversal reproduces the reference exactly.
-        let mut seen = Vec::new();
-        tree.for_each_in_order(|k, w, _| seen.push((k, w)));
-        assert_eq!(seen, reference.0);
-    }
-
-    #[test]
-    fn payload_rides_along() {
-        let mut tree = PosTree::new();
-        tree.insert(10, 100, 7);
-        tree.insert(5, 50, 3);
-        assert_eq!(tree.first_at_least(60), Some((10, 7)));
-        assert_eq!(tree.first_at_least(1), Some((5, 3)));
-        assert_eq!(tree.rank(10), 2);
-        assert!(tree.remove(5));
-        assert!(!tree.remove(5));
-        assert_eq!(tree.rank(10), 1);
-    }
-
     /// SeqTree under the owner slab's discipline (strictly decreasing
-    /// keys), cross-checked per op against both the flat reference and the
-    /// general-purpose treap.
+    /// keys), cross-checked per op against the flat reference.
     #[test]
     fn seq_tree_matches_reference_under_monotone_churn() {
         let mut seq_tree = SeqTree::new();
-        let mut treap = PosTree::new();
         let mut reference = RefSet::default();
         let mut live: Vec<u64> = Vec::new();
         let mut seq = 0u64;
@@ -849,7 +685,6 @@ mod tests {
                 let w = 16 + (x >> 32) as usize % 96;
                 let p = (seq % 11) as u32;
                 seq_tree.insert(key, w, p);
-                treap.insert(key, w, p);
                 reference.insert(key, w);
                 live.push(key);
             } else {
@@ -857,7 +692,6 @@ mod tests {
                 let key = live.swap_remove(i);
                 assert!(seq_tree.remove(key));
                 assert!(!seq_tree.remove(key), "double remove must miss");
-                assert!(treap.remove(key));
                 assert!(reference.remove(key));
             }
             assert_eq!(seq_tree.len(), reference.0.len());
@@ -872,6 +706,8 @@ mod tests {
                     u64::MAX - seq / 2 - 1,
                     u64::MAX - seq - 40, // below every stamp issued so far
                 ];
+                // Each key's payload is its stamp mod 11 (see the insert).
+                let with_payload = |k: Option<u64>| k.map(|k| (k, ((u64::MAX - k) % 11) as u32));
                 for probe in probes {
                     assert_eq!(
                         seq_tree.count_below(probe),
@@ -880,18 +716,18 @@ mod tests {
                     );
                     for w in [1usize, 40, 80, 200] {
                         assert_eq!(
-                            seq_tree.first_at_least(w).map(|(k, _)| k),
-                            reference.first_at_least(w),
+                            seq_tree.first_at_least(w),
+                            with_payload(reference.first_at_least(w)),
                             "first_at_least({w})"
                         );
                         assert_eq!(
                             seq_tree.first_at_least_from(probe, w),
-                            treap.first_at_least_from(probe, w),
+                            with_payload(reference.first_from(probe, w)),
                             "first_from({probe:#x},{w})"
                         );
                         assert_eq!(
                             seq_tree.first_at_least_below(probe, w),
-                            treap.first_at_least_below(probe, w),
+                            with_payload(reference.first_below(probe, w)),
                             "first_below({probe:#x},{w})"
                         );
                     }
@@ -908,17 +744,5 @@ mod tests {
         seq_tree.insert(u64::MAX - 1, 32, 9);
         assert_eq!(seq_tree.first_at_least(1), Some((u64::MAX - 1, 9)));
         assert_eq!(seq_tree.leaf_entry(u64::MAX - 1), Some((32, 9)));
-    }
-
-    #[test]
-    fn extreme_keys_are_handled() {
-        let mut tree = PosTree::new();
-        tree.insert(u64::MAX, 8, 0);
-        tree.insert(0, 16, 1);
-        assert_eq!(tree.rank(u64::MAX), 2);
-        assert_eq!(tree.count_below(u64::MAX), 1);
-        assert_eq!(tree.first_at_least_from(u64::MAX, 1), Some((u64::MAX, 0)));
-        assert!(tree.remove(u64::MAX));
-        assert_eq!(tree.len(), 1);
     }
 }

@@ -23,7 +23,8 @@ use crate::units::{align_up, pow2_class, MIN_ALIGN, MIN_BLOCK, SBRK_GRANULARITY}
 /// walk-through). [`crate::methodology`] fills them from the profile.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Params {
-    /// Size classes used when A2 = `ProfiledClasses` (bytes, ascending).
+    /// Size classes used when A2 = `ProfiledClasses` (bytes, strictly
+    /// ascending, each at least `MIN_BLOCK` and a multiple of `MIN_ALIGN`).
     pub profiled_classes: Vec<usize>,
     /// Maximum merged-block size when D1 = `Capped`.
     pub coalesce_cap: usize,
@@ -201,6 +202,19 @@ impl DmConfig {
         {
             return Err(Error::InvalidConfig(format!(
                 "profiled classes must be at least the minimum block of {MIN_BLOCK} bytes"
+            )));
+        }
+        // A fixed-class grow slices granules into back-to-back blocks of
+        // one class, so an unaligned class misaligns every block after the
+        // first.
+        if let Some(c) = self
+            .params
+            .profiled_classes
+            .iter()
+            .find(|&&c| !c.is_multiple_of(MIN_ALIGN))
+        {
+            return Err(Error::InvalidConfig(format!(
+                "profiled class {c} is not a multiple of the {MIN_ALIGN}-byte alignment"
             )));
         }
         if self.split_when == SplitWhen::Threshold && self.params.split_threshold < MIN_BLOCK {
@@ -561,6 +575,8 @@ mod tests {
         cfg.params.profiled_classes = vec![64, 32]; // not ascending
         assert!(cfg.validate().is_err());
         cfg.params.profiled_classes = vec![8, 32]; // below MIN_BLOCK
+        assert!(cfg.validate().is_err());
+        cfg.params.profiled_classes = vec![20, 36]; // not MIN_ALIGN multiples
         assert!(cfg.validate().is_err());
         cfg.params.profiled_classes = vec![32, 64];
         assert!(cfg.validate().is_ok());

@@ -181,11 +181,73 @@ fn compute() -> Vec<(String, Digest)> {
     out
 }
 
-/// Regenerator: prints the golden table in the exact format of `GOLDENS`.
+/// The address-ordered configurations `ADDR_GOLDENS` covers. No preset
+/// uses A1 = address-ordered list, so `GOLDENS` never replays that index.
+/// Selection rule: enumerate the space in `SpaceIter` order with the
+/// sweep's parameters (footprint-optimised, classes 16/32/64/128 bytes)
+/// and, for every C1 fit × A2 ∈ {profiled classes, many} × D2 ∈
+/// {always (immediate), deferred}, take the *first* configuration with
+/// A1 = address-ordered list — 20 configurations, in that loop order.
+fn address_ordered_configs() -> Vec<DmConfig> {
+    use dmm::core::space::enumerate::SpaceIter;
+    use dmm::core::space::order::TRAVERSAL_ORDER;
+    use dmm::core::space::trees::{BlockSizes, BlockStructure, CoalesceWhen, FitAlgorithm};
+    use dmm::core::units::MIN_BLOCK;
+
+    let mut params = Params::footprint_optimised();
+    params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
+    let mut first = std::collections::HashMap::new();
+    for cfg in SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), params) {
+        if cfg.block_structure == BlockStructure::AddressOrderedList {
+            first
+                .entry((cfg.fit, cfg.block_sizes, cfg.coalesce_when))
+                .or_insert(cfg);
+        }
+    }
+    let mut picked = Vec::new();
+    for fit in FitAlgorithm::ALL {
+        for sizes in [BlockSizes::ProfiledClasses, BlockSizes::Many] {
+            for when in [CoalesceWhen::Always, CoalesceWhen::Deferred] {
+                let cfg = first.remove(&(fit, sizes, when)).unwrap_or_else(|| {
+                    panic!("no address-ordered config for {fit}/{sizes}/{when}")
+                });
+                picked.push(cfg);
+            }
+        }
+    }
+    picked
+}
+
+/// Compiled-kernel replays of [`address_ordered_configs`] on every golden
+/// workload.
+fn compute_address_ordered() -> Vec<(String, Digest)> {
+    let configs = address_ordered_configs();
+    let mut out = Vec::new();
+    for (wname, trace) in workloads() {
+        let compiled = CompiledTrace::compile(&trace);
+        for cfg in &configs {
+            let mut m = PolicyAllocator::new(cfg.clone()).expect("valid");
+            let fs = dmm::core::trace::replay_compiled(&compiled, &mut m).expect("replay");
+            let label = format!(
+                "{wname}/{}/{}/{}/{}",
+                cfg.fit, cfg.block_sizes, cfg.coalesce_when, cfg.name
+            );
+            out.push((label, Digest::of(&fs)));
+        }
+    }
+    out
+}
+
+/// Regenerator: prints the golden tables in the exact format of `GOLDENS`
+/// and `ADDR_GOLDENS`.
 #[test]
 #[ignore = "run manually to regenerate the golden table"]
 fn print_goldens() {
     for (label, d) in compute() {
+        println!("    (\"{label}\", {}),", d.as_tuple());
+    }
+    println!();
+    for (label, d) in compute_address_ordered() {
         println!("    (\"{label}\", {}),", d.as_tuple());
     }
 }
@@ -249,6 +311,93 @@ const GOLDENS: &[(&str, GoldenTuple)] = &[
     ("large_churn-quick/classic/neutral", (276236, 20, 238491, 193760, 2615, 3358, 13, 804, 804, 20)),
     ("large_churn-quick/compiled/neutral", (276236, 20, 238491, 193760, 2615, 3358, 13, 804, 804, 20)),
     ("large_churn-quick/sharded/neutral", (276236, 20, 238491, 193760, 2615, 3358, 13, 804, 804, 20)),
+];
+
+/// Compiled-kernel digests of [`address_ordered_configs`] on every golden
+/// workload, captured from the `BTreeMap` + treap `AddrIndex` before the
+/// flat chunked address index replaced it. Field order as in `GOLDENS`.
+#[rustfmt::skip]
+const ADDR_GOLDENS: &[(&str, GoldenTuple)] = &[
+    ("churn-a/first fit/fixed: profiled classes/always/space-point-30253", (427720, 16, 253844, 17470, 0, 431, 8, 111, 111, 16)),
+    ("churn-a/first fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31213", (442384, 442384, 253844, 22284, 0, 332, 2, 110, 110, 16)),
+    ("churn-a/first fit/many (not fixed)/always/space-point-3693", (330144, 16, 253844, 12505, 0, 263, 2, 268, 268, 16)),
+    ("churn-a/first fit/many (not fixed)/deferred (on allocation miss)/space-point-4653", (324744, 324744, 253844, 20501, 0, 7, 0, 260, 260, 16)),
+    ("churn-a/next fit/fixed: profiled classes/always/space-point-30277", (438016, 16, 253844, 32781, 0, 489, 9, 113, 113, 16)),
+    ("churn-a/next fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31237", (442384, 442384, 253844, 20707, 0, 249, 2, 110, 110, 16)),
+    ("churn-a/next fit/many (not fixed)/always/space-point-3717", (334456, 16, 253844, 12606, 0, 262, 2, 266, 266, 16)),
+    ("churn-a/next fit/many (not fixed)/deferred (on allocation miss)/space-point-4677", (323632, 323632, 253844, 19777, 0, 6, 0, 259, 259, 16)),
+    ("churn-a/best fit/fixed: profiled classes/always/space-point-30301", (389056, 16, 253844, 26817, 0, 506, 9, 101, 101, 16)),
+    ("churn-a/best fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31261", (413712, 413712, 253844, 23671, 0, 344, 2, 103, 103, 16)),
+    ("churn-a/best fit/many (not fixed)/always/space-point-3741", (318056, 16, 253844, 12947, 0, 257, 2, 261, 261, 16)),
+    ("churn-a/best fit/many (not fixed)/deferred (on allocation miss)/space-point-4701", (315024, 315024, 253844, 20218, 0, 9, 0, 262, 262, 16)),
+    ("churn-a/worst fit/fixed: profiled classes/always/space-point-30325", (474960, 16, 253844, 20137, 0, 430, 10, 121, 121, 16)),
+    ("churn-a/worst fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31285", (462864, 462864, 253844, 27139, 0, 477, 2, 115, 115, 16)),
+    ("churn-a/worst fit/many (not fixed)/always/space-point-3765", (346888, 16, 253844, 13371, 0, 265, 2, 268, 268, 16)),
+    ("churn-a/worst fit/many (not fixed)/deferred (on allocation miss)/space-point-4725", (344432, 344432, 253844, 22432, 0, 3, 0, 258, 258, 16)),
+    ("churn-a/exact fit/fixed: profiled classes/always/space-point-30349", (1594080, 16, 253844, 1176917, 0, 3705, 11, 400, 400, 16)),
+    ("churn-a/exact fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31309", (2117648, 2117648, 253844, 240722, 0, 5268, 0, 517, 517, 16)),
+    ("churn-a/exact fit/many (not fixed)/always/space-point-3789", (483016, 16, 253844, 38905, 0, 479, 1, 481, 481, 16)),
+    ("churn-a/exact fit/many (not fixed)/deferred (on allocation miss)/space-point-4749", (481904, 481904, 253844, 62027, 0, 159, 0, 479, 479, 16)),
+    ("churn-b/first fit/fixed: profiled classes/always/space-point-30253", (81112, 16, 21717, 20084, 0, 618, 8, 30, 30, 16)),
+    ("churn-b/first fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31213", (167952, 167952, 21717, 34814, 0, 1645, 0, 41, 41, 16)),
+    ("churn-b/first fit/many (not fixed)/always/space-point-3693", (30464, 16, 21717, 6229, 0, 168, 1, 174, 174, 16)),
+    ("churn-b/first fit/many (not fixed)/deferred (on allocation miss)/space-point-4653", (30040, 30040, 21717, 9925, 0, 5, 0, 167, 167, 16)),
+    ("churn-b/next fit/fixed: profiled classes/always/space-point-30277", (98720, 16, 21717, 127778, 0, 1111, 4, 29, 29, 16)),
+    ("churn-b/next fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31237", (86032, 86032, 21717, 16587, 0, 551, 0, 21, 21, 16)),
+    ("churn-b/next fit/many (not fixed)/always/space-point-3717", (30856, 3728, 21717, 6361, 0, 170, 1, 175, 175, 16)),
+    ("churn-b/next fit/many (not fixed)/deferred (on allocation miss)/space-point-4677", (30264, 30264, 21717, 9846, 0, 7, 0, 168, 168, 16)),
+    ("churn-b/best fit/fixed: profiled classes/always/space-point-30301", (78024, 16, 21717, 22898, 0, 633, 4, 22, 22, 16)),
+    ("churn-b/best fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31261", (65552, 65552, 21717, 17959, 0, 341, 0, 16, 16, 16)),
+    ("churn-b/best fit/many (not fixed)/always/space-point-3741", (29072, 16, 21717, 6214, 0, 167, 1, 170, 170, 16)),
+    ("churn-b/best fit/many (not fixed)/deferred (on allocation miss)/space-point-4701", (28728, 28728, 21717, 9458, 0, 5, 0, 166, 166, 16)),
+    ("churn-b/worst fit/fixed: profiled classes/always/space-point-30325", (91104, 16, 21717, 51140, 0, 777, 4, 27, 27, 16)),
+    ("churn-b/worst fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31285", (106512, 106512, 21717, 16944, 0, 415, 0, 26, 26, 16)),
+    ("churn-b/worst fit/many (not fixed)/always/space-point-3765", (31024, 16, 21717, 6905, 0, 168, 2, 173, 173, 16)),
+    ("churn-b/worst fit/many (not fixed)/deferred (on allocation miss)/space-point-4725", (30848, 30848, 21717, 10667, 0, 8, 0, 171, 171, 16)),
+    ("churn-b/exact fit/fixed: profiled classes/always/space-point-30349", (378312, 16, 21717, 1232490, 0, 4246, 11, 108, 108, 16)),
+    ("churn-b/exact fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31309", (1028112, 1028112, 21717, 243843, 0, 10270, 0, 251, 251, 16)),
+    ("churn-b/exact fit/many (not fixed)/always/space-point-3789", (40920, 16, 21717, 13172, 0, 272, 1, 276, 276, 16)),
+    ("churn-b/exact fit/many (not fixed)/deferred (on allocation miss)/space-point-4749", (39672, 39672, 21717, 20657, 0, 80, 0, 269, 269, 16)),
+    ("phased/first fit/fixed: profiled classes/always/space-point-30253", (97520, 16, 48257, 17757, 0, 842, 33, 148, 148, 16)),
+    ("phased/first fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31213", (94224, 83680, 48257, 10979, 0, 118, 2, 24, 24, 16)),
+    ("phased/first fit/many (not fixed)/always/space-point-3693", (58608, 16, 48257, 7141, 0, 304, 12, 322, 322, 16)),
+    ("phased/first fit/many (not fixed)/deferred (on allocation miss)/space-point-4653", (178176, 178176, 48257, 9912, 0, 124, 0, 176, 176, 16)),
+    ("phased/next fit/fixed: profiled classes/always/space-point-30277", (98320, 16, 48257, 16769, 0, 813, 32, 143, 143, 16)),
+    ("phased/next fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31237", (119800, 119800, 48257, 10034, 0, 111, 2, 32, 32, 16)),
+    ("phased/next fit/many (not fixed)/always/space-point-3717", (59424, 16, 48257, 7180, 0, 301, 14, 320, 320, 16)),
+    ("phased/next fit/many (not fixed)/deferred (on allocation miss)/space-point-4677", (133248, 133248, 48257, 9696, 0, 96, 1, 153, 153, 16)),
+    ("phased/best fit/fixed: profiled classes/always/space-point-30301", (86032, 16, 48257, 17014, 0, 773, 32, 138, 138, 16)),
+    ("phased/best fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31261", (86032, 86032, 48257, 22871, 0, 99, 1, 22, 22, 16)),
+    ("phased/best fit/many (not fixed)/always/space-point-3741", (58512, 16, 48257, 7290, 0, 294, 17, 317, 317, 16)),
+    ("phased/best fit/many (not fixed)/deferred (on allocation miss)/space-point-4701", (122656, 122656, 48257, 15601, 0, 78, 1, 132, 132, 16)),
+    ("phased/worst fit/fixed: profiled classes/always/space-point-30325", (118800, 16, 48257, 19660, 0, 849, 27, 162, 162, 16)),
+    ("phased/worst fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31285", (184336, 184336, 48257, 19253, 0, 179, 1, 46, 46, 16)),
+    ("phased/worst fit/many (not fixed)/always/space-point-3765", (58768, 16, 48257, 7469, 0, 303, 13, 321, 321, 16)),
+    ("phased/worst fit/many (not fixed)/deferred (on allocation miss)/space-point-4725", (169816, 169816, 48257, 14480, 0, 128, 1, 183, 183, 16)),
+    ("phased/exact fit/fixed: profiled classes/always/space-point-30349", (303120, 16, 48257, 501172, 0, 4664, 34, 450, 450, 16)),
+    ("phased/exact fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31309", (1990672, 1990672, 48257, 109777, 0, 5029, 0, 486, 486, 16)),
+    ("phased/exact fit/many (not fixed)/always/space-point-3789", (73816, 16, 48257, 12157, 0, 467, 10, 485, 485, 16)),
+    ("phased/exact fit/many (not fixed)/deferred (on allocation miss)/space-point-4749", (417088, 417088, 48257, 17744, 0, 408, 0, 482, 482, 16)),
+    ("large_churn-quick/first fit/fixed: profiled classes/always/space-point-30253", (482616, 16, 238491, 116156, 0, 2269, 49, 490, 490, 16)),
+    ("large_churn-quick/first fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31213", (495632, 495632, 238491, 95670, 0, 493, 1, 122, 122, 16)),
+    ("large_churn-quick/first fit/many (not fixed)/always/space-point-3693", (349096, 16, 238491, 72482, 0, 1246, 9, 1278, 1278, 16)),
+    ("large_churn-quick/first fit/many (not fixed)/deferred (on allocation miss)/space-point-4653", (396096, 384120, 238491, 112678, 0, 164, 2, 442, 442, 16)),
+    ("large_churn-quick/next fit/fixed: profiled classes/always/space-point-30277", (471168, 16, 238491, 95016, 0, 2100, 37, 467, 467, 16)),
+    ("large_churn-quick/next fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31237", (495632, 495632, 238491, 93704, 0, 356, 0, 121, 121, 16)),
+    ("large_churn-quick/next fit/many (not fixed)/always/space-point-3717", (346240, 16, 238491, 72174, 0, 1228, 14, 1263, 1263, 16)),
+    ("large_churn-quick/next fit/many (not fixed)/deferred (on allocation miss)/space-point-4677", (398800, 398800, 238491, 104943, 0, 91, 1, 380, 380, 16)),
+    ("large_churn-quick/best fit/fixed: profiled classes/always/space-point-30301", (443832, 16, 238491, 153885, 0, 2300, 41, 428, 428, 16)),
+    ("large_churn-quick/best fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31261", (426000, 426000, 238491, 418249, 0, 482, 0, 104, 104, 16)),
+    ("large_churn-quick/best fit/many (not fixed)/always/space-point-3741", (329120, 16, 238491, 75169, 0, 1202, 14, 1232, 1232, 16)),
+    ("large_churn-quick/best fit/many (not fixed)/deferred (on allocation miss)/space-point-4701", (301904, 301904, 238491, 369612, 0, 7, 0, 294, 294, 16)),
+    ("large_churn-quick/worst fit/fixed: profiled classes/always/space-point-30325", (554096, 16, 238491, 159177, 0, 2523, 45, 544, 544, 16)),
+    ("large_churn-quick/worst fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31285", (790544, 790544, 238491, 423634, 0, 666, 2, 204, 204, 16)),
+    ("large_churn-quick/worst fit/many (not fixed)/always/space-point-3765", (377136, 16, 238491, 82624, 0, 1273, 15, 1307, 1307, 16)),
+    ("large_churn-quick/worst fit/many (not fixed)/deferred (on allocation miss)/space-point-4725", (915112, 915112, 238491, 256581, 0, 693, 3, 920, 920, 16)),
+    ("large_churn-quick/exact fit/fixed: profiled classes/always/space-point-30349", (2497936, 16, 238491, 5768869, 0, 22538, 62, 2513, 2513, 16)),
+    ("large_churn-quick/exact fit/fixed: profiled classes/deferred (on allocation miss)/space-point-31309", (14098448, 14098448, 238491, 1703240, 0, 33612, 0, 3442, 3442, 16)),
+    ("large_churn-quick/exact fit/many (not fixed)/always/space-point-3789", (664584, 16, 238491, 303267, 0, 3135, 10, 3171, 3171, 16)),
+    ("large_churn-quick/exact fit/many (not fixed)/deferred (on allocation miss)/space-point-4749", (2568648, 2568648, 238491, 557176, 0, 2831, 0, 3141, 3141, 16)),
 ];
 
 /// The static analyser must wave every golden input through: presets lint
@@ -317,6 +466,27 @@ fn replays_match_pr4_goldens() {
         assert_eq!(
             digest, &expect,
             "{label}: replay diverged from the PR 4 implementation"
+        );
+    }
+}
+
+#[test]
+fn address_ordered_replays_match_goldens() {
+    let computed = compute_address_ordered();
+    assert_eq!(
+        computed.len(),
+        ADDR_GOLDENS.len(),
+        "address-ordered coverage changed"
+    );
+    for ((label, digest), (glabel, gtuple)) in computed.iter().zip(ADDR_GOLDENS) {
+        assert_eq!(
+            label, glabel,
+            "address-ordered selection or ordering changed"
+        );
+        assert_eq!(
+            digest,
+            &Digest::from_tuple(*gtuple),
+            "{label}: address-ordered replay diverged from its golden"
         );
     }
 }
