@@ -5,7 +5,10 @@
 //! (slot-resolved events, monomorphized, reused scratch) on the paper
 //! workloads plus `synthetic::large_churn`, asserting bit-identical
 //! statistics first, and writes the machine-readable trajectory to
-//! `BENCH_replay.json`.
+//! `BENCH_replay.json` (full scale) or `target/BENCH_replay.quick.json`
+//! (`--quick`, so a smoke run never overwrites the committed full-scale
+//! record); `--out=PATH` overrides either. Every row's events/second is
+//! the median of 5 timed windows.
 //!
 //! Usage: `cargo run -p dmm-bench --release --bin replay_hot
 //! [--quick] [--csv] [--check] [--out=PATH]`
@@ -18,8 +21,9 @@
 //! 2. **manager-bound gate vs PR 4** — the end-to-end DRR-manager row
 //!    must be at least 1.3× the committed PR 4 baseline (normalised by
 //!    the same run's nop row, so machine speed cancels — see
-//!    `dmm_bench::GateBaseline`). This is the boundary-tag tiling's
-//!    speedup staying regression-guarded;
+//!    `dmm_bench::GateBaseline`; both rows are medians of 5 windows, so
+//!    one noisy window cannot fail the gate). This is the boundary-tag
+//!    tiling's speedup staying regression-guarded;
 //! 3. **manager-bound gate vs PR 5** — the same row must be at least
 //!    1.5× the PR 5 baseline, guarding the order-statistic free-list
 //!    layer's speedup (lazy rank replica, bitmap size set, O(1) hit
@@ -44,10 +48,15 @@ fn main() {
     let opts = dmm_bench::opts::parse();
     let args: Vec<String> = std::env::args().collect();
     let check = args.iter().any(|a| a == "--check");
+    let default_out = if opts.quick {
+        "target/BENCH_replay.quick.json"
+    } else {
+        "BENCH_replay.json"
+    };
     let out = args
         .iter()
         .find_map(|a| a.strip_prefix("--out="))
-        .unwrap_or("BENCH_replay.json")
+        .unwrap_or(default_out)
         .to_string();
 
     let (table, report) = dmm_bench::replay_hot(opts.quick).expect("replay_hot harness failed");
@@ -58,6 +67,9 @@ fn main() {
     } else {
         print!("{}", table.to_ascii());
         print!("{}", churn_table.to_ascii());
+    }
+    if let Some(dir) = std::path::Path::new(&out).parent() {
+        std::fs::create_dir_all(dir).expect("failed to create the report's directory");
     }
     std::fs::write(&out, report.to_json()).expect("failed to write the JSON report");
     eprintln!("wrote {out}");

@@ -905,8 +905,12 @@ pub fn exploration_pruning(quick: bool) -> Result<ExplorationPruningReport> {
 pub struct SweepSide {
     /// Which engine ran: `baseline` or `projected`.
     pub label: String,
-    /// End-to-end wall-clock of the sweep, seconds.
+    /// End-to-end wall-clock of the sweep, seconds: the median of
+    /// `wallclock_runs_secs`.
     pub wallclock_secs: f64,
+    /// Wall-clock of each of the [`SWEEP_REPEATS`] runs, seconds, in run
+    /// order (every run's counters and winner are asserted identical).
+    pub wallclock_runs_secs: Vec<f64>,
     /// Configurations enumerated from the (possibly limited) space,
     /// counted independently of the engine.
     pub enumerated: usize,
@@ -952,10 +956,15 @@ pub struct SweepReport {
     pub projected_replay_ratio: f64,
 }
 
-/// Run the DRR branch-and-bound sweep twice — plain serial baseline vs
-/// projection — and report the comparison. Panics if the two winners
-/// (fingerprint or peak) disagree: the optimisation's bit-identity
-/// contract is checked on every run, not just in CI.
+/// Runs of each side of [`sweep_comparison`]; the side reports their
+/// median wall-clock. Debug builds sweep a bounded prefix once.
+pub const SWEEP_REPEATS: usize = if cfg!(debug_assertions) { 1 } else { 3 };
+
+/// Run the DRR branch-and-bound sweep both ways — plain serial baseline vs
+/// projection, [`SWEEP_REPEATS`] times each — and report the comparison.
+/// Panics if the two winners (fingerprint or peak) disagree: the
+/// optimisation's bit-identity contract is checked on every run, not just
+/// in CI.
 ///
 /// # Errors
 ///
@@ -984,7 +993,7 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
     params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
     let enumerated = swept_configs(&params, limit);
 
-    let run = |label: &str, engine: &ExplorationEngine| -> Result<SweepSide> {
+    let run_once = |label: &str, engine: &ExplorationEngine| -> Result<SweepSide> {
         let start = std::time::Instant::now();
         let (cfg, peak, _) = exhaustive_best_with_engine(&trace, params.clone(), limit, engine)?;
         let wallclock_secs = start.elapsed().as_secs_f64();
@@ -992,6 +1001,7 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
         Ok(SweepSide {
             label: label.to_string(),
             wallclock_secs,
+            wallclock_runs_secs: vec![wallclock_secs],
             enumerated,
             partitioned: c.candidates(),
             evaluations: c.evaluations,
@@ -1004,12 +1014,29 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
             winner_peak: peak,
         })
     };
+    // Each side runs SWEEP_REPEATS times on a fresh engine and reports
+    // the median wall-clock; everything else must repeat exactly.
+    let run = |label: &str, engine: fn() -> ExplorationEngine| -> Result<SweepSide> {
+        let mut side = run_once(label, &engine())?;
+        for _ in 1..SWEEP_REPEATS {
+            let again = run_once(label, &engine())?;
+            assert_eq!(
+                (again.replays, again.peak_cut, &again.winner_fingerprint, again.winner_peak),
+                (side.replays, side.peak_cut, &side.winner_fingerprint, side.winner_peak),
+                "{label} sweep did not repeat"
+            );
+            side.wallclock_runs_secs.push(again.wallclock_secs);
+        }
+        let mut secs = side.wallclock_runs_secs.clone();
+        secs.sort_by(f64::total_cmp);
+        side.wallclock_secs = secs[secs.len() / 2];
+        Ok(side)
+    };
 
-    let baseline = run("baseline", &ExplorationEngine::serial())?;
-    let projected = run(
-        "projected",
-        &ExplorationEngine::serial().with_projection(true),
-    )?;
+    let baseline = run("baseline", ExplorationEngine::serial)?;
+    let projected = run("projected", || {
+        ExplorationEngine::serial().with_projection(true)
+    })?;
     assert_eq!(
         (&baseline.winner_fingerprint, baseline.winner_peak),
         (&projected.winner_fingerprint, projected.winner_peak),
@@ -1181,6 +1208,8 @@ pub struct ReplayHotReport {
     pub bench: String,
     /// Whether test-scale workloads were used.
     pub quick: bool,
+    /// Timed windows behind every row's events/second (the median wins).
+    pub repeats: usize,
     /// One row per workload.
     pub rows: Vec<ReplayHotRow>,
     /// Branch-and-bound pruning telemetry of the exhaustive sweep on the
@@ -1202,6 +1231,53 @@ pub struct ReplayHotReport {
     /// Free-index cost of a sliced granule per A1 leaf (see
     /// [`index_churn`]).
     pub index_churn: IndexChurnReport,
+    /// The machine the report was measured on.
+    pub host: Host,
+    /// `git describe --always --dirty` of the measured source, or
+    /// `unknown` outside a git checkout.
+    pub commit: String,
+}
+
+/// The machine a bench report was measured on.
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct Host {
+    /// Cores available to the process.
+    pub cores: usize,
+    /// The `model name` of `/proc/cpuinfo`, or `unknown`.
+    pub cpu_model: String,
+}
+
+impl Host {
+    /// Describe this machine.
+    pub fn detect() -> Host {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|s| {
+                s.lines().find_map(|l| {
+                    l.strip_prefix("model name")
+                        .map(|r| r.trim_start_matches([' ', '\t', ':']).to_string())
+                })
+            })
+            .unwrap_or_else(|| "unknown".into());
+        Host {
+            cores: std::thread::available_parallelism().map_or(0, |n| n.get()),
+            cpu_model,
+        }
+    }
+}
+
+/// `git describe --always --dirty --abbrev=12` of the working directory,
+/// or `unknown` when git or the checkout is unavailable.
+fn source_commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
 }
 
 impl ReplayHotReport {
@@ -1296,24 +1372,34 @@ where
     })
 }
 
-/// Repeat `run` until `min_duration` has elapsed (at least twice, after a
-/// warm-up) and return events/second.
+/// Timed windows per [`replay_hot`] row; each row reports their median.
+pub const REPLAY_HOT_REPEATS: usize = 5;
+
+/// Time [`REPLAY_HOT_REPEATS`] windows, each repeating `run` until
+/// `min_duration` has elapsed (at least twice, after a warm-up), and return
+/// the median window's events/second — one slow window on a shared host
+/// cannot move a row.
 fn measure_events_per_sec<F>(events: usize, min_duration: std::time::Duration, mut run: F) -> Result<f64>
 where
     F: FnMut() -> Result<()>,
 {
     run()?; // warm-up: page in the trace, size the allocator's tables
-    let start = std::time::Instant::now();
-    let mut reps = 0usize;
-    loop {
-        run()?;
-        reps += 1;
-        if reps >= 2 && start.elapsed() >= min_duration {
-            break;
+    let mut samples = Vec::with_capacity(REPLAY_HOT_REPEATS);
+    for _ in 0..REPLAY_HOT_REPEATS {
+        let start = std::time::Instant::now();
+        let mut reps = 0usize;
+        loop {
+            run()?;
+            reps += 1;
+            if reps >= 2 && start.elapsed() >= min_duration {
+                break;
+            }
         }
+        let secs = start.elapsed().as_secs_f64();
+        samples.push(events as f64 * reps as f64 / secs.max(f64::MIN_POSITIVE));
     }
-    let secs = start.elapsed().as_secs_f64();
-    Ok(events as f64 * reps as f64 / secs.max(f64::MIN_POSITIVE))
+    samples.sort_by(f64::total_cmp);
+    Ok(samples[samples.len() / 2])
 }
 
 /// Benchmark the replay inner loop: classic interpreter ([`replay`]) vs.
@@ -1416,12 +1502,15 @@ pub fn replay_hot(quick: bool) -> Result<(Table, ReplayHotReport)> {
     let mut report = ReplayHotReport {
         bench: "replay_hot".into(),
         quick,
+        repeats: REPLAY_HOT_REPEATS,
         rows,
         exploration: exploration_pruning(quick)?,
         sweep: sweep_comparison(quick)?,
         manager_bound_speedup_vs_pr4: 0.0,
         manager_bound_speedup_vs_pr5: 0.0,
         index_churn: index_churn(),
+        host: Host::detect(),
+        commit: source_commit(),
     };
     report.manager_bound_speedup_vs_pr4 = report.manager_bound_speedup_vs(report.pr4_baseline());
     report.manager_bound_speedup_vs_pr5 = report.manager_bound_speedup_vs(report.pr5_baseline());

@@ -44,6 +44,49 @@ impl Span {
     }
 }
 
+/// A run of `count` adjacent free blocks of `len` bytes each — what one
+/// fixed-class carve or `grow` creates. The members are ordinary modelled
+/// blocks; the run only stores them as one tiling node and one free-index
+/// entry. An ordinary block is a run of one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Run {
+    /// Offset of the lowest member.
+    pub offset: usize,
+    /// Length of each member in bytes (never zero).
+    pub len: usize,
+    /// Number of members (never zero).
+    pub count: usize,
+}
+
+impl Run {
+    /// A run of `count` members of `len` bytes from `offset`.
+    pub fn new(offset: usize, len: usize, count: usize) -> Self {
+        debug_assert!(len > 0 && count > 0, "empty run");
+        Run { offset, len, count }
+    }
+
+    /// The run of one block.
+    pub fn single(span: Span) -> Self {
+        Run::new(span.offset, span.len, 1)
+    }
+
+    /// The bytes all members cover.
+    pub fn span(&self) -> Span {
+        Span::new(self.offset, self.len * self.count)
+    }
+
+    /// Member `i` (0 is the lowest address).
+    pub fn member(&self, i: usize) -> Span {
+        debug_assert!(i < self.count, "member {i} of a {}-member run", self.count);
+        Span::new(self.offset + i * self.len, self.len)
+    }
+
+    /// Every member, in ascending address order.
+    pub fn members(&self) -> impl Iterator<Item = Span> + '_ {
+        (0..self.count).map(|i| self.member(i))
+    }
+}
+
 /// Whether a block is free or holds an application object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BlockState {

@@ -72,12 +72,27 @@
 //! replay event through [`FreeIndex::check_oracle`]. The rank structures
 //! are simulator-side acceleration, not part of the modelled manager, so
 //! they contribute nothing to `control_overhead_bytes`.
+//!
+//! # Runs
+//!
+//! A node may stand for a run of `k` equal blocks, pushed in ascending
+//! address order: its members occupy `k` consecutive link positions, the
+//! highest address first. Positions, list lengths and size-bucket counts
+//! are in members (the [`SeqTree`] leaf carries the count), the oracle
+//! walks visit members, and a NextFit cursor names a member. Fits hit a
+//! node's head-most member; only a cursor parked inside a run hits a
+//! member below it. Removing members from either end shrinks the node in
+//! place; removing interior ones (a cursor hit) links the upper members
+//! as a node of their own and rebuilds the replica, which no manager
+//! replay does.
 
 use std::collections::BTreeSet;
 
-use crate::heap::block::Span;
+use std::ops::Range;
+
+use crate::heap::block::{Run, Span};
 use crate::heap::index::rank::SeqTree;
-use crate::heap::index::{Found, FreeIndex};
+use crate::heap::index::{Found, FreeIndex, Unlink};
 use crate::heap::tiling::BlockRef;
 use crate::space::trees::FitAlgorithm;
 use crate::units::POINTER_BYTES;
@@ -92,9 +107,16 @@ fn rank_key(seq: u64) -> u64 {
     u64::MAX - seq
 }
 
+/// One modelled block of the list: a node's slot and the member's index in
+/// its run (0 is the lowest address, the last in link order).
+type Member = (usize, usize);
+
+/// The member-less position (no cursor, or past the tail).
+const NO_MEMBER: Member = (NIL, 0);
+
 #[derive(Debug, Clone)]
 struct Node {
-    span: Span,
+    run: Run,
     block: BlockRef,
     /// Unique push stamp: identifies this node across slot recycling.
     seq: u64,
@@ -181,7 +203,11 @@ impl OrderedSizes {
     }
 
     fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum::<usize>() + self.large.len()
+        self.words
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>()
+            + self.large.len()
     }
 
     /// Smallest live size `>= len`. The bitmap and the spill set are
@@ -221,11 +247,11 @@ impl OrderedSizes {
 /// Per-size LIFO buckets behind a small open-addressed hash table, plus a
 /// lazily enabled ordered size set for the best-fit winner lookup.
 ///
-/// Each bucket stacks `(slot, seq)` push records for one size. Unlink
-/// decrements the live count and pops any dead records it exposes at the
-/// top, so **whenever `live > 0` the top record is the newest live node of
-/// that size** — the first one a head-to-tail walk meets — and every
-/// `newest_of_size` query is two loads. Buried records go stale in place
+/// Each bucket stacks `(slot, seq)` push records for one size and counts
+/// its live members. Unlink decrements the live count and pops any dead
+/// records it exposes at the top, so **whenever `live > 0` the top record
+/// is the newest live node of that size** — the first one a head-to-tail
+/// walk meets — and every `newest_of_size` query is two loads. Buried records go stale in place
 /// and are reclaimed when exposed (or by the occasional retain sweep);
 /// they are record-keeping only and never consulted while stale.
 #[derive(Debug, Clone, Default)]
@@ -279,7 +305,7 @@ impl SizeBuckets {
         }
     }
 
-    fn on_push(&mut self, size: usize, slot: u32, seq: u64) {
+    fn on_push(&mut self, size: usize, slot: u32, seq: u64, count: usize) {
         debug_assert!(size > 0, "free spans are never empty");
         if (self.occupied + 1) * 10 > self.slots.len() * 7 {
             self.rehash_grow();
@@ -290,26 +316,41 @@ impl SizeBuckets {
             b.size = size;
             self.occupied += 1;
         }
-        b.live += 1;
+        b.live += count as u32;
         b.stack.push((slot, seq));
-        if b.live == 1 {
+        if b.live as usize == count {
             if let Some(set) = self.ordered.as_mut() {
                 set.insert(size);
             }
         }
     }
 
-    /// Settle an unlink of a `size` node. The node is already marked dead
-    /// in `nodes`, so popping dead tops here re-establishes the live-top
-    /// invariant.
-    fn on_unlink(&mut self, size: usize, nodes: &[Node]) {
+    /// Settle the removal of `count` members of a live `size` node.
+    fn on_shrink(&mut self, size: usize, count: usize) {
+        let i = self.probe(size);
+        let b = &mut self.slots[i];
+        debug_assert!(
+            b.size == size && b.live as usize > count,
+            "shrink below one member"
+        );
+        b.live -= count as u32;
+    }
+
+    /// Settle an unlink of a `size` node of `count` members. The node is
+    /// already marked dead in `nodes`, so popping dead tops here
+    /// re-establishes the live-top invariant.
+    fn on_unlink(&mut self, size: usize, count: usize, nodes: &[Node]) {
         let i = self.probe(size);
         let b = &mut self.slots[i];
         debug_assert_eq!(b.size, size, "unlink of an unindexed size");
-        debug_assert!(b.live > 0, "unlink of a size with no live nodes");
-        b.live -= 1;
-        let alive =
-            |&(slot, seq): &(u32, u64)| nodes[slot as usize].present && nodes[slot as usize].seq == seq;
+        debug_assert!(
+            b.live as usize >= count,
+            "unlink of more members than are live"
+        );
+        b.live -= count as u32;
+        let alive = |&(slot, seq): &(u32, u64)| {
+            nodes[slot as usize].present && nodes[slot as usize].seq == seq
+        };
         while let Some(top) = b.stack.last() {
             if alive(top) {
                 break;
@@ -370,7 +411,6 @@ impl SizeBuckets {
             b.stack.retain(|&(slot, seq)| {
                 nodes[slot as usize].present && nodes[slot as usize].seq == seq
             });
-            debug_assert_eq!(b.stack.len(), b.live as usize);
         }
     }
 
@@ -403,19 +443,19 @@ impl SizeBuckets {
         self.ordered = None;
     }
 
-    /// Validate the buckets against the live-size census from a faithful
-    /// list walk.
+    /// Validate the buckets against the live-size census `(nodes,
+    /// members)` from a faithful list walk.
     fn check(
         &self,
-        counts: &std::collections::HashMap<usize, u32>,
+        counts: &std::collections::HashMap<usize, (u32, u32)>,
         nodes: &[Node],
     ) -> Result<(), String> {
         let mut live_buckets = 0usize;
         for b in self.slots.iter().filter(|b| b.size != 0) {
-            let want = counts.get(&b.size).copied().unwrap_or(0);
+            let (want_nodes, want) = counts.get(&b.size).copied().unwrap_or((0, 0));
             if b.live != want {
                 return Err(format!(
-                    "size bucket {} counts {} live nodes, list has {want}",
+                    "size bucket {} counts {} live members, list has {want}",
                     b.size, b.live
                 ));
             }
@@ -425,23 +465,24 @@ impl SizeBuckets {
                 .filter(|&&(slot, seq)| {
                     nodes
                         .get(slot as usize)
-                        .is_some_and(|n| n.present && n.seq == seq && n.span.len == b.size)
+                        .is_some_and(|n| n.present && n.seq == seq && n.run.len == b.size)
                 })
                 .count();
-            if alive as u32 != b.live {
+            if alive as u32 != want_nodes {
                 return Err(format!(
-                    "size bucket {} stack holds {alive} live records for {} live nodes",
-                    b.size, b.live
+                    "size bucket {} stack holds {alive} live records for {want_nodes} live nodes",
+                    b.size
                 ));
             }
             if b.live > 0 {
                 live_buckets += 1;
-                let &(slot, seq) = b.stack.last().ok_or_else(|| {
-                    format!("size bucket {} live but its stack is empty", b.size)
-                })?;
+                let &(slot, seq) = b
+                    .stack
+                    .last()
+                    .ok_or_else(|| format!("size bucket {} live but its stack is empty", b.size))?;
                 let newest = nodes
                     .get(slot as usize)
-                    .filter(|n| n.present && n.seq == seq && n.span.len == b.size);
+                    .filter(|n| n.present && n.seq == seq && n.run.len == b.size);
                 if newest.is_none() {
                     return Err(format!("size bucket {} has a stale top record", b.size));
                 }
@@ -475,12 +516,19 @@ struct LinkedSlab {
     nodes: Vec<Node>,
     free_slots: Vec<usize>,
     head: usize,
+    /// Live members (modelled blocks).
     len: usize,
+    /// Live nodes.
+    node_count: usize,
+    /// The NextFit cursor's node, or `NIL`.
     cursor: usize,
+    /// The cursor's member index in its node's run (0 without a cursor).
+    cursor_idx: usize,
     /// Monotonic push stamp source.
     seq: u64,
     /// Order-statistic replica of the list: key `u64::MAX - seq`
-    /// (ascending == link order), weight = span length, payload = slot.
+    /// (ascending == link order), weight = member length, count = members,
+    /// payload = slot.
     pos: SeqTree,
     /// Per-size LIFO buckets: each bucket's top is the newest live node of
     /// that size — the first one a head-to-tail walk meets, because
@@ -513,10 +561,10 @@ impl Default for LinkedSlab {
 }
 
 impl LinkedSlab {
-    /// List length at which the rank replica is built. Below this a fit
-    /// walk touches at most a few cache lines and beats the replica's
-    /// per-operation maintenance; above it walk costs grow linearly while
-    /// rank queries stay logarithmic.
+    /// List length, in members, at which the rank replica is built. Below
+    /// this a fit walk touches at most a few cache lines and beats the
+    /// replica's per-operation maintenance; above it walk costs grow
+    /// linearly while rank queries stay logarithmic.
     const ACTIVATE: usize = 32;
 
     fn new() -> Self {
@@ -525,7 +573,9 @@ impl LinkedSlab {
             free_slots: Vec::new(),
             head: NIL,
             len: 0,
+            node_count: 0,
             cursor: NIL,
+            cursor_idx: 0,
             seq: 0,
             pos: SeqTree::new(),
             sizes: SizeBuckets::default(),
@@ -534,12 +584,6 @@ impl LinkedSlab {
         }
     }
 
-    /// Restamp every live node with fresh dense stamps (preserving link
-    /// order) and rebuild the rank replica in a leaf space sized for the
-    /// live count. Run when the append-only stamp space fills and most of
-    /// it is dead: the replica's depth and footprint then track the *live*
-    /// list, not the total push history. Invisible to the cost model —
-    /// ranks are positions in link order, which restamping preserves.
     /// Link order, head to tail, as a slot vector.
     fn link_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = Vec::with_capacity(self.len);
@@ -571,7 +615,8 @@ impl LinkedSlab {
         self.pos.reset_with_room_for(order.len());
         for &slot in order.iter().rev() {
             let n = &self.nodes[slot];
-            self.pos.insert(rank_key(n.seq), n.span.len, slot as u32);
+            self.pos
+                .insert(rank_key(n.seq), n.run.len, n.run.count, slot as u32);
         }
     }
 
@@ -586,8 +631,9 @@ impl LinkedSlab {
         self.restamp_dense(&order);
         self.sizes.reset();
         for &slot in order.iter().rev() {
+            let n = &self.nodes[slot];
             self.sizes
-                .on_push(self.nodes[slot].span.len, slot as u32, self.nodes[slot].seq);
+                .on_push(n.run.len, slot as u32, n.seq, n.run.count);
         }
         self.indexed = true;
         self.pos_live = false;
@@ -629,34 +675,17 @@ impl LinkedSlab {
         }
     }
 
-    fn push_front(&mut self, span: Span, block: BlockRef) -> usize {
-        // The 4x slack keeps renumbering amortised: at least 3/4 of the
-        // leaf space is reclaimed dead stamps, so at least 3x the live
-        // count in pushes must elapse before the space can fill again.
-        if self.indexed
-            && self.pos_live
-            && self.pos.at_capacity()
-            && 4 * self.len <= self.pos.capacity()
-        {
-            self.renumber();
-        }
-        self.seq += 1;
-        let node = Node {
-            span,
-            block,
-            seq: self.seq,
-            prev: NIL as u32,
-            next: self.head as u32,
-            present: true,
-        };
-        let slot = match self.free_slots.pop() {
+    /// Store `node` in a free slot (or a new one) and return the slot.
+    fn alloc_node(&mut self, node: Node) -> usize {
+        self.node_count += 1;
+        match self.free_slots.pop() {
             Some(s) => {
                 // Defence in depth: `unlink` already moves the cursor off
                 // any slot it frees, but if the cursor ever names a reused
                 // slot it would silently point at this unrelated node —
                 // invalidate instead.
                 if self.cursor == s {
-                    self.cursor = NIL;
+                    (self.cursor, self.cursor_idx) = NO_MEMBER;
                 }
                 self.nodes[s] = node;
                 s
@@ -665,16 +694,40 @@ impl LinkedSlab {
                 self.nodes.push(node);
                 self.nodes.len() - 1
             }
-        };
+        }
+    }
+
+    fn push_front(&mut self, run: Run, block: BlockRef) -> usize {
+        // The 4x slack keeps renumbering amortised: at least 3/4 of the
+        // leaf space is reclaimed dead stamps, so at least 3x the live
+        // count in pushes must elapse before the space can fill again.
+        if self.indexed
+            && self.pos_live
+            && self.pos.at_capacity()
+            && 4 * self.node_count <= self.pos.capacity()
+        {
+            self.renumber();
+        }
+        self.seq += 1;
+        let slot = self.alloc_node(Node {
+            run,
+            block,
+            seq: self.seq,
+            prev: NIL as u32,
+            next: self.head as u32,
+            present: true,
+        });
         if self.head != NIL {
             self.nodes[self.head].prev = slot as u32;
         }
         self.head = slot;
-        self.len += 1;
+        self.len += run.count;
         if self.indexed {
-            self.sizes.on_push(span.len, slot as u32, self.seq);
+            self.sizes
+                .on_push(run.len, slot as u32, self.seq, run.count);
             if self.pos_live {
-                self.pos.insert(rank_key(self.seq), span.len, slot as u32);
+                self.pos
+                    .insert(rank_key(self.seq), run.len, run.count, slot as u32);
             }
         } else if self.len >= Self::ACTIVATE {
             self.activate();
@@ -682,13 +735,18 @@ impl LinkedSlab {
         slot
     }
 
-    fn unlink(&mut self, slot: usize) -> Span {
-        let (prev, next, span, seq) = {
+    /// Move the cursor to the head-most member of the node after `slot`.
+    fn cursor_past(&mut self, slot: usize) {
+        (self.cursor, self.cursor_idx) = self.link_next((slot, 0));
+    }
+
+    fn unlink(&mut self, slot: usize) -> Run {
+        let (prev, next, run, seq) = {
             let n = &self.nodes[slot];
-            (n.prev as usize, n.next as usize, n.span, n.seq)
+            (n.prev as usize, n.next as usize, n.run, n.seq)
         };
         if self.cursor == slot {
-            self.cursor = next;
+            self.cursor_past(slot);
         }
         if prev != NIL {
             self.nodes[prev].next = next as u32;
@@ -700,9 +758,10 @@ impl LinkedSlab {
         }
         self.nodes[slot].present = false;
         self.free_slots.push(slot);
-        self.len -= 1;
+        self.len -= run.count;
+        self.node_count -= 1;
         if self.indexed {
-            self.sizes.on_unlink(span.len, &self.nodes);
+            self.sizes.on_unlink(run.len, run.count, &self.nodes);
             if self.pos_live {
                 let removed = self.pos.remove(rank_key(seq));
                 debug_assert!(removed, "unlinked node must be in the rank replica");
@@ -711,23 +770,123 @@ impl LinkedSlab {
                 self.deactivate();
             }
         }
-        span
+        run
     }
 
-    /// Faithful walk distance from the head to `slot` — the shadow oracle
-    /// for [`LinkedSlab::position_of`].
+    /// Take members `members` out of the node at `slot`. Members below the
+    /// range stay in the node; members above it stay in the list as a run
+    /// backed by `upper` — in this node, rebased, when nothing is left
+    /// below, else in a node of their own linked just ahead of this one.
+    /// Returns the slot holding the upper members (`NIL` if none). The
+    /// cursor moves as it would under member-by-member unlinks: off a
+    /// removed member to the next member in link order.
+    fn take_members(
+        &mut self,
+        slot: usize,
+        members: Range<usize>,
+        upper: Option<BlockRef>,
+    ) -> usize {
+        let run = self.nodes[slot].run;
+        let (a, b, k) = (members.start, members.end, run.count);
+        if a == 0 && b == k {
+            self.unlink(slot);
+            return NIL;
+        }
+        let upper_run = (b < k).then(|| {
+            let block = upper.expect("an upper remainder needs its tiling node");
+            (Run::new(run.member(b).offset, run.len, k - b), block)
+        });
+        let mut cursor_to_upper = None;
+        if self.cursor == slot {
+            let i = self.cursor_idx;
+            if members.contains(&i) {
+                if a > 0 {
+                    self.cursor_idx = a - 1;
+                } else {
+                    self.cursor_past(slot);
+                }
+            } else if i >= b {
+                cursor_to_upper = Some(i - b);
+            }
+        }
+        self.len -= b - a;
+        let node = &mut self.nodes[slot];
+        let (kept, upper_slot) = match (a, upper_run) {
+            (0, Some((rest, block))) => {
+                node.run = rest;
+                node.block = block;
+                (rest.count, slot)
+            }
+            _ => {
+                node.run.count = a;
+                (a, NIL)
+            }
+        };
+        if self.indexed {
+            self.sizes.on_shrink(run.len, b - a);
+            if self.pos_live {
+                self.pos.set_count(rank_key(self.nodes[slot].seq), kept);
+            }
+        }
+        let upper_slot = match (a, upper_run) {
+            (1.., Some((rest, block))) => self.link_ahead(slot, rest, block),
+            _ => upper_slot,
+        };
+        if let Some(i) = cursor_to_upper {
+            (self.cursor, self.cursor_idx) = (upper_slot, i);
+        }
+        if self.indexed && self.len < Self::ACTIVATE / 8 {
+            self.deactivate();
+        }
+        upper_slot
+    }
+
+    /// Link a node for `run` immediately ahead of `slot` in link order,
+    /// then restamp the whole list so stamps descend in link order again
+    /// and rebuild the replica. Only an interior member removal — a
+    /// cursor hit inside a run — needs this.
+    fn link_ahead(&mut self, slot: usize, run: Run, block: BlockRef) -> usize {
+        let prev = self.nodes[slot].prev;
+        let new = self.alloc_node(Node {
+            run,
+            block,
+            seq: 0,
+            prev,
+            next: slot as u32,
+            present: true,
+        });
+        if prev as usize != NIL {
+            self.nodes[prev as usize].next = new as u32;
+        } else {
+            self.head = new;
+        }
+        self.nodes[slot].prev = new as u32;
+        if self.indexed {
+            self.indexed = false;
+            self.activate();
+        } else {
+            let order = self.link_order();
+            self.restamp_dense(&order);
+        }
+        new
+    }
+
+    /// Faithful walk distance from the head to the head-most member of
+    /// `slot` — the shadow oracle for [`LinkedSlab::position_of`]. Members
+    /// of the nodes before it are counted, not visited.
     fn walk_distance(&self, slot: usize) -> u64 {
         let mut cur = self.head;
         let mut dist = 0;
         while cur != NIL && cur != slot {
+            dist += self.nodes[cur].run.count as u64;
             cur = self.nodes[cur].next as usize;
-            dist += 1;
         }
         dist + 1
     }
 
-    /// 1-based position of a live slot in link order — by rank query once
-    /// the replica is live, bit-identical to [`LinkedSlab::walk_distance`].
+    /// 1-based link position of a live slot's head-most member — by rank
+    /// query once the replica is live, bit-identical to
+    /// [`LinkedSlab::walk_distance`].
     fn position_of(&self, slot: usize) -> u64 {
         if !self.indexed || !self.pos_live {
             return self.walk_distance(slot);
@@ -790,12 +949,45 @@ impl LinkedSlab {
         }
     }
 
+    /// The member index of `slot`'s head-most member.
+    fn top(&self, slot: usize) -> usize {
+        self.nodes[slot].run.count - 1
+    }
+
+    /// The first member in link order.
+    fn head_member(&self) -> Member {
+        if self.head == NIL {
+            NO_MEMBER
+        } else {
+            (self.head, self.top(self.head))
+        }
+    }
+
+    /// The member after `(slot, idx)` in link order.
+    fn link_next(&self, (slot, idx): Member) -> Member {
+        if idx > 0 {
+            return (slot, idx - 1);
+        }
+        match self.nodes[slot].next as usize {
+            NIL => NO_MEMBER,
+            next => (next, self.top(next)),
+        }
+    }
+
+    /// Every member in link order — what the faithful walks visit.
+    fn members(&self) -> impl Iterator<Item = Member> + '_ {
+        self.iter()
+            .flat_map(|(slot, run)| (0..run.count).rev().map(move |idx| (slot, idx)))
+    }
+
     fn clear(&mut self) {
         self.nodes.clear();
         self.free_slots.clear();
         self.head = NIL;
         self.len = 0;
+        self.node_count = 0;
         self.cursor = NIL;
+        self.cursor_idx = 0;
         self.seq = 0;
         self.pos.clear();
         self.sizes.clear();
@@ -803,10 +995,11 @@ impl LinkedSlab {
         self.pos_live = false;
     }
 
-    fn found(&self, slot: usize) -> Found {
+    fn found(&self, (slot, idx): Member) -> Found {
         let n = &self.nodes[slot];
         Found {
-            span: n.span,
+            span: n.run.member(idx),
+            run: n.run,
             block: n.block,
             token: slot,
         }
@@ -817,10 +1010,12 @@ impl LinkedSlab {
     /// is strictly descending stamp order (so leaf order == link order),
     /// and the size buckets match live membership exactly.
     fn check_replica(&self) -> Result<(), String> {
-        let mut counts: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
+        let mut counts: std::collections::HashMap<usize, (u32, u32)> =
+            std::collections::HashMap::new();
         let mut walked = 0usize;
+        let mut nodes = 0usize;
         let mut last_seq = u64::MAX;
-        for (slot, span) in self.iter() {
+        for (slot, run) in self.iter() {
             let n = &self.nodes[slot];
             if n.seq >= last_seq {
                 return Err(format!(
@@ -831,32 +1026,46 @@ impl LinkedSlab {
             last_seq = n.seq;
             if self.indexed && self.pos_live {
                 match self.pos.leaf_entry(rank_key(n.seq)) {
-                    Some((w, p)) if w == span.len && p as usize == slot => {}
+                    Some((w, c, p)) if (w, c, p as usize) == (run.len, run.count, slot) => {}
                     other => {
                         return Err(format!(
-                            "rank replica leaf for slot {slot} diverged: {other:?} vs ({}, {slot})",
-                            span.len
+                            "rank replica leaf for slot {slot} diverged: {other:?} vs ({}, {}, {slot})",
+                            run.len, run.count
                         ));
                     }
                 }
             }
-            *counts.entry(span.len).or_default() += 1;
-            walked += 1;
+            let census = counts.entry(run.len).or_default();
+            census.0 += 1;
+            census.1 += run.count as u32;
+            walked += run.count;
+            nodes += 1;
         }
         // While unindexed the position tree is stale by design — nothing
         // reads it — so only its indexed mirror is checked.
-        if walked != self.len || (self.indexed && self.pos_live && self.pos.len() != self.len) {
+        if (walked, nodes) != (self.len, self.node_count)
+            || (self.indexed && self.pos_live && self.pos.len() != nodes)
+        {
             return Err(format!(
-                "list walks {walked} nodes, slab counts {}, rank replica {}",
+                "list walks {walked} members in {nodes} nodes, slab counts {} in {}, rank replica {}",
                 self.len,
+                self.node_count,
                 self.pos.len()
             ));
         }
         if self.indexed {
             self.sizes.check(&counts, &self.nodes)?;
         }
-        if self.cursor != NIL && !self.nodes.get(self.cursor).is_some_and(|n| n.present) {
-            return Err(format!("cursor {} names a dead slot", self.cursor));
+        if self.cursor != NIL
+            && !self
+                .nodes
+                .get(self.cursor)
+                .is_some_and(|n| n.present && self.cursor_idx < n.run.count)
+        {
+            return Err(format!(
+                "cursor ({}, {}) names a dead member",
+                self.cursor, self.cursor_idx
+            ));
         }
         Ok(())
     }
@@ -868,97 +1077,86 @@ struct LinkedIter<'a> {
 }
 
 impl Iterator for LinkedIter<'_> {
-    type Item = (usize, Span);
+    type Item = (usize, Run);
 
-    fn next(&mut self) -> Option<(usize, Span)> {
+    fn next(&mut self) -> Option<(usize, Run)> {
         if self.cur == NIL {
             return None;
         }
         let slot = self.cur;
         let node = &self.slab.nodes[slot];
         self.cur = node.next as usize;
-        Some((slot, node.span))
+        Some((slot, node.run))
     }
 }
 
-/// The faithful node-by-node fit walk — the shadow oracle for [`search`].
-/// This is the modelled cost: every charge [`search`] computes by rank
-/// query must equal what this walk would have charged.
-fn walk_search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize) -> (Option<usize>, u64) {
+/// The faithful member-by-member fit walk — the shadow oracle for
+/// [`search`]. This is the modelled cost: every charge [`search`] computes
+/// by rank query must equal what this walk would have charged.
+fn walk_search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize) -> (Option<Member>, u64) {
     let mut steps = 0u64;
+    let size = |(slot, _): Member| slab.nodes[slot].run.len;
     match fit {
         FitAlgorithm::FirstFit | FitAlgorithm::NextFit => {
-            let start = slab.cursor;
+            let head = slab.head_member();
+            let start = (slab.cursor, slab.cursor_idx);
             // NextFit: first pass from the cursor, then wrap to the head.
-            let mut cur = if fit == FitAlgorithm::NextFit && start != NIL {
+            let mut cur = if fit == FitAlgorithm::NextFit && start.0 != NIL {
                 start
             } else {
-                slab.head
+                head
             };
-            let mut wrapped = cur == slab.head;
+            let mut wrapped = cur == head;
             loop {
-                if cur == NIL {
+                if cur.0 == NIL {
                     if wrapped {
                         return (None, steps);
                     }
                     wrapped = true;
-                    cur = slab.head;
-                    if cur == NIL {
+                    cur = head;
+                    if cur.0 == NIL {
                         return (None, steps);
                     }
                 }
                 steps += 1;
-                let node = &slab.nodes[cur];
-                if node.span.len >= len {
+                if size(cur) >= len {
                     return (Some(cur), steps);
                 }
-                cur = node.next as usize;
+                cur = slab.link_next(cur);
                 if wrapped && cur == start {
                     return (None, steps);
                 }
             }
         }
         FitAlgorithm::BestFit => {
-            let mut best: Option<usize> = None;
-            let mut cur = slab.head;
-            while cur != NIL {
+            let mut best: Option<Member> = None;
+            for m in slab.members() {
                 steps += 1;
-                let node = &slab.nodes[cur];
-                if node.span.len >= len
-                    && best.is_none_or(|b| node.span.len < slab.nodes[b].span.len)
-                {
-                    best = Some(cur);
-                    if node.span.len == len {
+                if size(m) >= len && best.is_none_or(|b| size(m) < size(b)) {
+                    best = Some(m);
+                    if size(m) == len {
                         break; // cannot do better than exact
                     }
                 }
-                cur = node.next as usize;
             }
             (best, steps)
         }
         FitAlgorithm::WorstFit => {
-            let mut worst: Option<usize> = None;
-            let mut cur = slab.head;
-            while cur != NIL {
+            let mut worst: Option<Member> = None;
+            for m in slab.members() {
                 steps += 1;
-                let node = &slab.nodes[cur];
-                if node.span.len >= len
-                    && worst.is_none_or(|w| node.span.len > slab.nodes[w].span.len)
-                {
-                    worst = Some(cur);
+                if size(m) >= len && worst.is_none_or(|w| size(m) > size(w)) {
+                    worst = Some(m);
                 }
-                cur = node.next as usize;
             }
             (worst, steps)
         }
         FitAlgorithm::ExactFit => {
-            let mut cur = slab.head;
-            while cur != NIL {
+            for m in slab.members() {
                 steps += 1;
-                if slab.nodes[cur].span.len == len {
-                    return (Some(cur), steps);
+                if size(m) == len {
+                    return (Some(m), steps);
                 }
-                cur = slab.nodes[cur].next as usize;
             }
             (None, steps)
         }
@@ -967,30 +1165,33 @@ fn walk_search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize) -> (Option<usiz
 
 /// Generic fit search over the list's link order, with every charge
 /// computed by rank/select query — bit-identical to [`walk_search`] (see
-/// the module docs for the decomposition per fit).
-fn search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize, steps: &mut u64) -> Option<usize> {
+/// the module docs for the decomposition per fit). Ranks and counts are in
+/// members; a node's rank is the position of its head-most member.
+fn search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize, steps: &mut u64) -> Option<Member> {
     if !slab.indexed {
         // Below the activation threshold the faithful walk *is* the
-        // implementation: over a handful of nodes it touches fewer cache
+        // implementation: over a handful of members it touches fewer cache
         // lines than any replica lookup, and it is the oracle — answer
         // and charge are identical by construction.
-        let (slot, walked) = walk_search(slab, fit, len);
+        let (hit, walked) = walk_search(slab, fit, len);
         *steps += walked;
-        return slot;
+        return hit;
     }
     let total = slab.len as u64;
+    let head_most = |slot: u32| (slot as usize, slab.top(slot as usize));
     match fit {
         FitAlgorithm::FirstFit => {
             debug_assert!(slab.pos_live, "first-fit search needs the position tree");
             // A first-fit walk terminates early at a parked next-fit cursor
             // (`wrapped && cur == start` in the faithful walk), so with one
-            // parked away from the head it only ever sees the positions
+            // parked away from the head it only ever sees the members
             // before the cursor.
-            if slab.cursor == NIL || slab.cursor == slab.head {
+            let (cs, ci) = (slab.cursor, slab.cursor_idx);
+            if cs == NIL || (cs, ci) == slab.head_member() {
                 match slab.pos.first_at_least(len) {
                     Some((key, slot)) => {
                         *steps += slab.pos.rank(key);
-                        Some(slot as usize)
+                        Some(head_most(slot))
                     }
                     None => {
                         *steps += total;
@@ -998,26 +1199,28 @@ fn search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize, steps: &mut u64) -> 
                     }
                 }
             } else {
-                let ck = rank_key(slab.nodes[slab.cursor].seq);
-                match slab.pos.first_at_least_below(ck, len) {
-                    Some((key, slot)) => {
-                        *steps += slab.pos.rank(key);
-                        Some(slot as usize)
-                    }
-                    None => {
-                        *steps += slab.pos.count_below(ck);
-                        None
-                    }
+                let ck = rank_key(slab.nodes[cs].seq);
+                if let Some((key, slot)) = slab.pos.first_at_least_below(ck, len) {
+                    *steps += slab.pos.rank(key);
+                    Some(head_most(slot))
+                } else if ci < slab.top(cs) && slab.nodes[cs].run.len >= len {
+                    // The cursor's own node, met above the cursor member.
+                    *steps += slab.pos.rank(ck);
+                    Some((cs, slab.top(cs)))
+                } else {
+                    *steps += slab.pos.count_below(ck) + (slab.top(cs) - ci) as u64;
+                    None
                 }
             }
         }
         FitAlgorithm::NextFit => {
             debug_assert!(slab.pos_live, "next-fit search needs the position tree");
-            if slab.cursor == NIL {
+            let (cs, ci) = (slab.cursor, slab.cursor_idx);
+            if cs == NIL {
                 match slab.pos.first_at_least(len) {
                     Some((key, slot)) => {
                         *steps += slab.pos.rank(key);
-                        Some(slot as usize)
+                        Some(head_most(slot))
                     }
                     None => {
                         *steps += total;
@@ -1025,16 +1228,22 @@ fn search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize, steps: &mut u64) -> 
                     }
                 }
             } else {
-                // Pass 1 covers the cursor position onward; the wrap pass
-                // covers the positions before it.
-                let ck = rank_key(slab.nodes[slab.cursor].seq);
-                let before_cursor = slab.pos.count_below(ck);
+                // Pass 1 covers the cursor member onward; the wrap pass
+                // covers the nodes before the cursor's (its own members
+                // above the cursor failed pass 1 already).
+                let ck = rank_key(slab.nodes[cs].seq);
+                let before_cursor = slab.pos.count_below(ck) + (slab.top(cs) - ci) as u64;
                 if let Some((key, slot)) = slab.pos.first_at_least_from(ck, len) {
-                    *steps += slab.pos.rank(key) - before_cursor;
-                    Some(slot as usize)
+                    if slot as usize == cs {
+                        *steps += 1;
+                        Some((cs, ci))
+                    } else {
+                        *steps += slab.pos.rank(key) - before_cursor;
+                        Some(head_most(slot))
+                    }
                 } else if let Some((key, slot)) = slab.pos.first_at_least_below(ck, len) {
                     *steps += (total - before_cursor) + slab.pos.rank(key);
-                    Some(slot as usize)
+                    Some(head_most(slot))
                 } else {
                     *steps += total;
                     None
@@ -1046,26 +1255,28 @@ fn search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize, steps: &mut u64) -> 
             // the first one (cannot do better than exact).
             if let Some(slot) = slab.newest_of_size(len) {
                 *steps += slab.hit_distance(slot);
-                return Some(slot);
+                return Some((slot, slab.top(slot)));
             }
-            // No exact node: the walk visits every node, and the winner is
-            // the first node of the smallest fitting size in link order —
-            // the most recent insertion of that size.
+            // No exact node: the walk visits every member, and the winner
+            // is the first node of the smallest fitting size in link order
+            // — the most recent insertion of that size.
             *steps += total;
             slab.newest_of_best_size(len)
+                .map(|slot| (slot, slab.top(slot)))
         }
         FitAlgorithm::WorstFit => {
-            // The walk always visits every node; the winner is the first
+            // The walk always visits every member; the winner is the first
             // node of the largest size in link order.
             *steps += total;
             let max = slab.max_size().filter(|&m| m >= len)?;
-            Some(slab.newest_of_size(max).expect("live size has a node"))
+            let slot = slab.newest_of_size(max).expect("live size has a node");
+            Some((slot, slab.top(slot)))
         }
         FitAlgorithm::ExactFit => {
             match slab.newest_of_size(len) {
                 Some(slot) => {
                     *steps += slab.hit_distance(slot);
-                    Some(slot)
+                    Some((slot, slab.top(slot)))
                 }
                 None => {
                     // Miss: a full scan found nothing.
@@ -1083,20 +1294,73 @@ fn checked_search(
     fit: FitAlgorithm,
     len: usize,
     steps: &mut u64,
-) -> Option<usize> {
+) -> Option<Member> {
     let mut charged = 0u64;
-    let slot = search(slab, fit, len, &mut charged);
+    let hit = search(slab, fit, len, &mut charged);
     #[cfg(debug_assertions)]
     {
-        let (walk_slot, walk_steps) = walk_search(slab, fit, len);
+        let (walk_hit, walk_steps) = walk_search(slab, fit, len);
         debug_assert_eq!(
-            (slot, charged),
-            (walk_slot, walk_steps),
+            (hit, charged),
+            (walk_hit, walk_steps),
             "rank-computed {fit:?} search for {len} diverged from the faithful walk"
         );
     }
     *steps += charged;
-    slot
+    hit
+}
+
+/// A singly linked list unlinks member `j` of a `k`-member run whose
+/// head-most member sits at link position `p` by walking to position
+/// `p + k - 1 - j`. Taking members `a..b` one by one costs the sum: in
+/// ascending address order each unlink leaves the positions above it in
+/// place; in descending order every unlink happens at the range's top.
+fn sll_unlink_cost(p: u64, k: usize, members: &Range<usize>, order: Unlink) -> u64 {
+    let (a, b) = (members.start as u64, members.end as u64);
+    let (k, m) = (k as u64, b - a);
+    match order {
+        Unlink::Ascending => m * (p + k - 1) - (a + b - 1) * m / 2,
+        Unlink::Descending => m * (p + k - b),
+    }
+}
+
+/// The fit search both linked variants share: build whatever lazily
+/// maintained structure `fit` reads, search, and rove the NextFit cursor
+/// past the hit.
+fn linked_find(
+    slab: &mut LinkedSlab,
+    fit: FitAlgorithm,
+    len: usize,
+    steps: &mut u64,
+) -> Option<Found> {
+    // The search paths are `&slab`: build whatever lazily maintained
+    // structure this fit reads before descending. Best fit needs the
+    // ordered live-size set; the roving/scanning fits decompose their
+    // charges through the position tree.
+    match fit {
+        FitAlgorithm::BestFit => {
+            if slab.indexed {
+                slab.ensure_ordered_sizes();
+            }
+        }
+        FitAlgorithm::FirstFit | FitAlgorithm::NextFit | FitAlgorithm::WorstFit => {
+            slab.ensure_pos();
+        }
+        FitAlgorithm::ExactFit => {}
+    }
+    let hit = checked_search(slab, fit, len, steps)?;
+    if fit == FitAlgorithm::NextFit {
+        (slab.cursor, slab.cursor_idx) = slab.link_next(hit);
+    }
+    Some(slab.found(hit))
+}
+
+/// Whether `token` names a live node holding exactly `run`.
+fn live_run(slab: &LinkedSlab, token: usize, run: Run) -> Option<BlockRef> {
+    slab.nodes
+        .get(token)
+        .filter(|n| n.present && n.run == run)
+        .map(|n| n.block)
 }
 
 /// A LIFO singly linked free list.
@@ -1115,46 +1379,32 @@ impl SllIndex {
 }
 
 impl FreeIndex for SllIndex {
-    fn insert(&mut self, span: Span, block: BlockRef, steps: &mut u64) -> usize {
-        *steps += 1; // head insert
-        self.slab.push_front(span, block)
+    fn insert_run(&mut self, run: Run, block: BlockRef, steps: &mut u64) -> usize {
+        *steps += run.count as u64; // one head insert per member
+        self.slab.push_front(run, block)
     }
 
-    fn remove(&mut self, token: usize, span: Span, steps: &mut u64) -> Option<BlockRef> {
-        let node = self.slab.nodes.get(token)?;
-        if !node.present || node.span != span {
-            return None; // stale token: entry already removed or slot reused
-        }
-        let block = node.block;
+    fn remove_members(
+        &mut self,
+        token: usize,
+        run: Run,
+        members: Range<usize>,
+        order: Unlink,
+        upper: Option<BlockRef>,
+        steps: &mut u64,
+    ) -> Option<(BlockRef, usize)> {
+        // Stale token: entry already removed or slot reused.
+        let block = live_run(&self.slab, token, run)?;
         // A singly linked list must walk to the predecessor to unlink;
-        // the charge is the node's position, computed by rank query.
+        // the charge is the member's position, computed by rank query.
         self.slab.ensure_pos();
-        *steps += self.slab.position_of(token);
-        self.slab.unlink(token);
-        Some(block)
+        let p = self.slab.position_of(token);
+        *steps += sll_unlink_cost(p, run.count, &members, order);
+        Some((block, self.slab.take_members(token, members, upper)))
     }
 
     fn find(&mut self, fit: FitAlgorithm, len: usize, steps: &mut u64) -> Option<Found> {
-        // The search paths are `&slab`: build whatever lazily maintained
-        // structure this fit reads before descending. Best fit needs the
-        // ordered live-size set; the roving/scanning fits decompose their
-        // charges through the position tree.
-        match fit {
-            FitAlgorithm::BestFit => {
-                if self.slab.indexed {
-                    self.slab.ensure_ordered_sizes();
-                }
-            }
-            FitAlgorithm::FirstFit | FitAlgorithm::NextFit | FitAlgorithm::WorstFit => {
-                self.slab.ensure_pos();
-            }
-            FitAlgorithm::ExactFit => {}
-        }
-        let slot = checked_search(&self.slab, fit, len, steps)?;
-        if fit == FitAlgorithm::NextFit {
-            self.slab.cursor = self.slab.nodes[slot].next as usize;
-        }
-        Some(self.slab.found(slot))
+        linked_find(&mut self.slab, fit, len, steps)
     }
 
     fn len(&self) -> usize {
@@ -1162,7 +1412,10 @@ impl FreeIndex for SllIndex {
     }
 
     fn spans(&self) -> Vec<Span> {
-        self.slab.iter().map(|(_, s)| s).collect()
+        self.slab
+            .iter()
+            .flat_map(|(_, run)| run.members().collect::<Vec<_>>())
+            .collect()
     }
 
     fn clear(&mut self) {
@@ -1194,43 +1447,28 @@ impl DllIndex {
 }
 
 impl FreeIndex for DllIndex {
-    fn insert(&mut self, span: Span, block: BlockRef, steps: &mut u64) -> usize {
-        *steps += 1;
-        self.slab.push_front(span, block)
+    fn insert_run(&mut self, run: Run, block: BlockRef, steps: &mut u64) -> usize {
+        *steps += run.count as u64;
+        self.slab.push_front(run, block)
     }
 
-    fn remove(&mut self, token: usize, span: Span, steps: &mut u64) -> Option<BlockRef> {
-        let node = self.slab.nodes.get(token)?;
-        if !node.present || node.span != span {
-            return None; // stale token: entry already removed or slot reused
-        }
-        let block = node.block;
-        *steps += 1; // O(1) unlink thanks to the back pointer
-        self.slab.unlink(token);
-        Some(block)
+    fn remove_members(
+        &mut self,
+        token: usize,
+        run: Run,
+        members: Range<usize>,
+        _order: Unlink,
+        upper: Option<BlockRef>,
+        steps: &mut u64,
+    ) -> Option<(BlockRef, usize)> {
+        // Stale token: entry already removed or slot reused.
+        let block = live_run(&self.slab, token, run)?;
+        *steps += members.len() as u64; // O(1) unlinks thanks to the back pointer
+        Some((block, self.slab.take_members(token, members, upper)))
     }
 
     fn find(&mut self, fit: FitAlgorithm, len: usize, steps: &mut u64) -> Option<Found> {
-        // The search paths are `&slab`: build whatever lazily maintained
-        // structure this fit reads before descending. Best fit needs the
-        // ordered live-size set; the roving/scanning fits decompose their
-        // charges through the position tree.
-        match fit {
-            FitAlgorithm::BestFit => {
-                if self.slab.indexed {
-                    self.slab.ensure_ordered_sizes();
-                }
-            }
-            FitAlgorithm::FirstFit | FitAlgorithm::NextFit | FitAlgorithm::WorstFit => {
-                self.slab.ensure_pos();
-            }
-            FitAlgorithm::ExactFit => {}
-        }
-        let slot = checked_search(&self.slab, fit, len, steps)?;
-        if fit == FitAlgorithm::NextFit {
-            self.slab.cursor = self.slab.nodes[slot].next as usize;
-        }
-        Some(self.slab.found(slot))
+        linked_find(&mut self.slab, fit, len, steps)
     }
 
     fn len(&self) -> usize {
@@ -1238,7 +1476,10 @@ impl FreeIndex for DllIndex {
     }
 
     fn spans(&self) -> Vec<Span> {
-        self.slab.iter().map(|(_, s)| s).collect()
+        self.slab
+            .iter()
+            .flat_map(|(_, run)| run.members().collect::<Vec<_>>())
+            .collect()
     }
 
     fn clear(&mut self) {
@@ -1281,9 +1522,11 @@ mod tests {
         }
         // Offset 0 was inserted first => it is at the tail (distance 10).
         let mut sll_steps = 0u64;
-        sll.remove(sll_t0, Span::new(0, 32), &mut sll_steps).unwrap();
+        sll.remove(sll_t0, Span::new(0, 32), &mut sll_steps)
+            .unwrap();
         let mut dll_steps = 0u64;
-        dll.remove(dll_t0, Span::new(0, 32), &mut dll_steps).unwrap();
+        dll.remove(dll_t0, Span::new(0, 32), &mut dll_steps)
+            .unwrap();
         assert!(sll_steps >= 10, "SLL unlink must walk: {sll_steps}");
         assert_eq!(dll_steps, 1, "DLL unlink is O(1)");
     }
@@ -1295,7 +1538,10 @@ mod tests {
         idx.insert(Span::new(0, 64), bref(0), &mut s);
         idx.insert(Span::new(64, 128), bref(64), &mut s); // most recent => head
         let found = idx.find(FitAlgorithm::FirstFit, 32, &mut s).unwrap();
-        assert_eq!(found.span.offset, 64, "first fit sees the most recent insert");
+        assert_eq!(
+            found.span.offset, 64,
+            "first fit sees the most recent insert"
+        );
     }
 
     #[test]
@@ -1308,7 +1554,10 @@ mod tests {
         // Head order is offsets 192,128,64,0.
         let a = idx.find(FitAlgorithm::NextFit, 64, &mut s).unwrap();
         let b = idx.find(FitAlgorithm::NextFit, 64, &mut s).unwrap();
-        assert_ne!(a.span.offset, b.span.offset, "next fit advances past its last hit");
+        assert_ne!(
+            a.span.offset, b.span.offset,
+            "next fit advances past its last hit"
+        );
     }
 
     #[test]
@@ -1319,12 +1568,18 @@ mod tests {
         idx.insert(Span::new(32, 256), bref(32), &mut s);
         // First call lands on the 256 block (head), cursor moves past it.
         assert_eq!(
-            idx.find(FitAlgorithm::NextFit, 100, &mut s).unwrap().span.offset,
+            idx.find(FitAlgorithm::NextFit, 100, &mut s)
+                .unwrap()
+                .span
+                .offset,
             32
         );
         // Only the 256 block fits 100; next fit must wrap to find it again.
         assert_eq!(
-            idx.find(FitAlgorithm::NextFit, 100, &mut s).unwrap().span.offset,
+            idx.find(FitAlgorithm::NextFit, 100, &mut s)
+                .unwrap()
+                .span
+                .offset,
             32
         );
     }
@@ -1519,7 +1774,9 @@ mod tests {
         assert_eq!(miss, 1, "first-fit miss must stop at the parked cursor");
         // A next-fit miss still visits every node exactly once.
         let mut nf_miss = 0u64;
-        assert!(idx.find(FitAlgorithm::NextFit, 4096, &mut nf_miss).is_none());
+        assert!(idx
+            .find(FitAlgorithm::NextFit, 4096, &mut nf_miss)
+            .is_none());
         assert_eq!(nf_miss, 4, "next-fit miss is one full cycle");
     }
 

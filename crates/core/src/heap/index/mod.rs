@@ -27,6 +27,23 @@
 //! shadow oracles — every find asserts the computed answer and charge
 //! against them in debug builds, and [`FreeIndex::check_oracle`]
 //! revalidates the rank structures per replay event.
+//!
+//! # Runs
+//!
+//! An entry stands for a [`Run`] of equal adjacent free blocks — what one
+//! fixed-class carve or `grow` creates — with a member count, and an
+//! ordinary block is a run of one. The modelled manager still holds one
+//! list node per member: [`FreeIndex::len`] counts members,
+//! [`FreeIndex::spans`] lists them, every walk oracle visits them, and
+//! every charge equals the sum the member-by-member operations would
+//! charge. [`FreeIndex::insert_run`] adds a run as if its members were
+//! pushed in ascending address order; [`FreeIndex::remove_members`] takes
+//! a contiguous range of members out as if they were unlinked one by one
+//! in a given [`Unlink`] order, splitting the entry only where members
+//! stay on both sides. A fit hit names one member: the one its walk meets
+//! first — the highest address in the LIFO lists, the lowest in the
+//! ordered indexes (the size tree's worst fit takes the highest) — or, for
+//! next fit, the member the cursor reaches.
 
 mod linked;
 mod ordered;
@@ -35,20 +52,44 @@ pub mod rank;
 pub use linked::{DllIndex, SllIndex};
 pub use ordered::{AddrIndex, SizeTreeIndex};
 
-use crate::heap::block::Span;
+use std::ops::Range;
+
+use crate::heap::block::{Run, Span};
 use crate::heap::tiling::BlockRef;
 use crate::space::trees::{BlockStructure, FitAlgorithm};
 
-/// A located free block: where it is, which tiling block backs it, and the
-/// index-internal token that unlinks it without any lookup.
+/// A located free block: where it is, the run it belongs to, which tiling
+/// node backs that run, and the index-internal token that unlinks it
+/// without any lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Found {
-    /// The span of the located block.
+    /// The span of the located block (one member of `run`).
     pub span: Span,
-    /// The tiling block the entry indexes.
+    /// The run the located block is a member of.
+    pub run: Run,
+    /// The tiling node the run's entry indexes.
     pub block: BlockRef,
-    /// Token to pass to [`FreeIndex::remove`].
+    /// Token to pass to [`FreeIndex::remove_members`].
     pub token: usize,
+}
+
+impl Found {
+    /// The located block's member index in its run (0 is the lowest).
+    pub fn member(&self) -> usize {
+        (self.span.offset - self.run.offset) / self.run.len
+    }
+}
+
+/// The order in which the modelled manager unlinks the members a removal
+/// takes, one block at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unlink {
+    /// Lowest address first: the deferred sweep, forward coalescing and
+    /// in-place realloc growth absorb a run from its bottom.
+    Ascending,
+    /// Highest address first: backward coalescing and trimming eat a run
+    /// from its top.
+    Descending,
 }
 
 /// Common interface of all free-block indexes.
@@ -56,28 +97,64 @@ pub struct Found {
 /// Implementations must tolerate any interleaving of operations; `steps`
 /// accumulates the abstract unit-cost of each operation.
 pub trait FreeIndex: std::fmt::Debug {
-    /// Add a free span backed by tiling block `block`. Returns the token
-    /// that removes this entry in O(1); the caller stores it in the block.
-    fn insert(&mut self, span: Span, block: BlockRef, steps: &mut u64) -> usize;
+    /// Add a run of free blocks backed by tiling node `block`, charging
+    /// what inserting its members one by one in ascending address order
+    /// would. Returns the token that reaches this entry in O(1); the
+    /// caller stores it in the node.
+    fn insert_run(&mut self, run: Run, block: BlockRef, steps: &mut u64) -> usize;
 
-    /// Remove the entry `token`/`span` name; returns the backing block if
-    /// the entry was present. A stale token (entry already removed, or
-    /// token recycled for a different span) returns `None`.
-    fn remove(&mut self, token: usize, span: Span, steps: &mut u64) -> Option<BlockRef>;
+    /// Remove members `members` (indexes into `run`, 0 the lowest) of the
+    /// entry `token`/`run` name, charging what unlinking them one by one
+    /// in `order` would. Members below the range keep the entry, its token
+    /// and its block; members above it stay indexed as a run backed by
+    /// tiling node `upper`, which must be given exactly when the range
+    /// ends below the run's end. Returns the entry's block and the token
+    /// of the upper remainder (meaningless without one). A stale token
+    /// (entry already removed, or token recycled for a different run)
+    /// returns `None`.
+    fn remove_members(
+        &mut self,
+        token: usize,
+        run: Run,
+        members: Range<usize>,
+        order: Unlink,
+        upper: Option<BlockRef>,
+        steps: &mut u64,
+    ) -> Option<(BlockRef, usize)>;
 
-    /// Locate (without removing) a span satisfying `fit` for `len` bytes.
+    /// Locate (without removing) a block satisfying `fit` for `len` bytes.
     fn find(&mut self, fit: FitAlgorithm, len: usize, steps: &mut u64) -> Option<Found>;
 
-    /// Number of indexed spans.
+    /// Number of indexed blocks (run members).
     fn len(&self) -> usize;
 
-    /// Whether the index holds no spans.
+    /// Whether the index holds no blocks.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Snapshot of all indexed spans (order unspecified).
+    /// Snapshot of all indexed blocks, one span per run member (order
+    /// unspecified).
     fn spans(&self) -> Vec<Span>;
+
+    /// Add one free block: a run of one.
+    fn insert(&mut self, span: Span, block: BlockRef, steps: &mut u64) -> usize {
+        self.insert_run(Run::single(span), block, steps)
+    }
+
+    /// Remove the one-block entry `token`/`span` name; returns the backing
+    /// block if the entry was present.
+    fn remove(&mut self, token: usize, span: Span, steps: &mut u64) -> Option<BlockRef> {
+        self.remove_members(
+            token,
+            Run::single(span),
+            0..1,
+            Unlink::Ascending,
+            None,
+            steps,
+        )
+        .map(|(block, _)| block)
+    }
 
     /// Drop all spans.
     fn clear(&mut self);
@@ -150,13 +227,21 @@ macro_rules! pool_index_dispatch {
 
 impl FreeIndex for PoolIndex {
     #[inline]
-    fn insert(&mut self, span: Span, block: BlockRef, steps: &mut u64) -> usize {
-        pool_index_dispatch!(self, idx => idx.insert(span, block, steps))
+    fn insert_run(&mut self, run: Run, block: BlockRef, steps: &mut u64) -> usize {
+        pool_index_dispatch!(self, idx => idx.insert_run(run, block, steps))
     }
 
     #[inline]
-    fn remove(&mut self, token: usize, span: Span, steps: &mut u64) -> Option<BlockRef> {
-        pool_index_dispatch!(self, idx => idx.remove(token, span, steps))
+    fn remove_members(
+        &mut self,
+        token: usize,
+        run: Run,
+        members: Range<usize>,
+        order: Unlink,
+        upper: Option<BlockRef>,
+        steps: &mut u64,
+    ) -> Option<(BlockRef, usize)> {
+        pool_index_dispatch!(self, idx => idx.remove_members(token, run, members, order, upper, steps))
     }
 
     #[inline]
@@ -349,7 +434,11 @@ mod contract_tests {
             }
             let mut steps = 0u64;
             for i in 0..10 {
-                idx.insert(Span::new(i * 64, 32 + (i % 3) * 16), bref(i * 64), &mut steps);
+                idx.insert(
+                    Span::new(i * 64, 32 + (i % 3) * 16),
+                    bref(i * 64),
+                    &mut steps,
+                );
             }
             for fit in [
                 FitAlgorithm::FirstFit,
@@ -361,6 +450,179 @@ mod contract_tests {
                 let mut walk = 0u64;
                 assert!(idx.find(fit, 4096, &mut walk).is_none(), "{kind:?}/{fit:?}");
                 assert_eq!(walk, 10, "{kind:?}/{fit:?} miss must charge the full walk");
+            }
+        }
+    }
+
+    /// A run-fed index and a member-fed index stay indistinguishable: for
+    /// every A1 × C1, one index gets `k`-member runs, the other the same
+    /// members one at a time (ascending), and random finds (NextFit ones
+    /// park the cursor inside runs), takes of the found block, prefix and
+    /// suffix removals and fresh inserts must return the same block, span
+    /// and charge from both, with the same length and member spans after
+    /// every step.
+    #[test]
+    fn runs_match_member_by_member_indexes() {
+        struct Entry {
+            run: Run,
+            token: usize,
+            block: BlockRef,
+        }
+        for structure in BlockStructure::ALL {
+            for fit in FitAlgorithm::ALL {
+                let label = format!("{structure:?}/{fit:?}");
+                let mut runs = new_index(structure);
+                let mut members = new_index(structure);
+                let mut entries: Vec<Entry> = Vec::new();
+                let mut tokens: HashMap<usize, usize> = HashMap::new();
+                let mut next_block = 1u32 << 24;
+                let mut fresh = || {
+                    next_block += 1;
+                    BlockRef::from_index(next_block)
+                };
+                let mut next_addr = 0usize;
+                let mut x: u64 = 0x9E37_79B9_7F4A_7C15 ^ (structure as u64) << 8 ^ fit as u64;
+                for round in 0..400 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let (mut sa, mut sb) = (0u64, 0u64);
+                    let op = if entries.len() < 3 { 0 } else { x % 8 };
+                    match op {
+                        // A fresh run (sometimes a single block).
+                        0 | 1 => {
+                            let len = [16, 24, 32, 48, 64][(x >> 8) as usize % 5];
+                            let k = if op == 0 {
+                                1 + (x >> 16) as usize % 40
+                            } else {
+                                1
+                            };
+                            let run = Run::new(next_addr, len, k);
+                            next_addr += run.span().len + 8 * ((x >> 24) as usize % 2);
+                            let block = fresh();
+                            let token = runs.insert_run(run, block, &mut sa);
+                            entries.push(Entry { run, token, block });
+                            for m in run.members() {
+                                tokens.insert(m.offset, members.insert(m, bref(m.offset), &mut sb));
+                            }
+                        }
+                        // A find, taken or left in place (which parks a
+                        // NextFit cursor inside a run).
+                        2..=4 => {
+                            let want = [8, 16, 20, 24, 32, 40, 48, 64, 100][(x >> 8) as usize % 9];
+                            let fa = runs.find(fit, want, &mut sa);
+                            let fb = members.find(fit, want, &mut sb);
+                            assert_eq!(fa.map(|f| f.span), fb.map(|f| f.span), "{label}: winner");
+                            if let (Some(fa), Some(fb)) = (fa, fb) {
+                                assert_eq!(fb.block, bref(fb.span.offset), "{label}");
+                                let e = entries
+                                    .iter()
+                                    .position(|e| e.run == fa.run && e.token == fa.token)
+                                    .unwrap_or_else(|| panic!("{label}: found an unknown run"));
+                                assert_eq!(fa.block, entries[e].block, "{label}: run's node");
+                                if op == 4 {
+                                    continue;
+                                }
+                                let i = fa.member();
+                                let k = fa.run.count;
+                                let upper = (i + 1 < k).then(&mut fresh);
+                                let (_, t) = runs
+                                    .remove_members(
+                                        fa.token,
+                                        fa.run,
+                                        i..i + 1,
+                                        Unlink::Ascending,
+                                        upper,
+                                        &mut sa,
+                                    )
+                                    .expect("found run is live");
+                                members
+                                    .remove(tokens[&fa.span.offset], fa.span, &mut sb)
+                                    .unwrap();
+                                let e = entries.swap_remove(e);
+                                if i > 0 {
+                                    entries.push(Entry {
+                                        run: Run::new(e.run.offset, e.run.len, i),
+                                        ..e
+                                    });
+                                }
+                                if let Some(block) = upper {
+                                    let run =
+                                        Run::new(e.run.member(i + 1).offset, e.run.len, k - i - 1);
+                                    entries.push(Entry {
+                                        run,
+                                        token: t,
+                                        block,
+                                    });
+                                }
+                            }
+                        }
+                        // A prefix (ascending) or suffix (descending) of a
+                        // random run leaves.
+                        _ => {
+                            let e = entries.swap_remove((x >> 8) as usize % entries.len());
+                            let k = e.run.count;
+                            let m = 1 + (x >> 20) as usize % k;
+                            let (range, order) = if op % 2 == 0 {
+                                (0..m, Unlink::Ascending)
+                            } else {
+                                (k - m..k, Unlink::Descending)
+                            };
+                            let upper = (range.end < k).then(&mut fresh);
+                            let (block, t) = runs
+                                .remove_members(
+                                    e.token,
+                                    e.run,
+                                    range.clone(),
+                                    order,
+                                    upper,
+                                    &mut sa,
+                                )
+                                .expect("modelled run is live");
+                            assert_eq!(block, e.block, "{label}");
+                            let mut gone: Vec<usize> = range.clone().collect();
+                            if order == Unlink::Descending {
+                                gone.reverse();
+                            }
+                            for j in gone {
+                                let m = e.run.member(j);
+                                members.remove(tokens[&m.offset], m, &mut sb).unwrap();
+                            }
+                            if range.start > 0 {
+                                entries.push(Entry {
+                                    run: Run::new(e.run.offset, e.run.len, range.start),
+                                    ..e
+                                });
+                            }
+                            if let Some(block) = upper {
+                                let run = Run::new(
+                                    e.run.member(range.end).offset,
+                                    e.run.len,
+                                    k - range.end,
+                                );
+                                entries.push(Entry {
+                                    run,
+                                    token: t,
+                                    block,
+                                });
+                            }
+                        }
+                    }
+                    assert_eq!(
+                        sa, sb,
+                        "{label}: charge diverged at round {round} (op {op})"
+                    );
+                    assert_eq!(runs.len(), members.len(), "{label}");
+                    let (mut a, mut b) = (runs.spans(), members.spans());
+                    a.sort();
+                    b.sort();
+                    assert_eq!(a, b, "{label}: members diverged at round {round}");
+                    runs.check_oracle()
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    members
+                        .check_oracle()
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                }
             }
         }
     }

@@ -32,12 +32,19 @@
 //! [`SizeTreeIndex`] needs none of this: its `(len, offset)` tree *is* the
 //! modelled structure, and its logarithmic charge (`log_cost`, the subtree
 //! descent depth) is already computed from the tree size in one add.
+//!
+//! Both key a run of equal blocks by its lowest member: no other block
+//! lies between two members, so a run's members are adjacent in address
+//! order and in `(len, offset)` order alike. Charges read the member
+//! count, and a run's inserts and removals charge `log_cost` at each
+//! successive member count ([`log_cost_sum`]).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
-use crate::heap::block::Span;
+use crate::heap::block::{Run, Span};
 use crate::heap::index::rank::{AddrEntry, AddrList};
-use crate::heap::index::{Found, FreeIndex};
+use crate::heap::index::{Found, FreeIndex, Unlink};
 use crate::heap::tiling::BlockRef;
 use crate::space::trees::FitAlgorithm;
 use crate::units::POINTER_BYTES;
@@ -49,12 +56,38 @@ fn log_cost(n: usize) -> u64 {
     (usize::BITS - n.max(1).leading_zeros()) as u64
 }
 
+/// `Σ log_cost(x)` over `x` in `lo..hi`, one multiply per bit length: the
+/// summed charge of successive inserts (`n..n + m`) or removals
+/// (`n + 1 - m..n + 1`) at a tree of `n` blocks.
+fn log_cost_sum(lo: usize, hi: usize) -> u64 {
+    let mut sum = u64::from(lo == 0 && hi > 0); // log_cost(0) == log_cost(1)
+    let mut x = lo.max(1);
+    while x < hi {
+        let bits = usize::BITS - x.leading_zeros();
+        let end = 1usize.checked_shl(bits).map_or(hi, |p| p.min(hi));
+        sum += u64::from(bits) * (end - x) as u64;
+        x = end;
+    }
+    sum
+}
+
+/// The charge of removing `m` members from a tree of `n` blocks, or of
+/// the single lookup a stale removal costs.
+fn removal_cost(n: usize, m: usize) -> u64 {
+    if m <= n {
+        log_cost_sum(n + 1 - m, n + 1)
+    } else {
+        log_cost(n)
+    }
+}
+
 /// Free list kept sorted by block address.
 ///
 /// NextFit parks its cursor one byte past the block it returned. Block
 /// offsets are aligned, so the cursor never equals a block offset and
 /// removing that block leaves it in place: the roving search resumes at
-/// the first block above the old hit, including blocks inserted later.
+/// the first block above the old hit, including blocks inserted later —
+/// which may be a member inside a run.
 #[derive(Debug, Clone, Default)]
 pub struct AddrIndex {
     list: AddrList,
@@ -71,14 +104,14 @@ impl AddrIndex {
         AddrIndex::default()
     }
 
-    /// Rank-computed fit resolution: `(winner, charge)`, bit-identical to
-    /// [`walk_find`]. Does not move the cursor.
-    fn fast_find(&self, fit: FitAlgorithm, len: usize) -> (Option<AddrEntry>, u64) {
+    /// Rank-computed fit resolution: `(winner entry and member, charge)`,
+    /// bit-identical to [`walk_find`]. Does not move the cursor.
+    fn fast_find(&self, fit: FitAlgorithm, len: usize) -> (Option<(AddrEntry, usize)>, u64) {
         let total = self.list.len() as u64;
         let list = &self.list;
         match fit {
             FitAlgorithm::FirstFit => match list.first_at_least(len) {
-                Some((e, rank)) => (Some(e), rank),
+                Some((e, rank)) => (Some((e, 0)), rank),
                 None => (None, total),
             },
             FitAlgorithm::NextFit => {
@@ -87,10 +120,10 @@ impl AddrIndex {
                 // then, so the wrap pass stops at the first fit overall.
                 let start = self.cursor.unwrap_or(0);
                 let below = list.count_below(start);
-                if let Some((e, rank)) = list.first_at_least_from(start, len) {
-                    (Some(e), rank - below)
+                if let Some((e, j, rank)) = list.first_at_least_from(start, len) {
+                    (Some((e, j)), rank - below)
                 } else if let Some((e, rank)) = list.first_at_least(len) {
-                    (Some(e), (total - below) + rank)
+                    (Some((e, 0)), (total - below) + rank)
                 } else {
                     (None, total)
                 }
@@ -98,7 +131,12 @@ impl AddrIndex {
             FitAlgorithm::WorstFit => {
                 // Always a full scan; the winner is the lowest-addressed
                 // block of the largest size, if that size fits.
-                (list.first_largest().filter(|e| e.len >= len), total)
+                (
+                    list.first_largest()
+                        .filter(|e| e.len >= len)
+                        .map(|e| (e, 0)),
+                    total,
+                )
             }
             FitAlgorithm::BestFit | FitAlgorithm::ExactFit => {
                 let by_len = self.by_len.as_ref().expect("find builds the length set");
@@ -106,7 +144,7 @@ impl AddrIndex {
                 // lowest-addressed one (best fit cannot do better).
                 if let Some(&(_, o)) = by_len.range((len, 0)..=(len, usize::MAX)).next() {
                     let (entry, rank) = list.locate(o).expect("length set names live blocks");
-                    return (Some(entry), rank);
+                    return (Some((entry, 0)), rank);
                 }
                 // Otherwise both scan everything; best fit's winner is the
                 // lowest-addressed block of the smallest fitting size.
@@ -114,7 +152,10 @@ impl AddrIndex {
                     FitAlgorithm::BestFit => by_len.range((len, 0)..).next(),
                     _ => None,
                 };
-                (winner.and_then(|&(_, o)| list.get(o)), total)
+                (
+                    winner.and_then(|&(_, o)| list.get(o)).map(|e| (e, 0)),
+                    total,
+                )
             }
         }
     }
@@ -137,55 +178,75 @@ fn walk_find(
     } else {
         0
     };
-    let from_start = list.iter().filter(|e| e.offset >= start);
-    let wrapped = list.iter().filter(|e| e.offset < start);
+    let from_start = list.members().filter(|&(o, _)| o >= start);
+    let wrapped = list.members().filter(|&(o, _)| o < start);
     let mut steps = 0u64;
-    let mut kept: Option<&AddrEntry> = None;
-    for e in from_start.chain(wrapped) {
+    let mut kept: Option<(usize, usize)> = None;
+    for (offset, e) in from_start.chain(wrapped) {
         steps += 1;
         match fit {
             FitAlgorithm::FirstFit | FitAlgorithm::NextFit if e.len >= len => {
-                return (Some(e.offset), steps)
+                return (Some(offset), steps)
             }
-            FitAlgorithm::ExactFit if e.len == len => return (Some(e.offset), steps),
-            FitAlgorithm::BestFit if e.len >= len && kept.is_none_or(|b| e.len < b.len) => {
-                kept = Some(e);
+            FitAlgorithm::ExactFit if e.len == len => return (Some(offset), steps),
+            FitAlgorithm::BestFit if e.len >= len && kept.is_none_or(|(_, b)| e.len < b) => {
+                kept = Some((offset, e.len));
                 if e.len == len {
                     break;
                 }
             }
-            FitAlgorithm::WorstFit if e.len >= len && kept.is_none_or(|w| e.len > w.len) => {
-                kept = Some(e);
+            FitAlgorithm::WorstFit if e.len >= len && kept.is_none_or(|(_, w)| e.len > w) => {
+                kept = Some((offset, e.len));
             }
             _ => {}
         }
     }
-    (kept.map(|e| e.offset), steps)
+    (kept.map(|(offset, _)| offset), steps)
 }
 
 impl FreeIndex for AddrIndex {
-    fn insert(&mut self, span: Span, block: BlockRef, steps: &mut u64) -> usize {
-        *steps += log_cost(self.list.len());
+    fn insert_run(&mut self, run: Run, block: BlockRef, steps: &mut u64) -> usize {
+        let n = self.list.len();
+        *steps += log_cost_sum(n, n + run.count);
         self.list.insert(AddrEntry {
-            offset: span.offset,
-            len: span.len,
+            offset: run.offset,
+            len: run.len,
+            count: u32::try_from(run.count).expect("run count fits u32"),
             block,
         });
         if let Some(by_len) = &mut self.by_len {
-            by_len.insert((span.len, span.offset));
+            by_len.insert((run.len, run.offset));
         }
         NO_TOKEN
     }
 
-    fn remove(&mut self, _token: usize, span: Span, steps: &mut u64) -> Option<BlockRef> {
-        *steps += log_cost(self.list.len());
-        let entry = self.list.remove(span.offset)?;
-        debug_assert_eq!(entry.len, span.len, "span length disagrees with the index");
-        if let Some(by_len) = &mut self.by_len {
-            let mapped = by_len.remove(&(entry.len, span.offset));
-            debug_assert!(mapped, "length set missed ({}, {})", entry.len, span.offset);
+    fn remove_members(
+        &mut self,
+        _token: usize,
+        run: Run,
+        members: Range<usize>,
+        _order: Unlink,
+        upper: Option<BlockRef>,
+        steps: &mut u64,
+    ) -> Option<(BlockRef, usize)> {
+        let n = self.list.len();
+        if self.list.get(run.offset).is_none_or(|e| e.run() != run) {
+            *steps += log_cost(n);
+            return None;
         }
-        Some(entry.block)
+        debug_assert_eq!(upper.is_some(), members.end < run.count, "upper remainder");
+        *steps += removal_cost(n, members.len());
+        let entry = self.list.take(run.offset, members.clone(), upper)?;
+        if let Some(by_len) = &mut self.by_len {
+            if members.start == 0 {
+                let mapped = by_len.remove(&(run.len, run.offset));
+                debug_assert!(mapped, "length set missed ({}, {})", run.len, run.offset);
+            }
+            if members.end < run.count {
+                by_len.insert((run.len, run.member(members.end).offset));
+            }
+        }
+        Some((entry.block, NO_TOKEN))
     }
 
     fn find(&mut self, fit: FitAlgorithm, len: usize, steps: &mut u64) -> Option<Found> {
@@ -193,23 +254,26 @@ impl FreeIndex for AddrIndex {
             self.by_len = Some(self.list.iter().map(|e| (e.len, e.offset)).collect());
         }
         let (winner, charged) = self.fast_find(fit, len);
+        let winner = winner.map(|(e, j)| (e.run(), j, e.block));
         #[cfg(debug_assertions)]
         {
             let (walk_winner, walk_steps) = walk_find(&self.list, self.cursor, fit, len);
             debug_assert_eq!(
-                (winner.map(|e| e.offset), charged),
+                (winner.map(|(run, j, _)| run.member(j).offset), charged),
                 (walk_winner, walk_steps),
                 "rank-computed {fit:?} find for {len} diverged from the faithful scan"
             );
         }
         *steps += charged;
-        let entry = winner?;
+        let (run, j, block) = winner?;
+        let span = run.member(j);
         if fit == FitAlgorithm::NextFit {
-            self.cursor = Some(entry.offset + 1);
+            self.cursor = Some(span.offset + 1);
         }
         Some(Found {
-            span: Span::new(entry.offset, entry.len),
-            block: entry.block,
+            span,
+            run,
+            block,
             token: NO_TOKEN,
         })
     }
@@ -220,8 +284,8 @@ impl FreeIndex for AddrIndex {
 
     fn spans(&self) -> Vec<Span> {
         self.list
-            .iter()
-            .map(|e| Span::new(e.offset, e.len))
+            .members()
+            .map(|(offset, e)| Span::new(offset, e.len))
             .collect()
     }
 
@@ -240,11 +304,11 @@ impl FreeIndex for AddrIndex {
         let Some(by_len) = &self.by_len else {
             return Ok(());
         };
-        if by_len.len() != self.list.len() {
+        let entries = self.list.iter().count();
+        if by_len.len() != entries {
             return Err(format!(
-                "length set has {} entries for {} blocks",
-                by_len.len(),
-                self.list.len()
+                "length set has {} entries for {entries} runs",
+                by_len.len()
             ));
         }
         for e in self.list.iter() {
@@ -256,10 +320,15 @@ impl FreeIndex for AddrIndex {
     }
 }
 
-/// Balanced tree of free blocks keyed by `(len, offset)`.
+/// Balanced tree of free blocks keyed by `(len, offset)`; a run is one
+/// node keyed by its lowest member.
 #[derive(Debug, Clone, Default)]
 pub struct SizeTreeIndex {
-    by_size: BTreeMap<(usize, usize), BlockRef>,
+    /// Runs by `(member len, lowest offset)`, with their backing node and
+    /// member count.
+    by_size: BTreeMap<(usize, usize), (BlockRef, usize)>,
+    /// Members of every run: the modelled tree's size.
+    members: usize,
     cursor: Option<(usize, usize)>,
 }
 
@@ -268,88 +337,149 @@ impl SizeTreeIndex {
     pub fn new() -> Self {
         SizeTreeIndex::default()
     }
+
+    /// The first member at or after key `start` in `(len, offset)` order,
+    /// as its run, member index and node.
+    fn member_from(&self, start: (usize, usize)) -> Option<(Run, usize, BlockRef)> {
+        if let Some((&(l, o), &(b, k))) = self.by_size.range(..=start).next_back() {
+            let j = if l == start.0 {
+                (start.1 - o).div_ceil(l)
+            } else {
+                k
+            };
+            if j < k {
+                return Some((Run::new(o, l, k), j, b));
+            }
+        }
+        self.by_size
+            .range(start..)
+            .next()
+            .map(|(&(l, o), &(b, k))| (Run::new(o, l, k), 0, b))
+    }
 }
 
 impl FreeIndex for SizeTreeIndex {
-    fn insert(&mut self, span: Span, block: BlockRef, steps: &mut u64) -> usize {
-        *steps += log_cost(self.by_size.len());
-        let dup = self.by_size.insert((span.len, span.offset), block);
-        debug_assert!(dup.is_none(), "duplicate span at {}", span.offset);
+    fn insert_run(&mut self, run: Run, block: BlockRef, steps: &mut u64) -> usize {
+        *steps += log_cost_sum(self.members, self.members + run.count);
+        let dup = self
+            .by_size
+            .insert((run.len, run.offset), (block, run.count));
+        debug_assert!(dup.is_none(), "duplicate span at {}", run.offset);
+        self.members += run.count;
         NO_TOKEN
     }
 
-    fn remove(&mut self, _token: usize, span: Span, steps: &mut u64) -> Option<BlockRef> {
-        *steps += log_cost(self.by_size.len());
-        let block = self.by_size.remove(&(span.len, span.offset))?;
+    fn remove_members(
+        &mut self,
+        _token: usize,
+        run: Run,
+        members: Range<usize>,
+        _order: Unlink,
+        upper: Option<BlockRef>,
+        steps: &mut u64,
+    ) -> Option<(BlockRef, usize)> {
+        let key = (run.len, run.offset);
+        let Some(&(block, count)) = self.by_size.get(&key).filter(|e| e.1 == run.count) else {
+            *steps += log_cost(self.members);
+            return None;
+        };
+        debug_assert_eq!(upper.is_some(), members.end < count, "upper remainder");
+        *steps += removal_cost(self.members, members.len());
+        self.members -= members.len();
         // `find` parks the NextFit cursor just *past* the block it
         // returned, i.e. at `(len, offset + 1)` — compare against that
         // stored form. Matching the block's own key `(len, offset)` can
         // never fire, so the roving pointer used to survive its block's
         // removal and skip blocks re-inserted at or below that key.
-        if self.cursor == Some((span.len, span.offset + 1)) {
-            self.cursor = None;
+        if let Some((l, past)) = self.cursor {
+            let gone = run.member(members.start).offset..run.member(members.end - 1).end();
+            if l == run.len && gone.contains(&(past - 1)) && (past - 1 - run.offset).is_multiple_of(l) {
+                self.cursor = None;
+            }
         }
-        Some(block)
+        if members.start == 0 {
+            self.by_size.remove(&key);
+        } else {
+            self.by_size.insert(key, (block, members.start));
+        }
+        if let Some(upper) = upper {
+            let rest = (run.len, run.member(members.end).offset);
+            self.by_size.insert(rest, (upper, count - members.end));
+        }
+        Some((block, NO_TOKEN))
     }
 
     fn find(&mut self, fit: FitAlgorithm, len: usize, steps: &mut u64) -> Option<Found> {
-        *steps += log_cost(self.by_size.len());
-        let found = |(&(l, o), &b): (&(usize, usize), &BlockRef)| Found {
-            span: Span::new(o, l),
-            block: b,
-            token: NO_TOKEN,
-        };
-        match fit {
+        *steps += log_cost(self.members);
+        let lowest =
+            |(&(l, o), &(b, k)): (&(usize, usize), &(BlockRef, usize))| (Run::new(o, l, k), 0, b);
+        let hit = match fit {
             // In a size-ordered structure the "first" block that fits *is*
             // the best fit — a realistic consequence of the A1 choice.
             FitAlgorithm::FirstFit | FitAlgorithm::BestFit => {
-                self.by_size.range((len, 0)..).next().map(found)
+                self.by_size.range((len, 0)..).next().map(lowest)
             }
             FitAlgorithm::NextFit => {
                 let start = self.cursor.unwrap_or((len, 0)).max((len, 0));
                 let hit = self
-                    .by_size
-                    .range(start..)
-                    .next()
-                    .or_else(|| self.by_size.range((len, 0)..).next())
-                    .map(found);
-                if let Some(f) = hit {
-                    self.cursor = Some((f.span.len, f.span.offset + 1));
+                    .member_from(start)
+                    .or_else(|| self.by_size.range((len, 0)..).next().map(lowest));
+                if let Some((run, j, _)) = hit {
+                    self.cursor = Some((run.len, run.member(j).offset + 1));
                 }
                 hit
             }
+            // The largest key is the highest member of the last run.
             FitAlgorithm::WorstFit => self
                 .by_size
                 .iter()
                 .next_back()
-                .map(found)
-                .filter(|f| f.span.len >= len),
+                .map(|(&(l, o), &(b, k))| (Run::new(o, l, k), k - 1, b))
+                .filter(|(run, _, _)| run.len >= len),
             FitAlgorithm::ExactFit => self
                 .by_size
                 .range((len, 0)..(len + 1, 0))
                 .next()
-                .map(found),
-        }
+                .map(lowest),
+        };
+        hit.map(|(run, j, block)| Found {
+            span: run.member(j),
+            run,
+            block,
+            token: NO_TOKEN,
+        })
     }
 
     fn len(&self) -> usize {
-        self.by_size.len()
+        self.members
     }
 
     fn spans(&self) -> Vec<Span> {
         self.by_size
-            .keys()
-            .map(|&(l, o)| Span::new(o, l))
+            .iter()
+            .flat_map(|(&(l, o), &(_, k))| Run::new(o, l, k).members().collect::<Vec<_>>())
             .collect()
     }
 
     fn clear(&mut self) {
         self.by_size.clear();
+        self.members = 0;
         self.cursor = None;
     }
 
     fn control_overhead_bytes(&self) -> usize {
         POINTER_BYTES // root pointer; node links are in-band
+    }
+
+    fn check_oracle(&self) -> Result<(), String> {
+        let members: usize = self.by_size.values().map(|&(_, k)| k).sum();
+        if members != self.members || self.by_size.values().any(|&(_, k)| k == 0) {
+            return Err(format!(
+                "size tree counts {} members, its runs hold {members}",
+                self.members
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -405,7 +535,10 @@ mod tests {
         assert!(idx.find(FitAlgorithm::ExactFit, 63, &mut s).is_none());
         assert!(idx.find(FitAlgorithm::ExactFit, 65, &mut s).is_none());
         assert_eq!(
-            idx.find(FitAlgorithm::ExactFit, 64, &mut s).unwrap().span.offset,
+            idx.find(FitAlgorithm::ExactFit, 64, &mut s)
+                .unwrap()
+                .span
+                .offset,
             0
         );
     }
@@ -423,9 +556,12 @@ mod tests {
         addr.insert(Span::new(1024 * 64, 4096), bref(1024 * 64), &mut s);
         tree.insert(Span::new(1024 * 64, 4096), bref(1024 * 64), &mut s);
         let mut addr_steps = 0u64;
-        let hit = addr.find(FitAlgorithm::BestFit, 4096, &mut addr_steps).unwrap();
+        let hit = addr
+            .find(FitAlgorithm::BestFit, 4096, &mut addr_steps)
+            .unwrap();
         let mut tree_steps = 0u64;
-        tree.find(FitAlgorithm::BestFit, 4096, &mut tree_steps).unwrap();
+        tree.find(FitAlgorithm::BestFit, 4096, &mut tree_steps)
+            .unwrap();
         // The linear charge must equal an independently computed faithful
         // best-fit scan over the same spans (early-break on exact), not a
         // pinned magic constant.
@@ -775,7 +911,10 @@ mod tests {
         let mut idx = SizeTreeIndex::new();
         let mut s = 0u64;
         idx.insert(Span::new(64, 96), bref(64), &mut s);
-        assert_eq!(idx.remove(NO_TOKEN, Span::new(64, 96), &mut s), Some(bref(64)));
+        assert_eq!(
+            idx.remove(NO_TOKEN, Span::new(64, 96), &mut s),
+            Some(bref(64))
+        );
         assert_eq!(idx.remove(NO_TOKEN, Span::new(64, 96), &mut s), None);
         assert_eq!(idx.len(), 0);
     }

@@ -8,6 +8,11 @@
 //!   to that node;
 //! - `count_below` — how many keys precede a bound (the charge of a walk
 //!   that terminates early at that bound);
+//!
+//! Entries may stand for runs of equal free blocks (see
+//! [`Run`](crate::heap::block::Run)): positions and counts are then in
+//! *members*, the blocks the faithful walks visit, and a run's rank is the
+//! position of the member a walk meets first.
 //! - `first_at_least` / `first_at_least_from` (and, on [`SeqTree`],
 //!   `first_at_least_below`) — the first position in (a range of) walk
 //!   order whose length satisfies a fit, i.e. the node a first/next-fit
@@ -31,17 +36,43 @@
 //! acceleration: it is *not* part of the modelled manager, so it
 //! contributes nothing to `control_overhead_bytes`.
 
+use crate::heap::block::Run;
 use crate::heap::tiling::BlockRef;
 
-/// One free block of the address-ordered list.
+/// One run of free blocks of the address-ordered list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AddrEntry {
-    /// Block offset — the sort key.
+    /// Offset of the lowest member — the sort key.
     pub(crate) offset: usize,
-    /// Block length — the fit weight.
+    /// Length of each member — the fit weight.
     pub(crate) len: usize,
-    /// The tiling block the entry indexes.
+    /// Members of the run.
+    pub(crate) count: u32,
+    /// The tiling node the entry indexes.
     pub(crate) block: BlockRef,
+}
+
+impl AddrEntry {
+    /// The members the entry stands for.
+    pub(crate) fn run(&self) -> Run {
+        Run::new(self.offset, self.len, self.count as usize)
+    }
+
+    /// Members whose offset is below `offset`.
+    fn members_below(&self, offset: usize) -> u64 {
+        if offset <= self.offset {
+            0
+        } else {
+            (offset - self.offset)
+                .div_ceil(self.len)
+                .min(self.count as usize) as u64
+        }
+    }
+}
+
+/// Members of the entries in `entries`.
+fn members_of(entries: &[AddrEntry]) -> u64 {
+    entries.iter().map(|e| u64::from(e.count)).sum()
 }
 
 /// Most entries a chunk holds; one more splits it in half.
@@ -52,25 +83,26 @@ pub(super) const CHUNK_MAX: usize = 64;
 /// Entries live in address-sorted chunks of at most [`CHUNK_MAX`] entries
 /// (every offset in chunk `c` is below every offset in chunk `c + 1`; no
 /// chunk is empty). Three flat per-chunk arrays sit beside them: each
-/// chunk's first offset (a binary search locates a key's chunk), its entry
-/// count (prefix sums give ranks) and its largest length (selects skip
-/// chunks that cannot fit). Inserts and removes move at most one chunk's
-/// entries; a rank is one prefix sum over the counts plus one in-chunk
-/// binary search.
+/// chunk's first offset (a binary search locates a key's chunk), its
+/// member count (prefix sums give ranks) and its largest member length
+/// (selects skip chunks that cannot fit). Inserts and removes move at most
+/// one chunk's entries; a rank is one prefix sum over the counts plus one
+/// in-chunk binary search and sum.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AddrList {
     chunks: Vec<Vec<AddrEntry>>,
     /// `firsts[c] == chunks[c][0].offset`.
     firsts: Vec<usize>,
-    /// `counts[c] == chunks[c].len()`.
+    /// `counts[c]` is the number of members in `chunks[c]`.
     counts: Vec<u32>,
     /// `maxes[c]` is the largest `len` in `chunks[c]`.
     maxes: Vec<usize>,
+    /// Members of every entry.
     len: usize,
 }
 
 impl AddrList {
-    /// Number of entries.
+    /// Number of members.
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -84,9 +116,15 @@ impl AddrList {
         self.len = 0;
     }
 
-    /// Every entry in address order — the faithful walk.
+    /// Every entry in address order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &AddrEntry> {
         self.chunks.iter().flatten()
+    }
+
+    /// Every member in address order, with its entry — the faithful walk.
+    pub(crate) fn members(&self) -> impl Iterator<Item = (usize, &AddrEntry)> {
+        self.iter()
+            .flat_map(|e| (0..e.count as usize).map(move |i| (e.offset + i * e.len, e)))
     }
 
     /// The chunk that holds (or would hold) `offset`: the last chunk whose
@@ -98,18 +136,29 @@ impl AddrList {
             .saturating_sub(1)
     }
 
-    /// Entries in the chunks before chunk `c`.
+    /// Members of the first `i` entries of chunk `c` — `i` itself when the
+    /// chunk holds no run of more than one block.
+    fn members_before(&self, c: usize, i: usize) -> u64 {
+        let chunk = &self.chunks[c];
+        if self.counts[c] as usize == chunk.len() {
+            i as u64
+        } else {
+            members_of(&chunk[..i])
+        }
+    }
+
+    /// Members in the chunks before chunk `c`.
     fn count_before(&self, c: usize) -> u64 {
         self.counts[..c].iter().map(|&n| u64::from(n)).sum()
     }
 
-    /// Insert an entry whose offset must not already be present.
+    /// Insert an entry whose members must not overlap any present entry.
     pub(crate) fn insert(&mut self, entry: AddrEntry) {
-        self.len += 1;
+        self.len += entry.count as usize;
         if self.chunks.is_empty() {
             self.chunks.push(vec![entry]);
             self.firsts.push(entry.offset);
-            self.counts.push(1);
+            self.counts.push(entry.count);
             self.maxes.push(entry.len);
             return;
         }
@@ -125,7 +174,7 @@ impl AddrList {
         if i == 0 {
             self.firsts[c] = entry.offset;
         }
-        self.counts[c] += 1;
+        self.counts[c] += entry.count;
         self.maxes[c] = self.maxes[c].max(entry.len);
         if chunk.len() > CHUNK_MAX {
             self.split(c);
@@ -138,38 +187,71 @@ impl AddrList {
         let mut upper = Vec::with_capacity(CHUNK_MAX + 1);
         upper.extend(self.chunks[c].drain(mid..));
         let max_of = |v: &[AddrEntry]| v.iter().map(|e| e.len).max().unwrap_or(0);
-        self.counts[c] = mid as u32;
+        let upper_count = members_of(&upper) as u32;
+        self.counts[c] -= upper_count;
         self.maxes[c] = max_of(&self.chunks[c]);
         self.firsts.insert(c + 1, upper[0].offset);
-        self.counts.insert(c + 1, upper.len() as u32);
+        self.counts.insert(c + 1, upper_count);
         self.maxes.insert(c + 1, max_of(&upper));
         self.chunks.insert(c + 1, upper);
     }
 
-    /// Remove the entry at `offset`, returning it, or `None` if absent.
-    pub(crate) fn remove(&mut self, offset: usize) -> Option<AddrEntry> {
+    /// Take members `members` out of the entry at `offset`, returning the
+    /// entry as it was, or `None` if no entry starts there. Members below
+    /// the range keep the entry; members above it stay as an entry backed
+    /// by `upper`.
+    pub(crate) fn take(
+        &mut self,
+        offset: usize,
+        members: std::ops::Range<usize>,
+        upper: Option<BlockRef>,
+    ) -> Option<AddrEntry> {
         if self.chunks.is_empty() {
             return None;
         }
         let c = self.chunk_of(offset);
+        let i = self.chunks[c]
+            .binary_search_by_key(&offset, |e| e.offset)
+            .ok()?;
+        let entry = self.chunks[c][i];
+        let k = entry.count as usize;
+        debug_assert!(members.start < members.end && members.end <= k);
+        let taken = members.end - members.start;
+        self.len -= taken;
+        self.counts[c] -= taken as u32;
+        let rest = upper.filter(|_| members.end < k).map(|block| AddrEntry {
+            offset: entry.offset + members.end * entry.len,
+            count: (k - members.end) as u32,
+            block,
+            ..entry
+        });
         let chunk = &mut self.chunks[c];
-        let i = chunk.binary_search_by_key(&offset, |e| e.offset).ok()?;
-        let entry = chunk.remove(i);
-        self.len -= 1;
-        if chunk.is_empty() {
-            self.chunks.remove(c);
-            self.firsts.remove(c);
-            self.counts.remove(c);
-            self.maxes.remove(c);
-            return Some(entry);
+        match (members.start, rest) {
+            (0, None) => {
+                chunk.remove(i);
+                if chunk.is_empty() {
+                    self.chunks.remove(c);
+                    self.firsts.remove(c);
+                    self.counts.remove(c);
+                    self.maxes.remove(c);
+                    return Some(entry);
+                }
+                if entry.len == self.maxes[c] {
+                    self.maxes[c] = chunk.iter().map(|e| e.len).max().unwrap_or(0);
+                }
+            }
+            (0, Some(rest)) => chunk[i] = rest,
+            (lower, rest) => {
+                chunk[i].count = lower as u32;
+                if let Some(rest) = rest {
+                    chunk.insert(i + 1, rest);
+                    if chunk.len() > CHUNK_MAX {
+                        self.split(c);
+                    }
+                }
+            }
         }
-        if i == 0 {
-            self.firsts[c] = chunk[0].offset;
-        }
-        self.counts[c] -= 1;
-        if entry.len == self.maxes[c] {
-            self.maxes[c] = chunk.iter().map(|e| e.len).max().unwrap_or(0);
-        }
+        self.firsts[c] = self.chunks[c][0].offset;
         Some(entry)
     }
 
@@ -178,31 +260,38 @@ impl AddrList {
         self.locate(offset).map(|(entry, _)| entry)
     }
 
-    /// The entry at `offset` with its 1-based position in address order —
-    /// the faithful walk's distance to it — if present.
+    /// The entry at `offset` with the 1-based position of its lowest
+    /// member in address order — the faithful walk's distance to it — if
+    /// present.
     pub(crate) fn locate(&self, offset: usize) -> Option<(AddrEntry, u64)> {
         if self.chunks.is_empty() {
             return None;
         }
         let c = self.chunk_of(offset);
-        let i = self.chunks[c]
-            .binary_search_by_key(&offset, |e| e.offset)
-            .ok()?;
-        Some((self.chunks[c][i], self.count_before(c) + i as u64 + 1))
+        let chunk = &self.chunks[c];
+        let i = chunk.binary_search_by_key(&offset, |e| e.offset).ok()?;
+        Some((chunk[i], self.count_before(c) + self.members_before(c, i) + 1))
     }
 
-    /// Number of entries strictly below `offset` (which need not be
+    /// Number of members strictly below `offset` (which need not be
     /// present) — the charge of a walk that stops just before that bound.
     pub(crate) fn count_below(&self, offset: usize) -> u64 {
         if self.chunks.is_empty() {
             return 0;
         }
         let c = self.chunk_of(offset);
-        self.count_before(c) + self.chunks[c].partition_point(|e| e.offset < offset) as u64
+        let chunk = &self.chunks[c];
+        // Entries never overlap, so only the last entry starting below
+        // `offset` can straddle it.
+        let i = chunk.partition_point(|e| e.offset < offset);
+        let straddling = i
+            .checked_sub(1)
+            .map_or(0, |j| chunk[j].members_below(offset));
+        self.count_before(c) + self.members_before(c, i.saturating_sub(1)) + straddling
     }
 
-    /// First entry (ascending address) with `len >= min_len`, with its
-    /// rank — the node a first-fit walk stops at.
+    /// First entry (ascending address) with `len >= min_len`, with the
+    /// rank of its lowest member — the node a first-fit walk stops at.
     pub(crate) fn first_at_least(&self, min_len: usize) -> Option<(AddrEntry, u64)> {
         self.first_fit_from_chunk(0, 0, min_len)
     }
@@ -215,7 +304,7 @@ impl AddrList {
     }
 
     /// First entry at or after chunk `c` with `len >= min_len`, where
-    /// `before` entries precede chunk `c`.
+    /// `before` members precede chunk `c`.
     fn first_fit_from_chunk(
         &self,
         mut c: usize,
@@ -229,7 +318,7 @@ impl AddrList {
                     .iter()
                     .position(|e| e.len >= min_len)
                     .expect("chunk maximum promised a fit");
-                return Some((chunk[i], before + i as u64 + 1));
+                return Some((chunk[i], before + self.members_before(c, i) + 1));
             }
             before += u64::from(self.counts[c]);
             c += 1;
@@ -237,14 +326,15 @@ impl AddrList {
         None
     }
 
-    /// First entry at offset `>= lo` with `len >= min_len`, with its rank
-    /// — where a roving walk starting at `lo`'s position stops before
-    /// wrapping.
+    /// First member at offset `>= lo` with `len >= min_len`, as its entry,
+    /// its index in the entry and its rank — where a roving walk starting
+    /// at `lo`'s position stops before wrapping. The member can lie inside
+    /// a run that starts below `lo`.
     pub(crate) fn first_at_least_from(
         &self,
         lo: usize,
         min_len: usize,
-    ) -> Option<(AddrEntry, u64)> {
+    ) -> Option<(AddrEntry, usize, u64)> {
         if self.chunks.is_empty() {
             return None;
         }
@@ -253,26 +343,38 @@ impl AddrList {
         if self.maxes[c] >= min_len {
             let chunk = &self.chunks[c];
             let start = chunk.partition_point(|e| e.offset < lo);
+            if let Some(e) = start.checked_sub(1).map(|j| &chunk[j]) {
+                let j = e.members_below(lo);
+                if j < u64::from(e.count) && e.len >= min_len {
+                    let rank = before + self.members_before(c, start - 1) + j + 1;
+                    return Some((*e, j as usize, rank));
+                }
+            }
             if let Some(j) = chunk[start..].iter().position(|e| e.len >= min_len) {
                 let i = start + j;
-                return Some((chunk[i], before + i as u64 + 1));
+                return Some((chunk[i], 0, before + self.members_before(c, i) + 1));
             }
         }
         self.first_fit_from_chunk(c + 1, before + u64::from(self.counts[c]), min_len)
+            .map(|(e, rank)| (e, 0, rank))
     }
 
-    /// Validate the chunk layout: entries in strictly ascending address
-    /// order, no chunk empty or over [`CHUNK_MAX`], and `firsts`, `counts`,
-    /// `maxes` and the total length all matching the entries.
+    /// Validate the chunk layout: members in strictly ascending address
+    /// order, no chunk empty or over
+    /// [`CHUNK_MAX`], and `firsts`, `counts`, `maxes` and the total length
+    /// all matching the entries.
     pub(crate) fn check(&self) -> Result<(), String> {
         let n = self.chunks.len();
         if (self.firsts.len(), self.counts.len(), self.maxes.len()) != (n, n, n) {
             return Err(format!("{n} chunks with mismatched summary arrays"));
         }
-        let walked: Vec<&AddrEntry> = self.iter().collect();
-        if walked.len() != self.len || walked.windows(2).any(|w| w[0].offset >= w[1].offset) {
+        let walked: Vec<(usize, &AddrEntry)> = self.members().collect();
+        if walked.len() != self.len
+            || walked.windows(2).any(|w| w[0].0 >= w[1].0)
+            || self.iter().any(|e| e.count == 0)
+        {
             return Err(format!(
-                "{} entries (length {}) not in strictly ascending address order",
+                "{} members (length {}) not in strictly ascending address order",
                 walked.len(),
                 self.len
             ));
@@ -281,7 +383,7 @@ impl AddrList {
             let summary = (self.firsts[c], self.counts[c] as usize, self.maxes[c]);
             let actual = (
                 chunk.first().map_or(0, |e| e.offset),
-                chunk.len(),
+                members_of(chunk) as usize,
                 chunk.iter().map(|e| e.len).max().unwrap_or(0),
             );
             if chunk.is_empty() || chunk.len() > CHUNK_MAX || summary != actual {
@@ -294,21 +396,30 @@ impl AddrList {
     }
 }
 
-/// Packed segment-tree node: live-leaf count in the high 32 bits, maximum
-/// leaf weight in the low 32.
-const COUNT_ONE: u64 = 1 << 32;
+/// Packed segment-tree node: live member count in the high 32 bits, maximum
+/// leaf weight in the low 32. A leaf's count is its node's member count.
+const COUNT_SHIFT: u32 = 32;
 const COUNT_MASK: u64 = !(u32::MAX as u64);
 
 #[inline(always)]
 fn seg_combine(a: u64, b: u64) -> u64 {
     // Counts can never carry out of the high half (they are bounded by the
-    // leaf count), so the halves add and max independently.
+    // member count), so the halves add and max independently.
     ((a & COUNT_MASK) + (b & COUNT_MASK)) | u64::from((a as u32).max(b as u32))
 }
 
 #[inline(always)]
 fn seg_count(v: u64) -> u64 {
-    v >> 32
+    v >> COUNT_SHIFT
+}
+
+#[inline(always)]
+fn seg_leaf(weight: usize, count: usize) -> u64 {
+    debug_assert!(
+        u32::try_from(weight).is_ok() && u32::try_from(count).is_ok() && count > 0,
+        "leaf ({weight}, {count}) exceeds the packed range"
+    );
+    ((count as u64) << COUNT_SHIFT) | u64::from(weight as u32)
 }
 
 #[inline(always)]
@@ -329,7 +440,9 @@ fn seg_maxw(v: u64) -> u32 {
 ///
 /// Ascending key order == *descending* leaf order, so "first in link
 /// order" selects are rightmost-leaf descents and rank/count queries are
-/// suffix counts.
+/// suffix counts. Each leaf carries its node's member count, so ranks and
+/// counts are in members: a key's rank is the position of its node's
+/// first member in link order.
 #[derive(Debug, Clone, Default)]
 pub struct SeqTree {
     /// `2 * cap` packed nodes; node `i`'s children are `2i` and `2i + 1`,
@@ -350,7 +463,7 @@ impl SeqTree {
         SeqTree::default()
     }
 
-    /// Number of live keys.
+    /// Number of live keys (nodes, not members).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -406,23 +519,28 @@ impl SeqTree {
         self.cap = cap;
     }
 
-    /// Insert `key` with `weight`. Keys must arrive strictly decreasing —
-    /// the linked slab's push-stamp discipline — so each insert appends the
-    /// next leaf.
-    pub fn insert(&mut self, key: u64, weight: usize, payload: u32) {
+    /// Insert `key` with `weight` standing for `count` members. Keys must
+    /// arrive strictly decreasing — the linked slab's push-stamp
+    /// discipline — so each insert appends the next leaf.
+    pub fn insert(&mut self, key: u64, weight: usize, count: usize, payload: u32) {
         let leaf = Self::leaf_of(key);
         debug_assert_eq!(leaf, self.payload.len(), "seq keys must be monotone");
-        debug_assert!(
-            u32::try_from(weight).is_ok(),
-            "span length {weight} exceeds the packed weight range"
-        );
         if leaf >= self.cap {
             self.grow(leaf);
         }
         self.payload.push(payload);
-        self.tree[self.cap + leaf] = COUNT_ONE | u64::from(weight as u32);
+        self.tree[self.cap + leaf] = seg_leaf(weight, count);
         self.pull_path(leaf);
         self.len += 1;
+    }
+
+    /// Change the member count of the present `key`.
+    pub fn set_count(&mut self, key: u64, count: usize) {
+        let leaf = Self::leaf_of(key);
+        debug_assert!(self.contains(key), "recount of an absent key");
+        let node = &mut self.tree[self.cap + leaf];
+        *node = seg_leaf(seg_maxw(*node) as usize, count);
+        self.pull_path(leaf);
     }
 
     /// Remove `key`, returning whether it was present.
@@ -443,8 +561,8 @@ impl SeqTree {
         leaf < self.payload.len() && self.tree[self.cap + leaf] != 0
     }
 
-    /// Count of live leaves strictly greater than `leaf` — i.e. of keys
-    /// strictly below `key_of(leaf)` (suffix sum along the root path).
+    /// Members of the live leaves strictly greater than `leaf` — i.e. of
+    /// keys strictly below `key_of(leaf)` (suffix sum along the root path).
     #[inline(always)]
     fn count_leaves_above(&self, leaf: usize) -> u64 {
         let mut i = self.cap + leaf;
@@ -458,13 +576,15 @@ impl SeqTree {
         acc
     }
 
-    /// 1-based position of a present key in ascending key order.
+    /// 1-based position, in members, of a present key's first member in
+    /// ascending key order.
     pub fn rank(&self, key: u64) -> u64 {
         debug_assert!(self.contains(key), "rank of an absent key");
         self.count_leaves_above(Self::leaf_of(key)) + 1
     }
 
-    /// Number of keys strictly below `key` (which need not be present).
+    /// Members of the keys strictly below `key` (which need not be
+    /// present).
     pub fn count_below(&self, key: u64) -> u64 {
         if self.cap == 0 {
             return 0;
@@ -608,14 +728,17 @@ impl SeqTree {
         }
     }
 
-    /// The packed count at `key`'s leaf — replica validation hook.
-    pub fn leaf_entry(&self, key: u64) -> Option<(usize, u32)> {
+    /// The `(weight, count, payload)` at `key`'s leaf — replica validation
+    /// hook.
+    pub fn leaf_entry(&self, key: u64) -> Option<(usize, usize, u32)> {
         let leaf = Self::leaf_of(key);
-        if leaf >= self.payload.len() || self.tree[self.cap + leaf] == 0 {
+        let node = *self.tree.get(self.cap + leaf)?;
+        if leaf >= self.payload.len() || node == 0 {
             return None;
         }
         Some((
-            seg_maxw(self.tree[self.cap + leaf]) as usize,
+            seg_maxw(node) as usize,
+            seg_count(node) as usize,
             self.payload[leaf],
         ))
     }
@@ -625,17 +748,17 @@ impl SeqTree {
 mod tests {
     use super::*;
 
-    /// Flat reference: sorted (key, weight) pairs.
+    /// Flat reference: sorted (key, weight, count) triples.
     #[derive(Default)]
-    struct RefSet(Vec<(u64, usize)>);
+    struct RefSet(Vec<(u64, usize, usize)>);
 
     impl RefSet {
-        fn insert(&mut self, key: u64, w: usize) {
-            let i = self.0.partition_point(|&(k, _)| k < key);
-            self.0.insert(i, (key, w));
+        fn insert(&mut self, key: u64, w: usize, count: usize) {
+            let i = self.0.partition_point(|&(k, _, _)| k < key);
+            self.0.insert(i, (key, w, count));
         }
         fn remove(&mut self, key: u64) -> bool {
-            match self.0.iter().position(|&(k, _)| k == key) {
+            match self.0.iter().position(|&(k, _, _)| k == key) {
                 Some(i) => {
                     self.0.remove(i);
                     true
@@ -643,31 +766,36 @@ mod tests {
                 None => false,
             }
         }
-        fn rank(&self, key: u64) -> u64 {
-            self.0.iter().position(|&(k, _)| k == key).unwrap() as u64 + 1
-        }
         fn count_below(&self, key: u64) -> u64 {
-            self.0.iter().filter(|&&(k, _)| k < key).count() as u64
+            self.0
+                .iter()
+                .filter(|&&(k, _, _)| k < key)
+                .map(|&(_, _, c)| c as u64)
+                .sum()
+        }
+        fn rank(&self, key: u64) -> u64 {
+            self.count_below(key) + 1
         }
         fn first_at_least(&self, w: usize) -> Option<u64> {
-            self.0.iter().find(|&&(_, x)| x >= w).map(|&(k, _)| k)
+            self.0.iter().find(|&&(_, x, _)| x >= w).map(|&(k, _, _)| k)
         }
         fn first_from(&self, lo: u64, w: usize) -> Option<u64> {
             self.0
                 .iter()
-                .find(|&&(k, x)| k >= lo && x >= w)
-                .map(|&(k, _)| k)
+                .find(|&&(k, x, _)| k >= lo && x >= w)
+                .map(|&(k, _, _)| k)
         }
         fn first_below(&self, hi: u64, w: usize) -> Option<u64> {
             self.0
                 .iter()
-                .find(|&&(k, x)| k < hi && x >= w)
-                .map(|&(k, _)| k)
+                .find(|&&(k, x, _)| k < hi && x >= w)
+                .map(|&(k, _, _)| k)
         }
     }
 
     /// SeqTree under the owner slab's discipline (strictly decreasing
-    /// keys), cross-checked per op against the flat reference.
+    /// keys, member counts that shrink in place), cross-checked per op
+    /// against the flat reference.
     #[test]
     fn seq_tree_matches_reference_under_monotone_churn() {
         let mut seq_tree = SeqTree::new();
@@ -679,25 +807,33 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            if live.len() < 4 || !x.is_multiple_of(3) {
+            if live.len() < 4 || x % 4 < 2 {
                 seq += 1;
                 let key = u64::MAX - seq;
                 let w = 16 + (x >> 32) as usize % 96;
+                let count = 1 + (x >> 20) as usize % 9;
                 let p = (seq % 11) as u32;
-                seq_tree.insert(key, w, p);
-                reference.insert(key, w);
+                seq_tree.insert(key, w, count, p);
+                reference.insert(key, w, count);
                 live.push(key);
-            } else {
+            } else if x % 4 == 2 {
                 let i = (x as usize / 5) % live.len();
                 let key = live.swap_remove(i);
                 assert!(seq_tree.remove(key));
                 assert!(!seq_tree.remove(key), "double remove must miss");
                 assert!(reference.remove(key));
+            } else {
+                let i = (x as usize / 5) % live.len();
+                let key = live[i];
+                let entry = reference.0.iter_mut().find(|e| e.0 == key).unwrap();
+                entry.2 = 1 + (x >> 33) as usize % entry.2;
+                seq_tree.set_count(key, entry.2);
+                assert_eq!(seq_tree.leaf_entry(key).map(|e| e.1), Some(entry.2));
             }
             assert_eq!(seq_tree.len(), reference.0.len());
             assert_eq!(
                 seq_tree.max_weight(),
-                reference.0.iter().map(|&(_, w)| w).max().unwrap_or(0)
+                reference.0.iter().map(|&(_, w, _)| w).max().unwrap_or(0)
             );
             if round % 5 == 0 {
                 let probes = [
@@ -741,8 +877,8 @@ mod tests {
         // Clear restarts the stamp space from zero.
         seq_tree.clear();
         assert!(seq_tree.is_empty());
-        seq_tree.insert(u64::MAX - 1, 32, 9);
+        seq_tree.insert(u64::MAX - 1, 32, 3, 9);
         assert_eq!(seq_tree.first_at_least(1), Some((u64::MAX - 1, 9)));
-        assert_eq!(seq_tree.leaf_entry(u64::MAX - 1), Some((32, 9)));
+        assert_eq!(seq_tree.leaf_entry(u64::MAX - 1), Some((32, 3, 9)));
     }
 }

@@ -19,6 +19,6 @@ pub mod index;
 pub mod tiling;
 
 pub use arena::Arena;
-pub use block::{Block, BlockMap, BlockState, Span};
+pub use block::{Block, BlockMap, BlockState, Run, Span};
 pub use index::{new_index, FreeIndex};
 pub use tiling::{BlockRef, TiledBlock, Tiling};

@@ -22,21 +22,26 @@
 //! - a block's **offset never changes** while it is in the store — splits
 //!   shrink a block in place and insert the remainder after it, coalesces
 //!   extend the survivor and remove the absorbed neighbour;
+//! - a free node may stand for a [`Run`] of `count` adjacent free blocks of
+//!   one class (`span` covers all members). The modelled blocks are the
+//!   members: [`Tiling::len`] counts them, and [`Tiling::split`] /
+//!   [`Tiling::fuse`] are the only ways members leave a run or merge;
 //! - all mutation goes through the `Tiling` methods below (there is no
 //!   `&mut TiledBlock` escape hatch), which is what keeps the debug-only
 //!   shadow oracle in lock-step.
 //!
 //! # The shadow oracle
 //!
-//! In debug builds the store additionally mirrors every block into the old
-//! `BTreeMap`-backed [`BlockMap`](crate::heap::block::BlockMap).
+//! In debug builds the store additionally mirrors every block — every run
+//! member — into the old `BTreeMap`-backed
+//! [`BlockMap`](crate::heap::block::BlockMap).
 //! [`Tiling::check_tiling`] walks the neighbour list and cross-checks the
 //! sequence — span, state, requested bytes and pool of every block — against
 //! that oracle, so any divergence between the intrusive list and the
 //! reference implementation fails loudly at the operation that caused it.
 //! Release builds carry no shadow and pay nothing.
 
-use crate::heap::block::{Block, BlockState, Span};
+use crate::heap::block::{Block, BlockState, Run, Span};
 
 /// Sentinel slot meaning "no neighbour".
 const NIL: u32 = u32::MAX;
@@ -79,6 +84,9 @@ pub struct TiledBlock {
     /// only while the block is free and indexed). Not part of the modelled
     /// block — it is how the simulator finds the index node in O(1).
     pub index_token: usize,
+    /// Members this node stands for: 1 for an ordinary block, `k` for a
+    /// run of `k` free blocks of `span.len / k` bytes each.
+    pub count: u32,
     prev: u32,
     next: u32,
     occupied: bool,
@@ -90,7 +98,8 @@ impl TiledBlock {
         self.state == BlockState::Free
     }
 
-    /// Project the modelled fields into the classic [`Block`] record.
+    /// Project the modelled fields into the classic [`Block`] record (the
+    /// whole span, for a run).
     pub fn as_block(&self) -> Block {
         Block {
             span: self.span,
@@ -98,6 +107,26 @@ impl TiledBlock {
             requested: self.requested,
             pool: self.pool,
         }
+    }
+
+    /// Bytes of one member.
+    pub fn member_len(&self) -> usize {
+        self.span.len / self.count as usize
+    }
+
+    /// The members this node stands for.
+    pub fn run(&self) -> Run {
+        Run::new(self.span.offset, self.member_len(), self.count as usize)
+    }
+
+    /// The modelled blocks this node stands for, in address order.
+    #[cfg(debug_assertions)]
+    fn member_blocks(&self) -> impl Iterator<Item = Block> + '_ {
+        let run = self.run();
+        (0..run.count).map(move |i| Block {
+            span: run.member(i),
+            ..self.as_block()
+        })
     }
 }
 
@@ -108,9 +137,13 @@ pub struct Tiling {
     free_slots: Vec<u32>,
     head: u32,
     tail: u32,
+    /// Linked nodes.
+    nodes: usize,
+    /// Modelled blocks: the members of every node.
     len: usize,
-    /// Debug-only shadow oracle: the PR 4 `BTreeMap` tiling, mirrored on
-    /// every mutation and cross-checked by [`Tiling::check_tiling`].
+    /// Debug-only shadow oracle: the PR 4 `BTreeMap` tiling with one entry
+    /// per modelled block, mirrored on every mutation and cross-checked by
+    /// [`Tiling::check_tiling`].
     #[cfg(debug_assertions)]
     shadow: crate::heap::block::BlockMap,
 }
@@ -123,13 +156,14 @@ impl Tiling {
             free_slots: Vec::new(),
             head: NIL,
             tail: NIL,
+            nodes: 0,
             len: 0,
             #[cfg(debug_assertions)]
             shadow: crate::heap::block::BlockMap::new(),
         }
     }
 
-    /// Number of blocks (free + used).
+    /// Number of modelled blocks (free + used), counting every run member.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -202,88 +236,129 @@ impl Tiling {
         }
     }
 
-    #[cfg(debug_assertions)]
-    fn shadow_insert(&mut self, b: &TiledBlock) {
-        self.shadow.insert(b.as_block());
-    }
-
     /// Append a free or used block at the top of the tiling. Its offset
     /// must equal the current end of the tiling (0 when empty).
     pub fn push_top(&mut self, block: Block) -> BlockRef {
-        debug_assert_eq!(
-            block.span.offset,
-            self.top().map_or(0, |t| self.get(t).span.end()),
-            "push_top must extend the tiling contiguously"
-        );
-        let old_tail = self.tail;
-        let node = TiledBlock {
-            span: block.span,
-            state: block.state,
-            requested: block.requested,
-            pool: block.pool,
-            index_token: 0,
-            prev: old_tail,
-            next: NIL,
-            occupied: true,
-        };
-        let slot = self.alloc_slot(node);
-        if old_tail != NIL {
-            self.slots[old_tail as usize].next = slot;
-        } else {
-            self.head = slot;
-        }
-        self.tail = slot;
-        self.len += 1;
-        #[cfg(debug_assertions)]
-        {
-            let b = self.slots[slot as usize];
-            self.shadow_insert(&b);
-        }
-        BlockRef(slot)
+        self.insert_run(None, block, 1)
     }
 
     /// Insert a block immediately after `anchor`. The block must tile
     /// exactly against its neighbours (`anchor.end() == block.offset`).
     pub fn insert_after(&mut self, anchor: BlockRef, block: Block) -> BlockRef {
+        self.insert_run(Some(anchor), block, 1)
+    }
+
+    /// Insert a node of `count` members covering `block.span` immediately
+    /// after `anchor`, or at the top when `anchor` is `None`. It must tile
+    /// exactly against its predecessor; a run of several members must be
+    /// free and its span a multiple of `count`.
+    pub fn insert_run(&mut self, anchor: Option<BlockRef>, block: Block, count: usize) -> BlockRef {
+        let (prev, next) = match anchor {
+            Some(a) => (a.0, self.get(a).next),
+            None => (self.tail, NIL),
+        };
+        let start = match prev {
+            NIL => 0,
+            p => self.slots[p as usize].span.end(),
+        };
         debug_assert_eq!(
-            self.get(anchor).span.end(),
-            block.span.offset,
-            "insert_after must tile against the anchor"
+            block.span.offset, start,
+            "a new node must tile against its predecessor"
         );
-        let anchor_next = self.get(anchor).next;
+        debug_assert!(
+            count == 1 || (block.is_free() && block.span.len.is_multiple_of(count)),
+            "malformed run of {count} over {:?}",
+            block.span
+        );
         let node = TiledBlock {
             span: block.span,
             state: block.state,
             requested: block.requested,
             pool: block.pool,
             index_token: 0,
-            prev: anchor.0,
-            next: anchor_next,
+            count: u32::try_from(count).expect("run count fits u32"),
+            prev,
+            next,
             occupied: true,
         };
         let slot = self.alloc_slot(node);
-        self.slots[anchor.0 as usize].next = slot;
-        if anchor_next != NIL {
-            self.slots[anchor_next as usize].prev = slot;
+        if prev != NIL {
+            self.slots[prev as usize].next = slot;
+        } else {
+            self.head = slot;
+        }
+        if next != NIL {
+            self.slots[next as usize].prev = slot;
         } else {
             self.tail = slot;
         }
-        self.len += 1;
+        self.nodes += 1;
+        self.len += count;
         #[cfg(debug_assertions)]
-        {
-            let b = self.slots[slot as usize];
-            self.shadow_insert(&b);
+        for b in node.member_blocks() {
+            self.shadow.insert(b);
         }
         BlockRef(slot)
     }
 
-    /// Remove the block `r` names, returning its record. Neighbours are
-    /// relinked around the hole (the caller is responsible for the tiling
-    /// invariant — removal is only legal mid-merge or at the trimmed top).
+    /// Split the run `r` before member `at`: `r` keeps members `[0, at)`
+    /// and a new node right after it takes `[at, count)`, with the same
+    /// state, pool and index token. Returns the new node. No modelled
+    /// block changes, so the shadow is untouched.
+    pub fn split(&mut self, r: BlockRef, at: usize) -> BlockRef {
+        let b = *self.get(r);
+        let k = b.count as usize;
+        assert!(0 < at && at < k, "split of a {k}-member run at {at}");
+        let len = b.member_len();
+        let slot = r.0 as usize;
+        self.slots[slot].span = Span::new(b.span.offset, at * len);
+        self.slots[slot].count = at as u32;
+        let upper = TiledBlock {
+            span: Span::new(b.span.offset + at * len, (k - at) * len),
+            count: (k - at) as u32,
+            prev: r.0,
+            ..b
+        };
+        let s = self.alloc_slot(upper);
+        self.slots[slot].next = s;
+        if b.next != NIL {
+            self.slots[b.next as usize].prev = s;
+        } else {
+            self.tail = s;
+        }
+        self.nodes += 1;
+        BlockRef(s)
+    }
+
+    /// Merge the members of the run `r` into one block over its span.
+    pub fn fuse(&mut self, r: BlockRef) {
+        let b = *self.get(r);
+        if b.count == 1 {
+            return;
+        }
+        #[cfg(debug_assertions)]
+        {
+            for m in b.member_blocks().skip(1) {
+                let gone = self.shadow.remove(m.span.offset);
+                debug_assert!(gone.is_some(), "shadow missed member at {}", m.span.offset);
+            }
+            self.shadow
+                .get_mut(b.span.offset)
+                .expect("shadow tracks every block")
+                .span = b.span;
+        }
+        self.len -= b.count as usize - 1;
+        self.slots[r.0 as usize].count = 1;
+    }
+
+    /// Remove the node `r` names — every member of a run — returning its
+    /// record. Neighbours are relinked around the hole (the caller is
+    /// responsible for the tiling invariant — removal is only legal
+    /// mid-merge or at the trimmed top).
     pub fn remove(&mut self, r: BlockRef) -> Block {
-        let (prev, next, block) = {
+        let (prev, next, node) = {
             let b = self.get(r);
-            (b.prev, b.next, b.as_block())
+            (b.prev, b.next, *b)
         };
         if prev != NIL {
             self.slots[prev as usize].next = next;
@@ -297,13 +372,14 @@ impl Tiling {
         }
         self.slots[r.0 as usize].occupied = false;
         self.free_slots.push(r.0);
-        self.len -= 1;
+        self.nodes -= 1;
+        self.len -= node.count as usize;
         #[cfg(debug_assertions)]
-        {
-            let gone = self.shadow.remove(block.span.offset);
-            debug_assert!(gone.is_some(), "shadow missed block at {}", block.span.offset);
+        for m in node.member_blocks() {
+            let gone = self.shadow.remove(m.span.offset);
+            debug_assert!(gone.is_some(), "shadow missed block at {}", m.span.offset);
         }
-        block
+        node.as_block()
     }
 
     /// Change the block's length in place (split shrink / coalesce grow /
@@ -312,6 +388,7 @@ impl Tiling {
         debug_assert!(new_len > 0, "zero-length block");
         let slot = r.0 as usize;
         assert!(self.slots[slot].occupied, "stale BlockRef {}", r.0);
+        debug_assert_eq!(self.slots[slot].count, 1, "resizing a run");
         self.slots[slot].span = Span::new(self.slots[slot].span.offset, new_len);
         #[cfg(debug_assertions)]
         {
@@ -328,6 +405,7 @@ impl Tiling {
     pub fn set_used(&mut self, r: BlockRef, requested: usize, pool: usize) {
         let slot = r.0 as usize;
         assert!(self.slots[slot].occupied, "stale BlockRef {}", r.0);
+        debug_assert_eq!(self.slots[slot].count, 1, "a run is never used");
         self.slots[slot].state = BlockState::Used;
         self.slots[slot].requested = requested;
         self.slots[slot].pool = pool;
@@ -346,7 +424,8 @@ impl Tiling {
         self.shadow_sync(slot);
     }
 
-    /// Re-home the block to another pool, keeping its state.
+    /// Re-home the block (every member of a run) to another pool, keeping
+    /// its state.
     pub fn set_pool(&mut self, r: BlockRef, pool: usize) {
         let slot = r.0 as usize;
         assert!(self.slots[slot].occupied, "stale BlockRef {}", r.0);
@@ -377,11 +456,13 @@ impl Tiling {
     #[cfg(debug_assertions)]
     fn shadow_sync(&mut self, slot: usize) {
         let b = self.slots[slot];
-        let sh = self
-            .shadow
-            .get_mut(b.span.offset)
-            .expect("shadow tracks every block");
-        *sh = b.as_block();
+        for m in b.member_blocks() {
+            let sh = self
+                .shadow
+                .get_mut(m.span.offset)
+                .expect("shadow tracks every block");
+            *sh = m;
+        }
     }
 
     /// Linear fallback lookup by offset (stale or externally-minted
@@ -393,13 +474,18 @@ impl Tiling {
 
     /// [`Tiling::find_by_offset`], charging one step per block visited —
     /// the modelled cost of the linear scan a manager performs to resolve
-    /// a handle that carries no slot.
+    /// a handle that carries no slot. A run is visited member by member;
+    /// a hit on one of its members names the run's node.
     pub fn find_by_offset_charged(&self, offset: usize, steps: &mut u64) -> Option<BlockRef> {
         for (r, b) in self.iter() {
-            *steps += 1;
-            if b.span.offset == offset {
+            let run = b.run();
+            if (run.offset..run.span().end()).contains(&offset)
+                && (offset - run.offset).is_multiple_of(run.len)
+            {
+                *steps += ((offset - run.offset) / run.len) as u64 + 1;
                 return Some(r);
             }
+            *steps += run.count as u64;
         }
         None
     }
@@ -410,6 +496,7 @@ impl Tiling {
         self.free_slots.clear();
         self.head = NIL;
         self.tail = NIL;
+        self.nodes = 0;
         self.len = 0;
         #[cfg(debug_assertions)]
         self.shadow.clear();
@@ -417,8 +504,9 @@ impl Tiling {
 
     /// Verify the tiling invariant against an arena of size `brk`: blocks
     /// start at 0, are contiguous, non-overlapping, end at `brk`, and the
-    /// prev links mirror the next links. Debug builds additionally
-    /// cross-check the whole block sequence against the shadow
+    /// prev links mirror the next links; runs are free, non-empty and a
+    /// whole number of members. Debug builds additionally cross-check the
+    /// whole block sequence, member by member, against the shadow
     /// [`BlockMap`](crate::heap::block::BlockMap) oracle.
     ///
     /// Returns a description of the first violation, if any.
@@ -427,6 +515,7 @@ impl Tiling {
         let mut prev: u32 = NIL;
         let mut cur = self.head;
         let mut count = 0usize;
+        let mut members = 0usize;
         while cur != NIL {
             let b = &self.slots[cur as usize];
             if !b.occupied {
@@ -447,19 +536,31 @@ impl Tiling {
             if b.span.len == 0 {
                 return Some(format!("zero-length block at {}", b.span.offset));
             }
+            if b.count == 0
+                || (b.count > 1 && (!b.is_free() || !b.span.len.is_multiple_of(b.count as usize)))
+            {
+                return Some(format!(
+                    "malformed run of {} at {} ({:?})",
+                    b.count, b.span.offset, b.state
+                ));
+            }
             cursor = b.span.end();
             prev = cur;
             cur = b.next;
             count += 1;
-            if count > self.len {
+            members += b.count as usize;
+            if count > self.nodes {
                 return Some("neighbour list is cyclic".into());
             }
         }
         if prev != self.tail {
             return Some(format!("tail {} disagrees with walk ({prev})", self.tail));
         }
-        if count != self.len {
-            return Some(format!("len {} but walked {count} blocks", self.len));
+        if (count, members) != (self.nodes, self.len) {
+            return Some(format!(
+                "{} nodes of {} blocks, but walked {count} nodes of {members}",
+                self.nodes, self.len
+            ));
         }
         if cursor != brk {
             return Some(format!("tiling ends at {cursor}, arena brk is {brk}"));
@@ -476,13 +577,12 @@ impl Tiling {
                     self.len
                 ));
             }
-            for ((_, b), oracle) in self.iter().zip(self.shadow.iter()) {
-                if b.as_block() != *oracle {
+            let members = self.iter().flat_map(|(_, b)| b.member_blocks());
+            for (b, oracle) in members.zip(self.shadow.iter()) {
+                if b != *oracle {
                     return Some(format!(
-                        "divergence from the shadow oracle at {}: {:?} vs {:?}",
-                        oracle.span.offset,
-                        b.as_block(),
-                        oracle
+                        "divergence from the shadow oracle at {}: {b:?} vs {oracle:?}",
+                        oracle.span.offset
                     ));
                 }
             }
@@ -645,6 +745,60 @@ mod tests {
         let a = t.push_top(free(0, 32));
         assert_eq!(t.first(), Some(a));
         assert!(t.check_tiling(32).is_none());
+    }
+
+    #[test]
+    fn runs_count_members_and_split_fuse_remove_by_member() {
+        let mut t = Tiling::new();
+        let head = t.push_top(Block {
+            state: BlockState::Used,
+            requested: 10,
+            ..free(0, 16)
+        });
+        let r = t.insert_run(Some(head), free(16, 8 * 32), 8);
+        let top = t.push_top(free(16 + 8 * 32, 24));
+        assert_eq!(t.len(), 10, "a run counts its members");
+        assert_eq!(t.get(r).run(), Run::new(16, 32, 8));
+        assert!(t.check_tiling(16 + 8 * 32 + 24).is_none());
+
+        // Split off the top three members, then the lowest two.
+        let upper = t.split(r, 5);
+        assert_eq!(t.get(r).run(), Run::new(16, 32, 5));
+        assert_eq!(t.get(upper).run(), Run::new(16 + 5 * 32, 32, 3));
+        assert_eq!((t.next(r), t.next(upper)), (Some(upper), Some(top)));
+        let mid = t.split(r, 2);
+        assert_eq!(t.get(mid).run(), Run::new(16 + 2 * 32, 32, 3));
+        assert_eq!(t.len(), 10, "splits move no block");
+        assert!(t.check_tiling(16 + 8 * 32 + 24).is_none());
+
+        // Fusing merges members into one block; removing a run drops all.
+        t.fuse(mid);
+        assert_eq!(t.get(mid).count, 1);
+        assert_eq!(t.len(), 8);
+        assert!(t.check_tiling(16 + 8 * 32 + 24).is_none());
+        t.remove(upper);
+        t.set_len(mid, 6 * 32);
+        assert_eq!(t.len(), 5);
+        assert!(t.check_tiling(16 + 8 * 32 + 24).is_none());
+
+        // The offset scan visits members one by one.
+        let mut steps = 0u64;
+        assert_eq!(t.find_by_offset_charged(16 + 32, &mut steps), Some(r));
+        assert_eq!(steps, 3, "head, then the run's first two members");
+        steps = 0;
+        assert_eq!(t.find_by_offset_charged(16 + 8 * 32, &mut steps), Some(top));
+        assert_eq!(steps, 5);
+        steps = 0;
+        assert_eq!(t.find_by_offset_charged(24, &mut steps), None);
+        assert_eq!(steps, 5, "a miss visits every block");
+    }
+
+    #[test]
+    #[should_panic(expected = "split of a 1-member run")]
+    fn a_single_block_cannot_split() {
+        let mut t = Tiling::new();
+        let a = t.push_top(free(0, 16));
+        t.split(a, 1);
     }
 
     #[test]

@@ -9,12 +9,26 @@
 //! neighbour links, so neighbour lookup, split and coalesce are O(1) — and
 //! charges search steps that reflect what the chosen structures would
 //! really cost.
+//!
+//! # Class runs
+//!
+//! A fixed-class carve or `grow` creates `k` adjacent free blocks of one
+//! class at once. They are stored as one [`Run`]: one tiling node and one
+//! free-index entry with a member count, so carving, growing, sweeping and
+//! coalescing cost per run instead of per block. Members leave a run only
+//! where the modelled manager separates them — a fit hit takes one member,
+//! forward merges and the deferred sweep absorb a prefix, backward merges
+//! and trimming a suffix — through [`PolicyAllocator::detach`]. Every
+//! charge, counter and peak is the sum the member-by-member operations
+//! would produce.
+
+use std::ops::Range;
 
 use crate::error::{Error, Result};
 use crate::heap::arena::Arena;
-use crate::heap::block::{Block, Span};
-use crate::heap::tiling::{BlockRef, TiledBlock, Tiling};
-use crate::heap::index::FreeIndex;
+use crate::heap::block::{Block, Run, Span};
+use crate::heap::index::{FreeIndex, Unlink};
+use crate::heap::tiling::{BlockRef, Tiling};
 use crate::manager::pools::{Pools, UNINDEXED};
 use crate::manager::{Allocator, BlockHandle};
 use crate::metrics::AllocStats;
@@ -59,10 +73,12 @@ pub struct PolicyAllocator {
     /// lets tests pin "system stats settle exactly once per event".
     #[cfg(debug_assertions)]
     sync_calls: u64,
-    /// Reusable buffer for the current free run of [`PolicyAllocator::sweep_coalesce`]
-    /// — bounded by the longest run of adjacent free blocks, reused across
-    /// sweeps so a deferred-coalescing manager allocates nothing per pass.
-    sweep_run: Vec<(BlockRef, TiledBlock)>,
+    /// Reusable buffer for the current free run of
+    /// [`PolicyAllocator::sweep_coalesce`], as tiling nodes and the members
+    /// of each that join it — bounded by the longest run of adjacent free
+    /// nodes, reused across sweeps so a deferred-coalescing manager
+    /// allocates nothing per pass.
+    sweep_run: Vec<(BlockRef, Range<usize>)>,
 }
 
 impl PolicyAllocator {
@@ -187,8 +203,13 @@ impl PolicyAllocator {
     /// pool the routing materialises are pushed into the static-overhead
     /// counter.
     fn route(&mut self, len: usize, steps: &mut u64) -> usize {
+        self.route_times(len, 1, steps)
+    }
+
+    /// [`PolicyAllocator::route`] for each of a run's `times` members.
+    fn route_times(&mut self, len: usize, times: usize, steps: &mut u64) -> usize {
         let before = self.pools.static_overhead();
-        let pool = self.pools.route(len, steps);
+        let pool = self.pools.route_times(len, times, steps);
         let grown = self.pools.static_overhead() - before;
         if grown > 0 {
             self.stats.on_static_grow(grown);
@@ -196,31 +217,49 @@ impl PolicyAllocator {
         pool
     }
 
-    /// Insert a block into the tiling after `anchor`, or at the top when
-    /// `anchor` is `None`.
-    fn insert_block(&mut self, anchor: Option<BlockRef>, block: Block) -> BlockRef {
-        match anchor {
-            Some(a) => self.blocks.insert_after(a, block),
-            None => self.blocks.push_top(block),
-        }
-    }
-
-    /// Index the free block `r` in `pool`, wiring the returned token back
-    /// into the block.
-    fn index_free(&mut self, r: BlockRef, span: Span, pool: usize, steps: &mut u64) {
-        let token = self.pools.index_mut(pool).insert(span, r, steps);
+    /// Index the free run `r` in `pool`, wiring the returned token back
+    /// into its node.
+    fn index_run(&mut self, r: BlockRef, run: Run, pool: usize, steps: &mut u64) {
+        let token = self.pools.index_mut(pool).insert_run(run, r, steps);
         self.blocks.set_index_token(r, token);
     }
 
-    /// Remove the free block `r` from its pool index (no-op for
-    /// [`UNINDEXED`] blocks).
-    fn unindex(&mut self, blk: &TiledBlock, steps: &mut u64) {
+    /// Index the free block `r` in `pool` (a run of one).
+    fn index_free(&mut self, r: BlockRef, span: Span, pool: usize, steps: &mut u64) {
+        self.index_run(r, Run::single(span), pool, steps);
+    }
+
+    /// Take members `members` of the free node `r` out of its pool index
+    /// (none for [`UNINDEXED`] blocks), charging their one-by-one unlinks
+    /// in `order`, and split them off in the tiling. Returns the node now
+    /// holding exactly those members: members below them stay in `r`,
+    /// members above move to a new node that keeps the index entry.
+    fn detach(
+        &mut self,
+        r: BlockRef,
+        members: Range<usize>,
+        order: Unlink,
+        steps: &mut u64,
+    ) -> BlockRef {
+        let blk = *self.blocks.get(r);
+        let k = blk.count as usize;
+        let upper = (members.end < k).then(|| self.blocks.split(r, members.end));
+        let taken = if members.start > 0 {
+            self.blocks.split(r, members.start)
+        } else {
+            r
+        };
         if blk.pool != UNINDEXED {
-            self.pools
+            let (_, token) = self
+                .pools
                 .index_mut(blk.pool)
-                .remove(blk.index_token, blk.span, steps)
+                .remove_members(blk.index_token, blk.run(), members, order, upper, steps)
                 .expect("indexed block's token must be live");
+            if let Some(u) = upper {
+                self.blocks.set_index_token(u, token);
+            }
         }
+        taken
     }
 
     /// Insert `len` free bytes at `offset` — physically right after
@@ -238,28 +277,33 @@ impl PolicyAllocator {
         if self.cfg.block_sizes == BlockSizes::Many {
             let pool = self.route(len, steps);
             let span = Span::new(offset, len);
-            let r = self.insert_block(anchor, Block::free(span, pool));
+            let r = self.blocks.insert_run(anchor, Block::free(span, pool), 1);
             self.index_free(r, span, pool, steps);
             return;
         }
-        // Fixed classes: greedy carve, largest class first.
+        // Fixed classes: greedy carve, largest class first. The greedy
+        // choice repeats a class until the rest falls below it, so each
+        // class present is cut as one run.
         let mut cursor = anchor;
         let mut at = offset;
         let mut rest = len;
         while rest >= MIN_BLOCK {
             let class = self.largest_class_at_most(rest);
             let Some(class) = class else { break };
-            let pool = self.route(class, steps);
-            let span = Span::new(at, class);
-            let r = self.insert_block(cursor, Block::free(span, pool));
-            self.index_free(r, span, pool, steps);
+            let run = Run::new(at, class, rest / class);
+            let pool = self.route_times(class, run.count, steps);
+            let r = self
+                .blocks
+                .insert_run(cursor, Block::free(run.span(), pool), run.count);
+            self.index_run(r, run, pool, steps);
             cursor = Some(r);
-            at += class;
-            rest -= class;
+            at += run.span().len;
+            rest -= run.span().len;
         }
         if rest > 0 {
             // Unusable slack: present in the tiling, in no index.
-            self.insert_block(cursor, Block::free(Span::new(at, rest), UNINDEXED));
+            let slack = Block::free(Span::new(at, rest), UNINDEXED);
+            self.blocks.insert_run(cursor, slack, 1);
         }
     }
 
@@ -303,13 +347,15 @@ impl PolicyAllocator {
             // Candidate block for the current request:
             let span = Span::new(base, block_len);
             let candidate = self.blocks.push_top(Block::free(span, UNINDEXED));
-            // Siblings of the same class:
-            let mut at = base + block_len;
-            while at + block_len <= base + reserve {
-                let sspan = Span::new(at, block_len);
-                let r = self.blocks.push_top(Block::free(sspan, pool));
-                self.index_free(r, sspan, pool, steps);
-                at += block_len;
+            // Siblings of the same class, as one run:
+            let siblings = (reserve - block_len) / block_len;
+            let at = base + (1 + siblings) * block_len;
+            if siblings > 0 {
+                let run = Run::new(span.end(), block_len, siblings);
+                let r = self
+                    .blocks
+                    .insert_run(None, Block::free(run.span(), pool), siblings);
+                self.index_run(r, run, pool, steps);
             }
             let slack = base + reserve - at;
             if slack > 0 {
@@ -327,7 +373,8 @@ impl PolicyAllocator {
                 if top.is_free() && top.span.len < block_len {
                     let need = block_len - top.span.len;
                     self.sbrk(need)?;
-                    self.unindex(&top, steps);
+                    debug_assert_eq!(top.count, 1, "many sizes never carve runs");
+                    self.detach(top_ref, 0..1, Unlink::Ascending, steps);
                     let span = Span::new(top.span.offset, block_len);
                     self.blocks.set_len(top_ref, block_len);
                     self.blocks.set_pool(top_ref, UNINDEXED);
@@ -365,7 +412,9 @@ impl PolicyAllocator {
 
     /// Immediately merge the free block `r` with free physical neighbours,
     /// honouring the D1 cap. Returns the surviving block — left in the
-    /// tiling, free and unindexed — and its merged span.
+    /// tiling, free and unindexed — and its merged span. A neighbouring run
+    /// is absorbed member by member from the side facing `r`, as far as
+    /// the cap allows.
     fn coalesce_at(&mut self, mut r: BlockRef, steps: &mut u64) -> (BlockRef, Span) {
         let cap = match self.cfg.coalesce_max {
             CoalesceMaxSizes::Unlimited => usize::MAX,
@@ -375,19 +424,21 @@ impl PolicyAllocator {
 
         // Forward merges: the next header is one tag read away.
         while let Some(next_ref) = self.blocks.next(r) {
-            {
-                let next = self.blocks.get(next_ref);
-                if !next.is_free() || span.len + next.span.len > cap {
-                    break;
-                }
-            }
             let next = *self.blocks.get(next_ref);
-            *steps += 1;
-            self.unindex(&next, steps);
-            self.blocks.remove(next_ref);
-            span = Span::new(span.offset, span.len + next.span.len);
+            let run = next.run();
+            let m = run.count.min(cap.saturating_sub(span.len) / run.len);
+            if !next.is_free() || m == 0 {
+                break;
+            }
+            *steps += m as u64;
+            let gone = self.detach(next_ref, 0..m, Unlink::Ascending, steps);
+            self.blocks.remove(gone);
+            span = Span::new(span.offset, span.len + m * run.len);
             self.blocks.set_len(r, span.len);
-            self.stats.coalesces += 1;
+            self.stats.coalesces += m as u64;
+            if m < run.count {
+                break;
+            }
         }
 
         // Backward merges: O(1) with a footer or prev-size field, otherwise
@@ -397,28 +448,32 @@ impl PolicyAllocator {
             BlockTags::Footer | BlockTags::HeaderAndFooter
         ) || self.cfg.recorded_info.knows_prev();
         while let Some(prev_ref) = self.blocks.prev(r) {
-            {
-                let prev = self.blocks.get(prev_ref);
-                if !prev.is_free()
-                    || prev.span.end() != span.offset
-                    || prev.span.len + span.len > cap
-                {
-                    break;
-                }
-            }
             let prev = *self.blocks.get(prev_ref);
+            let run = prev.run();
+            let m = run.count.min(cap.saturating_sub(span.len) / run.len);
+            if !prev.is_free() || prev.span.end() != span.offset || m == 0 {
+                break;
+            }
+            let m64 = m as u64;
             *steps += if cheap_prev {
-                1
+                m64
             } else {
-                self.pools.total_free() as u64 + 1
+                // The search walks every free block, one fewer per merge.
+                let free = self.pools.total_free() as u64;
+                m64 * (free + 1) - m64 * (m64 - 1) / 2
             };
-            self.unindex(&prev, steps);
+            let k = run.count;
+            let survivor = self.detach(prev_ref, k - m..k, Unlink::Descending, steps);
+            self.blocks.fuse(survivor);
             self.blocks.remove(r);
-            span = Span::new(prev.span.offset, prev.span.len + span.len);
-            self.blocks.set_len(prev_ref, span.len);
-            self.blocks.set_free(prev_ref, UNINDEXED);
-            r = prev_ref;
-            self.stats.coalesces += 1;
+            span = Span::new(run.member(k - m).offset, m * run.len + span.len);
+            self.blocks.set_len(survivor, span.len);
+            self.blocks.set_free(survivor, UNINDEXED);
+            r = survivor;
+            self.stats.coalesces += m64;
+            if m < k {
+                break;
+            }
         }
         (r, span)
     }
@@ -433,6 +488,12 @@ impl PolicyAllocator {
     /// block (extended over the run) while unlinking the rest, so mutating
     /// behind the cursor cannot disturb the blocks still ahead of it;
     /// charges and ordering are identical to a snapshot-then-merge sweep.
+    ///
+    /// A class run takes part by members: the cap cuts it into groups of as
+    /// many members as fit together, each merged on its own, and when no
+    /// two fit together only its top member can start a merge with what
+    /// follows — the members below it are free runs of one, which merge
+    /// nothing.
     fn sweep_coalesce(&mut self, steps: &mut u64) {
         *steps += self.blocks.len() as u64;
         let cap = match self.cfg.coalesce_max {
@@ -451,41 +512,63 @@ impl PolicyAllocator {
             // Gather the free run starting here. The tiling makes every
             // next block physically adjacent; only the D1 cap ends a run
             // early.
+            let first = blk.run();
+            let group = first.count.min((cap / first.len).max(1));
+            let lead = if group == 1 {
+                first.count - 1..first.count
+            } else {
+                0..group
+            };
+            let mut run_len = lead.len() * first.len;
+            let mut members = lead.len();
+            let whole = lead.end == first.count;
             run.clear();
-            run.push((r, blk));
-            let mut run_len = blk.span.len;
+            run.push((r, lead));
             let mut tail = r;
-            while let Some(next_ref) = self.blocks.next(tail) {
+            while let Some(next_ref) = self.blocks.next(tail).filter(|_| whole) {
                 let next = *self.blocks.get(next_ref);
-                if !next.is_free() || run_len + next.span.len > cap {
+                let nrun = next.run();
+                let m = nrun.count.min(cap.saturating_sub(run_len) / nrun.len);
+                if !next.is_free() || m == 0 {
                     break;
                 }
-                run_len += next.span.len;
+                run_len += m * nrun.len;
+                members += m;
+                run.push((next_ref, 0..m));
+                if m < nrun.count {
+                    break;
+                }
                 tail = next_ref;
-                run.push((next_ref, next));
             }
-            // Resume after the run — recorded before the merge rewrites it.
-            cursor = self.blocks.next(tail);
-            if run.len() > 1 {
-                for (_, m) in &run {
-                    if m.pool != UNINDEXED {
-                        self.pools
-                            .index_mut(m.pool)
-                            .remove(m.index_token, m.span, steps)
-                            .expect("swept block's token must be live");
+            if members == 1 {
+                // A run of one merges nothing; resume after it.
+                cursor = self.blocks.next(r);
+                continue;
+            }
+            // Unlink every member in address order, keep the first one's
+            // block and drop the rest.
+            let mut survivor = None;
+            for (node, range) in run.drain(..) {
+                let part = self.detach(node, range, Unlink::Ascending, steps);
+                match survivor {
+                    None => {
+                        self.blocks.fuse(part);
+                        survivor = Some(part);
                     }
-                    self.stats.coalesces += 1;
+                    Some(_) => {
+                        self.blocks.remove(part);
+                    }
                 }
-                self.stats.coalesces -= 1; // n blocks -> n-1 merges
-                for (mr, _) in &run[1..] {
-                    self.blocks.remove(*mr);
-                }
-                self.blocks.set_len(r, run_len);
-                let pool = self.route(run_len, steps);
-                self.blocks.set_free(r, pool);
-                let span = Span::new(blk.span.offset, run_len);
-                self.index_free(r, span, pool, steps);
             }
+            let s = survivor.expect("a merged run has a first block");
+            self.stats.coalesces += members as u64 - 1; // n blocks -> n-1 merges
+            self.blocks.set_len(s, run_len);
+            let pool = self.route(run_len, steps);
+            self.blocks.set_free(s, pool);
+            let span = Span::new(self.blocks.get(s).span.offset, run_len);
+            self.index_free(s, span, pool, steps);
+            // Resume after the run.
+            cursor = self.blocks.next(s);
         }
         run.clear();
         self.sweep_run = run;
@@ -500,16 +583,19 @@ impl PolicyAllocator {
         };
         while let Some(top_ref) = self.blocks.top() {
             let top = *self.blocks.get(top_ref);
-            if !top.is_free() || top.span.len < threshold {
+            if !top.is_free() || top.member_len() < threshold {
                 break;
             }
-            *steps += 1;
-            self.unindex(&top, steps);
-            self.blocks.remove(top_ref);
+            // Every member of a top run is as large as the first: trim them
+            // all, top down.
+            let k = top.count as usize;
+            *steps += k as u64;
+            let gone = self.detach(top_ref, 0..k, Unlink::Descending, steps);
+            self.blocks.remove(gone);
             let released = self.arena.brk() - top.span.offset;
             self.arena.trim(top.span.offset);
             self.stats.on_system_shrink(released);
-            self.stats.trims += 1;
+            self.stats.trims += k as u64;
         }
     }
 
@@ -586,25 +672,24 @@ impl PolicyAllocator {
                 if blk.pool == UNINDEXED {
                     continue;
                 }
-                let Some(&(pool, span)) = indexed.get(&blk.span.offset) else {
-                    return Err(format!(
-                        "free block at {} claims pool {} but is unindexed",
-                        blk.span.offset, blk.pool
-                    ));
-                };
-                if span != blk.span {
-                    return Err(format!(
-                        "indexed span {span:?} disagrees with {:?}",
-                        blk.span
-                    ));
+                for member in blk.run().members() {
+                    let Some(&(pool, span)) = indexed.get(&member.offset) else {
+                        return Err(format!(
+                            "free block at {} claims pool {} but is unindexed",
+                            member.offset, blk.pool
+                        ));
+                    };
+                    if span != member {
+                        return Err(format!("indexed span {span:?} disagrees with {member:?}"));
+                    }
+                    if pool != blk.pool {
+                        return Err(format!(
+                            "indexed span {span:?} pool {pool} disagrees with block pool {}",
+                            blk.pool
+                        ));
+                    }
+                    matched += 1;
                 }
-                if pool != blk.pool {
-                    return Err(format!(
-                        "indexed span {span:?} pool {pool} disagrees with block pool {}",
-                        blk.pool
-                    ));
-                }
-                matched += 1;
             } else {
                 if indexed.contains_key(&blk.span.offset) {
                     return Err(format!("indexed span at {} is not free", blk.span.offset));
@@ -703,12 +788,11 @@ impl Allocator for PolicyAllocator {
 
         let (r, span) = match found {
             Some((pool, f)) => {
-                self.pools
-                    .index_mut(pool)
-                    .remove(f.token, f.span, &mut steps)
-                    .expect("found span must be indexed");
-                self.blocks.set_pool(f.block, UNINDEXED);
-                (f.block, f.span)
+                debug_assert_eq!(self.blocks.get(f.block).pool, pool, "found in its pool");
+                let i = f.member();
+                let r = self.detach(f.block, i..i + 1, Unlink::Ascending, &mut steps);
+                self.blocks.set_pool(r, UNINDEXED);
+                (r, f.span)
             }
             None => self.grow(block_len, &mut steps)?,
         };
@@ -799,7 +883,9 @@ impl Allocator for PolicyAllocator {
                 if let Some(tail_ref) = self.blocks.next(r) {
                     let tail_blk = *self.blocks.get(tail_ref);
                     if tail_blk.is_free() && tail_blk.pool != UNINDEXED {
-                        self.unindex(&tail_blk, &mut steps);
+                        // The first carved block; the rest of its run is
+                        // what it then merges forward with.
+                        let tail_ref = self.detach(tail_ref, 0..1, Unlink::Ascending, &mut steps);
                         self.blocks.set_pool(tail_ref, UNINDEXED);
                         let (mr, span) = self.coalesce_at(tail_ref, &mut steps);
                         let pool = self.route(span.len, &mut steps);
@@ -817,11 +903,12 @@ impl Allocator for PolicyAllocator {
         if new_len > old_len && self.cfg.may_coalesce() {
             if let Some(next_ref) = self.blocks.next(r) {
                 let next = *self.blocks.get(next_ref);
-                if next.is_free() && old_len + next.span.len >= new_len {
+                if next.is_free() && old_len + next.member_len() >= new_len {
+                    // Absorb the successor — the first member of a run.
                     steps += 1;
-                    self.unindex(&next, &mut steps);
-                    self.blocks.remove(next_ref);
-                    let absorbed = old_len + next.span.len;
+                    let first = self.detach(next_ref, 0..1, Unlink::Ascending, &mut steps);
+                    self.blocks.remove(first);
+                    let absorbed = old_len + next.member_len();
                     self.blocks.set_len(r, absorbed);
                     self.blocks.set_requested(r, new_req);
                     self.stats.coalesces += 1;
@@ -1038,6 +1125,25 @@ mod tests {
             "Kingsley never trims"
         );
         assert_eq!(m.stats().trims, 0);
+        m.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn fixed_class_grow_stores_its_siblings_as_one_run() {
+        let mut m = kingsley();
+        let h = m.alloc(24).unwrap();
+        // One 4096-byte granule: the 32-byte candidate plus 127 siblings,
+        // every one a modelled free block, all in one tiling node.
+        assert_eq!(m.free_block_count(), 127);
+        assert_eq!(m.blocks.len(), 128);
+        assert_eq!(m.blocks.iter().count(), 2);
+        // Taking a sibling splits one member off the run.
+        let h2 = m.alloc(24).unwrap();
+        assert_eq!(m.free_block_count(), 126);
+        assert_eq!(m.blocks.iter().count(), 3);
+        m.check_invariants().unwrap();
+        m.free(h).unwrap();
+        m.free(h2).unwrap();
         m.check_invariants().unwrap();
     }
 

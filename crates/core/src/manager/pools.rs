@@ -102,6 +102,13 @@ impl Pools {
     /// Pool id a block of `len` bytes belongs to, charging the routing cost
     /// of the B4 structure.
     pub fn route(&mut self, len: usize, steps: &mut u64) -> usize {
+        self.route_times(len, 1, steps)
+    }
+
+    /// [`Pools::route`] for each of `times` blocks of `len` bytes — a run's
+    /// members. Only the first can create the pool, and the routing cost
+    /// is read after it has, so every member is charged the same.
+    pub fn route_times(&mut self, len: usize, times: usize, steps: &mut u64) -> usize {
         let pool = match self.division {
             PoolDivision::SinglePool => 0,
             PoolDivision::PoolPerSizeClass => match self.sizes {
@@ -119,13 +126,14 @@ impl Pools {
             },
         };
         self.ensure(pool);
-        *steps += match self.structure {
-            PoolStructure::Array => 1,
-            PoolStructure::LinkedList => pool as u64 + 1,
-            PoolStructure::BinaryTree => {
-                (usize::BITS - self.indexes.len().max(1).leading_zeros()) as u64
-            }
-        };
+        *steps += times as u64
+            * match self.structure {
+                PoolStructure::Array => 1,
+                PoolStructure::LinkedList => pool as u64 + 1,
+                PoolStructure::BinaryTree => {
+                    (usize::BITS - self.indexes.len().max(1).leading_zeros()) as u64
+                }
+            };
         pool
     }
 
@@ -147,12 +155,12 @@ impl Pools {
         self.indexes.len()
     }
 
-    /// Total free spans across all pools.
+    /// Total free blocks (run members) across all pools.
     pub fn total_free(&self) -> usize {
         self.indexes.iter().map(|i| i.len()).sum()
     }
 
-    /// Snapshot of every indexed span with its pool id.
+    /// Snapshot of every indexed block (every run member) with its pool id.
     pub fn all_spans(&self) -> Vec<(usize, Span)> {
         self.indexes
             .iter()

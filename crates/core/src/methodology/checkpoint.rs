@@ -88,7 +88,9 @@ impl CheckpointJournal {
     /// Every intact record loads into the in-memory overlay; a torn or
     /// corrupt suffix (the killed-process signature) is dropped by
     /// truncating the file to the last intact record, reported via
-    /// [`CheckpointJournal::recovered_bytes`].
+    /// [`CheckpointJournal::recovered_bytes`]. A record that is not UTF-8 —
+    /// one torn inside a multi-byte character of a manager name — is
+    /// damaged like any other.
     ///
     /// # Errors
     ///
@@ -98,16 +100,17 @@ impl CheckpointJournal {
         if !path.exists() {
             return CheckpointJournal::create(path);
         }
-        let text = std::fs::read_to_string(path)
+        let bytes = std::fs::read(path)
             .map_err(|e| journal_err(&format!("cannot read {}", path.display()), e))?;
         let mut seen = HashMap::new();
         let mut valid_end = 0usize; // byte offset just past the last intact record
         let mut at = 0usize;
-        for line in text.split_inclusive('\n') {
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
             let start = at;
             at += line.len();
-            let complete = line.ends_with('\n');
-            let Some(parsed) = parse_line(line.trim_end_matches('\n')) else {
+            let complete = line.ends_with(b"\n");
+            let body = line.strip_suffix(b"\n").unwrap_or(line);
+            let Some(parsed) = std::str::from_utf8(body).ok().and_then(parse_line) else {
                 break; // damaged record: keep the prefix before it
             };
             if !complete {
@@ -125,7 +128,7 @@ impl CheckpointJournal {
             seen.insert((rec.trace_fp, rec.trace_events, rec.config_fp), rec.stats);
             valid_end = at;
         }
-        let recovered_bytes = text.len() - valid_end;
+        let recovered_bytes = bytes.len() - valid_end;
         if recovered_bytes > 0 {
             let f = OpenOptions::new()
                 .write(true)
@@ -302,6 +305,53 @@ mod tests {
         j2.record(7, 80, *fp, fs).unwrap();
         let j3 = CheckpointJournal::resume(&path).unwrap();
         assert_eq!(j3.entries(), scored.len());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Journal `names.len()` records, one per manager name, and return the
+    /// file's bytes with the byte offset where each record ends.
+    fn journal_named(path: &Path, names: &[&str]) -> (Vec<u8>, Vec<usize>) {
+        std::fs::remove_file(path).ok();
+        let (_, fs) = &sample_stats()[0];
+        let j = CheckpointJournal::create(path).unwrap();
+        for (i, name) in names.iter().enumerate() {
+            let named = FootprintStats {
+                manager: std::sync::Arc::from(*name),
+                ..fs.clone()
+            };
+            j.record(9, 80, i as u64, &named).unwrap();
+        }
+        drop(j);
+        let bytes = std::fs::read(path).unwrap();
+        let ends = bytes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .map(|(i, _)| i + 1)
+            .collect();
+        (bytes, ends)
+    }
+
+    #[test]
+    fn journal_torn_inside_a_multibyte_character_resumes() {
+        let path = tmp("torn-utf8.journal");
+        let names = [
+            "custom (methodology) [shard 0 · phase 0]",
+            "custom (methodology) [shard 1 · phase 0]",
+        ];
+        let (bytes, ends) = journal_named(&path, &names);
+        // Cut the second record between the two bytes of its `·`.
+        let dot = ends[0]
+            + bytes[ends[0]..]
+                .windows(2)
+                .position(|w| w == "·".as_bytes())
+                .expect("the second record names a shard");
+        std::fs::write(&path, truncate_at(&bytes, dot + 1)).unwrap();
+        let j = CheckpointJournal::resume(&path).unwrap();
+        assert_eq!(j.entries(), 1);
+        assert_eq!(j.recovered_bytes(), dot + 1 - ends[0]);
+        assert!(j.lookup(9, 80, 0).is_some());
+        assert!(j.lookup(9, 80, 1).is_none());
         std::fs::remove_file(&path).ok();
     }
 

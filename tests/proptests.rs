@@ -697,6 +697,76 @@ proptest! {
     }
 }
 
+// The fixed-class arms of the rank-computed charge check, kept to a few
+// cases: each replays close to two hundred configurations.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The fixed-class arms of `rank_computed_charges_match_faithful_walks`:
+    /// A2 ∈ {profiled classes, power-of-two classes} × every A1 × every C1
+    /// × D2 ∈ {always, deferred}, where carving and `grow` create runs of
+    /// class blocks and merges, sweeps and trims take them apart. Both
+    /// kernels replay flat and phased traces under the debug walk oracles,
+    /// the per-member tiling shadow and the per-event invariant hook, and
+    /// must agree bit for bit. A first-fit variant of every A2 × A1 × D2
+    /// point caps coalescing at 512 bytes where the rules allow it, so runs
+    /// are absorbed only in part.
+    #[test]
+    fn fixed_class_runs_match_faithful_walks(
+        flat in trace_strategy(60, 1024),
+        phased in phased_trace_strategy(15, 512),
+    ) {
+        use dmm::core::space::trees::{
+            BlockSizes, BlockStructure, CoalesceMaxSizes, CoalesceWhen, FitAlgorithm,
+        };
+
+        let mut points = Vec::new();
+        for sizes in [BlockSizes::ProfiledClasses, BlockSizes::PowerOfTwoClasses] {
+            for s in BlockStructure::ALL {
+                for when in [CoalesceWhen::Always, CoalesceWhen::Deferred] {
+                    for f in FitAlgorithm::ALL {
+                        points.push((sizes, s, f, when, false));
+                    }
+                    points.push((sizes, s, FitAlgorithm::FirstFit, when, true));
+                }
+            }
+        }
+        let mut scratch = ReplayScratch::new();
+        let mut replayed = 0usize;
+        for trace in [&flat, &phased] {
+            let compiled = CompiledTrace::compile(trace);
+            for &(sizes, s, f, when, capped) in &points {
+                let mut cfg = presets::drr_paper();
+                cfg.name = format!("{sizes}/{s}/{f}/{when}/capped={capped}");
+                cfg.block_sizes = sizes;
+                cfg.params.profiled_classes = vec![16, 32, 48, 64, 128];
+                cfg.block_structure = s;
+                cfg.fit = f;
+                cfg.coalesce_when = when;
+                if capped {
+                    cfg.coalesce_max = CoalesceMaxSizes::Capped;
+                    cfg.params.coalesce_cap = 512;
+                }
+                if cfg.validate().is_err() {
+                    continue;
+                }
+                let classic =
+                    replay(trace, &mut PolicyAllocator::new(cfg.clone()).expect("valid"))
+                        .expect("classic replay");
+                let fast = replay_compiled_with(
+                    &compiled,
+                    &mut PolicyAllocator::new(cfg.clone()).expect("valid"),
+                    &mut scratch,
+                )
+                .expect("compiled replay");
+                prop_assert_eq!(&classic, &fast, "{}", cfg.name);
+                replayed += 1;
+            }
+        }
+        prop_assert_eq!(replayed, 2 * points.len(), "a fixed-class point stopped validating");
+    }
+}
+
 // Trace-conditioned config projection: the soundness contract behind the
 // projected replay cache.
 proptest! {
@@ -824,5 +894,102 @@ proptest! {
         prop_assert!(jc.replays <= pc.replays);
         prop_assert_eq!(pevald, pc.evaluations + pc.projection_hits);
         prop_assert_eq!(pc.candidates(), limit);
+    }
+}
+
+// Parsers of untrusted bytes are total: every input yields a value or a
+// typed error, never a panic.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Arbitrary bytes, and valid trace encodings with random bytes
+    /// flipped and a random cut, through `decode_trace` and
+    /// `recover_bytes`.
+    #[test]
+    fn trace_decoders_are_total(
+        noise in proptest::collection::vec(any::<u8>(), 0..512),
+        trace in trace_strategy(40, 512),
+        edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..6),
+        cut in any::<u16>(),
+    ) {
+        use dmm::core::trace::{decode_trace, encode_trace, recover_bytes};
+
+        let _ = decode_trace(&noise);
+        let _ = recover_bytes(&noise);
+        let mut bytes = encode_trace(&trace);
+        prop_assert_eq!(&decode_trace(&bytes).expect("round trip"), &trace);
+        let cut = cut as usize % (bytes.len() + 1);
+        let _ = decode_trace(&bytes[..cut]);
+        let _ = recover_bytes(&bytes[..cut]);
+        for (at, mask) in edits {
+            let i = at as usize % bytes.len();
+            bytes[i] ^= mask.max(1);
+        }
+        let _ = decode_trace(&bytes);
+        let _ = recover_bytes(&bytes);
+        let _ = decode_trace(&bytes[..cut]);
+        let _ = recover_bytes(&bytes[..cut]);
+    }
+
+    /// `CheckpointJournal::resume` over arbitrary bytes and over mutated
+    /// journals returns a journal or `Error::Checkpoint`; any cut of a
+    /// valid journal — with multi-byte manager names — resumes with
+    /// exactly the records that end before the cut.
+    #[test]
+    fn journal_resume_is_total_and_keeps_the_records_before_a_cut(
+        names in proptest::collection::vec(any::<u16>(), 1..6),
+        cut in any::<u32>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..256),
+        edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..4),
+    ) {
+        use dmm::core::error::Error;
+        use dmm::core::methodology::CheckpointJournal;
+        use dmm::core::metrics::FootprintStats;
+
+        let path = std::env::temp_dir().join(format!(
+            "dmm-proptest-journal-{}.journal",
+            std::process::id()
+        ));
+        let total = |p: &std::path::Path| match CheckpointJournal::resume(p) {
+            Ok(_) | Err(Error::Checkpoint(_)) => Ok(()),
+            Err(e) => Err(e),
+        };
+        std::fs::write(&path, &noise).unwrap();
+        prop_assert!(total(&path).is_ok(), "untyped error on noise");
+
+        std::fs::remove_file(&path).ok();
+        {
+            let j = CheckpointJournal::create(&path).unwrap();
+            for (i, n) in names.iter().enumerate() {
+                let stats = FootprintStats {
+                    manager: std::sync::Arc::from(format!("m{n} [shard {i} · phase é]")),
+                    peak_footprint: *n as usize,
+                    ..FootprintStats::default()
+                };
+                j.record(5, 7, i as u64, &stats).unwrap();
+            }
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let ends: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').map(|i| i + 1).collect();
+        prop_assert_eq!(ends.len(), names.len());
+        let cut = cut as usize % (bytes.len() + 1);
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let j = CheckpointJournal::resume(&path).expect("a cut journal resumes");
+        let kept = ends.iter().filter(|&&e| e <= cut).count();
+        prop_assert_eq!(j.entries(), kept);
+        prop_assert_eq!(j.recovered_bytes(), cut - ends[..kept].last().copied().unwrap_or(0));
+        for i in 0..names.len() {
+            prop_assert_eq!(j.lookup(5, 7, i as u64).is_some(), i < kept);
+        }
+        drop(j);
+
+        let mut mutated = bytes.clone();
+        for (at, mask) in edits {
+            let i = at as usize % mutated.len();
+            mutated[i] ^= mask.max(1);
+        }
+        std::fs::write(&path, &mutated).unwrap();
+        prop_assert!(total(&path).is_ok(), "untyped error on a mutated journal");
+        std::fs::remove_file(&path).ok();
     }
 }
