@@ -1017,9 +1017,11 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
     // Each side runs SWEEP_REPEATS times on a fresh engine and reports
     // the median wall-clock; everything else must repeat exactly.
     let run = |label: &str, engine: fn() -> ExplorationEngine| -> Result<SweepSide> {
-        let mut side = run_once(label, &engine())?;
-        for _ in 1..SWEEP_REPEATS {
-            let again = run_once(label, &engine())?;
+        let mut runs = (0..SWEEP_REPEATS)
+            .map(|_| run_once(label, &engine()))
+            .collect::<Result<Vec<_>>>()?;
+        let mut side = runs.remove(0);
+        for again in runs {
             assert_eq!(
                 (again.replays, again.peak_cut, &again.winner_fingerprint, again.winner_peak),
                 (side.replays, side.peak_cut, &side.winner_fingerprint, side.winner_peak),

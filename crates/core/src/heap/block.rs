@@ -81,9 +81,20 @@ impl Run {
         Span::new(self.offset + i * self.len, self.len)
     }
 
+    /// How many of the lowest members fit beside `have` bytes in a merge
+    /// capped at `cap` bytes: `(cap - have) / len`, at most all of them.
+    pub fn members_under(&self, have: usize, cap: usize) -> usize {
+        if self.count == 1 {
+            // A single block needs no division.
+            usize::from(have.checked_add(self.len).is_some_and(|t| t <= cap))
+        } else {
+            self.count.min(cap.saturating_sub(have) / self.len)
+        }
+    }
+
     /// Every member, in ascending address order.
-    pub fn members(&self) -> impl Iterator<Item = Span> + '_ {
-        (0..self.count).map(|i| self.member(i))
+    pub fn members(self) -> impl Iterator<Item = Span> {
+        (0..self.count).map(move |i| self.member(i))
     }
 }
 

@@ -114,15 +114,41 @@ type Member = (usize, usize);
 /// The member-less position (no cursor, or past the tail).
 const NO_MEMBER: Member = (NIL, 0);
 
+/// One list node: a run of `count` blocks of `len` bytes from `offset`.
+/// Kept to 40 bytes — the walks stream through nodes.
 #[derive(Debug, Clone)]
 struct Node {
-    run: Run,
-    block: BlockRef,
+    offset: usize,
+    len: usize,
     /// Unique push stamp: identifies this node across slot recycling.
     seq: u64,
+    block: BlockRef,
+    /// Members; 0 marks a free slot.
+    count: u32,
     prev: u32,
     next: u32,
-    present: bool,
+}
+
+impl Node {
+    fn new(run: Run, block: BlockRef, seq: u64, prev: u32, next: u32) -> Node {
+        Node {
+            offset: run.offset,
+            len: run.len,
+            seq,
+            block,
+            count: u32::try_from(run.count).expect("run count fits u32"),
+            prev,
+            next,
+        }
+    }
+
+    fn run(&self) -> Run {
+        Run::new(self.offset, self.len, self.count as usize)
+    }
+
+    fn present(&self) -> bool {
+        self.count > 0
+    }
 }
 
 /// Ordered live-size set for the best-fit winner lookup: a two-level
@@ -251,9 +277,10 @@ impl OrderedSizes {
 /// its live members. Unlink decrements the live count and pops any dead
 /// records it exposes at the top, so **whenever `live > 0` the top record
 /// is the newest live node of that size** — the first one a head-to-tail
-/// walk meets — and every `newest_of_size` query is two loads. Buried records go stale in place
-/// and are reclaimed when exposed (or by the occasional retain sweep);
-/// they are record-keeping only and never consulted while stale.
+/// walk meets — and every `newest_of_size` query is two loads. Buried
+/// records go stale in place and are reclaimed when exposed (or by the
+/// occasional retain sweep); they are record-keeping only and never
+/// consulted while stale.
 #[derive(Debug, Clone, Default)]
 struct SizeBuckets {
     /// Open-addressed buckets; capacity is a power of two. `size == 0`
@@ -349,7 +376,7 @@ impl SizeBuckets {
         );
         b.live -= count as u32;
         let alive = |&(slot, seq): &(u32, u64)| {
-            nodes[slot as usize].present && nodes[slot as usize].seq == seq
+            nodes[slot as usize].present() && nodes[slot as usize].seq == seq
         };
         while let Some(top) = b.stack.last() {
             if alive(top) {
@@ -409,7 +436,7 @@ impl SizeBuckets {
     fn prune_dead(&mut self, nodes: &[Node]) {
         for b in self.slots.iter_mut().filter(|b| b.size != 0) {
             b.stack.retain(|&(slot, seq)| {
-                nodes[slot as usize].present && nodes[slot as usize].seq == seq
+                nodes[slot as usize].present() && nodes[slot as usize].seq == seq
             });
         }
     }
@@ -465,7 +492,7 @@ impl SizeBuckets {
                 .filter(|&&(slot, seq)| {
                     nodes
                         .get(slot as usize)
-                        .is_some_and(|n| n.present && n.seq == seq && n.run.len == b.size)
+                        .is_some_and(|n| n.present() && n.seq == seq && n.len == b.size)
                 })
                 .count();
             if alive as u32 != want_nodes {
@@ -482,7 +509,7 @@ impl SizeBuckets {
                     .ok_or_else(|| format!("size bucket {} live but its stack is empty", b.size))?;
                 let newest = nodes
                     .get(slot as usize)
-                    .filter(|n| n.present && n.seq == seq && n.run.len == b.size);
+                    .filter(|n| n.present() && n.seq == seq && n.len == b.size);
                 if newest.is_none() {
                     return Err(format!("size bucket {} has a stale top record", b.size));
                 }
@@ -616,7 +643,7 @@ impl LinkedSlab {
         for &slot in order.iter().rev() {
             let n = &self.nodes[slot];
             self.pos
-                .insert(rank_key(n.seq), n.run.len, n.run.count, slot as u32);
+                .insert(rank_key(n.seq), n.len, n.count as usize, slot as u32);
         }
     }
 
@@ -633,7 +660,7 @@ impl LinkedSlab {
         for &slot in order.iter().rev() {
             let n = &self.nodes[slot];
             self.sizes
-                .on_push(n.run.len, slot as u32, n.seq, n.run.count);
+                .on_push(n.len, slot as u32, n.seq, n.count as usize);
         }
         self.indexed = true;
         self.pos_live = false;
@@ -709,14 +736,13 @@ impl LinkedSlab {
             self.renumber();
         }
         self.seq += 1;
-        let slot = self.alloc_node(Node {
+        let slot = self.alloc_node(Node::new(
             run,
             block,
-            seq: self.seq,
-            prev: NIL as u32,
-            next: self.head as u32,
-            present: true,
-        });
+            self.seq,
+            NIL as u32,
+            self.head as u32,
+        ));
         if self.head != NIL {
             self.nodes[self.head].prev = slot as u32;
         }
@@ -743,7 +769,7 @@ impl LinkedSlab {
     fn unlink(&mut self, slot: usize) -> Run {
         let (prev, next, run, seq) = {
             let n = &self.nodes[slot];
-            (n.prev as usize, n.next as usize, n.run, n.seq)
+            (n.prev as usize, n.next as usize, n.run(), n.seq)
         };
         if self.cursor == slot {
             self.cursor_past(slot);
@@ -756,7 +782,7 @@ impl LinkedSlab {
         if next != NIL {
             self.nodes[next].prev = prev as u32;
         }
-        self.nodes[slot].present = false;
+        self.nodes[slot].count = 0;
         self.free_slots.push(slot);
         self.len -= run.count;
         self.node_count -= 1;
@@ -786,7 +812,7 @@ impl LinkedSlab {
         members: Range<usize>,
         upper: Option<BlockRef>,
     ) -> usize {
-        let run = self.nodes[slot].run;
+        let run = self.nodes[slot].run();
         let (a, b, k) = (members.start, members.end, run.count);
         if a == 0 && b == k {
             self.unlink(slot);
@@ -813,12 +839,13 @@ impl LinkedSlab {
         let node = &mut self.nodes[slot];
         let (kept, upper_slot) = match (a, upper_run) {
             (0, Some((rest, block))) => {
-                node.run = rest;
+                node.offset = rest.offset;
+                node.count = rest.count as u32;
                 node.block = block;
                 (rest.count, slot)
             }
             _ => {
-                node.run.count = a;
+                node.count = a as u32;
                 (a, NIL)
             }
         };
@@ -847,14 +874,7 @@ impl LinkedSlab {
     /// cursor hit inside a run — needs this.
     fn link_ahead(&mut self, slot: usize, run: Run, block: BlockRef) -> usize {
         let prev = self.nodes[slot].prev;
-        let new = self.alloc_node(Node {
-            run,
-            block,
-            seq: 0,
-            prev,
-            next: slot as u32,
-            present: true,
-        });
+        let new = self.alloc_node(Node::new(run, block, 0, prev, slot as u32));
         if prev as usize != NIL {
             self.nodes[prev as usize].next = new as u32;
         } else {
@@ -878,7 +898,7 @@ impl LinkedSlab {
         let mut cur = self.head;
         let mut dist = 0;
         while cur != NIL && cur != slot {
-            dist += self.nodes[cur].run.count as u64;
+            dist += u64::from(self.nodes[cur].count);
             cur = self.nodes[cur].next as usize;
         }
         dist + 1
@@ -951,7 +971,7 @@ impl LinkedSlab {
 
     /// The member index of `slot`'s head-most member.
     fn top(&self, slot: usize) -> usize {
-        self.nodes[slot].run.count - 1
+        self.nodes[slot].count as usize - 1
     }
 
     /// The first member in link order.
@@ -974,12 +994,6 @@ impl LinkedSlab {
         }
     }
 
-    /// Every member in link order — what the faithful walks visit.
-    fn members(&self) -> impl Iterator<Item = Member> + '_ {
-        self.iter()
-            .flat_map(|(slot, run)| (0..run.count).rev().map(move |idx| (slot, idx)))
-    }
-
     fn clear(&mut self) {
         self.nodes.clear();
         self.free_slots.clear();
@@ -998,8 +1012,8 @@ impl LinkedSlab {
     fn found(&self, (slot, idx): Member) -> Found {
         let n = &self.nodes[slot];
         Found {
-            span: n.run.member(idx),
-            run: n.run,
+            span: n.run().member(idx),
+            run: n.run(),
             block: n.block,
             token: slot,
         }
@@ -1060,7 +1074,7 @@ impl LinkedSlab {
             && !self
                 .nodes
                 .get(self.cursor)
-                .is_some_and(|n| n.present && self.cursor_idx < n.run.count)
+                .is_some_and(|n| n.present() && self.cursor_idx < n.count as usize)
         {
             return Err(format!(
                 "cursor ({}, {}) names a dead member",
@@ -1086,16 +1100,17 @@ impl Iterator for LinkedIter<'_> {
         let slot = self.cur;
         let node = &self.slab.nodes[slot];
         self.cur = node.next as usize;
-        Some((slot, node.run))
+        Some((slot, node.run()))
     }
 }
 
-/// The faithful member-by-member fit walk — the shadow oracle for
-/// [`search`]. This is the modelled cost: every charge [`search`] computes
+/// The faithful fit walk — the shadow oracle for [`search`]. This is the
+/// modelled cost: one step per member visited, from the head (or, for
+/// next fit, from the cursor member), and every charge [`search`] computes
 /// by rank query must equal what this walk would have charged.
 fn walk_search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize) -> (Option<Member>, u64) {
     let mut steps = 0u64;
-    let size = |(slot, _): Member| slab.nodes[slot].run.len;
+    let size = |(slot, _): Member| slab.nodes[slot].len;
     match fit {
         FitAlgorithm::FirstFit | FitAlgorithm::NextFit => {
             let head = slab.head_member();
@@ -1128,35 +1143,40 @@ fn walk_search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize) -> (Option<Memb
                 }
             }
         }
+        // Every member of a node has the node's size, so these walks stop
+        // at a node's head-most member or pass all of its members.
         FitAlgorithm::BestFit => {
-            let mut best: Option<Member> = None;
-            for m in slab.members() {
-                steps += 1;
-                if size(m) >= len && best.is_none_or(|b| size(m) < size(b)) {
-                    best = Some(m);
-                    if size(m) == len {
-                        break; // cannot do better than exact
+            let mut best: Option<(Member, usize)> = None;
+            for (slot, run) in slab.iter() {
+                if run.len >= len && best.is_none_or(|(_, b)| run.len < b) {
+                    steps += 1;
+                    best = Some(((slot, run.count - 1), run.len));
+                    if run.len == len {
+                        return (Some((slot, run.count - 1)), steps); // cannot do better
                     }
+                    steps += run.count as u64 - 1;
+                } else {
+                    steps += run.count as u64;
                 }
             }
-            (best, steps)
+            (best.map(|(m, _)| m), steps)
         }
         FitAlgorithm::WorstFit => {
-            let mut worst: Option<Member> = None;
-            for m in slab.members() {
-                steps += 1;
-                if size(m) >= len && worst.is_none_or(|w| size(m) > size(w)) {
-                    worst = Some(m);
+            let mut worst: Option<(Member, usize)> = None;
+            for (slot, run) in slab.iter() {
+                steps += run.count as u64;
+                if run.len >= len && worst.is_none_or(|(_, w)| run.len > w) {
+                    worst = Some(((slot, run.count - 1), run.len));
                 }
             }
-            (worst, steps)
+            (worst.map(|(m, _)| m), steps)
         }
         FitAlgorithm::ExactFit => {
-            for m in slab.members() {
-                steps += 1;
-                if size(m) == len {
-                    return (Some(m), steps);
+            for (slot, run) in slab.iter() {
+                if run.len == len {
+                    return (Some((slot, run.count - 1)), steps + 1);
                 }
+                steps += run.count as u64;
             }
             (None, steps)
         }
@@ -1203,7 +1223,7 @@ fn search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize, steps: &mut u64) -> 
                 if let Some((key, slot)) = slab.pos.first_at_least_below(ck, len) {
                     *steps += slab.pos.rank(key);
                     Some(head_most(slot))
-                } else if ci < slab.top(cs) && slab.nodes[cs].run.len >= len {
+                } else if ci < slab.top(cs) && slab.nodes[cs].len >= len {
                     // The cursor's own node, met above the cursor member.
                     *steps += slab.pos.rank(ck);
                     Some((cs, slab.top(cs)))
@@ -1359,7 +1379,7 @@ fn linked_find(
 fn live_run(slab: &LinkedSlab, token: usize, run: Run) -> Option<BlockRef> {
     slab.nodes
         .get(token)
-        .filter(|n| n.present && n.run == run)
+        .filter(|n| n.present() && n.run() == run)
         .map(|n| n.block)
 }
 
@@ -1414,7 +1434,7 @@ impl FreeIndex for SllIndex {
     fn spans(&self) -> Vec<Span> {
         self.slab
             .iter()
-            .flat_map(|(_, run)| run.members().collect::<Vec<_>>())
+            .flat_map(|(_, run)| run.members())
             .collect()
     }
 
@@ -1478,7 +1498,7 @@ impl FreeIndex for DllIndex {
     fn spans(&self) -> Vec<Span> {
         self.slab
             .iter()
-            .flat_map(|(_, run)| run.members().collect::<Vec<_>>())
+            .flat_map(|(_, run)| run.members())
             .collect()
     }
 

@@ -76,7 +76,10 @@ pub struct Found {
 impl Found {
     /// The located block's member index in its run (0 is the lowest).
     pub fn member(&self) -> usize {
-        (self.span.offset - self.run.offset) / self.run.len
+        match self.run.count {
+            1 => 0,
+            _ => (self.span.offset - self.run.offset) / self.run.len,
+        }
     }
 }
 

@@ -71,6 +71,11 @@ fn log_cost_sum(lo: usize, hi: usize) -> u64 {
     sum
 }
 
+/// A run's member count as stored in an entry.
+fn count_u32(count: usize) -> u32 {
+    u32::try_from(count).expect("run count fits u32")
+}
+
 /// The charge of removing `m` members from a tree of `n` blocks, or of
 /// the single lookup a stale removal costs.
 fn removal_cost(n: usize, m: usize) -> u64 {
@@ -211,7 +216,7 @@ impl FreeIndex for AddrIndex {
         self.list.insert(AddrEntry {
             offset: run.offset,
             len: run.len,
-            count: u32::try_from(run.count).expect("run count fits u32"),
+            count: count_u32(run.count),
             block,
         });
         if let Some(by_len) = &mut self.by_len {
@@ -326,7 +331,7 @@ impl FreeIndex for AddrIndex {
 pub struct SizeTreeIndex {
     /// Runs by `(member len, lowest offset)`, with their backing node and
     /// member count.
-    by_size: BTreeMap<(usize, usize), (BlockRef, usize)>,
+    by_size: BTreeMap<(usize, usize), (BlockRef, u32)>,
     /// Members of every run: the modelled tree's size.
     members: usize,
     cursor: Option<(usize, usize)>,
@@ -342,6 +347,7 @@ impl SizeTreeIndex {
     /// as its run, member index and node.
     fn member_from(&self, start: (usize, usize)) -> Option<(Run, usize, BlockRef)> {
         if let Some((&(l, o), &(b, k))) = self.by_size.range(..=start).next_back() {
+            let k = k as usize;
             let j = if l == start.0 {
                 (start.1 - o).div_ceil(l)
             } else {
@@ -354,7 +360,7 @@ impl SizeTreeIndex {
         self.by_size
             .range(start..)
             .next()
-            .map(|(&(l, o), &(b, k))| (Run::new(o, l, k), 0, b))
+            .map(|(&(l, o), &(b, k))| (Run::new(o, l, k as usize), 0, b))
     }
 }
 
@@ -363,7 +369,7 @@ impl FreeIndex for SizeTreeIndex {
         *steps += log_cost_sum(self.members, self.members + run.count);
         let dup = self
             .by_size
-            .insert((run.len, run.offset), (block, run.count));
+            .insert((run.len, run.offset), (block, count_u32(run.count)));
         debug_assert!(dup.is_none(), "duplicate span at {}", run.offset);
         self.members += run.count;
         NO_TOKEN
@@ -379,11 +385,12 @@ impl FreeIndex for SizeTreeIndex {
         steps: &mut u64,
     ) -> Option<(BlockRef, usize)> {
         let key = (run.len, run.offset);
-        let Some(&(block, count)) = self.by_size.get(&key).filter(|e| e.1 == run.count) else {
+        let Some(&(block, count)) = self.by_size.get(&key).filter(|e| e.1 as usize == run.count)
+        else {
             *steps += log_cost(self.members);
             return None;
         };
-        debug_assert_eq!(upper.is_some(), members.end < count, "upper remainder");
+        debug_assert_eq!(upper.is_some(), members.end < run.count, "upper remainder");
         *steps += removal_cost(self.members, members.len());
         self.members -= members.len();
         // `find` parks the NextFit cursor just *past* the block it
@@ -393,26 +400,31 @@ impl FreeIndex for SizeTreeIndex {
         // removal and skip blocks re-inserted at or below that key.
         if let Some((l, past)) = self.cursor {
             let gone = run.member(members.start).offset..run.member(members.end - 1).end();
-            if l == run.len && gone.contains(&(past - 1)) && (past - 1 - run.offset).is_multiple_of(l) {
+            if l == run.len
+                && gone.contains(&(past - 1))
+                && (past - 1 - run.offset).is_multiple_of(l)
+            {
                 self.cursor = None;
             }
         }
         if members.start == 0 {
             self.by_size.remove(&key);
         } else {
-            self.by_size.insert(key, (block, members.start));
+            self.by_size.insert(key, (block, members.start as u32));
         }
         if let Some(upper) = upper {
             let rest = (run.len, run.member(members.end).offset);
-            self.by_size.insert(rest, (upper, count - members.end));
+            self.by_size
+                .insert(rest, (upper, count - members.end as u32));
         }
         Some((block, NO_TOKEN))
     }
 
     fn find(&mut self, fit: FitAlgorithm, len: usize, steps: &mut u64) -> Option<Found> {
         *steps += log_cost(self.members);
-        let lowest =
-            |(&(l, o), &(b, k)): (&(usize, usize), &(BlockRef, usize))| (Run::new(o, l, k), 0, b);
+        let lowest = |(&(l, o), &(b, k)): (&(usize, usize), &(BlockRef, u32))| {
+            (Run::new(o, l, k as usize), 0, b)
+        };
         let hit = match fit {
             // In a size-ordered structure the "first" block that fits *is*
             // the best fit — a realistic consequence of the A1 choice.
@@ -434,7 +446,7 @@ impl FreeIndex for SizeTreeIndex {
                 .by_size
                 .iter()
                 .next_back()
-                .map(|(&(l, o), &(b, k))| (Run::new(o, l, k), k - 1, b))
+                .map(|(&(l, o), &(b, k))| (Run::new(o, l, k as usize), k as usize - 1, b))
                 .filter(|(run, _, _)| run.len >= len),
             FitAlgorithm::ExactFit => self
                 .by_size
@@ -457,7 +469,7 @@ impl FreeIndex for SizeTreeIndex {
     fn spans(&self) -> Vec<Span> {
         self.by_size
             .iter()
-            .flat_map(|(&(l, o), &(_, k))| Run::new(o, l, k).members().collect::<Vec<_>>())
+            .flat_map(|(&(l, o), &(_, k))| Run::new(o, l, k as usize).members())
             .collect()
     }
 
@@ -472,7 +484,7 @@ impl FreeIndex for SizeTreeIndex {
     }
 
     fn check_oracle(&self) -> Result<(), String> {
-        let members: usize = self.by_size.values().map(|&(_, k)| k).sum();
+        let members: usize = self.by_size.values().map(|&(_, k)| k as usize).sum();
         if members != self.members || self.by_size.values().any(|&(_, k)| k == 0) {
             return Err(format!(
                 "size tree counts {} members, its runs hold {members}",

@@ -62,6 +62,8 @@ impl AddrEntry {
     fn members_below(&self, offset: usize) -> u64 {
         if offset <= self.offset {
             0
+        } else if self.count == 1 {
+            1
         } else {
             (offset - self.offset)
                 .div_ceil(self.len)
@@ -270,7 +272,10 @@ impl AddrList {
         let c = self.chunk_of(offset);
         let chunk = &self.chunks[c];
         let i = chunk.binary_search_by_key(&offset, |e| e.offset).ok()?;
-        Some((chunk[i], self.count_before(c) + self.members_before(c, i) + 1))
+        Some((
+            chunk[i],
+            self.count_before(c) + self.members_before(c, i) + 1,
+        ))
     }
 
     /// Number of members strictly below `offset` (which need not be

@@ -111,7 +111,11 @@ impl TiledBlock {
 
     /// Bytes of one member.
     pub fn member_len(&self) -> usize {
-        self.span.len / self.count as usize
+        // Most nodes are single blocks: skip the division for them.
+        match self.count {
+            1 => self.span.len,
+            k => self.span.len / k as usize,
+        }
     }
 
     /// The members this node stands for.
@@ -478,14 +482,18 @@ impl Tiling {
     /// a hit on one of its members names the run's node.
     pub fn find_by_offset_charged(&self, offset: usize, steps: &mut u64) -> Option<BlockRef> {
         for (r, b) in self.iter() {
-            let run = b.run();
-            if (run.offset..run.span().end()).contains(&offset)
-                && (offset - run.offset).is_multiple_of(run.len)
-            {
-                *steps += ((offset - run.offset) / run.len) as u64 + 1;
+            if b.count > 1 && (b.span.offset..b.span.end()).contains(&offset) {
+                let run = b.run();
+                let i = (offset - run.offset) / run.len;
+                if run.member(i).offset == offset {
+                    *steps += i as u64 + 1;
+                    return Some(r);
+                }
+            } else if b.span.offset == offset {
+                *steps += 1;
                 return Some(r);
             }
-            *steps += run.count as u64;
+            *steps += u64::from(b.count);
         }
         None
     }

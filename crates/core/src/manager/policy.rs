@@ -426,7 +426,7 @@ impl PolicyAllocator {
         while let Some(next_ref) = self.blocks.next(r) {
             let next = *self.blocks.get(next_ref);
             let run = next.run();
-            let m = run.count.min(cap.saturating_sub(span.len) / run.len);
+            let m = run.members_under(span.len, cap);
             if !next.is_free() || m == 0 {
                 break;
             }
@@ -450,7 +450,7 @@ impl PolicyAllocator {
         while let Some(prev_ref) = self.blocks.prev(r) {
             let prev = *self.blocks.get(prev_ref);
             let run = prev.run();
-            let m = run.count.min(cap.saturating_sub(span.len) / run.len);
+            let m = run.members_under(span.len, cap);
             if !prev.is_free() || prev.span.end() != span.offset || m == 0 {
                 break;
             }
@@ -513,7 +513,7 @@ impl PolicyAllocator {
             // next block physically adjacent; only the D1 cap ends a run
             // early.
             let first = blk.run();
-            let group = first.count.min((cap / first.len).max(1));
+            let group = first.members_under(0, cap).max(1);
             let lead = if group == 1 {
                 first.count - 1..first.count
             } else {
@@ -528,7 +528,7 @@ impl PolicyAllocator {
             while let Some(next_ref) = self.blocks.next(tail).filter(|_| whole) {
                 let next = *self.blocks.get(next_ref);
                 let nrun = next.run();
-                let m = nrun.count.min(cap.saturating_sub(run_len) / nrun.len);
+                let m = nrun.members_under(run_len, cap);
                 if !next.is_free() || m == 0 {
                     break;
                 }
