@@ -145,8 +145,8 @@ pub struct Tiling {
     nodes: usize,
     /// Modelled blocks: the members of every node.
     len: usize,
-    /// Debug-only shadow oracle: the PR 4 `BTreeMap` tiling with one entry
-    /// per modelled block, mirrored on every mutation and cross-checked by
+    /// Debug-only shadow oracle: the `BTreeMap` tiling with one entry per
+    /// modelled block, mirrored on every mutation and cross-checked by
     /// [`Tiling::check_tiling`].
     #[cfg(debug_assertions)]
     shadow: crate::heap::block::BlockMap,
