@@ -342,49 +342,53 @@ pub fn record_text(inv: &Invocation) -> Result<String> {
     Ok(out)
 }
 
-/// Usage text.
+/// Usage text. A `\` line continuation would drop the indentation of
+/// the command list, so the text is one literal with its layout as printed.
 pub fn help_text() -> String {
-    "dmm — custom dynamic-memory-manager design methodology (DATE 2004)\n\
-     \n\
-     USAGE: dmm <command> [workload] [--full] [--seed=N] [--jobs=N] [--shards=N]\n\
-     \n\
-     COMMANDS:\n\
-       space              print the DM-management decision trees (Figure 1)\n\
-       interdep           print the interdependency rules/arrows (Figure 2)\n\
-       profile <wl>       profile a workload's DM behaviour\n\
-       explore <wl>       design a custom manager for a workload\n\
-       compare <wl>       footprint of every manager on a workload\n\
-       phases <wl>        detect logical phases from DM behaviour alone\n\
-       lint <target>      static diagnostics (DM0xx/TR0xx/BD0xx) over a preset\n\
-                          configuration or a workload trace; targets are a\n\
-                          preset (drr_paper|kingsley_like|lea_like|neutral),\n\
-                          a workload, or --all-presets; --json for machines,\n\
-                          --explain CODE for one catalogue entry,\n\
-                          --deny SEVERITY (note|warn|error) for a gating\n\
-                          non-zero exit when any finding reaches it\n\
-       bounds <wl>        admissible footprint floors of every preset on a\n\
-                          workload trace, next to the replayed peaks\n\
-       record <wl>        record the workload once and write its trace as a\n\
-                          durable checksummed file (--out=FILE required)\n\
-       help               this text\n\
-     \n\
-     WORKLOADS: drr | recon | render  (test scale; add --full for paper scale)\n\
-     \n\
-     --jobs=N fans exploration replays out over N threads (0 = all cores;\n\
-     results are bit-identical to a serial run)\n\
-     --shards=N splits the trace into N self-contained shards, explores\n\
-     each independently and merges the designs by score-weighted vote\n\
-     (phase-aligned when the trace has phases; memory is bounded by the\n\
-     largest shard instead of the whole trace)\n\
-     --trace=FILE replays a durable trace (from `dmm record`) instead of\n\
-     recording the workload live; --recover salvages the valid prefix of\n\
-     a damaged file (defects are structured TR01x errors otherwise)\n\
-     --checkpoint=FILE journals every completed replay; after a crash,\n\
-     --resume skips the journalled candidates (bit-identical winner)\n\
-     --budget-steps=N / --budget-ms=N bound each candidate replay; a\n\
-     tripped budget aborts that candidate, not the sweep\n"
-        .to_string()
+    HELP.to_string()
 }
+
+const HELP: &str = "\
+dmm — custom dynamic-memory-manager design methodology (DATE 2004)
+
+USAGE: dmm <command> [workload] [--full] [--seed=N] [--jobs=N] [--shards=N]
+
+COMMANDS:
+  space              print the DM-management decision trees (Figure 1)
+  interdep           print the interdependency rules/arrows (Figure 2)
+  profile <wl>       profile a workload's DM behaviour
+  explore <wl>       design a custom manager for a workload
+  compare <wl>       footprint of every manager on a workload
+  phases <wl>        detect logical phases from DM behaviour alone
+  lint <target>      static diagnostics (DM0xx/TR0xx/BD0xx) over a preset
+                     configuration or a workload trace; targets are a
+                     preset (drr_paper|kingsley_like|lea_like|neutral),
+                     a workload, or --all-presets; --json for machines,
+                     --explain CODE for one catalogue entry,
+                     --deny SEVERITY (note|warn|error) for a gating
+                     non-zero exit when any finding reaches it
+  bounds <wl>        admissible footprint floors of every preset on a
+                     workload trace, next to the replayed peaks
+  record <wl>        record the workload once and write its trace as a
+                     durable checksummed file (--out=FILE required)
+  help               this text
+
+WORKLOADS: drr | recon | render  (test scale; add --full for paper scale)
+
+--jobs=N fans exploration replays out over N threads (0 = all cores;
+results are bit-identical to a serial run)
+--shards=N splits the trace into N self-contained shards, explores
+each independently and merges the designs by score-weighted vote
+(phase-aligned when the trace has phases; memory is bounded by the
+largest shard instead of the whole trace)
+--trace=FILE replays a durable trace (from `dmm record`) instead of
+recording the workload live; --recover salvages the valid prefix of
+a damaged file (defects are structured TR01x errors otherwise)
+--checkpoint=FILE journals every completed replay; after a crash,
+--resume skips the journalled candidates (bit-identical winner)
+--budget-steps=N / --budget-ms=N bound each candidate replay; a
+tripped budget aborts that candidate, not the sweep
+";
 
 /// `dmm space`.
 pub fn space_text() -> String {
@@ -990,9 +994,40 @@ mod tests {
 
     #[test]
     fn help_lists_all_commands() {
+        // Every command `run` dispatches sits on a line of the COMMANDS
+        // list indented by two spaces, its description starting in the
+        // description column; every other line there continues a
+        // description in that column.
+        const COLUMN: usize = 21;
         let h = help_text();
-        for cmd in ["space", "interdep", "profile", "explore", "compare"] {
-            assert!(h.contains(cmd), "help missing {cmd}");
+        let list: Vec<&str> = h
+            .lines()
+            .skip_while(|l| *l != "COMMANDS:")
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .collect();
+        let indent = |l: &str| l.chars().take_while(|&c| c == ' ').count();
+        let commands = [
+            "space", "interdep", "profile", "explore", "compare", "phases", "lint", "bounds",
+            "record", "help",
+        ];
+        for cmd in commands {
+            let line = list
+                .iter()
+                .find(|l| l.split_whitespace().next() == Some(cmd))
+                .unwrap_or_else(|| panic!("help missing {cmd}"));
+            assert_eq!(indent(line), 2, "{line:?}");
+            let b = line.as_bytes();
+            assert!(
+                b[COLUMN - 1] == b' ' && b[COLUMN] != b' ',
+                "{cmd}: description not in column {COLUMN}: {line:?}"
+            );
+        }
+        for line in &list {
+            let word = line.split_whitespace().next().unwrap_or("");
+            if !commands.contains(&word) {
+                assert_eq!(indent(line), COLUMN, "continuation off column: {line:?}");
+            }
         }
     }
 

@@ -172,6 +172,11 @@ impl Tiling {
         self.len
     }
 
+    /// Number of linked nodes: a run counts once.
+    pub fn node_count(&self) -> usize {
+        self.nodes
+    }
+
     /// Whether there are no blocks at all.
     pub fn is_empty(&self) -> bool {
         self.len == 0

@@ -21,6 +21,18 @@
 //! and trimming a suffix — through [`PolicyAllocator::detach`]. Every
 //! charge, counter and peak is the sum the member-by-member operations
 //! would produce.
+//!
+//! # Dirty stretches
+//!
+//! The deferred sweep (D2 = deferred) models a walk over the whole heap and
+//! charges one step per block. A sweep leaves no two free neighbours that
+//! could merge, and only a free node made or split off afterwards can
+//! change that, so the simulator lists those nodes and the next sweep
+//! visits only their stretches of free nodes, each from its first node and
+//! in address order: the merges, index operations and charges are the ones
+//! the whole-heap walk would make, in its order. Once the list holds an
+//! eighth of the tiling's nodes the sweep walks the whole heap instead.
+//! Debug builds check after every sweep that no group could still merge.
 
 use std::ops::Range;
 
@@ -38,6 +50,26 @@ use crate::space::trees::{
 };
 use crate::units::{align_up, MIN_ALIGN, MIN_BLOCK, SBRK_GRANULARITY};
 
+/// The deferred sweep walks the whole heap once its dirty list would
+/// reach `1 / WHOLE_HEAP_SHARE` of the tiling's nodes — at once on heaps
+/// under that many nodes. Past that share, sorting the list and walking
+/// back to each stretch's first node costs more than the walk it saves;
+/// it also bounds the list's memory.
+const WHOLE_HEAP_SHARE: usize = 8;
+
+/// What the deferred sweeps of a [`PolicyAllocator`] did (debug builds
+/// only).
+#[cfg(debug_assertions)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepVisits {
+    /// Sweeps that walked the whole heap.
+    pub whole: u64,
+    /// Sweeps that visited only the listed stretches.
+    pub listed: u64,
+    /// Tiling nodes the sweeps stepped onto, walking back to a stretch's
+    /// first node included.
+    pub nodes: u64,
+}
 
 /// An atomic DM manager interpreting one point of the search space.
 ///
@@ -69,10 +101,19 @@ pub struct PolicyAllocator {
     pools: Pools,
     stats: AllocStats,
     coalesce_dirty: bool,
+    /// Free nodes made or split off since the last deferred sweep, with
+    /// their offsets then: the stretches the next sweep must visit (D2 =
+    /// deferred only; entries may be stale).
+    dirty: Vec<(BlockRef, usize)>,
+    /// The next deferred sweep walks the whole heap; `dirty` is empty and
+    /// stays so.
+    sweep_all: bool,
     /// Count of event-boundary [`PolicyAllocator::sync_system`] settles —
     /// lets tests pin "system stats settle exactly once per event".
     #[cfg(debug_assertions)]
     sync_calls: u64,
+    #[cfg(debug_assertions)]
+    sweep_visits: SweepVisits,
     /// Reusable buffer for the current free run of
     /// [`PolicyAllocator::sweep_coalesce`], as tiling nodes and the members
     /// of each that join it — bounded by the longest run of adjacent free
@@ -103,8 +144,12 @@ impl PolicyAllocator {
             pools,
             stats: AllocStats::default(),
             coalesce_dirty: false,
+            dirty: Vec::new(),
+            sweep_all: false,
             #[cfg(debug_assertions)]
             sync_calls: 0,
+            #[cfg(debug_assertions)]
+            sweep_visits: SweepVisits::default(),
             sweep_run: Vec::new(),
             cfg,
         };
@@ -189,6 +234,27 @@ impl PolicyAllocator {
         self.sync_calls
     }
 
+    /// What the deferred sweeps did so far (debug builds only).
+    #[cfg(debug_assertions)]
+    pub fn sweep_visits(&self) -> SweepVisits {
+        self.sweep_visits
+    }
+
+    /// List the free node `r` at `offset` for the next deferred sweep (D2
+    /// = deferred only): a stretch may have become mergeable there. The
+    /// list gives way to a whole-heap walk at [`WHOLE_HEAP_SHARE`].
+    fn mark_dirty(&mut self, r: BlockRef, offset: usize) {
+        if self.cfg.coalesce_when != CoalesceWhen::Deferred || self.sweep_all {
+            return;
+        }
+        if self.dirty.len() >= self.blocks.node_count() / WHOLE_HEAP_SHARE {
+            self.dirty.clear();
+            self.sweep_all = true;
+        } else {
+            self.dirty.push((r, offset));
+        }
+    }
+
     /// [`Arena::sbrk`] plus incremental stats: counts the call and pushes
     /// the grown bytes into the system counter. No stats move on failure —
     /// the arena rejects an over-limit request without mutating.
@@ -233,7 +299,9 @@ impl PolicyAllocator {
     /// (none for [`UNINDEXED`] blocks), charging their one-by-one unlinks
     /// in `order`, and split them off in the tiling. Returns the node now
     /// holding exactly those members: members below them stay in `r`,
-    /// members above move to a new node that keeps the index entry.
+    /// members above move to a new node that keeps the index entry and is
+    /// listed for the next deferred sweep — a run never swept may merge
+    /// within itself.
     fn detach(
         &mut self,
         r: BlockRef,
@@ -259,6 +327,9 @@ impl PolicyAllocator {
                 self.blocks.set_index_token(u, token);
             }
         }
+        if let Some(u) = upper {
+            self.mark_dirty(u, self.blocks.get(u).span.offset);
+        }
         taken
     }
 
@@ -279,6 +350,7 @@ impl PolicyAllocator {
             let span = Span::new(offset, len);
             let r = self.blocks.insert_run(anchor, Block::free(span, pool), 1);
             self.index_free(r, span, pool, steps);
+            self.mark_dirty(r, offset);
             return;
         }
         // Fixed classes: greedy carve, largest class first. The greedy
@@ -296,6 +368,7 @@ impl PolicyAllocator {
                 .blocks
                 .insert_run(cursor, Block::free(run.span(), pool), run.count);
             self.index_run(r, run, pool, steps);
+            self.mark_dirty(r, at);
             cursor = Some(r);
             at += run.span().len;
             rest -= run.span().len;
@@ -303,7 +376,8 @@ impl PolicyAllocator {
         if rest > 0 {
             // Unusable slack: present in the tiling, in no index.
             let slack = Block::free(Span::new(at, rest), UNINDEXED);
-            self.blocks.insert_run(cursor, slack, 1);
+            let r = self.blocks.insert_run(cursor, slack, 1);
+            self.mark_dirty(r, at);
         }
     }
 
@@ -356,11 +430,14 @@ impl PolicyAllocator {
                     .blocks
                     .insert_run(None, Block::free(run.span(), pool), siblings);
                 self.index_run(r, run, pool, steps);
+                self.mark_dirty(r, run.offset);
             }
             let slack = base + reserve - at;
             if slack > 0 {
-                self.blocks
+                let r = self
+                    .blocks
                     .push_top(Block::free(Span::new(at, slack), UNINDEXED));
+                self.mark_dirty(r, at);
             }
             return Ok((candidate, span));
         }
@@ -416,10 +493,7 @@ impl PolicyAllocator {
     /// is absorbed member by member from the side facing `r`, as far as
     /// the cap allows.
     fn coalesce_at(&mut self, mut r: BlockRef, steps: &mut u64) -> (BlockRef, Span) {
-        let cap = match self.cfg.coalesce_max {
-            CoalesceMaxSizes::Unlimited => usize::MAX,
-            CoalesceMaxSizes::Capped => self.cfg.params.coalesce_cap,
-        };
+        let cap = self.coalesce_cap();
         let mut span = self.blocks.get(r).span;
 
         // Forward merges: the next header is one tag read away.
@@ -478,8 +552,11 @@ impl PolicyAllocator {
         (r, span)
     }
 
-    /// Deferred whole-heap coalescing sweep (D2 = deferred): walk the tiling
-    /// in address order and merge adjacent free runs, honouring the D1 cap.
+    /// Deferred coalescing sweep (D2 = deferred): merge adjacent free runs
+    /// in address order, honouring the D1 cap, as a walk over the whole
+    /// tiling does. It charges that walk, one step per block, though it
+    /// visits only the stretches listed since the last sweep unless the
+    /// list gave way to the whole heap (see the module docs).
     ///
     /// The walk runs **in place**: only the free run currently being
     /// gathered is buffered (in the reusable `sweep_run` scratch), never a
@@ -489,90 +566,193 @@ impl PolicyAllocator {
     /// behind the cursor cannot disturb the blocks still ahead of it;
     /// charges and ordering are identical to a snapshot-then-merge sweep.
     ///
+    /// A listed stretch is swept from its first free node: the cap forms
+    /// groups greedily from there, and without a cap a start further up
+    /// would leave the part below unmerged. A listed node that left its
+    /// offset, was taken or lies in a stretch already swept is skipped.
+    fn sweep_coalesce(&mut self, steps: &mut u64) {
+        *steps += self.blocks.len() as u64;
+        let cap = self.coalesce_cap();
+        // Take the scratch so the walk can borrow `self.blocks` freely.
+        let mut run = std::mem::take(&mut self.sweep_run);
+        if self.sweep_all {
+            #[cfg(debug_assertions)]
+            {
+                self.sweep_visits.whole += 1;
+            }
+            let mut cursor = self.blocks.first();
+            while let Some(r) = cursor {
+                cursor = self.sweep_step(r, cap, &mut run, steps);
+            }
+        } else {
+            #[cfg(debug_assertions)]
+            {
+                self.sweep_visits.listed += 1;
+            }
+            // Nothing the sweep itself splits off needs listing: it leaves
+            // every stretch it touches settled.
+            self.sweep_all = true;
+            let mut dirty = std::mem::take(&mut self.dirty);
+            dirty.sort_unstable_by_key(|&(_, offset)| offset);
+            // Offset of the used node that ended the last stretch swept.
+            let mut swept_to = 0;
+            for &(r, offset) in &dirty {
+                if offset < swept_to || !self.blocks.is_live(r) {
+                    continue;
+                }
+                let blk = self.blocks.get(r);
+                if blk.span.offset != offset || !blk.is_free() {
+                    continue;
+                }
+                let mut first = r;
+                while let Some(p) = self.blocks.prev(first) {
+                    if !self.blocks.get(p).is_free() {
+                        break;
+                    }
+                    first = p;
+                    #[cfg(debug_assertions)]
+                    {
+                        self.sweep_visits.nodes += 1;
+                    }
+                }
+                let mut cursor = Some(first);
+                while let Some(c) = cursor.filter(|&c| self.blocks.get(c).is_free()) {
+                    cursor = self.sweep_step(c, cap, &mut run, steps);
+                }
+                swept_to = cursor.map_or(usize::MAX, |c| self.blocks.get(c).span.offset);
+            }
+            dirty.clear();
+            self.dirty = dirty;
+        }
+        #[cfg(debug_assertions)]
+        self.assert_settled(cap, &mut run);
+        run.clear();
+        self.sweep_run = run;
+        self.sweep_all = false;
+        self.coalesce_dirty = false;
+    }
+
+    /// The D1 cap on a merged block's length.
+    fn coalesce_cap(&self) -> usize {
+        match self.cfg.coalesce_max {
+            CoalesceMaxSizes::Unlimited => usize::MAX,
+            CoalesceMaxSizes::Capped => self.cfg.params.coalesce_cap,
+        }
+    }
+
+    /// One step of the deferred sweep at node `r`: merge the free group
+    /// starting there, if it holds two members or more. Returns the node
+    /// the walk goes on from.
+    #[inline(always)]
+    fn sweep_step(
+        &mut self,
+        r: BlockRef,
+        cap: usize,
+        run: &mut Vec<(BlockRef, Range<usize>)>,
+        steps: &mut u64,
+    ) -> Option<BlockRef> {
+        #[cfg(debug_assertions)]
+        {
+            self.sweep_visits.nodes += 1;
+        }
+        let blk = *self.blocks.get(r);
+        if !blk.is_free() {
+            return self.blocks.next(r);
+        }
+        let (members, run_len) = self.gather(r, blk.run(), cap, run);
+        if members == 1 {
+            // A run of one merges nothing; resume after it.
+            return self.blocks.next(r);
+        }
+        // Unlink every member in address order, keep the first one's
+        // block and drop the rest.
+        let mut survivor = None;
+        for (node, range) in run.drain(..) {
+            let part = self.detach(node, range, Unlink::Ascending, steps);
+            match survivor {
+                None => {
+                    self.blocks.fuse(part);
+                    survivor = Some(part);
+                }
+                Some(_) => {
+                    self.blocks.remove(part);
+                }
+            }
+        }
+        let s = survivor.expect("a merged run has a first block");
+        self.stats.coalesces += members as u64 - 1; // n blocks -> n-1 merges
+        self.blocks.set_len(s, run_len);
+        let pool = self.route(run_len, steps);
+        self.blocks.set_free(s, pool);
+        let span = Span::new(self.blocks.get(s).span.offset, run_len);
+        self.index_free(s, span, pool, steps);
+        // Resume after the run.
+        self.blocks.next(s)
+    }
+
+    /// Gather into `run` the free group the sweep merges from the free
+    /// node `r`, whose members are `first`, as tiling nodes and the
+    /// members of each that join it; returns its member count and length.
+    /// The tiling makes every next block physically adjacent; only the D1
+    /// cap ends a group early.
+    ///
     /// A class run takes part by members: the cap cuts it into groups of as
     /// many members as fit together, each merged on its own, and when no
     /// two fit together only its top member can start a merge with what
     /// follows — the members below it are free runs of one, which merge
     /// nothing.
-    fn sweep_coalesce(&mut self, steps: &mut u64) {
-        *steps += self.blocks.len() as u64;
-        let cap = match self.cfg.coalesce_max {
-            CoalesceMaxSizes::Unlimited => usize::MAX,
-            CoalesceMaxSizes::Capped => self.cfg.params.coalesce_cap,
+    fn gather(
+        &self,
+        r: BlockRef,
+        first: Run,
+        cap: usize,
+        run: &mut Vec<(BlockRef, Range<usize>)>,
+    ) -> (usize, usize) {
+        let group = first.members_under(0, cap).max(1);
+        let lead = if group == 1 {
+            first.count - 1..first.count
+        } else {
+            0..group
         };
-        // Take the scratch so the walk can borrow `self.blocks` freely.
-        let mut run = std::mem::take(&mut self.sweep_run);
-        let mut cursor = self.blocks.first();
-        while let Some(r) = cursor {
-            let blk = *self.blocks.get(r);
-            if !blk.is_free() {
-                cursor = self.blocks.next(r);
-                continue;
-            }
-            // Gather the free run starting here. The tiling makes every
-            // next block physically adjacent; only the D1 cap ends a run
-            // early.
-            let first = blk.run();
-            let group = first.members_under(0, cap).max(1);
-            let lead = if group == 1 {
-                first.count - 1..first.count
-            } else {
-                0..group
-            };
-            let mut run_len = lead.len() * first.len;
-            let mut members = lead.len();
-            let whole = lead.end == first.count;
-            run.clear();
-            run.push((r, lead));
-            let mut tail = r;
-            while let Some(next_ref) = self.blocks.next(tail).filter(|_| whole) {
-                let next = *self.blocks.get(next_ref);
-                let nrun = next.run();
-                let m = nrun.members_under(run_len, cap);
-                if !next.is_free() || m == 0 {
-                    break;
-                }
-                run_len += m * nrun.len;
-                members += m;
-                run.push((next_ref, 0..m));
-                if m < nrun.count {
-                    break;
-                }
-                tail = next_ref;
-            }
-            if members == 1 {
-                // A run of one merges nothing; resume after it.
-                cursor = self.blocks.next(r);
-                continue;
-            }
-            // Unlink every member in address order, keep the first one's
-            // block and drop the rest.
-            let mut survivor = None;
-            for (node, range) in run.drain(..) {
-                let part = self.detach(node, range, Unlink::Ascending, steps);
-                match survivor {
-                    None => {
-                        self.blocks.fuse(part);
-                        survivor = Some(part);
-                    }
-                    Some(_) => {
-                        self.blocks.remove(part);
-                    }
-                }
-            }
-            let s = survivor.expect("a merged run has a first block");
-            self.stats.coalesces += members as u64 - 1; // n blocks -> n-1 merges
-            self.blocks.set_len(s, run_len);
-            let pool = self.route(run_len, steps);
-            self.blocks.set_free(s, pool);
-            let span = Span::new(self.blocks.get(s).span.offset, run_len);
-            self.index_free(s, span, pool, steps);
-            // Resume after the run.
-            cursor = self.blocks.next(s);
-        }
+        let mut run_len = lead.len() * first.len;
+        let mut members = lead.len();
+        let whole = lead.end == first.count;
         run.clear();
-        self.sweep_run = run;
-        self.coalesce_dirty = false;
+        run.push((r, lead));
+        let mut tail = r;
+        while let Some(next_ref) = self.blocks.next(tail).filter(|_| whole) {
+            let next = *self.blocks.get(next_ref);
+            let nrun = next.run();
+            let m = nrun.members_under(run_len, cap);
+            if !next.is_free() || m == 0 {
+                break;
+            }
+            run_len += m * nrun.len;
+            members += m;
+            run.push((next_ref, 0..m));
+            if m < nrun.count {
+                break;
+            }
+            tail = next_ref;
+        }
+        (members, run_len)
+    }
+
+    /// Debug oracle: after a sweep no free node may start a group of two
+    /// members or more — a whole-heap sweep straight after would merge
+    /// nothing.
+    #[cfg(debug_assertions)]
+    fn assert_settled(&self, cap: usize, run: &mut Vec<(BlockRef, Range<usize>)>) {
+        for (r, blk) in self.blocks.iter() {
+            if blk.is_free() {
+                let (members, _) = self.gather(r, blk.run(), cap, run);
+                assert_eq!(
+                    members, 1,
+                    "the deferred sweep left a mergeable group at {}",
+                    blk.span.offset
+                );
+            }
+        }
     }
 
     /// Give the top of the arena back to the system when the configuration
@@ -833,6 +1013,7 @@ impl Allocator for PolicyAllocator {
                 self.index_free(r, span, pool, &mut steps);
                 if self.cfg.coalesce_when == CoalesceWhen::Deferred {
                     self.coalesce_dirty = true;
+                    self.mark_dirty(r, offset);
                 }
             }
         }
@@ -949,6 +1130,8 @@ impl Allocator for PolicyAllocator {
         self.pools.clear();
         self.stats = AllocStats::default();
         self.coalesce_dirty = false;
+        self.dirty.clear();
+        self.sweep_all = false;
         // Full rebase, mirroring `new` — deltas resume from here.
         self.stats
             .set_system(self.arena.brk(), self.pools.static_overhead());
@@ -1296,6 +1479,141 @@ mod tests {
         m.check_invariants().unwrap();
         for (_, blk) in m.blocks.iter() {
             assert!(blk.span.len <= 1024, "cap violated: {:?}", blk.span);
+        }
+    }
+
+    /// Make `m`'s next deferred sweep walk the whole heap.
+    fn force_whole_heap(m: &mut PolicyAllocator) {
+        m.dirty.clear();
+        m.sweep_all = true;
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_sweep_visits_only_the_listed_stretches() {
+        // 1,000 used blocks, then two freed pairs and two freed singles,
+        // none next to another: the sweep on the next miss steps onto one
+        // node per stretch, yet merges, indexes and charges exactly what
+        // the whole-heap walk does — `Tiling::len` steps included.
+        let build = |whole_heap: bool| {
+            let mut m = lea();
+            let hs: Vec<_> = (0..1000).map(|_| m.alloc(56).unwrap()).collect();
+            for i in [100, 101, 300, 500, 501, 700] {
+                m.free(hs[i]).unwrap();
+            }
+            if whole_heap {
+                force_whole_heap(&mut m);
+            }
+            assert_eq!(m.stats().coalesces, 0, "deferred: nothing merged yet");
+            let _miss = m.alloc(4000).unwrap();
+            m.check_invariants().unwrap();
+            m
+        };
+        let listed = build(false);
+        let whole = build(true);
+        assert_eq!(listed.stats().coalesces, 2, "both pairs merge");
+        assert_eq!(listed.stats(), whole.stats());
+        let visits = |m: &PolicyAllocator| {
+            let v = m.sweep_visits();
+            (v.whole, v.listed, v.nodes)
+        };
+        assert_eq!(visits(&listed), (0, 1, 4), "one node per listed stretch");
+        assert_eq!(visits(&whole), (1, 0, 998), "all but the merged nodes");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn listing_an_eighth_of_the_nodes_falls_back_to_the_whole_heap() {
+        // 80 nodes: ten listed frees stay under an eighth, the eleventh
+        // reaches it and the next sweep walks the whole heap.
+        for (frees, whole) in [(10, 0), (11, 1)] {
+            let mut m = lea();
+            let hs: Vec<_> = (0..80).map(|_| m.alloc(56).unwrap()).collect();
+            for h in hs.iter().step_by(2).take(frees) {
+                m.free(*h).unwrap();
+            }
+            assert_eq!(m.blocks.node_count(), 80);
+            assert_eq!(m.dirty.len(), if whole == 1 { 0 } else { frees });
+            let _miss = m.alloc(4000).unwrap();
+            let v = m.sweep_visits();
+            assert_eq!((v.whole, v.listed), (whole, 1 - whole), "{frees} frees");
+            m.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_listed_node_after_a_capped_group_merges_from_its_stretch_start() {
+        // P, Q and X are adjacent; P + Q exceeds the cap, Q + X does not.
+        // The first sweep leaves P and Q apart. Once X is freed, the
+        // whole-heap walk forms groups greedily from P: {P}, then {Q, X}.
+        // Starting at the listed X alone would merge nothing.
+        let build = |whole_heap: bool| {
+            let mut cfg = presets::lea_like();
+            cfg.coalesce_max = CoalesceMaxSizes::Capped;
+            cfg.params.coalesce_cap = 1024;
+            cfg.validate().unwrap();
+            let mut m = PolicyAllocator::new(cfg).unwrap();
+            // Enough nodes for two listed frees.
+            for _ in 0..16 {
+                let _ = m.alloc(56).unwrap();
+            }
+            let p = m.alloc(900).unwrap(); // 912-byte block
+            let q = m.alloc(300).unwrap(); // 312-byte block
+            let x = m.alloc(300).unwrap();
+            let _guard = m.alloc(56).unwrap();
+            m.free(p).unwrap();
+            m.free(q).unwrap();
+            let _miss = m.alloc(2000).unwrap();
+            assert_eq!(m.stats().coalesces, 0, "P + Q exceeds the cap");
+            m.free(x).unwrap();
+            if whole_heap {
+                force_whole_heap(&mut m);
+            }
+            let _miss = m.alloc(3000).unwrap();
+            m.check_invariants().unwrap();
+            (m, q.offset())
+        };
+        let (listed, q_at) = build(false);
+        let (whole, _) = build(true);
+        assert_eq!(listed.stats().coalesces, 1, "Q and X merge");
+        let merged = listed.blocks.iter().find(|(_, b)| b.span.offset == q_at);
+        assert_eq!(merged.map(|(_, b)| b.span.len), Some(624));
+        assert_eq!(listed.stats(), whole.stats());
+        #[cfg(debug_assertions)]
+        assert_eq!(listed.sweep_visits().listed, 2, "both sweeps took the list");
+    }
+
+    #[test]
+    fn a_deferred_replay_after_reset_equals_a_fresh_one() {
+        let mut b = crate::trace::Trace::builder();
+        let mut live = Vec::new();
+        let mut x: u64 = 0x9E3779B97F4A7C15;
+        for _ in 0..3000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if live.is_empty() || !x.is_multiple_of(3) {
+                live.push(b.alloc(1 + (x as usize % 2000)));
+            } else {
+                let idx = (x as usize / 5) % live.len();
+                b.free(live.swap_remove(idx));
+            }
+        }
+        for id in live {
+            b.free(id);
+        }
+        let trace = b.finish().unwrap();
+        let fresh = crate::trace::replay(&trace, &mut lea()).unwrap();
+        let mut m = lea();
+        let first = crate::trace::replay(&trace, &mut m).unwrap();
+        assert_eq!(first, fresh);
+        m.reset();
+        let again = crate::trace::replay(&trace, &mut m).unwrap();
+        assert_eq!(again, fresh);
+        #[cfg(debug_assertions)]
+        {
+            let v = m.sweep_visits();
+            assert!(v.whole > 0 && v.listed > 0, "both paths ran: {v:?}");
         }
     }
 

@@ -70,18 +70,23 @@ impl Pools {
             indexes: Vec::new(),
             overhead: 0,
         };
-        // A single pool exists from the start; per-class pools are created
-        // on first use (power-of-two) or up front (profiled).
-        match pools.division {
-            PoolDivision::SinglePool => pools.ensure(0),
-            PoolDivision::PoolPerSizeClass => {
-                if pools.sizes == BlockSizes::ProfiledClasses {
-                    let n = pools.profiled.len() + 1; // +1 overflow pool
-                    pools.ensure(n - 1);
-                }
-            }
+        if let Some(last) = pools.initial_pools().checked_sub(1) {
+            pools.ensure(last);
         }
         pools
+    }
+
+    /// How many pools exist from the start: the single pool, or every
+    /// profiled class plus the overflow pool. Power-of-two pools are
+    /// created on first use.
+    fn initial_pools(&self) -> usize {
+        match (self.division, self.sizes) {
+            (PoolDivision::SinglePool, _) => 1,
+            (PoolDivision::PoolPerSizeClass, BlockSizes::ProfiledClasses) => {
+                self.profiled.len() + 1
+            }
+            (PoolDivision::PoolPerSizeClass, _) => 0,
+        }
     }
 
     fn ensure(&mut self, pool: usize) {
@@ -214,10 +219,19 @@ impl Pools {
     }
 
     /// Drop every indexed span (blocks themselves live in the block map).
+    /// Pools materialised since [`Pools::new`] are dropped too: routing
+    /// costs, larger-class searches and static overhead read the pool
+    /// count, so a cleared set must start where a new one does.
     pub fn clear(&mut self) {
+        self.indexes.truncate(self.initial_pools());
         for idx in &mut self.indexes {
             idx.clear();
         }
+        self.overhead = self
+            .indexes
+            .iter()
+            .map(|i| descriptor_bytes(self.structure) + i.control_overhead_bytes())
+            .sum();
     }
 }
 
@@ -370,6 +384,19 @@ mod tests {
         );
         pools.clear();
         assert_eq!(pools.total_free(), 0);
+    }
+
+    #[test]
+    fn clear_drops_the_pools_routing_materialised() {
+        let cfg = presets::kingsley_like();
+        let fresh = Pools::new(&cfg);
+        let mut pools = Pools::new(&cfg);
+        let mut s = 0u64;
+        pools.route(4096, &mut s);
+        assert!(pools.pool_count() > fresh.pool_count());
+        pools.clear();
+        assert_eq!(pools.pool_count(), fresh.pool_count());
+        assert_eq!(pools.static_overhead(), fresh.static_overhead());
     }
 
     #[test]

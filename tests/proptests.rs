@@ -10,7 +10,15 @@ use dmm::core::trace::TraceEvent;
 /// Strategy: a well-formed trace of interleaved allocs/frees with sizes in
 /// `1..=max_size`, always freeing everything at the end.
 fn trace_strategy(max_ops: usize, max_size: usize) -> impl Strategy<Value = Trace> {
-    proptest::collection::vec((any::<u16>(), 1..=max_size), 1..max_ops).prop_map(|ops| {
+    trace_strategy_between(1..max_ops, max_size)
+}
+
+/// [`trace_strategy`] with a number of operations drawn from `ops`.
+fn trace_strategy_between(
+    ops: std::ops::Range<usize>,
+    max_size: usize,
+) -> impl Strategy<Value = Trace> {
+    proptest::collection::vec((any::<u16>(), 1..=max_size), ops).prop_map(|ops| {
         let mut b = Trace::builder();
         let mut live: Vec<u64> = Vec::new();
         for (sel, size) in ops {
@@ -607,12 +615,22 @@ proptest! {
     /// answer OR charge; the per-event invariant hook re-validates the
     /// position-tree and size-map replicas against the lists they answer
     /// for. Both kernels must agree bit for bit, charges included.
+    ///
+    /// Each point also runs with deferred coalescing (A2 = many, D2 =
+    /// deferred), merges unlimited and capped at 512 bytes, where the debug
+    /// oracle checks after every sweep that nothing is left to merge. The
+    /// flat traces are long enough that the heap outgrows eight times the
+    /// frees between two sweeps: debug builds count the sweeps that walked
+    /// the whole heap and those that visited only the listed stretches,
+    /// and both must have run.
     #[test]
     fn rank_computed_charges_match_faithful_walks(
-        flat in trace_strategy(80, 2048),
+        flat in trace_strategy_between(48..112, 2048),
         phased in phased_trace_strategy(20, 1024),
     ) {
-        use dmm::core::space::trees::{BlockStructure, FitAlgorithm};
+        use dmm::core::space::trees::{
+            BlockStructure, CoalesceMaxSizes, CoalesceWhen, FitAlgorithm,
+        };
 
         let structures = [
             BlockStructure::SinglyLinkedList,
@@ -627,31 +645,54 @@ proptest! {
             FitAlgorithm::WorstFit,
             FitAlgorithm::ExactFit,
         ];
+        // The preset's immediate coalescing, then deferred sweeps with
+        // merges unlimited and capped.
+        let arms = [None, Some(CoalesceMaxSizes::Unlimited), Some(CoalesceMaxSizes::Capped)];
         let mut scratch = ReplayScratch::new();
+        // Deferred sweeps that walked the whole heap, and listed ones.
+        #[cfg(debug_assertions)]
+        let mut paths = (0u64, 0u64);
         for trace in [&flat, &phased] {
             let compiled = CompiledTrace::compile(trace);
             for s in structures {
                 for f in fits {
-                    let mut cfg = presets::drr_paper();
-                    cfg.name = format!("{s}/{f}");
-                    cfg.block_structure = s;
-                    cfg.fit = f;
-                    if cfg.validate().is_err() {
-                        continue; // interdependency-pruned point
+                    for deferred in arms {
+                        let mut cfg = presets::drr_paper();
+                        cfg.name = format!("{s}/{f}/deferred={deferred:?}");
+                        cfg.block_structure = s;
+                        cfg.fit = f;
+                        if let Some(max) = deferred {
+                            cfg.coalesce_when = CoalesceWhen::Deferred;
+                            cfg.coalesce_max = max;
+                            cfg.params.coalesce_cap = 512;
+                        }
+                        if cfg.validate().is_err() {
+                            continue; // interdependency-pruned point
+                        }
+                        let classic =
+                            replay(trace, &mut PolicyAllocator::new(cfg.clone()).expect("valid"))
+                                .expect("classic replay");
+                        let mut m = PolicyAllocator::new(cfg.clone()).expect("valid");
+                        let fast = replay_compiled_with(&compiled, &mut m, &mut scratch)
+                            .expect("compiled replay");
+                        prop_assert_eq!(&classic, &fast, "{}", cfg.name);
+                        prop_assert!(classic.stats.search_steps > 0, "{} charged nothing", cfg.name);
+                        #[cfg(debug_assertions)]
+                        {
+                            let v = m.sweep_visits();
+                            paths.0 += v.whole;
+                            paths.1 += v.listed;
+                        }
                     }
-                    let classic =
-                        replay(trace, &mut PolicyAllocator::new(cfg.clone()).expect("valid"))
-                            .expect("classic replay");
-                    let fast = replay_compiled_with(
-                        &compiled,
-                        &mut PolicyAllocator::new(cfg.clone()).expect("valid"),
-                        &mut scratch,
-                    ).expect("compiled replay");
-                    prop_assert_eq!(&classic, &fast, "{}", cfg.name);
-                    prop_assert!(classic.stats.search_steps > 0, "{} charged nothing", cfg.name);
                 }
             }
         }
+        #[cfg(debug_assertions)]
+        prop_assert!(
+            paths.0 > 0 && paths.1 > 0,
+            "sweeps (whole heap, listed): {:?}",
+            paths
+        );
         // Sharded replay runs the same in-find walk oracles shard by
         // shard; exercise the structure presets::all() never covers.
         for s in [BlockStructure::AddressOrderedList, BlockStructure::SinglyLinkedList] {
