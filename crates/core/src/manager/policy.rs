@@ -52,9 +52,9 @@ use crate::units::{align_up, MIN_ALIGN, MIN_BLOCK, SBRK_GRANULARITY};
 
 /// The deferred sweep walks the whole heap once its dirty list would
 /// reach `1 / WHOLE_HEAP_SHARE` of the tiling's nodes — at once on heaps
-/// under that many nodes. Past that share, sorting the list and walking
-/// back to each stretch's first node costs more than the walk it saves;
-/// it also bounds the list's memory.
+/// under that many nodes. Tiny heaps and sweeps after mass frees thus
+/// take the plain walk, where sorting the list and walking back to each
+/// stretch's first node would save nothing; it also bounds the list.
 const WHOLE_HEAP_SHARE: usize = 8;
 
 /// What the deferred sweeps of a [`PolicyAllocator`] did (debug builds

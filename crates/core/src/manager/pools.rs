@@ -70,22 +70,20 @@ impl Pools {
             indexes: Vec::new(),
             overhead: 0,
         };
-        if let Some(last) = pools.initial_pools().checked_sub(1) {
-            pools.ensure(last);
-        }
+        pools.ensure_initial();
         pools
     }
 
-    /// How many pools exist from the start: the single pool, or every
-    /// profiled class plus the overflow pool. Power-of-two pools are
+    /// Create the pools that exist from the start: the single pool, or
+    /// every profiled class plus the overflow pool. Power-of-two pools are
     /// created on first use.
-    fn initial_pools(&self) -> usize {
+    fn ensure_initial(&mut self) {
         match (self.division, self.sizes) {
-            (PoolDivision::SinglePool, _) => 1,
+            (PoolDivision::SinglePool, _) => self.ensure(0),
             (PoolDivision::PoolPerSizeClass, BlockSizes::ProfiledClasses) => {
-                self.profiled.len() + 1
+                self.ensure(self.profiled.len());
             }
-            (PoolDivision::PoolPerSizeClass, _) => 0,
+            (PoolDivision::PoolPerSizeClass, _) => {}
         }
     }
 
@@ -218,20 +216,14 @@ impl Pools {
         Ok(())
     }
 
-    /// Drop every indexed span (blocks themselves live in the block map).
-    /// Pools materialised since [`Pools::new`] are dropped too: routing
-    /// costs, larger-class searches and static overhead read the pool
-    /// count, so a cleared set must start where a new one does.
+    /// Drop every indexed span (blocks themselves live in the block map)
+    /// and every pool routing created: routing costs, larger-class searches
+    /// and static overhead read the pool count, so a cleared set must start
+    /// where a new one does.
     pub fn clear(&mut self) {
-        self.indexes.truncate(self.initial_pools());
-        for idx in &mut self.indexes {
-            idx.clear();
-        }
-        self.overhead = self
-            .indexes
-            .iter()
-            .map(|i| descriptor_bytes(self.structure) + i.control_overhead_bytes())
-            .sum();
+        self.indexes.clear();
+        self.overhead = 0;
+        self.ensure_initial();
     }
 }
 
