@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use dmm_core::heap::block::Span;
-use dmm_core::heap::index::new_index;
+use dmm_core::heap::index::{FreeIndex, PoolIndex};
 use dmm_core::heap::tiling::BlockRef;
 use dmm_core::space::trees::{BlockStructure, FitAlgorithm};
 
@@ -15,7 +15,7 @@ fn index_ops(c: &mut Criterion) {
     for structure in BlockStructure::ALL {
         group.bench_function(BenchmarkId::from_parameter(format!("{structure}")), |b| {
             b.iter(|| {
-                let mut idx = new_index(structure);
+                let mut idx = PoolIndex::new(structure);
                 let mut steps = 0u64;
                 for i in 0..512usize {
                     idx.insert(

@@ -29,14 +29,16 @@
 //!    layer's speedup (lazy rank replica, bitmap size set, O(1) hit
 //!    charges) at both quick and full scale;
 //! 4. **sweep gate** — both sweeps' counters must partition the
-//!    enumerated space and, in release builds, the projected sweep must
-//!    fire the projection tier and strictly reduce replays against the
-//!    plain serial sweep, and each full-space sweep must cut at least one
-//!    losing replay short at its peak cap, with the winner bit-identical
-//!    (asserted inside the harness). The gate counts; it never times. The
-//!    wall-clock ratio is printed and recorded, but sweep wall-clock is a
-//!    benchmark figure (`perfbench`'s sweep-drr workload), not a
-//!    pass/fail check;
+//!    enumerated space; the plain serial (baseline) sweep must fire both
+//!    the static and the bound prune and, with no fault plan or budget
+//!    installed, quarantine nothing and trip no budget; in release builds
+//!    the projected sweep must fire the projection tier and strictly
+//!    reduce replays against the baseline, and each full-space sweep must
+//!    cut at least one losing replay short at its peak cap, with the
+//!    winner bit-identical (asserted inside the harness). The gate counts;
+//!    it never times. The wall-clock ratio is printed and recorded, but
+//!    sweep wall-clock is a benchmark figure (`perfbench`'s sweep-drr
+//!    workload), not a pass/fail check;
 //! 5. **index gate** — on the free-index churn probe (a 255-block
 //!    ascending run, the blocks a fixed-class `grow` slices from one
 //!    granule, inserted and then taken back by first-fit searches, with 0,
@@ -73,58 +75,25 @@ fn main() {
     }
     std::fs::write(&out, report.to_json()).expect("failed to write the JSON report");
     eprintln!("wrote {out}");
-    let e = &report.exploration;
-    eprintln!(
-        "exploration ({}): {} enumerated -> {} evaluations ({} replays, {} projection hits, \
-         {} statically pruned, {} bound pruned, {} quarantined, {} budget exceeded)",
-        e.workload, e.enumerated, e.evaluations, e.replays, e.projection_hits,
-        e.statically_pruned, e.bound_pruned, e.quarantined, e.budget_exceeded
-    );
     let s = &report.sweep;
+    for side in [&s.baseline, &s.projected] {
+        eprintln!(
+            "{} sweep ({}): {} enumerated -> {}; {} replays cut, {:.3}s",
+            side.label,
+            s.workload,
+            side.enumerated,
+            side.counters,
+            side.peak_cut,
+            side.wallclock_secs
+        );
+    }
     eprintln!(
-        "sweep ({}): baseline {} replays ({} cut) in {:.3}s vs projected {} replays \
-         ({} cut, {} projection hits) in {:.3}s -> {:.2}x wall-clock, {:.1}% of enumerated \
-         replayed",
-        s.workload,
-        s.baseline.replays,
-        s.baseline.peak_cut,
-        s.baseline.wallclock_secs,
-        s.projected.replays,
-        s.projected.peak_cut,
-        s.projected.projection_hits,
-        s.projected.wallclock_secs,
+        "sweep: {:.2}x wall-clock, {:.1}% of enumerated replayed",
         s.sweep_wallclock_speedup,
         100.0 * s.projected_replay_ratio
     );
 
     if check {
-        // Branch-and-bound gate: the buckets (including the resilience
-        // counters) must partition the enumerated space, both prune kinds
-        // must actually fire on the full release sweep, and an uninjected,
-        // unbudgeted sweep must be fault-free.
-        if e.partitioned != e.enumerated || e.statically_pruned == 0 || e.bound_pruned == 0 {
-            eprintln!(
-                "REGRESSION: exploration pruning accounting broken or a prune kind never \
-                 fired ({} candidates in the buckets vs {} enumerated; {} statically, {} bound \
-                 pruned)",
-                e.partitioned, e.enumerated, e.statically_pruned, e.bound_pruned
-            );
-            std::process::exit(1);
-        }
-        if e.quarantined != 0 || e.budget_exceeded != 0 {
-            eprintln!(
-                "REGRESSION: healthy sweep reported faults ({} quarantined, {} budget \
-                 exceeded) with no fault plan or budget installed",
-                e.quarantined, e.budget_exceeded
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "exploration gate ok: {:.1}% bound pruned, {:.1}% statically pruned",
-            100.0 * e.bound_pruned as f64 / e.enumerated as f64,
-            100.0 * e.statically_pruned as f64 / e.enumerated as f64
-        );
-
         let gate = report.gate_row();
         if gate.speedup < 1.0 {
             eprintln!(
@@ -166,29 +135,53 @@ fn main() {
             );
         }
 
-        // Sweep gate: projection must pay for itself in replays on the
-        // branch-and-bound space, and the peak cut-off must fire. Winner
-        // bit-identity was already asserted inside the harness; here the
-        // accounting, the replay reduction and the cuts are enforced.
-        // Debug builds sweep a prefix too uniform to collapse, so the
-        // replay and cut half is release-only; the accounting half always
-        // holds.
+        // Sweep gate: the buckets (including the resilience counters) must
+        // partition the enumerated space, both prune kinds must fire on the
+        // baseline sweep, an uninjected, unbudgeted sweep must be
+        // fault-free, projection must pay for itself in replays, and the
+        // peak cut-off must fire. Winner bit-identity was already asserted
+        // inside the harness. Debug builds sweep a prefix too uniform to
+        // collapse, so the replay and cut half is release-only.
         for side in [&s.baseline, &s.projected] {
-            if side.partitioned != side.enumerated {
+            if side.counters.candidates() != side.enumerated {
                 eprintln!(
                     "REGRESSION: {} sweep accounting broken ({} candidates in the buckets vs \
                      {} enumerated)",
-                    side.label, side.partitioned, side.enumerated
+                    side.label,
+                    side.counters.candidates(),
+                    side.enumerated
                 );
                 std::process::exit(1);
             }
         }
+        let (base, projected) = (&s.baseline.counters, &s.projected.counters);
+        if base.statically_pruned == 0 || base.bound_pruned == 0 {
+            eprintln!(
+                "REGRESSION: a prune kind never fired on the baseline sweep ({} statically, \
+                 {} bound pruned)",
+                base.statically_pruned, base.bound_pruned
+            );
+            std::process::exit(1);
+        }
+        if base.quarantined != 0 || base.budget_exceeded != 0 {
+            eprintln!(
+                "REGRESSION: healthy sweep reported faults ({} quarantined, {} budget \
+                 exceeded) with no fault plan or budget installed",
+                base.quarantined, base.budget_exceeded
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "sweep gate: accounting ok, {:.1}% bound pruned, {:.1}% statically pruned",
+            100.0 * base.bound_pruned as f64 / s.baseline.enumerated as f64,
+            100.0 * base.statically_pruned as f64 / s.baseline.enumerated as f64
+        );
         if !cfg!(debug_assertions) {
-            if s.projected.projection_hits == 0 || s.projected.replays >= s.baseline.replays {
+            if projected.projection_hits == 0 || projected.replays >= base.replays {
                 eprintln!(
                     "REGRESSION: projection did not reduce replays ({} projected vs {} \
                      baseline, {} projection hits)",
-                    s.projected.replays, s.baseline.replays, s.projected.projection_hits
+                    projected.replays, base.replays, projected.projection_hits
                 );
                 std::process::exit(1);
             }
@@ -197,7 +190,7 @@ fn main() {
                     eprintln!(
                         "REGRESSION: the {} full-space sweep cut no replay at its peak cap \
                          ({} replays)",
-                        side.label, side.replays
+                        side.label, side.counters.replays
                     );
                     std::process::exit(1);
                 }
@@ -205,7 +198,7 @@ fn main() {
             eprintln!(
                 "sweep gate ok: replays {} -> {} ({} projection hits, {:.1}% of enumerated \
                  replayed; {} and {} replays cut; {:.2}x wall-clock, not gated)",
-                s.baseline.replays, s.projected.replays, s.projected.projection_hits,
+                base.replays, projected.replays, projected.projection_hits,
                 100.0 * s.projected_replay_ratio, s.baseline.peak_cut, s.projected.peak_cut,
                 s.sweep_wallclock_speedup
             );

@@ -672,7 +672,7 @@ pub fn sharded_explore(
         outcome.merges.len(),
         outcome.shard_count
     );
-    let _ = writeln!(summary, "exploration: {}", outcome.counters());
+    let _ = writeln!(summary, "exploration: {}", outcome.counters);
     let _ = writeln!(
         summary,
         "peak resident trace bytes: {} (whole trace would be {}, carried across \
@@ -802,42 +802,6 @@ pub const PR5_LARGE_CHURN_QUICK: GateBaseline = GateBaseline {
     drr_events_per_sec: 4_977_470.0,
 };
 
-/// Pruning telemetry of one branch-and-bound exhaustive sweep — the
-/// `exploration` block of `BENCH_replay.json`. Every enumerated candidate
-/// lands in exactly one bucket: `partitioned` (the buckets' sum,
-/// [`EngineCounters::candidates`]) equals `enumerated`.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct ExplorationPruningReport {
-    /// Workload the sweep replayed against.
-    pub workload: String,
-    /// Configurations enumerated from the (possibly limited) space,
-    /// counted independently of the engine.
-    pub enumerated: usize,
-    /// Candidates the engine's buckets account for.
-    pub partitioned: usize,
-    /// Candidates actually evaluated.
-    pub evaluations: usize,
-    /// Evaluations that required a fresh replay (cut-short ones included).
-    pub replays: usize,
-    /// Candidates served from the trace-conditioned projection tier — a
-    /// behaviorally-identical sibling was already replayed, so the stats
-    /// were copied without a replay. 0 on the baseline (unprojected)
-    /// sweep this block records; the `sweep` block measures the
-    /// projected run.
-    pub projection_hits: usize,
-    /// Candidates skipped by the prune-safe config lints.
-    pub statically_pruned: usize,
-    /// Candidates skipped because their admissible footprint floor lost
-    /// to the incumbent (branch-and-bound).
-    pub bound_pruned: usize,
-    /// Candidates quarantined after a panicking replay (`EX001`); 0 on a
-    /// healthy sweep.
-    pub quarantined: usize,
-    /// Candidates aborted by the per-candidate budget (`EX002`); 0 when
-    /// the sweep runs unbudgeted.
-    pub budget_exceeded: usize,
-}
-
 /// Number of configurations a sweep over (a `limit` prefix of) the space
 /// enumerates — the engine-independent side of the partition check.
 fn swept_configs(params: &dmm_core::space::config::Params, limit: Option<usize>) -> usize {
@@ -847,56 +811,6 @@ fn swept_configs(params: &dmm_core::space::config::Params, limit: Option<usize>)
     )
     .take(limit.unwrap_or(usize::MAX))
     .count()
-}
-
-/// Run the branch-and-bound exhaustive sweep
-/// ([`dmm_core::methodology::exhaustive_best_with_engine`]) over (a prefix
-/// of) the configuration space on the DRR trace and report how the
-/// enumerated candidates split between evaluation, static pruning and
-/// bound pruning.
-///
-/// # Errors
-///
-/// Propagates workload and replay failures.
-pub fn exploration_pruning(quick: bool) -> Result<ExplorationPruningReport> {
-    use dmm_core::methodology::exhaustive_best_with_engine;
-    use dmm_core::space::config::Params;
-    use dmm_core::units::MIN_BLOCK;
-
-    let w = if quick {
-        DrrWorkload::quick(0)
-    } else {
-        DrrWorkload::case_study(0)
-    };
-    let trace = w.record()?;
-    // Release sweeps the whole rule-pruned space — bound pruning skips the
-    // majority of the 39,840 candidates, so the full sweep costs ~1 s.
-    // Debug replays are ~100× slower; bound the walk there (the prefix is
-    // too shallow to leave the A2 = many subtree, so only the static prune
-    // fires — the release CI gate checks the bound prune).
-    let limit = if cfg!(debug_assertions) {
-        Some(300)
-    } else {
-        None
-    };
-    let mut params = Params::footprint_optimised();
-    params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
-    let engine = ExplorationEngine::serial();
-    let enumerated = swept_configs(&params, limit);
-    let (_, _, evaluated) = exhaustive_best_with_engine(&trace, params, limit, &engine)?;
-    let c = engine.counters();
-    Ok(ExplorationPruningReport {
-        workload: w.name().to_string(),
-        enumerated,
-        partitioned: c.candidates(),
-        evaluations: evaluated,
-        replays: c.replays,
-        projection_hits: c.projection_hits,
-        statically_pruned: c.statically_pruned,
-        bound_pruned: c.bound_pruned,
-        quarantined: c.quarantined,
-        budget_exceeded: c.budget_exceeded,
-    })
 }
 
 /// One side of the [`sweep_comparison`] — a full branch-and-bound sweep
@@ -912,24 +826,15 @@ pub struct SweepSide {
     /// order (every run's counters and winner are asserted identical).
     pub wallclock_runs_secs: Vec<f64>,
     /// Configurations enumerated from the (possibly limited) space,
-    /// counted independently of the engine.
+    /// counted independently of the engine: every one lands in exactly one
+    /// bucket of `counters`, so [`EngineCounters::candidates`] equals it.
     pub enumerated: usize,
-    /// Candidates the engine's buckets account for
-    /// ([`EngineCounters::candidates`]); equals `enumerated`.
-    pub partitioned: usize,
-    /// Candidates actually evaluated.
-    pub evaluations: usize,
-    /// Evaluations that required a fresh replay (cut-short ones included).
-    pub replays: usize,
+    /// The engine's counters after the sweep. Replays include cut ones;
+    /// projection hits are 0 on the baseline.
+    pub counters: EngineCounters,
     /// Replays stopped once the candidate's peak passed the incumbent
     /// ([`ExplorationEngine::peak_cut`]).
     pub peak_cut: usize,
-    /// Candidates served by trace-conditioned projection (0 on baseline).
-    pub projection_hits: usize,
-    /// Candidates skipped by the prune-safe config lints.
-    pub statically_pruned: usize,
-    /// Candidates skipped by branch-and-bound.
-    pub bound_pruned: usize,
     /// Structural fingerprint of the winning configuration.
     pub winner_fingerprint: String,
     /// The winner's replayed peak footprint.
@@ -980,10 +885,11 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
         DrrWorkload::case_study(0)
     };
     let trace = w.record()?;
-    // Same scale convention as `exploration_pruning`: debug bounds the
-    // walk (and its shadow oracle re-replays every projection hit — the
-    // *soundness* check), release sweeps the whole space (the replay
-    // gates fire there).
+    // Debug replays are ~100× slower, so debug bounds the walk (and its
+    // shadow oracle re-replays every projection hit — the *soundness*
+    // check); the prefix is too shallow to leave the A2 = many subtree, so
+    // only the static prune fires there. Release sweeps the whole space
+    // (the bound-prune and replay gates fire there).
     let limit = if cfg!(debug_assertions) {
         Some(300)
     } else {
@@ -997,19 +903,13 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
         let start = std::time::Instant::now();
         let (cfg, peak, _) = exhaustive_best_with_engine(&trace, params.clone(), limit, engine)?;
         let wallclock_secs = start.elapsed().as_secs_f64();
-        let c = engine.counters();
         Ok(SweepSide {
             label: label.to_string(),
             wallclock_secs,
             wallclock_runs_secs: vec![wallclock_secs],
             enumerated,
-            partitioned: c.candidates(),
-            evaluations: c.evaluations,
-            replays: c.replays,
+            counters: engine.counters(),
             peak_cut: engine.peak_cut(),
-            projection_hits: c.projection_hits,
-            statically_pruned: c.statically_pruned,
-            bound_pruned: c.bound_pruned,
             winner_fingerprint: format!("{:016x}", cfg.fingerprint()),
             winner_peak: peak,
         })
@@ -1023,8 +923,8 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
         let mut side = runs.remove(0);
         for again in runs {
             assert_eq!(
-                (again.replays, again.peak_cut, &again.winner_fingerprint, again.winner_peak),
-                (side.replays, side.peak_cut, &side.winner_fingerprint, side.winner_peak),
+                (again.counters, again.peak_cut, &again.winner_fingerprint, again.winner_peak),
+                (side.counters, side.peak_cut, &side.winner_fingerprint, side.winner_peak),
                 "{label} sweep did not repeat"
             );
             side.wallclock_runs_secs.push(again.wallclock_secs);
@@ -1047,7 +947,7 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
     let sweep_wallclock_speedup = baseline.wallclock_secs
         / projected.wallclock_secs.max(f64::MIN_POSITIVE);
     let projected_replay_ratio =
-        projected.replays as f64 / projected.enumerated.max(1) as f64;
+        projected.counters.replays as f64 / projected.enumerated.max(1) as f64;
     Ok(SweepReport {
         workload: w.name().to_string(),
         baseline,
@@ -1214,9 +1114,6 @@ pub struct ReplayHotReport {
     pub repeats: usize,
     /// One row per workload.
     pub rows: Vec<ReplayHotRow>,
-    /// Branch-and-bound pruning telemetry of the exhaustive sweep on the
-    /// DRR trace (see [`exploration_pruning`]).
-    pub exploration: ExplorationPruningReport,
     /// Baseline vs projected sweep comparison on the same space (see
     /// [`sweep_comparison`]): wall-clock speedup, replay reduction, winner
     /// bit-identity.
@@ -1506,7 +1403,6 @@ pub fn replay_hot(quick: bool) -> Result<(Table, ReplayHotReport)> {
         quick,
         repeats: REPLAY_HOT_REPEATS,
         rows,
-        exploration: exploration_pruning(quick)?,
         sweep: sweep_comparison(quick)?,
         manager_bound_speedup_vs_pr4: 0.0,
         manager_bound_speedup_vs_pr5: 0.0,
@@ -1686,18 +1582,19 @@ mod tests {
         assert!(json.contains("\"bench\""), "{json}");
         assert!(json.contains("large_churn"), "{json}");
         assert!(json.contains("manager_bound_speedup_vs_pr4"), "{json}");
-        // The pruning telemetry rides along and its buckets partition the
-        // enumerated space.
+        // The sweep comparison rides along: winner bit-identity was
+        // asserted inside `sweep_comparison`; here, check the accounting.
+        // The baseline's counters are the pruning telemetry: the static
+        // prune fires and a healthy unbudgeted sweep is fault-free.
         assert!(json.contains("\"bound_pruned\""), "{json}");
-        let e = &report.exploration;
+        let s = &report.sweep;
+        let base = &s.baseline.counters;
+        assert_eq!(s.baseline.enumerated, s.projected.enumerated);
+        assert_eq!(base.projection_hits, 0);
+        assert_eq!(base.replays, base.evaluations);
+        assert!(base.statically_pruned > 0, "static pruning never fired");
         assert_eq!(
-            e.partitioned, e.enumerated,
-            "every enumerated candidate lands in exactly one bucket"
-        );
-        assert_eq!(e.replays, e.evaluations);
-        assert!(e.statically_pruned > 0, "static pruning never fired");
-        assert_eq!(
-            (e.quarantined, e.budget_exceeded),
+            (base.quarantined, base.budget_exceeded),
             (0, 0),
             "a healthy unbudgeted sweep must be fault-free"
         );
@@ -1705,23 +1602,19 @@ mod tests {
         // floor stays below the incumbent; the full release sweep (CI's
         // `replay_hot --check`) asserts the bound prune actually fires.
         if !cfg!(debug_assertions) {
-            assert!(e.bound_pruned > 0, "bound pruning never fired");
+            assert!(base.bound_pruned > 0, "bound pruning never fired");
         }
-        // The sweep comparison rides along: winner bit-identity was
-        // asserted inside `sweep_comparison`; here, check the accounting.
-        let s = &report.sweep;
-        assert_eq!(s.baseline.enumerated, s.projected.enumerated);
-        assert_eq!(s.baseline.projection_hits, 0);
         for side in [&s.baseline, &s.projected] {
             assert_eq!(
-                side.partitioned, side.enumerated,
-                "{}: sweep partition invariant",
+                side.counters.candidates(),
+                side.enumerated,
+                "{}: every enumerated candidate lands in exactly one bucket",
                 side.label
             );
-            assert!(side.peak_cut <= side.replays, "{}", side.label);
+            assert!(side.peak_cut <= side.counters.replays, "{}", side.label);
         }
         assert!(
-            s.projected.replays <= s.baseline.replays,
+            s.projected.counters.replays <= base.replays,
             "projection must never add replays"
         );
         assert!(s.sweep_wallclock_speedup > 0.0);
@@ -1743,11 +1636,11 @@ mod tests {
         // space is where the projection gates fire (CI `--check`).
         if !cfg!(debug_assertions) {
             assert!(
-                s.projected.projection_hits > 0,
+                s.projected.counters.projection_hits > 0,
                 "projection never fired on the full space"
             );
             assert!(
-                s.projected.replays < s.baseline.replays,
+                s.projected.counters.replays < base.replays,
                 "projection must strictly reduce replays on the full space"
             );
             for side in [&s.baseline, &s.projected] {

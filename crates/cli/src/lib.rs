@@ -40,13 +40,13 @@ use dmm_baselines::{KingsleyAllocator, LeaAllocator, ObstackAllocator, RegionAll
 use dmm_core::analyze::{self, Diagnostic, Severity};
 use dmm_core::error::{Error, Result};
 use dmm_core::manager::{Allocator, PolicyAllocator};
-use dmm_core::methodology::{BudgetSpec, CheckpointJournal, ExplorationEngine, Methodology};
+use dmm_core::methodology::{CheckpointJournal, ExplorationEngine, Methodology};
 use dmm_core::profile::Profile;
 use dmm_core::space::config::DmConfig;
 use dmm_core::space::interdep;
 use dmm_core::space::presets;
 use dmm_core::space::trees::{Category, TreeId};
-use dmm_core::trace::{replay_compiled, CompiledTrace, Trace};
+use dmm_core::trace::{replay_compiled, CompiledTrace, ReplayBudget, Trace};
 use dmm_report::{Cell, Table};
 use dmm_workloads::{DrrWorkload, ReconWorkload, RenderWorkload, Workload};
 use serde::{Deserialize, Serialize};
@@ -243,33 +243,30 @@ fn trace_source(inv: &Invocation) -> Result<(String, Trace, Option<String>)> {
 }
 
 /// The exploration engine a subcommand evaluates through, with the
-/// robustness flags applied: per-candidate budgets (quarantine mode comes
-/// with them, so budget trips in sweeps skip the candidate instead of
-/// aborting the sweep) and the checkpoint journal.
+/// robustness flags applied: the per-candidate replay budget and the
+/// checkpoint journal. Every subcommand explores greedily or by shards,
+/// and both need every score they ask for, so a tripped budget fails the
+/// command.
 fn engine_for(inv: &Invocation) -> Result<ExplorationEngine> {
     if inv.resume && inv.checkpoint.is_none() {
         return Err(Error::InvalidConfig(
             "--resume needs --checkpoint=FILE (the journal to resume from)".into(),
         ));
     }
-    let mut engine = ExplorationEngine::new(inv.jobs);
-    if inv.budget_steps.is_some() || inv.budget_ms.is_some() {
-        engine.set_budget(BudgetSpec {
-            max_steps: inv.budget_steps,
-            max_millis: inv.budget_ms,
-        });
-        engine.set_quarantine(true);
-    }
-    if let Some(path) = &inv.checkpoint {
-        let p = std::path::Path::new(path);
-        let journal = if inv.resume {
-            CheckpointJournal::resume(p)?
-        } else {
-            CheckpointJournal::create(p)?
-        };
-        engine.set_journal(journal);
-    }
-    Ok(engine)
+    let engine = ExplorationEngine::new(inv.jobs).with_budget(ReplayBudget {
+        max_steps: inv.budget_steps,
+        max_millis: inv.budget_ms,
+    });
+    let Some(path) = &inv.checkpoint else {
+        return Ok(engine);
+    };
+    let p = std::path::Path::new(path);
+    let journal = if inv.resume {
+        CheckpointJournal::resume(p)?
+    } else {
+        CheckpointJournal::create(p)?
+    };
+    Ok(engine.with_journal(journal))
 }
 
 /// Pre-run snapshot of the engine's journal: path, replays already
@@ -387,7 +384,7 @@ a damaged file (defects are structured TR01x errors otherwise)
 --checkpoint=FILE journals every completed replay; after a crash,
 --resume skips the journalled candidates (bit-identical winner)
 --budget-steps=N / --budget-ms=N bound each candidate replay; a
-tripped budget aborts that candidate, not the sweep
+tripped budget fails the command (exit 1)
 ";
 
 /// `dmm space`.
@@ -709,21 +706,10 @@ pub fn explore_text(inv: &Invocation) -> Result<String> {
     let (name, trace, note) = trace_source(inv)?;
     let engine = engine_for(inv)?;
     let journal = journal_snapshot(&engine);
-    let outcome = Methodology::new()
-        .with_jobs(inv.jobs)
-        .explore_with_engine(&trace, &engine)?;
+    let outcome = Methodology::new().explore_with_engine(&trace, &engine)?;
     let mut out = String::new();
     write_source_header(&mut out, &name, &note, &journal);
-    // Same counter line every exploration surface prints: the
-    // `EngineCounters` Display. Greedy exploration never prunes or
-    // quarantines, so the resilience counters are zero by construction.
-    let counters = dmm_core::methodology::EngineCounters {
-        evaluations: outcome.evaluations,
-        replays: outcome.replays,
-        cache_hits: outcome.cache_hits,
-        ..Default::default()
-    };
-    let _ = writeln!(out, "exploration: {counters}");
+    let _ = writeln!(out, "exploration: {}", outcome.counters);
     let _ = writeln!(out, "decision log (traversal order of Section 4.2):");
     for d in &outcome.decisions {
         let _ = writeln!(out, "  {} -> {}", d.tree.code(), d.chosen);
@@ -772,9 +758,7 @@ fn explore_sharded_text(inv: &Invocation) -> Result<String> {
     let (name, trace, note) = trace_source(inv)?;
     let engine = engine_for(inv)?;
     let journal = journal_snapshot(&engine);
-    let outcome = Methodology::new()
-        .with_jobs(inv.jobs)
-        .explore_sharded_with_engine(&trace, inv.shards, &engine)?;
+    let outcome = Methodology::new().explore_sharded_with_engine(&trace, inv.shards, &engine)?;
     let mut out = String::new();
     write_source_header(&mut out, &name, &note, &journal);
     let _ = writeln!(
@@ -793,7 +777,7 @@ fn explore_sharded_text(inv: &Invocation) -> Result<String> {
             s.events, s.outcome.footprint.peak_footprint, s.weight as usize
         );
     }
-    let _ = writeln!(out, "exploration: {}", outcome.counters());
+    let _ = writeln!(out, "exploration: {}", outcome.counters);
     let _ = writeln!(out, "merge log (score-weighted vote per tree):");
     for d in &outcome.merges {
         let votes = d
@@ -836,9 +820,7 @@ pub fn compare_text(inv: &Invocation) -> Result<String> {
     let (name, trace, _note) = trace_source(inv)?;
     let engine = engine_for(inv)?;
     let profile = Profile::of(&trace);
-    let methodology = Methodology::new()
-        .with_name("our DM manager")
-        .with_jobs(inv.jobs);
+    let methodology = Methodology::new().with_name("our DM manager");
     // With --shards=N the custom design comes from sharded exploration —
     // same comparison table, scalable design path.
     let custom_config = if inv.shards > 1 {

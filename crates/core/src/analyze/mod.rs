@@ -12,10 +12,12 @@
 //!
 //! - [`crate::methodology::engine::ExplorationEngine`] runs the
 //!   **prune-safe** config lints ([`config_lints::prune_reason`]) before
-//!   scheduling a replay and counts skips in `statically_pruned()`;
+//!   scheduling a replay and counts skips in
+//!   [`EngineCounters::statically_pruned`](crate::methodology::EngineCounters::statically_pruned);
 //! - the same engine's branch-and-bound path skips candidates whose
 //!   admissible footprint floor ([`bounds::lower_bound_peak`]) already
-//!   loses to the incumbent, counted in `bound_pruned()`;
+//!   loses to the incumbent, counted in
+//!   [`EngineCounters::bound_pruned`](crate::methodology::EngineCounters::bound_pruned);
 //! - [`crate::trace::Trace::from_events`] (the chokepoint of every record
 //!   and shard path) rejects malformed streams with the first `TR0xx`
 //!   error from [`trace_lints::first_error`];

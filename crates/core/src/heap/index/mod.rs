@@ -174,24 +174,12 @@ pub trait FreeIndex: std::fmt::Debug {
     }
 }
 
-/// Instantiate the index matching an A1 leaf.
-pub fn new_index(structure: BlockStructure) -> Box<dyn FreeIndex + Send> {
-    match structure {
-        BlockStructure::SinglyLinkedList => Box::new(SllIndex::new()),
-        BlockStructure::DoublyLinkedList => Box::new(DllIndex::new()),
-        BlockStructure::AddressOrderedList => Box::new(AddrIndex::new()),
-        BlockStructure::SizeOrderedTree => Box::new(SizeTreeIndex::new()),
-    }
-}
-
 /// A pool's free index with the A1 leaf resolved by enum, not vtable.
 ///
 /// The pool set holds these instead of `Box<dyn FreeIndex>`: a replay
 /// drives a handful of index calls per event through the pool layer, and a
 /// predictable four-way match the optimiser can inline through is
-/// measurably cheaper than virtual dispatch on that path. The trait object
-/// form ([`new_index`]) remains for callers that want open-ended
-/// composition.
+/// measurably cheaper than virtual dispatch on that path.
 #[derive(Debug)]
 pub enum PoolIndex {
     /// A1: singly linked list.
@@ -281,10 +269,10 @@ mod contract_tests {
     use super::*;
     use std::collections::HashMap;
 
-    fn all_indexes() -> Vec<(BlockStructure, Box<dyn FreeIndex + Send>)> {
+    fn all_indexes() -> Vec<(BlockStructure, PoolIndex)> {
         BlockStructure::ALL
             .iter()
-            .map(|&s| (s, new_index(s)))
+            .map(|&s| (s, PoolIndex::new(s)))
             .collect()
     }
 
@@ -474,8 +462,8 @@ mod contract_tests {
         for structure in BlockStructure::ALL {
             for fit in FitAlgorithm::ALL {
                 let label = format!("{structure:?}/{fit:?}");
-                let mut runs = new_index(structure);
-                let mut members = new_index(structure);
+                let mut runs = PoolIndex::new(structure);
+                let mut members = PoolIndex::new(structure);
                 let mut entries: Vec<Entry> = Vec::new();
                 let mut tokens: HashMap<usize, usize> = HashMap::new();
                 let mut next_block = 1u32 << 24;

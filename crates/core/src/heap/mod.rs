@@ -20,5 +20,5 @@ pub mod tiling;
 
 pub use arena::Arena;
 pub use block::{Block, BlockMap, BlockState, Run, Span};
-pub use index::{new_index, FreeIndex};
+pub use index::FreeIndex;
 pub use tiling::{BlockRef, TiledBlock, Tiling};

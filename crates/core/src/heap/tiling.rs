@@ -251,12 +251,6 @@ impl Tiling {
         self.insert_run(None, block, 1)
     }
 
-    /// Insert a block immediately after `anchor`. The block must tile
-    /// exactly against its neighbours (`anchor.end() == block.offset`).
-    pub fn insert_after(&mut self, anchor: BlockRef, block: Block) -> BlockRef {
-        self.insert_run(Some(anchor), block, 1)
-    }
-
     /// Insert a node of `count` members covering `block.span` immediately
     /// after `anchor`, or at the top when `anchor` is `None`. It must tile
     /// exactly against its predecessor; a run of several members must be
@@ -475,16 +469,11 @@ impl Tiling {
     }
 
     /// Linear fallback lookup by offset (stale or externally-minted
-    /// handles only — every hot path resolves blocks through [`BlockRef`]).
-    pub fn find_by_offset(&self, offset: usize) -> Option<BlockRef> {
-        let mut steps = 0u64;
-        self.find_by_offset_charged(offset, &mut steps)
-    }
-
-    /// [`Tiling::find_by_offset`], charging one step per block visited —
-    /// the modelled cost of the linear scan a manager performs to resolve
-    /// a handle that carries no slot. A run is visited member by member;
-    /// a hit on one of its members names the run's node.
+    /// handles only — every hot path resolves blocks through [`BlockRef`]),
+    /// charging one step per block visited — the modelled cost of the
+    /// linear scan a manager performs to resolve a handle that carries no
+    /// slot. A run is visited member by member; a hit on one of its
+    /// members names the run's node.
     pub fn find_by_offset_charged(&self, offset: usize, steps: &mut u64) -> Option<BlockRef> {
         for (r, b) in self.iter() {
             if b.count > 1 && (b.span.offset..b.span.end()).contains(&offset) {
@@ -656,11 +645,11 @@ mod tests {
         let mut t = Tiling::new();
         let a = t.push_top(free(0, 64));
         t.set_len(a, 16);
-        let b = t.insert_after(a, free(16, 48));
+        let b = t.insert_run(Some(a), free(16, 48), 1);
         assert_eq!(t.next(a), Some(b));
         assert_eq!(t.top(), Some(b));
         t.set_len(b, 16);
-        let c = t.insert_after(b, free(32, 32));
+        let c = t.insert_run(Some(b), free(32, 32), 1);
         assert_eq!(t.top(), Some(c));
         assert_eq!(t.prev(c), Some(b));
         assert!(t.check_tiling(64).is_none());
@@ -679,7 +668,7 @@ mod tests {
         assert!(t.check_tiling(48).is_none());
         assert!(!t.is_live(b));
         // The freed slot is recycled by the next insertion.
-        let d = t.insert_after(c, free(48, 8));
+        let d = t.insert_run(Some(c), free(48, 8), 1);
         assert_eq!(d.index(), b.index());
         assert!(t.is_live(d));
         assert!(t.check_tiling(56).is_none());
@@ -722,9 +711,11 @@ mod tests {
         let mut t = Tiling::new();
         let _ = t.push_top(free(0, 16));
         let b = t.push_top(free(16, 16));
-        assert_eq!(t.find_by_offset(16), Some(b));
-        assert_eq!(t.find_by_offset(8), None);
-        assert_eq!(t.find_by_offset(999), None);
+        let mut steps = 0u64;
+        assert_eq!(t.find_by_offset_charged(16, &mut steps), Some(b));
+        assert_eq!(steps, 2, "one step per block visited");
+        assert_eq!(t.find_by_offset_charged(8, &mut steps), None);
+        assert_eq!(t.find_by_offset_charged(999, &mut steps), None);
     }
 
     #[test]

@@ -39,8 +39,7 @@ use crate::methodology::checkpoint::CheckpointJournal;
 use crate::metrics::FootprintStats;
 use crate::space::config::DmConfig;
 use crate::trace::{
-    replay_compiled_budgeted, replay_compiled_capped, replay_compiled_with, CappedReplay,
-    CompiledTrace, ReplayBudget, ReplayScratch, Trace,
+    replay_compiled_limited, CappedReplay, CompiledTrace, ReplayBudget, ReplayScratch, Trace,
 };
 
 thread_local! {
@@ -53,8 +52,10 @@ thread_local! {
     static REPLAY_SCRATCH: RefCell<ReplayScratch> = RefCell::new(ReplayScratch::new());
 }
 
-/// Monotonic counters of one engine's work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Monotonic counters of one engine's work — the one record every
+/// exploration surface reports: engine snapshots, exploration outcomes,
+/// the CLI's `exploration:` line and the bench reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct EngineCounters {
     /// Candidate evaluations requested (cache hits + replays).
     pub evaluations: usize,
@@ -103,6 +104,28 @@ impl EngineCounters {
     }
 }
 
+impl std::ops::AddAssign for EngineCounters {
+    fn add_assign(&mut self, other: EngineCounters) {
+        self.evaluations += other.evaluations;
+        self.replays += other.replays;
+        self.cache_hits += other.cache_hits;
+        self.statically_pruned += other.statically_pruned;
+        self.bound_pruned += other.bound_pruned;
+        self.quarantined += other.quarantined;
+        self.budget_exceeded += other.budget_exceeded;
+        self.projection_hits += other.projection_hits;
+    }
+}
+
+impl std::iter::Sum for EngineCounters {
+    fn sum<I: Iterator<Item = EngineCounters>>(iter: I) -> Self {
+        iter.fold(EngineCounters::default(), |mut total, c| {
+            total += c;
+            total
+        })
+    }
+}
+
 impl std::fmt::Display for EngineCounters {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -139,10 +162,6 @@ pub struct Evaluation {
     pub stats: FootprintStats,
     /// Whether the result came from the cache instead of a fresh replay.
     pub cache_hit: bool,
-    /// Whether the hit came from the trace-conditioned projection tier —
-    /// a behaviorally-identical (not structurally-identical) sibling's
-    /// replay was reused.
-    pub projected: bool,
 }
 
 /// What a sweep candidate's replay, or its projected-tier lookup, yielded.
@@ -164,34 +183,6 @@ impl Outcome {
     }
 }
 
-/// Per-candidate replay budget specification, materialized into a
-/// [`ReplayBudget`] (whose deadline starts ticking) at each replay.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BudgetSpec {
-    /// Cap on charged search steps per candidate replay (deterministic).
-    pub max_steps: Option<u64>,
-    /// Wall-clock cap in milliseconds per candidate replay.
-    pub max_millis: Option<u64>,
-}
-
-impl BudgetSpec {
-    /// Whether any axis is bounded.
-    pub fn is_bounded(&self) -> bool {
-        self.max_steps.is_some() || self.max_millis.is_some()
-    }
-
-    fn materialize(&self) -> ReplayBudget {
-        let mut b = match self.max_steps {
-            Some(s) => ReplayBudget::steps(s),
-            None => ReplayBudget::unlimited(),
-        };
-        if let Some(ms) = self.max_millis {
-            b = b.with_deadline_ms(ms);
-        }
-        b
-    }
-}
-
 /// Memoised, parallel evaluator shared by every exploration entry point.
 #[derive(Debug)]
 pub struct ExplorationEngine {
@@ -200,7 +191,7 @@ pub struct ExplorationEngine {
     /// Compiled form of every trace this engine has replayed, keyed like
     /// the replay cache. Compiling is O(n) and hashes each id once; every
     /// subsequent replay of that trace — hundreds per `explore` — runs the
-    /// hash-free [`replay_compiled_with`] kernel instead.
+    /// hash-free [`replay_compiled_limited`] kernel instead.
     compiled: Mutex<HashMap<TraceKey, Arc<CompiledTrace>>>,
     /// Trace-conditioned projection of every trace this engine has swept
     /// with projection enabled, keyed like `compiled`. Deriving one is a
@@ -232,7 +223,7 @@ pub struct ExplorationEngine {
     /// ([`EngineCounters::projection_hits`]).
     projection: bool,
     /// Per-candidate replay budget, enforced inside the compiled kernel.
-    budget: BudgetSpec,
+    budget: ReplayBudget,
     /// Injected faults (tests only; `None` in production).
     fault_plan: Option<FaultPlan>,
     /// Attached checkpoint journal: fresh replays are journalled, journal
@@ -275,7 +266,7 @@ impl ExplorationEngine {
             spawned: AtomicUsize::new(0),
             quarantine: false,
             projection: false,
-            budget: BudgetSpec::default(),
+            budget: ReplayBudget::default(),
             fault_plan: None,
             journal: None,
         }
@@ -290,20 +281,10 @@ impl ExplorationEngine {
     /// ([`ExplorationEngine::evaluate_all`],
     /// [`ExplorationEngine::evaluate_config`]) always propagate
     /// everything — a greedy traversal needs every score it asks for.
-    pub fn set_quarantine(&mut self, on: bool) {
-        self.quarantine = on;
-    }
-
-    /// Builder form of [`ExplorationEngine::set_quarantine`].
     #[must_use]
     pub fn with_quarantine(mut self, on: bool) -> Self {
         self.quarantine = on;
         self
-    }
-
-    /// Whether quarantine mode is on.
-    pub fn quarantine(&self) -> bool {
-        self.quarantine
     }
 
     /// Enable/disable trace-conditioned config projection on the sweep
@@ -315,33 +296,18 @@ impl ExplorationEngine {
     /// shadow replay (the soundness oracle). The greedy/strict entry
     /// points never project: their callers compare candidates by name,
     /// not by enumeration order, and the replays are few.
-    pub fn set_projection(&mut self, on: bool) {
-        self.projection = on;
-    }
-
-    /// Builder form of [`ExplorationEngine::set_projection`].
     #[must_use]
     pub fn with_projection(mut self, on: bool) -> Self {
         self.projection = on;
         self
     }
 
-    /// Whether trace-conditioned projection is on.
-    pub fn projection(&self) -> bool {
-        self.projection
-    }
-
     /// Set the per-candidate replay budget (applies to every subsequent
     /// fresh replay; cache and journal hits are free and never budgeted).
     /// A budgeted replay is never cut at its peak cap, so budget outcomes
     /// are those of an uncut sweep.
-    pub fn set_budget(&mut self, budget: BudgetSpec) {
-        self.budget = budget;
-    }
-
-    /// Builder form of [`ExplorationEngine::set_budget`].
     #[must_use]
-    pub fn with_budget(mut self, budget: BudgetSpec) -> Self {
+    pub fn with_budget(mut self, budget: ReplayBudget) -> Self {
         self.budget = budget;
         self
     }
@@ -349,11 +315,6 @@ impl ExplorationEngine {
     /// Install a deterministic fault plan (tests only): panics and budget
     /// exhaustion injected per candidate fingerprint, shard deaths per
     /// shard index.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = Some(plan);
-    }
-
-    /// Builder form of [`ExplorationEngine::set_fault_plan`].
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -371,11 +332,6 @@ impl ExplorationEngine {
     /// served from it like cache hits — so a killed sweep, resumed with
     /// the same journal, skips all completed work and still produces a
     /// bit-identical winner.
-    pub fn set_journal(&mut self, journal: CheckpointJournal) {
-        self.journal = Some(journal);
-    }
-
-    /// Builder form of [`ExplorationEngine::set_journal`].
     #[must_use]
     pub fn with_journal(mut self, journal: CheckpointJournal) -> Self {
         self.journal = Some(journal);
@@ -409,29 +365,6 @@ impl ExplorationEngine {
             quarantined: self.quarantined.load(Ordering::Relaxed),
             budget_exceeded: self.budget_exceeded.load(Ordering::Relaxed),
         }
-    }
-
-    /// Candidates this engine rejected statically — a prune-safe lint
-    /// ([`crate::analyze::prune_reason`]) proved an earlier-enumerated
-    /// sibling replays bit-identically, so no replay was scheduled.
-    pub fn statically_pruned(&self) -> usize {
-        self.statically_pruned.load(Ordering::Relaxed)
-    }
-
-    /// Candidates this engine rejected by branch-and-bound — their
-    /// admissible footprint floor already lost to the incumbent's replayed
-    /// peak, so no replay or cache lookup was scheduled
-    /// (see [`ExplorationEngine::evaluate_bounded`]).
-    pub fn bound_pruned(&self) -> usize {
-        self.bound_pruned.load(Ordering::Relaxed)
-    }
-
-    /// Candidates this engine served from the projection tier — a
-    /// behaviorally-identical sibling under this trace was already
-    /// replayed, so the stats were copied instead of recomputed
-    /// (see [`ExplorationEngine::set_projection`]).
-    pub fn projection_hits(&self) -> usize {
-        self.projection_hits.load(Ordering::Relaxed)
     }
 
     /// Sweep replays this engine cut short: the candidate's running peak
@@ -491,7 +424,6 @@ impl ExplorationEngine {
             return Ok(Evaluation {
                 stats: relabel(stats, cfg),
                 cache_hit: true,
-                projected: false,
             });
         }
         let eval = self.replay_fresh(trace, key, cfg, None)?.uncapped();
@@ -504,15 +436,15 @@ impl ExplorationEngine {
     ///
     /// - a **prune-safe** static lint ([`crate::analyze::prune_reason`])
     ///   proves an earlier-enumerated sibling replays bit-identically
-    ///   (counted in [`ExplorationEngine::statically_pruned`]), or
+    ///   (counted in [`EngineCounters::statically_pruned`]), or
     /// - its admissible footprint floor (`bound`, from
     ///   [`crate::analyze::lower_bound_peak`]) already loses to the
     ///   `incumbent`'s **actual** replayed peak (counted in
-    ///   [`ExplorationEngine::bound_pruned`]); `incumbent: None` admits
+    ///   [`EngineCounters::bound_pruned`]); `incumbent: None` admits
     ///   every candidate the lints let through.
     ///
     /// Survivors are served from the projected tier when projection is on
-    /// ([`ExplorationEngine::set_projection`]) and replayed otherwise. The
+    /// ([`ExplorationEngine::with_projection`]) and replayed otherwise. The
     /// structural tier is never read or written: a sweep sees each
     /// configuration once, so it could never hit.
     ///
@@ -520,7 +452,7 @@ impl ExplorationEngine {
     /// win: `incumbent.peak` if it enumerates earlier than the incumbent,
     /// `incumbent.peak - 1` otherwise. The running peak never decreases,
     /// so the first event that lifts it past the cap stops the replay
-    /// ([`replay_compiled_capped`]) and the candidate is skipped
+    /// ([`replay_compiled_limited`]) and the candidate is skipped
     /// (`Ok(None)`, counted in `evaluations`, `replays` and
     /// [`ExplorationEngine::peak_cut`], never journalled). With projection
     /// on, the cut leaves its floor in the projected tier, and a later
@@ -541,7 +473,7 @@ impl ExplorationEngine {
     ///
     /// Propagates manager construction and replay failures of candidates
     /// that were *not* skipped (panics and budget trips become counted
-    /// skips in quarantine mode — see [`ExplorationEngine::set_quarantine`]).
+    /// skips in quarantine mode — see [`ExplorationEngine::with_quarantine`]).
     pub fn evaluate_bounded(
         &self,
         trace: &Trace,
@@ -609,7 +541,6 @@ impl ExplorationEngine {
                 return Ok(Outcome::Scored(Box::new(Evaluation {
                     stats,
                     cache_hit: true,
-                    projected: true,
                 })));
             }
             // A sibling's replay already passed `floor`, and this member
@@ -641,7 +572,7 @@ impl ExplorationEngine {
         let mut mgr =
             PolicyAllocator::new(cfg.clone()).expect("shadow oracle: candidate must construct");
         let mut scratch = ReplayScratch::new();
-        let fresh = replay_compiled_with(&compiled, &mut mgr, &mut scratch)
+        let fresh = crate::trace::replay_compiled_with(&compiled, &mut mgr, &mut scratch)
             .expect("shadow oracle: candidate must replay");
         relabel(fresh, cfg)
     }
@@ -711,15 +642,20 @@ impl ExplorationEngine {
                 return Ok(Outcome::Scored(Box::new(Evaluation {
                     stats: relabel(stats, cfg),
                     cache_hit: true,
-                    projected: false,
                 })));
             }
         }
         let compiled = self.compiled_for(key, trace);
         let budget = match &self.fault_plan {
-            Some(plan) if plan.should_exhaust(fingerprint) => Some(ReplayBudget::steps(0)),
-            _ => self.budget.is_bounded().then(|| self.budget.materialize()),
+            Some(plan) if plan.should_exhaust(fingerprint) => ReplayBudget {
+                max_steps: Some(0),
+                max_millis: None,
+            },
+            _ => self.budget,
         };
+        // Budgets take precedence over the cut: a budgeted replay runs
+        // uncut, so it trips exactly where an uncut one would.
+        let cap = cap.filter(|_| !budget.is_bounded());
         let inject_panic = self
             .fault_plan
             .as_ref()
@@ -733,18 +669,7 @@ impl ExplorationEngine {
             }
             let mut mgr = PolicyAllocator::new(cfg.clone())?;
             REPLAY_SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                // Budgets take precedence over the cut: a budgeted replay
-                // runs uncut, so it trips exactly where an uncut one would.
-                match (&budget, cap) {
-                    (Some(b), _) => replay_compiled_budgeted(&compiled, &mut mgr, &mut scratch, b)
-                        .map(CappedReplay::Complete),
-                    (None, Some(cap)) => {
-                        replay_compiled_capped(&compiled, &mut mgr, &mut scratch, cap)
-                    }
-                    (None, None) => replay_compiled_with(&compiled, &mut mgr, &mut scratch)
-                        .map(CappedReplay::Complete),
-                }
+                replay_compiled_limited(&compiled, &mut mgr, &mut s.borrow_mut(), &budget, cap)
             })
         }));
         let replayed = match replayed {
@@ -774,7 +699,6 @@ impl ExplorationEngine {
         Ok(Outcome::Scored(Box::new(Evaluation {
             stats,
             cache_hit: false,
-            projected: false,
         })))
     }
 
@@ -1074,7 +998,7 @@ mod tests {
             .evaluate_bounded(&t, key, &presets::lea_like(), inc.peak, 2, Some(inc))
             .unwrap();
         assert!(tied_later.is_none());
-        assert_eq!(engine.bound_pruned(), 2);
+        assert_eq!(engine.counters().bound_pruned, 2);
         // A bound that ties and enumerates *earlier* could displace the
         // incumbent in the plain fold: the bound tier lets it through to a
         // replay (where `lea_like`, whose real peak is higher, is cut).
@@ -1210,7 +1134,7 @@ mod tests {
         assert_eq!(exhausted.counters().budget_exceeded, 1);
         assert_eq!(exhausted.peak_cut(), 0);
 
-        let roomy = ExplorationEngine::serial().with_budget(BudgetSpec {
+        let roomy = ExplorationEngine::serial().with_budget(ReplayBudget {
             max_steps: Some(u64::MAX),
             max_millis: None,
         });
@@ -1293,7 +1217,7 @@ mod tests {
     fn engine_budget_spec_applies_to_fresh_replays() {
         let t = trace();
         let key = TraceKey::of(&t);
-        let strict = ExplorationEngine::serial().with_budget(BudgetSpec {
+        let strict = ExplorationEngine::serial().with_budget(ReplayBudget {
             max_steps: Some(1),
             max_millis: None,
         });
@@ -1302,7 +1226,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { limit: 1, .. }), "{err}");
         // A generous budget changes nothing.
-        let roomy = ExplorationEngine::serial().with_budget(BudgetSpec {
+        let roomy = ExplorationEngine::serial().with_budget(ReplayBudget {
             max_steps: Some(u64::MAX),
             max_millis: None,
         });
@@ -1358,7 +1282,6 @@ mod tests {
         let t = b.finish().unwrap();
         let key = TraceKey::of(&t);
         let engine = ExplorationEngine::serial().with_projection(true);
-        assert!(engine.projection());
         let header = presets::drr_paper();
         let footer = header
             .clone()
@@ -1371,8 +1294,8 @@ mod tests {
             .evaluate_bounded(&t, key, &footer, 0, 1, None)
             .unwrap()
             .unwrap();
-        assert!(!first.projected);
-        assert!(second.projected && second.cache_hit);
+        assert!(!first.cache_hit);
+        assert!(second.cache_hit);
         assert_eq!(second.stats.manager.as_ref(), footer.name);
         assert_eq!(first.stats.peak_footprint, second.stats.peak_footprint);
         let c = engine.counters();

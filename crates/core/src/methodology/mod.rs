@@ -19,9 +19,9 @@
 //!
 //! All candidate scoring flows through the [`engine::ExplorationEngine`]:
 //! a replay cache deduplicates candidate completions that collapse to the
-//! same full configuration, and [`Methodology::with_jobs`] fans distinct
-//! replays out over scoped threads — with results guaranteed bit-identical
-//! to a serial run.
+//! same full configuration, and the engine's worker count
+//! ([`ExplorationEngine::new`]) fans distinct replays out over scoped
+//! threads — with results guaranteed bit-identical to a serial run.
 
 pub mod cache;
 pub mod checkpoint;
@@ -29,7 +29,7 @@ pub mod engine;
 
 pub use cache::{ProjectedKey, TraceProjection};
 pub use checkpoint::CheckpointJournal;
-pub use engine::{BudgetSpec, EngineCounters, Evaluation, ExplorationEngine, Incumbent};
+pub use engine::{EngineCounters, Evaluation, ExplorationEngine, Incumbent};
 
 use serde::{Deserialize, Serialize};
 
@@ -90,13 +90,11 @@ pub struct ExplorationOutcome {
     pub footprint: FootprintStats,
     /// Per-tree decision log, in traversal order.
     pub decisions: Vec<DecisionRecord>,
-    /// Total number of candidate evaluations spent
-    /// (`replays + cache_hits`).
-    pub evaluations: usize,
-    /// Evaluations that required a fresh trace replay.
-    pub replays: usize,
-    /// Evaluations served from the engine's [`cache::ReplayCache`].
-    pub cache_hits: usize,
+    /// Candidate evaluations spent, over every portfolio hypothesis: each
+    /// is a fresh replay or a hit in the engine's [`cache::ReplayCache`]
+    /// (or checkpoint journal). Greedy exploration never prunes, projects
+    /// or quarantines, so the other counters stay zero.
+    pub counters: EngineCounters,
     /// The profile that seeded the parameters.
     pub profile: Profile,
 }
@@ -115,13 +113,7 @@ pub struct PhasedOutcome {
 impl PhasedOutcome {
     /// Evaluation counters summed over every phase's exploration.
     pub fn counters(&self) -> EngineCounters {
-        let mut c = EngineCounters::default();
-        for (_, o) in &self.per_phase {
-            c.evaluations += o.evaluations;
-            c.replays += o.replays;
-            c.cache_hits += o.cache_hits;
-        }
-        c
+        self.per_phase.iter().map(|(_, o)| o.counters).sum()
     }
 }
 
@@ -227,12 +219,8 @@ pub struct ShardedOutcome {
     pub merges: Vec<MergeDecision>,
     /// Per-shard explorations, in shard order.
     pub per_shard: Vec<ShardOutcome>,
-    /// Total candidate evaluations across shards and composition.
-    pub evaluations: usize,
-    /// Evaluations that required a fresh replay.
-    pub replays: usize,
-    /// Evaluations served from the engine's replay cache.
-    pub cache_hits: usize,
+    /// Candidate evaluations across shards and composition.
+    pub counters: EngineCounters,
     /// Number of shards explored.
     pub shard_count: usize,
     /// Largest single shard resident during the composed replay pass —
@@ -253,18 +241,6 @@ pub struct ShardedOutcome {
     /// Retry attempts consumed across all shards beyond each shard's
     /// first try (`EX003` telemetry).
     pub shard_retries: usize,
-}
-
-impl ShardedOutcome {
-    /// The run's evaluation counters.
-    pub fn counters(&self) -> EngineCounters {
-        EngineCounters {
-            evaluations: self.evaluations,
-            replays: self.replays,
-            cache_hits: self.cache_hits,
-            ..EngineCounters::default()
-        }
-    }
 }
 
 /// What the per-tree argmin optimises.
@@ -318,7 +294,6 @@ pub struct Methodology {
     max_classes: usize,
     name: String,
     portfolio: bool,
-    jobs: usize,
     shard_failure: ShardFailurePolicy,
 }
 
@@ -339,7 +314,6 @@ impl Methodology {
             max_classes: 8,
             name: "custom (methodology)".into(),
             portfolio: true,
-            jobs: 1,
             shard_failure: ShardFailurePolicy::default(),
         }
     }
@@ -349,19 +323,6 @@ impl Methodology {
     /// [`Error::ShardFailed`], never a silent partial merge).
     pub fn with_shard_failure_policy(mut self, policy: ShardFailurePolicy) -> Self {
         self.shard_failure = policy;
-        self
-    }
-
-    /// Number of worker threads candidate evaluation may fan out over
-    /// (default 1 = serial; 0 = the machine's available parallelism).
-    ///
-    /// Parallel exploration is **bit-identical** to serial: candidates are
-    /// scored in input order and every replay is deterministic, so the
-    /// argmin, its tie-breaks and the decision log do not depend on `n`.
-    /// Only the cache-hit/replay split of the counters may differ, because
-    /// concurrent workers can both miss on the same configuration.
-    pub fn with_jobs(mut self, n: usize) -> Self {
-        self.jobs = n;
         self
     }
 
@@ -457,17 +418,22 @@ impl Methodology {
     /// Returns an error if the trace is empty or a candidate manager fails
     /// (e.g. an arena limit in `params`).
     pub fn explore(&self, trace: &Trace) -> Result<ExplorationOutcome> {
-        self.explore_with_engine(trace, &ExplorationEngine::new(self.jobs))
+        self.explore_with_engine(trace, &ExplorationEngine::serial())
     }
 
     /// Like [`Methodology::explore`], but evaluating through a
-    /// caller-provided [`ExplorationEngine`].
+    /// caller-provided [`ExplorationEngine`], whose worker count governs
+    /// the fan-out.
     ///
-    /// Sharing one engine across related explorations (objective sweeps,
-    /// repeated designs on the same trace, bench harnesses) lets its
-    /// replay cache deduplicate configurations the separate runs would
-    /// otherwise re-replay. The engine's job count — not this
-    /// methodology's [`Methodology::with_jobs`] — governs the fan-out.
+    /// Parallel exploration is **bit-identical** to serial: candidates are
+    /// scored in input order and every replay is deterministic, so the
+    /// argmin, its tie-breaks and the decision log do not depend on the
+    /// engine's jobs. Only the cache-hit/replay split of the counters may
+    /// differ, because concurrent workers can both miss on the same
+    /// configuration. Sharing one engine across related explorations
+    /// (objective sweeps, repeated designs on the same trace, bench
+    /// harnesses) lets its replay cache deduplicate configurations the
+    /// separate runs would otherwise re-replay.
     ///
     /// # Errors
     ///
@@ -509,9 +475,7 @@ impl Methodology {
         };
         for probe in outcomes {
             let probe = probe?;
-            primary.evaluations += probe.evaluations;
-            primary.replays += probe.replays;
-            primary.cache_hits += probe.cache_hits;
+            primary.counters += probe.counters;
             if self.objective.cmp_raw(key(&probe), key(&primary)).is_lt() {
                 primary.config = probe.config;
                 primary.footprint = probe.footprint;
@@ -533,9 +497,7 @@ impl Methodology {
         let params = self.seed_params(&profile);
         let mut partial = PartialConfig::default();
         let mut decisions = Vec::with_capacity(self.order.len());
-        let mut evaluations = 0usize;
-        let mut replays = 0usize;
-        let mut cache_hits = 0usize;
+        let mut counters = EngineCounters::default();
         // Hash the trace once per traversal, not once per tree.
         let trace_key = cache::TraceKey::of(trace);
         // Every candidate is scored by completing it into a full runnable
@@ -571,12 +533,7 @@ impl Methodology {
             for ((leaf, cfg), outcome) in
                 candidates.into_iter().zip(completions).zip(scored)
             {
-                evaluations += 1;
-                if outcome.cache_hit {
-                    cache_hits += 1;
-                } else {
-                    replays += 1;
-                }
+                tally(&mut counters, &outcome);
                 let fs = outcome.stats;
                 let eval = CandidateEval {
                     leaf,
@@ -634,9 +591,7 @@ impl Methodology {
             config,
             footprint,
             decisions,
-            evaluations,
-            replays,
-            cache_hits,
+            counters,
             profile,
         })
     }
@@ -648,7 +603,7 @@ impl Methodology {
     ///
     /// As for [`Methodology::explore`].
     pub fn explore_phases(&self, trace: &Trace) -> Result<PhasedOutcome> {
-        self.explore_phases_with_engine(trace, &ExplorationEngine::new(self.jobs))
+        self.explore_phases_with_engine(trace, &ExplorationEngine::serial())
     }
 
     /// Like [`Methodology::explore_phases`], evaluating through a
@@ -714,7 +669,7 @@ impl Methodology {
     ///
     /// As for [`Methodology::explore`]; also errors on an empty trace.
     pub fn explore_sharded(&self, trace: &Trace, shards: usize) -> Result<ShardedOutcome> {
-        self.explore_sharded_with_engine(trace, shards, &ExplorationEngine::new(self.jobs))
+        self.explore_sharded_with_engine(trace, shards, &ExplorationEngine::serial())
     }
 
     /// Like [`Methodology::explore_sharded`], evaluating through a
@@ -1014,9 +969,7 @@ impl Methodology {
         I: IntoIterator<Item = TraceShard>,
     {
         let mut composed: Option<FootprintStats> = None;
-        let mut evaluations = 0usize;
-        let mut replays = 0usize;
-        let mut cache_hits = 0usize;
+        let mut counters: EngineCounters = per_shard.iter().map(|s| s.outcome.counters).sum();
         let mut peak_resident = 0usize;
         let mut max_carried = 0usize;
         for shard in shards {
@@ -1028,12 +981,7 @@ impl Methodology {
             // Keep the streaming bound: drop the compiled copy (if this
             // evaluation missed the cache and compiled) with the shard.
             engine.release_compiled(key);
-            evaluations += 1;
-            if eval.cache_hit {
-                cache_hits += 1;
-            } else {
-                replays += 1;
-            }
+            tally(&mut counters, &eval);
             match composed.as_mut() {
                 None => composed = Some(eval.stats),
                 Some(acc) => acc.absorb_shard(&eval.stats),
@@ -1042,11 +990,6 @@ impl Methodology {
         let footprint = composed.ok_or_else(|| {
             Error::EmptySearchSpace("shard source yielded no shards to compose".into())
         })?;
-        for s in &per_shard {
-            evaluations += s.outcome.evaluations;
-            replays += s.outcome.replays;
-            cache_hits += s.outcome.cache_hits;
-        }
         let shard_count = per_shard.len();
         let completed_weight: f64 = per_shard.iter().map(|s| s.weight).sum();
         let failed_weight: f64 = failed_shards.iter().map(|s| s.weight).sum();
@@ -1061,9 +1004,7 @@ impl Methodology {
             footprint,
             merges,
             per_shard,
-            evaluations,
-            replays,
-            cache_hits,
+            counters,
             shard_count,
             peak_resident_trace_bytes: peak_resident,
             max_carried_bytes: max_carried,
@@ -1071,6 +1012,17 @@ impl Methodology {
             confidence,
             shard_retries,
         })
+    }
+}
+
+/// Count one strict-path evaluation: a fresh replay or a cache (or
+/// journal) hit, as the engine counted it.
+fn tally(counters: &mut EngineCounters, eval: &Evaluation) {
+    counters.evaluations += 1;
+    if eval.cache_hit {
+        counters.cache_hits += 1;
+    } else {
+        counters.replays += 1;
     }
 }
 
@@ -1224,11 +1176,11 @@ pub fn exhaustive_best(
 ///
 /// - candidates carrying a prune-safe diagnostic
 ///   ([`crate::analyze::prune_reason`]) are skipped without a replay and
-///   counted in [`ExplorationEngine::statically_pruned`];
+///   counted in [`EngineCounters::statically_pruned`];
 /// - candidates whose admissible footprint floor
 ///   ([`crate::analyze::lower_bound_peak`]) already loses to the incumbent
 ///   are skipped without a replay *or a cache lookup* and counted in
-///   [`ExplorationEngine::bound_pruned`]. Candidates are visited
+///   [`EngineCounters::bound_pruned`]. Candidates are visited
 ///   **best-first** (ascending bound, enumeration order as tie-break) so
 ///   the incumbent tightens as early as possible.
 ///
@@ -1248,7 +1200,7 @@ pub fn exhaustive_best(
 /// across the sweep — so the engine must not run another sweep at the
 /// same time.
 ///
-/// Engines with [`ExplorationEngine::set_projection`] additionally
+/// Engines with [`ExplorationEngine::with_projection`] additionally
 /// collapse behaviorally-identical candidates to one replay per
 /// [`cache::ProjectedKey`] equivalence class, preserving the
 /// bit-identical-winner guarantee. The sweep never touches the engine's
@@ -1364,7 +1316,7 @@ mod tests {
         let outcome = Methodology::new().explore(&t).unwrap();
         outcome.config.validate().unwrap();
         assert_eq!(outcome.decisions.len(), 12);
-        assert!(outcome.evaluations >= 12);
+        assert!(outcome.counters.evaluations >= 12);
         // Decisions come in the paper's order.
         let order: Vec<TreeId> = outcome.decisions.iter().map(|d| d.tree).collect();
         assert_eq!(order, TRAVERSAL_ORDER.to_vec());
@@ -1457,7 +1409,9 @@ mod tests {
     fn parallel_exploration_is_bit_identical_to_serial() {
         let t = fragmenting_trace();
         let serial = Methodology::new().explore(&t).unwrap();
-        let parallel = Methodology::new().with_jobs(4).explore(&t).unwrap();
+        let parallel = Methodology::new()
+            .explore_with_engine(&t, &ExplorationEngine::new(4))
+            .unwrap();
         assert_eq!(serial.config.summary(), parallel.config.summary());
         assert_eq!(
             serial.footprint.peak_footprint,
@@ -1465,14 +1419,16 @@ mod tests {
         );
         assert_eq!(serial.footprint, parallel.footprint);
         assert_eq!(serial.decisions, parallel.decisions);
-        assert_eq!(serial.evaluations, parallel.evaluations);
+        assert_eq!(serial.counters.evaluations, parallel.counters.evaluations);
     }
 
     #[test]
     fn parallel_phased_exploration_is_bit_identical_to_serial() {
         let t = phased_trace();
         let serial = Methodology::new().explore_phases(&t).unwrap();
-        let parallel = Methodology::new().with_jobs(4).explore_phases(&t).unwrap();
+        let parallel = Methodology::new()
+            .explore_phases_with_engine(&t, &ExplorationEngine::new(4))
+            .unwrap();
         assert_eq!(serial.phase_configs.len(), parallel.phase_configs.len());
         for ((sp, sc), (pp, pc)) in serial.phase_configs.iter().zip(&parallel.phase_configs) {
             assert_eq!(sp, pp);
@@ -1499,16 +1455,16 @@ mod tests {
         let t = fragmenting_trace();
         let outcome = Methodology::new().explore(&t).unwrap();
         assert_eq!(
-            outcome.replays + outcome.cache_hits,
-            outcome.evaluations,
+            outcome.counters.replays + outcome.counters.cache_hits,
+            outcome.counters.evaluations,
             "counters must partition the evaluations"
         );
         assert!(
-            outcome.cache_hits > 0,
+            outcome.counters.cache_hits > 0,
             "duplicate completions must hit the cache"
         );
         assert!(
-            outcome.replays < outcome.evaluations,
+            outcome.counters.replays < outcome.counters.evaluations,
             "fewer unique replays than total evaluations"
         );
     }
@@ -1521,8 +1477,30 @@ mod tests {
         let second = Methodology::new().explore_with_engine(&t, &engine).unwrap();
         assert_eq!(first.config.summary(), second.config.summary());
         assert_eq!(first.footprint, second.footprint);
-        assert_eq!(second.replays, 0, "a repeated design is fully cached");
-        assert_eq!(second.cache_hits, second.evaluations);
+        assert_eq!(second.counters.replays, 0, "a repeated design is fully cached");
+        assert_eq!(second.counters.cache_hits, second.counters.evaluations);
+    }
+
+    #[test]
+    fn outcome_counters_equal_the_engines() {
+        // An outcome tallies its evaluations from their `cache_hit` flags;
+        // the engine counts the same events on its own.
+        let t = phased_trace();
+        let engine = ExplorationEngine::serial();
+        let outcome = Methodology::new().explore_with_engine(&t, &engine).unwrap();
+        assert_eq!(outcome.counters, engine.counters());
+
+        let engine = ExplorationEngine::serial();
+        let phased = Methodology::new()
+            .explore_phases_with_engine(&t, &engine)
+            .unwrap();
+        assert_eq!(phased.counters(), engine.counters());
+
+        let engine = ExplorationEngine::serial();
+        let sharded = Methodology::new()
+            .explore_sharded_with_engine(&windowed_trace(3, 100), 3, &engine)
+            .unwrap();
+        assert_eq!(sharded.counters, engine.counters());
     }
 
     #[test]
@@ -1619,8 +1597,8 @@ mod tests {
         let t = windowed_trace(3, 120);
         let sharded = Methodology::new().explore_sharded(&t, 3).unwrap();
         assert_eq!(
-            sharded.replays + sharded.cache_hits,
-            sharded.evaluations,
+            sharded.counters.replays + sharded.counters.cache_hits,
+            sharded.counters.evaluations,
             "counters must partition the evaluations"
         );
         assert_eq!(sharded.merges.len(), 12, "one merge entry per tree");
@@ -1666,7 +1644,7 @@ mod tests {
         assert_eq!(a.footprint.peak_footprint, b.footprint.peak_footprint);
         assert_eq!(a.shard_count, b.shard_count);
         assert_eq!(a.merges, b.merges);
-        assert_eq!(a.evaluations, b.evaluations);
+        assert_eq!(a.counters.evaluations, b.counters.evaluations);
     }
 
     #[test]
@@ -1690,14 +1668,16 @@ mod tests {
     fn parallel_sharded_exploration_is_bit_identical_to_serial() {
         let t = windowed_trace(2, 120);
         let serial = Methodology::new().explore_sharded(&t, 2).unwrap();
-        let parallel = Methodology::new().with_jobs(4).explore_sharded(&t, 2).unwrap();
+        let parallel = Methodology::new()
+            .explore_sharded_with_engine(&t, 2, &ExplorationEngine::new(4))
+            .unwrap();
         assert_eq!(serial.config.summary(), parallel.config.summary());
         assert_eq!(serial.merges, parallel.merges);
         assert_eq!(
             serial.footprint.peak_footprint,
             parallel.footprint.peak_footprint
         );
-        assert_eq!(serial.evaluations, parallel.evaluations);
+        assert_eq!(serial.counters.evaluations, parallel.counters.evaluations);
     }
 
     #[test]
@@ -1879,7 +1859,7 @@ mod tests {
         let engine = ExplorationEngine::serial();
         let outcome = Methodology::new().explore_with_engine(&t, &engine).unwrap();
         assert!(
-            outcome.cache_hits > 0,
+            outcome.counters.cache_hits > 0,
             "greedy completions must hit the cache"
         );
         assert!(!engine.cache().is_empty());

@@ -30,10 +30,10 @@
 //! Both kernels are **bit-identical** to the classic interpreter: same
 //! [`FootprintStats`], same sampled series, same error surfacing.
 //!
-//! [`replay_compiled_capped`] adds a peak cap for branch-and-bound sweeps:
-//! a replay's running peak never decreases, so the first event that lifts
-//! it past the cap decides that the candidate cannot win, and the kernel
-//! stops there with [`CappedReplay::Cut`].
+//! [`replay_compiled_limited`] adds a [`ReplayBudget`] and a peak cap for
+//! branch-and-bound sweeps: a replay's running peak never decreases, so
+//! the first event that lifts it past the cap decides that the candidate
+//! cannot win, and the kernel stops there with [`CappedReplay::Cut`].
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -58,67 +58,51 @@ const BUDGET_CLOCK_STRIDE: usize = 1024;
 /// A per-candidate replay budget: abort the replay of a pathological
 /// configuration instead of letting it hang an exploration worker.
 ///
-/// Two independent axes:
+/// Two independent axes, each unbounded when `None`:
 ///
 /// - **steps** — a cap on the manager's charged
 ///   [`search_steps`](crate::metrics::AllocStats::search_steps), the
 ///   deterministic time proxy. Step budgets make budget-exceeded outcomes
 ///   reproducible bit for bit, which is what the fault-injection suite
 ///   uses.
-/// - **deadline** — a wall-clock cut-off, the production guard against
-///   candidates whose cost the step model under-charges.
+/// - **millis** — a wall-clock cut-off counted from the replay's start,
+///   the production guard against candidates whose cost the step model
+///   under-charges.
 ///
 /// Checks are throttled (every [`BUDGET_STEP_STRIDE`] events for steps,
 /// every [`BUDGET_CLOCK_STRIDE`] for the clock, and both once after the
 /// last event), so a budgeted replay that stays under budget is
 /// bit-identical to — and nearly as fast as — an unbudgeted one.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayBudget {
-    max_steps: Option<u64>,
-    deadline: Option<(Instant, u64)>,
+    /// Cap on charged search steps per replay.
+    pub max_steps: Option<u64>,
+    /// Wall-clock cap in milliseconds per replay.
+    pub max_millis: Option<u64>,
 }
 
 impl ReplayBudget {
-    /// An unlimited budget (no checks fire).
-    pub fn unlimited() -> Self {
-        ReplayBudget::default()
-    }
-
-    /// Cap the replay at `limit` charged search steps.
-    pub fn steps(limit: u64) -> Self {
-        ReplayBudget {
-            max_steps: Some(limit),
-            deadline: None,
-        }
-    }
-
-    /// Additionally cap the replay at `ms` wall-clock milliseconds from
-    /// now.
-    pub fn with_deadline_ms(mut self, ms: u64) -> Self {
-        self.deadline = Some((Instant::now() + std::time::Duration::from_millis(ms), ms));
-        self
-    }
-
-    /// Whether any axis is actually bounded.
+    /// Whether any axis is bounded.
     pub fn is_bounded(&self) -> bool {
-        self.max_steps.is_some() || self.deadline.is_some()
-    }
-
-    /// The configured step cap, if any.
-    pub fn step_limit(&self) -> Option<u64> {
-        self.max_steps
+        self.max_steps.is_some() || self.max_millis.is_some()
     }
 
     /// Check the step axis, and the clock too when `poll_clock` is set.
+    /// `deadline` is the instant the replay's `max_millis` runs out.
     #[inline]
-    fn check(&self, stats: &crate::metrics::AllocStats, poll_clock: bool) -> Result<()> {
+    fn check(
+        &self,
+        deadline: Option<Instant>,
+        stats: &crate::metrics::AllocStats,
+        poll_clock: bool,
+    ) -> Result<()> {
         if let Some(limit) = self.max_steps {
             let spent = stats.search_steps;
             if spent > limit {
                 return Err(Error::BudgetExceeded { spent, limit });
             }
         }
-        if let Some((deadline, ms)) = self.deadline {
+        if let (Some(deadline), Some(ms)) = (deadline, self.max_millis) {
             if poll_clock && Instant::now() >= deadline {
                 // Report the time axis in its own units: ms spent vs ms
                 // budgeted (spent >= limit by construction here).
@@ -132,7 +116,7 @@ impl ReplayBudget {
     }
 }
 
-/// How a peak-capped replay ([`replay_compiled_capped`]) ended.
+/// How a peak-capped replay ([`replay_compiled_limited`]) ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CappedReplay {
     /// The running peak never exceeded the cap: the full replay's stats,
@@ -344,47 +328,42 @@ pub fn replay_compiled_with<A: Allocator + ?Sized>(
     replay_uncapped(compiled, manager, scratch, None, None)
 }
 
-/// Like [`replay_compiled_with`], enforcing a per-candidate
-/// [`ReplayBudget`]: the replay aborts with
+/// Like [`replay_compiled_with`], under a per-candidate [`ReplayBudget`]
+/// and an optional peak cap — the exploration engine's kernel.
+///
+/// The replay aborts with
 /// [`Error::BudgetExceeded`](crate::Error::BudgetExceeded) once the
-/// manager's charged search steps (or the wall clock) cross the budget.
-/// A replay that stays under budget returns stats bit-identical to the
-/// unbudgeted kernel.
+/// manager's charged search steps (or the wall clock, started when the
+/// replay begins) cross the budget. With a `cap`, it stops at the first
+/// event after which the manager's peak footprint exceeds the cap — the
+/// sweep's cut-off for a candidate that can no longer win (see
+/// [`ExplorationEngine::evaluate_bounded`](crate::methodology::ExplorationEngine::evaluate_bounded)).
+/// The peak is compared after **every** event: it only changes at event
+/// boundaries, and sweep traces are a few hundred events long, so a
+/// coarser stride would forfeit most of the saving. Without a cap the
+/// loop carries no per-event cap check at all. A replay that stays under
+/// budget and within the cap returns [`CappedReplay::Complete`] with
+/// stats bit-identical to [`replay_compiled`].
 ///
 /// # Errors
 ///
 /// As for [`replay_compiled`], plus
-/// [`Error::BudgetExceeded`](crate::Error::BudgetExceeded).
-pub fn replay_compiled_budgeted<A: Allocator + ?Sized>(
+/// [`Error::BudgetExceeded`](crate::Error::BudgetExceeded); a cut is an
+/// outcome, not an error.
+pub fn replay_compiled_limited<A: Allocator + ?Sized>(
     compiled: &CompiledTrace,
     manager: &mut A,
     scratch: &mut ReplayScratch,
     budget: &ReplayBudget,
-) -> Result<FootprintStats> {
-    let budget = budget.is_bounded().then_some(budget);
-    replay_uncapped(compiled, manager, scratch, None, budget)
-}
-
-/// Like [`replay_compiled_with`], stopping at the first event after which
-/// the manager's peak footprint exceeds `cap` — the sweep's cut-off for a
-/// candidate that can no longer win (see
-/// [`ExplorationEngine::evaluate_bounded`](crate::methodology::ExplorationEngine::evaluate_bounded)).
-/// The peak is compared after **every** event: it only changes at event
-/// boundaries, and sweep traces are a few hundred events long, so a
-/// coarser stride would forfeit most of the saving. A replay whose peak
-/// stays within the cap returns [`CappedReplay::Complete`] with stats
-/// bit-identical to the uncapped kernel.
-///
-/// # Errors
-///
-/// As for [`replay_compiled`]; a cut is an outcome, not an error.
-pub fn replay_compiled_capped<A: Allocator + ?Sized>(
-    compiled: &CompiledTrace,
-    manager: &mut A,
-    scratch: &mut ReplayScratch,
-    cap: usize,
+    cap: Option<usize>,
 ) -> Result<CappedReplay> {
-    replay_compiled_inner::<A, true>(compiled, manager, scratch, None, None, cap)
+    let budget = budget.is_bounded().then_some(budget);
+    match cap {
+        Some(cap) => replay_compiled_inner::<A, true>(compiled, manager, scratch, None, budget, cap),
+        None => {
+            replay_compiled_inner::<A, false>(compiled, manager, scratch, None, budget, usize::MAX)
+        }
+    }
 }
 
 /// Like [`replay_compiled`], additionally sampling the footprint curve
@@ -444,6 +423,9 @@ fn replay_compiled_inner<A: Allocator + ?Sized, const CAPPED: bool>(
     cap: usize,
 ) -> Result<CappedReplay> {
     scratch.prepare(compiled.slot_count);
+    let deadline = budget
+        .and_then(|b| b.max_millis)
+        .map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
     let mut series = sample_every.map(|s| TimeSeries {
         sample_every: s,
         points: Vec::with_capacity(compiled.len() / s + 1),
@@ -474,7 +456,11 @@ fn replay_compiled_inner<A: Allocator + ?Sized, const CAPPED: bool>(
         }
         if let Some(b) = budget {
             if (i + 1).is_multiple_of(BUDGET_STEP_STRIDE) {
-                b.check(manager.stats(), (i + 1).is_multiple_of(BUDGET_CLOCK_STRIDE))?;
+                b.check(
+                    deadline,
+                    manager.stats(),
+                    (i + 1).is_multiple_of(BUDGET_CLOCK_STRIDE),
+                )?;
             }
         }
         if CAPPED {
@@ -497,7 +483,7 @@ fn replay_compiled_inner<A: Allocator + ?Sized, const CAPPED: bool>(
         }
     }
     if let Some(b) = budget {
-        b.check(manager.stats(), true)?;
+        b.check(deadline, manager.stats(), true)?;
     }
     // Terminal sample: identical contract to the classic interpreter —
     // the curve always ends on the final event.
@@ -726,22 +712,32 @@ mod tests {
         assert_eq!(fs.events, 0);
     }
 
+    /// A fresh `cfg` manager's replay of `ct` under `budget`, uncapped.
+    fn budgeted(
+        ct: &CompiledTrace,
+        cfg: crate::space::DmConfig,
+        budget: ReplayBudget,
+    ) -> Result<FootprintStats> {
+        let mut mgr = PolicyAllocator::new(cfg).unwrap();
+        match replay_compiled_limited(ct, &mut mgr, &mut ReplayScratch::new(), &budget, None)? {
+            CappedReplay::Complete(stats) => Ok(stats),
+            CappedReplay::Cut { .. } => unreachable!("a replay without a cap is never cut"),
+        }
+    }
+
     #[test]
     fn generous_budget_is_bit_identical_to_unbudgeted() {
         let t = churn_trace(400);
         let ct = CompiledTrace::compile(&t);
-        let mut scratch = ReplayScratch::new();
+        let generous = ReplayBudget {
+            max_steps: Some(u64::MAX),
+            max_millis: Some(u64::MAX),
+        };
         for cfg in presets::all() {
             let plain =
                 replay_compiled(&ct, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-            let budgeted = replay_compiled_budgeted(
-                &ct,
-                &mut PolicyAllocator::new(cfg.clone()).unwrap(),
-                &mut scratch,
-                &ReplayBudget::steps(u64::MAX),
-            )
-            .unwrap();
-            assert_eq!(plain, budgeted, "{}", cfg.name);
+            let name = cfg.name.clone();
+            assert_eq!(plain, budgeted(&ct, cfg, generous).unwrap(), "{name}");
         }
     }
 
@@ -749,15 +745,11 @@ mod tests {
     fn tiny_step_budget_trips_deterministically() {
         let t = churn_trace(2_000);
         let ct = CompiledTrace::compile(&t);
-        let mut scratch = ReplayScratch::new();
-        let mut run = || {
-            replay_compiled_budgeted(
-                &ct,
-                &mut PolicyAllocator::new(presets::drr_paper()).unwrap(),
-                &mut scratch,
-                &ReplayBudget::steps(1),
-            )
+        let tiny = ReplayBudget {
+            max_steps: Some(1),
+            max_millis: None,
         };
+        let run = || budgeted(&ct, presets::drr_paper(), tiny);
         let first = run().unwrap_err();
         match &first {
             Error::BudgetExceeded { spent, limit } => {
@@ -794,7 +786,8 @@ mod tests {
 
         let mut capped = |cap| {
             let mut mgr = PolicyAllocator::new(cfg.clone()).unwrap();
-            replay_compiled_capped(&ct, &mut mgr, &mut scratch, cap).unwrap()
+            replay_compiled_limited(&ct, &mut mgr, &mut scratch, &ReplayBudget::default(), Some(cap))
+                .unwrap()
         };
         assert_eq!(
             capped(full.peak_footprint),
@@ -816,13 +809,11 @@ mod tests {
         let t = churn_trace(100);
         assert!(t.len() < BUDGET_CLOCK_STRIDE && !t.len().is_multiple_of(BUDGET_STEP_STRIDE));
         let ct = CompiledTrace::compile(&t);
-        let err = replay_compiled_budgeted(
-            &ct,
-            &mut PolicyAllocator::new(presets::drr_paper()).unwrap(),
-            &mut ReplayScratch::new(),
-            &ReplayBudget::unlimited().with_deadline_ms(0),
-        )
-        .unwrap_err();
+        let zero = ReplayBudget {
+            max_steps: None,
+            max_millis: Some(0),
+        };
+        let err = budgeted(&ct, presets::drr_paper(), zero).unwrap_err();
         assert_eq!(err, Error::BudgetExceeded { spent: 1, limit: 0 });
     }
 
@@ -842,13 +833,11 @@ mod tests {
             .unwrap()
             .stats
             .search_steps;
-        let err = replay_compiled_budgeted(
-            &ct,
-            &mut make(),
-            &mut ReplayScratch::new(),
-            &ReplayBudget::steps(total - 1),
-        )
-        .unwrap_err();
+        let short = ReplayBudget {
+            max_steps: Some(total - 1),
+            max_millis: None,
+        };
+        let err = budgeted(&ct, presets::drr_paper(), short).unwrap_err();
         // Tripped on the final count, after the last event: by event 63
         // fewer steps were spent, and no more than the budget.
         assert_eq!(
@@ -864,19 +853,11 @@ mod tests {
     fn unlimited_budget_never_trips() {
         let t = churn_trace(300);
         let ct = CompiledTrace::compile(&t);
-        let mut scratch = ReplayScratch::new();
-        let b = ReplayBudget::unlimited();
+        let b = ReplayBudget::default();
         assert!(!b.is_bounded());
         let plain =
             replay_compiled(&ct, &mut PolicyAllocator::new(presets::drr_paper()).unwrap())
                 .unwrap();
-        let budgeted = replay_compiled_budgeted(
-            &ct,
-            &mut PolicyAllocator::new(presets::drr_paper()).unwrap(),
-            &mut scratch,
-            &b,
-        )
-        .unwrap();
-        assert_eq!(plain, budgeted);
+        assert_eq!(plain, budgeted(&ct, presets::drr_paper(), b).unwrap());
     }
 }

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = Methodology::new().explore(&trace)?;
     println!(
         "\ngreedy methodology: peak {} B after {} evaluations",
-        outcome.footprint.peak_footprint, outcome.evaluations
+        outcome.footprint.peak_footprint, outcome.counters.evaluations
     );
     let (best_cfg, best_peak, evaluated) = exhaustive_best(
         &trace,

@@ -190,7 +190,7 @@ fn killed_exploration_resumes_bit_identical_from_any_journal_prefix() {
         &t,
         CheckpointJournal::create(&full_path).expect("create journal"),
     );
-    assert!(full.replays > 0, "fixture must do real work");
+    assert!(full.counters.replays > 0, "fixture must do real work");
     let bytes = std::fs::read(&full_path).expect("journal exists");
 
     for (i, cut) in [0, bytes.len() / 3, bytes.len() / 2, bytes.len() - 7]
@@ -207,12 +207,12 @@ fn killed_exploration_resumes_bit_identical_from_any_journal_prefix() {
 
         assert_eq!(resumed.config, full.config, "winner moved at cut {cut}");
         assert_eq!(resumed.footprint, full.footprint, "peak moved at cut {cut}");
-        assert_eq!(resumed.evaluations, full.evaluations);
+        assert_eq!(resumed.counters.evaluations, full.counters.evaluations);
         // The full run journals one entry per replay, so every salvaged
         // entry is exactly one replay the resumed run must not repeat.
         assert_eq!(
-            resumed.replays,
-            full.replays - salvaged,
+            resumed.counters.replays,
+            full.counters.replays - salvaged,
             "resume must serve all {salvaged} journalled evaluations without replaying them"
         );
     }
@@ -331,7 +331,7 @@ proptest! {
 
         prop_assert_eq!(&resumed.config, &full.config);
         prop_assert_eq!(&resumed.footprint, &full.footprint);
-        prop_assert_eq!(resumed.evaluations, full.evaluations);
-        prop_assert!(resumed.replays <= full.replays);
+        prop_assert_eq!(resumed.counters.evaluations, full.counters.evaluations);
+        prop_assert!(resumed.counters.replays <= full.counters.replays);
     }
 }

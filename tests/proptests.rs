@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 
 use dmm::prelude::*;
+use dmm::core::methodology::ExplorationEngine;
 use dmm::core::trace::TraceEvent;
 
 /// Strategy: a well-formed trace of interleaved allocs/frees with sizes in
@@ -238,8 +239,7 @@ proptest! {
     fn parallel_exploration_matches_serial(trace in trace_strategy(80, 2048)) {
         let serial = Methodology::new().explore(&trace).expect("explore");
         let parallel = Methodology::new()
-            .with_jobs(4)
-            .explore(&trace)
+            .explore_with_engine(&trace, &ExplorationEngine::new(4))
             .expect("explore");
         prop_assert_eq!(serial.config.summary(), parallel.config.summary());
         prop_assert_eq!(
@@ -247,10 +247,10 @@ proptest! {
             parallel.footprint.peak_footprint
         );
         prop_assert_eq!(&serial.decisions, &parallel.decisions);
-        prop_assert_eq!(serial.evaluations, parallel.evaluations);
+        prop_assert_eq!(serial.counters.evaluations, parallel.counters.evaluations);
         prop_assert_eq!(
-            serial.replays + serial.cache_hits,
-            parallel.replays + parallel.cache_hits
+            serial.counters.replays + serial.counters.cache_hits,
+            parallel.counters.replays + parallel.counters.cache_hits
         );
     }
 
@@ -261,8 +261,7 @@ proptest! {
     fn parallel_phased_exploration_matches_serial(trace in trace_strategy(60, 1024)) {
         let serial = Methodology::new().explore_phases(&trace).expect("phases");
         let parallel = Methodology::new()
-            .with_jobs(4)
-            .explore_phases(&trace)
+            .explore_phases_with_engine(&trace, &ExplorationEngine::new(4))
             .expect("phases");
         prop_assert_eq!(serial.phase_configs.len(), parallel.phase_configs.len());
         for ((sp, sc), (pp, pc)) in serial
@@ -392,8 +391,8 @@ proptest! {
         sharded.config.validate().expect("merged config valid");
         prop_assert_eq!(sharded.merges.len(), 12);
         prop_assert_eq!(
-            sharded.replays + sharded.cache_hits,
-            sharded.evaluations
+            sharded.counters.replays + sharded.counters.cache_hits,
+            sharded.counters.evaluations
         );
         let mut m = PolicyAllocator::new(sharded.config.clone()).expect("valid");
         let merged_on_whole = replay(&trace, &mut m).expect("replay");
@@ -903,9 +902,7 @@ proptest! {
     fn projected_sweeps_match_the_unpruned_fold_on_random_traces(
         trace in trace_strategy(60, 1500),
     ) {
-        use dmm::core::methodology::{
-            exhaustive_best, exhaustive_best_with_engine, ExplorationEngine,
-        };
+        use dmm::core::methodology::{exhaustive_best, exhaustive_best_with_engine};
 
         let limit = 120;
         let (ocfg, opeak, _) =
