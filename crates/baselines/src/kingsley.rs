@@ -149,7 +149,10 @@ impl Allocator for KingsleyAllocator {
 
     fn free(&mut self, handle: BlockHandle) -> Result<()> {
         let offset = handle.offset();
-        let (req, idx) = self.live.remove(&offset).ok_or(Error::InvalidFree { offset })?;
+        let (req, idx) = self
+            .live
+            .remove(&offset)
+            .ok_or(Error::InvalidFree { offset })?;
         self.stats.search_steps += 1; // read header, push head
         self.free_lists[idx].push(offset);
         self.stats.on_free(req, MIN_BLOCK << idx);

@@ -355,7 +355,11 @@ impl Allocator for LeaAllocator {
             .next_of(offset)
             .map(|n| !n.is_free())
             .unwrap_or(true)
-            && self.blocks.top().map(|t| t.span.offset == offset).unwrap_or(false);
+            && self
+                .blocks
+                .top()
+                .map(|t| t.span.offset == offset)
+                .unwrap_or(false);
         if borders_top {
             let span = self.coalesce(offset);
             self.bin_insert(span);

@@ -54,7 +54,7 @@ pub struct RegionAllocator {
     regions: Vec<Region>,
     /// Oversize blocks served directly, keyed by offset -> length.
     oversize_free: HashMap<usize, Vec<usize>>, // len -> offsets
-    live: HashMap<usize, (usize, usize)>,      // offset -> (req, block len)
+    live: HashMap<usize, (usize, usize)>, // offset -> (req, block len)
     slot_of_live: HashMap<usize, Option<usize>>, // offset -> region idx (None = oversize)
     stats: AllocStats,
 }
@@ -90,14 +90,7 @@ impl RegionAllocator {
     /// The coarse default region set used when no profile is available
     /// (64 B, 1 KiB, 16 KiB, 128 KiB, 512 KiB, 4 MiB).
     pub fn with_default_regions() -> Self {
-        Self::with_regions(&[
-            64,
-            1024,
-            16 * 1024,
-            128 * 1024,
-            512 * 1024,
-            4 * 1024 * 1024,
-        ])
+        Self::with_regions(&[64, 1024, 16 * 1024, 128 * 1024, 512 * 1024, 4 * 1024 * 1024])
     }
 
     /// Regions sized the way the paper's "manually designed" region
@@ -184,11 +177,7 @@ impl Allocator for RegionAllocator {
                 // Oversize: dedicated block, reusable only at exactly the
                 // same rounded length.
                 self.stats.search_steps += self.regions.len() as u64 + 1;
-                let offset = match self
-                    .oversize_free
-                    .get_mut(&need)
-                    .and_then(|v| v.pop())
-                {
+                let offset = match self.oversize_free.get_mut(&need).and_then(|v| v.pop()) {
                     Some(o) => o,
                     None => {
                         let base = self.arena.sbrk(need)?;

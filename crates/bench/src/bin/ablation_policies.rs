@@ -4,8 +4,6 @@
 //! Usage: `cargo run -p dmm-bench --release --bin ablation_policies
 //! [--quick] [--csv]`
 
-
-
 fn main() {
     let opts = dmm_bench::opts::parse();
     let table = dmm_bench::ablation_policies(opts.quick).expect("ablation harness failed");

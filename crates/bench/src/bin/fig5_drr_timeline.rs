@@ -4,8 +4,6 @@
 //! Usage: `cargo run -p dmm-bench --release --bin fig5_drr_timeline
 //! [--quick] [--csv]` — CSV emits `series,event,footprint` rows.
 
-
-
 fn main() {
     let opts = dmm_bench::opts::parse();
     let (lea, custom, plot) =

@@ -4,8 +4,6 @@
 //! Usage: `cargo run -p dmm-bench --release --bin motivation_static
 //! [--quick] [--csv] [--seeds=N]`
 
-
-
 fn main() {
     let opts = dmm_bench::opts::parse();
     let table =

@@ -118,8 +118,16 @@ fn main() {
         const PR5_MANAGER_GATE: f64 = 1.5;
         let mgr = report.manager_gate_row();
         for (label, gate, speedup) in [
-            ("PR 4", PR4_MANAGER_GATE, report.manager_bound_speedup_vs_pr4),
-            ("PR 5", PR5_MANAGER_GATE, report.manager_bound_speedup_vs_pr5),
+            (
+                "PR 4",
+                PR4_MANAGER_GATE,
+                report.manager_bound_speedup_vs_pr4,
+            ),
+            (
+                "PR 5",
+                PR5_MANAGER_GATE,
+                report.manager_bound_speedup_vs_pr5,
+            ),
         ] {
             if speedup < gate {
                 eprintln!(
@@ -198,8 +206,12 @@ fn main() {
             eprintln!(
                 "sweep gate ok: replays {} -> {} ({} projection hits, {:.1}% of enumerated \
                  replayed; {} and {} replays cut; {:.2}x wall-clock, not gated)",
-                base.replays, projected.replays, projected.projection_hits,
-                100.0 * s.projected_replay_ratio, s.baseline.peak_cut, s.projected.peak_cut,
+                base.replays,
+                projected.replays,
+                projected.projection_hits,
+                100.0 * s.projected_replay_ratio,
+                s.baseline.peak_cut,
+                s.projected.peak_cut,
                 s.sweep_wallclock_speedup
             );
         } else {

@@ -204,7 +204,10 @@ pub fn table1_footprint(seeds: u64, quick: bool, jobs: usize) -> Result<(Table, 
             let trace = workload.record()?;
             // One compilation serves all five rows of this cell.
             let compiled = CompiledTrace::compile(&trace);
-            for (mi, mut mgr) in comparators(&design_traces[si], quick).into_iter().enumerate() {
+            for (mi, mut mgr) in comparators(&design_traces[si], quick)
+                .into_iter()
+                .enumerate()
+            {
                 let fs = replay_compiled(&compiled, mgr.as_mut())?;
                 sums[mi][si] += fs.peak_footprint as u128;
             }
@@ -475,10 +478,16 @@ pub fn ablation_policies(quick: bool) -> Result<Table> {
         );
         Ok(())
     };
-    eval("paper DRR config (exact fit, always coalesce)".into(), base.clone())?;
+    eval(
+        "paper DRR config (exact fit, always coalesce)".into(),
+        base.clone(),
+    )?;
     for fit in FitAlgorithm::ALL {
         if fit != base.fit {
-            eval(format!("C1 -> {fit}"), base.clone().with_leaf(Leaf::C1(fit)))?;
+            eval(
+                format!("C1 -> {fit}"),
+                base.clone().with_leaf(Leaf::C1(fit)),
+            )?;
         }
     }
     for when in [CoalesceWhen::Deferred, CoalesceWhen::Never] {
@@ -487,7 +496,9 @@ pub fn ablation_policies(quick: bool) -> Result<Table> {
             // Keep the configuration coherent (rules R3b/R7).
             cfg = cfg
                 .with_leaf(Leaf::A5(dmm_core::space::trees::FlexibleSize::SplitOnly))
-                .with_leaf(Leaf::D1(dmm_core::space::trees::CoalesceMaxSizes::Unlimited));
+                .with_leaf(Leaf::D1(
+                    dmm_core::space::trees::CoalesceMaxSizes::Unlimited,
+                ));
         }
         cfg.validate()
             .map_err(|e| dmm_core::Error::InvalidConfig(format!("ablation config: {e}")))?;
@@ -520,8 +531,9 @@ pub fn fig1_space_text() -> String {
 
 /// Render **Figure 2**: the interdependency arrows between trees.
 pub fn fig2_interdep_text() -> String {
-    let mut out =
-        String::from("Figure 2: interdependencies between orthogonal trees in the search space\n\n");
+    let mut out = String::from(
+        "Figure 2: interdependencies between orthogonal trees in the search space\n\n",
+    );
     out.push_str("full arrows (hard: source leaf disables target leaves):\n");
     for a in interdep::ARROWS
         .iter()
@@ -656,11 +668,7 @@ pub fn sharded_explore(
         ],
     );
 
-    let whole_bytes = outcome
-        .per_shard
-        .iter()
-        .map(|s| s.events)
-        .sum::<usize>()
+    let whole_bytes = outcome.per_shard.iter().map(|s| s.events).sum::<usize>()
         * std::mem::size_of::<dmm_core::trace::TraceEvent>();
     let mut summary = String::new();
     use std::fmt::Write as _;
@@ -680,7 +688,8 @@ pub fn sharded_explore(
         outcome.peak_resident_trace_bytes, whole_bytes, outcome.max_carried_bytes
     );
     if quick {
-        let whole = methodology.explore_with_engine(&large_churn(seed, shards, events_per_shard), &engine)?;
+        let whole = methodology
+            .explore_with_engine(&large_churn(seed, shards, events_per_shard), &engine)?;
         let gap = dmm_core::metrics::percent_improvement(
             whole.footprint.peak_footprint,
             outcome.footprint.peak_footprint,
@@ -719,7 +728,8 @@ impl Allocator for NopAllocator {
         self.next += 1;
         let req = req.max(1);
         self.stats.on_alloc(req, req);
-        self.stats.set_system(self.stats.live_requested.max(self.stats.system), 0);
+        self.stats
+            .set_system(self.stats.live_requested.max(self.stats.system), 0);
         Ok(h)
     }
 
@@ -923,8 +933,18 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
         let mut side = runs.remove(0);
         for again in runs {
             assert_eq!(
-                (again.counters, again.peak_cut, &again.winner_fingerprint, again.winner_peak),
-                (side.counters, side.peak_cut, &side.winner_fingerprint, side.winner_peak),
+                (
+                    again.counters,
+                    again.peak_cut,
+                    &again.winner_fingerprint,
+                    again.winner_peak
+                ),
+                (
+                    side.counters,
+                    side.peak_cut,
+                    &side.winner_fingerprint,
+                    side.winner_peak
+                ),
                 "{label} sweep did not repeat"
             );
             side.wallclock_runs_secs.push(again.wallclock_secs);
@@ -944,8 +964,8 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
         (&projected.winner_fingerprint, projected.winner_peak),
         "projection broke the bit-identical-winner contract"
     );
-    let sweep_wallclock_speedup = baseline.wallclock_secs
-        / projected.wallclock_secs.max(f64::MIN_POSITIVE);
+    let sweep_wallclock_speedup =
+        baseline.wallclock_secs / projected.wallclock_secs.max(f64::MIN_POSITIVE);
     let projected_replay_ratio =
         projected.counters.replays as f64 / projected.enumerated.max(1) as f64;
     Ok(SweepReport {
@@ -1221,8 +1241,7 @@ impl ReplayHotReport {
     /// Manager-bound gate ratio of this run, normalised by a committed
     /// baseline: `(drr/nop) / (baseline drr/baseline nop)`.
     fn manager_bound_speedup_vs(&self, baseline: GateBaseline) -> f64 {
-        (self.manager_gate_row().compiled_events_per_sec
-            / self.gate_row().compiled_events_per_sec)
+        (self.manager_gate_row().compiled_events_per_sec / self.gate_row().compiled_events_per_sec)
             / (baseline.drr_events_per_sec / baseline.nop_events_per_sec)
     }
 
@@ -1278,7 +1297,11 @@ pub const REPLAY_HOT_REPEATS: usize = 5;
 /// `min_duration` has elapsed (at least twice, after a warm-up), and return
 /// the median window's events/second — one slow window on a shared host
 /// cannot move a row.
-fn measure_events_per_sec<F>(events: usize, min_duration: std::time::Duration, mut run: F) -> Result<f64>
+fn measure_events_per_sec<F>(
+    events: usize,
+    min_duration: std::time::Duration,
+    mut run: F,
+) -> Result<f64>
 where
     F: FnMut() -> Result<()>,
 {
@@ -1425,7 +1448,11 @@ mod tests {
         for tree in TreeId::ALL {
             assert!(text.contains(tree.code()), "missing {}", tree.code());
         }
-        assert!(text.contains("829440") || text.contains("829_440") || text.contains("raw combinations: 829440"));
+        assert!(
+            text.contains("829440")
+                || text.contains("829_440")
+                || text.contains("raw combinations: 829440")
+        );
     }
 
     #[test]
@@ -1507,7 +1534,10 @@ mod tests {
         assert!(!lea.points.is_empty());
         assert!(!custom.points.is_empty());
         assert!(plot.contains("Lea"));
-        assert!(custom.peak() <= lea.peak(), "custom must not exceed Lea's peak");
+        assert!(
+            custom.peak() <= lea.peak(),
+            "custom must not exceed Lea's peak"
+        );
     }
 
     #[test]

@@ -273,9 +273,13 @@ fn engine_for(inv: &Invocation) -> Result<ExplorationEngine> {
 /// journalled, damaged bytes dropped on resume. Take it **before**
 /// exploring — afterwards the journal also holds this run's replays.
 fn journal_snapshot(engine: &ExplorationEngine) -> Option<(String, usize, usize)> {
-    engine
-        .journal()
-        .map(|j| (j.path().display().to_string(), j.entries(), j.recovered_bytes()))
+    engine.journal().map(|j| {
+        (
+            j.path().display().to_string(),
+            j.entries(),
+            j.recovered_bytes(),
+        )
+    })
 }
 
 /// The `workload:` / checkpoint header lines shared by the exploration
@@ -554,7 +558,10 @@ pub fn lint_text(inv: &Invocation) -> Result<String> {
                 let _ = writeln!(out, "  {}", d.render());
             }
         }
-        let _ = writeln!(out, "{errors} error(s), {warns} warning(s), {notes} note(s)");
+        let _ = writeln!(
+            out,
+            "{errors} error(s), {warns} warning(s), {notes} note(s)"
+        );
         out
     };
     if let Some(threshold) = deny {
@@ -899,10 +906,7 @@ pub fn phases_text(inv: &Invocation) -> Result<String> {
     let mut out = String::new();
     let _ = writeln!(out, "workload: {}", w.name());
     let _ = writeln!(out, "announced phases: {announced:?}");
-    let _ = writeln!(
-        out,
-        "detected boundaries (event indices): {bounds:?}"
-    );
+    let _ = writeln!(out, "detected boundaries (event indices): {bounds:?}");
     let _ = writeln!(out, "detected phases: {:?}", annotated.phases());
     for (phase, sub) in annotated.split_phases() {
         let p = Profile::of(&sub);
@@ -931,7 +935,11 @@ pub fn phases_text(inv: &Invocation) -> Result<String> {
                 s.trace.len(),
                 s.resident_bytes(),
                 s.boundary.carried_bytes,
-                if s.boundary.is_closed() { " (closed)" } else { "" }
+                if s.boundary.is_closed() {
+                    " (closed)"
+                } else {
+                    ""
+                }
             );
         }
     }
@@ -1015,7 +1023,14 @@ mod tests {
 
     #[test]
     fn parse_flags_and_positionals() {
-        let i = inv(&["explore", "recon", "--seed=7", "--full", "--jobs=4", "--shards=8"]);
+        let i = inv(&[
+            "explore",
+            "recon",
+            "--seed=7",
+            "--full",
+            "--jobs=4",
+            "--shards=8",
+        ]);
         assert_eq!(i.command, "explore");
         assert_eq!(i.positional, vec!["recon"]);
         assert_eq!(i.seed, 7);
@@ -1058,10 +1073,39 @@ mod tests {
     /// Argument fragments: flags the parser knows, bare and with `=`,
     /// malformed values, a bare `=`, empty strings and non-ASCII text.
     const FRAGMENTS: &[&str] = &[
-        "", "=", "-", "--", "-h", "--help", "--explain", "--deny", "--explain=", "--deny=",
-        "--json", "--full", "--resume", "--trace=", "--checkpoint=", "--budget-steps=",
-        "--budget-ms=", "--seed=", "--jobs=", "--shards=", "--seed", "--bogus", "explore",
-        "drr", "lint", "7", "-1", "oops", "18446744073709551616", "é", "日本", "\u{0}", " ",
+        "",
+        "=",
+        "-",
+        "--",
+        "-h",
+        "--help",
+        "--explain",
+        "--deny",
+        "--explain=",
+        "--deny=",
+        "--json",
+        "--full",
+        "--resume",
+        "--trace=",
+        "--checkpoint=",
+        "--budget-steps=",
+        "--budget-ms=",
+        "--seed=",
+        "--jobs=",
+        "--shards=",
+        "--seed",
+        "--bogus",
+        "explore",
+        "drr",
+        "lint",
+        "7",
+        "-1",
+        "oops",
+        "18446744073709551616",
+        "é",
+        "日本",
+        "\u{0}",
+        " ",
     ];
 
     /// Parsing is total: `Ok`, or [`Error::InvalidConfig`] naming one of
@@ -1070,7 +1114,9 @@ mod tests {
         match Invocation::parse(args) {
             Ok(_) => Ok(()),
             Err(Error::InvalidConfig(msg))
-                if args.iter().any(|a| a.starts_with('-') && msg.contains(a.as_str())) =>
+                if args
+                    .iter()
+                    .any(|a| a.starts_with('-') && msg.contains(a.as_str())) =>
             {
                 Ok(())
             }
@@ -1158,7 +1204,10 @@ mod tests {
         for r in interdep::RULES {
             assert!(s.contains(r.code), "missing {} in interdep text", r.code);
         }
-        assert!(s.contains("[DM020]"), "soft arrows carry advisory codes:\n{s}");
+        assert!(
+            s.contains("[DM020]"),
+            "soft arrows carry advisory codes:\n{s}"
+        );
     }
 
     #[test]
@@ -1166,8 +1215,14 @@ mod tests {
         let i = inv(&["lint", "--all-presets", "--json"]);
         assert_eq!(i.command, "lint");
         assert!(i.json && i.all_presets);
-        assert_eq!(inv(&["lint", "--explain", "DM007"]).explain.as_deref(), Some("DM007"));
-        assert_eq!(inv(&["lint", "--explain=TR001"]).explain.as_deref(), Some("TR001"));
+        assert_eq!(
+            inv(&["lint", "--explain", "DM007"]).explain.as_deref(),
+            Some("DM007")
+        );
+        assert_eq!(
+            inv(&["lint", "--explain=TR001"]).explain.as_deref(),
+            Some("TR001")
+        );
         assert_eq!(
             inv(&["lint", "--explain"]).explain.as_deref(),
             Some(""),
@@ -1177,7 +1232,10 @@ mod tests {
 
     #[test]
     fn parse_deny_flag_both_spellings() {
-        assert_eq!(inv(&["lint", "--deny", "error"]).deny.as_deref(), Some("error"));
+        assert_eq!(
+            inv(&["lint", "--deny", "error"]).deny.as_deref(),
+            Some("error")
+        );
         assert_eq!(inv(&["lint", "--deny=warn"]).deny.as_deref(), Some("warn"));
         assert_eq!(
             inv(&["lint", "--deny"]).deny.as_deref(),
@@ -1259,7 +1317,10 @@ mod tests {
         }
         assert!(out.contains("lower bound"), "{out}");
         assert!(out.contains("floor/peak"), "{out}");
-        assert!(out.contains("BD001"), "every config gets the floor advisory:\n{out}");
+        assert!(
+            out.contains("BD001"),
+            "every config gets the floor advisory:\n{out}"
+        );
         assert!(run(&inv(&["bounds", "nosuch"])).is_err());
     }
 
@@ -1364,15 +1425,22 @@ mod tests {
             Some(0),
             "malformed budget trips immediately, never silently unlimited"
         );
-        assert_eq!(inv(&["record", "drr", "--out=x.dmmt"]).out.as_deref(), Some("x.dmmt"));
+        assert_eq!(
+            inv(&["record", "drr", "--out=x.dmmt"]).out.as_deref(),
+            Some("x.dmmt")
+        );
     }
 
     #[test]
     fn record_then_explore_from_durable_trace_matches_live() {
         let path = tmp("roundtrip.dmmt");
         std::fs::remove_file(&path).ok();
-        let rec = record_text(&inv(&["record", "drr", &format!("--out={}", path.display())]))
-            .unwrap();
+        let rec = record_text(&inv(&[
+            "record",
+            "drr",
+            &format!("--out={}", path.display()),
+        ]))
+        .unwrap();
         assert!(rec.contains("checksummed"), "{rec}");
         let live = explore_text(&inv(&["explore", "drr"])).unwrap();
         let loaded =
@@ -1440,8 +1508,7 @@ mod tests {
     #[test]
     fn generous_budget_leaves_exploration_unchanged() {
         let plain = explore_text(&inv(&["explore", "drr"])).unwrap();
-        let budgeted =
-            explore_text(&inv(&["explore", "drr", "--budget-steps=100000000"])).unwrap();
+        let budgeted = explore_text(&inv(&["explore", "drr", "--budget-steps=100000000"])).unwrap();
         assert_eq!(below_header(&plain), below_header(&budgeted));
         // A zero budget trips on the very first candidate — loudly.
         assert!(explore_text(&inv(&["explore", "drr", "--budget-steps=0"])).is_err());
@@ -1454,7 +1521,10 @@ mod tests {
         // event too.
         for budget in ["--budget-ms=0", "--budget-ms=oops"] {
             let err = explore_text(&inv(&["explore", "drr", "--jobs=1", budget])).unwrap_err();
-            assert!(matches!(err, Error::BudgetExceeded { .. }), "{budget}: {err}");
+            assert!(
+                matches!(err, Error::BudgetExceeded { .. }),
+                "{budget}: {err}"
+            );
         }
     }
 
@@ -1469,7 +1539,13 @@ mod tests {
     #[test]
     fn help_mentions_the_robustness_surface() {
         let h = help_text();
-        for needle in ["record", "--trace=", "--checkpoint=", "--resume", "--budget-steps="] {
+        for needle in [
+            "record",
+            "--trace=",
+            "--checkpoint=",
+            "--resume",
+            "--budget-steps=",
+        ] {
             assert!(h.contains(needle), "help missing {needle}");
         }
     }

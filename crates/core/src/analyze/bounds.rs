@@ -158,23 +158,22 @@ impl TraceFacts {
         let mut phases: Vec<PhaseAcc> = Vec::new();
         let mut current = 0u32;
 
-        let ensure_phase =
-            |phases: &mut Vec<PhaseAcc>, sizes: &HashMap<u64, usize>, phase: u32| {
-                if phases.iter().all(|p| p.phase != phase) {
-                    // First entry: everything currently live is owned by
-                    // earlier phases and crosses the boundary.
-                    phases.push(PhaseAcc {
-                        phase,
-                        boundary: BoundarySummary {
-                            carried_blocks: sizes.len(),
-                            carried_bytes: sizes.values().sum(),
-                        },
-                        peak_bytes: 0,
-                        peak_bytes_at: None,
-                        peak_blocks: 0,
-                    });
-                }
-            };
+        let ensure_phase = |phases: &mut Vec<PhaseAcc>, sizes: &HashMap<u64, usize>, phase: u32| {
+            if phases.iter().all(|p| p.phase != phase) {
+                // First entry: everything currently live is owned by
+                // earlier phases and crosses the boundary.
+                phases.push(PhaseAcc {
+                    phase,
+                    boundary: BoundarySummary {
+                        carried_blocks: sizes.len(),
+                        carried_bytes: sizes.values().sum(),
+                    },
+                    peak_bytes: 0,
+                    peak_bytes_at: None,
+                    peak_blocks: 0,
+                });
+            }
+        };
         if !trace.is_empty() {
             ensure_phase(&mut phases, &sizes, 0);
         }
@@ -263,7 +262,10 @@ impl TraceFacts {
                     let mut histogram: Vec<(usize, usize)> =
                         counts.iter().map(|(&s, &c)| (s, c)).collect();
                     histogram.sort_unstable();
-                    snapshots.push(LiveSnapshot { event: i, histogram });
+                    snapshots.push(LiveSnapshot {
+                        event: i,
+                        histogram,
+                    });
                     next += 1;
                     if next == wanted.len() {
                         break;
@@ -324,7 +326,11 @@ impl BoundBreakdown {
     /// mutually-incomparable demand components. (Summing them would be
     /// tighter but unsound — they can describe the same bytes.)
     pub fn total(&self) -> usize {
-        self.static_overhead + self.snapshot_demand.max(self.class_demand).max(self.quantum)
+        self.static_overhead
+            + self
+                .snapshot_demand
+                .max(self.class_demand)
+                .max(self.quantum)
     }
 
     /// The demand component that decides the bound (for reporting).
@@ -359,7 +365,10 @@ pub fn bound_breakdown(facts: &TraceFacts, cfg: &DmConfig) -> BoundBreakdown {
     // before the event-end peak sample, so the component is guarded.
     let quantum = if facts.allocs > 0
         && cfg.block_sizes.is_fixed()
-        && cfg.params.trim_threshold.is_none_or(|t| t >= SBRK_GRANULARITY)
+        && cfg
+            .params
+            .trim_threshold
+            .is_none_or(|t| t >= SBRK_GRANULARITY)
     {
         SBRK_GRANULARITY
     } else {

@@ -33,18 +33,29 @@ const HARD_RULE_FIXES: &[(&str, &str)] = &[
     ("DM001", "set A4 = none, or give A3 a tag placement"),
     ("DM002", "set A3 = none, or record something in A4"),
     ("DM003", "record at least the block size in A4"),
-    ("DM004", "pick an A5 leaf with a coalescing mechanism, or set D2 = never"),
-    ("DM005", "set D2 = always or deferred, or drop the coalescing mechanism from A5"),
-    ("DM006", "pick an A5 leaf with a splitting mechanism, or set E2 = never"),
-    ("DM007", "set E2 = always or threshold, or drop the splitting mechanism from A5"),
+    (
+        "DM004",
+        "pick an A5 leaf with a coalescing mechanism, or set D2 = never",
+    ),
+    (
+        "DM005",
+        "set D2 = always or deferred, or drop the coalescing mechanism from A5",
+    ),
+    (
+        "DM006",
+        "pick an A5 leaf with a splitting mechanism, or set E2 = never",
+    ),
+    (
+        "DM007",
+        "set E2 = always or threshold, or drop the splitting mechanism from A5",
+    ),
     ("DM008", "record the free/used status in A4"),
     ("DM009", "set B4 = array, or divide into more than one pool"),
     ("DM010", "set D1 = unlimited when D2 = never"),
     ("DM011", "set E1 = unrestricted when E2 = never"),
 ];
 
-const HARD_RULE_DETAILS: &str =
-    "Hard interdependency rule (full arrow of Figure 2); violating \
+const HARD_RULE_DETAILS: &str = "Hard interdependency rule (full arrow of Figure 2); violating \
      combinations are rejected by the builder and never enumerated. \
      `dmm interdep` prints the full rule table.";
 
@@ -349,8 +360,11 @@ pub fn lint_config(cfg: &DmConfig) -> Vec<Diagnostic> {
             details: HARD_RULE_DETAILS,
         };
         out.push(
-            Diagnostic::from_entry(&entry, format!("rule {} violated: {}", rule.id, rule.description))
-                .with_trees(rule.trees),
+            Diagnostic::from_entry(
+                &entry,
+                format!("rule {} violated: {}", rule.id, rule.description),
+            )
+            .with_trees(rule.trees),
         );
     }
     if broken.is_empty() {
@@ -407,7 +421,8 @@ pub fn lint_dominance(cfg: &DmConfig) -> Vec<Diagnostic> {
             RecordedInfo::SizeStatusPrevSize => push(
                 "DM032",
                 &[TreeId::A4RecordedInfo],
-                "prev-size+status recorded but coalescing is off; 8-byte tag where 4 suffice".into(),
+                "prev-size+status recorded but coalescing is off; 8-byte tag where 4 suffice"
+                    .into(),
             ),
             _ => {}
         }
@@ -476,7 +491,11 @@ pub fn lint_dominance(cfg: &DmConfig) -> Vec<Diagnostic> {
     if cfg.flexible_size == FlexibleSize::None && cfg.block_tags != BlockTags::None {
         push(
             "DM038",
-            &[TreeId::A5FlexibleSize, TreeId::A3BlockTags, TreeId::A4RecordedInfo],
+            &[
+                TreeId::A5FlexibleSize,
+                TreeId::A3BlockTags,
+                TreeId::A4RecordedInfo,
+            ],
             format!(
                 "A5 = none leaves the {} tag byte(s) per block unread",
                 cfg.tag_bytes_per_block()
@@ -526,7 +545,11 @@ mod tests {
                 .iter()
                 .filter(|s| s.from == arrow.from && s.to == arrow.to)
                 .count();
-            assert_eq!(n, 1, "soft arrow {:?} --> {:?} has {n} lints", arrow.from, arrow.to);
+            assert_eq!(
+                n, 1,
+                "soft arrow {:?} --> {:?} has {n} lints",
+                arrow.from, arrow.to
+            );
         }
         assert_eq!(
             SOFT_LINTS.len(),
@@ -560,7 +583,10 @@ mod tests {
             .with_leaf(Leaf::A3(BlockTags::None))
             .with_leaf(Leaf::A4(RecordedInfo::Size));
         let diags = lint_config(&cfg);
-        let d = diags.iter().find(|d| d.code == "DM001").expect("DM001 fires");
+        let d = diags
+            .iter()
+            .find(|d| d.code == "DM001")
+            .expect("DM001 fires");
         assert_eq!(d.severity, Severity::Error);
         assert!(d.trees.contains(&TreeId::A3BlockTags));
         assert!(d.message.contains("R1a"));
@@ -597,7 +623,10 @@ mod tests {
             .with_leaf(Leaf::A3(BlockTags::Footer))
             .with_leaf(Leaf::A4(RecordedInfo::SizeAndStatus));
         assert!(!cfg.may_coalesce(), "kingsley preset must not coalesce");
-        let codes: Vec<String> = lint_dominance(&cfg).iter().map(|d| d.code.clone()).collect();
+        let codes: Vec<String> = lint_dominance(&cfg)
+            .iter()
+            .map(|d| d.code.clone())
+            .collect();
         assert!(codes.contains(&"DM030".to_string()), "{codes:?}");
         assert!(codes.contains(&"DM031".to_string()), "{codes:?}");
         let reason = prune_reason(&cfg).expect("prune-safe");
@@ -615,9 +644,15 @@ mod tests {
         cfg.params.split_floor = MIN_BLOCK; // <= MIN_BLOCK
         cfg.params.coalesce_cap = 1 << 30;
         cfg.params.arena_limit = Some(1 << 20); // cap >= limit
-        let codes: Vec<String> = lint_dominance(&cfg).iter().map(|d| d.code.clone()).collect();
+        let codes: Vec<String> = lint_dominance(&cfg)
+            .iter()
+            .map(|d| d.code.clone())
+            .collect();
         for want in ["DM033", "DM034", "DM035"] {
-            assert!(codes.contains(&want.to_string()), "missing {want}: {codes:?}");
+            assert!(
+                codes.contains(&want.to_string()),
+                "missing {want}: {codes:?}"
+            );
         }
     }
 

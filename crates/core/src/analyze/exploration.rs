@@ -163,8 +163,10 @@ mod tests {
 
     #[test]
     fn fault_free_run_lints_clean() {
-        assert!(lint_exploration(&ResilienceReport::from_counters(&EngineCounters::default()))
-            .is_empty());
+        assert!(
+            lint_exploration(&ResilienceReport::from_counters(&EngineCounters::default()))
+                .is_empty()
+        );
     }
 
     #[test]
@@ -181,7 +183,11 @@ mod tests {
         assert_eq!(codes, vec!["EX001", "EX002", "EX003", "EX004"]);
         assert!(diags[3].message.contains("0.750"));
         for d in &diags {
-            assert!(!d.prune_safe, "{}: resilience findings never license pruning", d.code);
+            assert!(
+                !d.prune_safe,
+                "{}: resilience findings never license pruning",
+                d.code
+            );
             assert!(!d.render().is_empty());
         }
     }

@@ -203,13 +203,21 @@ fn scan(events: &[TraceEvent], out: &mut Vec<Diagnostic>, stop_at_error: bool) {
         match ev {
             TraceEvent::Alloc { id, size } => {
                 if *size == 0 {
-                    out.push(diag("TR003", i, format!("event {i}: zero-size allocation of id {id}")));
+                    out.push(diag(
+                        "TR003",
+                        i,
+                        format!("event {i}: zero-size allocation of id {id}"),
+                    ));
                     if stop_at_error {
                         return;
                     }
                 }
                 if seen.insert(*id, ()).is_some() {
-                    out.push(diag("TR004", i, format!("event {i}: id {id} allocated twice")));
+                    out.push(diag(
+                        "TR004",
+                        i,
+                        format!("event {i}: id {id} allocated twice"),
+                    ));
                     if stop_at_error {
                         return;
                     }
@@ -259,8 +267,10 @@ fn scan(events: &[TraceEvent], out: &mut Vec<Diagnostic>, stop_at_error: bool) {
         return;
     }
     if !live.is_empty() {
-        let mut leaked: Vec<(usize, u64, usize)> =
-            live.iter().map(|(id, &(at, size))| (at, *id, size)).collect();
+        let mut leaked: Vec<(usize, u64, usize)> = live
+            .iter()
+            .map(|(id, &(at, size))| (at, *id, size))
+            .collect();
         leaked.sort_unstable();
         let bytes: usize = leaked.iter().map(|&(_, _, s)| s).sum();
         let shown: Vec<String> = leaked
@@ -269,7 +279,11 @@ fn scan(events: &[TraceEvent], out: &mut Vec<Diagnostic>, stop_at_error: bool) {
             .map(|&(_, id, s)| format!("{id} ({s} B)"))
             .collect();
         let more = leaked.len().saturating_sub(LEAK_LIST_CAP);
-        let suffix = if more > 0 { format!(" and {more} more") } else { String::new() };
+        let suffix = if more > 0 {
+            format!(" and {more} more")
+        } else {
+            String::new()
+        };
         out.push(
             Diagnostic::from_entry(
                 trace_entry("TR005"),
@@ -279,7 +293,13 @@ fn scan(events: &[TraceEvent], out: &mut Vec<Diagnostic>, stop_at_error: bool) {
                     shown.join(", ")
                 ),
             )
-            .with_events(leaked.iter().take(LEAK_LIST_CAP).map(|&(at, _, _)| at).collect()),
+            .with_events(
+                leaked
+                    .iter()
+                    .take(LEAK_LIST_CAP)
+                    .map(|&(at, _, _)| at)
+                    .collect(),
+            ),
         );
     }
     if events.len() >= CUT_LINT_MIN_EVENTS {

@@ -168,6 +168,10 @@ mod tests {
         assert_eq!(truncate_at(&bytes, 99), bytes.to_vec());
         assert_eq!(flip_bit(&bytes, 0), vec![1, 0xFF, 0b1010_1010]);
         assert_eq!(flip_bit(&bytes, 17), vec![0, 0xFF, 0b1010_1000]);
-        assert_eq!(flip_bit(&bytes, 800), bytes.to_vec(), "out of range is a no-op");
+        assert_eq!(
+            flip_bit(&bytes, 800),
+            bytes.to_vec(),
+            "out of range is a no-op"
+        );
     }
 }

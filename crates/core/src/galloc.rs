@@ -170,9 +170,8 @@ unsafe impl<M: Allocator + Send> GlobalAlloc for ArenaAlloc<M> {
             // to allocate-copy-free.
             // Safety: alignment is a valid power of two per the `Layout`
             // contract (same as above).
-            let fresh = unsafe {
-                self.alloc(Layout::from_size_align_unchecked(new_size, layout.align()))
-            };
+            let fresh =
+                unsafe { self.alloc(Layout::from_size_align_unchecked(new_size, layout.align())) };
             if !fresh.is_null() {
                 // Safety: `ptr` is live for `layout.size()` bytes per the
                 // realloc contract, `fresh` is a distinct block at least

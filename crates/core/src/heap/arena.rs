@@ -142,7 +142,13 @@ mod tests {
         let mut a = Arena::with_limit(128);
         a.sbrk(100).unwrap();
         let err = a.sbrk(29).unwrap_err();
-        assert!(matches!(err, Error::OutOfMemory { requested: 29, limit: 128 }));
+        assert!(matches!(
+            err,
+            Error::OutOfMemory {
+                requested: 29,
+                limit: 128
+            }
+        ));
         // A fitting request still succeeds.
         a.sbrk(28).unwrap();
         assert_eq!(a.brk(), 128);

@@ -86,10 +86,7 @@ impl GlobalManager {
     ///
     /// As for [`GlobalManager::new`]; additionally rejects duplicate phase
     /// ids.
-    pub fn new_mapped(
-        name: impl Into<String>,
-        configs: Vec<(u32, DmConfig)>,
-    ) -> Result<Self> {
+    pub fn new_mapped(name: impl Into<String>, configs: Vec<(u32, DmConfig)>) -> Result<Self> {
         let mut map = std::collections::HashMap::new();
         for (i, (phase, _)) in configs.iter().enumerate() {
             if map.insert(*phase, i).is_some() {
@@ -199,10 +196,7 @@ impl Allocator for GlobalManager {
 
     fn set_phase(&mut self, phase: u32) {
         self.current = match &self.phase_map {
-            Some(map) => map
-                .get(&phase)
-                .copied()
-                .unwrap_or(self.managers.len() - 1),
+            Some(map) => map.get(&phase).copied().unwrap_or(self.managers.len() - 1),
             None => (phase as usize).min(self.managers.len() - 1),
         };
     }

@@ -154,8 +154,7 @@ impl PolicyAllocator {
             cfg,
         };
         // Full rebase: steady-state events maintain system bytes by delta.
-        m.stats
-            .set_system(m.arena.brk(), m.pools.static_overhead());
+        m.stats.set_system(m.arena.brk(), m.pools.static_overhead());
         Ok(m)
     }
 
@@ -189,9 +188,7 @@ impl PolicyAllocator {
         match self.cfg.split_when {
             SplitWhen::Never => None,
             SplitWhen::Always => Some(self.min_remainder()),
-            SplitWhen::Threshold => {
-                Some(self.cfg.params.split_threshold.max(self.min_remainder()))
-            }
+            SplitWhen::Threshold => Some(self.cfg.params.split_threshold.max(self.min_remainder())),
         }
     }
 
@@ -1039,10 +1036,7 @@ impl Allocator for PolicyAllocator {
         // Case 1: the existing block already fits (same class, or a shrink
         // whose tail is not worth splitting off).
         let fits_in_place = new_len == old_len
-            || (new_len < old_len
-                && self
-                    .split_trigger()
-                    .is_none_or(|t| old_len - new_len < t));
+            || (new_len < old_len && self.split_trigger().is_none_or(|t| old_len - new_len < t));
         if fits_in_place {
             self.blocks.set_requested(r, new_req);
             self.stats.on_resize(old_req, new_req, old_len, old_len);
@@ -1163,7 +1157,8 @@ mod tests {
             let h = m.alloc(100).unwrap();
             assert!(m.footprint() >= 100, "{}", m.name());
             m.free(h).unwrap();
-            m.check_invariants().unwrap_or_else(|e| panic!("{}: {e}", m.name()));
+            m.check_invariants()
+                .unwrap_or_else(|e| panic!("{}: {e}", m.name()));
             assert_eq!(m.stats().live_requested, 0);
             assert_eq!(m.stats().allocs, 1);
             assert_eq!(m.stats().frees, 1);
@@ -1379,7 +1374,11 @@ mod tests {
             .with_leaf(Leaf::A5(crate::space::trees::FlexibleSize::CoalesceOnly));
         no_split.validate().unwrap();
         let m = PolicyAllocator::new(no_split).unwrap();
-        assert_eq!(m.split_retry_fit(), None, "exact fit without split: no retry");
+        assert_eq!(
+            m.split_retry_fit(),
+            None,
+            "exact fit without split: no retry"
+        );
     }
 
     #[test]
@@ -1855,7 +1854,8 @@ mod tests {
                 _ => {}
             }
             if i % 300 == 0 {
-                m.check_invariants().unwrap_or_else(|e| panic!("op {i}: {e}"));
+                m.check_invariants()
+                    .unwrap_or_else(|e| panic!("op {i}: {e}"));
                 let expect: usize = live.iter().map(|(_, s)| *s).sum();
                 assert_eq!(m.stats().live_requested, expect, "op {i}");
             }
@@ -1866,7 +1866,10 @@ mod tests {
         m.check_invariants().unwrap();
         assert_eq!(m.stats().live_requested, 0);
         assert!(m.stats().reallocs > 0);
-        assert!(m.stats().reallocs_in_place > 0, "some reallocs stay in place");
+        assert!(
+            m.stats().reallocs_in_place > 0,
+            "some reallocs stay in place"
+        );
     }
 
     #[test]

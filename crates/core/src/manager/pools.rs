@@ -337,8 +337,7 @@ mod tests {
         // With per-class pools, `Many` routes through power-of-two classes
         // for segregated storage while class_len stays exact.
         use crate::space::trees::{BlockSizes, Leaf, PoolDivision};
-        let cfg = presets::kingsley_like()
-            .with_leaf(Leaf::B1(PoolDivision::PoolPerSizeClass));
+        let cfg = presets::kingsley_like().with_leaf(Leaf::B1(PoolDivision::PoolPerSizeClass));
         let mut pow2 = Pools::new(&cfg);
         let mut many = Pools::new(&{
             let mut c = cfg.clone();
@@ -347,7 +346,11 @@ mod tests {
         });
         let mut s = 0u64;
         for len in [1, 16, 17, 100, 1000, 4096] {
-            assert_eq!(pow2.route(len, &mut s), many.route(len, &mut s), "len {len}");
+            assert_eq!(
+                pow2.route(len, &mut s),
+                many.route(len, &mut s),
+                "len {len}"
+            );
             assert_eq!(many.class_len(len), len, "many keeps exact length");
             assert_eq!(pow2.class_len(len), pow2_class(len));
         }

@@ -244,9 +244,7 @@ impl ProjectedKey {
         let split_trigger = match (may_split, cfg.split_when) {
             (false, _) | (_, SplitWhen::Never) => None,
             (true, SplitWhen::Always) => Some(min_remainder),
-            (true, SplitWhen::Threshold) => {
-                Some(cfg.params.split_threshold.max(min_remainder))
-            }
+            (true, SplitWhen::Threshold) => Some(cfg.params.split_threshold.max(min_remainder)),
         }
         // A remainder is strictly smaller than its block (the carved part
         // is at least MIN_BLOCK), so `t ≥ bound` can never fire. Keep
@@ -278,8 +276,10 @@ impl ProjectedKey {
             }
         };
         let cheap_prev = coalesce_reachable
-            && (matches!(cfg.block_tags, BlockTags::Footer | BlockTags::HeaderAndFooter)
-                || cfg.recorded_info.knows_prev());
+            && (matches!(
+                cfg.block_tags,
+                BlockTags::Footer | BlockTags::HeaderAndFooter
+            ) || cfg.recorded_info.knows_prev());
 
         // `maybe_trim` only runs from `free`, and only releases top blocks
         // of `len ≥ threshold ≤ brk ≤ bound`.
@@ -419,7 +419,10 @@ impl ReplayCache {
 
     /// Number of memoised projected equivalence classes.
     pub fn projected_len(&self) -> usize {
-        self.projected.lock().unwrap_or_else(|p| p.into_inner()).len()
+        self.projected
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .len()
     }
 
     /// Number of memoised replays.
@@ -529,9 +532,7 @@ mod tests {
         );
 
         // Deferred vs immediate coalescing is free-path machinery too.
-        let deferred = header
-            .clone()
-            .with_leaf(Leaf::D2(CoalesceWhen::Deferred));
+        let deferred = header.clone().with_leaf(Leaf::D2(CoalesceWhen::Deferred));
         assert_eq!(
             ProjectedKey::of(&header, &no_frees),
             ProjectedKey::of(&deferred, &no_frees)

@@ -201,8 +201,9 @@ impl CheckpointJournal {
         let line = format!("{:08x} {json}\n", crc32(json.as_bytes()));
         {
             let mut file = self.file.lock().unwrap_or_else(|p| p.into_inner());
-            file.write_all(line.as_bytes())
-                .map_err(|e| journal_err(&format!("cannot append to {}", self.path.display()), e))?;
+            file.write_all(line.as_bytes()).map_err(|e| {
+                journal_err(&format!("cannot append to {}", self.path.display()), e)
+            })?;
             file.flush()
                 .map_err(|e| journal_err(&format!("cannot flush {}", self.path.display()), e))?;
         }

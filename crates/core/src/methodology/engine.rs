@@ -742,7 +742,10 @@ impl ExplorationEngine {
 
     /// Number of distinct traces this engine has compiled (diagnostic).
     pub fn compiled_traces(&self) -> usize {
-        self.compiled.lock().unwrap_or_else(|p| p.into_inner()).len()
+        self.compiled
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .len()
     }
 
     /// Forget the compiled form (and projection) of the trace
@@ -1167,7 +1170,10 @@ mod tests {
             .is_some());
         let c = engine.counters();
         assert_eq!(c.quarantined, 1);
-        assert_eq!(c.evaluations, 1, "the quarantined candidate is not an evaluation");
+        assert_eq!(
+            c.evaluations, 1,
+            "the quarantined candidate is not an evaluation"
+        );
         assert_eq!(
             engine.cache().projected_len(),
             1,
@@ -1224,7 +1230,10 @@ mod tests {
         let err = strict
             .evaluate_config(&t, key, &presets::drr_paper())
             .unwrap_err();
-        assert!(matches!(err, Error::BudgetExceeded { limit: 1, .. }), "{err}");
+        assert!(
+            matches!(err, Error::BudgetExceeded { limit: 1, .. }),
+            "{err}"
+        );
         // A generous budget changes nothing.
         let roomy = ExplorationEngine::serial().with_budget(ReplayBudget {
             max_steps: Some(u64::MAX),
@@ -1249,15 +1258,15 @@ mod tests {
         let key = TraceKey::of(&t);
         let cfgs = presets::all();
 
-        let first = ExplorationEngine::serial()
-            .with_journal(CheckpointJournal::create(&path).unwrap());
+        let first =
+            ExplorationEngine::serial().with_journal(CheckpointJournal::create(&path).unwrap());
         let original = first.evaluate_all(&t, key, &cfgs).unwrap();
         assert_eq!(first.counters().replays, cfgs.len());
 
         // A brand-new engine (fresh cache, fresh process in spirit) resumes
         // from the journal: same stats, zero replays.
-        let second = ExplorationEngine::serial()
-            .with_journal(CheckpointJournal::resume(&path).unwrap());
+        let second =
+            ExplorationEngine::serial().with_journal(CheckpointJournal::resume(&path).unwrap());
         let resumed = second.evaluate_all(&t, key, &cfgs).unwrap();
         let c = second.counters();
         assert_eq!(c.replays, 0, "every score must come from the journal");
@@ -1283,9 +1292,9 @@ mod tests {
         let key = TraceKey::of(&t);
         let engine = ExplorationEngine::serial().with_projection(true);
         let header = presets::drr_paper();
-        let footer = header
-            .clone()
-            .with_leaf(crate::space::trees::Leaf::A3(crate::space::trees::BlockTags::Footer));
+        let footer = header.clone().with_leaf(crate::space::trees::Leaf::A3(
+            crate::space::trees::BlockTags::Footer,
+        ));
         let first = engine
             .evaluate_bounded(&t, key, &header, 0, 0, None)
             .unwrap()
@@ -1303,7 +1312,10 @@ mod tests {
         assert_eq!(c.projection_hits, 1);
         assert_eq!(c.evaluations, 1, "projection hits are not evaluations");
         assert_eq!(engine.cache().projected_len(), 1);
-        assert!(engine.cache().is_empty(), "the structural tier is untouched");
+        assert!(
+            engine.cache().is_empty(),
+            "the structural tier is untouched"
+        );
     }
 
     #[test]

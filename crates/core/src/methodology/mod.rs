@@ -470,9 +470,8 @@ impl Methodology {
         // Score on the replayed statistics alone; the winner keeps
         // `primary`'s decision log, so the log always documents the
         // methodology's own traversal.
-        let key = |o: &ExplorationOutcome| {
-            (o.footprint.peak_footprint, o.footprint.stats.search_steps)
-        };
+        let key =
+            |o: &ExplorationOutcome| (o.footprint.peak_footprint, o.footprint.stats.search_steps);
         for probe in outcomes {
             let probe = probe?;
             primary.counters += probe.counters;
@@ -491,7 +490,9 @@ impl Methodology {
         engine: &ExplorationEngine,
     ) -> Result<ExplorationOutcome> {
         if trace.is_empty() {
-            return Err(Error::EmptySearchSpace("cannot explore an empty trace".into()));
+            return Err(Error::EmptySearchSpace(
+                "cannot explore an empty trace".into(),
+            ));
         }
         let profile = Profile::of(trace);
         let params = self.seed_params(&profile);
@@ -530,9 +531,7 @@ impl Methodology {
             }
             let scored = engine.evaluate_all(trace, trace_key, &completions)?;
             let mut evals = Vec::with_capacity(candidates.len());
-            for ((leaf, cfg), outcome) in
-                candidates.into_iter().zip(completions).zip(scored)
-            {
+            for ((leaf, cfg), outcome) in candidates.into_iter().zip(completions).zip(scored) {
                 tally(&mut counters, &outcome);
                 let fs = outcome.stats;
                 let eval = CandidateEval {
@@ -635,10 +634,8 @@ impl Methodology {
             phase_configs.push((*phase, outcome.config.clone()));
             per_phase.push((*phase, outcome));
         }
-        let mut global = GlobalManager::new_mapped(
-            format!("{} [global]", self.name),
-            phase_configs.clone(),
-        )?;
+        let mut global =
+            GlobalManager::new_mapped(format!("{} [global]", self.name), phase_configs.clone())?;
         // One composed replay over the full trace: compile once and run
         // the monomorphized kernel (the per-phase engine caches only hold
         // the sub-traces).
@@ -688,7 +685,9 @@ impl Methodology {
     ) -> Result<ShardedOutcome> {
         let parts = shard_trace(trace, shards);
         if parts.is_empty() {
-            return Err(Error::EmptySearchSpace("cannot explore an empty trace".into()));
+            return Err(Error::EmptySearchSpace(
+                "cannot explore an empty trace".into(),
+            ));
         }
         let results = engine.run_parallel(&parts, |s| self.explore_shard_attempts(s, engine));
         let mut per_shard = Vec::with_capacity(parts.len());
@@ -752,7 +751,8 @@ impl Methodology {
                 if inject {
                     panic!("injected fault: worker death on shard {}", s.index);
                 }
-                self.shard_methodology(s).explore_with_engine(&s.trace, engine)
+                self.shard_methodology(s)
+                    .explore_with_engine(&s.trace, engine)
             }));
             match run {
                 Ok(Ok(outcome)) => return (Ok(outcome), attempts),
@@ -848,7 +848,9 @@ impl Methodology {
             // `shard` drops here: only one shard is ever resident.
         }
         if !saw_shard {
-            return Err(Error::EmptySearchSpace("shard source yielded no shards".into()));
+            return Err(Error::EmptySearchSpace(
+                "shard source yielded no shards".into(),
+            ));
         }
         let (config, merges) = self.merge_shard_designs(&per_shard)?;
         let completed: std::collections::BTreeSet<usize> =
@@ -857,7 +859,9 @@ impl Methodology {
             per_shard,
             merges,
             config,
-            source().into_iter().filter(|s| completed.contains(&s.index)),
+            source()
+                .into_iter()
+                .filter(|s| completed.contains(&s.index)),
             engine,
             failed_shards,
             shard_retries,
@@ -1076,9 +1080,7 @@ fn myopic_leaf(tree: TreeId, partial: &PartialConfig) -> Result<Leaf> {
         .into_iter()
         .chain(admissible.iter().copied())
         .find(|l| admissible.contains(l))
-        .ok_or_else(|| {
-            Error::EmptySearchSpace(format!("no admissible leaf for {}", tree.code()))
-        })
+        .ok_or_else(|| Error::EmptySearchSpace(format!("no admissible leaf for {}", tree.code())))
 }
 
 /// One point of the footprint/performance trade-off curve.
@@ -1151,10 +1153,8 @@ pub fn exhaustive_best(
     params: Params,
     limit: Option<usize>,
 ) -> Result<(DmConfig, usize, usize)> {
-    let iter = crate::space::enumerate::SpaceIter::with_order_and_params(
-        TRAVERSAL_ORDER.to_vec(),
-        params,
-    );
+    let iter =
+        crate::space::enumerate::SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), params);
     let mut best: Option<(DmConfig, usize)> = None;
     let mut evaluated = 0usize;
     for cfg in iter.take(limit.unwrap_or(usize::MAX)) {
@@ -1215,12 +1215,10 @@ pub fn exhaustive_best_with_engine(
     limit: Option<usize>,
     engine: &ExplorationEngine,
 ) -> Result<(DmConfig, usize, usize)> {
-    let configs: Vec<DmConfig> = crate::space::enumerate::SpaceIter::with_order_and_params(
-        TRAVERSAL_ORDER.to_vec(),
-        params,
-    )
-    .take(limit.unwrap_or(usize::MAX))
-    .collect();
+    let configs: Vec<DmConfig> =
+        crate::space::enumerate::SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), params)
+            .take(limit.unwrap_or(usize::MAX))
+            .collect();
     let facts = crate::analyze::TraceFacts::of(trace);
     let ranked = crate::analyze::rank_by_bound(&facts, &configs);
     let key = cache::TraceKey::of(trace);
@@ -1242,8 +1240,8 @@ pub fn exhaustive_best_with_engine(
         }
     }
     let after = engine.counters();
-    let evaluated = (after.evaluations - before.evaluations)
-        + (after.projection_hits - before.projection_hits);
+    let evaluated =
+        (after.evaluations - before.evaluations) + (after.projection_hits - before.projection_hits);
     let (peak, order) =
         best.ok_or_else(|| Error::EmptySearchSpace("no configuration enumerated".into()))?;
     let cfg = configs
@@ -1358,7 +1356,10 @@ mod tests {
         // Portfolio off: this test isolates the traversal *order* itself,
         // so the paper-order run must not get to adopt the A3-first
         // probe's design (which would make the comparison tautological).
-        let good = Methodology::new().with_portfolio(false).explore(&t).unwrap();
+        let good = Methodology::new()
+            .with_portfolio(false)
+            .explore(&t)
+            .unwrap();
         let bad = Methodology::new()
             .with_order(&A3_FIRST_ORDER[..])
             .with_style(CompletionStyle::Myopic)
@@ -1477,7 +1478,10 @@ mod tests {
         let second = Methodology::new().explore_with_engine(&t, &engine).unwrap();
         assert_eq!(first.config.summary(), second.config.summary());
         assert_eq!(first.footprint, second.footprint);
-        assert_eq!(second.counters.replays, 0, "a repeated design is fully cached");
+        assert_eq!(
+            second.counters.replays, 0,
+            "a repeated design is fully cached"
+        );
         assert_eq!(second.counters.cache_hits, second.counters.evaluations);
     }
 
@@ -1717,8 +1721,7 @@ mod tests {
         assert_eq!(out.confidence, 1.0);
         assert_eq!(out.config.summary(), clean.config.summary());
         assert_eq!(
-            out.footprint.peak_footprint,
-            clean.footprint.peak_footprint,
+            out.footprint.peak_footprint, clean.footprint.peak_footprint,
             "a retried run must be bit-identical to a fault-free one"
         );
     }

@@ -69,13 +69,7 @@ impl AllocStats {
     /// at zero instead of wrapping to `usize::MAX` — which would poison
     /// every subsequent peak. Debug builds still assert the invariant so
     /// internal bookkeeping bugs cannot hide behind the clamp.
-    pub fn on_resize(
-        &mut self,
-        old_req: usize,
-        new_req: usize,
-        old_len: usize,
-        new_len: usize,
-    ) {
+    pub fn on_resize(&mut self, old_req: usize, new_req: usize, old_len: usize, new_len: usize) {
         debug_assert!(
             old_req <= self.live_requested,
             "resize of {old_req} requested bytes but only {} live",
@@ -433,7 +427,10 @@ mod tests {
         assert_eq!(first.final_footprint, 128);
         assert_eq!(first.peak_requested, 3500);
         assert_eq!(first.events, 16);
-        assert!(first.series.is_none(), "per-shard series do not concatenate");
+        assert!(
+            first.series.is_none(),
+            "per-shard series do not concatenate"
+        );
     }
 
     #[test]

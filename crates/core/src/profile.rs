@@ -492,7 +492,9 @@ mod tests {
         let classes = p.suggested_classes(8, 4);
         assert!(!classes.is_empty());
         assert!(classes.windows(2).all(|w| w[0] < w[1]));
-        assert!(classes.iter().all(|c| c % MIN_ALIGN == 0 && *c >= MIN_BLOCK));
+        assert!(classes
+            .iter()
+            .all(|c| c % MIN_ALIGN == 0 && *c >= MIN_BLOCK));
     }
 
     #[test]

@@ -475,7 +475,10 @@ impl PartialConfig {
 
     /// Number of decided trees.
     pub fn decided_count(&self) -> usize {
-        TreeId::ALL.iter().filter(|t| self.get(**t).is_some()).count()
+        TreeId::ALL
+            .iter()
+            .filter(|t| self.get(**t).is_some())
+            .count()
     }
 
     /// Whether every tree is decided.
@@ -556,7 +559,9 @@ mod tests {
         let cfg = presets::drr_paper();
         let partial = cfg.to_partial();
         assert!(partial.is_complete());
-        let back = partial.freeze(cfg.name.clone(), cfg.params.clone()).unwrap();
+        let back = partial
+            .freeze(cfg.name.clone(), cfg.params.clone())
+            .unwrap();
         assert_eq!(back, cfg);
     }
 

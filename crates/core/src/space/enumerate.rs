@@ -186,7 +186,10 @@ mod tests {
                 .unwrap_or_else(|| panic!("canonical sibling of #{i} ({}) not enumerated", d.code));
             assert!(*j < i, "canonical sibling of #{i} enumerates later, at {j}");
         }
-        assert!(pruned > 0, "default space contains prune-safe configurations");
+        assert!(
+            pruned > 0,
+            "default space contains prune-safe configurations"
+        );
     }
 
     #[test]
@@ -208,18 +211,20 @@ mod tests {
 
         let mut params = Params::footprint_optimised();
         params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK];
-        let configs: Vec<DmConfig> = SpaceIter::with_order_and_params(
-            crate::space::order::TRAVERSAL_ORDER.to_vec(),
-            params,
-        )
-        .take(2000)
-        .collect();
+        let configs: Vec<DmConfig> =
+            SpaceIter::with_order_and_params(crate::space::order::TRAVERSAL_ORDER.to_vec(), params)
+                .take(2000)
+                .collect();
 
         let ranked = rank_by_bound(&facts, &configs);
         assert_eq!(ranked.len(), configs.len());
         let mut seen: Vec<usize> = ranked.iter().map(|&(i, _)| i).collect();
         seen.sort_unstable();
-        assert_eq!(seen, (0..configs.len()).collect::<Vec<_>>(), "not a permutation");
+        assert_eq!(
+            seen,
+            (0..configs.len()).collect::<Vec<_>>(),
+            "not a permutation"
+        );
         for w in ranked.windows(2) {
             let (ia, ba) = w[0];
             let (ib, bb) = w[1];
@@ -229,7 +234,11 @@ mod tests {
             );
         }
         for &(i, bound) in &ranked {
-            assert_eq!(bound, lower_bound_peak(&facts, &configs[i]), "rank caches the bound");
+            assert_eq!(
+                bound,
+                lower_bound_peak(&facts, &configs[i]),
+                "rank caches the bound"
+            );
             let breakdown = bound_breakdown(&facts, &configs[i]);
             assert_eq!(bound, breakdown.total());
             assert!(

@@ -10,7 +10,9 @@
 use std::fmt;
 
 /// The five decision categories of Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum Category {
     /// A. Creating block structures.
     CreatingBlockStructures,
@@ -64,7 +66,9 @@ impl fmt::Display for Category {
 /// Numbering follows the paper's prose. The traversal-order string in
 /// Section 4.2 writes "B4→B1"; we map **B4 ≙ pool structure** and
 /// **B1 ≙ pool division by size** (see DESIGN.md §1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum TreeId {
     /// A1 — Block structure: the dynamic data type that organises free blocks.
     A1BlockStructure,
@@ -171,9 +175,11 @@ impl TreeId {
             TreeId::B1PoolDivision => PoolDivision::ALL.iter().copied().map(Leaf::B1).collect(),
             TreeId::B4PoolStructure => PoolStructure::ALL.iter().copied().map(Leaf::B4).collect(),
             TreeId::C1FitAlgorithm => FitAlgorithm::ALL.iter().copied().map(Leaf::C1).collect(),
-            TreeId::D1CoalesceMaxSizes => {
-                CoalesceMaxSizes::ALL.iter().copied().map(Leaf::D1).collect()
-            }
+            TreeId::D1CoalesceMaxSizes => CoalesceMaxSizes::ALL
+                .iter()
+                .copied()
+                .map(Leaf::D1)
+                .collect(),
             TreeId::D2CoalesceWhen => CoalesceWhen::ALL.iter().copied().map(Leaf::D2).collect(),
             TreeId::E1SplitMinSizes => SplitMinSizes::ALL.iter().copied().map(Leaf::E1).collect(),
             TreeId::E2SplitWhen => SplitWhen::ALL.iter().copied().map(Leaf::E2).collect(),
@@ -191,7 +197,9 @@ impl fmt::Display for TreeId {
 ///
 /// These are the "combinations of dynamic data types required to construct
 /// any dynamic data representation" the paper imports from Daylight et al.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum BlockStructure {
     /// LIFO singly-linked free list; cheapest fields, O(n) unlink.
     SinglyLinkedList,
@@ -226,7 +234,9 @@ impl fmt::Display for BlockStructure {
 }
 
 /// A2 — the set of block sizes the manager deals in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum BlockSizes {
     /// Blocks may take any (aligned) size — "many / not fixed".
     Many,
@@ -262,7 +272,9 @@ impl fmt::Display for BlockSizes {
 }
 
 /// A3 — where the per-block bookkeeping fields are placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum BlockTags {
     /// No tag at all; zero overhead, but the manager cannot learn a block's
     /// size or status at free time (Figure 3's restricting leaf).
@@ -307,7 +319,9 @@ impl fmt::Display for BlockTags {
 }
 
 /// A4 — what each tag records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum RecordedInfo {
     /// Nothing is recorded (only valid with [`BlockTags::None`]).
     None,
@@ -373,7 +387,9 @@ impl fmt::Display for RecordedInfo {
 }
 
 /// A5 — whether the flexible-block-size machinery (split/coalesce) exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum FlexibleSize {
     /// Block sizes are immutable once carved.
     None,
@@ -396,7 +412,10 @@ impl FlexibleSize {
 
     /// Whether splitting is permitted.
     pub fn allows_split(self) -> bool {
-        matches!(self, FlexibleSize::SplitOnly | FlexibleSize::SplitAndCoalesce)
+        matches!(
+            self,
+            FlexibleSize::SplitOnly | FlexibleSize::SplitAndCoalesce
+        )
     }
 
     /// Whether coalescing is permitted.
@@ -420,7 +439,9 @@ impl fmt::Display for FlexibleSize {
 }
 
 /// B1 — how the heap is divided into pools.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum PoolDivision {
     /// One pool holds blocks of every size (the paper's DRR choice).
     SinglePool,
@@ -443,7 +464,9 @@ impl fmt::Display for PoolDivision {
 }
 
 /// B4 — the dynamic data type that indexes the pools themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum PoolStructure {
     /// Dense array indexed by class id; O(1) routing, fixed overhead.
     Array,
@@ -473,7 +496,9 @@ impl fmt::Display for PoolStructure {
 }
 
 /// C1 — fit algorithm used to select a free block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum FitAlgorithm {
     /// First block that fits, scanning from the head.
     FirstFit,
@@ -512,7 +537,9 @@ impl fmt::Display for FitAlgorithm {
 }
 
 /// D1 — block sizes allowed to result from coalescing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum CoalesceMaxSizes {
     /// "Many and not fixed": merged blocks may grow without bound
     /// (the paper's DRR choice).
@@ -523,8 +550,7 @@ pub enum CoalesceMaxSizes {
 
 impl CoalesceMaxSizes {
     /// All leaves of tree D1.
-    pub const ALL: [CoalesceMaxSizes; 2] =
-        [CoalesceMaxSizes::Unlimited, CoalesceMaxSizes::Capped];
+    pub const ALL: [CoalesceMaxSizes; 2] = [CoalesceMaxSizes::Unlimited, CoalesceMaxSizes::Capped];
 }
 
 impl fmt::Display for CoalesceMaxSizes {
@@ -537,7 +563,9 @@ impl fmt::Display for CoalesceMaxSizes {
 }
 
 /// D2 — how often coalescing runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum CoalesceWhen {
     /// Never coalesce (Kingsley).
     Never,
@@ -569,7 +597,9 @@ impl fmt::Display for CoalesceWhen {
 }
 
 /// E1 — block sizes allowed to result from splitting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum SplitMinSizes {
     /// "Many and not fixed": remainders may shrink to the heap minimum
     /// (the paper's DRR choice).
@@ -594,7 +624,9 @@ impl fmt::Display for SplitMinSizes {
 }
 
 /// E2 — how often splitting runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum SplitWhen {
     /// Never split.
     Never,

@@ -359,7 +359,9 @@ pub fn replay_compiled_limited<A: Allocator + ?Sized>(
 ) -> Result<CappedReplay> {
     let budget = budget.is_bounded().then_some(budget);
     match cap {
-        Some(cap) => replay_compiled_inner::<A, true>(compiled, manager, scratch, None, budget, cap),
+        Some(cap) => {
+            replay_compiled_inner::<A, true>(compiled, manager, scratch, None, budget, cap)
+        }
         None => {
             replay_compiled_inner::<A, false>(compiled, manager, scratch, None, budget, usize::MAX)
         }
@@ -596,11 +598,7 @@ mod tests {
         let t = phased_trace();
         let ct = CompiledTrace::compile(&t);
         let make = || {
-            GlobalManager::new(
-                "g",
-                vec![presets::drr_paper(), presets::kingsley_like()],
-            )
-            .unwrap()
+            GlobalManager::new("g", vec![presets::drr_paper(), presets::kingsley_like()]).unwrap()
         };
         let classic = replay(&t, &mut make()).unwrap();
         let compiled = replay_compiled(&ct, &mut make()).unwrap();
@@ -640,8 +638,7 @@ mod tests {
             Box::new(PolicyAllocator::new(presets::drr_paper()).unwrap());
         // A = dyn Allocator: the compatibility path of the same kernel.
         let via_dyn = replay_compiled(&ct, boxed.as_mut()).unwrap();
-        let classic = replay(&t, &mut PolicyAllocator::new(presets::drr_paper()).unwrap())
-            .unwrap();
+        let classic = replay(&t, &mut PolicyAllocator::new(presets::drr_paper()).unwrap()).unwrap();
         assert_eq!(via_dyn, classic);
     }
 
@@ -655,11 +652,8 @@ mod tests {
         let mut scratch = ReplayScratch::new();
         let mut tight = presets::drr_paper();
         tight.params.arena_limit = Some(2048);
-        let err = replay_compiled_with(
-            &ct,
-            &mut PolicyAllocator::new(tight).unwrap(),
-            &mut scratch,
-        );
+        let err =
+            replay_compiled_with(&ct, &mut PolicyAllocator::new(tight).unwrap(), &mut scratch);
         assert!(err.is_err(), "tight arena must OOM");
         assert!(scratch.live_slots() > 0, "residue proves the hazard");
 
@@ -673,8 +667,7 @@ mod tests {
         )
         .unwrap();
         let fresh =
-            replay_compiled(&ct, &mut PolicyAllocator::new(presets::lea_like()).unwrap())
-                .unwrap();
+            replay_compiled(&ct, &mut PolicyAllocator::new(presets::lea_like()).unwrap()).unwrap();
         assert_eq!(reused, fresh, "residue must not leak across replays");
     }
 
@@ -786,8 +779,14 @@ mod tests {
 
         let mut capped = |cap| {
             let mut mgr = PolicyAllocator::new(cfg.clone()).unwrap();
-            replay_compiled_limited(&ct, &mut mgr, &mut scratch, &ReplayBudget::default(), Some(cap))
-                .unwrap()
+            replay_compiled_limited(
+                &ct,
+                &mut mgr,
+                &mut scratch,
+                &ReplayBudget::default(),
+                Some(cap),
+            )
+            .unwrap()
         };
         assert_eq!(
             capped(full.peak_footprint),
@@ -855,9 +854,11 @@ mod tests {
         let ct = CompiledTrace::compile(&t);
         let b = ReplayBudget::default();
         assert!(!b.is_bounded());
-        let plain =
-            replay_compiled(&ct, &mut PolicyAllocator::new(presets::drr_paper()).unwrap())
-                .unwrap();
+        let plain = replay_compiled(
+            &ct,
+            &mut PolicyAllocator::new(presets::drr_paper()).unwrap(),
+        )
+        .unwrap();
         assert_eq!(plain, budgeted(&ct, presets::drr_paper(), b).unwrap());
     }
 }

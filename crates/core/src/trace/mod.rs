@@ -16,13 +16,12 @@ pub use compiled::{
     CappedReplay, CompiledTrace, ReplayBudget, ReplayScratch,
 };
 pub use record::RecordingAllocator;
+pub use shard::{
+    replay_shards, replay_shards_config, shard_trace, BoundarySummary, ShardedReplay, TraceShard,
+};
 pub use store::{
     decode_trace, encode_trace, read_trace, recover_bytes, recover_trace, write_trace,
     RecoveredTrace,
-};
-pub use shard::{
-    replay_shards, replay_shards_config, shard_trace, BoundarySummary, ShardedReplay,
-    TraceShard,
 };
 
 use std::collections::HashMap;
@@ -85,8 +84,7 @@ impl serde::Deserialize for Trace {
             .as_map()
             .ok_or_else(|| serde::DeError::msg("expected map for Trace"))?;
         let events: Vec<TraceEvent> = serde::Deserialize::from_value(serde::field(map, "events")?)?;
-        Trace::from_events(events)
-            .map_err(|e| serde::DeError::msg(format!("invalid trace: {e}")))
+        Trace::from_events(events).map_err(|e| serde::DeError::msg(format!("invalid trace: {e}")))
     }
 }
 
@@ -747,7 +745,10 @@ mod tests {
         let mf = crate::analyze::TraceFacts::of(&marked);
         let ff = crate::analyze::TraceFacts::of(&flat);
         assert_eq!(mf.phases.len(), 1);
-        assert_eq!(mf.phases, ff.phases, "a lone phase-0 marker changes nothing");
+        assert_eq!(
+            mf.phases, ff.phases,
+            "a lone phase-0 marker changes nothing"
+        );
         assert_eq!(mf.phases[0].peak_live_bytes, 96);
         assert_eq!(mf.phases[0].boundary.carried_blocks, 0);
     }
@@ -806,7 +807,8 @@ mod tests {
         // on `Trace` validity (the compiled-replay pass in particular).
         let json = r#"{"events": [{"Free": {"id": 7}}]}"#;
         assert!(serde_json::from_str::<Trace>(json).is_err());
-        let json = r#"{"events": [{"Alloc": {"id": 1, "size": 8}}, {"Alloc": {"id": 1, "size": 8}}]}"#;
+        let json =
+            r#"{"events": [{"Alloc": {"id": 1, "size": 8}}, {"Alloc": {"id": 1, "size": 8}}]}"#;
         assert!(serde_json::from_str::<Trace>(json).is_err());
     }
 

@@ -227,7 +227,8 @@ fn shard_by_windows(trace: &Trace, want: usize) -> Vec<TraceShard> {
     // Pass 2: attribute events to windows (frees to the allocating
     // window) and snapshot the live set crossing each cut.
     let mut bufs: Vec<Vec<TraceEvent>> = cuts.iter().map(|_| Vec::new()).collect();
-    let mut boundaries: Vec<BoundarySummary> = cuts.iter().map(|_| BoundarySummary::default()).collect();
+    let mut boundaries: Vec<BoundarySummary> =
+        cuts.iter().map(|_| BoundarySummary::default()).collect();
     // id -> (owning window, size); removed on free (bounded by peak live).
     let mut owner: HashMap<u64, (usize, usize)> = HashMap::new();
     let mut w = 0usize;

@@ -62,7 +62,11 @@ const CRC_TABLE: [u32; 256] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -166,7 +170,10 @@ fn check_header(bytes: &[u8]) -> Result<()> {
     if bytes[..4] != MAGIC {
         return Err(store_err(
             "TR010",
-            format!("bad magic {:02x?}, expected {MAGIC:02x?} (\"DMMT\")", &bytes[..4]),
+            format!(
+                "bad magic {:02x?}, expected {MAGIC:02x?} (\"DMMT\")",
+                &bytes[..4]
+            ),
         ));
     }
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
@@ -194,14 +201,20 @@ fn decode_payload(payload: &[u8], frame: usize, out: &mut Vec<TraceEvent>) -> Re
             other => {
                 return Err(store_err(
                     "TR011",
-                    format!("frame {frame}: unknown event tag 0x{other:02x} at payload offset {}", at - 1),
+                    format!(
+                        "frame {frame}: unknown event tag 0x{other:02x} at payload offset {}",
+                        at - 1
+                    ),
                 ))
             }
         };
         if payload.len() - at < need {
             return Err(store_err(
                 "TR011",
-                format!("frame {frame}: event at payload offset {} cut short", at - 1),
+                format!(
+                    "frame {frame}: event at payload offset {} cut short",
+                    at - 1
+                ),
             ));
         }
         match tag {
@@ -216,8 +229,12 @@ fn decode_payload(payload: &[u8], frame: usize, out: &mut Vec<TraceEvent>) -> Re
                 })?;
                 out.push(TraceEvent::Alloc { id, size });
             }
-            TAG_FREE => out.push(TraceEvent::Free { id: read_u64(payload, at) }),
-            _ => out.push(TraceEvent::Phase { phase: read_u32(payload, at) }),
+            TAG_FREE => out.push(TraceEvent::Free {
+                id: read_u64(payload, at),
+            }),
+            _ => out.push(TraceEvent::Phase {
+                phase: read_u32(payload, at),
+            }),
         }
         at += need;
     }

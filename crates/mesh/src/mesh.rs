@@ -175,7 +175,11 @@ mod tests {
         assert_eq!(s.faces.len(), 32);
         // V' = V + E (one midpoint per edge); octahedron has 12 edges.
         assert_eq!(s.vertices.len(), 6 + 12);
-        assert_eq!(s.euler_characteristic(), 2, "subdivision preserves topology");
+        assert_eq!(
+            s.euler_characteristic(),
+            2,
+            "subdivision preserves topology"
+        );
         let ss = s.subdivide();
         assert_eq!(ss.faces.len(), 128);
         assert_eq!(ss.euler_characteristic(), 2);
@@ -198,10 +202,7 @@ mod tests {
             assert!(chain.level(l).faces.len() > chain.level(l - 1).faces.len());
         }
         // Clamping beyond the last level.
-        assert_eq!(
-            chain.level(99).faces.len(),
-            chain.level(4).faces.len()
-        );
+        assert_eq!(chain.level(99).faces.len(), chain.level(4).faces.len());
     }
 
     #[test]

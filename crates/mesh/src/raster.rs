@@ -146,7 +146,7 @@ mod tests {
         let mut fb = Framebuffer::new(64, 64);
         rasterize(&mut fb, chain.level(3), 32.0, 32.0, 15.0, 10.0, 1); // far
         rasterize(&mut fb, chain.level(3), 32.0, 32.0, 15.0, 0.0, 2); // near
-        // Centre pixel must show the near object's color.
+                                                                      // Centre pixel must show the near object's color.
         assert_eq!(fb.color[32 * 64 + 32], 2);
     }
 

@@ -88,7 +88,12 @@ pub fn run_rendering(alloc: &mut dyn Allocator, cfg: &RenderConfig) -> Result<Re
 
     // Object paths: oscillating distances with per-object phase.
     let paths: Vec<(f32, f32)> = (0..cfg.objects)
-        .map(|_| (rng.gen_range(1.0f32..24.0), rng.gen_range(0.0f32..std::f32::consts::TAU)))
+        .map(|_| {
+            (
+                rng.gen_range(1.0f32..24.0),
+                rng.gen_range(0.0f32..std::f32::consts::TAU),
+            )
+        })
         .collect();
 
     // Long-lived per-object texture caches, evicted at random times
@@ -140,7 +145,15 @@ pub fn run_rendering(alloc: &mut dyn Allocator, cfg: &RenderConfig) -> Result<Re
             let scale = (cfg.fb_width as f32 / 4.0) / distance.max(1.0);
             let cx = (i as f32 + 0.5) / cfg.objects as f32 * cfg.fb_width as f32;
             let cy = cfg.fb_height as f32 / 2.0;
-            let rs = rasterize(&mut fb, mesh, cx, cy, scale.min(20.0), distance, (i + 1) as u8);
+            let rs = rasterize(
+                &mut fb,
+                mesh,
+                cx,
+                cy,
+                scale.min(20.0),
+                distance,
+                (i + 1) as u8,
+            );
             stats.fragments += rs.fragments;
             frame_draws.push((level, distance));
             stats.draws += 1;

@@ -179,10 +179,7 @@ impl DrrScheduler {
                 if p.size > self.queues[flow].deficit || (p.size as f64) > self.credit {
                     break;
                 }
-                let p = self.queues[flow]
-                    .packets
-                    .pop_front()
-                    .expect("head exists");
+                let p = self.queues[flow].packets.pop_front().expect("head exists");
                 self.queues[flow].deficit -= p.size;
                 self.queues[flow].bytes -= p.size;
                 self.credit -= p.size as f64;
@@ -209,11 +206,7 @@ impl DrrScheduler {
     ///
     /// Propagates allocator failures.
     pub fn drain(&mut self, alloc: &mut dyn Allocator) -> Result<()> {
-        self.stats.residual_packets = self
-            .queues
-            .iter()
-            .map(|q| q.packets.len())
-            .sum();
+        self.stats.residual_packets = self.queues.iter().map(|q| q.packets.len()).sum();
         self.credit = f64::INFINITY;
         self.drain_credit(alloc)?;
         self.credit = 0.0;
@@ -341,10 +334,13 @@ mod tests {
             });
         }
         let mut alloc = RecordingAllocator::new();
-        let mut sched = DrrScheduler::new(2, DrrConfig {
-            quantum: 1500,
-            link_rate_bps: 5_000_000,
-        });
+        let mut sched = DrrScheduler::new(
+            2,
+            DrrConfig {
+                quantum: 1500,
+                link_rate_bps: 5_000_000,
+            },
+        );
         for p in &packets {
             sched.enqueue(&mut alloc, p).unwrap();
         }

@@ -177,10 +177,7 @@ pub fn ascii_footprint_plot(curves: &[NamedSeries<'_>], width: usize, height: us
         }
     }
     let mut out = String::new();
-    out.push_str(&format!(
-        "footprint (max {})\n",
-        format_bytes_sci(max_fp)
-    ));
+    out.push_str(&format!("footprint (max {})\n", format_bytes_sci(max_fp)));
     for row in canvas {
         out.push('|');
         out.push_str(&row.into_iter().collect::<String>());
@@ -201,7 +198,12 @@ pub fn ascii_footprint_plot(curves: &[NamedSeries<'_>], width: usize, height: us
 }
 
 /// The paper's improvement sentence: "X improves Y by P%".
-pub fn improvement_sentence(ours_name: &str, ours: usize, theirs_name: &str, theirs: usize) -> String {
+pub fn improvement_sentence(
+    ours_name: &str,
+    ours: usize,
+    theirs_name: &str,
+    theirs: usize,
+) -> String {
     let p = dmm_core::metrics::percent_improvement(ours, theirs);
     format!(
         "{ours_name} ({}) improves memory footprint by {p:.1}% over {theirs_name} ({})",
@@ -229,7 +231,10 @@ mod tests {
             "Maximum memory footprint (Bytes)",
             vec!["manager".into(), "DRR".into(), "recon".into()],
         );
-        t.push_row("Kingsley", vec![Cell::Bytes(2_090_000), Cell::Bytes(2_260_000)]);
+        t.push_row(
+            "Kingsley",
+            vec![Cell::Bytes(2_090_000), Cell::Bytes(2_260_000)],
+        );
         t.push_row("ours", vec![Cell::Bytes(148_000), Cell::Missing]);
         let ascii = t.to_ascii();
         assert!(ascii.contains("2.09e6"));
@@ -274,8 +279,14 @@ mod tests {
         };
         let plot = ascii_footprint_plot(
             &[
-                NamedSeries { name: "Lea", series: &s1 },
-                NamedSeries { name: "custom", series: &s2 },
+                NamedSeries {
+                    name: "Lea",
+                    series: &s1,
+                },
+                NamedSeries {
+                    name: "custom",
+                    series: &s2,
+                },
             ],
             60,
             16,

@@ -113,7 +113,12 @@ pub fn detect_corners(img: &Image, params: CornerParams) -> Vec<Corner> {
             }
         }
     }
-    corners.sort_by(|a, b| b.strength.cmp(&a.strength).then(a.y.cmp(&b.y)).then(a.x.cmp(&b.x)));
+    corners.sort_by(|a, b| {
+        b.strength
+            .cmp(&a.strength)
+            .then(a.y.cmp(&b.y))
+            .then(a.x.cmp(&b.x))
+    });
     corners
 }
 
@@ -134,9 +139,10 @@ mod tests {
         );
         // Every strong corner should be near a seeded feature.
         for c in corners.iter().take(12) {
-            let near = scene.features.iter().any(|&(fx, fy)| {
-                (c.x as f64 - fx).abs() <= 4.0 && (c.y as f64 - fy).abs() <= 4.0
-            });
+            let near = scene
+                .features
+                .iter()
+                .any(|&(fx, fy)| (c.x as f64 - fx).abs() <= 4.0 && (c.y as f64 - fy).abs() <= 4.0);
             assert!(near, "corner at ({}, {}) matches no feature", c.x, c.y);
         }
     }

@@ -90,9 +90,7 @@ pub fn match_corners(
                 continue;
             }
             let score = ncc(img_a, ca.x, ca.y, img_b, cb.x, cb.y);
-            if score >= params.min_score
-                && best.is_none_or(|m| score > m.score)
-            {
+            if score >= params.min_score && best.is_none_or(|m| score > m.score) {
                 best = Some(Match {
                     from: (ca.x, ca.y),
                     to: (cb.x, cb.y),
@@ -134,12 +132,7 @@ mod tests {
     use crate::corners::{detect_corners, CornerParams};
     use crate::image::SyntheticScene;
 
-    fn pipeline_n(
-        seed: u64,
-        n: usize,
-        dx: f64,
-        dy: f64,
-    ) -> (Vec<Match>, Option<(f64, f64)>) {
+    fn pipeline_n(seed: u64, n: usize, dx: f64, dy: f64) -> (Vec<Match>, Option<(f64, f64)>) {
         let scene = SyntheticScene::new(seed, 200, 150, n);
         let a = scene.render(0.0, 0.0);
         let b = scene.render(dx, dy);
@@ -175,7 +168,14 @@ mod tests {
         let scene = SyntheticScene::new(3, 64, 64, 1);
         let img = scene.render(0.0, 0.0);
         let (fx, fy) = scene.features[0];
-        let s = ncc(&img, fx as usize, fy as usize, &img, fx as usize, fy as usize);
+        let s = ncc(
+            &img,
+            fx as usize,
+            fy as usize,
+            &img,
+            fx as usize,
+            fy as usize,
+        );
         assert!(s > 990, "self-NCC must be ~1000, got {s}");
     }
 

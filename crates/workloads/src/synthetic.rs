@@ -340,11 +340,9 @@ mod tests {
         let benign = b.finish().unwrap();
         for cfg in [presets::lea_like(), presets::kingsley_like()] {
             let adv = replay(&t, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-            let nice =
-                replay(&benign, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
+            let nice = replay(&benign, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
             let adv_ratio = adv.peak_footprint as f64 / t.peak_live_requested() as f64;
-            let nice_ratio =
-                nice.peak_footprint as f64 / benign.peak_live_requested() as f64;
+            let nice_ratio = nice.peak_footprint as f64 / benign.peak_live_requested() as f64;
             assert!(
                 adv_ratio > nice_ratio,
                 "{}: adversarial order must fragment worse than the benign \

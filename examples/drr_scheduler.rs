@@ -72,8 +72,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{}",
         ascii_footprint_plot(
             &[
-                NamedSeries { name: "Lea", series: &lea_s },
-                NamedSeries { name: "custom DM manager 1", series: &custom_s },
+                NamedSeries {
+                    name: "Lea",
+                    series: &lea_s
+                },
+                NamedSeries {
+                    name: "custom DM manager 1",
+                    series: &custom_s
+                },
             ],
             90,
             20,

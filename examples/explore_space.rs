@@ -55,11 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\ngreedy methodology: peak {} B after {} evaluations",
         outcome.footprint.peak_footprint, outcome.counters.evaluations
     );
-    let (best_cfg, best_peak, evaluated) = exhaustive_best(
-        &trace,
-        outcome.config.params.clone(),
-        Some(400),
-    )?;
+    let (best_cfg, best_peak, evaluated) =
+        exhaustive_best(&trace, outcome.config.params.clone(), Some(400))?;
     println!(
         "exhaustive prefix ({evaluated} configs): best peak {best_peak} B ({})",
         best_cfg.summary()

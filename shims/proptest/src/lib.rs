@@ -52,7 +52,10 @@ pub trait Strategy {
     where
         Self: Sized,
     {
-        Map { strategy: self, mapper: f }
+        Map {
+            strategy: self,
+            mapper: f,
+        }
     }
 }
 
@@ -172,13 +175,19 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> Self {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { lo: r.start, hi: r.end - 1 }
+            SizeRange {
+                lo: r.start,
+                hi: r.end - 1,
+            }
         }
     }
 
     impl From<RangeInclusive<usize>> for SizeRange {
         fn from(r: RangeInclusive<usize>) -> Self {
-            SizeRange { lo: *r.start(), hi: *r.end() }
+            SizeRange {
+                lo: *r.start(),
+                hi: *r.end(),
+            }
         }
     }
 
@@ -201,7 +210,10 @@ pub mod collection {
 
     /// Vectors of `element` with a length drawn from `size`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 }
 
@@ -274,7 +286,10 @@ macro_rules! prop_assert_ne {
         let (__a, __b) = (&$a, &$b);
         if *__a == *__b {
             return ::std::result::Result::Err(::std::format!(
-                "assertion failed: `{:?}` == `{:?}`", __a, __b));
+                "assertion failed: `{:?}` == `{:?}`",
+                __a,
+                __b
+            ));
         }
     }};
 }

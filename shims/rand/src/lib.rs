@@ -117,7 +117,10 @@ pub trait Rng: RngCore {
 
     /// Returns `true` with probability `p`.
     fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "gen_bool probability out of range");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "gen_bool probability out of range"
+        );
         ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64) < p
     }
 

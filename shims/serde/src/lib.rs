@@ -408,11 +408,11 @@ mod tests {
     #[test]
     fn collections_round_trip() {
         let m: BTreeMap<usize, u64> = [(32, 4), (64, 9)].into_iter().collect();
-        assert_eq!(BTreeMap::<usize, u64>::from_value(&m.to_value()).unwrap(), m);
-        let v = vec![(1usize, 2u64), (3, 4)];
         assert_eq!(
-            Vec::<(usize, u64)>::from_value(&v.to_value()).unwrap(),
-            v
+            BTreeMap::<usize, u64>::from_value(&m.to_value()).unwrap(),
+            m
         );
+        let v = vec![(1usize, 2u64), (3, 4)];
+        assert_eq!(Vec::<(usize, u64)>::from_value(&v.to_value()).unwrap(), v);
     }
 }

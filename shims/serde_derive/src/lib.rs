@@ -9,13 +9,17 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    gen_serialize(&item).parse().expect("generated Serialize impl parses")
+    gen_serialize(&item)
+        .parse()
+        .expect("generated Serialize impl parses")
 }
 
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    gen_deserialize(&item).parse().expect("generated Deserialize impl parses")
+    gen_deserialize(&item)
+        .parse()
+        .expect("generated Deserialize impl parses")
 }
 
 /// Shape of one struct body or enum variant payload.
@@ -28,8 +32,14 @@ enum Fields {
 }
 
 enum Item {
-    Struct { name: String, fields: Fields },
-    Enum { name: String, variants: Vec<(String, Fields)> },
+    Struct {
+        name: String,
+        fields: Fields,
+    },
+    Enum {
+        name: String,
+        variants: Vec<(String, Fields)>,
+    },
 }
 
 fn parse_item(input: TokenStream) -> Item {
@@ -88,7 +98,10 @@ fn parse_item(input: TokenStream) -> Item {
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g.stream(),
                 other => panic!("serde shim derive: expected enum body, got {other:?}"),
             };
-            Item::Enum { name, variants: parse_variants(body) }
+            Item::Enum {
+                name,
+                variants: parse_variants(body),
+            }
         }
         other => panic!("serde shim derive: unsupported item kind `{other}`"),
     }
@@ -420,9 +433,7 @@ fn named_init(names: &[String], map: &str) -> String {
     names
         .iter()
         .map(|f| {
-            format!(
-                "{f}: ::serde::Deserialize::from_value(::serde::field({map}, \"{f}\")?)?, "
-            )
+            format!("{f}: ::serde::Deserialize::from_value(::serde::field({map}, \"{f}\")?)?, ")
         })
         .collect()
 }

@@ -38,7 +38,10 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
 
 /// Parses JSON text and lifts it into `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: s.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -356,9 +359,6 @@ mod tests {
 
     #[test]
     fn whitespace_tolerated() {
-        assert_eq!(
-            from_str::<Vec<u64>>(" [ 1 , 2 ] ").unwrap(),
-            vec![1, 2]
-        );
+        assert_eq!(from_str::<Vec<u64>>(" [ 1 , 2 ] ").unwrap(), vec![1, 2]);
     }
 }

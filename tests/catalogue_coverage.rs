@@ -19,9 +19,7 @@ use dmm::core::analyze::{
 };
 use dmm::core::error::Error;
 use dmm::core::fault::{flip_bit, truncate_at, FaultPlan};
-use dmm::core::methodology::{
-    cache::TraceKey, ExplorationEngine, ShardFailurePolicy,
-};
+use dmm::core::methodology::{cache::TraceKey, ExplorationEngine, ShardFailurePolicy};
 use dmm::core::trace::{decode_trace, encode_trace, read_trace, TraceEvent};
 use dmm::core::units::MIN_BLOCK;
 use dmm::prelude::*;
@@ -53,7 +51,10 @@ fn config_fixtures() -> Vec<(Vec<&'static str>, DmConfig)> {
     vec![
         // Hard interdependency rules (error). Each fixture miswires
         // exactly the trees its rule names.
-        (vec!["DM001"], presets::neutral().with_leaf(Leaf::A3(BlockTags::None))),
+        (
+            vec!["DM001"],
+            presets::neutral().with_leaf(Leaf::A3(BlockTags::None)),
+        ),
         (
             vec!["DM002", "DM003"],
             presets::neutral().with_leaf(Leaf::A4(RecordedInfo::None)),
@@ -62,10 +63,22 @@ fn config_fixtures() -> Vec<(Vec<&'static str>, DmConfig)> {
             vec!["DM004", "DM008"],
             presets::kingsley_like().with_leaf(Leaf::D2(CoalesceWhen::Always)),
         ),
-        (vec!["DM005"], presets::neutral().with_leaf(Leaf::D2(CoalesceWhen::Never))),
-        (vec!["DM006"], presets::kingsley_like().with_leaf(Leaf::E2(SplitWhen::Always))),
-        (vec!["DM007"], presets::neutral().with_leaf(Leaf::E2(SplitWhen::Never))),
-        (vec!["DM009"], presets::neutral().with_leaf(Leaf::B4(PoolStructure::LinkedList))),
+        (
+            vec!["DM005"],
+            presets::neutral().with_leaf(Leaf::D2(CoalesceWhen::Never)),
+        ),
+        (
+            vec!["DM006"],
+            presets::kingsley_like().with_leaf(Leaf::E2(SplitWhen::Always)),
+        ),
+        (
+            vec!["DM007"],
+            presets::neutral().with_leaf(Leaf::E2(SplitWhen::Never)),
+        ),
+        (
+            vec!["DM009"],
+            presets::neutral().with_leaf(Leaf::B4(PoolStructure::LinkedList)),
+        ),
         (
             vec!["DM010"],
             presets::kingsley_like().with_leaf(Leaf::D1(CoalesceMaxSizes::Capped)),
@@ -81,7 +94,10 @@ fn config_fixtures() -> Vec<(Vec<&'static str>, DmConfig)> {
             vec!["DM020", "DM022"],
             presets::kingsley_like().with_leaf(Leaf::C1(FitAlgorithm::BestFit)),
         ),
-        (vec!["DM021"], presets::kingsley_like().with_leaf(Leaf::B1(PoolDivision::SinglePool))),
+        (
+            vec!["DM021"],
+            presets::kingsley_like().with_leaf(Leaf::B1(PoolDivision::SinglePool)),
+        ),
         // drr: exact fit over a DLL (DM022) and immediate coalescing with
         // a header-only tag and no prev-size (DM023).
         (vec!["DM022", "DM023"], presets::drr_paper()),
@@ -189,7 +205,11 @@ fn bounds_fixtures() -> Vec<(Vec<&'static str>, Trace, DmConfig)> {
     vec![
         // BD001 is unconditional; BD003 fires because one tiny alloc
         // never reaches the fixed-class sbrk granule.
-        (vec!["BD001", "BD003"], small.clone(), presets::kingsley_like()),
+        (
+            vec!["BD001", "BD003"],
+            small.clone(),
+            presets::kingsley_like(),
+        ),
         (vec!["BD001", "BD002"], misgridded, presets::kingsley_like()),
         (vec!["BD001", "BD004"], tiny_objects, presets::drr_paper()),
         (vec!["BD001"], small, presets::drr_paper()),
@@ -253,17 +273,16 @@ fn exploration_fixture_codes() -> BTreeSet<String> {
         );
     let key = TraceKey::of(&trace);
     for cfg in &victims {
-        let skipped = engine.evaluate_bounded(&trace, key, cfg, 0, 0, None).unwrap();
+        let skipped = engine
+            .evaluate_bounded(&trace, key, cfg, 0, 0, None)
+            .unwrap();
         assert!(skipped.is_none(), "faulted candidate must be skipped");
     }
     let mut report = ResilienceReport::from_counters(&engine.counters());
     // EX003 + EX004: one transient shard death (retried) and one fatal
     // shard (dropped under Degrade).
-    let engine = ExplorationEngine::serial().with_fault_plan(
-        FaultPlan::new()
-            .kill_shard_transiently(0, 1)
-            .kill_shard(1),
-    );
+    let engine = ExplorationEngine::serial()
+        .with_fault_plan(FaultPlan::new().kill_shard_transiently(0, 1).kill_shard(1));
     let sharded = Methodology::new()
         .with_shard_failure_policy(ShardFailurePolicy::Degrade)
         .explore_sharded_with_engine(&trace, 3, &engine)
@@ -273,7 +292,10 @@ fn exploration_fixture_codes() -> BTreeSet<String> {
         sharded.failed_shards.len(),
         sharded.confidence,
     );
-    lint_exploration(&report).into_iter().map(|d| d.code).collect()
+    lint_exploration(&report)
+        .into_iter()
+        .map(|d| d.code)
+        .collect()
 }
 
 #[test]
@@ -282,8 +304,7 @@ fn every_catalogue_code_has_a_producing_fixture() {
     let mut claimed: BTreeSet<&'static str> = BTreeSet::new();
 
     for (expect, cfg) in config_fixtures() {
-        let codes: BTreeSet<String> =
-            lint_config(&cfg).into_iter().map(|d| d.code).collect();
+        let codes: BTreeSet<String> = lint_config(&cfg).into_iter().map(|d| d.code).collect();
         for want in &expect {
             assert!(
                 codes.contains(*want),
@@ -295,8 +316,7 @@ fn every_catalogue_code_has_a_producing_fixture() {
         produced.extend(codes);
     }
     for (expect, events) in trace_fixtures() {
-        let codes: BTreeSet<String> =
-            lint_events(&events).into_iter().map(|d| d.code).collect();
+        let codes: BTreeSet<String> = lint_events(&events).into_iter().map(|d| d.code).collect();
         for want in &expect {
             assert!(
                 codes.contains(*want),
@@ -308,8 +328,10 @@ fn every_catalogue_code_has_a_producing_fixture() {
     }
     for (expect, trace, cfg) in bounds_fixtures() {
         let facts = TraceFacts::of(&trace);
-        let codes: BTreeSet<String> =
-            lint_bounds(&facts, &cfg).into_iter().map(|d| d.code).collect();
+        let codes: BTreeSet<String> = lint_bounds(&facts, &cfg)
+            .into_iter()
+            .map(|d| d.code)
+            .collect();
         for want in &expect {
             assert!(
                 codes.contains(*want),
@@ -324,7 +346,10 @@ fn every_catalogue_code_has_a_producing_fixture() {
         let Error::TraceStore { code, .. } = &err else {
             panic!("store fixture for {want} produced {err} instead");
         };
-        assert_eq!(code, want, "store fixture corruption mapped to the wrong code");
+        assert_eq!(
+            code, want,
+            "store fixture corruption mapped to the wrong code"
+        );
         claimed.insert(want);
         produced.insert(code.clone());
     }
@@ -343,8 +368,7 @@ fn every_catalogue_code_has_a_producing_fixture() {
     // Coverage in both directions: nothing in the catalogue without a
     // fixture that *claims* it, and nothing produced that the catalogue
     // does not document.
-    let documented: BTreeSet<String> =
-        catalogue().iter().map(|e| e.code.to_string()).collect();
+    let documented: BTreeSet<String> = catalogue().iter().map(|e| e.code.to_string()).collect();
     for code in &documented {
         assert!(
             claimed.contains(code.as_str()),

@@ -78,8 +78,7 @@ fn quarantined_sweep_survives_candidate_faults_with_the_same_winner() {
 
     let clean = ExplorationEngine::serial();
     let (winner, peak, _) =
-        exhaustive_best_with_engine(&t, params.clone(), Some(limit), &clean)
-            .expect("clean sweep");
+        exhaustive_best_with_engine(&t, params.clone(), Some(limit), &clean).expect("clean sweep");
 
     // Victims: enumerated candidates that are never statically pruned,
     // carry an admissible bound strictly below the winner's actual peak
@@ -94,9 +93,8 @@ fn quarantined_sweep_survives_candidate_faults_with_the_same_winner() {
     let ranked = rank_by_bound(&facts, &configs);
     let mut victims = ranked.iter().filter_map(|&(order, bound)| {
         let cfg = &configs[order];
-        (bound < peak && cfg.fingerprint() != winner.fingerprint()
-            && prune_reason(cfg).is_none())
-        .then(|| cfg.fingerprint())
+        (bound < peak && cfg.fingerprint() != winner.fingerprint() && prune_reason(cfg).is_none())
+            .then(|| cfg.fingerprint())
     });
     let panic_fp = victims.next().expect("a non-winning evaluated candidate");
     let exhaust_fp = victims
@@ -126,10 +124,12 @@ fn quarantined_sweep_survives_candidate_faults_with_the_same_winner() {
 #[test]
 fn transient_worker_death_is_retried_to_a_bit_identical_result() {
     let t = chaos_trace();
-    let clean = Methodology::new().explore_sharded(&t, 3).expect("clean run");
+    let clean = Methodology::new()
+        .explore_sharded(&t, 3)
+        .expect("clean run");
 
-    let engine = ExplorationEngine::serial()
-        .with_fault_plan(FaultPlan::new().kill_shard_transiently(1, 2));
+    let engine =
+        ExplorationEngine::serial().with_fault_plan(FaultPlan::new().kill_shard_transiently(1, 2));
     let out = Methodology::new()
         .explore_sharded_with_engine(&t, 3, &engine)
         .expect("two worker deaths are within the retry budget");
@@ -146,20 +146,26 @@ fn transient_worker_death_is_retried_to_a_bit_identical_result() {
 #[test]
 fn fatal_worker_death_errors_or_degrades_explicitly() {
     let t = chaos_trace();
-    let engine =
-        ExplorationEngine::serial().with_fault_plan(FaultPlan::new().kill_shard(1));
+    let engine = ExplorationEngine::serial().with_fault_plan(FaultPlan::new().kill_shard(1));
 
     let err = Methodology::new()
         .explore_sharded_with_engine(&t, 3, &engine)
         .expect_err("Fail policy must surface the dead shard");
-    let Error::ShardFailed { shard, attempts, cause } = &err else {
+    let Error::ShardFailed {
+        shard,
+        attempts,
+        cause,
+    } = &err
+    else {
         panic!("expected ShardFailed, got {err}");
     };
     assert_eq!((*shard, *attempts), (1, SHARD_RETRY_ATTEMPTS));
-    assert!(matches!(cause.as_ref(), Error::WorkerDied { .. }), "{cause}");
+    assert!(
+        matches!(cause.as_ref(), Error::WorkerDied { .. }),
+        "{cause}"
+    );
 
-    let engine =
-        ExplorationEngine::serial().with_fault_plan(FaultPlan::new().kill_shard(1));
+    let engine = ExplorationEngine::serial().with_fault_plan(FaultPlan::new().kill_shard(1));
     let out = Methodology::new()
         .with_shard_failure_policy(ShardFailurePolicy::Degrade)
         .explore_sharded_with_engine(&t, 3, &engine)
@@ -167,7 +173,11 @@ fn fatal_worker_death_errors_or_degrades_explicitly() {
     assert_eq!(out.failed_shards.len(), 1);
     let failed = &out.failed_shards[0];
     assert_eq!((failed.index, failed.attempts), (1, SHARD_RETRY_ATTEMPTS));
-    assert!(out.confidence > 0.0 && out.confidence < 1.0, "{}", out.confidence);
+    assert!(
+        out.confidence > 0.0 && out.confidence < 1.0,
+        "{}",
+        out.confidence
+    );
 }
 
 /// One journaled exploration; returns the outcome for comparison.

@@ -166,7 +166,10 @@ fn compute() -> Vec<(String, Digest)> {
 
             let shards = shard_trace(&trace, 3);
             let sharded = replay_shards_config(shards, &cfg).expect("sharded replay");
-            out.push((format!("{wname}/sharded/{}", cfg.name), Digest::of(&sharded.stats)));
+            out.push((
+                format!("{wname}/sharded/{}", cfg.name),
+                Digest::of(&sharded.stats),
+            ));
         }
         if trace.phases().len() > 1 {
             let mut g = GlobalManager::new(
@@ -554,7 +557,11 @@ fn golden_inputs_lint_clean() {
             .filter(|d| d.severity == Severity::Error)
             .map(|d| d.render())
             .collect();
-        assert!(errs.is_empty(), "preset '{}' has errors: {errs:?}", cfg.name);
+        assert!(
+            errs.is_empty(),
+            "preset '{}' has errors: {errs:?}",
+            cfg.name
+        );
     }
     for (name, trace) in workloads() {
         let errs: Vec<String> = lint_trace(&trace)
@@ -562,7 +569,10 @@ fn golden_inputs_lint_clean() {
             .filter(|d| d.severity == Severity::Error)
             .map(|d| d.render())
             .collect();
-        assert!(errs.is_empty(), "golden trace {name} fails the sanitizer: {errs:?}");
+        assert!(
+            errs.is_empty(),
+            "golden trace {name} fails the sanitizer: {errs:?}"
+        );
     }
 }
 

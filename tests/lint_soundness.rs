@@ -46,8 +46,7 @@ fn check(name: &str, trace: &Trace, limit: Option<usize>) -> (usize, usize) {
     // before its own sweep.
     let mut params = Params::footprint_optimised();
     params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
-    let (plain_cfg, plain_peak, plain_n) =
-        exhaustive_best(trace, params.clone(), limit).unwrap();
+    let (plain_cfg, plain_peak, plain_n) = exhaustive_best(trace, params.clone(), limit).unwrap();
     let (pruned_cfg, pruned_peak, pruned_n) =
         exhaustive_best_with_engine(trace, params, limit, &engine).unwrap();
 
@@ -112,7 +111,11 @@ fn pruned_exhaustive_search_matches_unpruned_winner() {
     // bound the walk there. The prefix still covers every A3/A4 sibling
     // group many times over (those trees enumerate innermost), so pruning
     // fires within the first dozen candidates.
-    let limit = if cfg!(debug_assertions) { Some(600) } else { None };
+    let limit = if cfg!(debug_assertions) {
+        Some(600)
+    } else {
+        None
+    };
     let (enumerated, bound_skipped) =
         check("drr-quick", &DrrWorkload::quick(0).record().unwrap(), limit);
     if !cfg!(debug_assertions) {

@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 
-use dmm::prelude::*;
 use dmm::core::methodology::ExplorationEngine;
 use dmm::core::trace::TraceEvent;
+use dmm::prelude::*;
 
 /// Strategy: a well-formed trace of interleaved allocs/frees with sizes in
 /// `1..=max_size`, always freeing everything at the end.
@@ -437,10 +437,7 @@ proptest! {
 /// Strategy: a re-entrant-phase trace — segments alternate `0, 1, 0, 1…`
 /// (the rendering discipline), each segment allocating and freeing its own
 /// objects, with some objects deliberately freed a segment later.
-fn reentrant_phase_strategy(
-    max_segments: usize,
-    max_size: usize,
-) -> impl Strategy<Value = Trace> {
+fn reentrant_phase_strategy(max_segments: usize, max_size: usize) -> impl Strategy<Value = Trace> {
     proptest::collection::vec(
         proptest::collection::vec((any::<u16>(), 1..=max_size), 1..12),
         2..max_segments.max(3),

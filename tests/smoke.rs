@@ -8,7 +8,12 @@ use dmm::workloads::synthetic;
 
 /// Replays `trace` through a fresh paper-preset policy allocator and a
 /// fresh Lea baseline, returning both footprint statistics.
-fn replay_both(trace: &Trace) -> (dmm::core::metrics::FootprintStats, dmm::core::metrics::FootprintStats) {
+fn replay_both(
+    trace: &Trace,
+) -> (
+    dmm::core::metrics::FootprintStats,
+    dmm::core::metrics::FootprintStats,
+) {
     let mut policy = PolicyAllocator::new(presets::drr_paper()).expect("valid preset");
     let mut lea = LeaAllocator::new();
     (
@@ -39,9 +44,7 @@ fn assert_round_trip(name: &str, record: impl Fn() -> Trace) {
 
 #[test]
 fn drr_record_replay_round_trips() {
-    assert_round_trip("drr", || {
-        DrrWorkload::quick(11).record().expect("record")
-    });
+    assert_round_trip("drr", || DrrWorkload::quick(11).record().expect("record"));
 }
 
 #[test]
