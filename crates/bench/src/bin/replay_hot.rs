@@ -8,7 +8,8 @@
 //! `BENCH_replay.json` (full scale) or `target/BENCH_replay.quick.json`
 //! (`--quick`, so a smoke run never overwrites the committed full-scale
 //! record); `--out=PATH` overrides either. Every row's events/second is
-//! the median of 5 timed windows.
+//! the median of 5 timed windows; each workload's nop and DRR-manager
+//! compiled windows alternate.
 //!
 //! Usage: `cargo run -p dmm-bench --release --bin replay_hot
 //! [--quick] [--csv] [--check] [--out=PATH]`
@@ -19,11 +20,14 @@
 //! 1. **interpreter gate** — the compiled kernel must be at least as fast
 //!    as the classic interpreter on the `large_churn` nop row;
 //! 2. **manager-bound gate vs PR 4** — the end-to-end DRR-manager row
-//!    must be at least 1.3× the committed PR 4 baseline (normalised by
-//!    the same run's nop row, so machine speed cancels — see
-//!    `dmm_bench::GateBaseline`; both rows are medians of 5 windows, so
-//!    one noisy window cannot fail the gate). This is the boundary-tag
-//!    tiling's speedup staying regression-guarded;
+//!    must be at least 1.3× the committed PR 4 baseline, normalised by
+//!    the same run's nop row so machine speed cancels (see
+//!    `dmm_bench::GateBaseline`). The two rows' compiled windows are
+//!    timed in 5 interleaved pairs (nop, DRR, nop, DRR, …) and the gate
+//!    reads the median of the per-pair DRR/nop ratios, so a slow spell
+//!    of the host lands on both sides of a ratio and one noisy pair
+//!    cannot fail the gate. This is the boundary-tag tiling's speedup
+//!    staying regression-guarded;
 //! 3. **manager-bound gate vs PR 5** — the same row must be at least
 //!    1.5× the PR 5 baseline, guarding the order-statistic free-list
 //!    layer's speedup (lazy rank replica, bitmap size set, O(1) hit

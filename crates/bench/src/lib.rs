@@ -1138,6 +1138,10 @@ pub struct ReplayHotReport {
     /// [`sweep_comparison`]): wall-clock speedup, replay reduction, winner
     /// bit-identity.
     pub sweep: SweepReport,
+    /// The manager-bound gates' measurement: on `large_churn`, the median
+    /// over [`REPLAY_HOT_REPEATS`] interleaved window pairs of the paper-DRR
+    /// row's compiled events/second over the nop row's, timed back to back.
+    pub manager_nop_ratio: f64,
     /// Manager-bound trajectory: `(drr/nop) / (PR 4 drr/nop)` on the
     /// `large_churn` gate workload — how much faster the end-to-end
     /// manager simulation is than the PR 4 `BTreeMap` tiling, with the
@@ -1239,10 +1243,10 @@ impl ReplayHotReport {
     }
 
     /// Manager-bound gate ratio of this run, normalised by a committed
-    /// baseline: `(drr/nop) / (baseline drr/baseline nop)`.
+    /// baseline: the paired `drr/nop` ([`ReplayHotReport::manager_nop_ratio`])
+    /// over `baseline drr/baseline nop`.
     fn manager_bound_speedup_vs(&self, baseline: GateBaseline) -> f64 {
-        (self.manager_gate_row().compiled_events_per_sec / self.gate_row().compiled_events_per_sec)
-            / (baseline.drr_events_per_sec / baseline.nop_events_per_sec)
+        self.manager_nop_ratio / (baseline.drr_events_per_sec / baseline.nop_events_per_sec)
     }
 
     /// Serialize as pretty JSON (the `BENCH_replay.json` payload).
@@ -1251,11 +1255,11 @@ impl ReplayHotReport {
     }
 }
 
-/// One workload × manager measurement: assert classic and compiled agree
-/// bit for bit, then time both. The classic side runs through
-/// `&mut dyn Allocator` (its real interface); the compiled side is
-/// monomorphized over `A`, exactly as the exploration engine calls it.
-fn measure_replay_pair<A, F>(
+/// One workload × manager check: assert classic and compiled agree bit
+/// for bit, then time the classic interpreter. It runs through
+/// `&mut dyn Allocator`, its real interface; the compiled side is timed by
+/// [`paired_compiled_windows`].
+fn classic_events_per_sec<A, F>(
     name: &str,
     trace: &Trace,
     compiled: &CompiledTrace,
@@ -1263,7 +1267,7 @@ fn measure_replay_pair<A, F>(
     min_duration: std::time::Duration,
     scratch: &mut ReplayScratch,
     mut make: F,
-) -> Result<ReplayHotRow>
+) -> Result<f64>
 where
     A: Allocator,
     F: FnMut() -> Result<A>,
@@ -1274,29 +1278,47 @@ where
         classic_fs, compiled_fs,
         "{name} × {label}: compiled replay diverged from the classic interpreter"
     );
-    let classic_eps = measure_events_per_sec(trace.len(), min_duration, || {
+    measure_events_per_sec(trace.len(), min_duration, || {
         replay(trace, &mut make()?).map(|_| ())
-    })?;
-    let compiled_eps = measure_events_per_sec(trace.len(), min_duration, || {
-        replay_compiled_with(compiled, &mut make()?, scratch).map(|_| ())
-    })?;
-    Ok(ReplayHotRow {
-        workload: name.to_string(),
-        events: trace.len(),
-        manager: label.to_string(),
-        classic_events_per_sec: classic_eps,
-        compiled_events_per_sec: compiled_eps,
-        speedup: compiled_eps / classic_eps,
     })
 }
 
 /// Timed windows per [`replay_hot`] row; each row reports their median.
 pub const REPLAY_HOT_REPEATS: usize = 5;
 
-/// Time [`REPLAY_HOT_REPEATS`] windows, each repeating `run` until
-/// `min_duration` has elapsed (at least twice, after a warm-up), and return
-/// the median window's events/second — one slow window on a shared host
-/// cannot move a row.
+/// One timed window: repeat `run` until `min_duration` has elapsed (at
+/// least twice) and return its events/second.
+fn window_events_per_sec<F>(
+    events: usize,
+    min_duration: std::time::Duration,
+    run: &mut F,
+) -> Result<f64>
+where
+    F: FnMut() -> Result<()>,
+{
+    let start = std::time::Instant::now();
+    let mut reps = 0usize;
+    loop {
+        run()?;
+        reps += 1;
+        if reps >= 2 && start.elapsed() >= min_duration {
+            break;
+        }
+    }
+    let secs = start.elapsed().as_secs_f64();
+    Ok(events as f64 * reps as f64 / secs.max(f64::MIN_POSITIVE))
+}
+
+/// The median of `samples` (the upper one of an even count).
+fn median_of(samples: impl Iterator<Item = f64>) -> f64 {
+    let mut samples: Vec<f64> = samples.collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Time [`REPLAY_HOT_REPEATS`] windows after a warm-up and return the
+/// median window's events/second: one slow window on a shared host cannot
+/// move a row.
 fn measure_events_per_sec<F>(
     events: usize,
     min_duration: std::time::Duration,
@@ -1306,22 +1328,39 @@ where
     F: FnMut() -> Result<()>,
 {
     run()?; // warm-up: page in the trace, size the allocator's tables
-    let mut samples = Vec::with_capacity(REPLAY_HOT_REPEATS);
-    for _ in 0..REPLAY_HOT_REPEATS {
-        let start = std::time::Instant::now();
-        let mut reps = 0usize;
-        loop {
-            run()?;
-            reps += 1;
-            if reps >= 2 && start.elapsed() >= min_duration {
-                break;
-            }
-        }
-        let secs = start.elapsed().as_secs_f64();
-        samples.push(events as f64 * reps as f64 / secs.max(f64::MIN_POSITIVE));
-    }
-    samples.sort_by(f64::total_cmp);
-    Ok(samples[samples.len() / 2])
+    let samples = (0..REPLAY_HOT_REPEATS)
+        .map(|_| window_events_per_sec(events, min_duration, &mut run))
+        .collect::<Result<Vec<f64>>>()?;
+    Ok(median_of(samples.into_iter()))
+}
+
+/// Time the compiled kernel against two managers in interleaved windows,
+/// `a` then `b`, [`REPLAY_HOT_REPEATS`] times after a warm-up of each, and
+/// return each pair's `(a, b)` events/second. A slow spell of a shared
+/// host then lands on both windows of a pair, so the pair's ratio holds
+/// where the ratio of two separately timed medians would not.
+fn paired_compiled_windows<A, B>(
+    compiled: &CompiledTrace,
+    min_duration: std::time::Duration,
+    mut make_a: impl FnMut() -> Result<A>,
+    mut make_b: impl FnMut() -> Result<B>,
+) -> Result<Vec<(f64, f64)>>
+where
+    A: Allocator,
+    B: Allocator,
+{
+    let (mut scratch_a, mut scratch_b) = (ReplayScratch::new(), ReplayScratch::new());
+    let mut run_a = || replay_compiled_with(compiled, &mut make_a()?, &mut scratch_a).map(|_| ());
+    let mut run_b = || replay_compiled_with(compiled, &mut make_b()?, &mut scratch_b).map(|_| ());
+    run_a()?;
+    run_b()?;
+    let events = compiled.len();
+    (0..REPLAY_HOT_REPEATS)
+        .map(|_| {
+            let a = window_events_per_sec(events, min_duration, &mut run_a)?;
+            Ok((a, window_events_per_sec(events, min_duration, &mut run_b)?))
+        })
+        .collect()
 }
 
 /// Benchmark the replay inner loop: classic interpreter ([`replay`]) vs.
@@ -1339,8 +1378,12 @@ where
 ///
 /// Conditions mirror the exploration engine's hot loop: a fresh manager
 /// per replay (construction included in the timing), the trace compiled
-/// **once** outside the loop, and one reused [`ReplayScratch`] — exactly
-/// what an `explore` call amortises over its hundreds of replays. Before
+/// **once** outside the loop, and one reused [`ReplayScratch`] per
+/// manager — exactly what an `explore` call amortises over its hundreds
+/// of replays. The two managers' compiled windows interleave (nop, DRR,
+/// nop, DRR, …); each row is the median of its own windows, and the
+/// manager-bound gates read the median of the per-pair DRR/nop ratios on
+/// `large_churn` ([`ReplayHotReport::manager_nop_ratio`]). Before
 /// timing, the harness asserts the two interpreters produce
 /// **bit-identical** [`dmm_core::metrics::FootprintStats`] on every
 /// workload and manager.
@@ -1388,27 +1431,50 @@ pub fn replay_hot(quick: bool) -> Result<(Table, ReplayHotReport)> {
     );
     let mut rows = Vec::with_capacity(traces.len() * 2);
     let mut scratch = ReplayScratch::new();
+    let mut manager_nop_ratio = 0.0;
     for (name, trace) in &traces {
         let compiled = CompiledTrace::compile(trace);
-        let interp = measure_replay_pair(
-            name,
-            trace,
-            &compiled,
-            "nop (interpreter overhead)",
-            min_duration,
-            &mut scratch,
-            || Ok(NopAllocator::default()),
-        )?;
-        let end_to_end = measure_replay_pair(
-            name,
-            trace,
-            &compiled,
-            &cfg.name,
-            min_duration,
-            &mut scratch,
-            || PolicyAllocator::new(cfg.clone()),
-        )?;
-        for row in [interp, end_to_end] {
+        let nop = || Ok(NopAllocator::default());
+        let drr = || PolicyAllocator::new(cfg.clone());
+        let nop_label = "nop (interpreter overhead)";
+        let classic = [
+            classic_events_per_sec(
+                name,
+                trace,
+                &compiled,
+                nop_label,
+                min_duration,
+                &mut scratch,
+                nop,
+            )?,
+            classic_events_per_sec(
+                name,
+                trace,
+                &compiled,
+                &cfg.name,
+                min_duration,
+                &mut scratch,
+                drr,
+            )?,
+        ];
+        let pairs = paired_compiled_windows(&compiled, min_duration, nop, drr)?;
+        if name.contains("large_churn") {
+            manager_nop_ratio = median_of(pairs.iter().map(|&(nop, drr)| drr / nop));
+        }
+        let compiled_eps = [
+            median_of(pairs.iter().map(|p| p.0)),
+            median_of(pairs.iter().map(|p| p.1)),
+        ];
+        let labels = [nop_label, cfg.name.as_str()];
+        for ((label, classic), compiled) in labels.into_iter().zip(classic).zip(compiled_eps) {
+            let row = ReplayHotRow {
+                workload: name.to_string(),
+                events: trace.len(),
+                manager: label.to_string(),
+                classic_events_per_sec: classic,
+                compiled_events_per_sec: compiled,
+                speedup: compiled / classic,
+            };
             table.push_row(
                 format!("{} × {}", row.workload, row.manager),
                 vec![
@@ -1427,6 +1493,7 @@ pub fn replay_hot(quick: bool) -> Result<(Table, ReplayHotReport)> {
         repeats: REPLAY_HOT_REPEATS,
         rows,
         sweep: sweep_comparison(quick)?,
+        manager_nop_ratio,
         manager_bound_speedup_vs_pr4: 0.0,
         manager_bound_speedup_vs_pr5: 0.0,
         index_churn: index_churn(),

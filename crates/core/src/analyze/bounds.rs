@@ -51,13 +51,21 @@
 //!
 //! Soundness is enforced by a proptest over every preset × workload
 //! family and by the 49 golden replay digests (`tests/golden_replay.rs`
-//! inputs), plus the winner-bit-identity test in
-//! `tests/lint_soundness.rs`.
+//! inputs), plus `tests/lint_soundness.rs`: the winner-bit-identity test
+//! and a whole-space check that no config's bound exceeds its replayed
+//! peak on the quick DRR, recon and render traces (release builds; debug
+//! builds check a stride).
+//!
+//! The bound reads only five leaves of a configuration plus its
+//! [`Params`] (see `BoundKey`), so over the 39,840-config space it
+//! takes a few dozen to a few hundred distinct values. [`rank_by_bound`]
+//! and the sweep compute it once per key (`BoundMemo`).
 
 use std::collections::HashMap;
 
 use crate::manager::pools::Pools;
-use crate::space::config::DmConfig;
+use crate::space::config::{DmConfig, Params};
+use crate::space::trees::{BlockSizes, BlockStructure, PoolDivision, PoolStructure};
 use crate::trace::{BoundarySummary, LiveSetPeak, Trace, TraceEvent};
 use crate::units::SBRK_GRANULARITY;
 
@@ -345,6 +353,33 @@ impl BoundBreakdown {
     }
 }
 
+/// Everything [`bound_breakdown`] reads from a configuration besides its
+/// [`Params`]: A1 (the index control overhead in [`Pools::new`]), A2,
+/// the tag bytes of A3 × A4, B1 and B4. Configurations with equal keys
+/// and equal parameters have equal bounds on every trace, so a sweep
+/// computes one bound per key ([`BoundMemo`]). A change to what the bound
+/// reads must change this key with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct BoundKey {
+    block_structure: BlockStructure,
+    block_sizes: BlockSizes,
+    tag_bytes: usize,
+    pool_division: PoolDivision,
+    pool_structure: PoolStructure,
+}
+
+impl BoundKey {
+    fn of(cfg: &DmConfig) -> BoundKey {
+        BoundKey {
+            block_structure: cfg.block_structure,
+            block_sizes: cfg.block_sizes,
+            tag_bytes: cfg.tag_bytes_per_block(),
+            pool_division: cfg.pool_division,
+            pool_structure: cfg.pool_structure,
+        }
+    }
+}
+
 /// Break one (facts, config) bound into its components.
 pub fn bound_breakdown(facts: &TraceFacts, cfg: &DmConfig) -> BoundBreakdown {
     let static_overhead = Pools::new(cfg).static_overhead();
@@ -389,21 +424,71 @@ pub fn lower_bound_peak(facts: &TraceFacts, cfg: &DmConfig) -> usize {
     bound_breakdown(facts, cfg).total()
 }
 
+/// [`lower_bound_peak`] on one trace, computed once per [`BoundKey`].
+///
+/// A memo serves one sweep (or one [`rank_by_bound`] call) and starts over
+/// whenever a configuration's [`Params`] differ from the previous one's,
+/// since the bound reads the class list and trim threshold too. Debug
+/// builds recompute every hit and check it against the memo.
+pub(crate) struct BoundMemo<'a> {
+    facts: &'a TraceFacts,
+    params: Option<Params>,
+    bounds: HashMap<BoundKey, usize>,
+}
+
+impl<'a> BoundMemo<'a> {
+    pub(crate) fn new(facts: &'a TraceFacts) -> Self {
+        BoundMemo {
+            facts,
+            params: None,
+            bounds: HashMap::new(),
+        }
+    }
+
+    /// `lower_bound_peak(facts, cfg)`.
+    pub(crate) fn bound(&mut self, cfg: &DmConfig) -> usize {
+        if self.params.as_ref() != Some(&cfg.params) {
+            self.params = Some(cfg.params.clone());
+            self.bounds.clear();
+        }
+        let key = BoundKey::of(cfg);
+        if let Some(&bound) = self.bounds.get(&key) {
+            debug_assert_eq!(
+                bound,
+                lower_bound_peak(self.facts, cfg),
+                "bound memo differs from a fresh bound for '{}'",
+                cfg.name
+            );
+            return bound;
+        }
+        let bound = lower_bound_peak(self.facts, cfg);
+        self.bounds.insert(key, bound);
+        bound
+    }
+}
+
+/// `(candidate index, bound)` for each bound in candidate order, sorted
+/// ascending by `(bound, index)`: the sort is stable, so equal bounds keep
+/// their index order.
+pub(crate) fn rank_bounds(bounds: impl Iterator<Item = usize>) -> Vec<(usize, usize)> {
+    let mut ranked: Vec<(usize, usize)> = bounds.enumerate().collect();
+    ranked.sort_by_key(|&(_, b)| b);
+    ranked
+}
+
 /// Rank candidate configurations for best-first exploration: returns
 /// `(index into configs, bound)` sorted ascending by `(bound, index)`.
 ///
 /// The secondary index order makes the schedule deterministic and lets
 /// the branch-and-bound loop reproduce the first-seen-minimum winner of
 /// the plain enumeration fold exactly (see
-/// `crate::methodology::exhaustive_best_with_engine`).
+/// `crate::methodology::exhaustive_best_with_engine`, which ranks its
+/// space the same way). Each bound is computed once per distinct
+/// (A1, A2, tag bytes, B1, B4) key and parameter block: over the whole
+/// space that is a few dozen to a few hundred bounds, not 39,840.
 pub fn rank_by_bound(facts: &TraceFacts, configs: &[DmConfig]) -> Vec<(usize, usize)> {
-    let mut ranked: Vec<(usize, usize)> = configs
-        .iter()
-        .enumerate()
-        .map(|(i, cfg)| (i, lower_bound_peak(facts, cfg)))
-        .collect();
-    ranked.sort_by_key(|&(i, b)| (b, i));
-    ranked
+    let mut memo = BoundMemo::new(facts);
+    rank_bounds(configs.iter().map(|cfg| memo.bound(cfg)))
 }
 
 /// The `BD0xx` catalogue: advisories the bound interpreter derives from

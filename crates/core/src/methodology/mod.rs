@@ -1206,6 +1206,18 @@ pub fn exhaustive_best(
 /// bit-identical-winner guarantee. The sweep never touches the engine's
 /// structural cache tier (see [`ExplorationEngine::evaluate_bounded`]).
 ///
+/// The sweep analyses each distinct behaviour once. It enumerates the
+/// space as bare leaf tuples (points), not as named configurations; it
+/// ranks them with one bound per (A1, A2, tag bytes, B1, B4) key, the
+/// memoised ranking [`crate::analyze::rank_by_bound`] uses too; and it
+/// writes each candidate's leaves and its [`SpaceIter`] name
+/// (`space-point-N`) into one reused configuration before handing it to
+/// [`ExplorationEngine::evaluate_bounded`]. Every count, name and winner
+/// is that of the same call on each [`SpaceIter`] configuration in
+/// [`crate::analyze::rank_by_bound`] order.
+///
+/// [`SpaceIter`]: crate::space::enumerate::SpaceIter
+///
 /// # Errors
 ///
 /// Propagates replay errors; errors if the space yields nothing.
@@ -1215,12 +1227,34 @@ pub fn exhaustive_best_with_engine(
     limit: Option<usize>,
     engine: &ExplorationEngine,
 ) -> Result<(DmConfig, usize, usize)> {
-    let configs: Vec<DmConfig> =
-        crate::space::enumerate::SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), params)
-            .take(limit.unwrap_or(usize::MAX))
-            .collect();
+    use std::fmt::Write as _;
+
+    let mut space = crate::space::enumerate::SpaceIter::with_order_and_params(
+        TRAVERSAL_ORDER.to_vec(),
+        params.clone(),
+    );
+    let points: Vec<PartialConfig> = std::iter::from_fn(|| space.next_point())
+        .take(limit.unwrap_or(usize::MAX))
+        .collect();
+    let Some(first) = points.first() else {
+        return Err(Error::EmptySearchSpace(
+            "no configuration enumerated".into(),
+        ));
+    };
+    // The one configuration every candidate is written into, named as
+    // `SpaceIter` names it.
+    let mut cfg = first.clone().freeze(String::new(), params)?;
+    let assign = |cfg: &mut DmConfig, order: usize| {
+        points[order].assign_to(cfg);
+        cfg.name.clear();
+        write!(cfg.name, "space-point-{}", order + 1).expect("writing to a String cannot fail");
+    };
     let facts = crate::analyze::TraceFacts::of(trace);
-    let ranked = crate::analyze::rank_by_bound(&facts, &configs);
+    let mut bounds = crate::analyze::bounds::BoundMemo::new(&facts);
+    let ranked = crate::analyze::bounds::rank_bounds(points.iter().map(|point| {
+        point.assign_to(&mut cfg);
+        bounds.bound(&cfg)
+    }));
     let key = cache::TraceKey::of(trace);
     // Incumbent = the candidate the plain first-seen-minimum fold over
     // enumeration order would currently hold: smallest peak, earliest
@@ -1229,9 +1263,8 @@ pub fn exhaustive_best_with_engine(
     let before = engine.counters();
     for &(order, bound) in &ranked {
         let incumbent = best.map(|(peak, o)| engine::Incumbent { peak, order: o });
-        let Some(eval) =
-            engine.evaluate_bounded(trace, key, &configs[order], bound, order, incumbent)?
-        else {
+        assign(&mut cfg, order);
+        let Some(eval) = engine.evaluate_bounded(trace, key, &cfg, bound, order, incumbent)? else {
             continue;
         };
         let peak = eval.stats.peak_footprint;
@@ -1244,10 +1277,7 @@ pub fn exhaustive_best_with_engine(
         (after.evaluations - before.evaluations) + (after.projection_hits - before.projection_hits);
     let (peak, order) =
         best.ok_or_else(|| Error::EmptySearchSpace("no configuration enumerated".into()))?;
-    let cfg = configs
-        .into_iter()
-        .nth(order)
-        .expect("winner index is in range");
+    assign(&mut cfg, order);
     Ok((cfg, peak, evaluated))
 }
 

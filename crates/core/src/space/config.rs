@@ -512,6 +512,19 @@ impl PartialConfig {
             params,
         })
     }
+
+    /// Overwrite `cfg`'s twelve leaves with this complete configuration's,
+    /// keeping its name and parameters: [`PartialConfig::freeze`] into a
+    /// reused configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any tree is still open.
+    pub(crate) fn assign_to(&self, cfg: &mut DmConfig) {
+        for tree in TreeId::ALL {
+            cfg.set_leaf(self.get(tree).expect("assigned configuration is complete"));
+        }
+    }
 }
 
 #[cfg(test)]

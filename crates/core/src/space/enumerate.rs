@@ -12,6 +12,14 @@ use crate::space::trees::{Leaf, TreeId};
 
 /// Depth-first iterator over every valid complete configuration.
 ///
+/// The `N`-th configuration is named `space-point-N` and carries a clone
+/// of the iterator's [`Params`]. The DFS itself yields only the twelve
+/// leaves (a complete [`PartialConfig`], a *point*). The branch-and-bound
+/// sweep ([`crate::methodology::exhaustive_best_with_engine`]) collects
+/// those points instead of 39,840 configurations, ranks them with one
+/// bound per structural key, and writes each candidate into one reused
+/// configuration. Counting the space builds no configuration either.
+///
 /// # Examples
 ///
 /// ```
@@ -73,6 +81,22 @@ impl SpaceIter {
             self.partial.clear(leaf.tree());
         }
     }
+
+    /// The next complete assignment of the DFS, unnamed and without
+    /// parameters: [`Iterator::next`] without building the configuration.
+    pub(crate) fn next_point(&mut self) -> Option<PartialConfig> {
+        while let Some((depth, leaf)) = self.stack.pop() {
+            self.rewind_to(depth);
+            self.partial.set(leaf);
+            self.path.push(leaf);
+            if self.path.len() == self.order.len() {
+                self.counter += 1;
+                return Some(self.partial.clone());
+            }
+            self.push_children(depth + 1);
+        }
+        None
+    }
 }
 
 impl Default for SpaceIter {
@@ -85,22 +109,15 @@ impl Iterator for SpaceIter {
     type Item = DmConfig;
 
     fn next(&mut self) -> Option<DmConfig> {
-        while let Some((depth, leaf)) = self.stack.pop() {
-            self.rewind_to(depth);
-            self.partial.set(leaf);
-            self.path.push(leaf);
-            if self.path.len() == self.order.len() {
-                self.counter += 1;
-                let cfg = self
-                    .partial
-                    .clone()
-                    .freeze(format!("space-point-{}", self.counter), self.params.clone())
-                    .expect("complete DFS path must freeze");
-                return Some(cfg);
-            }
-            self.push_children(depth + 1);
-        }
-        None
+        let point = self.next_point()?;
+        let cfg = point
+            .freeze(format!("space-point-{}", self.counter), self.params.clone())
+            .expect("complete DFS path must freeze");
+        Some(cfg)
+    }
+
+    fn count(mut self) -> usize {
+        std::iter::from_fn(|| self.next_point()).count()
     }
 }
 

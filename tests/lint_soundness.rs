@@ -26,9 +26,25 @@
 //! is asserted on every run; in release, where the full 39,840-config
 //! space is walked, bound pruning must retire at least 25% of it on the
 //! DRR case study.
+//!
+//! Two more checks cover the bound itself on the quick DRR, recon and
+//! render traces:
+//!
+//! - The sweep ranks its candidates through one bound per structural key
+//!   and builds a named configuration only for candidates that reach the
+//!   engine. A reference sweep built from the public per-config steps
+//!   (enumerate, bound every config, sort, `evaluate_bounded`) must give
+//!   the same winner, count, counters and cuts, with projection on and
+//!   off; and `rank_by_bound` must equal the per-config reference ranking
+//!   over the whole space.
+//! - Admissibility: no config's bound exceeds its replayed peak. Release
+//!   builds replay the whole space, debug builds a fixed stride of it.
 
-use dmm::core::analyze::prune_reason;
-use dmm::core::methodology::{exhaustive_best_with_engine, ExplorationEngine};
+use dmm::core::analyze::{lower_bound_peak, prune_reason, rank_by_bound, TraceFacts};
+use dmm::core::methodology::cache::TraceKey;
+use dmm::core::methodology::{exhaustive_best_with_engine, ExplorationEngine, Incumbent};
+use dmm::core::space::enumerate::SpaceIter;
+use dmm::core::space::order::TRAVERSAL_ORDER;
 use dmm::core::units::MIN_BLOCK;
 use dmm::prelude::*;
 use dmm::workloads::{DrrWorkload, RenderWorkload};
@@ -37,15 +53,82 @@ fn leaf_key(cfg: &DmConfig) -> String {
     cfg.summary()
 }
 
+/// The sweep's parameters. The full space includes A2 = profiled classes,
+/// which demands a non-empty class list: the same provisioning the
+/// methodology performs before its own sweep.
+fn sweep_params() -> Params {
+    let mut params = Params::footprint_optimised();
+    params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
+    params
+}
+
+/// Debug replays are about two orders of magnitude slower than release;
+/// debug sweeps walk this prefix, release sweeps the whole space.
+fn sweep_limit() -> Option<usize> {
+    if cfg!(debug_assertions) {
+        Some(600)
+    } else {
+        None
+    }
+}
+
+fn space(limit: Option<usize>) -> Vec<DmConfig> {
+    SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), sweep_params())
+        .take(limit.unwrap_or(usize::MAX))
+        .collect()
+}
+
+/// `(index, bound)` of every config, each bound computed on its own,
+/// sorted by `(bound, index)`.
+fn reference_ranking(facts: &TraceFacts, configs: &[DmConfig]) -> Vec<(usize, usize)> {
+    let mut ranked: Vec<(usize, usize)> = configs
+        .iter()
+        .enumerate()
+        .map(|(i, cfg)| (i, lower_bound_peak(facts, cfg)))
+        .collect();
+    ranked.sort_by_key(|&(i, bound)| (bound, i));
+    ranked
+}
+
+/// The sweep through its public per-config steps: every config built and
+/// bounded on its own, then `evaluate_bounded` in rank order against the
+/// first-seen-minimum incumbent. Returns what `exhaustive_best_with_engine`
+/// returns.
+fn reference_sweep(
+    trace: &Trace,
+    limit: Option<usize>,
+    engine: &ExplorationEngine,
+) -> (DmConfig, usize, usize) {
+    let configs = space(limit);
+    let ranked = reference_ranking(&TraceFacts::of(trace), &configs);
+    let key = TraceKey::of(trace);
+    let before = engine.counters();
+    let mut best: Option<(usize, usize)> = None;
+    for &(order, bound) in &ranked {
+        let incumbent = best.map(|(peak, order)| Incumbent { peak, order });
+        let Some(eval) = engine
+            .evaluate_bounded(trace, key, &configs[order], bound, order, incumbent)
+            .unwrap()
+        else {
+            continue;
+        };
+        let peak = eval.stats.peak_footprint;
+        if best.is_none_or(|(bp, bo)| peak < bp || (peak == bp && order < bo)) {
+            best = Some((peak, order));
+        }
+    }
+    let after = engine.counters();
+    let evaluated =
+        (after.evaluations - before.evaluations) + (after.projection_hits - before.projection_hits);
+    let (peak, order) = best.expect("the sweep evaluated a candidate");
+    (configs[order].clone(), peak, evaluated)
+}
+
 /// Returns `(enumerated, bound_skipped)` so callers can assert
 /// workload-specific prune-rate floors.
 fn check(name: &str, trace: &Trace, limit: Option<usize>) -> (usize, usize) {
     let engine = ExplorationEngine::serial();
-    // The full space includes A2 = profiled classes, which demands a
-    // non-empty class list — same provisioning the methodology performs
-    // before its own sweep.
-    let mut params = Params::footprint_optimised();
-    params.profiled_classes = vec![MIN_BLOCK, 2 * MIN_BLOCK, 4 * MIN_BLOCK, 8 * MIN_BLOCK];
+    let params = sweep_params();
     let (plain_cfg, plain_peak, plain_n) = exhaustive_best(trace, params.clone(), limit).unwrap();
     let (pruned_cfg, pruned_peak, pruned_n) =
         exhaustive_best_with_engine(trace, params, limit, &engine).unwrap();
@@ -107,15 +190,10 @@ fn readme_catalogue_table_matches_the_code() {
 
 #[test]
 fn pruned_exhaustive_search_matches_unpruned_winner() {
-    // Debug replays are ~two orders of magnitude slower than release;
-    // bound the walk there. The prefix still covers every A3/A4 sibling
-    // group many times over (those trees enumerate innermost), so pruning
-    // fires within the first dozen candidates.
-    let limit = if cfg!(debug_assertions) {
-        Some(600)
-    } else {
-        None
-    };
+    // The debug prefix still covers every A3/A4 sibling group many times
+    // over (those trees enumerate innermost), so pruning fires within the
+    // first dozen candidates.
+    let limit = sweep_limit();
     let (enumerated, bound_skipped) =
         check("drr-quick", &DrrWorkload::quick(0).record().unwrap(), limit);
     if !cfg!(debug_assertions) {
@@ -132,4 +210,77 @@ fn pruned_exhaustive_search_matches_unpruned_winner() {
         &RenderWorkload::quick(0).record().unwrap(),
         limit,
     );
+}
+
+#[test]
+fn memoised_ranking_equals_the_per_config_bounds_over_the_whole_space() {
+    let configs = space(None);
+    assert_eq!(configs.len(), 39_840);
+    for w in quick_studies(0) {
+        let facts = TraceFacts::of(&w.record().unwrap());
+        let got = rank_by_bound(&facts, &configs);
+        let want = reference_ranking(&facts, &configs);
+        assert_eq!(got.len(), want.len(), "{}", w.name());
+        if let Some((g, r)) = got.iter().zip(&want).find(|(g, r)| g != r) {
+            panic!(
+                "{}: the memoised ranking has (index, bound) {g:?} where the per-config \
+                 bounds give {r:?}",
+                w.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn memoised_sweep_matches_the_per_config_steps() {
+    for w in quick_studies(0) {
+        let trace = w.record().unwrap();
+        for projection in [false, true] {
+            let engine = || ExplorationEngine::serial().with_projection(projection);
+            let (reference, swept) = (engine(), engine());
+            let (want_cfg, want_peak, want_n) = reference_sweep(&trace, sweep_limit(), &reference);
+            let (got_cfg, got_peak, got_n) =
+                exhaustive_best_with_engine(&trace, sweep_params(), sweep_limit(), &swept).unwrap();
+            let what = format!("{} (projection {projection})", w.name());
+            assert_eq!(got_cfg.fingerprint(), want_cfg.fingerprint(), "{what}");
+            assert_eq!(got_cfg.name, want_cfg.name, "{what}");
+            assert_eq!(got_cfg, want_cfg, "{what}");
+            assert_eq!(got_peak, want_peak, "{what}");
+            assert_eq!(got_n, want_n, "{what}");
+            assert_eq!(swept.counters(), reference.counters(), "{what}");
+            assert_eq!(swept.peak_cut(), reference.peak_cut(), "{what}");
+        }
+    }
+}
+
+#[test]
+fn bounds_are_admissible_over_the_whole_space_on_the_quick_traces() {
+    // Release replays all 39,840 configs per trace (about 7 s in all);
+    // debug replays every 401st (about 10 s).
+    let stride = if cfg!(debug_assertions) { 401 } else { 1 };
+    for w in quick_studies(0) {
+        let trace = w.record().unwrap();
+        let facts = TraceFacts::of(&trace);
+        let compiled = CompiledTrace::compile(&trace);
+        let mut scratch = ReplayScratch::new();
+        let mut checked = 0usize;
+        for cfg in SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), sweep_params())
+            .step_by(stride)
+        {
+            let bound = lower_bound_peak(&facts, &cfg);
+            let mut mgr = PolicyAllocator::new(cfg.clone()).unwrap();
+            let peak = replay_compiled_with(&compiled, &mut mgr, &mut scratch)
+                .unwrap()
+                .peak_footprint;
+            assert!(
+                bound <= peak,
+                "{}: {} ({}) bounds at {bound} B above its replayed peak {peak} B",
+                w.name(),
+                cfg.name,
+                cfg.summary()
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 39_840usize.div_ceil(stride), "{}", w.name());
+    }
 }
