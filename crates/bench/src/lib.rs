@@ -949,9 +949,7 @@ pub fn sweep_comparison(quick: bool) -> Result<SweepReport> {
             );
             side.wallclock_runs_secs.push(again.wallclock_secs);
         }
-        let mut secs = side.wallclock_runs_secs.clone();
-        secs.sort_by(f64::total_cmp);
-        side.wallclock_secs = secs[secs.len() / 2];
+        side.wallclock_secs = median_of(side.wallclock_runs_secs.iter().copied());
         Ok(side)
     };
 
@@ -1073,7 +1071,7 @@ pub fn index_churn() -> IndexChurnReport {
                 let span = Span::new(64 * i, 8);
                 idx.insert(span, bref(span.offset), &mut steps);
             }
-            let mut samples: Vec<f64> = (0..INDEX_CHURN_REPEATS)
+            let samples: Vec<f64> = (0..INDEX_CHURN_REPEATS)
                 .map(|_| {
                     let start = std::time::Instant::now();
                     for _ in 0..ROUNDS {
@@ -1092,8 +1090,7 @@ pub fn index_churn() -> IndexChurnReport {
                 })
                 .collect();
             std::hint::black_box(steps);
-            samples.sort_by(f64::total_cmp);
-            ns_per_block.push(samples[samples.len() / 2]);
+            ns_per_block.push(median_of(samples));
         }
         rows.push(IndexChurnRow {
             structure: structure.to_string(),
@@ -1310,8 +1307,8 @@ where
 }
 
 /// The median of `samples` (the upper one of an even count).
-fn median_of(samples: impl Iterator<Item = f64>) -> f64 {
-    let mut samples: Vec<f64> = samples.collect();
+fn median_of(samples: impl IntoIterator<Item = f64>) -> f64 {
+    let mut samples: Vec<f64> = samples.into_iter().collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
@@ -1331,7 +1328,7 @@ where
     let samples = (0..REPLAY_HOT_REPEATS)
         .map(|_| window_events_per_sec(events, min_duration, &mut run))
         .collect::<Result<Vec<f64>>>()?;
-    Ok(median_of(samples.into_iter()))
+    Ok(median_of(samples))
 }
 
 /// Time the compiled kernel against two managers in interleaved windows,

@@ -57,9 +57,9 @@
 //! builds check a stride).
 //!
 //! The bound reads only five leaves of a configuration plus its
-//! [`Params`] (see `BoundKey`), so over the 39,840-config space it
-//! takes a few dozen to a few hundred distinct values. [`rank_by_bound`]
-//! and the sweep compute it once per key (`BoundMemo`).
+//! [`Params`] (see `BoundKey`): the 39,840 configurations of the sweep's
+//! space share 192 keys. [`rank_by_bound`] and the sweep compute it once
+//! per key (`BoundMemo`).
 
 use std::collections::HashMap;
 
@@ -484,8 +484,8 @@ pub(crate) fn rank_bounds(bounds: impl Iterator<Item = usize>) -> Vec<(usize, us
 /// the plain enumeration fold exactly (see
 /// `crate::methodology::exhaustive_best_with_engine`, which ranks its
 /// space the same way). Each bound is computed once per distinct
-/// (A1, A2, tag bytes, B1, B4) key and parameter block: over the whole
-/// space that is a few dozen to a few hundred bounds, not 39,840.
+/// (A1, A2, tag bytes, B1, B4) key and parameter block: 192 bounds for
+/// the whole 39,840-config space, not 39,840.
 pub fn rank_by_bound(facts: &TraceFacts, configs: &[DmConfig]) -> Vec<(usize, usize)> {
     let mut memo = BoundMemo::new(facts);
     rank_bounds(configs.iter().map(|cfg| memo.bound(cfg)))
