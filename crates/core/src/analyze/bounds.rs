@@ -456,8 +456,8 @@ impl<'a> BoundMemo<'a> {
             debug_assert_eq!(
                 bound,
                 lower_bound_peak(self.facts, cfg),
-                "bound memo differs from a fresh bound for '{}'",
-                cfg.name
+                "bound memo differs from a fresh bound for {}",
+                cfg.summary()
             );
             return bound;
         }
