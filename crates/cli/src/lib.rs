@@ -40,12 +40,14 @@ use dmm_baselines::{KingsleyAllocator, LeaAllocator, ObstackAllocator, RegionAll
 use dmm_core::analyze::{self, Diagnostic, Severity};
 use dmm_core::error::{Error, Result};
 use dmm_core::manager::{Allocator, PolicyAllocator};
-use dmm_core::methodology::{CheckpointJournal, ExplorationEngine, Methodology};
+use dmm_core::methodology::{
+    CandidateEval, CandidateScore, CheckpointJournal, ExplorationEngine, Methodology,
+};
 use dmm_core::profile::Profile;
 use dmm_core::space::config::DmConfig;
 use dmm_core::space::interdep;
 use dmm_core::space::presets;
-use dmm_core::space::trees::{Category, TreeId};
+use dmm_core::space::trees::{Category, Leaf, TreeId};
 use dmm_core::trace::{replay_compiled, CompiledTrace, ReplayBudget, Trace};
 use dmm_report::{Cell, Table};
 use dmm_workloads::{DrrWorkload, ReconWorkload, RenderWorkload, Workload};
@@ -721,14 +723,7 @@ pub fn explore_text(inv: &Invocation) -> Result<String> {
     for d in &outcome.decisions {
         let _ = writeln!(out, "  {} -> {}", d.tree.code(), d.chosen);
         for c in &d.candidates {
-            let marker = if c.leaf == d.chosen { "*" } else { " " };
-            let _ = writeln!(
-                out,
-                "     {marker} {:<28} peak {:>10} B, {:>8} steps",
-                c.leaf.to_string(),
-                c.peak_footprint,
-                c.search_steps
-            );
+            let _ = writeln!(out, "{}", candidate_line(c, d.chosen));
         }
     }
     // The designed config is the best completion found anywhere during the
@@ -753,6 +748,23 @@ pub fn explore_text(inv: &Invocation) -> Result<String> {
         trace.peak_live_requested()
     );
     Ok(out)
+}
+
+/// One candidate of the decision log: the chosen leaf (starred) and its
+/// peak ties with their exact peak and steps, and a candidate that lost on
+/// peak as `peak > N B`, `N` being the tree's best peak.
+fn candidate_line(c: &CandidateEval, chosen: Leaf) -> String {
+    let marker = if c.leaf == chosen { "*" } else { " " };
+    let leaf = c.leaf.to_string();
+    match c.score {
+        CandidateScore::Exact {
+            peak_footprint,
+            search_steps,
+        } => {
+            format!("     {marker} {leaf:<28} peak {peak_footprint:>10} B, {search_steps:>8} steps")
+        }
+        CandidateScore::PeakAbove(best) => format!("     {marker} {leaf:<28} peak > {best:>8} B"),
+    }
 }
 
 /// `dmm explore <workload> --shards=N`: sharded exploration with the
@@ -1177,6 +1189,79 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(tail(&serial), tail(&parallel));
+    }
+
+    #[test]
+    fn decision_log_prints_losers_as_a_bound_on_the_best_peak() {
+        use dmm_core::space::trees::BlockSizes;
+        let (many, pow2) = (
+            Leaf::A2(BlockSizes::Many),
+            Leaf::A2(BlockSizes::PowerOfTwoClasses),
+        );
+        let exact = CandidateEval {
+            leaf: many,
+            score: CandidateScore::Exact {
+                peak_footprint: 8364,
+                search_steps: 3366,
+            },
+        };
+        let lost = CandidateEval {
+            leaf: pow2,
+            score: CandidateScore::PeakAbove(8364),
+        };
+        assert_eq!(
+            candidate_line(&exact, many),
+            "     * many (not fixed)             peak       8364 B,     3366 steps"
+        );
+        assert_eq!(
+            candidate_line(&lost, many),
+            "       fixed: power-of-two classes  peak >     8364 B"
+        );
+        // End to end: the chosen leaf and its peak ties keep their exact
+        // peak and steps, and every other candidate reads `peak > N B`
+        // with N the chosen peak.
+        let text = explore_text(&inv(&["explore", "drr", "--jobs=1"])).unwrap();
+        // One block of candidate rows per tree, after its `  XX -> leaf`
+        // header line.
+        let mut trees: Vec<Vec<Vec<&str>>> = Vec::new();
+        for line in text
+            .lines()
+            .skip_while(|l| !l.starts_with("decision log"))
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+        {
+            if line.starts_with("     ") {
+                trees
+                    .last_mut()
+                    .unwrap()
+                    .push(line.split_whitespace().collect());
+            } else {
+                trees.push(Vec::new());
+            }
+        }
+        assert_eq!(trees.len(), TreeId::ALL.len());
+        let mut lost = 0;
+        for rows in &trees {
+            let tree = format!("{rows:?}");
+            let peak_of = |row: &[&str]| -> Vec<String> {
+                let at = row.iter().position(|w| *w == "peak").unwrap();
+                row[at + 1..].iter().map(|w| w.to_string()).collect()
+            };
+            let chosen = rows.iter().find(|r| r[0] == "*").expect(&tree);
+            let chosen = peak_of(chosen);
+            assert_eq!(chosen[1..], ["B,", &chosen[2], "steps"], "{tree}");
+            for row in rows {
+                let score = peak_of(row);
+                if score[0] == ">" {
+                    assert_eq!(score[1..], [&chosen[0], "B"], "{tree}");
+                    lost += 1;
+                } else {
+                    assert_eq!(score[0], chosen[0], "a tie keeps its exact score: {tree}");
+                    assert_eq!(score.last().unwrap(), "steps", "{tree}");
+                }
+            }
+        }
+        assert!(lost > 0, "{text}");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! ([`super::config_lints::prune_reason`]) still pays a full replay. This
 //! module derives a **sound lower bound** on the peak footprint a
 //! configuration would reach on a trace — `lower_bound_peak(facts, cfg)
-//! ≤ replayed peak`, always — turning [`exhaustive_best_with_engine`]
-//! (`crate::methodology::exhaustive_best_with_engine`) into true
-//! branch-and-bound: once an incumbent's *actual* peak is known, any
+//! ≤ replayed peak`, always — turning
+//! [`exhaustive_best_with_engine`](crate::methodology::exhaustive_best_with_engine)
+//! into true branch-and-bound: once an incumbent's *actual* peak is known, any
 //! candidate whose bound already loses is skipped without replay or cache
 //! lookup, counted by the engine's `bound_pruned` counter.
 //!

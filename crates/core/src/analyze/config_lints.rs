@@ -16,6 +16,8 @@
 //!   without ever changing a winner; the rest are advisories about
 //!   dominated-in-practice (but not provably identical) choices.
 
+use std::ops::ControlFlow;
+
 use crate::space::config::DmConfig;
 use crate::space::interdep::{self, ArrowKind, ARROWS, RULES};
 use crate::space::trees::{
@@ -408,35 +410,47 @@ pub fn soft_arrow_code(from: TreeId, to: TreeId) -> Option<&'static str> {
 /// The dominance/redundancy findings (`DM030`+) for `cfg`.
 pub fn lint_dominance(cfg: &DmConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut push = |code: &str, trees: &[TreeId], message: String| {
-        out.push(Diagnostic::from_entry(dominance_entry(code), message).with_trees(trees));
+    let _ = dominance(cfg, |entry, trees, message| -> ControlFlow<()> {
+        out.push(Diagnostic::from_entry(entry, message()).with_trees(trees));
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// Walk the dominance findings (`DM030`+) of `cfg` in code-family order,
+/// handing each to `finding` as its catalogue entry, the trees it points at
+/// and a builder for its message; the walk stops at the first `Break`.
+/// The one copy of the firing conditions: [`lint_dominance`] renders every
+/// finding, [`prune_reason`] the first prune-safe one, and
+/// [`is_prunable`] renders nothing.
+fn dominance<B>(
+    cfg: &DmConfig,
+    mut finding: impl FnMut(
+        &'static CatalogEntry,
+        &'static [TreeId],
+        &dyn Fn() -> String,
+    ) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let mut push = |code: &str, trees: &'static [TreeId], message: &dyn Fn() -> String| {
+        finding(dominance_entry(code), trees, message)
     };
     if !cfg.may_coalesce() {
         match cfg.recorded_info {
-            RecordedInfo::SizeAndStatus => push(
-                "DM030",
-                &[TreeId::A4RecordedInfo],
-                "status bit recorded but coalescing is off; identical to A4 = size".into(),
-            ),
-            RecordedInfo::SizeStatusPrevSize => push(
-                "DM032",
-                &[TreeId::A4RecordedInfo],
-                "prev-size+status recorded but coalescing is off; 8-byte tag where 4 suffice"
-                    .into(),
-            ),
+            RecordedInfo::SizeAndStatus => push("DM030", &[TreeId::A4RecordedInfo], &|| {
+                "status bit recorded but coalescing is off; identical to A4 = size".into()
+            })?,
+            RecordedInfo::SizeStatusPrevSize => push("DM032", &[TreeId::A4RecordedInfo], &|| {
+                "prev-size+status recorded but coalescing is off; 8-byte tag where 4 suffice".into()
+            })?,
             _ => {}
         }
         match cfg.block_tags {
-            BlockTags::Footer => push(
-                "DM031",
-                &[TreeId::A3BlockTags],
-                "footer tag but coalescing is off; identical to A3 = header".into(),
-            ),
-            BlockTags::HeaderAndFooter => push(
-                "DM036",
-                &[TreeId::A3BlockTags],
-                "header+footer tags but coalescing is off; the footer copy is never read".into(),
-            ),
+            BlockTags::Footer => push("DM031", &[TreeId::A3BlockTags], &|| {
+                "footer tag but coalescing is off; identical to A3 = header".into()
+            })?,
+            BlockTags::HeaderAndFooter => push("DM036", &[TreeId::A3BlockTags], &|| {
+                "header+footer tags but coalescing is off; the footer copy is never read".into()
+            })?,
             _ => {}
         }
     }
@@ -446,46 +460,46 @@ pub fn lint_dominance(cfg: &DmConfig) -> Vec<Diagnostic> {
         push(
             "DM033",
             &[TreeId::E2SplitWhen, TreeId::E1SplitMinSizes],
-            format!(
-                "split_threshold = {} never exceeds the minimum remainder {}; identical to E2 = always",
-                cfg.params.split_threshold,
-                effective_min_remainder(cfg)
-            ),
-        );
+            &|| {
+                format!(
+                    "split_threshold = {} never exceeds the minimum remainder {}; identical to E2 = always",
+                    cfg.params.split_threshold,
+                    effective_min_remainder(cfg)
+                )
+            },
+        )?;
     }
     if cfg.split_min == SplitMinSizes::Floored && cfg.params.split_floor <= MIN_BLOCK {
-        push(
-            "DM034",
-            &[TreeId::E1SplitMinSizes],
+        push("DM034", &[TreeId::E1SplitMinSizes], &|| {
             format!(
                 "split_floor = {} is at or below MIN_BLOCK = {MIN_BLOCK}; identical to E1 = unrestricted",
                 cfg.params.split_floor
-            ),
-        );
+            )
+        })?;
     }
     if cfg.coalesce_max == CoalesceMaxSizes::Capped {
         if let Some(limit) = cfg.params.arena_limit {
             if cfg.params.coalesce_cap >= limit {
-                push(
-                    "DM035",
-                    &[TreeId::D1CoalesceMaxSizes],
+                push("DM035", &[TreeId::D1CoalesceMaxSizes], &|| {
                     format!(
                         "coalesce_cap = {} is at or above the arena limit {limit}; identical to D1 = unlimited",
                         cfg.params.coalesce_cap
-                    ),
-                );
+                    )
+                })?;
             }
         }
         if cfg.may_coalesce() && cfg.params.coalesce_cap < 2 * MIN_BLOCK {
             push(
                 "DM037",
                 &[TreeId::D1CoalesceMaxSizes, TreeId::D2CoalesceWhen],
-                format!(
-                    "coalesce_cap = {} is below the smallest possible merge of {}; coalescing never runs",
-                    cfg.params.coalesce_cap,
-                    2 * MIN_BLOCK
-                ),
-            );
+                &|| {
+                    format!(
+                        "coalesce_cap = {} is below the smallest possible merge of {}; coalescing never runs",
+                        cfg.params.coalesce_cap,
+                        2 * MIN_BLOCK
+                    )
+                },
+            )?;
         }
     }
     if cfg.flexible_size == FlexibleSize::None && cfg.block_tags != BlockTags::None {
@@ -496,13 +510,15 @@ pub fn lint_dominance(cfg: &DmConfig) -> Vec<Diagnostic> {
                 TreeId::A3BlockTags,
                 TreeId::A4RecordedInfo,
             ],
-            format!(
-                "A5 = none leaves the {} tag byte(s) per block unread",
-                cfg.tag_bytes_per_block()
-            ),
-        );
+            &|| {
+                format!(
+                    "A5 = none leaves the {} tag byte(s) per block unread",
+                    cfg.tag_bytes_per_block()
+                )
+            },
+        )?;
     }
-    out
+    ControlFlow::Continue(())
 }
 
 /// Why the exploration engine may skip replaying `cfg`, if it may.
@@ -530,7 +546,30 @@ pub fn lint_dominance(cfg: &DmConfig) -> Vec<Diagnostic> {
 /// winner. Conditions here are deliberately a subset of the `prune_safe`
 /// diagnostics of [`lint_config`]; a space-wide test pins the equivalence.
 pub fn prune_reason(cfg: &DmConfig) -> Option<Diagnostic> {
-    lint_dominance(cfg).into_iter().find(|d| d.prune_safe)
+    match dominance(cfg, |entry, trees, message| {
+        if entry.prune_safe {
+            ControlFlow::Break(Diagnostic::from_entry(entry, message()).with_trees(trees))
+        } else {
+            ControlFlow::Continue(())
+        }
+    }) {
+        ControlFlow::Break(reason) => Some(reason),
+        ControlFlow::Continue(()) => None,
+    }
+}
+
+/// Whether [`prune_reason`] finds a reason to skip `cfg`, without building
+/// the diagnostic: the sweep asks this of every candidate and reads
+/// nothing else.
+pub(crate) fn is_prunable(cfg: &DmConfig) -> bool {
+    dominance(cfg, |entry, _, _| {
+        if entry.prune_safe {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    })
+    .is_break()
 }
 
 #[cfg(test)]
@@ -687,6 +726,11 @@ mod tests {
             let from_full = lint_config(&cfg).into_iter().any(|d| d.prune_safe);
             let fast = prune_reason(&cfg).is_some();
             assert_eq!(from_full, fast, "{}", cfg.summary());
+            assert_eq!(is_prunable(&cfg), fast, "{}", cfg.summary());
+            assert_eq!(
+                prune_reason(&cfg),
+                lint_dominance(&cfg).into_iter().find(|d| d.prune_safe)
+            );
             checked += 1;
             prunable += usize::from(fast);
         }

@@ -10,7 +10,7 @@
 //!   that terminates early at that bound);
 //!
 //! Entries may stand for runs of equal free blocks (see
-//! [`Run`](crate::heap::block::Run)): positions and counts are then in
+//! [`Run`]): positions and counts are then in
 //! *members*, the blocks the faithful walks visit, and a run's rank is the
 //! position of the member a walk meets first.
 //! - `first_at_least` / `first_at_least_from` (and, on [`SeqTree`],

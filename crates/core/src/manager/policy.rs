@@ -18,7 +18,7 @@
 //! coalescing cost per run instead of per block. Members leave a run only
 //! where the modelled manager separates them — a fit hit takes one member,
 //! forward merges and the deferred sweep absorb a prefix, backward merges
-//! and trimming a suffix — through [`PolicyAllocator::detach`]. Every
+//! and trimming a suffix — through `PolicyAllocator::detach`. Every
 //! charge, counter and peak is the sum the member-by-member operations
 //! would produce.
 //!

@@ -51,12 +51,18 @@
 //! enforced in debug builds by the engine's shadow oracle, and
 //! proptested across presets × flat/phased/re-entrant traces.
 //!
-//! A class's entry ([`ProjectedEntry`]) is either a member's full stats or,
-//! when the sweep cut a member's replay short, the floor its peak had
-//! already reached: every member replays identically, so every member's
-//! peak is at least that floor.
+//! # Entries: full stats or a floor
+//!
+//! Both tiers hold a [`CacheEntry`]: a full replay's stats or, when a
+//! replay was cut short at its peak cap, the floor its peak had already
+//! reached. A projected class's floor binds every member, because every
+//! member replays identically. The structural tier keeps the floors of
+//! greedy replays capped at their tree's best peak; a later caller whose
+//! cap is below a floor learns from it that the configuration loses,
+//! without a replay, and an uncapped caller replays the configuration in
+//! full and replaces the floor with its stats.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
@@ -318,14 +324,29 @@ impl ProjectedKey {
     }
 }
 
-/// What the projected tier knows about one equivalence class.
+/// What a cache tier knows about one configuration (structural tier) or
+/// one equivalence class (projected tier).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProjectedEntry {
-    /// A member replayed to the end: every member replays to these stats.
+pub enum CacheEntry {
+    /// A replay ran to the end: the configuration (every class member)
+    /// replays to these stats.
     Stats(FootprintStats),
-    /// A member's replay was cut once its running peak reached this many
-    /// bytes, so every member's peak is at least that.
+    /// A replay was cut once its running peak reached this many bytes, so
+    /// the configuration's (every class member's) peak is at least that.
     PeakAtLeast(usize),
+}
+
+impl CacheEntry {
+    /// Fold `new` into what is known: full stats replace anything, and a
+    /// floor only ever rises. Parallel greedy workers can publish a floor
+    /// for a configuration another worker has just replayed in full.
+    fn absorb(&mut self, new: CacheEntry) {
+        match (&*self, &new) {
+            (CacheEntry::Stats(_), CacheEntry::PeakAtLeast(_)) => {}
+            (CacheEntry::PeakAtLeast(old), CacheEntry::PeakAtLeast(floor)) if old >= floor => {}
+            _ => *self = new,
+        }
+    }
 }
 
 /// A thread-safe memo table from `(trace, configuration)` to the replay's
@@ -357,12 +378,12 @@ pub enum ProjectedEntry {
 /// ```
 #[derive(Debug, Default)]
 pub struct ReplayCache {
-    map: Mutex<HashMap<(TraceKey, ConfigKey), FootprintStats>>,
+    map: Mutex<HashMap<(TraceKey, ConfigKey), CacheEntry>>,
     /// The projected tier: one entry per behavioural equivalence class
     /// (trace-conditioned), shared by every structural member of the
     /// class. Kept separate from the structural map so the exact-identity
     /// contract of [`ReplayCache::get`] is untouched.
-    projected: Mutex<HashMap<(TraceKey, ProjectedKey), ProjectedEntry>>,
+    projected: Mutex<HashMap<(TraceKey, ProjectedKey), CacheEntry>>,
 }
 
 impl ReplayCache {
@@ -372,11 +393,20 @@ impl ReplayCache {
     }
 
     /// Cached replay statistics of `cfg` on the trace fingerprinted as
-    /// `trace`, if present.
+    /// `trace`, if a replay of it ran to the end (a floor is not stats).
     ///
     /// The returned statistics carry the *cached* manager name; callers
     /// that care about labels should restore their own (the engine does).
     pub fn get(&self, trace: TraceKey, cfg: &DmConfig) -> Option<FootprintStats> {
+        match self.lookup(trace, cfg)? {
+            CacheEntry::Stats(stats) => Some(stats),
+            CacheEntry::PeakAtLeast(_) => None,
+        }
+    }
+
+    /// What is known of `cfg` on the trace fingerprinted as `trace`: full
+    /// stats, a floor under its peak, or nothing.
+    pub fn lookup(&self, trace: TraceKey, cfg: &DmConfig) -> Option<CacheEntry> {
         self.map
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -387,10 +417,19 @@ impl ReplayCache {
     /// Record the replay statistics of `cfg` on the trace fingerprinted as
     /// `trace`.
     pub fn insert(&self, trace: TraceKey, cfg: &DmConfig, stats: FootprintStats) {
-        self.map
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert((trace, ConfigKey::of(cfg)), stats);
+        self.record(trace, cfg, CacheEntry::Stats(stats));
+    }
+
+    /// Record what a replay of `cfg` revealed: full stats replace anything
+    /// known, a floor only raises a lower floor.
+    pub fn record(&self, trace: TraceKey, cfg: &DmConfig, entry: CacheEntry) {
+        let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
+        match map.entry((trace, ConfigKey::of(cfg))) {
+            Entry::Occupied(mut known) => known.get_mut().absorb(entry),
+            Entry::Vacant(slot) => {
+                slot.insert(entry);
+            }
+        }
     }
 
     /// What is known of a projected equivalence class, if any member of
@@ -398,7 +437,7 @@ impl ReplayCache {
     ///
     /// As with [`ReplayCache::get`], returned statistics carry the
     /// *cached* member's manager name; callers restore their own.
-    pub fn get_projected(&self, trace: TraceKey, key: &ProjectedKey) -> Option<ProjectedEntry> {
+    pub fn get_projected(&self, trace: TraceKey, key: &ProjectedKey) -> Option<CacheEntry> {
         self.projected
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -410,7 +449,7 @@ impl ReplayCache {
     /// replacing what was known. A sweep only replays a member when the
     /// class holds no stats and at most a floor its cap reaches, so the
     /// replacement is full stats or a higher floor.
-    pub fn insert_projected(&self, trace: TraceKey, key: ProjectedKey, entry: ProjectedEntry) {
+    pub fn insert_projected(&self, trace: TraceKey, key: ProjectedKey, entry: CacheEntry) {
         self.projected
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -624,16 +663,13 @@ mod tests {
         let pk = ProjectedKey::of(&cfg, &proj);
         assert!(cache.get_projected(key, &pk).is_none());
         let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-        cache.insert_projected(key, pk.clone(), ProjectedEntry::PeakAtLeast(100));
+        cache.insert_projected(key, pk.clone(), CacheEntry::PeakAtLeast(100));
         assert_eq!(
             cache.get_projected(key, &pk),
-            Some(ProjectedEntry::PeakAtLeast(100))
+            Some(CacheEntry::PeakAtLeast(100))
         );
-        cache.insert_projected(key, pk.clone(), ProjectedEntry::Stats(fs.clone()));
-        assert_eq!(
-            cache.get_projected(key, &pk),
-            Some(ProjectedEntry::Stats(fs))
-        );
+        cache.insert_projected(key, pk.clone(), CacheEntry::Stats(fs.clone()));
+        assert_eq!(cache.get_projected(key, &pk), Some(CacheEntry::Stats(fs)));
         assert_eq!(cache.projected_len(), 1);
         assert!(cache.is_empty(), "the structural tier is untouched");
 

@@ -11,13 +11,16 @@
 //!
 //! Each cache tier serves one kind of traffic. The greedy and sharded
 //! entry points ([`ExplorationEngine::evaluate_all`],
-//! [`ExplorationEngine::evaluate_config`]) re-derive the same full
-//! configurations over and over, so they go through the structural tier.
-//! The sweep entry point ([`ExplorationEngine::evaluate_bounded`]) sees
-//! each configuration once and could never hit that tier, so it goes
-//! lint → bound → projected tier (when on) → fresh replay instead, and
-//! cuts that replay short once the candidate's running peak shows it
-//! cannot beat the incumbent.
+//! [`ExplorationEngine::evaluate_config`] and the footprint-only greedy
+//! step behind [`Methodology::explore`](crate::methodology::Methodology::explore))
+//! re-derive the same full configurations over and over, so they go
+//! through the structural tier. The sweep entry point
+//! ([`ExplorationEngine::evaluate_bounded`]) sees each configuration once
+//! and could never hit that tier, so it goes lint → bound → projected tier
+//! (when on) → fresh replay instead. Both the sweep and the footprint-only
+//! greedy step cut a replay short once the candidate's running peak shows
+//! it cannot win: the sweep against its incumbent, the greedy step
+//! against the lowest peak among its tree's completions.
 //!
 //! One engine may serve many explorations — the cache key includes a trace
 //! fingerprint, so sharing an engine across portfolio probes, phases,
@@ -32,9 +35,7 @@ use std::sync::{Arc, Mutex};
 use crate::error::{Error, Result};
 use crate::fault::FaultPlan;
 use crate::manager::PolicyAllocator;
-use crate::methodology::cache::{
-    ProjectedEntry, ProjectedKey, ReplayCache, TraceKey, TraceProjection,
-};
+use crate::methodology::cache::{CacheEntry, ProjectedKey, ReplayCache, TraceKey, TraceProjection};
 use crate::methodology::checkpoint::CheckpointJournal;
 use crate::metrics::FootprintStats;
 use crate::space::config::DmConfig;
@@ -164,13 +165,14 @@ pub struct Evaluation {
     pub cache_hit: bool,
 }
 
-/// What a sweep candidate's replay, or its projected-tier lookup, yielded.
-enum Outcome {
+/// What a capped candidate's replay, or its cache lookup, yielded.
+pub(crate) enum Outcome {
     /// Full statistics (boxed: they dwarf the other variant).
     Scored(Box<Evaluation>),
     /// The candidate's peak is at least `floor`, which exceeds its cap:
-    /// it cannot win, and its replay (or a class sibling's) was cut short.
-    Lost { floor: usize },
+    /// it cannot win. Its own replay was cut there, or, with `cache_hit`,
+    /// a cache tier already held that floor and nothing was replayed.
+    Lost { floor: usize, cache_hit: bool },
 }
 
 impl Outcome {
@@ -179,6 +181,22 @@ impl Outcome {
         match self {
             Outcome::Scored(eval) => *eval,
             Outcome::Lost { .. } => unreachable!("a replay without a cap is never cut"),
+        }
+    }
+
+    /// Whether the outcome was served without a replay.
+    pub(crate) fn cache_hit(&self) -> bool {
+        match self {
+            Outcome::Scored(eval) => eval.cache_hit,
+            Outcome::Lost { cache_hit, .. } => *cache_hit,
+        }
+    }
+
+    /// The full statistics, unless the candidate lost on peak.
+    pub(crate) fn stats(&self) -> Option<&FootprintStats> {
+        match self {
+            Outcome::Scored(eval) => Some(&eval.stats),
+            Outcome::Lost { .. } => None,
         }
     }
 }
@@ -207,8 +225,8 @@ pub struct ExplorationEngine {
     bound_pruned: AtomicUsize,
     quarantined: AtomicUsize,
     budget_exceeded: AtomicUsize,
-    /// Sweep replays stopped at their peak cap; each is also an evaluation
-    /// and a replay (see [`ExplorationEngine::peak_cut`]).
+    /// Replays stopped at their peak cap; each is also an evaluation and a
+    /// replay (see [`ExplorationEngine::peak_cut`]).
     peak_cut: AtomicUsize,
     /// Worker threads currently spawned by [`ExplorationEngine::run_parallel`]
     /// across all nesting levels — the shared budget that keeps
@@ -367,11 +385,16 @@ impl ExplorationEngine {
         }
     }
 
-    /// Sweep replays this engine cut short: the candidate's running peak
-    /// passed its cap (see [`ExplorationEngine::evaluate_bounded`]), so the
-    /// replay stopped at that event. Each one is also counted in
-    /// `evaluations` and `replays`; candidates decided by a cut sibling's
-    /// floor count in `projection_hits` instead, and not here.
+    /// Replays this engine cut short: the candidate's running peak passed
+    /// its cap, so the replay stopped at that event. Sweeps cap at the
+    /// incumbent (see [`ExplorationEngine::evaluate_bounded`]), the
+    /// footprint-only greedy step of
+    /// [`Methodology::explore`](crate::methodology::Methodology::explore)
+    /// at the lowest peak among its tree's completions. Each cut is also
+    /// counted in `evaluations` and `replays`. A candidate decided by a
+    /// floor already in the cache is not a cut: it counts in
+    /// `projection_hits` when a sweep's class sibling left the floor, and
+    /// in `cache_hits` when a greedy replay of the same configuration did.
     pub fn peak_cut(&self) -> usize {
         self.peak_cut.load(Ordering::Relaxed)
     }
@@ -407,7 +430,9 @@ impl ExplorationEngine {
     /// cache, a miss replays and is remembered. Sharded exploration leans
     /// on this: each shard is its own cache partition, so replaying the
     /// merged design over a shard whose exploration already scored that
-    /// configuration is a cache hit, not a second replay.
+    /// configuration is a cache hit, not a second replay. The result is
+    /// always full stats: a configuration the cache only holds a floor
+    /// for is replayed in full, and its stats replace the floor.
     ///
     /// # Errors
     ///
@@ -429,6 +454,82 @@ impl ExplorationEngine {
         let eval = self.replay_fresh(trace, key, cfg, None)?.uncapped();
         self.cache.insert(key, cfg, eval.stats.clone());
         Ok(eval)
+    }
+
+    /// Score one greedy tree's completions for a pure-footprint objective,
+    /// in input order. Every completion whose peak is the lowest among
+    /// `cfgs` comes back with full stats; any other may come back
+    /// [`Outcome::Lost`], since it can be neither the tree's argmin nor the
+    /// exploration's incumbent.
+    ///
+    /// Completions the structural tier holds stats for are answered first,
+    /// and the lowest of their peaks is the starting cap. The rest replay
+    /// in input order through [`replay_compiled_limited`], each capped at
+    /// the lowest peak known among the tree's completions when it starts
+    /// (with more than one job, the workers share that running cap). A
+    /// completion whose cached floor already exceeds its cap is answered
+    /// from the floor, as a cache hit. A cut replay leaves its floor in the
+    /// structural tier and counts in `replays` and
+    /// [`ExplorationEngine::peak_cut`]; a complete one leaves its stats.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ExplorationEngine::evaluate_all`].
+    pub(crate) fn evaluate_capped(
+        &self,
+        trace: &Trace,
+        key: TraceKey,
+        cfgs: &[DmConfig],
+    ) -> Result<Vec<Outcome>> {
+        let known: Vec<(&DmConfig, Option<CacheEntry>)> = cfgs
+            .iter()
+            .map(|cfg| (cfg, self.cache.lookup(key, cfg)))
+            .collect();
+        let best = AtomicUsize::new(
+            known
+                .iter()
+                .filter_map(|(_, entry)| match entry {
+                    Some(CacheEntry::Stats(stats)) => Some(stats.peak_footprint),
+                    _ => None,
+                })
+                .min()
+                .unwrap_or(usize::MAX),
+        );
+        let results = self.run_parallel(&known, |(cfg, entry)| {
+            let cap = Some(best.load(Ordering::Relaxed)).filter(|&cap| cap != usize::MAX);
+            match entry {
+                Some(CacheEntry::Stats(stats)) => {
+                    self.evaluations.fetch_add(1, Ordering::Relaxed);
+                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Outcome::Scored(Box::new(Evaluation {
+                        stats: relabel(stats.clone(), cfg),
+                        cache_hit: true,
+                    })));
+                }
+                Some(CacheEntry::PeakAtLeast(floor)) if cap.is_some_and(|cap| *floor > cap) => {
+                    self.evaluations.fetch_add(1, Ordering::Relaxed);
+                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    #[cfg(debug_assertions)]
+                    self.cut_oracle_check(trace, key, cfg, *floor, cap);
+                    return Ok(Outcome::Lost {
+                        floor: *floor,
+                        cache_hit: true,
+                    });
+                }
+                _ => {}
+            }
+            let outcome = self.replay_fresh(trace, key, cfg, cap)?;
+            let entry = match &outcome {
+                Outcome::Scored(eval) => {
+                    best.fetch_min(eval.stats.peak_footprint, Ordering::Relaxed);
+                    CacheEntry::Stats(eval.stats.clone())
+                }
+                Outcome::Lost { floor, .. } => CacheEntry::PeakAtLeast(*floor),
+            };
+            self.cache.record(key, cfg, entry);
+            Ok(outcome)
+        });
+        results.into_iter().collect()
     }
 
     /// Branch-and-bound evaluation — the sweep entry point. A candidate is
@@ -483,7 +584,7 @@ impl ExplorationEngine {
         order: usize,
         incumbent: Option<Incumbent>,
     ) -> Result<Option<Evaluation>> {
-        if crate::analyze::prune_reason(cfg).is_some() {
+        if crate::analyze::config_lints::is_prunable(cfg) {
             self.statically_pruned.fetch_add(1, Ordering::Relaxed);
             return Ok(None);
         }
@@ -528,7 +629,7 @@ impl ExplorationEngine {
         let projection = self.projection_for(key, trace);
         let pkey = ProjectedKey::of(cfg, &projection);
         match self.cache.get_projected(key, &pkey) {
-            Some(ProjectedEntry::Stats(stats)) => {
+            Some(CacheEntry::Stats(stats)) => {
                 self.projection_hits.fetch_add(1, Ordering::Relaxed);
                 let stats = relabel(stats, cfg);
                 #[cfg(debug_assertions)]
@@ -545,18 +646,21 @@ impl ExplorationEngine {
             }
             // A sibling's replay already passed `floor`, and this member
             // replays identically: above its cap, it cannot win either.
-            Some(ProjectedEntry::PeakAtLeast(floor)) if cap.is_some_and(|cap| floor > cap) => {
+            Some(CacheEntry::PeakAtLeast(floor)) if cap.is_some_and(|cap| floor > cap) => {
                 self.projection_hits.fetch_add(1, Ordering::Relaxed);
                 #[cfg(debug_assertions)]
                 self.cut_oracle_check(trace, key, cfg, floor, cap);
-                return Ok(Outcome::Lost { floor });
+                return Ok(Outcome::Lost {
+                    floor,
+                    cache_hit: true,
+                });
             }
             _ => {}
         }
         let outcome = self.replay_fresh(trace, key, cfg, cap)?;
         let entry = match &outcome {
-            Outcome::Scored(eval) => ProjectedEntry::Stats(eval.stats.clone()),
-            Outcome::Lost { floor } => ProjectedEntry::PeakAtLeast(*floor),
+            Outcome::Scored(eval) => CacheEntry::Stats(eval.stats.clone()),
+            Outcome::Lost { floor, .. } => CacheEntry::PeakAtLeast(*floor),
         };
         self.cache.insert_projected(key, pkey, entry);
         Ok(outcome)
@@ -578,9 +682,10 @@ impl ExplorationEngine {
     }
 
     /// The cut-off oracle (debug builds only): a candidate skipped because
-    /// its peak reached `floor` above its cap must, replayed in full, peak
-    /// at least at `floor` and above the cap. A failure here means a cut
-    /// could have dropped the winner.
+    /// its peak reached `floor` above its cap (its own cut replay, or a
+    /// floor a cache tier served) must, replayed in full, peak at least at
+    /// `floor` and above the cap. A failure here means a cut could have
+    /// dropped the winner: a sweep's or a greedy tree's.
     #[cfg(debug_assertions)]
     fn cut_oracle_check(
         &self,
@@ -690,7 +795,10 @@ impl ExplorationEngine {
                 self.peak_cut.fetch_add(1, Ordering::Relaxed);
                 #[cfg(debug_assertions)]
                 self.cut_oracle_check(trace, key, cfg, peak, cap);
-                return Ok(Outcome::Lost { floor: peak });
+                return Ok(Outcome::Lost {
+                    floor: peak,
+                    cache_hit: false,
+                });
             }
         };
         if let Some(journal) = &self.journal {
@@ -1113,9 +1221,73 @@ mod tests {
         let pkey = ProjectedKey::of(&loser, &projection);
         assert!(matches!(
             engine.cache().get_projected(key, &pkey),
-            Some(ProjectedEntry::Stats(_))
+            Some(CacheEntry::Stats(_))
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn capped_greedy_step_cuts_losers_and_serves_their_floors() {
+        let t = trace();
+        let key = TraceKey::of(&t);
+        let engine = ExplorationEngine::serial();
+        let (winner, loser) = (presets::drr_paper(), presets::kingsley_like());
+        let full = ExplorationEngine::serial()
+            .evaluate_config(&t, key, &loser)
+            .unwrap();
+        let cfgs = [winner.clone(), loser.clone()];
+        let first = engine.evaluate_capped(&t, key, &cfgs).unwrap();
+        let best = first[0].stats().expect("the lowest peak is exact");
+        assert!(
+            full.stats.peak_footprint > best.peak_footprint,
+            "fixture premise"
+        );
+        let Outcome::Lost {
+            floor,
+            cache_hit: false,
+        } = first[1]
+        else {
+            panic!("the loser's replay is cut");
+        };
+        assert!(floor > best.peak_footprint && floor <= full.stats.peak_footprint);
+        assert_eq!(engine.peak_cut(), 1);
+        let c = engine.counters();
+        assert_eq!((c.evaluations, c.replays, c.cache_hits), (2, 2, 0));
+        assert_eq!(
+            engine.cache().lookup(key, &loser),
+            Some(CacheEntry::PeakAtLeast(floor))
+        );
+        assert!(
+            engine.cache().get(key, &loser).is_none(),
+            "a floor is not stats"
+        );
+
+        // Asked again under the same cap: both answers come from the
+        // structural tier, the loser's from its floor.
+        let again = engine.evaluate_capped(&t, key, &cfgs).unwrap();
+        assert!(again[0].cache_hit() && again[1].cache_hit());
+        assert!(again[1].stats().is_none());
+        let c = engine.counters();
+        assert_eq!((c.evaluations, c.replays, c.cache_hits), (4, 2, 2));
+        assert_eq!(
+            engine.peak_cut(),
+            1,
+            "a floor-served candidate is not a cut"
+        );
+
+        // Alone, the loser is its tree's best: replayed in full, its stats
+        // replace the floor.
+        let alone = engine.evaluate_capped(&t, key, &cfgs[1..]).unwrap();
+        assert_eq!(alone[0].stats(), Some(&full.stats));
+        assert_eq!(engine.cache().get(key, &loser), Some(full.stats.clone()));
+
+        // An uncapped caller replays a floor in full, too.
+        let other = ExplorationEngine::serial();
+        other.evaluate_capped(&t, key, &cfgs).unwrap();
+        let eval = other.evaluate_config(&t, key, &loser).unwrap();
+        assert!(!eval.cache_hit);
+        assert_eq!(eval.stats, full.stats);
+        assert_eq!(other.counters().replays, 3);
     }
 
     #[test]

@@ -64,10 +64,44 @@ pub enum CompletionStyle {
 pub struct CandidateEval {
     /// The leaf under evaluation.
     pub leaf: Leaf,
-    /// Peak footprint of the completed configuration on the trace.
-    pub peak_footprint: usize,
-    /// Search steps of the completed configuration (tie-breaker).
-    pub search_steps: u64,
+    /// How the completed configuration scored on the trace.
+    pub score: CandidateScore,
+}
+
+impl CandidateEval {
+    /// `(peak footprint, search steps)` of the completed configuration,
+    /// when the log holds them exactly.
+    pub fn exact(&self) -> Option<(usize, u64)> {
+        match self.score {
+            CandidateScore::Exact {
+                peak_footprint,
+                search_steps,
+            } => Some((peak_footprint, search_steps)),
+            CandidateScore::PeakAbove(_) => None,
+        }
+    }
+}
+
+/// A candidate's score in the decision log.
+///
+/// Under [`Objective::Footprint`] every candidate whose peak exceeds its
+/// tree's best is logged as [`CandidateScore::PeakAbove`] that best,
+/// however far its replay ran, so the log does not depend on evaluation
+/// order, worker count or a journal resume. Candidates that tie on the
+/// best peak stay exact: the step tie-break reads them. Under
+/// [`Objective::Weighted`] every score is exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CandidateScore {
+    /// The completed configuration's replayed peak and search steps.
+    Exact {
+        /// Peak footprint on the trace.
+        peak_footprint: usize,
+        /// Search steps (the tie-breaker).
+        search_steps: u64,
+    },
+    /// The completed configuration peaks above this many bytes, the best
+    /// peak among the tree's candidates: it lost on peak.
+    PeakAbove(usize),
 }
 
 /// The record of one tree's decision.
@@ -92,8 +126,12 @@ pub struct ExplorationOutcome {
     pub decisions: Vec<DecisionRecord>,
     /// Candidate evaluations spent, over every portfolio hypothesis: each
     /// is a fresh replay or a hit in the engine's [`cache::ReplayCache`]
-    /// (or checkpoint journal). Greedy exploration never prunes, projects
-    /// or quarantines, so the other counters stay zero.
+    /// (or checkpoint journal). Under [`Objective::Footprint`] a replay
+    /// may stop once the candidate's peak passes its tree's best (it still
+    /// counts in `replays`, and in the engine's
+    /// [`ExplorationEngine::peak_cut`]), and a cached floor above that
+    /// best answers a candidate as a cache hit. Greedy exploration never
+    /// prunes, projects or quarantines, so the other counters stay zero.
     pub counters: EngineCounters,
     /// The profile that seeded the parameters.
     pub profile: Profile,
@@ -430,10 +468,12 @@ impl Methodology {
     /// argmin, its tie-breaks and the decision log do not depend on the
     /// engine's jobs. Only the cache-hit/replay split of the counters may
     /// differ, because concurrent workers can both miss on the same
-    /// configuration. Sharing one engine across related explorations
-    /// (objective sweeps, repeated designs on the same trace, bench
-    /// harnesses) lets its replay cache deduplicate configurations the
-    /// separate runs would otherwise re-replay.
+    /// configuration, and under [`Objective::Footprint`] a worker may cut
+    /// a loser later than a serial run would, or not at all. Sharing one
+    /// engine across related explorations (objective sweeps, repeated
+    /// designs on the same trace, bench harnesses) lets its replay cache
+    /// deduplicate configurations the separate runs would otherwise
+    /// re-replay.
     ///
     /// # Errors
     ///
@@ -508,7 +548,12 @@ impl Methodology {
         // returning the incumbent makes `explore` the argmin over every
         // configuration it evaluated — never worse than plain greedy
         // (including greedy's fewer-search-steps tie-break).
-        let mut incumbent: Option<(DmConfig, FootprintStats, CandidateEval)> = None;
+        let mut incumbent: Option<(DmConfig, FootprintStats)> = None;
+        // A pure-footprint objective ranks on peak first, so a completion
+        // whose peak passes its tree's best can be neither that tree's
+        // argmin nor the incumbent, and its replay may stop there. A
+        // weighted objective can trade peak for steps: full replays.
+        let capped = self.objective == Objective::Footprint;
 
         for &tree in &self.order {
             let candidates = admissible_leaves(tree, &partial);
@@ -529,52 +574,70 @@ impl Methodology {
                 trial.set(leaf);
                 completions.push(self.complete(&trial, &params, style)?);
             }
-            let scored = engine.evaluate_all(trace, trace_key, &completions)?;
+            let outcomes = if capped {
+                engine.evaluate_capped(trace, trace_key, &completions)?
+            } else {
+                engine
+                    .evaluate_all(trace, trace_key, &completions)?
+                    .into_iter()
+                    .map(|eval| engine::Outcome::Scored(Box::new(eval)))
+                    .collect()
+            };
+            let best_peak = outcomes
+                .iter()
+                .filter_map(|o| o.stats().map(|fs| fs.peak_footprint))
+                .min()
+                .expect("a tree's lowest peak is always replayed in full");
             let mut evals = Vec::with_capacity(candidates.len());
-            for ((leaf, cfg), outcome) in candidates.into_iter().zip(completions).zip(scored) {
-                tally(&mut counters, &outcome);
-                let fs = outcome.stats;
-                let eval = CandidateEval {
-                    leaf,
-                    peak_footprint: fs.peak_footprint,
-                    search_steps: fs.stats.search_steps,
+            for ((leaf, cfg), outcome) in candidates.into_iter().zip(completions).zip(outcomes) {
+                tally(&mut counters, outcome.cache_hit());
+                let fs = match outcome {
+                    engine::Outcome::Scored(eval)
+                        if !capped || eval.stats.peak_footprint == best_peak =>
+                    {
+                        eval.stats
+                    }
+                    _ => {
+                        evals.push(CandidateEval {
+                            leaf,
+                            score: CandidateScore::PeakAbove(best_peak),
+                        });
+                        continue;
+                    }
                 };
-                let better_than_incumbent = match &incumbent {
-                    None => true,
-                    Some((_, _, best)) => self
-                        .objective
-                        .cmp_raw(
-                            (eval.peak_footprint, eval.search_steps),
-                            (best.peak_footprint, best.search_steps),
-                        )
-                        .is_lt(),
-                };
+                let score = (fs.peak_footprint, fs.stats.search_steps);
+                let better_than_incumbent = incumbent.as_ref().is_none_or(|(_, best)| {
+                    self.objective
+                        .cmp_raw(score, (best.peak_footprint, best.stats.search_steps))
+                        .is_lt()
+                });
                 if better_than_incumbent {
-                    incumbent = Some((cfg, fs, eval.clone()));
+                    incumbent = Some((cfg, fs));
                 }
-                evals.push(eval);
+                evals.push(CandidateEval {
+                    leaf,
+                    score: CandidateScore::Exact {
+                        peak_footprint: score.0,
+                        search_steps: score.1,
+                    },
+                });
             }
             let objective = self.objective;
-            let best = evals
+            let (chosen, _) = evals
                 .iter()
-                .min_by(|a, b| {
-                    objective.cmp_raw(
-                        (a.peak_footprint, a.search_steps),
-                        (b.peak_footprint, b.search_steps),
-                    )
-                })
-                .expect("candidates checked non-empty")
-                .clone();
-            partial.set(best.leaf);
+                .filter_map(|e| Some((e.leaf, e.exact()?)))
+                .min_by(|a, b| objective.cmp_raw(a.1, b.1))
+                .expect("candidates checked non-empty");
+            partial.set(chosen);
             decisions.push(DecisionRecord {
                 tree,
-                chosen: best.leaf,
+                chosen,
                 candidates: evals,
             });
         }
 
         let (config, footprint) = match incumbent {
-            Some((cfg, fs, _)) => {
+            Some((cfg, fs)) => {
                 cfg.validate()?;
                 (cfg, fs)
             }
@@ -985,7 +1048,7 @@ impl Methodology {
             // Keep the streaming bound: drop the compiled copy (if this
             // evaluation missed the cache and compiled) with the shard.
             engine.release_compiled(key);
-            tally(&mut counters, &eval);
+            tally(&mut counters, eval.cache_hit);
             match composed.as_mut() {
                 None => composed = Some(eval.stats),
                 Some(acc) => acc.absorb_shard(&eval.stats),
@@ -1019,11 +1082,11 @@ impl Methodology {
     }
 }
 
-/// Count one strict-path evaluation: a fresh replay or a cache (or
-/// journal) hit, as the engine counted it.
-fn tally(counters: &mut EngineCounters, eval: &Evaluation) {
+/// Count one greedy or sharded evaluation: a fresh replay (cut or
+/// complete) or a cache (or journal) hit, as the engine counted it.
+fn tally(counters: &mut EngineCounters, cache_hit: bool) {
     counters.evaluations += 1;
-    if eval.cache_hit {
+    if cache_hit {
         counters.cache_hits += 1;
     } else {
         counters.replays += 1;
@@ -1348,17 +1411,41 @@ mod tests {
         // Decisions come in the paper's order.
         let order: Vec<TreeId> = outcome.decisions.iter().map(|d| d.tree).collect();
         assert_eq!(order, TRAVERSAL_ORDER.to_vec());
-        // Every decision's chosen leaf is the argmin of its candidates.
+        // Every decision's chosen leaf is the argmin of its candidates: its
+        // exact score is the lowest exact one, and every candidate logged
+        // as lost peaks above it.
         for d in &outcome.decisions {
-            let min = d.candidates.iter().map(|c| c.peak_footprint).min().unwrap();
-            let chosen = d
+            let (chosen, _) = d
                 .candidates
                 .iter()
                 .find(|c| c.leaf == d.chosen)
-                .unwrap()
-                .peak_footprint;
-            assert_eq!(chosen, min, "{:?} chose a non-minimal leaf", d.tree);
+                .and_then(CandidateEval::exact)
+                .expect("the chosen leaf is scored exactly");
+            for c in &d.candidates {
+                match c.score {
+                    CandidateScore::Exact { peak_footprint, .. } => {
+                        assert_eq!(peak_footprint, chosen, "{:?}: an exact loser", d.tree)
+                    }
+                    CandidateScore::PeakAbove(best) => assert_eq!(best, chosen, "{:?}", d.tree),
+                }
+            }
         }
+    }
+
+    #[test]
+    fn greedy_cuts_leave_floors_that_answer_a_repeated_design() {
+        let t = fragmenting_trace();
+        let engine = ExplorationEngine::serial();
+        let first = Methodology::new().explore_with_engine(&t, &engine).unwrap();
+        let cuts = engine.peak_cut();
+        assert!(cuts > 0);
+        // Every cut configuration's floor still exceeds its tree's cap, so
+        // the repeat replays nothing, and logs the same decisions.
+        let again = Methodology::new().explore_with_engine(&t, &engine).unwrap();
+        assert_eq!(again.counters.replays, 0);
+        assert_eq!(again.counters.cache_hits, again.counters.evaluations);
+        assert_eq!(engine.peak_cut(), cuts);
+        assert_eq!(again.decisions, first.decisions);
     }
 
     #[test]

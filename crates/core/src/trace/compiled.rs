@@ -3,7 +3,8 @@
 //!
 //! The methodology is replay-bound — every candidate configuration is
 //! scored by re-simulating the same recorded trace, so replay throughput
-//! *is* the exploration budget. The classic interpreter ([`replay`]) pays
+//! *is* the exploration budget. The classic interpreter
+//! ([`replay`](super::replay)) pays
 //! two per-event costs that a pre-pass can eliminate:
 //!
 //! 1. a `HashMap<u64, BlockHandle>` insert/remove per alloc/free to match
@@ -69,8 +70,8 @@ const BUDGET_CLOCK_STRIDE: usize = 1024;
 ///   the production guard against candidates whose cost the step model
 ///   under-charges.
 ///
-/// Checks are throttled (every [`BUDGET_STEP_STRIDE`] events for steps,
-/// every [`BUDGET_CLOCK_STRIDE`] for the clock, and both once after the
+/// Checks are throttled (every `BUDGET_STEP_STRIDE` events for steps,
+/// every `BUDGET_CLOCK_STRIDE` for the clock, and both once after the
 /// last event), so a budgeted replay that stays under budget is
 /// bit-identical to — and nearly as fast as — an unbudgeted one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -258,8 +259,8 @@ const VACANT: BlockHandle = BlockHandle::new(usize::MAX, u32::MAX);
 /// distinct compiled traces): every replay starts by clearing and resizing
 /// the table to the trace's [`CompiledTrace::slot_count`], so no handle —
 /// not even one stranded by a mid-replay error such as
-/// [`Error::OutOfMemory`](crate::Error::OutOfMemory) — can leak from one
-/// replay into the next. Reuse is what makes the exploration loop
+/// [`Error::OutOfMemory`] — can leak from one replay into the next. Reuse
+/// is what makes the exploration loop
 /// allocation-free: the engine keeps one scratch per worker thread across
 /// the hundreds of replays of an `explore` call.
 #[derive(Debug, Clone, Default)]
@@ -293,8 +294,8 @@ impl ReplayScratch {
 }
 
 /// Replay a compiled trace against a manager — the monomorphized hot-path
-/// kernel. Bit-identical [`FootprintStats`] to [`replay`] on the source
-/// trace.
+/// kernel. Bit-identical [`FootprintStats`] to [`replay`](super::replay)
+/// on the source trace.
 ///
 /// `A: Allocator + ?Sized`, so this serves both worlds: call it with a
 /// concrete manager type and the event loop monomorphizes (no virtual
@@ -303,7 +304,7 @@ impl ReplayScratch {
 ///
 /// # Errors
 ///
-/// Propagates manager errors ([`Error::OutOfMemory`](crate::Error::OutOfMemory)).
+/// Propagates manager errors ([`Error::OutOfMemory`]).
 pub fn replay_compiled<A: Allocator + ?Sized>(
     compiled: &CompiledTrace,
     manager: &mut A,
@@ -331,13 +332,14 @@ pub fn replay_compiled_with<A: Allocator + ?Sized>(
 /// Like [`replay_compiled_with`], under a per-candidate [`ReplayBudget`]
 /// and an optional peak cap — the exploration engine's kernel.
 ///
-/// The replay aborts with
-/// [`Error::BudgetExceeded`](crate::Error::BudgetExceeded) once the
-/// manager's charged search steps (or the wall clock, started when the
-/// replay begins) cross the budget. With a `cap`, it stops at the first
-/// event after which the manager's peak footprint exceeds the cap — the
-/// sweep's cut-off for a candidate that can no longer win (see
-/// [`ExplorationEngine::evaluate_bounded`](crate::methodology::ExplorationEngine::evaluate_bounded)).
+/// The replay aborts with [`Error::BudgetExceeded`] once the manager's
+/// charged search steps (or the wall clock, started when the replay
+/// begins) cross the budget. With a `cap`, it stops at the first event
+/// after which the manager's peak footprint exceeds the cap — the cut-off
+/// for a candidate that can no longer win, in a sweep (see
+/// [`ExplorationEngine::evaluate_bounded`](crate::methodology::ExplorationEngine::evaluate_bounded))
+/// and in the footprint-only greedy traversal of
+/// [`Methodology::explore`](crate::methodology::Methodology::explore).
 /// The peak is compared after **every** event: it only changes at event
 /// boundaries, and sweep traces are a few hundred events long, so a
 /// coarser stride would forfeit most of the saving. Without a cap the
@@ -347,8 +349,7 @@ pub fn replay_compiled_with<A: Allocator + ?Sized>(
 ///
 /// # Errors
 ///
-/// As for [`replay_compiled`], plus
-/// [`Error::BudgetExceeded`](crate::Error::BudgetExceeded); a cut is an
+/// As for [`replay_compiled`], plus [`Error::BudgetExceeded`]; a cut is an
 /// outcome, not an error.
 pub fn replay_compiled_limited<A: Allocator + ?Sized>(
     compiled: &CompiledTrace,

@@ -144,7 +144,7 @@ impl LodChain {
 
     /// Pick a level for an object at `distance` (near ⇒ finest).
     ///
-    /// Matches the QoS idea of the paper's reference [14]: quality degrades
+    /// Matches the QoS idea of the paper's reference \[14\]: quality degrades
     /// smoothly as the object recedes.
     pub fn level_for_distance(&self, distance: f32) -> usize {
         let max = self.levels.len() - 1;

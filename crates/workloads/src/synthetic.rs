@@ -202,7 +202,7 @@ fn adversarial_window(rng: &mut StdRng, b: &mut TraceBuilder, pairs: usize) {
 }
 
 /// An adversarial fragmentation trace of `windows` lifetime-closed
-/// [`adversarial_window`]s, materialised whole: the alloc/free sequence
+/// `adversarial_window`s, materialised whole: the alloc/free sequence
 /// is crafted so FirstFit/BestFit strand half of every window's small
 /// bytes as unusable holes at the moment demand peaks. Deterministic per
 /// seed; prefer [`adversarial_fragmentation_shards`] for streaming.

@@ -159,7 +159,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// A number-of-elements specification for [`vec`].
+    /// A number-of-elements specification for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -191,7 +191,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -218,8 +218,10 @@ fn killed_exploration_resumes_bit_identical_from_any_journal_prefix() {
         assert_eq!(resumed.config, full.config, "winner moved at cut {cut}");
         assert_eq!(resumed.footprint, full.footprint, "peak moved at cut {cut}");
         assert_eq!(resumed.counters.evaluations, full.counters.evaluations);
-        // The full run journals one entry per replay, so every salvaged
-        // entry is exactly one replay the resumed run must not repeat.
+        // The full run journals one entry per complete replay, so every
+        // salvaged entry is exactly one replay the resumed run must not
+        // repeat. Cut replays are not journalled: the resumed run cuts
+        // them again, at the same caps.
         assert_eq!(
             resumed.counters.replays,
             full.counters.replays - salvaged,
