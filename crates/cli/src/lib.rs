@@ -750,20 +750,34 @@ pub fn explore_text(inv: &Invocation) -> Result<String> {
     Ok(out)
 }
 
+/// Width of the decision log's leaf column: the longest leaf label, so
+/// the score column lines up for every tree.
+fn leaf_column() -> usize {
+    TreeId::ALL
+        .iter()
+        .flat_map(|tree| tree.leaves())
+        .map(|leaf| leaf.to_string().chars().count())
+        .max()
+        .unwrap_or(0)
+}
+
 /// One candidate of the decision log: the chosen leaf (starred) and its
 /// peak ties with their exact peak and steps, and a candidate that lost on
 /// peak as `peak > N B`, `N` being the tree's best peak.
 fn candidate_line(c: &CandidateEval, chosen: Leaf) -> String {
     let marker = if c.leaf == chosen { "*" } else { " " };
     let leaf = c.leaf.to_string();
+    let width = leaf_column();
     match c.score {
         CandidateScore::Exact {
             peak_footprint,
             search_steps,
-        } => {
-            format!("     {marker} {leaf:<28} peak {peak_footprint:>10} B, {search_steps:>8} steps")
+        } => format!(
+            "     {marker} {leaf:<width$} peak {peak_footprint:>10} B, {search_steps:>8} steps"
+        ),
+        CandidateScore::PeakAbove(best) => {
+            format!("     {marker} {leaf:<width$} peak > {best:>8} B")
         }
-        CandidateScore::PeakAbove(best) => format!("     {marker} {leaf:<28} peak > {best:>8} B"),
     }
 }
 
@@ -1211,12 +1225,13 @@ mod tests {
         };
         assert_eq!(
             candidate_line(&exact, many),
-            "     * many (not fixed)             peak       8364 B,     3366 steps"
+            "     * many (not fixed)              peak       8364 B,     3366 steps"
         );
         assert_eq!(
             candidate_line(&lost, many),
-            "       fixed: power-of-two classes  peak >     8364 B"
+            "       fixed: power-of-two classes   peak >     8364 B"
         );
+        assert_eq!(leaf_column(), "deferred (on allocation miss)".len());
         // End to end: the chosen leaf and its peak ties keep their exact
         // peak and steps, and every other candidate reads `peak > N B`
         // with N the chosen peak.

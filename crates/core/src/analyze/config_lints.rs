@@ -132,11 +132,7 @@ const SOFT_LINTS: &[SoftLint] = &[
         code: "DM023",
         from: TreeId::D2CoalesceWhen,
         to: TreeId::A3BlockTags,
-        fires: |c| {
-            c.coalesce_when == CoalesceWhen::Always
-                && !matches!(c.block_tags, BlockTags::Footer | BlockTags::HeaderAndFooter)
-                && !c.recorded_info.knows_prev()
-        },
+        fires: |c| c.coalesce_when == CoalesceWhen::Always && !c.cheap_prev(),
         fix: "add a footer (A3) or record prev-size (A4) for O(1) backward merge",
         details: "Immediate coalescing merges with the physical predecessor on \
                   every free; without a footer or a recorded prev-size that \
@@ -335,16 +331,6 @@ fn dominance_entry(code: &str) -> &'static CatalogEntry {
         .expect("dominance code catalogued")
 }
 
-/// The minimum split remainder the policy enforces — mirrors the private
-/// `PolicyAllocator::min_remainder` (policy.rs); a unit test pins the two
-/// against each other via replay identity.
-fn effective_min_remainder(cfg: &DmConfig) -> usize {
-    match cfg.split_min {
-        SplitMinSizes::Unrestricted => MIN_BLOCK,
-        SplitMinSizes::Floored => cfg.params.split_floor.max(MIN_BLOCK),
-    }
-}
-
 /// All configuration diagnostics for `cfg`: hard-rule violations
 /// (`DM001`–`DM011`), parameter failures (`DM012`), soft-arrow advisories
 /// (`DM020`–`DM026`) and dominance findings (`DM030`+).
@@ -454,9 +440,7 @@ fn dominance<B>(
             _ => {}
         }
     }
-    if cfg.split_when == SplitWhen::Threshold
-        && cfg.params.split_threshold <= effective_min_remainder(cfg)
-    {
+    if cfg.split_when == SplitWhen::Threshold && cfg.params.split_threshold <= cfg.min_remainder() {
         push(
             "DM033",
             &[TreeId::E2SplitWhen, TreeId::E1SplitMinSizes],
@@ -464,7 +448,7 @@ fn dominance<B>(
                 format!(
                     "split_threshold = {} never exceeds the minimum remainder {}; identical to E2 = always",
                     cfg.params.split_threshold,
-                    effective_min_remainder(cfg)
+                    cfg.min_remainder()
                 )
             },
         )?;

@@ -50,7 +50,7 @@ mod ordered;
 pub mod rank;
 
 pub use linked::{DllIndex, SllIndex};
-pub use ordered::{AddrIndex, SizeTreeIndex};
+pub use ordered::{executed_fit, AddrIndex, SizeTreeIndex};
 
 use std::ops::Range;
 

@@ -46,7 +46,7 @@ use crate::heap::block::{Run, Span};
 use crate::heap::index::rank::{AddrEntry, AddrList};
 use crate::heap::index::{Found, FreeIndex, Unlink};
 use crate::heap::tiling::BlockRef;
-use crate::space::trees::FitAlgorithm;
+use crate::space::trees::{BlockStructure, FitAlgorithm};
 use crate::units::POINTER_BYTES;
 
 /// Ordered indexes need no unlink token — removal keys on the span.
@@ -364,6 +364,22 @@ impl SizeTreeIndex {
     }
 }
 
+/// The fit a free index of A1 structure `structure` runs when asked for
+/// `fit`. In a size-ordered tree the first block that fits *is* the best
+/// fit: [`SizeTreeIndex`]'s `find` answers both with one lookup at one
+/// `log_cost` charge, so that tree runs best fit as first fit. Every other
+/// structure runs the fit it is asked for.
+///
+/// The policy allocator searches with this fit and the projection key
+/// keeps it, so configurations that differ only in a fit their index does
+/// not tell apart share a key.
+pub fn executed_fit(structure: BlockStructure, fit: FitAlgorithm) -> FitAlgorithm {
+    match (structure, fit) {
+        (BlockStructure::SizeOrderedTree, FitAlgorithm::BestFit) => FitAlgorithm::FirstFit,
+        _ => fit,
+    }
+}
+
 impl FreeIndex for SizeTreeIndex {
     fn insert_run(&mut self, run: Run, block: BlockRef, steps: &mut u64) -> usize {
         *steps += log_cost_sum(self.members, self.members + run.count);
@@ -427,7 +443,8 @@ impl FreeIndex for SizeTreeIndex {
         };
         let hit = match fit {
             // In a size-ordered structure the "first" block that fits *is*
-            // the best fit — a realistic consequence of the A1 choice.
+            // the best fit — a realistic consequence of the A1 choice, and
+            // what `executed_fit` states.
             FitAlgorithm::FirstFit | FitAlgorithm::BestFit => {
                 self.by_size.range((len, 0)..).next().map(lowest)
             }
@@ -526,6 +543,69 @@ mod tests {
         let best = idx.find(FitAlgorithm::BestFit, 48, &mut s).unwrap();
         assert_eq!(first, best);
         assert_eq!(first.span.len, 64);
+    }
+
+    /// The size tree runs best fit as `executed_fit` says, as first fit:
+    /// over a random sequence of run inserts, whole-run and first-member
+    /// removals and finds, both return the same hit — the smallest block
+    /// that fits, lowest address first — at the same charge.
+    #[test]
+    fn size_tree_runs_best_fit_as_first_fit_under_churn() {
+        let runs_as = executed_fit(BlockStructure::SizeOrderedTree, FitAlgorithm::BestFit);
+        assert_eq!(runs_as, FitAlgorithm::FirstFit);
+        let mut idx = SizeTreeIndex::new();
+        // Runs start on distinct 1 KiB slots and span at most 320 bytes.
+        let mut live: Vec<Run> = Vec::new();
+        let mut s = 0u64;
+        let mut x: u64 = 0x5EED_0FBE_57F1_7701;
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if live.len() < 3 || !x.is_multiple_of(3) {
+                let slot = (x % 512) as usize;
+                let member_len = 16 + (x >> 32) as usize % 9 * 8;
+                let run = Run::new(slot * 1024, member_len, 1 + (x >> 40) as usize % 4);
+                if live.iter().all(|r| r.offset / 1024 != slot) {
+                    idx.insert_run(run, bref(run.offset), &mut s);
+                    live.push(run);
+                }
+            } else {
+                let i = (x as usize / 5) % live.len();
+                let run = live[i];
+                if run.count > 1 && x & 8 == 0 {
+                    let rest = Run::new(run.member(1).offset, run.len, run.count - 1);
+                    let upper = Some(bref(rest.offset));
+                    idx.remove_members(NO_TOKEN, run, 0..1, Unlink::Ascending, upper, &mut s)
+                        .unwrap();
+                    live[i] = rest;
+                } else {
+                    idx.remove_members(
+                        NO_TOKEN,
+                        run,
+                        0..run.count,
+                        Unlink::Ascending,
+                        None,
+                        &mut s,
+                    )
+                    .unwrap();
+                    live.swap_remove(i);
+                }
+            }
+            let len = 8 + (x >> 48) as usize % 96;
+            let (mut ran_steps, mut best_steps) = (0u64, 0u64);
+            let ran = idx.find(runs_as, len, &mut ran_steps);
+            let best = idx.find(FitAlgorithm::BestFit, len, &mut best_steps);
+            assert_eq!(ran, best, "hit for {len} B");
+            assert_eq!(ran_steps, best_steps, "charge for {len} B");
+            let smallest = live
+                .iter()
+                .filter(|r| r.len >= len)
+                .map(|r| (r.len, r.offset))
+                .min();
+            assert_eq!(best.map(|f| (f.span.len, f.span.offset)), smallest);
+        }
+        idx.check_oracle().unwrap();
     }
 
     #[test]

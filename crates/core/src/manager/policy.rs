@@ -39,15 +39,13 @@ use std::ops::Range;
 use crate::error::{Error, Result};
 use crate::heap::arena::Arena;
 use crate::heap::block::{Block, Run, Span};
-use crate::heap::index::{FreeIndex, Unlink};
+use crate::heap::index::{executed_fit, FreeIndex, Unlink};
 use crate::heap::tiling::{BlockRef, Tiling};
 use crate::manager::pools::{Pools, UNINDEXED};
 use crate::manager::{Allocator, BlockHandle};
 use crate::metrics::AllocStats;
 use crate::space::config::DmConfig;
-use crate::space::trees::{
-    BlockSizes, BlockTags, CoalesceMaxSizes, CoalesceWhen, FitAlgorithm, PoolDivision, SplitWhen,
-};
+use crate::space::trees::{BlockSizes, CoalesceMaxSizes, CoalesceWhen, FitAlgorithm, PoolDivision};
 use crate::units::{align_up, MIN_ALIGN, MIN_BLOCK, SBRK_GRANULARITY};
 
 /// The deferred sweep walks the whole heap once its dirty list would
@@ -96,6 +94,9 @@ pub struct PolicyAllocator {
     /// allocating (see [`Allocator::name_shared`]).
     name_arc: std::sync::Arc<str>,
     tag_bytes: usize,
+    /// The C1 fit the pool indexes run ([`executed_fit`]): the only fit
+    /// the manager reads.
+    fit: FitAlgorithm,
     arena: Arena,
     blocks: Tiling,
     pools: Pools,
@@ -139,6 +140,7 @@ impl PolicyAllocator {
         let mut m = PolicyAllocator {
             name_arc: std::sync::Arc::from(cfg.name.as_str()),
             tag_bytes: cfg.tag_bytes_per_block(),
+            fit: executed_fit(cfg.block_structure, cfg.fit),
             arena,
             blocks: Tiling::new(),
             pools,
@@ -170,35 +172,13 @@ impl PolicyAllocator {
         self.pools.class_len(raw)
     }
 
-    /// Smallest remainder worth keeping as its own block after a split.
-    fn min_remainder(&self) -> usize {
-        match self.cfg.split_min {
-            crate::space::trees::SplitMinSizes::Unrestricted => MIN_BLOCK,
-            crate::space::trees::SplitMinSizes::Floored => {
-                self.cfg.params.split_floor.max(MIN_BLOCK)
-            }
-        }
-    }
-
-    /// Remainder size required before a split is performed at all.
-    fn split_trigger(&self) -> Option<usize> {
-        if !self.cfg.may_split() {
-            return None;
-        }
-        match self.cfg.split_when {
-            SplitWhen::Never => None,
-            SplitWhen::Always => Some(self.min_remainder()),
-            SplitWhen::Threshold => Some(self.cfg.params.split_threshold.max(self.min_remainder())),
-        }
-    }
-
     /// The fit an exact-fit manager that may split retries with when its
     /// size is missing — A5's "activated according to the availability of
     /// the size of the memory block requested". `None` for every other
     /// configuration (they retry with their own fit, which already
     /// searched).
     fn split_retry_fit(&self) -> Option<FitAlgorithm> {
-        (self.cfg.fit == FitAlgorithm::ExactFit && self.cfg.may_split())
+        (self.fit == FitAlgorithm::ExactFit && self.cfg.may_split())
             .then_some(FitAlgorithm::BestFit)
     }
 
@@ -470,7 +450,7 @@ impl PolicyAllocator {
         let span = self.blocks.get(r).span;
         debug_assert!(span.len >= need);
         let remainder = span.len - need;
-        let Some(trigger) = self.split_trigger() else {
+        let Some(trigger) = self.cfg.split_trigger() else {
             return span.len;
         };
         if remainder < trigger {
@@ -514,10 +494,7 @@ impl PolicyAllocator {
 
         // Backward merges: O(1) with a footer or prev-size field, otherwise
         // the manager must search its free structures for the predecessor.
-        let cheap_prev = matches!(
-            self.cfg.block_tags,
-            BlockTags::Footer | BlockTags::HeaderAndFooter
-        ) || self.cfg.recorded_info.knows_prev();
+        let cheap_prev = self.cfg.cheap_prev();
         while let Some(prev_ref) = self.blocks.prev(r) {
             let prev = *self.blocks.get(prev_ref);
             let run = prev.run();
@@ -916,7 +893,7 @@ impl Allocator for PolicyAllocator {
         let mut steps = 0u64;
         let block_len = self.block_len_for(req);
         let home = self.route(block_len, &mut steps);
-        let fit = self.cfg.fit;
+        let fit = self.fit;
 
         let mut found = self
             .pools
@@ -1036,7 +1013,11 @@ impl Allocator for PolicyAllocator {
         // Case 1: the existing block already fits (same class, or a shrink
         // whose tail is not worth splitting off).
         let fits_in_place = new_len == old_len
-            || (new_len < old_len && self.split_trigger().is_none_or(|t| old_len - new_len < t));
+            || (new_len < old_len
+                && self
+                    .cfg
+                    .split_trigger()
+                    .is_none_or(|t| old_len - new_len < t));
         if fits_in_place {
             self.blocks.set_requested(r, new_req);
             self.stats.on_resize(old_req, new_req, old_len, old_len);
@@ -1136,7 +1117,7 @@ impl Allocator for PolicyAllocator {
 mod tests {
     use super::*;
     use crate::space::presets;
-    use crate::space::trees::Leaf;
+    use crate::space::trees::{BlockTags, Leaf, SplitWhen};
 
     fn drr() -> PolicyAllocator {
         PolicyAllocator::new(presets::drr_paper()).unwrap()
@@ -1699,7 +1680,7 @@ mod tests {
         // A3 = none is only coherent with no split/coalesce; build such a
         // manager and verify it still serves requests.
         let cfg = DmConfig::builder("tagless")
-            .leaf(Leaf::A3(crate::space::trees::BlockTags::None))
+            .leaf(Leaf::A3(BlockTags::None))
             .unwrap()
             .leaf(Leaf::A2(crate::space::trees::BlockSizes::PowerOfTwoClasses))
             .unwrap()

@@ -68,14 +68,15 @@ use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
 use crate::analyze::TraceFacts;
+use crate::heap::index::executed_fit;
 use crate::metrics::FootprintStats;
 use crate::space::config::{DmConfig, Params};
 use crate::space::trees::{
-    BlockSizes, BlockStructure, BlockTags, CoalesceMaxSizes, CoalesceWhen, FitAlgorithm, Leaf,
-    PoolDivision, PoolStructure, SplitMinSizes, SplitWhen, TreeId,
+    BlockSizes, BlockStructure, CoalesceMaxSizes, CoalesceWhen, FitAlgorithm, Leaf, PoolDivision,
+    PoolStructure, TreeId,
 };
 use crate::trace::Trace;
-use crate::units::{MIN_BLOCK, SBRK_GRANULARITY};
+use crate::units::SBRK_GRANULARITY;
 
 /// Structural identity of a configuration: one leaf per tree plus the
 /// quantitative parameters. The name is excluded — two managers that differ
@@ -187,14 +188,18 @@ impl TraceProjection {
 /// ever reach `B`):
 ///
 /// - **A3 × A4 → byte cost + neighbour knowledge.** The tag trees act
-///   only through `tag_bytes_per_block()` (block rounding) and the
-///   cheap-prev-neighbour test inside `coalesce_at`; the latter is dead
-///   when the trace never frees or the config never coalesces.
+///   only through `tag_bytes_per_block()` (block rounding) and
+///   [`DmConfig::cheap_prev`], which only the backward merge of
+///   `coalesce_at` reads. `free` and the in-place shrink of `realloc` call
+///   `coalesce_at` only under D2 = always (the deferred sweep merges
+///   forward only), so neighbour knowledge is dead under D2 = deferred or
+///   never, when the trace never frees, or when the config never
+///   coalesces.
 /// - **E1/E2 × split params → canonical trigger.** Splitting acts only
-///   through `split_trigger()` (`None` ⇔ `may_split()` is false, which
-///   the exact-fit retry and the segregated fallback also consult — so
-///   `None` is reserved for that case) and an unreachable trigger `t ≥ B`
-///   is canonicalized to `usize::MAX` rather than `None`.
+///   through [`DmConfig::split_trigger`] (`None` ⇔ `may_split()` is false,
+///   which the exact-fit retry and the segregated fallback also consult —
+///   so `None` is reserved for that case) and an unreachable trigger
+///   `t ≥ B` is canonicalized to `usize::MAX` rather than `None`.
 /// - **D1 × coalesce cap → effective cap.** The cap acts only inside the
 ///   merge paths; `cap ≥ B` can never reject a merge (canonical
 ///   `usize::MAX`), and with zero frees the merge paths are dead
@@ -203,6 +208,10 @@ impl TraceProjection {
 ///   deferred coalescing is indistinguishable (`Deferred → Always`);
 ///   `Never` stays distinct because `may_coalesce()` steers `grow`'s
 ///   top-extension even without frees.
+/// - **C1 × A1 → executed fit.** The manager searches only with
+///   [`executed_fit`]: a size-ordered tree runs best fit as first fit
+///   (one lookup, one charge, the same hit), and the exact-fit split retry
+///   reads exact fit only.
 /// - **Trim / arena limit.** `maybe_trim` only runs from `free` and only
 ///   trims blocks of `len ≥ threshold`; a threshold `> B` or an
 ///   alloc-only trace make it dead (canonical `None`). An arena limit
@@ -213,9 +222,8 @@ impl TraceProjection {
 ///   `A2 = ProfiledClasses` (class rounding and pool routing); otherwise
 ///   canonically empty.
 ///
-/// A1/A2/B1/B4/C1 are always behaviourally live (block structure, class
-/// rounding, pool layout and routing charges, fit search charges) and are
-/// kept verbatim.
+/// A1/A2/B1/B4 are always behaviourally live (block structure, class
+/// rounding, pool layout and routing charges) and are kept verbatim.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProjectedKey {
     block_structure: BlockStructure,
@@ -239,24 +247,15 @@ impl ProjectedKey {
     pub fn of(cfg: &DmConfig, projection: &TraceProjection) -> ProjectedKey {
         let bound = projection.arena_bound(cfg);
         let frees_zero = projection.frees_zero;
-        let may_split = cfg.may_split();
         let may_coalesce = cfg.may_coalesce();
 
-        // Mirror of `PolicyAllocator::{min_remainder, split_trigger}`.
-        let min_remainder = match cfg.split_min {
-            SplitMinSizes::Unrestricted => MIN_BLOCK,
-            SplitMinSizes::Floored => cfg.params.split_floor.max(MIN_BLOCK),
-        };
-        let split_trigger = match (may_split, cfg.split_when) {
-            (false, _) | (_, SplitWhen::Never) => None,
-            (true, SplitWhen::Always) => Some(min_remainder),
-            (true, SplitWhen::Threshold) => Some(cfg.params.split_threshold.max(min_remainder)),
-        }
         // A remainder is strictly smaller than its block (the carved part
         // is at least MIN_BLOCK), so `t ≥ bound` can never fire. Keep
         // `Some`: `may_split()` stays observable through the exact-fit
         // retry and the segregated fallback.
-        .map(|t| if t >= bound { usize::MAX } else { t });
+        let split_trigger = cfg
+            .split_trigger()
+            .map(|t| if t >= bound { usize::MAX } else { t });
 
         // With no frees, `free` (and with it `coalesce_at`, the deferred
         // dirty flag and `sweep_coalesce`) never runs; only
@@ -281,11 +280,9 @@ impl ProjectedKey {
                 cap
             }
         };
-        let cheap_prev = coalesce_reachable
-            && (matches!(
-                cfg.block_tags,
-                BlockTags::Footer | BlockTags::HeaderAndFooter
-            ) || cfg.recorded_info.knows_prev());
+        // Only immediate coalescing merges backwards.
+        let cheap_prev =
+            coalesce_reachable && cfg.coalesce_when == CoalesceWhen::Always && cfg.cheap_prev();
 
         // `maybe_trim` only runs from `free`, and only releases top blocks
         // of `len ≥ threshold ≤ brk ≤ bound`.
@@ -306,7 +303,7 @@ impl ProjectedKey {
             block_sizes: cfg.block_sizes,
             pool_division: cfg.pool_division,
             pool_structure: cfg.pool_structure,
-            fit: cfg.fit,
+            fit: executed_fit(cfg.block_structure, cfg.fit),
             tag_bytes: cfg.tag_bytes_per_block(),
             may_coalesce,
             coalesce_when,
@@ -329,8 +326,9 @@ impl ProjectedKey {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheEntry {
     /// A replay ran to the end: the configuration (every class member)
-    /// replays to these stats.
-    Stats(FootprintStats),
+    /// replays to these stats. Boxed: nearly every entry a sweep leaves is
+    /// a floor, and a floor should not pay for the stats' size.
+    Stats(Box<FootprintStats>),
     /// A replay was cut once its running peak reached this many bytes, so
     /// the configuration's (every class member's) peak is at least that.
     PeakAtLeast(usize),
@@ -399,7 +397,7 @@ impl ReplayCache {
     /// that care about labels should restore their own (the engine does).
     pub fn get(&self, trace: TraceKey, cfg: &DmConfig) -> Option<FootprintStats> {
         match self.lookup(trace, cfg)? {
-            CacheEntry::Stats(stats) => Some(stats),
+            CacheEntry::Stats(stats) => Some(*stats),
             CacheEntry::PeakAtLeast(_) => None,
         }
     }
@@ -417,7 +415,7 @@ impl ReplayCache {
     /// Record the replay statistics of `cfg` on the trace fingerprinted as
     /// `trace`.
     pub fn insert(&self, trace: TraceKey, cfg: &DmConfig, stats: FootprintStats) {
-        self.record(trace, cfg, CacheEntry::Stats(stats));
+        self.record(trace, cfg, CacheEntry::Stats(Box::new(stats)));
     }
 
     /// Record what a replay of `cfg` revealed: full stats replace anything
@@ -480,6 +478,7 @@ mod tests {
     use super::*;
     use crate::manager::PolicyAllocator;
     use crate::space::presets;
+    use crate::space::trees::{BlockTags, SplitWhen};
     use crate::trace::replay;
 
     fn tiny_trace() -> Trace {
@@ -591,6 +590,48 @@ mod tests {
     }
 
     #[test]
+    fn tag_placement_counts_only_under_immediate_coalescing() {
+        let with_frees = projection_of(&tiny_trace());
+        let key = |tags, when| {
+            let cfg = presets::drr_paper()
+                .with_leaf(Leaf::A3(tags))
+                .with_leaf(Leaf::D2(when));
+            ProjectedKey::of(&cfg, &with_frees)
+        };
+        // The deferred sweep merges forward only: no merge reads a footer.
+        assert_eq!(
+            key(BlockTags::Header, CoalesceWhen::Deferred),
+            key(BlockTags::Footer, CoalesceWhen::Deferred)
+        );
+        // Immediate coalescing merges backwards too, and a footer makes
+        // finding the predecessor O(1).
+        assert_ne!(
+            key(BlockTags::Header, CoalesceWhen::Always),
+            key(BlockTags::Footer, CoalesceWhen::Always)
+        );
+    }
+
+    #[test]
+    fn size_tree_best_fit_keys_as_first_fit() {
+        let proj = projection_of(&tiny_trace());
+        let key = |structure, fit| {
+            let cfg = presets::neutral()
+                .with_leaf(Leaf::A1(structure))
+                .with_leaf(Leaf::C1(fit));
+            ProjectedKey::of(&cfg, &proj)
+        };
+        assert_eq!(
+            key(BlockStructure::SizeOrderedTree, FitAlgorithm::BestFit),
+            key(BlockStructure::SizeOrderedTree, FitAlgorithm::FirstFit)
+        );
+        // A linked list walks in link order: its first fit is not its best.
+        assert_ne!(
+            key(BlockStructure::DoublyLinkedList, FitAlgorithm::BestFit),
+            key(BlockStructure::DoublyLinkedList, FitAlgorithm::FirstFit)
+        );
+    }
+
+    #[test]
     fn unreachable_split_thresholds_collapse_but_preserve_may_split() {
         let trace = tiny_trace();
         let proj = projection_of(&trace);
@@ -668,8 +709,9 @@ mod tests {
             cache.get_projected(key, &pk),
             Some(CacheEntry::PeakAtLeast(100))
         );
-        cache.insert_projected(key, pk.clone(), CacheEntry::Stats(fs.clone()));
-        assert_eq!(cache.get_projected(key, &pk), Some(CacheEntry::Stats(fs)));
+        let stats = CacheEntry::Stats(Box::new(fs));
+        cache.insert_projected(key, pk.clone(), stats.clone());
+        assert_eq!(cache.get_projected(key, &pk), Some(stats));
         assert_eq!(cache.projected_len(), 1);
         assert!(cache.is_empty(), "the structural tier is untouched");
 

@@ -502,7 +502,7 @@ impl ExplorationEngine {
                     self.evaluations.fetch_add(1, Ordering::Relaxed);
                     self.cache_hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(Outcome::Scored(Box::new(Evaluation {
-                        stats: relabel(stats.clone(), cfg),
+                        stats: relabel(FootprintStats::clone(stats), cfg),
                         cache_hit: true,
                     })));
                 }
@@ -522,7 +522,7 @@ impl ExplorationEngine {
             let entry = match &outcome {
                 Outcome::Scored(eval) => {
                     best.fetch_min(eval.stats.peak_footprint, Ordering::Relaxed);
-                    CacheEntry::Stats(eval.stats.clone())
+                    CacheEntry::Stats(Box::new(eval.stats.clone()))
                 }
                 Outcome::Lost { floor, .. } => CacheEntry::PeakAtLeast(*floor),
             };
@@ -631,7 +631,7 @@ impl ExplorationEngine {
         match self.cache.get_projected(key, &pkey) {
             Some(CacheEntry::Stats(stats)) => {
                 self.projection_hits.fetch_add(1, Ordering::Relaxed);
-                let stats = relabel(stats, cfg);
+                let stats = relabel(*stats, cfg);
                 #[cfg(debug_assertions)]
                 assert_eq!(
                     self.shadow_replay(trace, key, cfg),
@@ -659,7 +659,7 @@ impl ExplorationEngine {
         }
         let outcome = self.replay_fresh(trace, key, cfg, cap)?;
         let entry = match &outcome {
-            Outcome::Scored(eval) => CacheEntry::Stats(eval.stats.clone()),
+            Outcome::Scored(eval) => CacheEntry::Stats(Box::new(eval.stats.clone())),
             Outcome::Lost { floor, .. } => CacheEntry::PeakAtLeast(*floor),
         };
         self.cache.insert_projected(key, pkey, entry);

@@ -269,6 +269,39 @@ impl DmConfig {
         self.flexible_size.allows_coalesce() && self.coalesce_when != CoalesceWhen::Never
     }
 
+    /// Smallest remainder a split keeps as its own block (E1).
+    pub fn min_remainder(&self) -> usize {
+        match self.split_min {
+            SplitMinSizes::Unrestricted => MIN_BLOCK,
+            SplitMinSizes::Floored => self.params.split_floor.max(MIN_BLOCK),
+        }
+    }
+
+    /// The remainder a split must leave before it is performed at all:
+    /// [`DmConfig::min_remainder`], raised to the E2 threshold when there
+    /// is one. `None` exactly when [`DmConfig::may_split`] is false. The
+    /// policy allocator and the projection key both read this definition.
+    pub fn split_trigger(&self) -> Option<usize> {
+        if !self.may_split() {
+            return None;
+        }
+        match self.split_when {
+            SplitWhen::Never => None,
+            SplitWhen::Always => Some(self.min_remainder()),
+            SplitWhen::Threshold => Some(self.params.split_threshold.max(self.min_remainder())),
+        }
+    }
+
+    /// Whether an immediate backward merge finds the physical predecessor
+    /// in O(1): through a footer (A3) or a recorded prev-size (A4).
+    /// Without either, the manager searches its free structures for it.
+    pub fn cheap_prev(&self) -> bool {
+        matches!(
+            self.block_tags,
+            BlockTags::Footer | BlockTags::HeaderAndFooter
+        ) || self.recorded_info.knows_prev()
+    }
+
     /// A 64-bit structural fingerprint of the configuration: the twelve
     /// decided leaves plus the quantitative parameters. The display name
     /// is **excluded** — two managers that differ only in their label

@@ -39,10 +39,19 @@
 //!   per-config reference ranking over the whole space.
 //! - Admissibility: no config's bound exceeds its replayed peak. Release
 //!   builds replay the whole space, debug builds a fixed stride of it.
+//!
+//! The same replays check the projection contract: configs with equal
+//! `ProjectedKey`s replay to identical `FootprintStats`, over the whole
+//! space in release.
+
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use dmm::core::analyze::{lower_bound_peak, prune_reason, rank_by_bound, TraceFacts};
-use dmm::core::methodology::cache::TraceKey;
+use dmm::core::methodology::cache::{ProjectedKey, TraceKey, TraceProjection};
 use dmm::core::methodology::{exhaustive_best_with_engine, ExplorationEngine, Incumbent};
+use dmm::core::metrics::FootprintStats;
 use dmm::core::space::enumerate::SpaceIter;
 use dmm::core::space::order::TRAVERSAL_ORDER;
 use dmm::core::units::MIN_BLOCK;
@@ -251,6 +260,10 @@ fn memoised_sweep_matches_the_per_config_steps() {
     }
 }
 
+/// Every config replayed once per quick trace carries two checks: its
+/// bound is at most its replayed peak, and every config sharing its
+/// `ProjectedKey` replays to the same stats (names normalised, the one
+/// field the key ignores).
 #[test]
 fn bounds_are_admissible_over_the_whole_space_on_the_quick_traces() {
     // Release replays all 39,840 configs per trace (about 8 s in all);
@@ -259,17 +272,18 @@ fn bounds_are_admissible_over_the_whole_space_on_the_quick_traces() {
     for w in quick_studies(0) {
         let trace = w.record().unwrap();
         let facts = TraceFacts::of(&trace);
+        let projection = TraceProjection::of(&facts);
         let compiled = CompiledTrace::compile(&trace);
         let mut scratch = ReplayScratch::new();
+        let mut classes: HashMap<ProjectedKey, FootprintStats> = HashMap::new();
         let mut checked = 0usize;
         for cfg in SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), sweep_params())
             .step_by(stride)
         {
             let bound = lower_bound_peak(&facts, &cfg);
             let mut mgr = PolicyAllocator::new(cfg.clone()).unwrap();
-            let peak = replay_compiled_with(&compiled, &mut mgr, &mut scratch)
-                .unwrap()
-                .peak_footprint;
+            let mut stats = replay_compiled_with(&compiled, &mut mgr, &mut scratch).unwrap();
+            let peak = stats.peak_footprint;
             assert!(
                 bound <= peak,
                 "{}: {} ({}) bounds at {bound} B above its replayed peak {peak} B",
@@ -277,8 +291,30 @@ fn bounds_are_admissible_over_the_whole_space_on_the_quick_traces() {
                 cfg.name,
                 cfg.summary()
             );
+            stats.manager = Arc::from("normalised");
+            match classes.entry(ProjectedKey::of(&cfg, &projection)) {
+                Entry::Vacant(slot) => {
+                    slot.insert(stats);
+                }
+                Entry::Occupied(class) => assert_eq!(
+                    class.get(),
+                    &stats,
+                    "{}: {} ({}) shares a projected key with an earlier config but replays \
+                     differently",
+                    w.name(),
+                    cfg.name,
+                    cfg.summary()
+                ),
+            }
             checked += 1;
         }
         assert_eq!(checked, 39_840usize.div_ceil(stride), "{}", w.name());
+        if stride == 1 {
+            assert!(
+                classes.len() < checked,
+                "{}: no two of the {checked} configs share a projected key",
+                w.name()
+            );
+        }
     }
 }

@@ -828,20 +828,46 @@ proptest! {
     ) {
         use dmm::core::analyze::TraceFacts;
         use dmm::core::methodology::{ProjectedKey, TraceProjection};
-        use dmm::core::space::trees::{BlockTags, CoalesceMaxSizes, Leaf};
+        use dmm::core::space::trees::{
+            BlockStructure, BlockTags, CoalesceMaxSizes, CoalesceWhen, FitAlgorithm, Leaf,
+        };
         use std::collections::HashMap;
         use std::sync::Arc;
 
         // Candidate pool: the presets plus mutations that differ only in
         // arms the projection may canonicalise away on a given trace
-        // (boundary-tag flavour, unreachable caps/thresholds/limits).
+        // (boundary-tag flavour, tag placement under deferred coalescing,
+        // best vs first fit on a size tree, unreachable
+        // caps/thresholds/limits).
         let mut candidates = presets::all();
         for base in presets::all() {
-            let mut c = base.clone();
-            c.name = format!("{} +footer", c.name);
-            c = c.with_leaf(Leaf::A3(BlockTags::Footer));
-            if c.validate().is_ok() {
-                candidates.push(c);
+            for (label, leaves) in [
+                ("+footer", vec![Leaf::A3(BlockTags::Footer)]),
+                ("+deferred", vec![Leaf::D2(CoalesceWhen::Deferred)]),
+                (
+                    "+deferred footer",
+                    vec![Leaf::D2(CoalesceWhen::Deferred), Leaf::A3(BlockTags::Footer)],
+                ),
+                (
+                    "+size-tree first fit",
+                    vec![
+                        Leaf::A1(BlockStructure::SizeOrderedTree),
+                        Leaf::C1(FitAlgorithm::FirstFit),
+                    ],
+                ),
+                (
+                    "+size-tree best fit",
+                    vec![
+                        Leaf::A1(BlockStructure::SizeOrderedTree),
+                        Leaf::C1(FitAlgorithm::BestFit),
+                    ],
+                ),
+            ] {
+                let mut c = leaves.into_iter().fold(base.clone(), DmConfig::with_leaf);
+                c.name = format!("{} {label}", base.name);
+                if c.validate().is_ok() {
+                    candidates.push(c);
+                }
             }
             let mut c = base.clone();
             c.name = format!("{} +huge-cap", c.name);
