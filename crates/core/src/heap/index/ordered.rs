@@ -532,8 +532,15 @@ mod tests {
         assert_eq!(hit.block, bref(0));
     }
 
+    /// The size tree runs best fit as first fit, as `executed_fit` says:
+    /// both return the same hit — the smallest block that fits, lowest
+    /// address first — at the same charge, on a fixed example and over a
+    /// random sequence of run inserts, whole-run and first-member
+    /// removals and finds.
     #[test]
     fn size_tree_first_fit_equals_best_fit() {
+        let runs_as = executed_fit(BlockStructure::SizeOrderedTree, FitAlgorithm::BestFit);
+        assert_eq!(runs_as, FitAlgorithm::FirstFit);
         let mut idx = SizeTreeIndex::new();
         let mut s = 0u64;
         idx.insert(Span::new(0, 256), bref(0), &mut s);
@@ -543,20 +550,10 @@ mod tests {
         let best = idx.find(FitAlgorithm::BestFit, 48, &mut s).unwrap();
         assert_eq!(first, best);
         assert_eq!(first.span.len, 64);
-    }
 
-    /// The size tree runs best fit as `executed_fit` says, as first fit:
-    /// over a random sequence of run inserts, whole-run and first-member
-    /// removals and finds, both return the same hit — the smallest block
-    /// that fits, lowest address first — at the same charge.
-    #[test]
-    fn size_tree_runs_best_fit_as_first_fit_under_churn() {
-        let runs_as = executed_fit(BlockStructure::SizeOrderedTree, FitAlgorithm::BestFit);
-        assert_eq!(runs_as, FitAlgorithm::FirstFit);
-        let mut idx = SizeTreeIndex::new();
+        idx.clear();
         // Runs start on distinct 1 KiB slots and span at most 320 bytes.
         let mut live: Vec<Run> = Vec::new();
-        let mut s = 0u64;
         let mut x: u64 = 0x5EED_0FBE_57F1_7701;
         for _ in 0..2_000 {
             x ^= x << 13;

@@ -48,8 +48,9 @@
 //! collapse to one projected cache entry ([`ReplayCache::get_projected`]).
 //! Soundness (equal projected key ⇒ bit-identical
 //! [`FootprintStats`]) is argued rule-by-rule on [`ProjectedKey::of`],
-//! enforced in debug builds by the engine's shadow oracle, and
-//! proptested across presets × flat/phased/re-entrant traces.
+//! enforced in debug builds by the engine's shadow oracle, proptested
+//! across presets × flat/phased/re-entrant traces, and checked over the
+//! whole space on the quick case-study traces in release.
 //!
 //! # Entries: full stats or a floor
 //!
@@ -183,9 +184,9 @@ impl TraceProjection {
 /// Two configurations with equal projected keys execute the policy
 /// allocator step-for-step identically on the projection's trace —
 /// identical [`FootprintStats`] *and* identical errors. Every collapse is
-/// justified by a reachability argument against [`TraceProjection`]'s
-/// arena bound `B` (no block span, remainder, merged span or `brk` can
-/// ever reach `B`):
+/// justified by an arm the manager never reads, or by a reachability
+/// argument against [`TraceProjection`]'s arena bound `B` (no block span,
+/// remainder, merged span or `brk` can ever reach `B`):
 ///
 /// - **A3 × A4 → byte cost + neighbour knowledge.** The tag trees act
 ///   only through `tag_bytes_per_block()` (block rounding) and
