@@ -36,30 +36,39 @@
 //! # Demand-driven replica
 //!
 //! Everything above is simulator acceleration, so each piece exists only
-//! while it earns its maintenance:
+//! from the first query that reads it:
 //!
 //! - **Short lists run bare.** Below [`LinkedSlab::ACTIVATE`] nodes no
 //!   replica is maintained at all — push and unlink are pure pointer ops
 //!   and every search runs the faithful walk, which over a handful of
 //!   nodes is cheaper than any replica lookup. Crossing the threshold
-//!   builds the size buckets ([`LinkedSlab::activate`]); shrinking far
-//!   below it drops back ([`LinkedSlab::deactivate`], with wide
-//!   hysteresis so churn around either edge cannot thrash rebuilds).
+//!   only lets queries build what they read ([`LinkedSlab::activate`]);
+//!   shrinking far below it drops every structure
+//!   ([`LinkedSlab::deactivate`], with wide hysteresis so churn around
+//!   either edge cannot thrash rebuilds).
+//! - **Head hits need no replica.** Every first-fit walk starts at the
+//!   head member, wherever a next-fit cursor is parked, so a head that
+//!   fits is the hit at charge 1; a singly linked unlink of the head node
+//!   is at position 1. Neither reads a structure — a segregated pool of
+//!   one class, whose head always fits, never builds one.
 //! - **The position tree is query-lazy.** Only rank/select *queries* —
-//!   the first/next-fit decompositions, worst-fit max, SLL unlink
-//!   positions — read [`SeqTree`]; exact- and best-fit *hit* charges come
-//!   off the faithful walk when the tree is down (the walk is the oracle,
-//!   so the value is identical and walking costs exactly what it
-//!   charges), and misses charge the list length. A configuration that
-//!   never issues a rank query — the paper's DRR manager: exact-then-best
-//!   fit over a doubly linked list — never pays a tree update. The first
-//!   query that needs it triggers [`LinkedSlab::ensure_pos`], which
-//!   restamps densely and builds the tree sized to the live list.
-//! - **The ordered size set is query-lazy too**: built by the first
-//!   best-fit search ([`SizeBuckets::ensure_ordered`]) as a two-level
-//!   bitmap over granule-aligned sizes (spilling odd sizes to a
-//!   `BTreeSet`), then maintained incrementally on live-size 0↔1
-//!   transitions.
+//!   first fit past the head, the next-fit decompositions, worst-fit max,
+//!   SLL unlink positions past the head — read [`SeqTree`]; exact- and
+//!   best-fit *hit* charges come off the faithful walk when the tree is
+//!   down (the walk is the oracle, so the value is identical and walking
+//!   costs exactly what it charges), and misses charge the list length. A
+//!   configuration that never issues a rank query — the paper's DRR
+//!   manager: exact-then-best fit over a doubly linked list — never pays a
+//!   tree update. The first query that needs it triggers
+//!   [`LinkedSlab::ensure_pos`], which restamps densely and builds the
+//!   tree sized to the live list.
+//! - **The size buckets are query-lazy too**: built by the first exact-,
+//!   best- or worst-fit search ([`LinkedSlab::ensure_sizes`]), their only
+//!   readers, so first- and next-fit lists never maintain them.
+//! - **So is the ordered size set**: built by the first best-fit search
+//!   ([`SizeBuckets::ensure_ordered`]) as a two-level bitmap over
+//!   granule-aligned sizes (spilling odd sizes to a `BTreeSet`), then
+//!   maintained incrementally on live-size 0↔1 transitions.
 //!
 //! # Shadow oracle
 //!
@@ -561,24 +570,30 @@ struct LinkedSlab {
     /// that size — the first one a head-to-tail walk meets, because
     /// `push_front` keeps the list in reverse insertion order.
     sizes: SizeBuckets,
-    /// Whether the rank replica is live. Short lists stay unindexed — the
-    /// faithful walk over a handful of nodes is cheaper than keeping the
-    /// replica coherent on every push and unlink — and the replica is
-    /// built the first time the list reaches [`LinkedSlab::ACTIVATE`]
-    /// nodes, then maintained until it shrinks far below the threshold.
-    /// Either way every answer and charge is the walk's, bit for bit:
-    /// below the threshold the walk runs, above it the rank layer computes
-    /// the same values (and debug builds assert so).
+    /// Whether the list is long enough for the rank replica. Short lists
+    /// stay unindexed — the faithful walk over a handful of nodes is
+    /// cheaper than any replica lookup — and a list becomes indexed the
+    /// first time it reaches [`LinkedSlab::ACTIVATE`] nodes, staying so
+    /// until it shrinks far below the threshold. Either way every answer
+    /// and charge is the walk's, bit for bit: below the threshold the walk
+    /// runs, above it the rank layer computes the same values (and debug
+    /// builds assert so).
     indexed: bool,
-    /// Whether the position tree is maintained. Like the ordered size set,
-    /// `pos` is demand-driven: only rank/select *queries* (first/next-fit
-    /// decompositions, worst-fit max, SLL unlink positions) need it, and a
-    /// configuration that never issues one — e.g. exact-then-best fit over
-    /// a doubly linked list, where hit charges come off the faithful walk
-    /// and miss charges are the list length — never pays its per-push and
+    /// Whether the position tree is maintained. Only rank/select *queries*
+    /// (first/next-fit decompositions past the head, worst-fit max, SLL
+    /// unlink positions past the head) read `pos`, and a configuration
+    /// that never issues one — e.g. exact-then-best fit over a doubly
+    /// linked list, where hit charges come off the faithful walk and miss
+    /// charges are the list length — never pays its per-push and
     /// per-unlink tree updates. The first query that needs the tree builds
     /// it via [`LinkedSlab::renumber`] and maintenance starts from there.
+    /// Implies `indexed`.
     pos_live: bool,
+    /// Whether the size buckets are maintained: built by the first exact-,
+    /// best- or worst-fit search ([`LinkedSlab::ensure_sizes`]), their only
+    /// readers, so a first- or next-fit list never pays for them. Implies
+    /// `indexed`.
+    sizes_live: bool,
 }
 
 impl Default for LinkedSlab {
@@ -608,6 +623,7 @@ impl LinkedSlab {
             sizes: SizeBuckets::default(),
             indexed: false,
             pos_live: false,
+            sizes_live: false,
         }
     }
 
@@ -647,34 +663,31 @@ impl LinkedSlab {
         }
     }
 
-    /// Build the rank replica's size buckets from the list, restamping
-    /// densely. Runs each time the list grows past [`LinkedSlab::ACTIVATE`]
-    /// while unindexed; any stale replica state from a previous active
-    /// phase is discarded by the rebuild. The position tree stays off
-    /// until a query demands it ([`LinkedSlab::ensure_pos`]).
+    /// Let searches use the rank replica: the list has grown past
+    /// [`LinkedSlab::ACTIVATE`]. Nothing is built here — each structure is
+    /// built by the first query that reads it ([`LinkedSlab::ensure_pos`],
+    /// [`LinkedSlab::ensure_sizes`]).
     fn activate(&mut self) {
-        debug_assert!(!self.indexed);
-        let order = self.link_order();
-        self.restamp_dense(&order);
-        self.sizes.reset();
-        for &slot in order.iter().rev() {
-            let n = &self.nodes[slot];
-            self.sizes
-                .on_push(n.len, slot as u32, n.seq, n.count as usize);
-        }
+        debug_assert!(!self.indexed && !self.pos_live && !self.sizes_live);
         self.indexed = true;
-        self.pos_live = false;
     }
 
     /// Stop maintaining the replica: the list has shrunk to where faithful
     /// walks are cheaper again. Both structures are left stale in place —
-    /// nothing reads them while `indexed` is false, and the next
-    /// activation rebuilds them from the list. The wide gap between the
-    /// activation and deactivation thresholds keeps churn around either
-    /// one from thrashing rebuilds.
+    /// nothing reads them until a query rebuilds them from the list. The
+    /// wide gap between the activation and deactivation thresholds keeps
+    /// churn around either one from thrashing rebuilds.
     fn deactivate(&mut self) {
         debug_assert!(self.indexed);
         self.indexed = false;
+        self.drop_replicas();
+    }
+
+    /// Stop maintaining both replica structures; the next query that reads
+    /// one rebuilds it from the list.
+    fn drop_replicas(&mut self) {
+        self.pos_live = false;
+        self.sizes_live = false;
     }
 
     /// Rebuild the position tree in a leaf space sized for the live count.
@@ -686,11 +699,15 @@ impl LinkedSlab {
     fn renumber(&mut self) {
         // The buckets' stale records can only be recognised while the old
         // stamps are in place, so prune first, restamp last.
-        self.sizes.prune_dead(&self.nodes);
+        if self.sizes_live {
+            self.sizes.prune_dead(&self.nodes);
+        }
         let order = self.link_order();
         self.restamp_dense(&order);
         self.rebuild_pos(&order);
-        self.sizes.restamp(&self.nodes);
+        if self.sizes_live {
+            self.sizes.restamp(&self.nodes);
+        }
     }
 
     /// Build (if not yet maintained) the position tree a rank/select query
@@ -699,6 +716,22 @@ impl LinkedSlab {
         if self.indexed && !self.pos_live {
             self.renumber();
             self.pos_live = true;
+        }
+    }
+
+    /// Build (if not yet maintained) the size buckets an exact-, best- or
+    /// worst-fit search is about to read, and keep them maintained from
+    /// here on. Records are pushed tail first, in stamp order, so each
+    /// bucket's top is its size's newest node.
+    fn ensure_sizes(&mut self) {
+        if self.indexed && !self.sizes_live {
+            self.sizes.reset();
+            for &slot in self.link_order().iter().rev() {
+                let n = &self.nodes[slot];
+                self.sizes
+                    .on_push(n.len, slot as u32, n.seq, n.count as usize);
+            }
+            self.sizes_live = true;
         }
     }
 
@@ -728,11 +761,7 @@ impl LinkedSlab {
         // The 4x slack keeps renumbering amortised: at least 3/4 of the
         // leaf space is reclaimed dead stamps, so at least 3x the live
         // count in pushes must elapse before the space can fill again.
-        if self.indexed
-            && self.pos_live
-            && self.pos.at_capacity()
-            && 4 * self.node_count <= self.pos.capacity()
-        {
+        if self.pos_live && self.pos.at_capacity() && 4 * self.node_count <= self.pos.capacity() {
             self.renumber();
         }
         self.seq += 1;
@@ -748,14 +777,15 @@ impl LinkedSlab {
         }
         self.head = slot;
         self.len += run.count;
-        if self.indexed {
+        if self.sizes_live {
             self.sizes
                 .on_push(run.len, slot as u32, self.seq, run.count);
-            if self.pos_live {
-                self.pos
-                    .insert(rank_key(self.seq), run.len, run.count, slot as u32);
-            }
-        } else if self.len >= Self::ACTIVATE {
+        }
+        if self.pos_live {
+            self.pos
+                .insert(rank_key(self.seq), run.len, run.count, slot as u32);
+        }
+        if !self.indexed && self.len >= Self::ACTIVATE {
             self.activate();
         }
         slot
@@ -786,15 +816,15 @@ impl LinkedSlab {
         self.free_slots.push(slot);
         self.len -= run.count;
         self.node_count -= 1;
-        if self.indexed {
+        if self.sizes_live {
             self.sizes.on_unlink(run.len, run.count, &self.nodes);
-            if self.pos_live {
-                let removed = self.pos.remove(rank_key(seq));
-                debug_assert!(removed, "unlinked node must be in the rank replica");
-            }
-            if self.len < Self::ACTIVATE / 8 {
-                self.deactivate();
-            }
+        }
+        if self.pos_live {
+            let removed = self.pos.remove(rank_key(seq));
+            debug_assert!(removed, "unlinked node must be in the rank replica");
+        }
+        if self.indexed && self.len < Self::ACTIVATE / 8 {
+            self.deactivate();
         }
         run
     }
@@ -849,11 +879,11 @@ impl LinkedSlab {
                 (a, NIL)
             }
         };
-        if self.indexed {
+        if self.sizes_live {
             self.sizes.on_shrink(run.len, b - a);
-            if self.pos_live {
-                self.pos.set_count(rank_key(self.nodes[slot].seq), kept);
-            }
+        }
+        if self.pos_live {
+            self.pos.set_count(rank_key(self.nodes[slot].seq), kept);
         }
         let upper_slot = match (a, upper_run) {
             (1.., Some((rest, block))) => self.link_ahead(slot, rest, block),
@@ -870,8 +900,8 @@ impl LinkedSlab {
 
     /// Link a node for `run` immediately ahead of `slot` in link order,
     /// then restamp the whole list so stamps descend in link order again
-    /// and rebuild the replica. Only an interior member removal — a
-    /// cursor hit inside a run — needs this.
+    /// and drop the replica, which the next query rebuilds. Only an
+    /// interior member removal — a cursor hit inside a run — needs this.
     fn link_ahead(&mut self, slot: usize, run: Run, block: BlockRef) -> usize {
         let prev = self.nodes[slot].prev;
         let new = self.alloc_node(Node::new(run, block, 0, prev, slot as u32));
@@ -881,13 +911,9 @@ impl LinkedSlab {
             self.head = new;
         }
         self.nodes[slot].prev = new as u32;
-        if self.indexed {
-            self.indexed = false;
-            self.activate();
-        } else {
-            let order = self.link_order();
-            self.restamp_dense(&order);
-        }
+        let order = self.link_order();
+        self.restamp_dense(&order);
+        self.drop_replicas();
         new
     }
 
@@ -904,37 +930,30 @@ impl LinkedSlab {
         dist + 1
     }
 
-    /// 1-based link position of a live slot's head-most member — by rank
-    /// query once the replica is live, bit-identical to
-    /// [`LinkedSlab::walk_distance`].
+    /// 1-based link position of a live slot's head-most member: 1 at the
+    /// head, by rank query while the position tree is maintained, else by
+    /// the faithful walk itself — the walk *is* the oracle, so the values
+    /// are identical, and walking costs exactly what it charges. This is
+    /// the walk charge for hitting `slot` as the first fitting node, and
+    /// the singly linked unlink's position.
     fn position_of(&self, slot: usize) -> u64 {
-        if !self.indexed || !self.pos_live {
+        let dist = if slot == self.head {
+            1
+        } else if self.pos_live {
+            self.pos.rank(rank_key(self.nodes[slot].seq))
+        } else {
             return self.walk_distance(slot);
-        }
-        let dist = self.pos.rank(rank_key(self.nodes[slot].seq));
+        };
         debug_assert_eq!(dist, self.walk_distance(slot), "rank diverged from walk");
         dist
     }
 
     /// The most recently inserted live node of exactly `size` — the first
-    /// such node a head-to-tail walk meets.
+    /// such node a head-to-tail walk meets. Requires
+    /// [`LinkedSlab::ensure_sizes`].
     fn newest_of_size(&self, size: usize) -> Option<usize> {
+        debug_assert!(self.sizes_live, "size query before the buckets are built");
         self.sizes.newest(size).map(|slot| slot as usize)
-    }
-
-    /// The walk charge for hitting `slot` as the first fitting node: its
-    /// 1-based position in link order. Answered by rank query when the
-    /// position tree is maintained, by the faithful walk itself when not —
-    /// the walk *is* the oracle, so the values are identical, and walking
-    /// costs exactly what it charges.
-    fn hit_distance(&self, slot: usize) -> u64 {
-        if self.pos_live {
-            let dist = self.pos.rank(rank_key(self.nodes[slot].seq));
-            debug_assert_eq!(dist, self.walk_distance(slot), "rank diverged from walk");
-            dist
-        } else {
-            self.walk_distance(slot)
-        }
     }
 
     /// The first node in link order whose size is the smallest live size
@@ -948,18 +967,22 @@ impl LinkedSlab {
     /// (its weights *are* the live span lengths). Indexed only; unindexed
     /// searches walk the list instead.
     fn max_size(&self) -> Option<usize> {
-        debug_assert!(self.indexed && self.pos_live);
+        debug_assert!(self.pos_live);
         match self.pos.max_weight() {
             0 => None,
             m => Some(m),
         }
     }
 
-    /// Build (if not yet built) the ordered live-size set the best-fit
-    /// winner lookup reads. The search paths themselves are `&self`, so
-    /// the index wrappers call this before any best-fit search.
+    /// Build (if not yet built) the size buckets and the ordered live-size
+    /// set the best-fit winner lookup reads. The search paths themselves
+    /// are `&self`, so the index wrappers call this before any best-fit
+    /// search.
     fn ensure_ordered_sizes(&mut self) {
-        self.sizes.ensure_ordered();
+        self.ensure_sizes();
+        if self.sizes_live {
+            self.sizes.ensure_ordered();
+        }
     }
 
     fn iter(&self) -> LinkedIter<'_> {
@@ -981,6 +1004,12 @@ impl LinkedSlab {
         } else {
             (self.head, self.top(self.head))
         }
+    }
+
+    /// The head member, if it fits `len`: where every first-fit walk stops
+    /// after one step, wherever a next-fit cursor is parked.
+    fn head_fit(&self, len: usize) -> Option<Member> {
+        (self.head != NIL && self.nodes[self.head].len >= len).then(|| self.head_member())
     }
 
     /// The member after `(slot, idx)` in link order.
@@ -1006,7 +1035,7 @@ impl LinkedSlab {
         self.pos.clear();
         self.sizes.clear();
         self.indexed = false;
-        self.pos_live = false;
+        self.drop_replicas();
     }
 
     fn found(&self, (slot, idx): Member) -> Found {
@@ -1038,7 +1067,7 @@ impl LinkedSlab {
                 ));
             }
             last_seq = n.seq;
-            if self.indexed && self.pos_live {
+            if self.pos_live {
                 match self.pos.leaf_entry(rank_key(n.seq)) {
                     Some((w, c, p)) if (w, c, p as usize) == (run.len, run.count, slot) => {}
                     other => {
@@ -1055,10 +1084,10 @@ impl LinkedSlab {
             walked += run.count;
             nodes += 1;
         }
-        // While unindexed the position tree is stale by design — nothing
-        // reads it — so only its indexed mirror is checked.
+        // A replica structure nothing maintains is stale by design —
+        // nothing reads it — so only the maintained ones are checked.
         if (walked, nodes) != (self.len, self.node_count)
-            || (self.indexed && self.pos_live && self.pos.len() != nodes)
+            || (self.pos_live && self.pos.len() != nodes)
         {
             return Err(format!(
                 "list walks {walked} members in {nodes} nodes, slab counts {} in {}, rank replica {}",
@@ -1067,7 +1096,7 @@ impl LinkedSlab {
                 self.pos.len()
             ));
         }
-        if self.indexed {
+        if self.sizes_live {
             self.sizes.check(&counts, &self.nodes)?;
         }
         if self.cursor != NIL
@@ -1201,6 +1230,12 @@ fn search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize, steps: &mut u64) -> 
     let head_most = |slot: u32| (slot as usize, slab.top(slot as usize));
     match fit {
         FitAlgorithm::FirstFit => {
+            // The walk's first step is the head member: a head that fits
+            // is the hit at charge 1, with no rank query.
+            if let Some(head) = slab.head_fit(len) {
+                *steps += 1;
+                return Some(head);
+            }
             debug_assert!(slab.pos_live, "first-fit search needs the position tree");
             // A first-fit walk terminates early at a parked next-fit cursor
             // (`wrapped && cur == start` in the faithful walk), so with one
@@ -1274,7 +1309,7 @@ fn search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize, steps: &mut u64) -> 
             // With an exact-size node present the faithful walk stops at
             // the first one (cannot do better than exact).
             if let Some(slot) = slab.newest_of_size(len) {
-                *steps += slab.hit_distance(slot);
+                *steps += slab.position_of(slot);
                 return Some((slot, slab.top(slot)));
             }
             // No exact node: the walk visits every member, and the winner
@@ -1295,7 +1330,7 @@ fn search(slab: &LinkedSlab, fit: FitAlgorithm, len: usize, steps: &mut u64) -> 
         FitAlgorithm::ExactFit => {
             match slab.newest_of_size(len) {
                 Some(slot) => {
-                    *steps += slab.hit_distance(slot);
+                    *steps += slab.position_of(slot);
                     Some((slot, slab.top(slot)))
                 }
                 None => {
@@ -1354,19 +1389,23 @@ fn linked_find(
     steps: &mut u64,
 ) -> Option<Found> {
     // The search paths are `&slab`: build whatever lazily maintained
-    // structure this fit reads before descending. Best fit needs the
-    // ordered live-size set; the roving/scanning fits decompose their
-    // charges through the position tree.
+    // structure this fit reads before descending. Exact fit reads the size
+    // buckets and best fit the ordered live-size set too; first fit past
+    // the head and next fit decompose their charges through the position
+    // tree, and worst fit reads both.
     match fit {
-        FitAlgorithm::BestFit => {
-            if slab.indexed {
-                slab.ensure_ordered_sizes();
+        FitAlgorithm::ExactFit => slab.ensure_sizes(),
+        FitAlgorithm::BestFit => slab.ensure_ordered_sizes(),
+        FitAlgorithm::FirstFit => {
+            if slab.head_fit(len).is_none() {
+                slab.ensure_pos();
             }
         }
-        FitAlgorithm::FirstFit | FitAlgorithm::NextFit | FitAlgorithm::WorstFit => {
+        FitAlgorithm::NextFit => slab.ensure_pos(),
+        FitAlgorithm::WorstFit => {
             slab.ensure_pos();
+            slab.ensure_sizes();
         }
-        FitAlgorithm::ExactFit => {}
     }
     let hit = checked_search(slab, fit, len, steps)?;
     if fit == FitAlgorithm::NextFit {
@@ -1416,8 +1455,11 @@ impl FreeIndex for SllIndex {
         // Stale token: entry already removed or slot reused.
         let block = live_run(&self.slab, token, run)?;
         // A singly linked list must walk to the predecessor to unlink;
-        // the charge is the member's position, computed by rank query.
-        self.slab.ensure_pos();
+        // the charge is the member's position: 1 at the head, computed by
+        // rank query past it.
+        if token != self.slab.head {
+            self.slab.ensure_pos();
+        }
         let p = self.slab.position_of(token);
         *steps += sll_unlink_cost(p, run.count, &members, order);
         Some((block, self.slab.take_members(token, members, upper)))
@@ -1521,6 +1563,187 @@ mod tests {
 
     fn bref(offset: usize) -> BlockRef {
         BlockRef::from_index((offset / 8) as u32)
+    }
+
+    /// A flat list of members, head first: the reference walk the indexed
+    /// searches must match, answer and charge.
+    #[derive(Clone)]
+    struct RefList(Vec<Span>);
+
+    impl RefList {
+        fn search(&self, fit: FitAlgorithm, len: usize) -> (Option<Span>, u64) {
+            let mut steps = 0u64;
+            match fit {
+                FitAlgorithm::FirstFit => {
+                    for s in &self.0 {
+                        steps += 1;
+                        if s.len >= len {
+                            return (Some(*s), steps);
+                        }
+                    }
+                    (None, steps)
+                }
+                FitAlgorithm::BestFit => {
+                    let mut best: Option<Span> = None;
+                    for s in &self.0 {
+                        steps += 1;
+                        if s.len >= len && best.is_none_or(|b| s.len < b.len) {
+                            best = Some(*s);
+                            if s.len == len {
+                                break;
+                            }
+                        }
+                    }
+                    (best, steps)
+                }
+                FitAlgorithm::WorstFit => {
+                    let mut worst: Option<Span> = None;
+                    for s in &self.0 {
+                        steps += 1;
+                        if s.len >= len && worst.is_none_or(|w| s.len > w.len) {
+                            worst = Some(*s);
+                        }
+                    }
+                    (worst, steps)
+                }
+                FitAlgorithm::ExactFit => {
+                    for s in &self.0 {
+                        steps += 1;
+                        if s.len == len {
+                            return (Some(*s), steps);
+                        }
+                    }
+                    (None, steps)
+                }
+                FitAlgorithm::NextFit => unreachable!("cursor handled separately"),
+            }
+        }
+    }
+
+    /// Which replica structures a list keeps: `(indexed, position tree,
+    /// size buckets)`.
+    fn replica(slab: &LinkedSlab) -> (bool, bool, bool) {
+        (slab.indexed, slab.pos_live, slab.sizes_live)
+    }
+
+    /// Find with `fit`, then unlink the one member found: `(hit, find
+    /// charge, unlink charge)`.
+    fn take(idx: &mut dyn FreeIndex, fit: FitAlgorithm, len: usize) -> (Option<Span>, u64, u64) {
+        let mut find = 0u64;
+        let Some(f) = idx.find(fit, len, &mut find) else {
+            return (None, find, 0);
+        };
+        let m = f.member();
+        let upper = (m + 1 < f.run.count).then(|| bref(f.run.member(m + 1).offset));
+        let mut unlink = 0u64;
+        idx.remove_members(
+            f.token,
+            f.run,
+            m..m + 1,
+            Unlink::Ascending,
+            upper,
+            &mut unlink,
+        )
+        .expect("a found member is live");
+        (Some(f.span), find, unlink)
+    }
+
+    /// On uniform-size lists past the activation threshold the head serves
+    /// every first-fit request: the hit charges 1, a singly linked unlink
+    /// of the head node is at position 1, and neither builds the position
+    /// tree or the size buckets. A request the head cannot serve builds the
+    /// tree, the first exact-fit search builds the buckets, and from then
+    /// on every answer and charge is the flat reference walk's.
+    #[test]
+    fn head_hits_build_no_replica() {
+        let mut sll = SllIndex::new();
+        let mut dll = DllIndex::new();
+        let mut reference = RefList(Vec::new());
+        let mut tokens = std::collections::HashMap::new();
+        let mut s = 0u64;
+        for i in 0..2 * LinkedSlab::ACTIVATE {
+            let span = Span::new(i * 64, 32);
+            let t = sll.insert(span, bref(span.offset), &mut s);
+            let t_dll = dll.insert(span, bref(span.offset), &mut s);
+            tokens.insert(span.offset, (t, t_dll));
+            reference.0.insert(0, span);
+        }
+        // A run of four at the head: its members leave from the top.
+        let run = Run::new(1 << 20, 32, 4);
+        sll.insert_run(run, bref(run.offset), &mut s);
+        dll.insert_run(run, bref(run.offset), &mut s);
+        for m in run.members() {
+            reference.0.insert(0, m);
+        }
+        for _ in 0..6 {
+            let want = reference.0.remove(0);
+            for idx in [&mut sll as &mut dyn FreeIndex, &mut dll] {
+                assert_eq!(take(idx, FitAlgorithm::FirstFit, 32), (Some(want), 1, 1));
+            }
+        }
+        // The singly linked charge is the unlink cost at position 1.
+        assert_eq!(sll_unlink_cost(1, 4, &(3..4), Unlink::Ascending), 1);
+        assert_eq!(replica(&sll.slab), (true, false, false));
+        assert_eq!(replica(&dll.slab), (true, false, false));
+
+        // A head too small for the request: the walk goes past it, so the
+        // position tree is built.
+        let small = Span::new(1 << 24, 16);
+        let t = sll.insert(small, bref(small.offset), &mut s);
+        let t_dll = dll.insert(small, bref(small.offset), &mut s);
+        tokens.insert(small.offset, (t, t_dll));
+        reference.0.insert(0, small);
+        let (want, want_steps) = reference.search(FitAlgorithm::FirstFit, 32);
+        assert_eq!(want_steps, 2);
+        for idx in [&mut sll as &mut dyn FreeIndex, &mut dll] {
+            let mut got_steps = 0u64;
+            let got = idx.find(FitAlgorithm::FirstFit, 32, &mut got_steps);
+            assert_eq!((got.map(|f| f.span), got_steps), (want, want_steps));
+        }
+        assert_eq!(replica(&sll.slab), (true, true, false));
+        assert_eq!(replica(&dll.slab), (true, true, false));
+
+        // The first exact-fit search builds the size buckets.
+        let (want, want_steps) = reference.search(FitAlgorithm::ExactFit, 32);
+        for idx in [&mut sll as &mut dyn FreeIndex, &mut dll] {
+            let mut got_steps = 0u64;
+            let got = idx.find(FitAlgorithm::ExactFit, 32, &mut got_steps);
+            assert_eq!((got.map(|f| f.span), got_steps), (want, want_steps));
+        }
+        assert_eq!(replica(&sll.slab), (true, true, true));
+        assert_eq!(replica(&dll.slab), (true, true, true));
+
+        // From here on both structures are maintained: unlinks past the
+        // head charge their position, and every fit matches the walk.
+        for i in [3, 17, 5, 40, 0] {
+            let span = reference.0.remove(i);
+            let (t, t_dll) = tokens[&span.offset];
+            let mut unlink = 0u64;
+            sll.remove(t, span, &mut unlink).unwrap();
+            assert_eq!(unlink, i as u64 + 1, "SLL unlink charge diverged");
+            dll.remove(t_dll, span, &mut s).unwrap();
+            for fit in [
+                FitAlgorithm::FirstFit,
+                FitAlgorithm::BestFit,
+                FitAlgorithm::WorstFit,
+                FitAlgorithm::ExactFit,
+            ] {
+                for len in [8, 16, 24, 32, 48] {
+                    let (want, want_steps) = reference.search(fit, len);
+                    for idx in [&mut sll as &mut dyn FreeIndex, &mut dll] {
+                        let mut got_steps = 0u64;
+                        let got = idx.find(fit, len, &mut got_steps);
+                        assert_eq!(
+                            (got.map(|f| f.span), got_steps),
+                            (want, want_steps),
+                            "{fit:?}/{len}"
+                        );
+                    }
+                }
+            }
+        }
+        sll.check_oracle().unwrap();
+        dll.check_oracle().unwrap();
     }
 
     #[test]
@@ -1667,58 +1890,6 @@ mod tests {
     /// charge — against an independent flat reference on a churned list.
     #[test]
     fn computed_search_matches_reference_walk() {
-        #[derive(Clone)]
-        struct RefList(Vec<Span>); // head first
-        impl RefList {
-            fn search(&self, fit: FitAlgorithm, len: usize) -> (Option<Span>, u64) {
-                let mut steps = 0u64;
-                match fit {
-                    FitAlgorithm::FirstFit => {
-                        for s in &self.0 {
-                            steps += 1;
-                            if s.len >= len {
-                                return (Some(*s), steps);
-                            }
-                        }
-                        (None, steps)
-                    }
-                    FitAlgorithm::BestFit => {
-                        let mut best: Option<Span> = None;
-                        for s in &self.0 {
-                            steps += 1;
-                            if s.len >= len && best.is_none_or(|b| s.len < b.len) {
-                                best = Some(*s);
-                                if s.len == len {
-                                    break;
-                                }
-                            }
-                        }
-                        (best, steps)
-                    }
-                    FitAlgorithm::WorstFit => {
-                        let mut worst: Option<Span> = None;
-                        for s in &self.0 {
-                            steps += 1;
-                            if s.len >= len && worst.is_none_or(|w| s.len > w.len) {
-                                worst = Some(*s);
-                            }
-                        }
-                        (worst, steps)
-                    }
-                    FitAlgorithm::ExactFit => {
-                        for s in &self.0 {
-                            steps += 1;
-                            if s.len == len {
-                                return (Some(*s), steps);
-                            }
-                        }
-                        (None, steps)
-                    }
-                    FitAlgorithm::NextFit => unreachable!("cursor handled separately"),
-                }
-            }
-        }
-
         // The DLL carries the fit probes; a mirrored SLL cross-checks the
         // position-charged unlinks against the reference index.
         let mut idx = DllIndex::new();

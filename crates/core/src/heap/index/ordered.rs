@@ -438,6 +438,10 @@ impl FreeIndex for SizeTreeIndex {
 
     fn find(&mut self, fit: FitAlgorithm, len: usize, steps: &mut u64) -> Option<Found> {
         *steps += log_cost(self.members);
+        // An empty tree answers every fit at its root.
+        if self.members == 0 {
+            return None;
+        }
         let lowest = |(&(l, o), &(b, k)): (&(usize, usize), &(BlockRef, u32))| {
             (Run::new(o, l, k as usize), 0, b)
         };
@@ -530,6 +534,28 @@ mod tests {
         let hit = idx.find(FitAlgorithm::FirstFit, 32, &mut s).unwrap();
         assert_eq!(hit.span.offset, 0);
         assert_eq!(hit.block, bref(0));
+    }
+
+    /// An empty size tree answers every fit with no block at one step, on
+    /// a fresh tree and on one emptied with a next-fit cursor parked.
+    #[test]
+    fn empty_size_tree_answers_every_fit_at_one_step() {
+        let mut idx = SizeTreeIndex::new();
+        for round in 0..2 {
+            for fit in FitAlgorithm::ALL {
+                for len in [8, 64, 4096] {
+                    let mut steps = 0u64;
+                    assert_eq!(idx.find(fit, len, &mut steps), None, "{fit:?}/{len}");
+                    assert_eq!(steps, 1, "round {round}: {fit:?}/{len}");
+                }
+            }
+            let mut s = 0u64;
+            let span = Span::new(64, 32);
+            idx.insert(span, bref(64), &mut s);
+            let hit = idx.find(FitAlgorithm::NextFit, 16, &mut s).unwrap();
+            assert_eq!(hit.span, span);
+            idx.remove(hit.token, hit.span, &mut s).unwrap();
+        }
     }
 
     /// The size tree runs best fit as first fit, as `executed_fit` says:

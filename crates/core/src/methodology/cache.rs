@@ -141,12 +141,26 @@ impl TraceKey {
 /// all (which decides whether any `free`-path machinery runs).
 ///
 /// Computed once per trace and shared across every candidate of a sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct TraceProjection {
     /// `true` when the trace contains no free events.
     frees_zero: bool,
     /// `(requested size, total allocation count)`, ascending by size.
     size_census: Vec<(usize, usize)>,
+    /// The arena bounds folded so far, one per [`BoundInputs`]. A sweep's
+    /// candidates share a handful of inputs, so a linear scan finds them.
+    bounds: Mutex<Vec<(BoundInputs, usize)>>,
+}
+
+/// What [`TraceProjection::arena_bound`] reads of a configuration:
+/// `block_len_for` depends on it only through the tag bytes and the A2
+/// rounding, which reads the profiled classes only under A2 = profiled
+/// classes (`classes` is empty otherwise).
+#[derive(Debug)]
+struct BoundInputs {
+    tag_bytes: usize,
+    sizes: BlockSizes,
+    classes: Vec<usize>,
 }
 
 impl TraceProjection {
@@ -155,6 +169,7 @@ impl TraceProjection {
         TraceProjection {
             frees_zero: facts.frees == 0,
             size_census: facts.size_census.clone(),
+            bounds: Mutex::default(),
         }
     }
 
@@ -169,7 +184,35 @@ impl TraceProjection {
     /// therefore dominates every possible `brk`. Saturating arithmetic:
     /// on overflow the bound degrades to `usize::MAX`, which simply
     /// disables the reachability collapses (still sound).
+    ///
+    /// The fold runs once per distinct tag byte count, A2 leaf and
+    /// profiled class list; later calls read the memoised bound.
     pub fn arena_bound(&self, cfg: &DmConfig) -> usize {
+        let tag_bytes = cfg.tag_bytes_per_block();
+        let classes: &[usize] = match cfg.block_sizes {
+            BlockSizes::ProfiledClasses => &cfg.params.profiled_classes,
+            _ => &[],
+        };
+        let mut memo = self.bounds.lock().unwrap_or_else(|p| p.into_inner());
+        let known = memo.iter().find(|(k, _)| {
+            k.tag_bytes == tag_bytes && k.sizes == cfg.block_sizes && k.classes == classes
+        });
+        if let Some(&(_, bound)) = known {
+            debug_assert_eq!(bound, self.fold_bound(cfg), "memoised arena bound");
+            return bound;
+        }
+        let bound = self.fold_bound(cfg);
+        let inputs = BoundInputs {
+            tag_bytes,
+            sizes: cfg.block_sizes,
+            classes: classes.to_vec(),
+        };
+        memo.push((inputs, bound));
+        bound
+    }
+
+    /// [`TraceProjection::arena_bound`], folded over the census.
+    fn fold_bound(&self, cfg: &DmConfig) -> usize {
         self.size_census.iter().fold(0usize, |acc, &(size, count)| {
             acc.saturating_add(
                 count.saturating_mul(cfg.block_len_for(size).saturating_add(SBRK_GRANULARITY)),
@@ -381,8 +424,9 @@ pub struct ReplayCache {
     /// The projected tier: one entry per behavioural equivalence class
     /// (trace-conditioned), shared by every structural member of the
     /// class. Kept separate from the structural map so the exact-identity
-    /// contract of [`ReplayCache::get`] is untouched.
-    projected: Mutex<HashMap<(TraceKey, ProjectedKey), CacheEntry>>,
+    /// contract of [`ReplayCache::get`] is untouched. Keyed by trace first,
+    /// so a lookup borrows the projected key instead of cloning it.
+    projected: Mutex<HashMap<TraceKey, HashMap<ProjectedKey, CacheEntry>>>,
 }
 
 impl ReplayCache {
@@ -440,7 +484,8 @@ impl ReplayCache {
         self.projected
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .get(&(trace, key.clone()))
+            .get(&trace)?
+            .get(key)
             .cloned()
     }
 
@@ -452,7 +497,9 @@ impl ReplayCache {
         self.projected
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .insert((trace, key), entry);
+            .entry(trace)
+            .or_default()
+            .insert(key, entry);
     }
 
     /// Number of memoised projected equivalence classes.
@@ -460,7 +507,9 @@ impl ReplayCache {
         self.projected
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .len()
+            .values()
+            .map(HashMap::len)
+            .sum()
     }
 
     /// Number of memoised replays.

@@ -483,8 +483,19 @@ impl Methodology {
         trace: &Trace,
         engine: &ExplorationEngine,
     ) -> Result<ExplorationOutcome> {
+        if trace.is_empty() {
+            return Err(Error::EmptySearchSpace(
+                "cannot explore an empty trace".into(),
+            ));
+        }
+        // Profile and hash the trace once; every hypothesis reads both.
+        let profile = Profile::of(trace);
+        let trace_key = cache::TraceKey::of(trace);
+        let explore = |m: &Methodology, style| {
+            m.explore_with_style(trace, &profile, trace_key, style, engine)
+        };
         if !self.portfolio || self.style != CompletionStyle::Simulated {
-            return self.explore_with_style(trace, self.style, engine);
+            return explore(self, self.style);
         }
         // The portfolio's hypotheses are independent explorations over the
         // same trace: fan them out, first entry is the primary.
@@ -502,9 +513,7 @@ impl Methodology {
                 CompletionStyle::Myopic,
             ));
         }
-        let outcomes = engine.run_parallel(&hypotheses, |(m, style)| {
-            m.explore_with_style(trace, *style, engine)
-        });
+        let outcomes = engine.run_parallel(&hypotheses, |(m, style)| explore(m, *style));
         let mut outcomes = outcomes.into_iter();
         let mut primary = outcomes.next().expect("primary hypothesis present")?;
         // Score on the replayed statistics alone; the winner keeps
@@ -523,24 +532,20 @@ impl Methodology {
         Ok(primary)
     }
 
+    /// One greedy traversal of a non-empty `trace`, whose profile and key
+    /// the caller computed.
     fn explore_with_style(
         &self,
         trace: &Trace,
+        profile: &Profile,
+        trace_key: cache::TraceKey,
         style: CompletionStyle,
         engine: &ExplorationEngine,
     ) -> Result<ExplorationOutcome> {
-        if trace.is_empty() {
-            return Err(Error::EmptySearchSpace(
-                "cannot explore an empty trace".into(),
-            ));
-        }
-        let profile = Profile::of(trace);
-        let params = self.seed_params(&profile);
+        let params = self.seed_params(profile);
         let mut partial = PartialConfig::default();
         let mut decisions = Vec::with_capacity(self.order.len());
         let mut counters = EngineCounters::default();
-        // Hash the trace once per traversal, not once per tree.
-        let trace_key = cache::TraceKey::of(trace);
         // Every candidate is scored by completing it into a full runnable
         // configuration, so the search has already paid for its replay;
         // keep the best completion seen as an incumbent. The final greedy
@@ -654,7 +659,7 @@ impl Methodology {
             footprint,
             decisions,
             counters,
-            profile,
+            profile: profile.clone(),
         })
     }
 
