@@ -1,37 +1,23 @@
 //! Replay memoisation for the exploration engine.
 //!
-//! The greedy traversal scores every candidate leaf by *completing* it into
-//! a full configuration and replaying the whole trace. Completions taken at
-//! different trees frequently collapse to the **same** full configuration
-//! (the winning completion at tree *k* reappears verbatim as the preferred
-//! default at tree *k+1*, and the portfolio probes of
+//! Every score the methodology needs is a replay of a full configuration
+//! on a trace, and [`replay`](crate::trace::replay) is a pure function of
+//! `(trace, configuration)`. Many of those replays repeat one another:
+//! completions taken at different greedy trees collapse to the same full
+//! configuration (the winning completion at tree *k* reappears verbatim as
+//! the preferred default at tree *k+1*), the portfolio probes of
 //! [`Methodology::explore`](crate::methodology::Methodology::explore)
-//! re-derive designs the primary traversal already paid for). Since
-//! [`replay`](crate::trace::replay) is a pure function of
-//! `(trace, configuration)`, those duplicate replays can be served from a
-//! cache — that is what [`ReplayCache`] does.
-//!
-//! Keys are structural: the twelve decided leaves plus the quantitative
-//! [`Params`] (the manager *name* is display-only and deliberately
-//! excluded), paired with a fingerprint of the trace so one cache can be
-//! shared across traces (e.g. across the per-phase sub-traces of
-//! [`explore_phases`](crate::methodology::Methodology::explore_phases), or
-//! across repeated designs in a bench harness).
-//!
-//! # Sweeps bypass the structural tier
-//!
-//! The structural cache only pays off when the *same* `(trace, config)`
-//! pair is evaluated twice — which the greedy traversal and the portfolio
-//! probes do constantly, but an exhaustive branch-and-bound sweep never
-//! does: [`SpaceIter`](crate::space::enumerate::SpaceIter) enumerates each
-//! coherent configuration exactly once (a property
-//! `space::enumerate`'s tests check over the whole space). So the sweep
-//! entry point,
-//! [`ExplorationEngine::evaluate_bounded`](crate::methodology::ExplorationEngine::evaluate_bounded),
-//! neither reads nor writes this tier; storing one entry per replayed
-//! candidate would only hold memory. Collapsing the sweep needs a
-//! *coarser* equivalence than structural identity — that is what
-//! [`ProjectedKey`] provides.
+//! re-derive designs the primary traversal already paid for, and
+//! structurally different configurations frequently *behave* identically
+//! on the trace at hand. [`ReplayCache`] serves all of them from one map:
+//! a trace fingerprint ([`TraceKey`]), so one cache can be shared across
+//! traces (the per-phase sub-traces of
+//! [`explore_phases`](crate::methodology::Methodology::explore_phases),
+//! the shards of a sharded exploration, repeated designs in a bench
+//! harness), then the configuration's behavioural class on that trace
+//! ([`ProjectedKey`]). Greedy, phased, sharded and sweep callers all read
+//! and write it; the manager *name* is display-only and never part of a
+//! key.
 //!
 //! # Trace-conditioned config projection
 //!
@@ -45,23 +31,23 @@
 //! needed to decide reachability — the per-size allocation census and
 //! whether the trace frees at all — and [`ProjectedKey::of`] canonicalizes
 //! a configuration against them, so behaviourally-identical candidates
-//! collapse to one projected cache entry ([`ReplayCache::get_projected`]).
-//! Soundness (equal projected key ⇒ bit-identical
-//! [`FootprintStats`]) is argued rule-by-rule on [`ProjectedKey::of`],
-//! enforced in debug builds by the engine's shadow oracle, proptested
-//! across presets × flat/phased/re-entrant traces, and checked over the
-//! whole space on the quick case-study traces in release.
+//! share one cache entry. Soundness (equal projected key ⇒ bit-identical
+//! [`FootprintStats`], or the same error) is argued rule-by-rule on
+//! [`ProjectedKey::of`], enforced in debug builds by the engine's shadow
+//! oracle on every served hit, proptested across presets ×
+//! flat/phased/re-entrant traces, and checked in release over the whole
+//! space on the quick case-study traces, under both the sweep's
+//! parameters and the ones the greedy traversal seeds.
 //!
 //! # Entries: full stats or a floor
 //!
-//! Both tiers hold a [`CacheEntry`]: a full replay's stats or, when a
-//! replay was cut short at its peak cap, the floor its peak had already
-//! reached. A projected class's floor binds every member, because every
-//! member replays identically. The structural tier keeps the floors of
-//! greedy replays capped at their tree's best peak; a later caller whose
-//! cap is below a floor learns from it that the configuration loses,
-//! without a replay, and an uncapped caller replays the configuration in
-//! full and replaces the floor with its stats.
+//! A [`CacheEntry`] is a full replay's stats or, when a replay was cut
+//! short at its peak cap, the floor its peak had already reached. A
+//! class's floor binds every member, because every member replays
+//! identically. A later caller whose cap is below a floor learns from it
+//! that the configuration loses, without a replay; any other caller
+//! replays the configuration, and what it learns is folded in: full stats
+//! replace a floor, and a floor only rises.
 
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
@@ -71,40 +57,16 @@ use std::sync::Mutex;
 use crate::analyze::TraceFacts;
 use crate::heap::index::executed_fit;
 use crate::metrics::FootprintStats;
-use crate::space::config::{DmConfig, Params};
+use crate::space::config::DmConfig;
 use crate::space::trees::{
-    BlockSizes, BlockStructure, CoalesceMaxSizes, CoalesceWhen, FitAlgorithm, Leaf, PoolDivision,
-    PoolStructure, TreeId,
+    BlockSizes, BlockStructure, CoalesceMaxSizes, CoalesceWhen, FitAlgorithm, PoolDivision,
+    PoolStructure,
 };
 use crate::trace::Trace;
 use crate::units::SBRK_GRANULARITY;
 
-/// Structural identity of a configuration: one leaf per tree plus the
-/// quantitative parameters. The name is excluded — two managers that differ
-/// only in their label replay identically.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ConfigKey {
-    leaves: [Leaf; 12],
-    params: Params,
-}
-
-impl ConfigKey {
-    /// The structural key of a configuration.
-    pub fn of(cfg: &DmConfig) -> Self {
-        let mut leaves = [Leaf::A1(cfg.block_structure); 12];
-        for (slot, tree) in leaves.iter_mut().zip(TreeId::ALL) {
-            *slot = cfg.leaf(tree);
-        }
-        ConfigKey {
-            leaves,
-            params: cfg.params.clone(),
-        }
-    }
-}
-
 /// Identity of a trace for cache partitioning: a 64-bit content hash plus
-/// the event count. Structural configuration keys make config collisions
-/// impossible; trace collisions would need two traces with equal length
+/// the event count. A collision would need two traces with equal length
 /// *and* equal content hash inside one engine's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceKey {
@@ -224,8 +186,10 @@ impl TraceProjection {
     }
 }
 
-/// Trace-conditioned behavioural identity of a configuration: the
-/// [`ConfigKey`] quotient under "replays bit-identically on this trace".
+/// Trace-conditioned behavioural identity of a configuration: its
+/// structural identity (the twelve leaves and the parameters, as
+/// [`DmConfig::fingerprint`] hashes them; never the name) quotiented by
+/// "replays bit-identically on this trace".
 ///
 /// Two configurations with equal projected keys execute the policy
 /// allocator step-for-step identically on the projection's trace —
@@ -284,7 +248,7 @@ pub struct ProjectedKey {
     coalesce_cap: usize,
     cheap_prev: bool,
     split_trigger: Option<usize>,
-    profiled_classes: Vec<usize>,
+    profiled_classes: ClassList,
     trim_threshold: Option<usize>,
     arena_limit: Option<usize>,
 }
@@ -357,19 +321,40 @@ impl ProjectedKey {
             coalesce_cap,
             cheap_prev,
             split_trigger,
-            profiled_classes: if cfg.block_sizes == BlockSizes::ProfiledClasses {
+            profiled_classes: ClassList(if cfg.block_sizes == BlockSizes::ProfiledClasses {
                 cfg.params.profiled_classes.clone()
             } else {
                 Vec::new()
-            },
+            }),
             trim_threshold,
             arena_limit,
         }
     }
 }
 
-/// What a cache tier knows about one configuration (structural tier) or
-/// one equivalence class (projected tier).
+/// The profiled class list of a [`ProjectedKey`], compared element-wise:
+/// slice `==` calls `memcmp` even on two empty lists, and A2 = many and
+/// power-of-two cache lookups read about 450 ns with it against about
+/// 265 ns element-wise on a 2-core Xeon VM.
+#[derive(Debug, Clone, Eq)]
+struct ClassList(Vec<usize>);
+
+impl PartialEq for ClassList {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.iter().eq(&other.0)
+    }
+}
+
+// Written out rather than derived only because a derived `Hash` next to a
+// hand-written `PartialEq` is a clippy error; it hashes exactly what the
+// derive would, and element-wise equality is `Vec` equality.
+impl Hash for ClassList {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+/// What the cache knows about one equivalence class on one trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheEntry {
     /// A replay ran to the end: the configuration (every class member)
@@ -383,8 +368,10 @@ pub enum CacheEntry {
 
 impl CacheEntry {
     /// Fold `new` into what is known: full stats replace anything, and a
-    /// floor only ever rises. Parallel greedy workers can publish a floor
-    /// for a configuration another worker has just replayed in full.
+    /// floor only ever rises. Parallel workers can publish a floor for a
+    /// class another worker has just replayed in full. A sweep only
+    /// replays a member when its class holds no stats and at most a floor
+    /// its cap reaches, so what it records always replaces the entry.
     fn absorb(&mut self, new: CacheEntry) {
         match (&*self, &new) {
             (CacheEntry::Stats(_), CacheEntry::PeakAtLeast(_)) => {}
@@ -394,14 +381,17 @@ impl CacheEntry {
     }
 }
 
-/// A thread-safe memo table from `(trace, configuration)` to the replay's
-/// [`FootprintStats`].
+/// A thread-safe memo table from `(trace, behavioural class)` to what a
+/// replay of a class member revealed.
 ///
 /// # Examples
 ///
 /// ```
-/// use dmm_core::methodology::cache::{ReplayCache, TraceKey};
+/// use dmm_core::analyze::TraceFacts;
 /// use dmm_core::manager::PolicyAllocator;
+/// use dmm_core::methodology::cache::{
+///     CacheEntry, ProjectedKey, ReplayCache, TraceKey, TraceProjection,
+/// };
 /// use dmm_core::space::presets;
 /// use dmm_core::trace::{replay, Trace};
 ///
@@ -413,23 +403,21 @@ impl CacheEntry {
 ///
 /// let cache = ReplayCache::new();
 /// let key = TraceKey::of(&trace);
+/// let projection = TraceProjection::of(&TraceFacts::of(&trace));
 /// let cfg = presets::drr_paper();
-/// assert!(cache.get(key, &cfg).is_none());
+/// let class = ProjectedKey::of(&cfg, &projection);
+/// assert!(cache.get(key, &class).is_none());
 /// let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone())?)?;
-/// cache.insert(key, &cfg, fs.clone());
-/// assert_eq!(cache.get(key, &cfg), Some(fs));
+/// cache.record(key, class.clone(), CacheEntry::Stats(Box::new(fs.clone())));
+/// assert_eq!(cache.get(key, &class), Some(CacheEntry::Stats(Box::new(fs))));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Default)]
 pub struct ReplayCache {
-    map: Mutex<HashMap<(TraceKey, ConfigKey), CacheEntry>>,
-    /// The projected tier: one entry per behavioural equivalence class
-    /// (trace-conditioned), shared by every structural member of the
-    /// class. Kept separate from the structural map so the exact-identity
-    /// contract of [`ReplayCache::get`] is untouched. Keyed by trace first,
-    /// so a lookup borrows the projected key instead of cloning it.
-    projected: Mutex<HashMap<TraceKey, HashMap<ProjectedKey, CacheEntry>>>,
+    /// Keyed by trace first, so a lookup borrows the class key instead of
+    /// cloning it.
+    map: Mutex<HashMap<TraceKey, HashMap<ProjectedKey, CacheEntry>>>,
 }
 
 impl ReplayCache {
@@ -438,53 +426,14 @@ impl ReplayCache {
         ReplayCache::default()
     }
 
-    /// Cached replay statistics of `cfg` on the trace fingerprinted as
-    /// `trace`, if a replay of it ran to the end (a floor is not stats).
+    /// What is known of the class `key` on the trace fingerprinted as
+    /// `trace`: full stats, a floor under its peak, or nothing.
     ///
-    /// The returned statistics carry the *cached* manager name; callers
-    /// that care about labels should restore their own (the engine does).
-    pub fn get(&self, trace: TraceKey, cfg: &DmConfig) -> Option<FootprintStats> {
-        match self.lookup(trace, cfg)? {
-            CacheEntry::Stats(stats) => Some(*stats),
-            CacheEntry::PeakAtLeast(_) => None,
-        }
-    }
-
-    /// What is known of `cfg` on the trace fingerprinted as `trace`: full
-    /// stats, a floor under its peak, or nothing.
-    pub fn lookup(&self, trace: TraceKey, cfg: &DmConfig) -> Option<CacheEntry> {
+    /// Returned statistics carry the manager name of the member that was
+    /// replayed; callers that care about labels restore their own (the
+    /// engine does).
+    pub fn get(&self, trace: TraceKey, key: &ProjectedKey) -> Option<CacheEntry> {
         self.map
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&(trace, ConfigKey::of(cfg)))
-            .cloned()
-    }
-
-    /// Record the replay statistics of `cfg` on the trace fingerprinted as
-    /// `trace`.
-    pub fn insert(&self, trace: TraceKey, cfg: &DmConfig, stats: FootprintStats) {
-        self.record(trace, cfg, CacheEntry::Stats(Box::new(stats)));
-    }
-
-    /// Record what a replay of `cfg` revealed: full stats replace anything
-    /// known, a floor only raises a lower floor.
-    pub fn record(&self, trace: TraceKey, cfg: &DmConfig, entry: CacheEntry) {
-        let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        match map.entry((trace, ConfigKey::of(cfg))) {
-            Entry::Occupied(mut known) => known.get_mut().absorb(entry),
-            Entry::Vacant(slot) => {
-                slot.insert(entry);
-            }
-        }
-    }
-
-    /// What is known of a projected equivalence class, if any member of
-    /// the class was replayed on this trace before.
-    ///
-    /// As with [`ReplayCache::get`], returned statistics carry the
-    /// *cached* member's manager name; callers restore their own.
-    pub fn get_projected(&self, trace: TraceKey, key: &ProjectedKey) -> Option<CacheEntry> {
-        self.projected
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .get(&trace)?
@@ -492,32 +441,26 @@ impl ReplayCache {
             .cloned()
     }
 
-    /// Record what a member of a projected equivalence class revealed,
-    /// replacing what was known. A sweep only replays a member when the
-    /// class holds no stats and at most a floor its cap reaches, so the
-    /// replacement is full stats or a higher floor.
-    pub fn insert_projected(&self, trace: TraceKey, key: ProjectedKey, entry: CacheEntry) {
-        self.projected
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .entry(trace)
-            .or_default()
-            .insert(key, entry);
+    /// Record what a replay of a member of class `key` revealed: full stats
+    /// replace anything known, a floor only raises a lower floor.
+    pub fn record(&self, trace: TraceKey, key: ProjectedKey, entry: CacheEntry) {
+        let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
+        match map.entry(trace).or_default().entry(key) {
+            Entry::Occupied(mut known) => known.get_mut().absorb(entry),
+            Entry::Vacant(slot) => {
+                slot.insert(entry);
+            }
+        }
     }
 
-    /// Number of memoised projected equivalence classes.
-    pub fn projected_len(&self) -> usize {
-        self.projected
+    /// Number of memoised classes, over every trace.
+    pub fn len(&self) -> usize {
+        self.map
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .values()
             .map(HashMap::len)
             .sum()
-    }
-
-    /// Number of memoised replays.
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
     /// Whether the cache holds no entries.
@@ -531,7 +474,7 @@ mod tests {
     use super::*;
     use crate::manager::PolicyAllocator;
     use crate::space::presets;
-    use crate::space::trees::{BlockTags, SplitWhen};
+    use crate::space::trees::{BlockTags, Leaf, SplitWhen};
     use crate::trace::replay;
 
     fn tiny_trace() -> Trace {
@@ -543,20 +486,31 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// `cfg`'s class on `trace`, with `cfg`'s replay recorded in `cache`.
+    fn record_replay(cache: &ReplayCache, trace: &Trace, cfg: &DmConfig) -> FootprintStats {
+        let class = ProjectedKey::of(cfg, &projection_of(trace));
+        let fs = replay(trace, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
+        cache.record(
+            TraceKey::of(trace),
+            class,
+            CacheEntry::Stats(Box::new(fs.clone())),
+        );
+        fs
+    }
+
     #[test]
     fn name_is_excluded_from_the_key() {
         let trace = tiny_trace();
         let cache = ReplayCache::new();
-        let key = TraceKey::of(&trace);
         let cfg = presets::drr_paper();
-        let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-        cache.insert(key, &cfg, fs.clone());
+        let fs = record_replay(&cache, &trace, &cfg);
 
         let mut renamed = cfg.clone();
         renamed.name = "same machinery, different label".into();
+        let class = ProjectedKey::of(&renamed, &projection_of(&trace));
         assert_eq!(
-            cache.get(key, &renamed),
-            Some(fs),
+            cache.get(TraceKey::of(&trace), &class),
+            Some(CacheEntry::Stats(Box::new(fs))),
             "a rename must not defeat memoisation"
         );
         assert_eq!(cache.len(), 1);
@@ -567,25 +521,44 @@ mod tests {
         let trace = tiny_trace();
         let cache = ReplayCache::new();
         let key = TraceKey::of(&trace);
-        let cfg = presets::drr_paper();
-        let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-        cache.insert(key, &cfg, fs);
+        let proj = projection_of(&trace);
+        record_replay(&cache, &trace, &presets::drr_paper());
 
-        assert!(cache.get(key, &presets::kingsley_like()).is_none());
+        let kingsley = ProjectedKey::of(&presets::kingsley_like(), &proj);
+        assert!(cache.get(key, &kingsley).is_none());
+        // An arena limit the trace reaches is behaviour.
         let mut reparam = presets::drr_paper();
-        reparam.params.trim_threshold = None;
+        reparam.params.arena_limit = Some(64);
         assert!(
-            cache.get(key, &reparam).is_none(),
-            "params are part of the structural key"
+            cache.get(key, &ProjectedKey::of(&reparam, &proj)).is_none(),
+            "params the trace can tell apart are part of the key"
         );
 
         let mut b = Trace::builder();
         let a = b.alloc(101); // one byte different
         b.free(a);
         let other = b.finish().unwrap();
-        assert!(cache
-            .get(TraceKey::of(&other), &presets::drr_paper())
-            .is_none());
+        let class = ProjectedKey::of(&presets::drr_paper(), &projection_of(&other));
+        assert!(cache.get(TraceKey::of(&other), &class).is_none());
+    }
+
+    #[test]
+    fn keys_differing_only_in_class_lists_are_unequal() {
+        let base = ProjectedKey::of(&presets::drr_paper(), &projection_of(&tiny_trace()));
+        let with = |classes: &[usize]| ProjectedKey {
+            profiled_classes: ClassList(classes.to_vec()),
+            ..base.clone()
+        };
+        assert_ne!(with(&[16, 32]), with(&[16, 48]));
+        assert_ne!(with(&[16, 32]), with(&[16, 32, 64]));
+        assert_ne!(with(&[]), with(&[16]));
+        assert_eq!(with(&[16, 32]), with(&[16, 32]));
+        assert_eq!(with(&[]), with(&[]));
+        // Equal keys hash alike: a map finds one by the other.
+        let map: HashMap<ProjectedKey, usize> = [(with(&[16, 32]), 1), (with(&[]), 2)].into();
+        assert_eq!(map.get(&with(&[16, 32])), Some(&1));
+        assert_eq!(map.get(&with(&[])), Some(&2));
+        assert_eq!(map.get(&with(&[16, 48])), None);
     }
 
     fn alloc_only_trace() -> Trace {
@@ -755,53 +728,22 @@ mod tests {
         let cfg = presets::drr_paper();
         let key = TraceKey::of(&trace);
         let pk = ProjectedKey::of(&cfg, &proj);
-        assert!(cache.get_projected(key, &pk).is_none());
+        assert!(cache.get(key, &pk).is_none());
         let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
-        cache.insert_projected(key, pk.clone(), CacheEntry::PeakAtLeast(100));
-        assert_eq!(
-            cache.get_projected(key, &pk),
-            Some(CacheEntry::PeakAtLeast(100))
-        );
+        // A floor only rises, and full stats replace it for good.
+        cache.record(key, pk.clone(), CacheEntry::PeakAtLeast(100));
+        cache.record(key, pk.clone(), CacheEntry::PeakAtLeast(50));
+        assert_eq!(cache.get(key, &pk), Some(CacheEntry::PeakAtLeast(100)));
+        cache.record(key, pk.clone(), CacheEntry::PeakAtLeast(150));
+        assert_eq!(cache.get(key, &pk), Some(CacheEntry::PeakAtLeast(150)));
         let stats = CacheEntry::Stats(Box::new(fs));
-        cache.insert_projected(key, pk.clone(), stats.clone());
-        assert_eq!(cache.get_projected(key, &pk), Some(stats));
-        assert_eq!(cache.projected_len(), 1);
-        assert!(cache.is_empty(), "the structural tier is untouched");
+        cache.record(key, pk.clone(), stats.clone());
+        cache.record(key, pk.clone(), CacheEntry::PeakAtLeast(200));
+        assert_eq!(cache.get(key, &pk), Some(stats));
+        assert_eq!(cache.len(), 1);
 
         let mut renamed = cfg.clone();
         renamed.name = "same machinery".into();
         assert_eq!(pk, ProjectedKey::of(&renamed, &proj));
-    }
-
-    #[test]
-    fn config_key_round_trips_every_leaf() {
-        for cfg in presets::all() {
-            let key = ConfigKey::of(&cfg);
-            for (slot, tree) in key.leaves.iter().zip(TreeId::ALL) {
-                assert_eq!(*slot, cfg.leaf(tree), "{}: {tree}", cfg.name);
-            }
-        }
-    }
-
-    #[test]
-    fn fingerprint_agrees_with_config_key_identity() {
-        // `DmConfig::fingerprint()` and `ConfigKey` are two views of the
-        // same structural identity (leaves + params, name excluded); keep
-        // them from drifting apart.
-        for a in presets::all() {
-            let mut renamed = a.clone();
-            renamed.name = format!("{} (renamed)", a.name);
-            assert_eq!(a.fingerprint(), renamed.fingerprint());
-            assert_eq!(ConfigKey::of(&a), ConfigKey::of(&renamed));
-            for b in presets::all() {
-                let same_key = ConfigKey::of(&a) == ConfigKey::of(&b);
-                let same_fp = a.fingerprint() == b.fingerprint();
-                assert_eq!(
-                    same_key, same_fp,
-                    "{} vs {}: key/fingerprint identity disagree",
-                    a.name, b.name
-                );
-            }
-        }
     }
 }

@@ -14,14 +14,15 @@
 //! The CRC32 (shared with the durable trace store) covers the JSON bytes,
 //! so a torn final line — the signature of a killed process — is detected
 //! and the journal self-heals on [`CheckpointJournal::resume`] by
-//! truncating to the last intact record. Keys are the engine's cache
-//! identity ([`TraceKey`](super::cache::TraceKey) fingerprint + event
-//! count, [`DmConfig::fingerprint`](crate::space::DmConfig::fingerprint)),
-//! so a resumed sweep recognises completed candidates across processes
-//! exactly as the in-memory [`ReplayCache`](super::cache::ReplayCache)
-//! would have within one: the winner of a killed-then-resumed sweep is
-//! **bit-identical** to an uninterrupted run — only the replays/cache-hits
-//! split differs.
+//! truncating to the last intact record. Keys are the trace's
+//! [`TraceKey`](super::cache::TraceKey) (fingerprint + event count) and
+//! the configuration's exact identity,
+//! [`DmConfig::fingerprint`](crate::space::DmConfig::fingerprint), so a
+//! resumed sweep recognises completed candidates across processes, and
+//! the in-memory [`ReplayCache`](super::cache::ReplayCache) shares their
+//! scores with each candidate's behavioural class again within the new
+//! one: the winner of a killed-then-resumed sweep is **bit-identical** to
+//! an uninterrupted run — only the replays/cache-hits split differs.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};

@@ -9,18 +9,18 @@
 //! caller that folds them sequentially gets bit-identical argmins and
 //! tie-breaks whether the engine ran with one job or many.
 //!
-//! Each cache tier serves one kind of traffic. The greedy and sharded
-//! entry points ([`ExplorationEngine::evaluate_all`],
-//! [`ExplorationEngine::evaluate_config`] and the footprint-only greedy
-//! step behind [`Methodology::explore`](crate::methodology::Methodology::explore))
-//! re-derive the same full configurations over and over, so they go
-//! through the structural tier. The sweep entry point
-//! ([`ExplorationEngine::evaluate_bounded`]) sees each configuration once
-//! and could never hit that tier, so it goes lint → bound → projected tier
-//! (when on) → fresh replay instead. Both the sweep and the footprint-only
-//! greedy step cut a replay short once the candidate's running peak shows
-//! it cannot win: the sweep against its incumbent, the greedy step
-//! against the lowest peak among its tree's completions.
+//! Every memoised evaluation takes one per-candidate step: look the
+//! candidate's behavioural class ([`ProjectedKey`]) up in the cache, serve
+//! a hit (checked against a fresh replay in debug builds), or replay the
+//! candidate, stopped at an optional peak cap, and record what the replay
+//! revealed. Greedy, phased and sharded explorations (through
+//! [`Methodology::explore`](crate::methodology::Methodology::explore) and
+//! its siblings) always take that step; under a pure-footprint objective
+//! each tree's completions are capped at the lowest peak among them. The
+//! sweep entry point ([`ExplorationEngine::evaluate_bounded`]) runs lint →
+//! bound first and then takes the same step, capped at its incumbent, when
+//! projection is on ([`ExplorationEngine::with_projection`]); with
+//! projection off it replays every survivor without touching the cache.
 //!
 //! One engine may serve many explorations — the cache key includes a trace
 //! fingerprint, so sharing an engine across portfolio probes, phases,
@@ -62,8 +62,10 @@ pub struct EngineCounters {
     pub evaluations: usize,
     /// Full trace replays actually performed.
     pub replays: usize,
-    /// Evaluations served from the structural replay cache or the
-    /// checkpoint journal.
+    /// Evaluations of greedy, phased and sharded callers served from the
+    /// replay cache (a member of the candidate's [`ProjectedKey`] class was
+    /// replayed on this trace before, or its floor decided the candidate),
+    /// and evaluations of any caller served from the checkpoint journal.
     pub cache_hits: usize,
     /// Candidates rejected by a prune-safe static lint before any replay
     /// (or cache lookup) was scheduled. Not counted in `evaluations`.
@@ -81,12 +83,11 @@ pub struct EngineCounters {
     /// in quarantine mode — aborted and skipped instead of hanging a
     /// worker. Not counted in `evaluations`.
     pub budget_exceeded: usize,
-    /// Candidates served from the trace-conditioned projection tier of the
-    /// cache ([`ProjectedKey`]): a behaviorally-identical sibling was
-    /// already replayed on this trace, so the candidate's stats were
-    /// copied (or its sibling's cut-off floor decided it), not recomputed.
-    /// Not counted in `evaluations` — the sweep partition is
-    /// [`EngineCounters::candidates`]` == enumerated`.
+    /// Sweep candidates served from the replay cache ([`ProjectedKey`]): a
+    /// behaviorally-identical sibling was already replayed on this trace,
+    /// so the candidate's stats were copied (or its sibling's cut-off floor
+    /// decided it), not recomputed. Not counted in `evaluations` — the
+    /// sweep partition is [`EngineCounters::candidates`]` == enumerated`.
     pub projection_hits: usize,
 }
 
@@ -171,13 +172,13 @@ pub(crate) enum Outcome {
     Scored(Box<Evaluation>),
     /// The candidate's peak is at least `floor`, which exceeds its cap:
     /// it cannot win. Its own replay was cut there, or, with `cache_hit`,
-    /// a cache tier already held that floor and nothing was replayed.
+    /// the cache already held that floor and nothing was replayed.
     Lost { floor: usize, cache_hit: bool },
 }
 
 impl Outcome {
     /// The evaluation of a replay run without a cap.
-    fn uncapped(self) -> Evaluation {
+    pub(crate) fn uncapped(self) -> Evaluation {
         match self {
             Outcome::Scored(eval) => *eval,
             Outcome::Lost { .. } => unreachable!("a replay without a cap is never cut"),
@@ -211,11 +212,10 @@ pub struct ExplorationEngine {
     /// subsequent replay of that trace — hundreds per `explore` — runs the
     /// hash-free [`replay_compiled_limited`] kernel instead.
     compiled: Mutex<HashMap<TraceKey, Arc<CompiledTrace>>>,
-    /// Trace-conditioned projection of every trace this engine has swept
-    /// with projection enabled, keyed like `compiled`. Deriving one is a
-    /// single O(events) [`crate::analyze::TraceFacts`] pass; every
-    /// candidate of every subsequent sweep reuses it to compute its
-    /// [`ProjectedKey`] in O(1).
+    /// Trace-conditioned projection of every trace this engine has looked
+    /// up in its cache, keyed like `compiled`. Deriving one is a single
+    /// O(events) [`crate::analyze::TraceFacts`] pass; every later candidate
+    /// on that trace reuses it to compute its [`ProjectedKey`] in O(1).
     projections: Mutex<HashMap<TraceKey, Arc<TraceProjection>>>,
     evaluations: AtomicUsize,
     replays: AtomicUsize,
@@ -235,10 +235,9 @@ pub struct ExplorationEngine {
     /// Quarantine mode: the sweep entry point skips (instead of
     /// propagating) candidates that panic or run out of budget.
     quarantine: bool,
-    /// Trace-conditioned config projection: the sweep entry point
-    /// collapses candidates whose [`ProjectedKey`] matches an
-    /// already-replayed sibling into a copied result
-    /// ([`EngineCounters::projection_hits`]).
+    /// Whether the sweep entry point reads and writes the cache, collapsing
+    /// candidates whose [`ProjectedKey`] matches an already-replayed
+    /// sibling into a copied result ([`EngineCounters::projection_hits`]).
     projection: bool,
     /// Per-candidate replay budget, enforced inside the compiled kernel.
     budget: ReplayBudget,
@@ -295,25 +294,25 @@ impl ExplorationEngine {
     /// panic ([`EngineCounters::quarantined`], `EX001`) or exceed their
     /// replay budget ([`EngineCounters::budget_exceeded`], `EX002`)
     /// instead of failing the whole sweep. All other errors still
-    /// propagate, and the strict entry points
-    /// ([`ExplorationEngine::evaluate_all`],
-    /// [`ExplorationEngine::evaluate_config`]) always propagate
-    /// everything — a greedy traversal needs every score it asks for.
+    /// propagate, and greedy, phased and sharded explorations always
+    /// propagate everything — a greedy traversal needs every score it asks
+    /// for.
     #[must_use]
     pub fn with_quarantine(mut self, on: bool) -> Self {
         self.quarantine = on;
         self
     }
 
-    /// Enable/disable trace-conditioned config projection on the sweep
-    /// entry point ([`ExplorationEngine::evaluate_bounded`]): candidates
-    /// whose [`ProjectedKey`] matches an already-replayed sibling are
-    /// served a copy of that sibling's stats — counted in
-    /// [`EngineCounters::projection_hits`], never in `evaluations` — and
-    /// in debug builds every served copy is checked against a fresh
-    /// shadow replay (the soundness oracle). The greedy/strict entry
-    /// points never project: their callers compare candidates by name,
-    /// not by enumeration order, and the replays are few.
+    /// Enable/disable the replay cache on the sweep entry point
+    /// ([`ExplorationEngine::evaluate_bounded`]): candidates whose
+    /// [`ProjectedKey`] matches an already-replayed sibling are served a
+    /// copy of that sibling's stats — counted in
+    /// [`EngineCounters::projection_hits`], never in `evaluations` — and in
+    /// debug builds every served copy is checked against a fresh shadow
+    /// replay (the soundness oracle). With it off (the default), a sweep
+    /// replays every candidate that survives lint and bound. Greedy,
+    /// phased and sharded explorations always go through the cache,
+    /// whatever this says.
     #[must_use]
     pub fn with_projection(mut self, on: bool) -> Self {
         self.projection = on;
@@ -393,8 +392,8 @@ impl ExplorationEngine {
     /// at the lowest peak among its tree's completions. Each cut is also
     /// counted in `evaluations` and `replays`. A candidate decided by a
     /// floor already in the cache is not a cut: it counts in
-    /// `projection_hits` when a sweep's class sibling left the floor, and
-    /// in `cache_hits` when a greedy replay of the same configuration did.
+    /// `projection_hits` when a sweep asked, and in `cache_hits` when a
+    /// greedy or sharded caller did.
     pub fn peak_cut(&self) -> usize {
         self.peak_cut.load(Ordering::Relaxed)
     }
@@ -404,129 +403,61 @@ impl ExplorationEngine {
         &self.cache
     }
 
-    /// Evaluate every configuration against `trace` (fingerprinted as
-    /// `key`, so a caller scoring many candidate sets against one trace —
-    /// the greedy traversal does, once per tree — hashes it once),
-    /// memoised in the structural tier and fanned out over the engine's
-    /// jobs. The result vector is **in input order**; on failure the error
-    /// of the earliest failing input is returned, exactly as a serial loop
-    /// would surface it.
+    /// Score a list of configurations against `trace` (fingerprinted as
+    /// `key`, so a caller scoring many lists against one trace — the
+    /// greedy traversal does, once per tree — hashes it once), fanned out
+    /// over the engine's jobs. The results are **in input order**; on
+    /// failure the error of the earliest failing input is returned,
+    /// exactly as a serial loop would surface it.
     ///
-    /// # Errors
-    ///
-    /// Propagates manager construction and replay failures.
-    pub fn evaluate_all(
-        &self,
-        trace: &Trace,
-        key: TraceKey,
-        cfgs: &[DmConfig],
-    ) -> Result<Vec<Evaluation>> {
-        let results = self.run_parallel(cfgs, |cfg| self.evaluate_config(trace, key, cfg));
-        results.into_iter().collect()
-    }
-
-    /// Evaluate a single configuration against `trace` (fingerprinted as
-    /// `key`), memoised in the structural tier: a hit is served from the
-    /// cache, a miss replays and is remembered. Sharded exploration leans
-    /// on this: each shard is its own cache partition, so replaying the
-    /// merged design over a shard whose exploration already scored that
-    /// configuration is a cache hit, not a second replay. The result is
-    /// always full stats: a configuration the cache only holds a floor
+    /// Each configuration takes the memoised step when its turn comes, so
+    /// a class sibling scored earlier — in this list or by any earlier
+    /// caller on the trace — answers it as a cache hit. Without `capped`
+    /// every outcome is full stats: a class the cache holds only a floor
     /// for is replayed in full, and its stats replace the floor.
     ///
+    /// With `capped`, which the methodology passes for a greedy tree's
+    /// completions under a pure-footprint objective, every configuration
+    /// whose peak is the lowest in `cfgs` comes back with full stats, and
+    /// any other may come back [`Outcome::Lost`], since it can be neither
+    /// the tree's argmin nor the exploration's incumbent. The starting cap
+    /// is the lowest peak the cache holds stats for among `cfgs`; each
+    /// replay is capped at the lowest peak known when it starts (with more
+    /// than one job, the workers share that running cap), and a class
+    /// whose floor already exceeds the cap is answered from the floor. A
+    /// cut replay leaves its floor in the cache and counts in `replays` and
+    /// [`ExplorationEngine::peak_cut`].
+    ///
     /// # Errors
     ///
     /// Propagates manager construction and replay failures.
-    pub fn evaluate_config(
-        &self,
-        trace: &Trace,
-        key: TraceKey,
-        cfg: &DmConfig,
-    ) -> Result<Evaluation> {
-        if let Some(stats) = self.cache.get(key, cfg) {
-            self.evaluations.fetch_add(1, Ordering::Relaxed);
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Evaluation {
-                stats: relabel(stats, cfg),
-                cache_hit: true,
-            });
-        }
-        let eval = self.replay_fresh(trace, key, cfg, None)?.uncapped();
-        self.cache.insert(key, cfg, eval.stats.clone());
-        Ok(eval)
-    }
-
-    /// Score one greedy tree's completions for a pure-footprint objective,
-    /// in input order. Every completion whose peak is the lowest among
-    /// `cfgs` comes back with full stats; any other may come back
-    /// [`Outcome::Lost`], since it can be neither the tree's argmin nor the
-    /// exploration's incumbent.
-    ///
-    /// Completions the structural tier holds stats for are answered first,
-    /// and the lowest of their peaks is the starting cap. The rest replay
-    /// in input order through [`replay_compiled_limited`], each capped at
-    /// the lowest peak known among the tree's completions when it starts
-    /// (with more than one job, the workers share that running cap). A
-    /// completion whose cached floor already exceeds its cap is answered
-    /// from the floor, as a cache hit. A cut replay leaves its floor in the
-    /// structural tier and counts in `replays` and
-    /// [`ExplorationEngine::peak_cut`]; a complete one leaves its stats.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ExplorationEngine::evaluate_all`].
-    pub(crate) fn evaluate_capped(
+    pub(crate) fn evaluate_all(
         &self,
         trace: &Trace,
         key: TraceKey,
         cfgs: &[DmConfig],
+        capped: bool,
     ) -> Result<Vec<Outcome>> {
-        let known: Vec<(&DmConfig, Option<CacheEntry>)> = cfgs
+        let projection = self.projection_for(key, trace);
+        let classes: Vec<(&DmConfig, ProjectedKey)> = cfgs
             .iter()
-            .map(|cfg| (cfg, self.cache.lookup(key, cfg)))
+            .map(|cfg| (cfg, ProjectedKey::of(cfg, &projection)))
             .collect();
-        let best = AtomicUsize::new(
-            known
-                .iter()
-                .filter_map(|(_, entry)| match entry {
-                    Some(CacheEntry::Stats(stats)) => Some(stats.peak_footprint),
-                    _ => None,
-                })
-                .min()
-                .unwrap_or(usize::MAX),
-        );
-        let results = self.run_parallel(&known, |(cfg, entry)| {
-            let cap = Some(best.load(Ordering::Relaxed)).filter(|&cap| cap != usize::MAX);
-            match entry {
-                Some(CacheEntry::Stats(stats)) => {
-                    self.evaluations.fetch_add(1, Ordering::Relaxed);
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Outcome::Scored(Box::new(Evaluation {
-                        stats: relabel(FootprintStats::clone(stats), cfg),
-                        cache_hit: true,
-                    })));
+        // The lowest peak known among `cfgs`, seeded from the cache.
+        let best = AtomicUsize::new(usize::MAX);
+        if capped {
+            for (_, class) in &classes {
+                if let Some(CacheEntry::Stats(stats)) = self.cache.get(key, class) {
+                    best.fetch_min(stats.peak_footprint, Ordering::Relaxed);
                 }
-                Some(CacheEntry::PeakAtLeast(floor)) if cap.is_some_and(|cap| *floor > cap) => {
-                    self.evaluations.fetch_add(1, Ordering::Relaxed);
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    #[cfg(debug_assertions)]
-                    self.cut_oracle_check(trace, key, cfg, *floor, cap);
-                    return Ok(Outcome::Lost {
-                        floor: *floor,
-                        cache_hit: true,
-                    });
-                }
-                _ => {}
             }
-            let outcome = self.replay_fresh(trace, key, cfg, cap)?;
-            let entry = match &outcome {
-                Outcome::Scored(eval) => {
-                    best.fetch_min(eval.stats.peak_footprint, Ordering::Relaxed);
-                    CacheEntry::Stats(Box::new(eval.stats.clone()))
-                }
-                Outcome::Lost { floor, .. } => CacheEntry::PeakAtLeast(*floor),
-            };
-            self.cache.record(key, cfg, entry);
+        }
+        let results = self.run_parallel(&classes, |(cfg, class)| {
+            let cap = Some(best.load(Ordering::Relaxed)).filter(|&cap| capped && cap != usize::MAX);
+            let outcome = self.evaluate_memoised(trace, key, cfg, class.clone(), cap, false)?;
+            if let Some(stats) = outcome.stats() {
+                best.fetch_min(stats.peak_footprint, Ordering::Relaxed);
+            }
             Ok(outcome)
         });
         results.into_iter().collect()
@@ -544,10 +475,9 @@ impl ExplorationEngine {
     ///   [`EngineCounters::bound_pruned`]); `incumbent: None` admits
     ///   every candidate the lints let through.
     ///
-    /// Survivors are served from the projected tier when projection is on
-    /// ([`ExplorationEngine::with_projection`]) and replayed otherwise. The
-    /// structural tier is never read or written: a sweep sees each
-    /// configuration once, so it could never hit.
+    /// Survivors take the memoised step when projection is on
+    /// ([`ExplorationEngine::with_projection`]) and are replayed without
+    /// touching the cache otherwise.
     ///
     /// A survivor's replay is capped at the largest peak that can still
     /// win: `incumbent.peak` if it enumerates earlier than the incumbent,
@@ -556,10 +486,10 @@ impl ExplorationEngine {
     /// ([`replay_compiled_limited`]) and the candidate is skipped
     /// (`Ok(None)`, counted in `evaluations`, `replays` and
     /// [`ExplorationEngine::peak_cut`], never journalled). With projection
-    /// on, the cut leaves its floor in the projected tier, and a later
-    /// class member whose cap is below that floor is skipped without a
-    /// replay (counted in `projection_hits`). A replay under a budget or
-    /// fault plan runs uncut.
+    /// on, the cut leaves its floor in the cache, and a later class member
+    /// whose cap is below that floor is skipped without a replay (counted
+    /// in `projection_hits`). A replay under a budget or fault plan runs
+    /// uncut.
     ///
     /// "Loses" is exact, not merely strict: with `bound > incumbent.peak`
     /// the candidate's peak can only be worse; with `bound ==
@@ -605,7 +535,8 @@ impl ExplorationEngine {
             }
         });
         let result = if self.projection {
-            self.evaluate_projected(trace, key, cfg, cap)
+            let class = ProjectedKey::of(cfg, &self.projection_for(key, trace));
+            self.evaluate_memoised(trace, key, cfg, class, cap, true)
         } else {
             self.replay_fresh(trace, key, cfg, cap)
         };
@@ -615,22 +546,25 @@ impl ExplorationEngine {
         })
     }
 
-    /// The sweep path with projection on: projected-tier lookup first,
-    /// then a fresh replay, publishing what it revealed — full stats, or
-    /// the floor a cut replay reached — to the projected tier so
-    /// behaviorally-identical later candidates hit.
-    fn evaluate_projected(
+    /// The one memoised evaluation step: `cfg`'s class `class` is looked up
+    /// in the cache, and a hit is served — full stats, or, when a floor
+    /// there already exceeds `cap`, a loss. Anything else replays `cfg`
+    /// (journal first, stopped at `cap` when there is one) and records
+    /// what the replay revealed, full stats or the floor a cut reached,
+    /// for the rest of the class. A hit counts in `projection_hits` for a
+    /// `sweep`, in `evaluations` and `cache_hits` for anyone else; debug
+    /// builds check every hit against a full replay of `cfg`.
+    fn evaluate_memoised(
         &self,
         trace: &Trace,
         key: TraceKey,
         cfg: &DmConfig,
+        class: ProjectedKey,
         cap: Option<usize>,
+        sweep: bool,
     ) -> Result<Outcome> {
-        let projection = self.projection_for(key, trace);
-        let pkey = ProjectedKey::of(cfg, &projection);
-        match self.cache.get_projected(key, &pkey) {
+        let served = match self.cache.get(key, &class) {
             Some(CacheEntry::Stats(stats)) => {
-                self.projection_hits.fetch_add(1, Ordering::Relaxed);
                 let stats = relabel(*stats, cfg);
                 #[cfg(debug_assertions)]
                 assert_eq!(
@@ -639,35 +573,42 @@ impl ExplorationEngine {
                     "projection oracle violated for '{}': served stats differ from a fresh replay",
                     cfg.name
                 );
-                return Ok(Outcome::Scored(Box::new(Evaluation {
+                Outcome::Scored(Box::new(Evaluation {
                     stats,
                     cache_hit: true,
-                })));
+                }))
             }
             // A sibling's replay already passed `floor`, and this member
             // replays identically: above its cap, it cannot win either.
             Some(CacheEntry::PeakAtLeast(floor)) if cap.is_some_and(|cap| floor > cap) => {
-                self.projection_hits.fetch_add(1, Ordering::Relaxed);
                 #[cfg(debug_assertions)]
                 self.cut_oracle_check(trace, key, cfg, floor, cap);
-                return Ok(Outcome::Lost {
+                Outcome::Lost {
                     floor,
                     cache_hit: true,
-                });
+                }
             }
-            _ => {}
-        }
-        let outcome = self.replay_fresh(trace, key, cfg, cap)?;
-        let entry = match &outcome {
-            Outcome::Scored(eval) => CacheEntry::Stats(Box::new(eval.stats.clone())),
-            Outcome::Lost { floor, .. } => CacheEntry::PeakAtLeast(*floor),
+            _ => {
+                let outcome = self.replay_fresh(trace, key, cfg, cap)?;
+                let entry = match &outcome {
+                    Outcome::Scored(eval) => CacheEntry::Stats(Box::new(eval.stats.clone())),
+                    Outcome::Lost { floor, .. } => CacheEntry::PeakAtLeast(*floor),
+                };
+                self.cache.record(key, class, entry);
+                return Ok(outcome);
+            }
         };
-        self.cache.insert_projected(key, pkey, entry);
-        Ok(outcome)
+        if sweep {
+            self.projection_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(served)
     }
 
     /// A fresh, uncounted replay of `cfg` to the last event: the debug
-    /// oracle that served projections (a failure is a hole in a
+    /// oracle that cache hits (a failure is a hole in a
     /// [`ProjectedKey::of`] canonicalization rule) and peak cut-offs are
     /// checked against.
     #[cfg(debug_assertions)]
@@ -683,7 +624,7 @@ impl ExplorationEngine {
 
     /// The cut-off oracle (debug builds only): a candidate skipped because
     /// its peak reached `floor` above its cap (its own cut replay, or a
-    /// floor a cache tier served) must, replayed in full, peak at least at
+    /// floor the cache served) must, replayed in full, peak at least at
     /// `floor` and above the cap. A failure here means a cut could have
     /// dropped the winner: a sweep's or a greedy tree's.
     #[cfg(debug_assertions)]
@@ -725,7 +666,7 @@ impl ExplorationEngine {
         }
     }
 
-    /// Score one candidate without touching either cache tier: journal →
+    /// Score one candidate without touching the cache: journal →
     /// fresh replay under the engine's budget and fault plan, inside the
     /// quarantine boundary, stopped at `cap` when there is one. Counters
     /// are bumped only on success, so failed candidates can be
@@ -992,13 +933,42 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// `cfgs` scored uncapped, as the sharded composition and weighted
+    /// objectives score them.
+    fn evaluate_all(
+        engine: &ExplorationEngine,
+        trace: &Trace,
+        key: TraceKey,
+        cfgs: &[DmConfig],
+    ) -> Result<Vec<Evaluation>> {
+        let outcomes = engine.evaluate_all(trace, key, cfgs, false)?;
+        Ok(outcomes.into_iter().map(Outcome::uncapped).collect())
+    }
+
+    fn evaluate_one(
+        engine: &ExplorationEngine,
+        trace: &Trace,
+        key: TraceKey,
+        cfg: &DmConfig,
+    ) -> Result<Evaluation> {
+        Ok(evaluate_all(engine, trace, key, std::slice::from_ref(cfg))?.remove(0))
+    }
+
+    /// `cfg`'s class on `trace`.
+    fn class_of(trace: &Trace, cfg: &DmConfig) -> ProjectedKey {
+        ProjectedKey::of(
+            cfg,
+            &TraceProjection::of(&crate::analyze::TraceFacts::of(trace)),
+        )
+    }
+
     #[test]
     fn duplicate_configs_hit_the_cache() {
         let t = trace();
         let engine = ExplorationEngine::serial();
         let cfg = presets::drr_paper();
         let cfgs = vec![cfg.clone(), presets::lea_like(), cfg.clone()];
-        let evals = engine.evaluate_all(&t, TraceKey::of(&t), &cfgs).unwrap();
+        let evals = evaluate_all(&engine, &t, TraceKey::of(&t), &cfgs).unwrap();
         assert!(!evals[0].cache_hit && !evals[1].cache_hit);
         assert!(evals[2].cache_hit, "third config duplicates the first");
         assert_eq!(evals[0].stats, evals[2].stats);
@@ -1014,12 +984,8 @@ mod tests {
         let t = trace();
         let key = TraceKey::of(&t);
         let cfgs: Vec<DmConfig> = presets::all();
-        let serial = ExplorationEngine::serial()
-            .evaluate_all(&t, key, &cfgs)
-            .unwrap();
-        let parallel = ExplorationEngine::new(4)
-            .evaluate_all(&t, key, &cfgs)
-            .unwrap();
+        let serial = evaluate_all(&ExplorationEngine::serial(), &t, key, &cfgs).unwrap();
+        let parallel = evaluate_all(&ExplorationEngine::new(4), &t, key, &cfgs).unwrap();
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.stats, p.stats);
@@ -1036,9 +1002,8 @@ mod tests {
         let mut bad_late = presets::drr_paper();
         bad_late.params.arena_limit = Some(96);
         let cfgs = vec![presets::lea_like(), bad_early, bad_late];
-        let err = ExplorationEngine::new(4)
-            .evaluate_all(&t, TraceKey::of(&t), &cfgs)
-            .unwrap_err();
+        let err =
+            evaluate_all(&ExplorationEngine::new(4), &t, TraceKey::of(&t), &cfgs).unwrap_err();
         assert!(
             matches!(err, crate::error::Error::OutOfMemory { limit: 64, .. }),
             "{err}"
@@ -1058,16 +1023,13 @@ mod tests {
         let mut tight = presets::drr_paper();
         tight.params.arena_limit = Some(512);
         assert!(
-            engine.evaluate_all(&t, key, &[tight]).is_err(),
+            evaluate_one(&engine, &t, key, &tight).is_err(),
             "tight arena must OOM mid-replay"
         );
-        let reused = engine
-            .evaluate_all(&t, key, &[presets::lea_like()])
-            .unwrap();
-        let fresh = ExplorationEngine::serial()
-            .evaluate_all(&t, key, &[presets::lea_like()])
-            .unwrap();
-        assert_eq!(reused[0].stats, fresh[0].stats);
+        let reused = evaluate_one(&engine, &t, key, &presets::lea_like()).unwrap();
+        let fresh =
+            evaluate_one(&ExplorationEngine::serial(), &t, key, &presets::lea_like()).unwrap();
+        assert_eq!(reused.stats, fresh.stats);
     }
 
     #[test]
@@ -1075,12 +1037,11 @@ mod tests {
         let t = trace();
         let key = TraceKey::of(&t);
         let engine = ExplorationEngine::serial();
-        let _ = engine.evaluate_all(&t, key, &presets::all()).unwrap();
+        let _ = evaluate_one(&engine, &t, key, &presets::drr_paper()).unwrap();
         assert_eq!(engine.compiled_traces(), 1);
-        // Re-evaluating (even with fresh configs) reuses the compilation.
-        let mut renamed = presets::drr_paper();
-        renamed.name = "renamed".into();
-        let _ = engine.evaluate_all(&t, key, &[renamed]).unwrap();
+        // Replaying another configuration reuses the compilation.
+        let _ = evaluate_one(&engine, &t, key, &presets::lea_like()).unwrap();
+        assert_eq!(engine.counters().replays, 2);
         assert_eq!(engine.compiled_traces(), 1);
     }
 
@@ -1135,7 +1096,7 @@ mod tests {
         assert_eq!(engine.counters().evaluations, 3);
         assert!(
             engine.cache().is_empty(),
-            "sweeps never write the structural tier"
+            "a sweep without projection never writes the cache"
         );
     }
 
@@ -1161,9 +1122,7 @@ mod tests {
         // `kingsley_like` rounds every request up to a power of two, so
         // its full replay peaks above the incumbent.
         let loser = presets::kingsley_like();
-        let full = ExplorationEngine::serial()
-            .evaluate_config(&t, key, &loser)
-            .unwrap();
+        let full = evaluate_one(&ExplorationEngine::serial(), &t, key, &loser).unwrap();
         assert!(full.stats.peak_footprint > inc.peak, "fixture premise");
 
         let before = engine.counters();
@@ -1220,7 +1179,7 @@ mod tests {
         assert_eq!(engine.counters().replays, c.replays + 1);
         let pkey = ProjectedKey::of(&loser, &projection);
         assert!(matches!(
-            engine.cache().get_projected(key, &pkey),
+            engine.cache().get(key, &pkey),
             Some(CacheEntry::Stats(_))
         ));
         std::fs::remove_file(&path).ok();
@@ -1232,11 +1191,9 @@ mod tests {
         let key = TraceKey::of(&t);
         let engine = ExplorationEngine::serial();
         let (winner, loser) = (presets::drr_paper(), presets::kingsley_like());
-        let full = ExplorationEngine::serial()
-            .evaluate_config(&t, key, &loser)
-            .unwrap();
+        let full = evaluate_one(&ExplorationEngine::serial(), &t, key, &loser).unwrap();
         let cfgs = [winner.clone(), loser.clone()];
-        let first = engine.evaluate_capped(&t, key, &cfgs).unwrap();
+        let first = engine.evaluate_all(&t, key, &cfgs, true).unwrap();
         let best = first[0].stats().expect("the lowest peak is exact");
         assert!(
             full.stats.peak_footprint > best.peak_footprint,
@@ -1253,18 +1210,16 @@ mod tests {
         assert_eq!(engine.peak_cut(), 1);
         let c = engine.counters();
         assert_eq!((c.evaluations, c.replays, c.cache_hits), (2, 2, 0));
+        let loser_class = class_of(&t, &loser);
         assert_eq!(
-            engine.cache().lookup(key, &loser),
-            Some(CacheEntry::PeakAtLeast(floor))
-        );
-        assert!(
-            engine.cache().get(key, &loser).is_none(),
+            engine.cache().get(key, &loser_class),
+            Some(CacheEntry::PeakAtLeast(floor)),
             "a floor is not stats"
         );
 
         // Asked again under the same cap: both answers come from the
-        // structural tier, the loser's from its floor.
-        let again = engine.evaluate_capped(&t, key, &cfgs).unwrap();
+        // cache, the loser's from its floor.
+        let again = engine.evaluate_all(&t, key, &cfgs, true).unwrap();
         assert!(again[0].cache_hit() && again[1].cache_hit());
         assert!(again[1].stats().is_none());
         let c = engine.counters();
@@ -1277,17 +1232,54 @@ mod tests {
 
         // Alone, the loser is its tree's best: replayed in full, its stats
         // replace the floor.
-        let alone = engine.evaluate_capped(&t, key, &cfgs[1..]).unwrap();
+        let alone = engine.evaluate_all(&t, key, &cfgs[1..], true).unwrap();
         assert_eq!(alone[0].stats(), Some(&full.stats));
-        assert_eq!(engine.cache().get(key, &loser), Some(full.stats.clone()));
+        assert!(matches!(
+            engine.cache().get(key, &loser_class),
+            Some(CacheEntry::Stats(stats)) if *stats == full.stats
+        ));
 
         // An uncapped caller replays a floor in full, too.
         let other = ExplorationEngine::serial();
-        other.evaluate_capped(&t, key, &cfgs).unwrap();
-        let eval = other.evaluate_config(&t, key, &loser).unwrap();
+        other.evaluate_all(&t, key, &cfgs, true).unwrap();
+        let eval = evaluate_one(&other, &t, key, &loser).unwrap();
         assert!(!eval.cache_hit);
         assert_eq!(eval.stats, full.stats);
         assert_eq!(other.counters().replays, 3);
+    }
+
+    #[test]
+    fn class_siblings_in_one_tree_answer_each_other() {
+        // Alloc-only trace: Header vs Footer tags (same byte cost) share a
+        // class, so the second completion is a cache hit, counted as
+        // greedy hits are, and checked by the debug shadow oracle.
+        let mut b = Trace::builder();
+        for i in 0..30usize {
+            b.alloc(32 + (i % 7) * 24);
+        }
+        let t = b.finish().unwrap();
+        let key = TraceKey::of(&t);
+        let header = presets::drr_paper();
+        let footer = header.clone().with_leaf(crate::space::trees::Leaf::A3(
+            crate::space::trees::BlockTags::Footer,
+        ));
+        for capped in [false, true] {
+            let engine = ExplorationEngine::serial();
+            let out = engine
+                .evaluate_all(&t, key, &[header.clone(), footer.clone()], capped)
+                .unwrap();
+            assert!(!out[0].cache_hit() && out[1].cache_hit(), "capped {capped}");
+            let second = out[1].stats().expect("a sibling's stats are exact");
+            assert_eq!(second.manager.as_ref(), footer.name);
+            assert_eq!(
+                Some(second.peak_footprint),
+                out[0].stats().map(|s| s.peak_footprint)
+            );
+            let c = engine.counters();
+            assert_eq!((c.evaluations, c.replays, c.cache_hits), (2, 1, 1));
+            assert_eq!(c.projection_hits, 0, "greedy hits are cache hits");
+            assert_eq!(engine.cache().len(), 1);
+        }
     }
 
     #[test]
@@ -1347,7 +1339,7 @@ mod tests {
             "the quarantined candidate is not an evaluation"
         );
         assert_eq!(
-            engine.cache().projected_len(),
+            engine.cache().len(),
             1,
             "no poisoned score enters the cache"
         );
@@ -1366,7 +1358,7 @@ mod tests {
         let greedy = ExplorationEngine::serial()
             .with_quarantine(true)
             .with_fault_plan(FaultPlan::new().panic_candidate(victim.fingerprint()));
-        assert!(greedy.evaluate_all(&t, key, &[victim]).is_err());
+        assert!(evaluate_one(&greedy, &t, key, &victim).is_err());
     }
 
     #[test]
@@ -1399,9 +1391,7 @@ mod tests {
             max_steps: Some(1),
             max_millis: None,
         });
-        let err = strict
-            .evaluate_config(&t, key, &presets::drr_paper())
-            .unwrap_err();
+        let err = evaluate_one(&strict, &t, key, &presets::drr_paper()).unwrap_err();
         assert!(
             matches!(err, Error::BudgetExceeded { limit: 1, .. }),
             "{err}"
@@ -1411,12 +1401,9 @@ mod tests {
             max_steps: Some(u64::MAX),
             max_millis: None,
         });
-        let budgeted = roomy
-            .evaluate_config(&t, key, &presets::drr_paper())
-            .unwrap();
-        let plain = ExplorationEngine::serial()
-            .evaluate_config(&t, key, &presets::drr_paper())
-            .unwrap();
+        let budgeted = evaluate_one(&roomy, &t, key, &presets::drr_paper()).unwrap();
+        let plain =
+            evaluate_one(&ExplorationEngine::serial(), &t, key, &presets::drr_paper()).unwrap();
         assert_eq!(budgeted.stats, plain.stats);
     }
 
@@ -1432,14 +1419,14 @@ mod tests {
 
         let first =
             ExplorationEngine::serial().with_journal(CheckpointJournal::create(&path).unwrap());
-        let original = first.evaluate_all(&t, key, &cfgs).unwrap();
+        let original = evaluate_all(&first, &t, key, &cfgs).unwrap();
         assert_eq!(first.counters().replays, cfgs.len());
 
         // A brand-new engine (fresh cache, fresh process in spirit) resumes
         // from the journal: same stats, zero replays.
         let second =
             ExplorationEngine::serial().with_journal(CheckpointJournal::resume(&path).unwrap());
-        let resumed = second.evaluate_all(&t, key, &cfgs).unwrap();
+        let resumed = evaluate_all(&second, &t, key, &cfgs).unwrap();
         let c = second.counters();
         assert_eq!(c.replays, 0, "every score must come from the journal");
         assert_eq!(c.cache_hits, cfgs.len());
@@ -1483,11 +1470,7 @@ mod tests {
         assert_eq!(c.replays, 1, "the duplicate must not replay");
         assert_eq!(c.projection_hits, 1);
         assert_eq!(c.evaluations, 1, "projection hits are not evaluations");
-        assert_eq!(engine.cache().projected_len(), 1);
-        assert!(
-            engine.cache().is_empty(),
-            "the structural tier is untouched"
-        );
+        assert_eq!(engine.cache().len(), 1);
     }
 
     #[test]

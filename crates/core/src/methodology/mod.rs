@@ -18,8 +18,8 @@
 //!   ablation experiment.
 //!
 //! All candidate scoring flows through the [`engine::ExplorationEngine`]:
-//! a replay cache deduplicates candidate completions that collapse to the
-//! same full configuration, and the engine's worker count
+//! a replay cache deduplicates candidate completions that behave
+//! identically on the trace ([`ProjectedKey`]), and the engine's worker count
 //! ([`ExplorationEngine::new`]) fans distinct replays out over scoped
 //! threads — with results guaranteed bit-identical to a serial run.
 
@@ -126,7 +126,8 @@ pub struct ExplorationOutcome {
     pub decisions: Vec<DecisionRecord>,
     /// Candidate evaluations spent, over every portfolio hypothesis: each
     /// is a fresh replay or a hit in the engine's [`cache::ReplayCache`]
-    /// (or checkpoint journal). Under [`Objective::Footprint`] a replay
+    /// (a class sibling was scored on this trace before) or checkpoint
+    /// journal. Under [`Objective::Footprint`] a replay
     /// may stop once the candidate's peak passes its tree's best (it still
     /// counts in `replays`, and in the engine's
     /// [`ExplorationEngine::peak_cut`]), and a cached floor above that
@@ -468,7 +469,7 @@ impl Methodology {
     /// argmin, its tie-breaks and the decision log do not depend on the
     /// engine's jobs. Only the cache-hit/replay split of the counters may
     /// differ, because concurrent workers can both miss on the same
-    /// configuration, and under [`Objective::Footprint`] a worker may cut
+    /// class, and under [`Objective::Footprint`] a worker may cut
     /// a loser later than a serial run would, or not at all. Sharing one
     /// engine across related explorations (objective sweeps, repeated
     /// designs on the same trace, bench harnesses) lets its replay cache
@@ -579,15 +580,7 @@ impl Methodology {
                 trial.set(leaf);
                 completions.push(self.complete(&trial, &params, style)?);
             }
-            let outcomes = if capped {
-                engine.evaluate_capped(trace, trace_key, &completions)?
-            } else {
-                engine
-                    .evaluate_all(trace, trace_key, &completions)?
-                    .into_iter()
-                    .map(|eval| engine::Outcome::Scored(Box::new(eval)))
-                    .collect()
-            };
+            let outcomes = engine.evaluate_all(trace, trace_key, &completions, capped)?;
             let best_peak = outcomes
                 .iter()
                 .filter_map(|o| o.stats().map(|fs| fs.peak_footprint))
@@ -1049,7 +1042,11 @@ impl Methodology {
             max_carried = max_carried.max(shard.boundary.carried_bytes);
             // One fingerprint serves both the evaluation and the release.
             let key = cache::TraceKey::of(&shard.trace);
-            let eval = engine.evaluate_config(&shard.trace, key, &config)?;
+            let eval = engine
+                .evaluate_all(&shard.trace, key, std::slice::from_ref(&config), false)?
+                .pop()
+                .expect("one configuration, one outcome")
+                .uncapped();
             // Keep the streaming bound: drop the compiled copy (if this
             // evaluation missed the cache and compiled) with the shard.
             engine.release_compiled(key);
@@ -1271,8 +1268,8 @@ pub fn exhaustive_best(
 /// Engines with [`ExplorationEngine::with_projection`] additionally
 /// collapse behaviorally-identical candidates to one replay per
 /// [`cache::ProjectedKey`] equivalence class, preserving the
-/// bit-identical-winner guarantee. The sweep never touches the engine's
-/// structural cache tier (see [`ExplorationEngine::evaluate_bounded`]).
+/// bit-identical-winner guarantee; without it the sweep never touches the
+/// engine's cache (see [`ExplorationEngine::evaluate_bounded`]).
 ///
 /// The sweep analyses each distinct behaviour once. It enumerates the
 /// space as bare leaf tuples (points), not as named configurations; it
@@ -1972,21 +1969,32 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_bypass_the_structural_tier_and_greedy_still_hits_it() {
+    fn sweeps_count_projection_hits_and_greedy_counts_cache_hits() {
         let t = fragmenting_trace();
         let params = Methodology::new().seed_params(&Profile::of(&t));
         for projection in [false, true] {
             let engine = ExplorationEngine::serial().with_projection(projection);
             exhaustive_best_with_engine(&t, params.clone(), Some(150), &engine).unwrap();
-            assert_eq!(engine.cache().len(), 0, "projection {projection}");
-            assert_eq!(engine.counters().cache_hits, 0, "projection {projection}");
+            let c = engine.counters();
+            assert_eq!(c.cache_hits, 0, "projection {projection}");
+            assert_eq!(
+                !engine.cache().is_empty(),
+                projection,
+                "only a projected sweep reads and writes the cache"
+            );
+            // A greedy exploration on the same engine goes through the
+            // cache either way, and counts its hits as cache hits.
+            let outcome = Methodology::new().explore_with_engine(&t, &engine).unwrap();
+            assert!(
+                outcome.counters.cache_hits > 0,
+                "greedy completions must hit the cache (projection {projection})"
+            );
+            assert_eq!(outcome.counters.projection_hits, 0);
+            assert_eq!(
+                engine.counters().projection_hits,
+                c.projection_hits,
+                "projection {projection}"
+            );
         }
-        let engine = ExplorationEngine::serial();
-        let outcome = Methodology::new().explore_with_engine(&t, &engine).unwrap();
-        assert!(
-            outcome.counters.cache_hits > 0,
-            "greedy completions must hit the cache"
-        );
-        assert!(!engine.cache().is_empty());
     }
 }

@@ -305,9 +305,9 @@ impl DmConfig {
     /// A 64-bit structural fingerprint of the configuration: the twelve
     /// decided leaves plus the quantitative parameters. The display name
     /// is **excluded** — two managers that differ only in their label
-    /// behave identically and fingerprint identically. Used by the
-    /// exploration engine's replay cache to identify duplicate candidate
-    /// completions.
+    /// behave identically and fingerprint identically. The checkpoint
+    /// journal and [`FaultPlan`](crate::fault::FaultPlan) key candidates by
+    /// it.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash as _, Hasher as _};
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -577,6 +577,30 @@ mod tests {
         // just generic "conflict" prose.
         let msg = err.to_string();
         assert!(msg.contains("R1a") && msg.contains("DM001"), "{msg}");
+    }
+
+    #[test]
+    fn fingerprint_ignores_the_name() {
+        // The checkpoint journal and fault plans key candidates by
+        // fingerprint, so a relabelled candidate must still find its
+        // journalled score, and distinct machinery must not collide.
+        let all = presets::all();
+        for a in &all {
+            let mut renamed = a.clone();
+            renamed.name = format!("{} (renamed)", a.name);
+            assert_eq!(a.fingerprint(), renamed.fingerprint(), "{}", a.name);
+            for b in &all {
+                let same_machinery =
+                    TreeId::ALL.iter().all(|&t| a.leaf(t) == b.leaf(t)) && a.params == b.params;
+                assert_eq!(
+                    a.fingerprint() == b.fingerprint(),
+                    same_machinery,
+                    "{} vs {}",
+                    a.name,
+                    b.name
+                );
+            }
+        }
     }
 
     #[test]

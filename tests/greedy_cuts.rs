@@ -2,8 +2,10 @@
 //!
 //! Under `Objective::Footprint` the methodology stops a candidate's replay
 //! once its peak passes the lowest peak among its tree's completions, keeps
-//! the floor it reached in the structural cache, and logs the candidate as
-//! "peak > best". `Objective::Weighted { step_weight: 0.0 }` ranks every
+//! the floor it reached in the replay cache for the candidate's whole
+//! `ProjectedKey` class, and logs the candidate as "peak > best". A class
+//! sibling scored earlier answers a candidate from that cache, with its
+//! stats or its floor. `Objective::Weighted { step_weight: 0.0 }` ranks every
 //! candidate exactly as `Footprint` does (peak first, then steps) but
 //! replays each one in full, so it is the reference: the capped run must
 //! design the same configuration with the same footprint, choose the same

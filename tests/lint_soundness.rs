@@ -40,9 +40,14 @@
 //! - Admissibility: no config's bound exceeds its replayed peak. Release
 //!   builds replay the whole space, debug builds a fixed stride of it.
 //!
-//! The same replays check the projection contract: configs with equal
-//! `ProjectedKey`s replay to identical `FootprintStats`, over the whole
-//! space in release.
+//! The same replays check the projection contract and the prune-safe
+//! lints directly: configs with equal `ProjectedKey`s replay to identical
+//! `FootprintStats`, and every config a prune-safe lint flags replays like
+//! the canonical sibling it points at. Release builds check both over the
+//! whole space, under the sweep's parameters and under the ones the greedy
+//! methodology seeds on each quick trace and on each phase of the render
+//! trace, since the greedy traversal keys its replays by `ProjectedKey`
+//! too.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -54,7 +59,12 @@ use dmm::core::methodology::{exhaustive_best_with_engine, ExplorationEngine, Inc
 use dmm::core::metrics::FootprintStats;
 use dmm::core::space::enumerate::SpaceIter;
 use dmm::core::space::order::TRAVERSAL_ORDER;
+use dmm::core::space::trees::{
+    BlockTags, CoalesceMaxSizes, RecordedInfo, SplitMinSizes, SplitWhen,
+};
+use dmm::core::space::{Leaf, TreeId};
 use dmm::core::units::MIN_BLOCK;
+use dmm::core::Error;
 use dmm::prelude::*;
 use dmm::workloads::{DrrWorkload, RenderWorkload};
 
@@ -260,61 +270,142 @@ fn memoised_sweep_matches_the_per_config_steps() {
     }
 }
 
-/// Every config replayed once per quick trace carries two checks: its
-/// bound is at most its replayed peak, and every config sharing its
-/// `ProjectedKey` replays to the same stats (names normalised, the one
-/// field the key ignores).
-#[test]
-fn bounds_are_admissible_over_the_whole_space_on_the_quick_traces() {
-    // Release replays all 39,840 configs per trace (about 8 s in all);
-    // debug replays every 401st (about 10 s).
-    let stride = if cfg!(debug_assertions) { 401 } else { 1 };
-    for w in quick_studies(0) {
-        let trace = w.record().unwrap();
-        let facts = TraceFacts::of(&trace);
-        let projection = TraceProjection::of(&facts);
-        let compiled = CompiledTrace::compile(&trace);
-        let mut scratch = ReplayScratch::new();
-        let mut classes: HashMap<ProjectedKey, FootprintStats> = HashMap::new();
-        let mut checked = 0usize;
-        for cfg in SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), sweep_params())
-            .step_by(stride)
-        {
-            let bound = lower_bound_peak(&facts, &cfg);
-            let mut mgr = PolicyAllocator::new(cfg.clone()).unwrap();
-            let mut stats = replay_compiled_with(&compiled, &mut mgr, &mut scratch).unwrap();
-            let peak = stats.peak_footprint;
+/// Debug builds replay every 401st config of the space, release builds all
+/// of them.
+fn space_stride() -> usize {
+    if cfg!(debug_assertions) {
+        401
+    } else {
+        1
+    }
+}
+
+/// The sibling a prune-safe finding says `cfg` replays like; it enumerates
+/// earlier (`space::enumerate`'s tests check that over the whole space).
+fn canonical_sibling(cfg: &DmConfig, code: &str) -> DmConfig {
+    cfg.clone().with_leaf(match code {
+        "DM030" => Leaf::A4(RecordedInfo::Size),
+        "DM031" => Leaf::A3(BlockTags::Header),
+        "DM033" => Leaf::E2(SplitWhen::Always),
+        "DM034" => Leaf::E1(SplitMinSizes::Unrestricted),
+        "DM035" => Leaf::D1(CoalesceMaxSizes::Unlimited),
+        other => panic!("unexpected prune-safe code {other}"),
+    })
+}
+
+fn leaves(cfg: &DmConfig) -> Vec<Leaf> {
+    TreeId::ALL.iter().map(|&tree| cfg.leaf(tree)).collect()
+}
+
+/// Replays every `space_stride()`-th config enumerated under `params` on
+/// `trace` once, and checks with those replays alone that
+///
+/// - its bound is at most its replayed peak;
+/// - every config sharing its `ProjectedKey` replays to the same result:
+///   the same stats with names normalised (the one field the key ignores),
+///   or the same error;
+/// - when a prune-safe lint flags it, it replays like the canonical
+///   sibling the finding points at, if that sibling was replayed too.
+fn replay_space(what: &str, trace: &Trace, params: Params) {
+    let facts = TraceFacts::of(trace);
+    let projection = TraceProjection::of(&facts);
+    let compiled = CompiledTrace::compile(trace);
+    let mut scratch = ReplayScratch::new();
+    let mut classes: HashMap<ProjectedKey, Result<FootprintStats, Error>> = HashMap::new();
+    let mut by_leaves: HashMap<Vec<Leaf>, Result<FootprintStats, Error>> = HashMap::new();
+    let (mut replayed, mut findings) = (0usize, 0usize);
+    for cfg in
+        SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), params).step_by(space_stride())
+    {
+        let name = || format!("{what}: {} ({})", cfg.name, cfg.summary());
+        let result = PolicyAllocator::new(cfg.clone()).and_then(|mut mgr| {
+            let mut stats = replay_compiled_with(&compiled, &mut mgr, &mut scratch)?;
+            stats.manager = Arc::from("normalised");
+            Ok(stats)
+        });
+        if let Ok(stats) = &result {
+            let (bound, peak) = (lower_bound_peak(&facts, &cfg), stats.peak_footprint);
             assert!(
                 bound <= peak,
-                "{}: {} ({}) bounds at {bound} B above its replayed peak {peak} B",
-                w.name(),
-                cfg.name,
-                cfg.summary()
+                "{} bounds at {bound} B above its replayed peak {peak} B",
+                name()
             );
-            stats.manager = Arc::from("normalised");
-            match classes.entry(ProjectedKey::of(&cfg, &projection)) {
-                Entry::Vacant(slot) => {
-                    slot.insert(stats);
-                }
-                Entry::Occupied(class) => assert_eq!(
-                    class.get(),
-                    &stats,
-                    "{}: {} ({}) shares a projected key with an earlier config but replays \
-                     differently",
-                    w.name(),
-                    cfg.name,
-                    cfg.summary()
-                ),
-            }
-            checked += 1;
         }
-        assert_eq!(checked, 39_840usize.div_ceil(stride), "{}", w.name());
-        if stride == 1 {
-            assert!(
-                classes.len() < checked,
-                "{}: no two of the {checked} configs share a projected key",
-                w.name()
+        match classes.entry(ProjectedKey::of(&cfg, &projection)) {
+            Entry::Vacant(slot) => {
+                slot.insert(result.clone());
+            }
+            Entry::Occupied(class) => assert_eq!(
+                class.get(),
+                &result,
+                "{} shares a projected key with an earlier config but replays differently",
+                name()
+            ),
+        }
+        if let Some(finding) = prune_reason(&cfg) {
+            let sibling = canonical_sibling(&cfg, &finding.code);
+            if let Some(want) = by_leaves.get(&leaves(&sibling)) {
+                assert_eq!(
+                    want,
+                    &result,
+                    "{} carries prune-safe {} but replays unlike its sibling {}",
+                    name(),
+                    finding.code,
+                    sibling.summary()
+                );
+                findings += 1;
+            }
+        }
+        by_leaves.insert(leaves(&cfg), result);
+        replayed += 1;
+    }
+    assert_eq!(replayed, 39_840usize.div_ceil(space_stride()), "{what}");
+    if space_stride() == 1 {
+        assert!(
+            classes.len() < replayed,
+            "{what}: no two of the {replayed} configs share a projected key"
+        );
+        assert!(findings > 0, "{what}: no prune-safe finding was compared");
+    }
+}
+
+/// The sweep's pass over the whole space on each quick trace: bounds,
+/// projection classes and prune-safe findings (release replays all 39,840
+/// configs per trace, debug every 401st).
+#[test]
+fn bounds_are_admissible_over_the_whole_space_on_the_quick_traces() {
+    for w in quick_studies(0) {
+        let trace = w.record().unwrap();
+        replay_space(w.name(), &trace, sweep_params());
+    }
+}
+
+/// The same pass under the parameters the greedy methodology seeds: its
+/// replays are keyed by `ProjectedKey` as the sweep's are, and its
+/// profiled class lists differ from the sweep's. Each quick trace is
+/// checked under the parameters `explore` seeds on it, and each phase of
+/// the render trace under those `explore_phases` seeds on that phase.
+#[test]
+fn greedy_parameter_classes_replay_identically_over_the_whole_space() {
+    let seeded = |trace: &Trace| Methodology::new().explore(trace).unwrap().config.params;
+    let render = RenderWorkload::quick(0).record().unwrap();
+    assert!(render.phases().len() > 1, "the render trace is phased");
+    for w in quick_studies(0) {
+        let trace = w.record().unwrap();
+        let mut traces = vec![(w.name().to_string(), trace.clone())];
+        if trace == render {
+            for (phase, sub) in trace.split_phases() {
+                traces.push((format!("{} phase {phase}", w.name()), sub));
+            }
+        }
+        for (what, trace) in traces {
+            let params = seeded(&trace);
+            assert_ne!(
+                params.profiled_classes,
+                sweep_params().profiled_classes,
+                "{what}"
             );
+            replay_space(&what, &trace, params);
         }
     }
 }
