@@ -1047,8 +1047,8 @@ impl Methodology {
                 .pop()
                 .expect("one configuration, one outcome")
                 .uncapped();
-            // Keep the streaming bound: drop the compiled copy (if this
-            // evaluation missed the cache and compiled) with the shard.
+            // Keep the streaming bound: drop the shard's compiled copy and
+            // projection with the shard.
             engine.release_compiled(key);
             tally(&mut counters, eval.cache_hit);
             match composed.as_mut() {
