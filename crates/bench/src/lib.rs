@@ -366,18 +366,20 @@ pub fn motivation_static(seeds: u64, quick: bool) -> Result<Table> {
         .unwrap_or(0);
     let capacity = worst_peak + worst_peak / 5 + 4096;
 
-    let custom = design_custom(&traces[0])?;
+    // Designed once from the seed-0 trace, then re-measured on every
+    // input after a reset.
+    let mut custom = design_custom(&traces[0])?;
     let mut sum_static = 0u128;
     let mut sum_custom = 0u128;
     for trace in &traces {
+        let compiled = CompiledTrace::compile(trace);
         let mut s = StaticWorstCase::with_capacity(capacity);
-        let fs = replay(trace, &mut s)?;
+        let fs = replay_compiled(&compiled, &mut s)?;
         sum_static += fs.peak_footprint as u128;
-        let mut c = design_custom(&traces[0])?;
-        let fs = replay(trace, c.as_mut())?;
+        custom.reset();
+        let fs = replay_compiled(&compiled, custom.as_mut())?;
         sum_custom += fs.peak_footprint as u128;
     }
-    let _ = custom;
     let mut table = Table::new(
         "Motivation: static worst-case pool vs. dynamic memory (DRR)",
         vec![
@@ -456,7 +458,7 @@ pub fn ablation_policies(quick: bool) -> Result<Table> {
     } else {
         DrrWorkload::case_study(0)
     };
-    let trace = w.record()?;
+    let compiled = CompiledTrace::compile(&w.record()?);
     let mut table = Table::new(
         "Ablation: one-tree deviations from the paper's DRR manager",
         vec![
@@ -468,7 +470,7 @@ pub fn ablation_policies(quick: bool) -> Result<Table> {
     let base = presets::drr_paper();
     let mut eval = |label: String, cfg: dmm_core::space::DmConfig| -> Result<()> {
         let mut m = PolicyAllocator::new(cfg)?;
-        let fs = replay(&trace, &mut m)?;
+        let fs = replay_compiled(&compiled, &mut m)?;
         table.push_row(
             label,
             vec![

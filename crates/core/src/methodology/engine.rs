@@ -30,7 +30,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::error::{Error, Result};
 use crate::fault::FaultPlan;
@@ -207,16 +207,9 @@ impl Outcome {
 pub struct ExplorationEngine {
     jobs: usize,
     cache: ReplayCache,
-    /// Compiled form of every trace this engine has replayed, keyed like
-    /// the replay cache. Compiling is O(n) and hashes each id once; every
-    /// subsequent replay of that trace — hundreds per `explore` — runs the
-    /// hash-free [`replay_compiled_limited`] kernel instead.
-    compiled: Mutex<HashMap<TraceKey, Arc<CompiledTrace>>>,
-    /// Trace-conditioned projection of every trace this engine has looked
-    /// up in its cache, keyed like `compiled`. Deriving one is a single
-    /// O(events) [`crate::analyze::TraceFacts`] pass; every later candidate
-    /// on that trace reuses it to compute its [`ProjectedKey`] in O(1).
-    projections: Mutex<HashMap<TraceKey, Arc<TraceProjection>>>,
+    /// What the engine derived from every trace it has seen, keyed like the
+    /// replay cache (see [`TraceRecord`]).
+    traces: Mutex<HashMap<TraceKey, Arc<TraceRecord>>>,
     evaluations: AtomicUsize,
     replays: AtomicUsize,
     cache_hits: AtomicUsize,
@@ -269,8 +262,7 @@ impl ExplorationEngine {
         ExplorationEngine {
             jobs,
             cache: ReplayCache::new(),
-            compiled: Mutex::new(HashMap::new()),
-            projections: Mutex::new(HashMap::new()),
+            traces: Mutex::new(HashMap::new()),
             evaluations: AtomicUsize::new(0),
             replays: AtomicUsize::new(0),
             cache_hits: AtomicUsize::new(0),
@@ -438,10 +430,11 @@ impl ExplorationEngine {
         cfgs: &[DmConfig],
         capped: bool,
     ) -> Result<Vec<Outcome>> {
-        let projection = self.projection_for(key, trace);
+        let record = self.trace_record(key);
+        let projection = record.projection(trace);
         let classes: Vec<(&DmConfig, ProjectedKey)> = cfgs
             .iter()
-            .map(|cfg| (cfg, ProjectedKey::of(cfg, &projection)))
+            .map(|cfg| (cfg, ProjectedKey::of(cfg, projection)))
             .collect();
         // The lowest peak known among `cfgs`, seeded from the cache.
         let best = AtomicUsize::new(usize::MAX);
@@ -535,7 +528,7 @@ impl ExplorationEngine {
             }
         });
         let result = if self.projection {
-            let class = ProjectedKey::of(cfg, &self.projection_for(key, trace));
+            let class = ProjectedKey::of(cfg, self.trace_record(key).projection(trace));
             self.evaluate_memoised(trace, key, cfg, class, cap, true)
         } else {
             self.replay_fresh(trace, key, cfg, cap)
@@ -613,12 +606,13 @@ impl ExplorationEngine {
     /// checked against.
     #[cfg(debug_assertions)]
     fn shadow_replay(&self, trace: &Trace, key: TraceKey, cfg: &DmConfig) -> FootprintStats {
-        let compiled = self.compiled_for(key, trace);
+        let record = self.trace_record(key);
         let mut mgr =
             PolicyAllocator::new(cfg.clone()).expect("shadow oracle: candidate must construct");
         let mut scratch = ReplayScratch::new();
-        let fresh = crate::trace::replay_compiled_with(&compiled, &mut mgr, &mut scratch)
-            .expect("shadow oracle: candidate must replay");
+        let fresh =
+            crate::trace::replay_compiled_with(record.compiled(trace), &mut mgr, &mut scratch)
+                .expect("shadow oracle: candidate must replay");
         relabel(fresh, cfg)
     }
 
@@ -691,7 +685,8 @@ impl ExplorationEngine {
                 })));
             }
         }
-        let compiled = self.compiled_for(key, trace);
+        let record = self.trace_record(key);
+        let compiled = record.compiled(trace);
         let budget = match &self.fault_plan {
             Some(plan) if plan.should_exhaust(fingerprint) => ReplayBudget {
                 max_steps: Some(0),
@@ -715,7 +710,7 @@ impl ExplorationEngine {
             }
             let mut mgr = PolicyAllocator::new(cfg.clone())?;
             REPLAY_SCRATCH.with(|s| {
-                replay_compiled_limited(&compiled, &mut mgr, &mut s.borrow_mut(), &budget, cap)
+                replay_compiled_limited(compiled, &mut mgr, &mut s.borrow_mut(), &budget, cap)
             })
         }));
         let replayed = match replayed {
@@ -751,66 +746,37 @@ impl ExplorationEngine {
         })))
     }
 
-    /// The trace-conditioned projection of `trace`, derived on first
-    /// sight; same lock discipline as [`ExplorationEngine::compiled_for`]
-    /// (the O(events) `TraceFacts` pass runs outside the table lock).
-    fn projection_for(&self, key: TraceKey, trace: &Trace) -> Arc<TraceProjection> {
-        if let Some(hit) = self
-            .projections
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-        {
-            return Arc::clone(hit);
-        }
-        let facts = crate::analyze::TraceFacts::of(trace);
-        let fresh = Arc::new(TraceProjection::of(&facts));
-        let mut table = self.projections.lock().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(table.entry(key).or_insert(fresh))
+    /// The record of the trace fingerprinted as `key`, created empty on
+    /// first sight. Its parts are derived outside the table lock, so
+    /// parallel workers first-touching *distinct* traces (sharded
+    /// exploration does) never serialize their O(n) passes behind it.
+    fn trace_record(&self, key: TraceKey) -> Arc<TraceRecord> {
+        let mut table = self.traces.lock().unwrap_or_else(|p| p.into_inner());
+        Arc::clone(table.entry(key).or_default())
     }
 
-    /// The compiled form of `trace`, compiling on first sight. Shared by
-    /// every worker; the `Arc` lets a replay run outside the table lock.
-    fn compiled_for(&self, key: TraceKey, trace: &Trace) -> Arc<CompiledTrace> {
-        if let Some(hit) = self
-            .compiled
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-        {
-            return Arc::clone(hit);
-        }
-        // Compile outside the lock: parallel workers first-touching
-        // *distinct* traces (sharded exploration does) must not serialize
-        // their O(n) compiles behind one mutex. A racing duplicate compile
-        // of the same trace is rare and harmless — the first insert wins.
-        let fresh = Arc::new(CompiledTrace::compile(trace));
-        let mut table = self.compiled.lock().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(table.entry(key).or_insert(fresh))
-    }
-
-    /// Number of distinct traces this engine has compiled (diagnostic).
+    /// Number of distinct traces this engine holds a compiled form of
+    /// (diagnostic).
     pub fn compiled_traces(&self) -> usize {
-        self.compiled
+        self.traces
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .len()
+            .values()
+            .filter(|record| record.compiled.get().is_some())
+            .count()
     }
 
-    /// Forget the compiled form (and projection) of the trace
-    /// fingerprinted as `key`. The compiled copy is O(trace) bytes, so
-    /// streaming callers that promise trace memory bounded by the largest
-    /// shard ([`Methodology::explore_shard_stream`](crate::methodology::Methodology::explore_shard_stream))
-    /// release each shard's compilation as soon as they drop the shard —
-    /// otherwise the table would quietly accumulate the whole trace.
-    /// Safe at any time: a later evaluation of the same trace simply
-    /// recompiles.
+    /// Forget the compiled form and projection of the trace fingerprinted
+    /// as `key`. The compiled copy is O(trace) bytes, so streaming callers
+    /// that promise trace memory bounded by the largest shard
+    /// ([`Methodology::explore_shard_stream`](crate::methodology::Methodology::explore_shard_stream))
+    /// release each shard's record as soon as they drop the shard —
+    /// otherwise the table would quietly accumulate the whole trace. The
+    /// replay cache keeps its entries, so the released trace's classes
+    /// still answer later evaluations. Safe at any time: a later
+    /// evaluation of the same trace simply derives the record again.
     pub fn release_compiled(&self, key: TraceKey) {
-        self.compiled
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&key);
-        self.projections
+        self.traces
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .remove(&key);
@@ -865,6 +831,32 @@ impl ExplorationEngine {
                     .expect("every slot filled by a worker")
             })
             .collect()
+    }
+}
+
+/// What the engine derives from one trace, each part on first use.
+#[derive(Debug, Default)]
+struct TraceRecord {
+    /// The compiled form. Compiling is O(n) and hashes each id once;
+    /// every later replay of the trace — hundreds per `explore` — runs the
+    /// hash-free [`replay_compiled_limited`] kernel on it.
+    compiled: OnceLock<CompiledTrace>,
+    /// The trace-conditioned projection. Deriving it is one O(events)
+    /// [`crate::analyze::TraceFacts`] pass; every later candidate on the
+    /// trace reuses it to compute its [`ProjectedKey`] in O(1).
+    projection: OnceLock<TraceProjection>,
+}
+
+impl TraceRecord {
+    /// The compiled form of `trace`, compiled on first use.
+    fn compiled(&self, trace: &Trace) -> &CompiledTrace {
+        self.compiled.get_or_init(|| CompiledTrace::compile(trace))
+    }
+
+    /// The projection of `trace`, derived on first use.
+    fn projection(&self, trace: &Trace) -> &TraceProjection {
+        self.projection
+            .get_or_init(|| TraceProjection::of(&crate::analyze::TraceFacts::of(trace)))
     }
 }
 

@@ -45,7 +45,7 @@ use crate::space::trees::{
     FlexibleSize, Leaf, PoolDivision, PoolStructure, RecordedInfo, SplitMinSizes, SplitWhen,
     TreeId,
 };
-use crate::trace::shard::{shard_trace, TraceShard};
+use crate::trace::shard::{replay_shards, shard_trace, TraceShard};
 use crate::trace::{replay, Trace};
 
 /// How undecided trees are filled while scoring a candidate leaf.
@@ -634,19 +634,11 @@ impl Methodology {
             });
         }
 
-        let (config, footprint) = match incumbent {
-            Some((cfg, fs)) => {
-                cfg.validate()?;
-                (cfg, fs)
-            }
-            None => {
-                let config = partial.freeze(self.name.clone(), params)?;
-                config.validate()?;
-                let mut mgr = PolicyAllocator::new(config.clone())?;
-                let footprint = replay(trace, &mut mgr)?;
-                (config, footprint)
-            }
-        };
+        // `with_order` keeps all twelve trees in the order, and the first
+        // tree's lowest-peak completion always becomes the incumbent.
+        let (config, footprint) =
+            incumbent.expect("the first tree's best completion is always the incumbent");
+        config.validate()?;
         Ok(ExplorationOutcome {
             config,
             footprint,
@@ -750,45 +742,12 @@ impl Methodology {
                 "cannot explore an empty trace".into(),
             ));
         }
-        let results = engine.run_parallel(&parts, |s| self.explore_shard_attempts(s, engine));
-        let mut per_shard = Vec::with_capacity(parts.len());
-        let mut failed_shards = Vec::new();
-        let mut shard_retries = 0usize;
-        for (s, (r, attempts)) in parts.iter().zip(results) {
-            shard_retries += attempts - 1;
-            match r {
-                Ok(outcome) => per_shard.push(ShardOutcome {
-                    index: s.index,
-                    phase: s.phase,
-                    weight: s.weight(),
-                    events: s.trace.len(),
-                    outcome,
-                }),
-                Err(e) => match self.shard_failure {
-                    ShardFailurePolicy::Fail => return Err(e),
-                    ShardFailurePolicy::Degrade => failed_shards.push(FailedShard {
-                        index: s.index,
-                        phase: s.phase,
-                        weight: s.weight(),
-                        events: s.trace.len(),
-                        attempts,
-                        error: e,
-                    }),
-                },
-            }
+        let attempts = engine.run_parallel(&parts, |s| self.explore_shard_attempts(s, engine));
+        let mut results = ShardResults::default();
+        for (s, attempt) in parts.iter().zip(attempts) {
+            results.file(s, attempt, self.shard_failure)?;
         }
-        let (config, merges) = self.merge_shard_designs(&per_shard)?;
-        let completed: std::collections::BTreeSet<usize> =
-            per_shard.iter().map(|s| s.index).collect();
-        self.compose_sharded(
-            per_shard,
-            merges,
-            config,
-            parts.into_iter().filter(|s| completed.contains(&s.index)),
-            engine,
-            failed_shards,
-            shard_retries,
-        )
+        self.compose_sharded(results, parts, engine)
     }
 
     /// Explore one shard with bounded retry: a caught worker panic (real,
@@ -874,59 +833,22 @@ impl Methodology {
         F: Fn() -> I,
         I: IntoIterator<Item = TraceShard>,
     {
-        let mut per_shard = Vec::new();
-        let mut failed_shards = Vec::new();
-        let mut shard_retries = 0usize;
-        let mut saw_shard = false;
+        let mut results = ShardResults::default();
         for shard in source() {
-            saw_shard = true;
-            let (r, attempts) = self.explore_shard_attempts(&shard, engine);
-            shard_retries += attempts - 1;
+            let attempt = self.explore_shard_attempts(&shard, engine);
             // The engine compiled this shard for its replays; release the
             // O(shard) compiled copy along with the shard itself, or the
             // engine's table would quietly accumulate the whole trace.
             engine.release_compiled(cache::TraceKey::of(&shard.trace));
-            match r {
-                Ok(outcome) => per_shard.push(ShardOutcome {
-                    index: shard.index,
-                    phase: shard.phase,
-                    weight: shard.weight(),
-                    events: shard.trace.len(),
-                    outcome,
-                }),
-                Err(e) => match self.shard_failure {
-                    ShardFailurePolicy::Fail => return Err(e),
-                    ShardFailurePolicy::Degrade => failed_shards.push(FailedShard {
-                        index: shard.index,
-                        phase: shard.phase,
-                        weight: shard.weight(),
-                        events: shard.trace.len(),
-                        attempts,
-                        error: e,
-                    }),
-                },
-            }
+            results.file(&shard, attempt, self.shard_failure)?;
             // `shard` drops here: only one shard is ever resident.
         }
-        if !saw_shard {
+        if results.per_shard.is_empty() && results.failed.is_empty() {
             return Err(Error::EmptySearchSpace(
                 "shard source yielded no shards".into(),
             ));
         }
-        let (config, merges) = self.merge_shard_designs(&per_shard)?;
-        let completed: std::collections::BTreeSet<usize> =
-            per_shard.iter().map(|s| s.index).collect();
-        self.compose_sharded(
-            per_shard,
-            merges,
-            config,
-            source()
-                .into_iter()
-                .filter(|s| completed.contains(&s.index)),
-            engine,
-            failed_shards,
-            shard_retries,
-        )
+        self.compose_sharded(results, source(), engine)
     }
 
     /// Per-shard methodology: same hypothesis, labelled for the shard.
@@ -1015,50 +937,51 @@ impl Methodology {
         Ok((config, merges))
     }
 
-    /// Replay the merged design over every completed shard
-    /// (cache-assisted) and assemble the outcome. `shards` must yield
-    /// exactly the completed shards — a degraded run filters the failed
-    /// ones out of the composition as well as the merge.
-    #[allow(clippy::too_many_arguments)]
+    /// Merge the completed shards' designs, replay the merged design over
+    /// them (cache-assisted) and assemble the outcome. `shards` is the
+    /// shard stream again; shards that failed under
+    /// [`ShardFailurePolicy::Degrade`] are left out of the composition as
+    /// well as the merge.
     fn compose_sharded<I>(
         &self,
-        per_shard: Vec<ShardOutcome>,
-        merges: Vec<MergeDecision>,
-        config: DmConfig,
+        results: ShardResults,
         shards: I,
         engine: &ExplorationEngine,
-        failed_shards: Vec<FailedShard>,
-        shard_retries: usize,
     ) -> Result<ShardedOutcome>
     where
         I: IntoIterator<Item = TraceShard>,
     {
-        let mut composed: Option<FootprintStats> = None;
+        let ShardResults {
+            per_shard,
+            failed: failed_shards,
+            retries: shard_retries,
+        } = results;
+        let (config, merges) = self.merge_shard_designs(&per_shard)?;
+        let completed: std::collections::BTreeSet<usize> =
+            per_shard.iter().map(|s| s.index).collect();
         let mut counters: EngineCounters = per_shard.iter().map(|s| s.outcome.counters).sum();
-        let mut peak_resident = 0usize;
-        let mut max_carried = 0usize;
-        for shard in shards {
-            peak_resident = peak_resident.max(shard.trace.resident_bytes());
-            max_carried = max_carried.max(shard.boundary.carried_bytes);
-            // One fingerprint serves both the evaluation and the release.
-            let key = cache::TraceKey::of(&shard.trace);
-            let eval = engine
-                .evaluate_all(&shard.trace, key, std::slice::from_ref(&config), false)?
-                .pop()
-                .expect("one configuration, one outcome")
-                .uncapped();
-            // Keep the streaming bound: drop the shard's compiled copy and
-            // projection with the shard.
-            engine.release_compiled(key);
-            tally(&mut counters, eval.cache_hit);
-            match composed.as_mut() {
-                None => composed = Some(eval.stats),
-                Some(acc) => acc.absorb_shard(&eval.stats),
-            }
+        let composed = replay_shards(
+            shards.into_iter().filter(|s| completed.contains(&s.index)),
+            |shard| {
+                // One fingerprint serves both the evaluation and the release.
+                let key = cache::TraceKey::of(&shard.trace);
+                let eval = engine
+                    .evaluate_all(&shard.trace, key, std::slice::from_ref(&config), false)?
+                    .pop()
+                    .expect("one configuration, one outcome")
+                    .uncapped();
+                // Keep the streaming bound: drop the shard's compiled copy
+                // and projection with the shard.
+                engine.release_compiled(key);
+                tally(&mut counters, eval.cache_hit);
+                Ok(eval.stats)
+            },
+        )?;
+        if composed.shard_count == 0 {
+            return Err(Error::EmptySearchSpace(
+                "shard source yielded no shards to compose".into(),
+            ));
         }
-        let footprint = composed.ok_or_else(|| {
-            Error::EmptySearchSpace("shard source yielded no shards to compose".into())
-        })?;
         let shard_count = per_shard.len();
         let completed_weight: f64 = per_shard.iter().map(|s| s.weight).sum();
         let failed_weight: f64 = failed_shards.iter().map(|s| s.weight).sum();
@@ -1070,17 +993,60 @@ impl Methodology {
         };
         Ok(ShardedOutcome {
             config,
-            footprint,
+            footprint: composed.stats,
             merges,
             per_shard,
             counters,
             shard_count,
-            peak_resident_trace_bytes: peak_resident,
-            max_carried_bytes: max_carried,
+            peak_resident_trace_bytes: composed.peak_resident_trace_bytes,
+            max_carried_bytes: composed.max_carried_bytes,
             failed_shards,
             confidence,
             shard_retries,
         })
+    }
+}
+
+/// Per-shard results of a sharded exploration, filed in shard order.
+#[derive(Default)]
+struct ShardResults {
+    per_shard: Vec<ShardOutcome>,
+    failed: Vec<FailedShard>,
+    /// Attempts beyond each shard's first try.
+    retries: usize,
+}
+
+impl ShardResults {
+    /// File one shard's exploration and the attempts it took
+    /// ([`Methodology::explore_shard_attempts`]). A permanent failure is
+    /// returned under [`ShardFailurePolicy::Fail`] and kept for the
+    /// outcome under [`ShardFailurePolicy::Degrade`].
+    fn file(
+        &mut self,
+        s: &TraceShard,
+        (result, attempts): (Result<ExplorationOutcome>, usize),
+        policy: ShardFailurePolicy,
+    ) -> Result<()> {
+        self.retries += attempts - 1;
+        match result {
+            Ok(outcome) => self.per_shard.push(ShardOutcome {
+                index: s.index,
+                phase: s.phase,
+                weight: s.weight(),
+                events: s.trace.len(),
+                outcome,
+            }),
+            Err(e) if policy == ShardFailurePolicy::Fail => return Err(e),
+            Err(error) => self.failed.push(FailedShard {
+                index: s.index,
+                phase: s.phase,
+                weight: s.weight(),
+                events: s.trace.len(),
+                attempts,
+                error,
+            }),
+        }
+        Ok(())
     }
 }
 

@@ -3,9 +3,9 @@
 //!
 //! The methodology is replay-bound — every candidate configuration is
 //! scored by re-simulating the same recorded trace, so replay throughput
-//! *is* the exploration budget. The classic interpreter
-//! ([`replay`](super::replay)) pays
-//! two per-event costs that a pre-pass can eliminate:
+//! *is* the exploration budget. The reference interpreter
+//! ([`replay`](super::replay)) pays two per-event costs that a pre-pass
+//! can eliminate:
 //!
 //! 1. a `HashMap<u64, BlockHandle>` insert/remove per alloc/free to match
 //!    each `Free { id }` with the handle its `Alloc` produced, and
@@ -28,8 +28,10 @@
 //! exactly that — compiles once, keeps one scratch per worker, and pays
 //! zero hashing and zero per-replay allocation in the loop.
 //!
-//! Both kernels are **bit-identical** to the classic interpreter: same
-//! [`FootprintStats`], same sampled series, same error surfacing.
+//! The kernel is **bit-identical** to the reference interpreter
+//! ([`replay`](super::replay)): same [`FootprintStats`], same error
+//! surfacing. [`replay_compiled_sampled`] is the one footprint sampler;
+//! the interpreter keeps no series.
 //!
 //! [`replay_compiled_limited`] adds a [`ReplayBudget`] and a peak cap for
 //! branch-and-bound sweeps: a replay's running peak never decreases, so
@@ -370,9 +372,11 @@ pub fn replay_compiled_limited<A: Allocator + ?Sized>(
 }
 
 /// Like [`replay_compiled`], additionally sampling the footprint curve
-/// every `sample_every` events — the compiled twin of
-/// [`replay_sampled`](super::replay_sampled), with the same
-/// terminal-sample contract.
+/// every `sample_every` events (paper Figure 5).
+///
+/// The final event is always sampled, whatever the period: the curve ends
+/// on the trace's final footprint, and a peak reached by the last event is
+/// never silently dropped from the series.
 ///
 /// # Errors
 ///
@@ -448,7 +452,7 @@ fn replay_compiled_inner<A: Allocator + ?Sized, const CAPPED: bool>(
             }
             Op::Phase => manager.set_phase(slot),
         }
-        // Same per-event contract as the classic interpreter: in debug
+        // Same per-event contract as the reference interpreter: in debug
         // builds, structural corruption fails at the event that caused it
         // (throttled on very long traces — see `should_deep_check`).
         #[cfg(debug_assertions)]
@@ -488,8 +492,8 @@ fn replay_compiled_inner<A: Allocator + ?Sized, const CAPPED: bool>(
     if let Some(b) = budget {
         b.check(deadline, manager.stats(), true)?;
     }
-    // Terminal sample: identical contract to the classic interpreter —
-    // the curve always ends on the final event.
+    // Terminal sample: the curve always ends on the final event, or a
+    // peak reached by the last event would be missing from the series.
     if let Some(ts) = series.as_mut() {
         let last = compiled.len().wrapping_sub(1);
         if !compiled.is_empty() && last_sampled != Some(last) {
@@ -519,7 +523,7 @@ mod tests {
     use super::*;
     use crate::manager::{GlobalManager, PolicyAllocator};
     use crate::space::presets;
-    use crate::trace::{replay, replay_sampled};
+    use crate::trace::replay;
 
     fn churn_trace(n: usize) -> Trace {
         let mut b = Trace::builder();
@@ -610,24 +614,36 @@ mod tests {
         assert_eq!(g.atomic(1).stats().allocs, 1);
     }
 
+    /// The sampler checked against the reference interpreter, for every
+    /// period from 1 to 15: the period-1 curve peaks at the interpreter's
+    /// peak, each period's points are the period-1 points on its grid plus
+    /// the final event, and the stats without the series are the
+    /// interpreter's.
     #[test]
-    fn compiled_sampled_series_matches_classic() {
+    fn sampled_series_agrees_with_the_oracle() {
         let t = churn_trace(137);
         let ct = CompiledTrace::compile(&t);
-        for every in [1, 4, 10, 1000] {
-            let classic = replay_sampled(
-                &t,
-                &mut PolicyAllocator::new(presets::lea_like()).unwrap(),
-                every,
-            )
-            .unwrap();
-            let compiled = replay_compiled_sampled(
-                &ct,
-                &mut PolicyAllocator::new(presets::lea_like()).unwrap(),
-                every,
-            )
-            .unwrap();
-            assert_eq!(classic, compiled, "sample_every={every}");
+        let make = || PolicyAllocator::new(presets::lea_like()).unwrap();
+        let oracle = replay(&t, &mut make()).unwrap();
+        let every_event = replay_compiled_sampled(&ct, &mut make(), 1)
+            .unwrap()
+            .series
+            .unwrap()
+            .points;
+        let peak = every_event.iter().map(|p| p.footprint).max();
+        assert_eq!(peak, Some(oracle.peak_footprint));
+        let last = t.len() - 1;
+        for every in 1..=15 {
+            let mut fs = replay_compiled_sampled(&ct, &mut make(), every).unwrap();
+            let series = fs.series.take().unwrap();
+            let on_grid: Vec<SeriesPoint> = every_event
+                .iter()
+                .copied()
+                .filter(|p| p.event % every == 0 || p.event == last)
+                .collect();
+            assert_eq!(series.sample_every, every);
+            assert_eq!(series.points, on_grid, "sample_every={every}");
+            assert_eq!(fs, oracle, "sample_every={every}");
         }
     }
 

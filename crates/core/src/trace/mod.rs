@@ -2,9 +2,20 @@
 //!
 //! The methodology is trace-driven (Section 5: "we first profile its DM
 //! behaviour"): a workload runs once against a [`RecordingAllocator`],
-//! producing a [`Trace`]; the trace then [`replay`]s against any manager to
+//! producing a [`Trace`]; the trace then replays against any manager to
 //! measure the footprint that manager *would* have had — identical inputs
 //! for every comparator, exactly like the paper's 10-simulation averages.
+//!
+//! Each replay job has one implementation:
+//!
+//! - [`compiled`] is the replay kernel: every replay that scores a
+//!   manager, the sampled footprint curve ([`replay_compiled_sampled`])
+//!   and the capped or budgeted sweep replay ([`replay_compiled_limited`]);
+//! - [`shard`] cuts a trace into self-contained shards (its phase-aligned
+//!   split is also [`Trace::split_phases`]), and [`replay_shards`] is the
+//!   one fold over a stream of shards;
+//! - [`replay`] is the reference interpreter: a plain `HashMap` event loop
+//!   that the kernel's checks compare against, never a scoring path.
 
 pub mod compiled;
 mod record;
@@ -30,7 +41,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
 use crate::manager::{Allocator, BlockHandle};
-use crate::metrics::{FootprintStats, SeriesPoint, TimeSeries};
+use crate::metrics::FootprintStats;
 
 /// One event of an allocation trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -239,48 +250,12 @@ impl Trace {
     /// revisited marker **merges** into the phase's existing bucket, so a
     /// trace announcing `0, 1, 0` yields two sub-traces, with both phase-0
     /// segments in the first. Traces without phase markers yield a single
-    /// sub-trace.
+    /// sub-trace. These are the phase-aligned shards of [`shard_trace`]
+    /// without their boundary summaries.
     pub fn split_phases(&self) -> Vec<(u32, Trace)> {
-        // Owner entries are dropped once the object dies, so the map is
-        // bounded by the peak live set, not the total allocation count.
-        let mut owner: HashMap<u64, u32> = HashMap::new();
-        let mut current = 0u32;
-        let mut buckets: Vec<(u32, Vec<TraceEvent>)> = vec![(0, Vec::new())];
-        for ev in &self.events {
-            match ev {
-                TraceEvent::Phase { phase } => {
-                    current = *phase;
-                    if buckets.iter().all(|(p, _)| *p != current) {
-                        buckets.push((current, Vec::new()));
-                    }
-                }
-                TraceEvent::Alloc { id, .. } => {
-                    owner.insert(*id, current);
-                    let b = buckets
-                        .iter_mut()
-                        .find(|(p, _)| *p == current)
-                        .expect("bucket exists");
-                    b.1.push(*ev);
-                }
-                TraceEvent::Free { id } => {
-                    let ph = owner.remove(id).unwrap_or(current);
-                    let b = buckets
-                        .iter_mut()
-                        .find(|(p, _)| *p == ph)
-                        .expect("owner bucket exists");
-                    b.1.push(*ev);
-                }
-            }
-        }
-        buckets
+        shard::shard_by_phases(self)
             .into_iter()
-            .filter(|(_, evs)| !evs.is_empty())
-            .map(|(p, evs)| {
-                (
-                    p,
-                    Trace::from_events(evs).expect("phase projection preserves validity"),
-                )
-            })
+            .map(|s| (s.phase.expect("phase shards carry their phase"), s.trace))
             .collect()
     }
 }
@@ -362,57 +337,21 @@ impl TraceBuilder {
 
 /// Replay a trace against a manager, returning footprint statistics.
 ///
-/// This is the classic interpreter: it matches every `Free { id }` to its
-/// handle through a per-replay hash map. Replay loops that score one trace
-/// against many configurations should compile the trace once and use the
-/// [`replay_compiled`] kernel instead — bit-identical statistics, no
-/// per-event hashing.
+/// This is the reference interpreter: a plain event loop that matches
+/// every `Free { id }` to its handle through a per-replay hash map. It is
+/// deliberately independent of the compiled kernel, so the kernel's
+/// checks (the goldens, the proptests, the benchmark's cross-checks) have
+/// something other than the kernel to agree with. Replay loops should
+/// compile the trace once and use [`replay_compiled`] (bit-identical
+/// statistics, no per-event hashing), and footprint curves come from
+/// [`replay_compiled_sampled`].
 ///
 /// # Errors
 ///
 /// Propagates manager errors ([`Error::OutOfMemory`]) and trace/manager
 /// disagreements ([`Error::UnknownTraceId`]).
 pub fn replay(trace: &Trace, manager: &mut dyn Allocator) -> Result<FootprintStats> {
-    replay_inner(trace, manager, None)
-}
-
-/// Like [`replay`], additionally sampling the footprint curve every
-/// `sample_every` events (paper Figure 5).
-///
-/// The final event is always sampled, whatever the period: the curve ends
-/// on the trace's final footprint, and a peak reached by the last event is
-/// never silently dropped from the series.
-pub fn replay_sampled(
-    trace: &Trace,
-    manager: &mut dyn Allocator,
-    sample_every: usize,
-) -> Result<FootprintStats> {
-    replay_inner(trace, manager, Some(sample_every.max(1)))
-}
-
-/// Debug-build invariant-check schedule for the replay kernels: every
-/// event is checked through `DEEP_CHECK_EVENTS` (test-scale traces get
-/// exact causal attribution for any corruption), after which long replays
-/// are checked every `DEEP_CHECK_STRIDE` events — an O(heap) check per
-/// event is quadratic, and the debug suite replays million-event traces.
-#[cfg(debug_assertions)]
-pub(crate) fn should_deep_check(event: usize) -> bool {
-    const DEEP_CHECK_EVENTS: usize = 512;
-    const DEEP_CHECK_STRIDE: usize = 32;
-    event < DEEP_CHECK_EVENTS || event.is_multiple_of(DEEP_CHECK_STRIDE)
-}
-
-fn replay_inner(
-    trace: &Trace,
-    manager: &mut dyn Allocator,
-    sample_every: Option<usize>,
-) -> Result<FootprintStats> {
     let mut handles: HashMap<u64, BlockHandle> = HashMap::new();
-    let mut series = sample_every.map(|s| TimeSeries {
-        sample_every: s,
-        points: Vec::with_capacity(trace.len() / s + 1),
-    });
-    let mut last_sampled: Option<usize> = None;
     for (i, ev) in trace.events().iter().enumerate() {
         match ev {
             TraceEvent::Alloc { id, size } => {
@@ -429,38 +368,10 @@ fn replay_inner(
         // every event (throttled on very long traces — see
         // `should_deep_check`), so a corrupted tiling or index fails at
         // the event that caused it instead of thousands of events later.
-        #[cfg(debug_assertions)]
-        if should_deep_check(i) {
+        if cfg!(debug_assertions) && should_deep_check(i) {
             if let Err(e) = manager.check_invariants() {
                 panic!("invariants violated after event {i} ({ev:?}): {e}");
             }
-        }
-        if let Some(ts) = series.as_mut() {
-            if i % ts.sample_every == 0 {
-                let s = manager.stats();
-                ts.points.push(SeriesPoint {
-                    event: i,
-                    footprint: s.system,
-                    requested: s.live_requested,
-                    live_block: s.live_block,
-                });
-                last_sampled = Some(i);
-            }
-        }
-    }
-    // Terminal sample: whatever the period, the curve must end on the
-    // final event — otherwise a peak reached by the last event (or the
-    // final footprint itself) never appears in the series.
-    if let Some(ts) = series.as_mut() {
-        let last = trace.len().wrapping_sub(1);
-        if !trace.is_empty() && last_sampled != Some(last) {
-            let s = manager.stats();
-            ts.points.push(SeriesPoint {
-                event: last,
-                footprint: s.system,
-                requested: s.live_requested,
-                live_block: s.live_block,
-            });
         }
     }
     let stats = manager.stats().clone();
@@ -471,8 +382,19 @@ fn replay_inner(
         peak_requested: stats.peak_requested,
         events: trace.len(),
         stats,
-        series,
+        series: None,
     })
+}
+
+/// Debug-build invariant-check schedule for the replay loops: every
+/// event is checked through `DEEP_CHECK_EVENTS` (test-scale traces get
+/// exact causal attribution for any corruption), after which long replays
+/// are checked every `DEEP_CHECK_STRIDE` events — an O(heap) check per
+/// event is quadratic, and the debug suite replays million-event traces.
+pub(crate) fn should_deep_check(event: usize) -> bool {
+    const DEEP_CHECK_EVENTS: usize = 512;
+    const DEEP_CHECK_STRIDE: usize = 32;
+    event < DEEP_CHECK_EVENTS || event.is_multiple_of(DEEP_CHECK_STRIDE)
 }
 
 #[cfg(test)]
@@ -553,7 +475,7 @@ mod tests {
     fn sampled_replay_produces_series() {
         let t = tiny_trace();
         let mut m = PolicyAllocator::new(presets::kingsley_like()).unwrap();
-        let fs = replay_sampled(&t, &mut m, 1).unwrap();
+        let fs = replay_compiled_sampled(&CompiledTrace::compile(&t), &mut m, 1).unwrap();
         let ts = fs.series.unwrap();
         assert_eq!(ts.points.len(), t.len());
         assert_eq!(ts.peak(), fs.peak_footprint);
@@ -614,7 +536,7 @@ mod tests {
         let t = b.finish().unwrap();
         assert_eq!((t.len() - 1) % 4, 1, "last event must be off-grid");
         let mut m = PolicyAllocator::new(presets::lea_like()).unwrap();
-        let fs = replay_sampled(&t, &mut m, 4).unwrap();
+        let fs = replay_compiled_sampled(&CompiledTrace::compile(&t), &mut m, 4).unwrap();
         let ts = fs.series.as_ref().unwrap();
         let last = ts.points.last().unwrap();
         assert_eq!(last.event, t.len() - 1);
@@ -630,7 +552,7 @@ mod tests {
     fn sampled_replay_does_not_duplicate_an_on_grid_final_event() {
         let t = tiny_trace(); // 6 events; (6-1) % 5 == 0 ⇒ already sampled
         let mut m = PolicyAllocator::new(presets::kingsley_like()).unwrap();
-        let fs = replay_sampled(&t, &mut m, 5).unwrap();
+        let fs = replay_compiled_sampled(&CompiledTrace::compile(&t), &mut m, 5).unwrap();
         let ts = fs.series.unwrap();
         assert_eq!(ts.points.len(), 2, "events 0 and 5, no duplicate");
         assert_eq!(ts.points.last().unwrap().event, t.len() - 1);

@@ -1,29 +1,34 @@
 //! Sharding large traces into self-contained windows.
 //!
-//! PR 2 made candidate evaluation parallel and replay-deduplicated, but
-//! every replay still walks one in-memory [`Trace`] end to end, so
-//! exploration is bounded by a single trace's length and one machine's
+//! Exploration replays one trace end to end per candidate, so without
+//! sharding it is bounded by a single trace's length and one machine's
 //! memory. This module removes that bound: [`shard_trace`] splits a trace
 //! into self-contained shards — **phase-aligned** when the trace carries
 //! phase markers, **lifetime-closed windows** otherwise — and
-//! [`replay_shards`] replays a stream of shards against fresh managers
-//! with memory bounded by the *largest shard*, not the whole trace.
+//! [`replay_shards`] folds a stream of shards one at a time, with memory
+//! bounded by the *largest shard*, not the whole trace.
 //!
 //! Every shard is a valid [`Trace`] on its own: an object's free is
-//! attributed to the shard that allocated it (exactly the owner rule of
-//! [`Trace::split_phases`]), so no shard ever frees an id it did not
-//! allocate. Objects that are live across a shard's entry boundary are
-//! summarised in the shard's [`BoundarySummary`] — the quantity the
-//! composed accounting can be off by, reported rather than hidden.
+//! attributed to the shard that allocated it, so no shard ever frees an id
+//! it did not allocate. Objects that are live across a shard's entry
+//! boundary are summarised in the shard's [`BoundarySummary`] — the
+//! quantity the composed accounting can be off by, reported rather than
+//! hidden.
 //!
 //! Phase markers are *re-entrant* (see [`TraceEvent::Phase`]): the
 //! phase-aligned path merges every segment of a phase into that phase's
-//! single shard, so `A B A` yields two shards, not three.
+//! single shard, so `A B A` yields two shards, not three. That split is
+//! also [`Trace::split_phases`], which returns the same shards without
+//! their boundary summaries.
+//!
+//! [`replay_shards`] is the one fold over a shard stream, whatever scores
+//! each shard: [`replay_shards_config`] replays it fresh, and sharded
+//! exploration asks its engine.
 
 use std::collections::HashMap;
 
 use crate::error::Result;
-use crate::manager::{Allocator, PolicyAllocator};
+use crate::manager::PolicyAllocator;
 use crate::metrics::FootprintStats;
 use crate::space::config::DmConfig;
 
@@ -117,7 +122,9 @@ pub fn shard_trace(trace: &Trace, shards: usize) -> Vec<TraceShard> {
 
 /// One shard per distinct phase, owner-attributed, with boundary
 /// summaries of cross-phase live memory at each phase's first entry.
-fn shard_by_phases(trace: &Trace) -> Vec<TraceShard> {
+/// Events before the first marker belong to phase 0; a trace without
+/// markers yields one phase-0 shard.
+pub(super) fn shard_by_phases(trace: &Trace) -> Vec<TraceShard> {
     // id -> (owning phase, size); entries removed on free so the map is
     // bounded by the peak live set, not the total allocation count.
     let mut owner: HashMap<u64, (u32, usize)> = HashMap::new();
@@ -334,47 +341,36 @@ pub struct ShardedReplay {
     pub max_carried_bytes: usize,
 }
 
-/// Replay a stream of shards, each against a **fresh** manager from
-/// `make`, composing the per-shard statistics. Shards are consumed one at
-/// a time: memory is bounded by the largest shard, never the whole trace.
-///
-/// Each shard is compiled ([`CompiledTrace`]) and replayed through the
-/// monomorphized kernel. All shards share the parent replay's one slot
-/// table: shard *i*'s slots occupy the range `0..slot_count(i)` of a
-/// [`ReplayScratch`] that persists across the stream (cleared between
-/// shards, grown once to the largest shard's slot count), so the replay
-/// loop itself does no per-event hashing. The id hashing moves into each
-/// shard's one-time compile pass — a wash for this single-replay path,
-/// and the compiled shard is dropped with the shard, preserving the
-/// largest-shard memory bound.
+/// Fold a stream of shards into one [`ShardedReplay`]: `score` replays
+/// (or otherwise evaluates) each shard, and the fold composes the
+/// per-shard statistics ([`FootprintStats::absorb_shard`]) while tracking
+/// the largest resident shard and the worst boundary carry. Shards are
+/// consumed one at a time: memory is bounded by the largest shard, never
+/// the whole trace. An empty stream folds to default statistics and a
+/// zero `shard_count`.
 ///
 /// For lifetime-closed shards the composed `peak_requested` equals the
-/// whole-trace value exactly; `peak_footprint` is the max over fresh
+/// whole-trace value exactly; `peak_footprint` is the max over the
 /// per-shard replays, which tracks the whole-trace peak to within
-/// arena-granularity effects (each shard starts from an empty arena
-/// instead of the previous shard's trimmed one).
+/// arena-granularity effects when each shard starts from an empty arena
+/// instead of the previous shard's trimmed one.
 ///
 /// # Errors
 ///
-/// Propagates manager construction and replay failures.
-pub fn replay_shards<I, A, F>(shards: I, mut make: F) -> Result<ShardedReplay>
+/// Propagates the first error `score` returns.
+pub fn replay_shards<I, F>(shards: I, mut score: F) -> Result<ShardedReplay>
 where
     I: IntoIterator<Item = TraceShard>,
-    A: Allocator,
-    F: FnMut() -> Result<A>,
+    F: FnMut(&TraceShard) -> Result<FootprintStats>,
 {
     let mut composed: Option<FootprintStats> = None;
     let mut shard_count = 0usize;
     let mut peak_resident = 0usize;
     let mut max_carried = 0usize;
-    // The parent slot table every compiled shard replays through.
-    let mut scratch = ReplayScratch::new();
     for shard in shards {
         peak_resident = peak_resident.max(shard.resident_bytes());
         max_carried = max_carried.max(shard.boundary.carried_bytes);
-        let compiled = CompiledTrace::compile(&shard.trace);
-        let mut mgr = make()?;
-        let fs = replay_compiled_with(&compiled, &mut mgr, &mut scratch)?;
+        let fs = score(&shard)?;
         match composed.as_mut() {
             None => composed = Some(fs),
             Some(c) => c.absorb_shard(&fs),
@@ -391,6 +387,13 @@ where
 
 /// [`replay_shards`] with a fresh [`PolicyAllocator`] of `cfg` per shard.
 ///
+/// Each shard is compiled ([`CompiledTrace`]) and replayed through the
+/// monomorphized kernel. All shards share one slot table: shard *i*'s
+/// slots occupy the range `0..slot_count(i)` of a [`ReplayScratch`] that
+/// persists across the stream (cleared between shards, grown once to the
+/// largest shard's slot count), and each compiled shard is dropped with
+/// its shard, preserving the largest-shard memory bound.
+///
 /// # Errors
 ///
 /// Propagates manager construction and replay failures.
@@ -398,7 +401,12 @@ pub fn replay_shards_config<I>(shards: I, cfg: &DmConfig) -> Result<ShardedRepla
 where
     I: IntoIterator<Item = TraceShard>,
 {
-    replay_shards(shards, || PolicyAllocator::new(cfg.clone()))
+    let mut scratch = ReplayScratch::new();
+    replay_shards(shards, |shard| {
+        let compiled = CompiledTrace::compile(&shard.trace);
+        let mut mgr = PolicyAllocator::new(cfg.clone())?;
+        replay_compiled_with(&compiled, &mut mgr, &mut scratch)
+    })
 }
 
 #[cfg(test)]

@@ -59,10 +59,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = Methodology::new()
         .with_name("custom DM manager 1")
         .explore(&trace)?;
+    let compiled = CompiledTrace::compile(&trace);
     let mut lea = LeaAllocator::new();
-    let lea_fs = replay_sampled(&trace, &mut lea, sample)?;
+    let lea_fs = replay_compiled_sampled(&compiled, &mut lea, sample)?;
     let mut custom = PolicyAllocator::new(outcome.config)?;
-    let custom_fs = replay_sampled(&trace, &mut custom, sample)?;
+    let custom_fs = replay_compiled_sampled(&compiled, &mut custom, sample)?;
     let (lea_s, custom_s) = (
         lea_fs.series.expect("series"),
         custom_fs.series.expect("series"),

@@ -64,9 +64,9 @@ pub mod prelude {
     pub use dmm_core::profile::Profile;
     pub use dmm_core::space::{presets, DmConfig, Params};
     pub use dmm_core::trace::{
-        replay, replay_compiled, replay_compiled_sampled, replay_compiled_with, replay_sampled,
-        replay_shards, replay_shards_config, shard_trace, CompiledTrace, RecordingAllocator,
-        ReplayScratch, Trace, TraceShard,
+        replay, replay_compiled, replay_compiled_sampled, replay_compiled_with, replay_shards,
+        replay_shards_config, shard_trace, CompiledTrace, RecordingAllocator, ReplayScratch, Trace,
+        TraceShard,
     };
     pub use dmm_workloads::{
         case_studies, quick_studies, DrrWorkload, ReconWorkload, RenderWorkload, Workload,

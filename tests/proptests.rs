@@ -534,24 +534,36 @@ proptest! {
         prop_assert_eq!(classic, fast);
     }
 
-    /// Sampled series agree point for point, whatever the period.
+    /// The sampler checked against the reference interpreter, for every
+    /// period from 1 to 15: the period-1 curve peaks at the interpreter's
+    /// peak, each period's points are the period-1 points on its grid plus
+    /// the final event, and the stats without the series are the
+    /// interpreter's.
     #[test]
-    fn compiled_sampled_series_matches_classic(
-        trace in trace_strategy(80, 1024),
-        every in 1usize..16,
-    ) {
+    fn sampled_series_agrees_with_the_oracle(trace in trace_strategy(80, 1024)) {
         let compiled = CompiledTrace::compile(&trace);
-        let classic = replay_sampled(
-            &trace,
-            &mut PolicyAllocator::new(presets::lea_like()).expect("valid"),
-            every,
-        ).expect("classic replay");
-        let fast = replay_compiled_sampled(
-            &compiled,
-            &mut PolicyAllocator::new(presets::lea_like()).expect("valid"),
-            every,
-        ).expect("compiled replay");
-        prop_assert_eq!(classic, fast);
+        let make = || PolicyAllocator::new(presets::lea_like()).expect("valid");
+        let oracle = replay(&trace, &mut make()).expect("classic replay");
+        let every_event = replay_compiled_sampled(&compiled, &mut make(), 1)
+            .expect("sampled replay")
+            .series
+            .expect("a sampled replay returns a series")
+            .points;
+        let peak = every_event.iter().map(|p| p.footprint).max();
+        prop_assert_eq!(peak, Some(oracle.peak_footprint));
+        let last = trace.len() - 1;
+        for every in 1..=15 {
+            let mut fs = replay_compiled_sampled(&compiled, &mut make(), every)
+                .expect("sampled replay");
+            let series = fs.series.take().expect("a sampled replay returns a series");
+            let on_grid: Vec<_> = every_event
+                .iter()
+                .copied()
+                .filter(|p| p.event % every == 0 || p.event == last)
+                .collect();
+            prop_assert_eq!(series.points, on_grid, "sample_every={}", every);
+            prop_assert_eq!(&fs, &oracle, "sample_every={}", every);
+        }
     }
 
     /// Differential check for the boundary-tag block store, across every
