@@ -16,9 +16,10 @@
 //! - [`TraceFacts`] is the *trace abstraction*, computed **once per
 //!   trace** in O(events) time and O(peak live) memory (the same bound
 //!   [`Trace::live_set_peak`] maintains): size histograms of the live set
-//!   at its peak instants, per-phase live profiles with
-//!   [`BoundarySummary`] boundary carries, and the maximum number of
-//!   simultaneously-live blocks per request size.
+//!   at its peak instants (the whole trace's byte and block peaks and each
+//!   phase's byte peak), and the maximum number of simultaneously-live
+//!   blocks per request size. What crosses a phase boundary is measured
+//!   where phases are cut, by [`shard_trace`](crate::trace::shard_trace).
 //! - [`lower_bound_peak`] is the *config interpreter*: it replays the
 //!   facts against a [`DmConfig`]'s structural costs — tag bytes per
 //!   block, alignment and minimum-block rounding, A2 class rounding
@@ -66,7 +67,7 @@ use std::collections::HashMap;
 use crate::manager::pools::Pools;
 use crate::space::config::{DmConfig, Params};
 use crate::space::trees::{BlockSizes, BlockStructure, PoolDivision, PoolStructure};
-use crate::trace::{BoundarySummary, LiveSetPeak, Trace, TraceEvent};
+use crate::trace::{LiveSetPeak, Trace, TraceEvent};
 use crate::units::SBRK_GRANULARITY;
 
 use super::diag::{CatalogEntry, Diagnostic, Severity};
@@ -96,21 +97,6 @@ impl LiveSnapshot {
     }
 }
 
-/// Live profile of one phase (re-entered segments merged, like
-/// [`Trace::split_phases`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseFacts {
-    /// Phase id.
-    pub phase: u32,
-    /// Live memory crossing the phase's first entry — the same quantity
-    /// phase-aligned sharding reports per shard.
-    pub boundary: BoundarySummary,
-    /// Peak live requested bytes observed while this phase was current.
-    pub peak_live_bytes: usize,
-    /// Peak live block count observed while this phase was current.
-    pub peak_live_blocks: usize,
-}
-
 /// Everything the bound interpreter needs to know about a trace, computed
 /// once in two O(events) walks with O(peak live) bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -132,27 +118,17 @@ pub struct TraceFacts {
     /// set), used by trace-conditioned config projection to bound the
     /// arena a replay can ever grow to.
     pub size_census: Vec<(usize, usize)>,
-    /// Per-phase live profiles, in first-entry order.
-    pub phases: Vec<PhaseFacts>,
 }
 
 impl TraceFacts {
     /// Compute the facts for a trace.
     ///
     /// Pass 1 walks the events recording *where* the peaks happen (plus
-    /// the per-size maxima and phase profiles); pass 2 re-walks only as
-    /// far as the last peak instant to reconstruct the histograms there.
-    /// Keeping snapshots to a handful of recorded instants is what holds
-    /// the memory at O(peak live) instead of O(events × peak live).
+    /// the per-size maxima and census); pass 2 re-walks only as far as the
+    /// last peak instant to reconstruct the histograms there. Keeping
+    /// snapshots to a handful of recorded instants is what holds the
+    /// memory at O(peak live) instead of O(events × peak live).
     pub fn of(trace: &Trace) -> TraceFacts {
-        struct PhaseAcc {
-            phase: u32,
-            boundary: BoundarySummary,
-            peak_bytes: usize,
-            peak_bytes_at: Option<usize>,
-            peak_blocks: usize,
-        }
-
         // Pass 1: peak locations. Entries leave `sizes`/`live_counts` on
         // free, so both stay bounded by the peak live set.
         let mut sizes: HashMap<u64, usize> = HashMap::new();
@@ -163,28 +139,11 @@ impl TraceFacts {
         let (mut peak_bytes, mut peak_bytes_at) = (0usize, None::<usize>);
         let (mut peak_blocks, mut peak_blocks_at) = (0usize, None::<usize>);
         let (mut allocs, mut frees) = (0usize, 0usize);
-        let mut phases: Vec<PhaseAcc> = Vec::new();
+        // `(phase, live bytes, event)` at each phase's byte peak, in
+        // first-allocation order; re-entered segments share one entry.
+        // Events before the first marker belong to phase 0.
+        let mut phase_peaks: Vec<(u32, usize, usize)> = Vec::new();
         let mut current = 0u32;
-
-        let ensure_phase = |phases: &mut Vec<PhaseAcc>, sizes: &HashMap<u64, usize>, phase: u32| {
-            if phases.iter().all(|p| p.phase != phase) {
-                // First entry: everything currently live is owned by
-                // earlier phases and crosses the boundary.
-                phases.push(PhaseAcc {
-                    phase,
-                    boundary: BoundarySummary {
-                        carried_blocks: sizes.len(),
-                        carried_bytes: sizes.values().sum(),
-                    },
-                    peak_bytes: 0,
-                    peak_bytes_at: None,
-                    peak_blocks: 0,
-                });
-            }
-        };
-        if !trace.is_empty() {
-            ensure_phase(&mut phases, &sizes, 0);
-        }
 
         for (i, ev) in trace.events().iter().enumerate() {
             match ev {
@@ -205,15 +164,11 @@ impl TraceFacts {
                         peak_blocks = sizes.len();
                         peak_blocks_at = Some(i);
                     }
-                    let pa = phases
-                        .iter_mut()
-                        .find(|p| p.phase == current)
-                        .expect("current phase has a profile");
-                    if live_bytes > pa.peak_bytes {
-                        pa.peak_bytes = live_bytes;
-                        pa.peak_bytes_at = Some(i);
+                    match phase_peaks.iter_mut().find(|p| p.0 == current) {
+                        Some(p) if live_bytes > p.1 => *p = (current, live_bytes, i),
+                        Some(_) => {}
+                        None => phase_peaks.push((current, live_bytes, i)),
                     }
-                    pa.peak_blocks = pa.peak_blocks.max(sizes.len());
                 }
                 TraceEvent::Free { id } => {
                     frees += 1;
@@ -227,10 +182,7 @@ impl TraceFacts {
                         }
                     }
                 }
-                TraceEvent::Phase { phase } => {
-                    current = *phase;
-                    ensure_phase(&mut phases, &sizes, current);
-                }
+                TraceEvent::Phase { phase } => current = *phase,
             }
         }
 
@@ -239,7 +191,7 @@ impl TraceFacts {
         let mut wanted: Vec<usize> = peak_bytes_at
             .into_iter()
             .chain(peak_blocks_at)
-            .chain(phases.iter().filter_map(|p| p.peak_bytes_at))
+            .chain(phase_peaks.iter().map(|&(_, _, at)| at))
             .collect();
         wanted.sort_unstable();
         wanted.dedup();
@@ -297,16 +249,6 @@ impl TraceFacts {
             snapshots,
             max_simultaneous,
             size_census,
-            phases: phases
-                .into_iter()
-                .filter(|p| p.peak_bytes_at.is_some() || !p.boundary.is_closed())
-                .map(|p| PhaseFacts {
-                    phase: p.phase,
-                    boundary: p.boundary,
-                    peak_live_bytes: p.peak_bytes,
-                    peak_live_blocks: p.peak_blocks,
-                })
-                .collect(),
         }
     }
 }
@@ -696,19 +638,34 @@ mod tests {
         assert_eq!(facts.peak.blocks, 5);
     }
 
+    /// The histogram `facts` holds at `event`, if it holds one.
+    fn snapshot_at(facts: &TraceFacts, event: usize) -> Option<&[(usize, usize)]> {
+        facts
+            .snapshots
+            .iter()
+            .find(|s| s.event == event)
+            .map(|s| s.histogram.as_slice())
+    }
+
     #[test]
     fn phase_facts_merge_reentrant_segments_and_report_boundaries() {
         let t = mixed_trace();
         let facts = TraceFacts::of(&t);
-        let p0 = facts.phases.iter().find(|p| p.phase == 0).unwrap();
-        let p1 = facts.phases.iter().find(|p| p.phase == 1).unwrap();
+        // Phase 1 peaks at its fourth 200-byte allocation (event 13), with
+        // phase 0's 17-byte objects still live: also the global peak.
+        assert_eq!(snapshot_at(&facts, 13), Some(&[(17, 8), (200, 4)][..]));
+        // Phase 0's peak spans both segments: the re-entered one (event
+        // 23) sees the four 200-byte objects still live, above the first
+        // segment's 8 x 17 bytes.
+        assert_eq!(snapshot_at(&facts, 23), Some(&[(40, 1), (200, 4)][..]));
+        assert_eq!(facts.snapshots.len(), 2, "no per-segment instants");
+        // What crosses a phase boundary is the phase shards' to report.
+        let shards = crate::trace::shard_trace(&t, 1);
+        let p0 = shards.iter().find(|s| s.phase == Some(0)).unwrap();
+        let p1 = shards.iter().find(|s| s.phase == Some(1)).unwrap();
         assert!(p0.boundary.is_closed(), "phase 0 starts the trace");
         assert_eq!(p1.boundary.carried_blocks, 8, "the 17-byte objects");
         assert_eq!(p1.boundary.carried_bytes, 8 * 17);
-        // Phase 0's peak spans both segments: the re-entered segment sees
-        // the four 200-byte objects still live.
-        assert!(p0.peak_live_bytes >= 4 * 200 + 40);
-        assert!(p1.peak_live_bytes >= 8 * 17 + 4 * 200);
     }
 
     #[test]
@@ -717,16 +674,21 @@ mod tests {
         let a = b.alloc(100);
         b.free(a);
         let facts = TraceFacts::of(&b.finish().unwrap());
-        assert_eq!(facts.phases.len(), 1);
-        assert_eq!(facts.phases[0].phase, 0);
-        assert_eq!(facts.phases[0].peak_live_bytes, 100);
+        // Phase 0's byte peak is also both global peaks: one snapshot.
+        assert_eq!(
+            facts.snapshots,
+            vec![LiveSnapshot {
+                event: 0,
+                histogram: vec![(100, 1)],
+            }]
+        );
     }
 
     #[test]
     fn empty_trace_bounds_to_static_overhead_only() {
         let t = Trace::builder().finish().unwrap();
         let facts = TraceFacts::of(&t);
-        assert!(facts.snapshots.is_empty() && facts.phases.is_empty());
+        assert!(facts.snapshots.is_empty());
         for cfg in presets::all() {
             let b = bound_breakdown(&facts, &cfg);
             assert_eq!(b.quantum, 0, "no alloc, no granule");

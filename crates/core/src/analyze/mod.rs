@@ -33,7 +33,7 @@ pub mod trace_lints;
 
 pub use bounds::{
     bound_breakdown, lint_bounds, lower_bound_peak, rank_by_bound, BoundBreakdown, LiveSnapshot,
-    PhaseFacts, TraceFacts,
+    TraceFacts,
 };
 pub use config_lints::{lint_config, lint_dominance, prune_reason, soft_arrow_code};
 pub use diag::{catalogue, explain, CatalogEntry, Diagnostic, Severity};

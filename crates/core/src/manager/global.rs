@@ -42,61 +42,62 @@ pub struct GlobalManager {
     /// allocating — see [`Allocator::name_shared`]).
     name: std::sync::Arc<str>,
     managers: Vec<PolicyAllocator>,
-    phase_map: Option<std::collections::HashMap<u32, usize>>,
+    /// The phase id each atomic manager serves, by manager index.
+    phase_map: Vec<u32>,
+    /// Index of the atomic manager receiving allocations.
     current: usize,
     merged: AllocStats,
 }
 
 impl GlobalManager {
-    /// Compose atomic managers from one configuration per phase.
-    ///
-    /// Phase ids map to `configs` indices; [`GlobalManager::set_phase`]
-    /// clamps out-of-range phases to the last manager.
+    /// Compose atomic managers from one configuration per phase: phase `i`
+    /// is served by `configs[i]`, as [`GlobalManager::new_mapped`] with
+    /// phase ids `0..configs.len()` composes them.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] if `configs` is empty or any
     /// configuration is invalid.
     pub fn new(name: impl Into<String>, configs: Vec<DmConfig>) -> Result<Self> {
+        GlobalManager::new_mapped(name, (0u32..).zip(configs).collect())
+    }
+
+    /// Compose atomic managers with explicit phase ids (which need not be
+    /// contiguous): `(phase, config)` pairs map trace phase markers to
+    /// atomic managers. Allocations go to the first pair's manager until
+    /// the first [`set_phase`](Allocator::set_phase), and a phase without
+    /// a pair goes to the last pair's.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] if `configs` is empty, any
+    /// configuration is invalid, or a phase id repeats.
+    pub fn new_mapped(name: impl Into<String>, configs: Vec<(u32, DmConfig)>) -> Result<Self> {
         if configs.is_empty() {
             return Err(Error::InvalidConfig(
                 "a global manager needs at least one atomic manager".into(),
             ));
         }
-        let managers = configs
-            .into_iter()
-            .map(PolicyAllocator::new)
-            .collect::<Result<Vec<_>>>()?;
-        let mut g = GlobalManager {
-            name: std::sync::Arc::from(name.into().as_str()),
-            managers,
-            phase_map: None,
-            current: 0,
-            merged: AllocStats::default(),
-        };
-        g.refresh_merged();
-        Ok(g)
-    }
-
-    /// Compose atomic managers with explicit phase ids (which need not be
-    /// contiguous): `(phase, config)` pairs map trace phase markers to
-    /// atomic managers.
-    ///
-    /// # Errors
-    ///
-    /// As for [`GlobalManager::new`]; additionally rejects duplicate phase
-    /// ids.
-    pub fn new_mapped(name: impl Into<String>, configs: Vec<(u32, DmConfig)>) -> Result<Self> {
-        let mut map = std::collections::HashMap::new();
-        for (i, (phase, _)) in configs.iter().enumerate() {
-            if map.insert(*phase, i).is_some() {
+        let phase_map: Vec<u32> = configs.iter().map(|&(phase, _)| phase).collect();
+        for (i, phase) in phase_map.iter().enumerate() {
+            if phase_map[..i].contains(phase) {
                 return Err(Error::InvalidConfig(format!(
                     "duplicate phase id {phase} in global manager"
                 )));
             }
         }
-        let mut g = GlobalManager::new(name, configs.into_iter().map(|(_, c)| c).collect())?;
-        g.phase_map = Some(map);
+        let managers = configs
+            .into_iter()
+            .map(|(_, cfg)| PolicyAllocator::new(cfg))
+            .collect::<Result<Vec<_>>>()?;
+        let mut g = GlobalManager {
+            name: std::sync::Arc::from(name.into().as_str()),
+            managers,
+            phase_map,
+            current: 0,
+            merged: AllocStats::default(),
+        };
+        g.refresh_merged();
         Ok(g)
     }
 
@@ -107,12 +108,21 @@ impl GlobalManager {
 
     /// The atomic manager serving `phase`.
     pub fn atomic(&self, phase: u32) -> &PolicyAllocator {
-        &self.managers[(phase as usize).min(self.managers.len() - 1)]
+        &self.managers[self.index_of(phase)]
     }
 
-    /// The phase currently receiving allocations.
+    /// The phase id of the atomic manager currently receiving allocations.
     pub fn current_phase(&self) -> u32 {
-        self.current as u32
+        self.phase_map[self.current]
+    }
+
+    /// Index of the atomic manager serving `phase`: its own, or the last
+    /// one for a phase without a manager.
+    fn index_of(&self, phase: u32) -> usize {
+        self.phase_map
+            .iter()
+            .position(|&p| p == phase)
+            .unwrap_or(self.managers.len() - 1)
     }
 
     fn refresh_merged(&mut self) {
@@ -195,10 +205,7 @@ impl Allocator for GlobalManager {
     }
 
     fn set_phase(&mut self, phase: u32) {
-        self.current = match &self.phase_map {
-            Some(map) => map.get(&phase).copied().unwrap_or(self.managers.len() - 1),
-            None => (phase as usize).min(self.managers.len() - 1),
-        };
+        self.current = self.index_of(phase);
     }
 
     fn reset(&mut self) {
@@ -328,6 +335,35 @@ mod tests {
         }
         assert!(g.stats().peak_footprint >= peak);
         assert!(g.stats().system <= peak);
+    }
+
+    #[test]
+    fn non_contiguous_phase_ids_are_answered_by_id() {
+        let mut g = GlobalManager::new_mapped(
+            "mapped",
+            vec![(3, presets::drr_paper()), (7, presets::kingsley_like())],
+        )
+        .unwrap();
+        assert_eq!(g.current_phase(), 3, "the first pair serves until a marker");
+        g.set_phase(7);
+        assert_eq!(g.current_phase(), 7);
+        let h = g.alloc(64).unwrap();
+        assert_eq!(h.region(), 1);
+        assert_eq!(g.atomic(7).stats().allocs, 1);
+        assert_eq!(g.atomic(3).stats().allocs, 0, "phase 3 has its own manager");
+        g.set_phase(3);
+        assert_eq!(g.current_phase(), 3);
+        let _ = g.alloc(64).unwrap();
+        assert_eq!(g.atomic(3).stats().allocs, 1);
+        // An unmapped phase goes to the last pair's manager.
+        g.set_phase(5);
+        assert_eq!(g.current_phase(), 7);
+        assert_eq!(g.atomic(5).stats().allocs, 1);
+        assert!(GlobalManager::new_mapped(
+            "duplicate",
+            vec![(3, presets::drr_paper()), (3, presets::lea_like())]
+        )
+        .is_err());
     }
 
     #[test]

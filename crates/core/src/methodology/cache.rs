@@ -32,22 +32,23 @@
 //! whether the trace frees at all — and [`ProjectedKey::of`] canonicalizes
 //! a configuration against them, so behaviourally-identical candidates
 //! share one cache entry. Soundness (equal projected key ⇒ bit-identical
-//! [`FootprintStats`], or the same error) is argued rule-by-rule on
-//! [`ProjectedKey::of`], enforced in debug builds by the engine's shadow
-//! oracle on every served hit, proptested across presets ×
-//! flat/phased/re-entrant traces, and checked in release over the whole
-//! space on the quick case-study traces, under both the sweep's
-//! parameters and the ones the greedy traversal seeds.
+//! [`FootprintStats`](crate::metrics::FootprintStats), or the same error)
+//! is argued rule-by-rule on [`ProjectedKey::of`], enforced in debug
+//! builds by the engine's shadow oracle on every served hit, proptested
+//! across presets × flat/phased/re-entrant traces, and checked in release
+//! over the whole space on the quick case-study traces, under both the
+//! sweep's parameters and the ones the greedy traversal seeds.
 //!
 //! # Entries: full stats or a floor
 //!
-//! A [`CacheEntry`] is a full replay's stats or, when a replay was cut
-//! short at its peak cap, the floor its peak had already reached. A
-//! class's floor binds every member, because every member replays
-//! identically. A later caller whose cap is below a floor learns from it
-//! that the configuration loses, without a replay; any other caller
-//! replays the configuration, and what it learns is folded in: full stats
-//! replace a floor, and a floor only rises.
+//! An entry is the record the capped replay kernel returns,
+//! [`CappedReplay`]: a full replay's stats or, when a replay was cut short
+//! at its peak cap, the floor its peak had already reached. A class's
+//! floor binds every member, because every member replays identically. A
+//! later caller whose cap is below a floor learns from it that the
+//! configuration loses, without a replay; any other caller replays the
+//! configuration, and what it learns is folded in: full stats replace a
+//! floor, and a floor only rises.
 
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
@@ -56,13 +57,12 @@ use std::sync::Mutex;
 
 use crate::analyze::TraceFacts;
 use crate::heap::index::executed_fit;
-use crate::metrics::FootprintStats;
 use crate::space::config::DmConfig;
 use crate::space::trees::{
     BlockSizes, BlockStructure, CoalesceMaxSizes, CoalesceWhen, FitAlgorithm, PoolDivision,
     PoolStructure,
 };
-use crate::trace::Trace;
+use crate::trace::{CappedReplay, Trace};
 use crate::units::SBRK_GRANULARITY;
 
 /// Identity of a trace for cache partitioning: a 64-bit content hash plus
@@ -193,10 +193,11 @@ impl TraceProjection {
 ///
 /// Two configurations with equal projected keys execute the policy
 /// allocator step-for-step identically on the projection's trace —
-/// identical [`FootprintStats`] *and* identical errors. Every collapse is
-/// justified by an arm the manager never reads, or by a reachability
-/// argument against [`TraceProjection`]'s arena bound `B` (no block span,
-/// remainder, merged span or `brk` can ever reach `B`):
+/// identical [`FootprintStats`](crate::metrics::FootprintStats) *and*
+/// identical errors. Every collapse is justified by an arm the manager
+/// never reads, or by a reachability argument against
+/// [`TraceProjection`]'s arena bound `B` (no block span, remainder, merged
+/// span or `brk` can ever reach `B`):
 ///
 /// - **A3 × A4 → byte cost + neighbour knowledge.** The tag trees act
 ///   only through `tag_bytes_per_block()` (block rounding) and
@@ -354,33 +355,6 @@ impl Hash for ClassList {
     }
 }
 
-/// What the cache knows about one equivalence class on one trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CacheEntry {
-    /// A replay ran to the end: the configuration (every class member)
-    /// replays to these stats. Boxed: nearly every entry a sweep leaves is
-    /// a floor, and a floor should not pay for the stats' size.
-    Stats(Box<FootprintStats>),
-    /// A replay was cut once its running peak reached this many bytes, so
-    /// the configuration's (every class member's) peak is at least that.
-    PeakAtLeast(usize),
-}
-
-impl CacheEntry {
-    /// Fold `new` into what is known: full stats replace anything, and a
-    /// floor only ever rises. Parallel workers can publish a floor for a
-    /// class another worker has just replayed in full. A sweep only
-    /// replays a member when its class holds no stats and at most a floor
-    /// its cap reaches, so what it records always replaces the entry.
-    fn absorb(&mut self, new: CacheEntry) {
-        match (&*self, &new) {
-            (CacheEntry::Stats(_), CacheEntry::PeakAtLeast(_)) => {}
-            (CacheEntry::PeakAtLeast(old), CacheEntry::PeakAtLeast(floor)) if old >= floor => {}
-            _ => *self = new,
-        }
-    }
-}
-
 /// A thread-safe memo table from `(trace, behavioural class)` to what a
 /// replay of a class member revealed.
 ///
@@ -389,11 +363,9 @@ impl CacheEntry {
 /// ```
 /// use dmm_core::analyze::TraceFacts;
 /// use dmm_core::manager::PolicyAllocator;
-/// use dmm_core::methodology::cache::{
-///     CacheEntry, ProjectedKey, ReplayCache, TraceKey, TraceProjection,
-/// };
+/// use dmm_core::methodology::cache::{ProjectedKey, ReplayCache, TraceKey, TraceProjection};
 /// use dmm_core::space::presets;
-/// use dmm_core::trace::{replay, Trace};
+/// use dmm_core::trace::{replay, CappedReplay, Trace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut b = Trace::builder();
@@ -408,8 +380,9 @@ impl CacheEntry {
 /// let class = ProjectedKey::of(&cfg, &projection);
 /// assert!(cache.get(key, &class).is_none());
 /// let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone())?)?;
-/// cache.record(key, class.clone(), CacheEntry::Stats(Box::new(fs.clone())));
-/// assert_eq!(cache.get(key, &class), Some(CacheEntry::Stats(Box::new(fs))));
+/// let complete = CappedReplay::Complete(Box::new(fs));
+/// cache.record(key, class.clone(), complete.clone());
+/// assert_eq!(cache.get(key, &class), Some(complete));
 /// # Ok(())
 /// # }
 /// ```
@@ -417,7 +390,7 @@ impl CacheEntry {
 pub struct ReplayCache {
     /// Keyed by trace first, so a lookup borrows the class key instead of
     /// cloning it.
-    map: Mutex<HashMap<TraceKey, HashMap<ProjectedKey, CacheEntry>>>,
+    map: Mutex<HashMap<TraceKey, HashMap<ProjectedKey, CappedReplay>>>,
 }
 
 impl ReplayCache {
@@ -432,7 +405,7 @@ impl ReplayCache {
     /// Returned statistics carry the manager name of the member that was
     /// replayed; callers that care about labels restore their own (the
     /// engine does).
-    pub fn get(&self, trace: TraceKey, key: &ProjectedKey) -> Option<CacheEntry> {
+    pub fn get(&self, trace: TraceKey, key: &ProjectedKey) -> Option<CappedReplay> {
         self.map
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -443,7 +416,7 @@ impl ReplayCache {
 
     /// Record what a replay of a member of class `key` revealed: full stats
     /// replace anything known, a floor only raises a lower floor.
-    pub fn record(&self, trace: TraceKey, key: ProjectedKey, entry: CacheEntry) {
+    pub fn record(&self, trace: TraceKey, key: ProjectedKey, entry: CappedReplay) {
         let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
         match map.entry(trace).or_default().entry(key) {
             Entry::Occupied(mut known) => known.get_mut().absorb(entry),
@@ -473,6 +446,7 @@ impl ReplayCache {
 mod tests {
     use super::*;
     use crate::manager::PolicyAllocator;
+    use crate::metrics::FootprintStats;
     use crate::space::presets;
     use crate::space::trees::{BlockTags, Leaf, SplitWhen};
     use crate::trace::replay;
@@ -493,7 +467,7 @@ mod tests {
         cache.record(
             TraceKey::of(trace),
             class,
-            CacheEntry::Stats(Box::new(fs.clone())),
+            CappedReplay::Complete(Box::new(fs.clone())),
         );
         fs
     }
@@ -510,7 +484,7 @@ mod tests {
         let class = ProjectedKey::of(&renamed, &projection_of(&trace));
         assert_eq!(
             cache.get(TraceKey::of(&trace), &class),
-            Some(CacheEntry::Stats(Box::new(fs))),
+            Some(CappedReplay::Complete(Box::new(fs))),
             "a rename must not defeat memoisation"
         );
         assert_eq!(cache.len(), 1);
@@ -731,14 +705,15 @@ mod tests {
         assert!(cache.get(key, &pk).is_none());
         let fs = replay(&trace, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
         // A floor only rises, and full stats replace it for good.
-        cache.record(key, pk.clone(), CacheEntry::PeakAtLeast(100));
-        cache.record(key, pk.clone(), CacheEntry::PeakAtLeast(50));
-        assert_eq!(cache.get(key, &pk), Some(CacheEntry::PeakAtLeast(100)));
-        cache.record(key, pk.clone(), CacheEntry::PeakAtLeast(150));
-        assert_eq!(cache.get(key, &pk), Some(CacheEntry::PeakAtLeast(150)));
-        let stats = CacheEntry::Stats(Box::new(fs));
+        let floor = |peak| CappedReplay::Cut { peak };
+        cache.record(key, pk.clone(), floor(100));
+        cache.record(key, pk.clone(), floor(50));
+        assert_eq!(cache.get(key, &pk), Some(floor(100)));
+        cache.record(key, pk.clone(), floor(150));
+        assert_eq!(cache.get(key, &pk), Some(floor(150)));
+        let stats = CappedReplay::Complete(Box::new(fs));
         cache.record(key, pk.clone(), stats.clone());
-        cache.record(key, pk.clone(), CacheEntry::PeakAtLeast(200));
+        cache.record(key, pk.clone(), floor(200));
         assert_eq!(cache.get(key, &pk), Some(stats));
         assert_eq!(cache.len(), 1);
 

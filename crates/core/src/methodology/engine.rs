@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::error::{Error, Result};
 use crate::fault::FaultPlan;
 use crate::manager::PolicyAllocator;
-use crate::methodology::cache::{CacheEntry, ProjectedKey, ReplayCache, TraceKey, TraceProjection};
+use crate::methodology::cache::{ProjectedKey, ReplayCache, TraceKey, TraceProjection};
 use crate::methodology::checkpoint::CheckpointJournal;
 use crate::metrics::FootprintStats;
 use crate::space::config::DmConfig;
@@ -62,10 +62,11 @@ pub struct EngineCounters {
     pub evaluations: usize,
     /// Full trace replays actually performed.
     pub replays: usize,
-    /// Evaluations of greedy, phased and sharded callers served from the
-    /// replay cache (a member of the candidate's [`ProjectedKey`] class was
-    /// replayed on this trace before, or its floor decided the candidate),
-    /// and evaluations of any caller served from the checkpoint journal.
+    /// Evaluations served without a replay of their own: for greedy,
+    /// phased and sharded callers, from the replay cache (a member of the
+    /// candidate's [`ProjectedKey`] class was replayed on this trace
+    /// before, or its floor decided the candidate) or the checkpoint
+    /// journal; for a sweep without projection, from the journal.
     pub cache_hits: usize,
     /// Candidates rejected by a prune-safe static lint before any replay
     /// (or cache lookup) was scheduled. Not counted in `evaluations`.
@@ -86,8 +87,10 @@ pub struct EngineCounters {
     /// Sweep candidates served from the replay cache ([`ProjectedKey`]): a
     /// behaviorally-identical sibling was already replayed on this trace,
     /// so the candidate's stats were copied (or its sibling's cut-off floor
-    /// decided it), not recomputed. Not counted in `evaluations` — the
-    /// sweep partition is [`EngineCounters::candidates`]` == enumerated`.
+    /// decided it), not recomputed. A sweep with projection on counts the
+    /// candidates the checkpoint journal serves here too. Not counted in
+    /// `evaluations` — the sweep partition is
+    /// [`EngineCounters::candidates`]` == enumerated`.
     pub projection_hits: usize,
 }
 
@@ -164,42 +167,6 @@ pub struct Evaluation {
     pub stats: FootprintStats,
     /// Whether the result came from the cache instead of a fresh replay.
     pub cache_hit: bool,
-}
-
-/// What a capped candidate's replay, or its cache lookup, yielded.
-pub(crate) enum Outcome {
-    /// Full statistics (boxed: they dwarf the other variant).
-    Scored(Box<Evaluation>),
-    /// The candidate's peak is at least `floor`, which exceeds its cap:
-    /// it cannot win. Its own replay was cut there, or, with `cache_hit`,
-    /// the cache already held that floor and nothing was replayed.
-    Lost { floor: usize, cache_hit: bool },
-}
-
-impl Outcome {
-    /// The evaluation of a replay run without a cap.
-    pub(crate) fn uncapped(self) -> Evaluation {
-        match self {
-            Outcome::Scored(eval) => *eval,
-            Outcome::Lost { .. } => unreachable!("a replay without a cap is never cut"),
-        }
-    }
-
-    /// Whether the outcome was served without a replay.
-    pub(crate) fn cache_hit(&self) -> bool {
-        match self {
-            Outcome::Scored(eval) => eval.cache_hit,
-            Outcome::Lost { cache_hit, .. } => *cache_hit,
-        }
-    }
-
-    /// The full statistics, unless the candidate lost on peak.
-    pub(crate) fn stats(&self) -> Option<&FootprintStats> {
-        match self {
-            Outcome::Scored(eval) => Some(&eval.stats),
-            Outcome::Lost { .. } => None,
-        }
-    }
 }
 
 /// Memoised, parallel evaluator shared by every exploration entry point.
@@ -404,21 +371,24 @@ impl ExplorationEngine {
     ///
     /// Each configuration takes the memoised step when its turn comes, so
     /// a class sibling scored earlier — in this list or by any earlier
-    /// caller on the trace — answers it as a cache hit. Without `capped`
-    /// every outcome is full stats: a class the cache holds only a floor
-    /// for is replayed in full, and its stats replace the floor.
+    /// caller on the trace — answers it as a cache hit. Each result is
+    /// what is known of the configuration and whether it was served
+    /// without a replay of its own (from the cache or the checkpoint
+    /// journal). Without `capped` every record is
+    /// [`CappedReplay::Complete`]: a class the cache holds only a floor for
+    /// is replayed in full, and its stats replace the floor.
     ///
     /// With `capped`, which the methodology passes for a greedy tree's
     /// completions under a pure-footprint objective, every configuration
     /// whose peak is the lowest in `cfgs` comes back with full stats, and
-    /// any other may come back [`Outcome::Lost`], since it can be neither
-    /// the tree's argmin nor the exploration's incumbent. The starting cap
-    /// is the lowest peak the cache holds stats for among `cfgs`; each
-    /// replay is capped at the lowest peak known when it starts (with more
-    /// than one job, the workers share that running cap), and a class
-    /// whose floor already exceeds the cap is answered from the floor. A
-    /// cut replay leaves its floor in the cache and counts in `replays` and
-    /// [`ExplorationEngine::peak_cut`].
+    /// any other may come back [`CappedReplay::Cut`], since it can be
+    /// neither the tree's argmin nor the exploration's incumbent. The
+    /// starting cap is the lowest peak the cache holds stats for among
+    /// `cfgs`; each replay is capped at the lowest peak known when it
+    /// starts (with more than one job, the workers share that running
+    /// cap), and a class whose floor already exceeds the cap is answered
+    /// from the floor. A cut replay leaves its floor in the cache and
+    /// counts in `replays` and [`ExplorationEngine::peak_cut`].
     ///
     /// # Errors
     ///
@@ -429,7 +399,7 @@ impl ExplorationEngine {
         key: TraceKey,
         cfgs: &[DmConfig],
         capped: bool,
-    ) -> Result<Vec<Outcome>> {
+    ) -> Result<Vec<(CappedReplay, bool)>> {
         let record = self.trace_record(key);
         let projection = record.projection(trace);
         let classes: Vec<(&DmConfig, ProjectedKey)> = cfgs
@@ -440,18 +410,22 @@ impl ExplorationEngine {
         let best = AtomicUsize::new(usize::MAX);
         if capped {
             for (_, class) in &classes {
-                if let Some(CacheEntry::Stats(stats)) = self.cache.get(key, class) {
+                if let Some(CappedReplay::Complete(stats)) = self.cache.get(key, class) {
                     best.fetch_min(stats.peak_footprint, Ordering::Relaxed);
                 }
             }
         }
         let results = self.run_parallel(&classes, |(cfg, class)| {
             let cap = Some(best.load(Ordering::Relaxed)).filter(|&cap| capped && cap != usize::MAX);
-            let outcome = self.evaluate_memoised(trace, key, cfg, class.clone(), cap, false)?;
-            if let Some(stats) = outcome.stats() {
+            let (replayed, served) = self.evaluate_memoised(trace, key, cfg, class.clone(), cap)?;
+            if served {
+                self.evaluations.fetch_add(1, Ordering::Relaxed);
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            if let CappedReplay::Complete(stats) = &replayed {
                 best.fetch_min(stats.peak_footprint, Ordering::Relaxed);
             }
-            Ok(outcome)
+            Ok((replayed, served))
         });
         results.into_iter().collect()
     }
@@ -529,24 +503,37 @@ impl ExplorationEngine {
         });
         let result = if self.projection {
             let class = ProjectedKey::of(cfg, self.trace_record(key).projection(trace));
-            self.evaluate_memoised(trace, key, cfg, class, cap, true)
+            self.evaluate_memoised(trace, key, cfg, class, cap)
         } else {
             self.replay_fresh(trace, key, cfg, cap)
         };
-        Ok(match self.quarantine_or_raise(result)? {
-            Some(Outcome::Scored(eval)) => Some(*eval),
-            Some(Outcome::Lost { .. }) | None => None,
+        let Some((replayed, served)) = self.quarantine_or_raise(result)? else {
+            return Ok(None);
+        };
+        if served && self.projection {
+            self.projection_hits.fetch_add(1, Ordering::Relaxed);
+        } else if served {
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(match replayed {
+            CappedReplay::Complete(stats) => Some(Evaluation {
+                stats: *stats,
+                cache_hit: served,
+            }),
+            CappedReplay::Cut { .. } => None,
         })
     }
 
     /// The one memoised evaluation step: `cfg`'s class `class` is looked up
-    /// in the cache, and a hit is served — full stats, or, when a floor
-    /// there already exceeds `cap`, a loss. Anything else replays `cfg`
-    /// (journal first, stopped at `cap` when there is one) and records
-    /// what the replay revealed, full stats or the floor a cut reached,
-    /// for the rest of the class. A hit counts in `projection_hits` for a
-    /// `sweep`, in `evaluations` and `cache_hits` for anyone else; debug
-    /// builds check every hit against a full replay of `cfg`.
+    /// in the cache, and a hit is served — full stats, or the floor there
+    /// when it already exceeds `cap`. Anything else goes to
+    /// [`ExplorationEngine::replay_fresh`] (the journal, or a replay
+    /// stopped at `cap`), and what that reveals, full stats or the floor a
+    /// cut reached, is recorded for the rest of the class. Returns the
+    /// record and whether it was served without a replay of its own; the
+    /// caller counts what was served. Debug builds check every cache hit
+    /// against a full replay of `cfg`.
     fn evaluate_memoised(
         &self,
         trace: &Trace,
@@ -554,50 +541,33 @@ impl ExplorationEngine {
         cfg: &DmConfig,
         class: ProjectedKey,
         cap: Option<usize>,
-        sweep: bool,
-    ) -> Result<Outcome> {
-        let served = match self.cache.get(key, &class) {
-            Some(CacheEntry::Stats(stats)) => {
-                let stats = relabel(*stats, cfg);
+    ) -> Result<(CappedReplay, bool)> {
+        let hit = match self.cache.get(key, &class) {
+            Some(CappedReplay::Complete(mut stats)) => {
+                relabel(&mut stats, cfg);
                 #[cfg(debug_assertions)]
                 assert_eq!(
                     self.shadow_replay(trace, key, cfg),
-                    stats,
+                    *stats,
                     "projection oracle violated for '{}': served stats differ from a fresh replay",
                     cfg.name
                 );
-                Outcome::Scored(Box::new(Evaluation {
-                    stats,
-                    cache_hit: true,
-                }))
+                CappedReplay::Complete(stats)
             }
-            // A sibling's replay already passed `floor`, and this member
+            // A sibling's replay already passed `peak`, and this member
             // replays identically: above its cap, it cannot win either.
-            Some(CacheEntry::PeakAtLeast(floor)) if cap.is_some_and(|cap| floor > cap) => {
+            Some(CappedReplay::Cut { peak }) if cap.is_some_and(|cap| peak > cap) => {
                 #[cfg(debug_assertions)]
-                self.cut_oracle_check(trace, key, cfg, floor, cap);
-                Outcome::Lost {
-                    floor,
-                    cache_hit: true,
-                }
+                self.cut_oracle_check(trace, key, cfg, peak, cap);
+                CappedReplay::Cut { peak }
             }
             _ => {
-                let outcome = self.replay_fresh(trace, key, cfg, cap)?;
-                let entry = match &outcome {
-                    Outcome::Scored(eval) => CacheEntry::Stats(Box::new(eval.stats.clone())),
-                    Outcome::Lost { floor, .. } => CacheEntry::PeakAtLeast(*floor),
-                };
-                self.cache.record(key, class, entry);
-                return Ok(outcome);
+                let (replayed, served) = self.replay_fresh(trace, key, cfg, cap)?;
+                self.cache.record(key, class, replayed.clone());
+                return Ok((replayed, served));
             }
         };
-        if sweep {
-            self.projection_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.evaluations.fetch_add(1, Ordering::Relaxed);
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(served)
+        Ok((hit, true))
     }
 
     /// A fresh, uncounted replay of `cfg` to the last event: the debug
@@ -610,10 +580,11 @@ impl ExplorationEngine {
         let mut mgr =
             PolicyAllocator::new(cfg.clone()).expect("shadow oracle: candidate must construct");
         let mut scratch = ReplayScratch::new();
-        let fresh =
+        let mut fresh =
             crate::trace::replay_compiled_with(record.compiled(trace), &mut mgr, &mut scratch)
                 .expect("shadow oracle: candidate must replay");
-        relabel(fresh, cfg)
+        relabel(&mut fresh, cfg);
+        fresh
     }
 
     /// The cut-off oracle (debug builds only): a candidate skipped because
@@ -662,7 +633,9 @@ impl ExplorationEngine {
 
     /// Score one candidate without touching the cache: journal →
     /// fresh replay under the engine's budget and fault plan, inside the
-    /// quarantine boundary, stopped at `cap` when there is one. Counters
+    /// quarantine boundary, stopped at `cap` when there is one. Returns the
+    /// record and whether the journal served it without a replay; the
+    /// caller counts journal hits, and replays are counted here. Counters
     /// are bumped only on success, so failed candidates can be
     /// re-attributed (quarantined, over budget) by the caller without
     /// breaking the partition invariant. Only complete replays are
@@ -673,16 +646,13 @@ impl ExplorationEngine {
         key: TraceKey,
         cfg: &DmConfig,
         cap: Option<usize>,
-    ) -> Result<Outcome> {
+    ) -> Result<(CappedReplay, bool)> {
         let fingerprint = cfg.fingerprint();
         if let Some(journal) = &self.journal {
             if let Some(stats) = journal.lookup(key.fingerprint(), key.events(), fingerprint) {
-                self.evaluations.fetch_add(1, Ordering::Relaxed);
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Outcome::Scored(Box::new(Evaluation {
-                    stats: relabel(stats, cfg),
-                    cache_hit: true,
-                })));
+                let mut stats = Box::new(stats);
+                relabel(&mut stats, cfg);
+                return Ok((CappedReplay::Complete(stats), true));
             }
         }
         let record = self.trace_record(key);
@@ -725,25 +695,20 @@ impl ExplorationEngine {
         };
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         self.replays.fetch_add(1, Ordering::Relaxed);
-        let stats = match replayed {
-            CappedReplay::Complete(stats) => stats,
-            CappedReplay::Cut { peak, .. } => {
+        match &replayed {
+            CappedReplay::Complete(stats) => {
+                if let Some(journal) = &self.journal {
+                    journal.record(key.fingerprint(), key.events(), fingerprint, stats)?;
+                }
+            }
+            #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+            CappedReplay::Cut { peak } => {
                 self.peak_cut.fetch_add(1, Ordering::Relaxed);
                 #[cfg(debug_assertions)]
-                self.cut_oracle_check(trace, key, cfg, peak, cap);
-                return Ok(Outcome::Lost {
-                    floor: peak,
-                    cache_hit: false,
-                });
+                self.cut_oracle_check(trace, key, cfg, *peak, cap);
             }
-        };
-        if let Some(journal) = &self.journal {
-            journal.record(key.fingerprint(), key.events(), fingerprint, &stats)?;
         }
-        Ok(Outcome::Scored(Box::new(Evaluation {
-            stats,
-            cache_hit: false,
-        })))
+        Ok((replayed, false))
     }
 
     /// The record of the trace fingerprinted as `key`, created empty on
@@ -860,17 +825,16 @@ impl TraceRecord {
     }
 }
 
-/// `stats` labelled with `cfg`'s name. Cache keys ignore names, so cached,
+/// Label `stats` with `cfg`'s name. Cache keys ignore names, so cached,
 /// projected and journalled stats carry whichever name they were replayed
 /// under; restoring the caller's label keeps hit and miss paths
 /// indistinguishable. Candidate completions usually inherit the
 /// methodology's one name, so this is normally a comparison, not an
 /// allocation.
-fn relabel(mut stats: FootprintStats, cfg: &DmConfig) -> FootprintStats {
+fn relabel(stats: &mut FootprintStats, cfg: &DmConfig) {
     if stats.manager.as_ref() != cfg.name {
         stats.manager = Arc::from(cfg.name.as_str());
     }
-    stats
 }
 
 /// Best-effort stringification of a caught panic payload.
@@ -934,7 +898,16 @@ mod tests {
         cfgs: &[DmConfig],
     ) -> Result<Vec<Evaluation>> {
         let outcomes = engine.evaluate_all(trace, key, cfgs, false)?;
-        Ok(outcomes.into_iter().map(Outcome::uncapped).collect())
+        Ok(outcomes
+            .into_iter()
+            .map(|(replayed, served)| match replayed {
+                CappedReplay::Complete(stats) => Evaluation {
+                    stats: *stats,
+                    cache_hit: served,
+                },
+                CappedReplay::Cut { .. } => unreachable!("an uncapped evaluation is never cut"),
+            })
+            .collect())
     }
 
     fn evaluate_one(
@@ -1172,7 +1145,7 @@ mod tests {
         let pkey = ProjectedKey::of(&loser, &projection);
         assert!(matches!(
             engine.cache().get(key, &pkey),
-            Some(CacheEntry::Stats(_))
+            Some(CappedReplay::Complete(_))
         ));
         std::fs::remove_file(&path).ok();
     }
@@ -1186,16 +1159,14 @@ mod tests {
         let full = evaluate_one(&ExplorationEngine::serial(), &t, key, &loser).unwrap();
         let cfgs = [winner.clone(), loser.clone()];
         let first = engine.evaluate_all(&t, key, &cfgs, true).unwrap();
-        let best = first[0].stats().expect("the lowest peak is exact");
+        let (CappedReplay::Complete(best), false) = &first[0] else {
+            panic!("the lowest peak is replayed in full");
+        };
         assert!(
             full.stats.peak_footprint > best.peak_footprint,
             "fixture premise"
         );
-        let Outcome::Lost {
-            floor,
-            cache_hit: false,
-        } = first[1]
-        else {
+        let (CappedReplay::Cut { peak: floor }, false) = first[1] else {
             panic!("the loser's replay is cut");
         };
         assert!(floor > best.peak_footprint && floor <= full.stats.peak_footprint);
@@ -1205,15 +1176,15 @@ mod tests {
         let loser_class = class_of(&t, &loser);
         assert_eq!(
             engine.cache().get(key, &loser_class),
-            Some(CacheEntry::PeakAtLeast(floor)),
+            Some(CappedReplay::Cut { peak: floor }),
             "a floor is not stats"
         );
 
         // Asked again under the same cap: both answers come from the
         // cache, the loser's from its floor.
         let again = engine.evaluate_all(&t, key, &cfgs, true).unwrap();
-        assert!(again[0].cache_hit() && again[1].cache_hit());
-        assert!(again[1].stats().is_none());
+        assert!(again[0].1 && again[1].1);
+        assert_eq!(again[1].0, CappedReplay::Cut { peak: floor });
         let c = engine.counters();
         assert_eq!((c.evaluations, c.replays, c.cache_hits), (4, 2, 2));
         assert_eq!(
@@ -1225,11 +1196,9 @@ mod tests {
         // Alone, the loser is its tree's best: replayed in full, its stats
         // replace the floor.
         let alone = engine.evaluate_all(&t, key, &cfgs[1..], true).unwrap();
-        assert_eq!(alone[0].stats(), Some(&full.stats));
-        assert!(matches!(
-            engine.cache().get(key, &loser_class),
-            Some(CacheEntry::Stats(stats)) if *stats == full.stats
-        ));
+        let full_record = CappedReplay::Complete(Box::new(full.stats.clone()));
+        assert_eq!(alone[0], (full_record.clone(), false));
+        assert_eq!(engine.cache().get(key, &loser_class), Some(full_record));
 
         // An uncapped caller replays a floor in full, too.
         let other = ExplorationEngine::serial();
@@ -1260,13 +1229,13 @@ mod tests {
             let out = engine
                 .evaluate_all(&t, key, &[header.clone(), footer.clone()], capped)
                 .unwrap();
-            assert!(!out[0].cache_hit() && out[1].cache_hit(), "capped {capped}");
-            let second = out[1].stats().expect("a sibling's stats are exact");
+            let [(CappedReplay::Complete(first), false), (CappedReplay::Complete(second), true)] =
+                &out[..]
+            else {
+                panic!("capped {capped}: the first is replayed, its sibling served in full");
+            };
             assert_eq!(second.manager.as_ref(), footer.name);
-            assert_eq!(
-                Some(second.peak_footprint),
-                out[0].stats().map(|s| s.peak_footprint)
-            );
+            assert_eq!(second.peak_footprint, first.peak_footprint);
             let c = engine.counters();
             assert_eq!((c.evaluations, c.replays, c.cache_hits), (2, 1, 1));
             assert_eq!(c.projection_hits, 0, "greedy hits are cache hits");
@@ -1425,6 +1394,19 @@ mod tests {
         for (a, b) in original.iter().zip(&resumed) {
             assert_eq!(a.stats, b.stats);
         }
+
+        // A sweep with projection on counts what the journal serves where
+        // it counts cache hits: in `projection_hits`.
+        let sweep = ExplorationEngine::serial()
+            .with_projection(true)
+            .with_journal(CheckpointJournal::resume(&path).unwrap());
+        let eval = sweep
+            .evaluate_bounded(&t, key, &cfgs[0], 0, 0, None)
+            .unwrap()
+            .expect("no incumbent: served in full");
+        assert!(eval.cache_hit);
+        let c = sweep.counters();
+        assert_eq!((c.projection_hits, c.evaluations, c.replays), (1, 0, 0));
         std::fs::remove_file(&path).ok();
     }
 

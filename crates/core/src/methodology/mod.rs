@@ -46,7 +46,7 @@ use crate::space::trees::{
     TreeId,
 };
 use crate::trace::shard::{replay_shards, shard_trace, TraceShard};
-use crate::trace::{replay, Trace};
+use crate::trace::{replay, CappedReplay, Trace};
 
 /// How undecided trees are filled while scoring a candidate leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -583,18 +583,19 @@ impl Methodology {
             let outcomes = engine.evaluate_all(trace, trace_key, &completions, capped)?;
             let best_peak = outcomes
                 .iter()
-                .filter_map(|o| o.stats().map(|fs| fs.peak_footprint))
+                .filter_map(|(replayed, _)| match replayed {
+                    CappedReplay::Complete(fs) => Some(fs.peak_footprint),
+                    CappedReplay::Cut { .. } => None,
+                })
                 .min()
                 .expect("a tree's lowest peak is always replayed in full");
             let mut evals = Vec::with_capacity(candidates.len());
-            for ((leaf, cfg), outcome) in candidates.into_iter().zip(completions).zip(outcomes) {
-                tally(&mut counters, outcome.cache_hit());
-                let fs = match outcome {
-                    engine::Outcome::Scored(eval)
-                        if !capped || eval.stats.peak_footprint == best_peak =>
-                    {
-                        eval.stats
-                    }
+            for ((leaf, cfg), (replayed, served)) in
+                candidates.into_iter().zip(completions).zip(outcomes)
+            {
+                tally(&mut counters, served);
+                let fs = match replayed {
+                    CappedReplay::Complete(fs) if !capped || fs.peak_footprint == best_peak => *fs,
                     _ => {
                         evals.push(CandidateEval {
                             leaf,
@@ -965,16 +966,18 @@ impl Methodology {
             |shard| {
                 // One fingerprint serves both the evaluation and the release.
                 let key = cache::TraceKey::of(&shard.trace);
-                let eval = engine
+                let (replayed, served) = engine
                     .evaluate_all(&shard.trace, key, std::slice::from_ref(&config), false)?
                     .pop()
-                    .expect("one configuration, one outcome")
-                    .uncapped();
+                    .expect("one configuration, one outcome");
                 // Keep the streaming bound: drop the shard's compiled copy
                 // and projection with the shard.
                 engine.release_compiled(key);
-                tally(&mut counters, eval.cache_hit);
-                Ok(eval.stats)
+                tally(&mut counters, served);
+                let CappedReplay::Complete(fs) = replayed else {
+                    unreachable!("an uncapped evaluation is never cut");
+                };
+                Ok(*fs)
             },
         )?;
         if composed.shard_count == 0 {

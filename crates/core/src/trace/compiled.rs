@@ -36,7 +36,9 @@
 //! [`replay_compiled_limited`] adds a [`ReplayBudget`] and a peak cap for
 //! branch-and-bound sweeps: a replay's running peak never decreases, so
 //! the first event that lifts it past the cap decides that the candidate
-//! cannot win, and the kernel stops there with [`CappedReplay::Cut`].
+//! cannot win, and the kernel stops there with [`CappedReplay::Cut`]. The
+//! same record is what the exploration engine's replay cache keeps per
+//! behavioural class.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -119,21 +121,40 @@ impl ReplayBudget {
     }
 }
 
-/// How a peak-capped replay ([`replay_compiled_limited`]) ended.
+/// What a peak-capped replay ([`replay_compiled_limited`]) revealed: full
+/// stats, or a floor under the peak. The exploration engine's
+/// [`ReplayCache`](crate::methodology::cache::ReplayCache) keeps one per
+/// behavioural class, since every class member replays identically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CappedReplay {
     /// The running peak never exceeded the cap: the full replay's stats,
-    /// bit-identical to [`replay_compiled`].
-    Complete(FootprintStats),
-    /// The running peak first exceeded the cap after event `event` and the
-    /// rest of the trace was not replayed. The peak never decreases, so the
-    /// full replay's peak is at least `peak`.
+    /// bit-identical to [`replay_compiled`]. Boxed: a sweep cuts nearly
+    /// every replay it makes, and its cache should not pay the stats' size
+    /// for each floor.
+    Complete(Box<FootprintStats>),
+    /// The running peak passed the cap and the rest of the trace was not
+    /// replayed. The peak never decreases, so the full replay's peak is at
+    /// least `peak`.
     Cut {
-        /// The running peak footprint after `event`; greater than the cap.
+        /// The running peak footprint where the replay stopped; greater
+        /// than the cap.
         peak: usize,
-        /// Index of the event that lifted the peak past the cap.
-        event: usize,
     },
+}
+
+impl CappedReplay {
+    /// Fold `new` into what is known: full stats replace anything, and a
+    /// floor only ever rises. Parallel workers can publish a floor for a
+    /// class another worker has just replayed in full. A sweep only
+    /// replays a member when its class holds no stats and at most a floor
+    /// its cap reaches, so what it records always replaces the entry.
+    pub(crate) fn absorb(&mut self, new: CappedReplay) {
+        match (&*self, &new) {
+            (CappedReplay::Complete(_), CappedReplay::Cut { .. }) => {}
+            (CappedReplay::Cut { peak: old }, CappedReplay::Cut { peak }) if old >= peak => {}
+            _ => *self = new,
+        }
+    }
 }
 
 /// Opcode of one compiled event.
@@ -361,14 +382,21 @@ pub fn replay_compiled_limited<A: Allocator + ?Sized>(
     cap: Option<usize>,
 ) -> Result<CappedReplay> {
     let budget = budget.is_bounded().then_some(budget);
-    match cap {
+    let complete = match cap {
         Some(cap) => {
-            replay_compiled_inner::<A, true>(compiled, manager, scratch, None, budget, cap)
+            replay_compiled_inner::<A, true>(compiled, manager, scratch, None, budget, cap)?
         }
         None => {
-            replay_compiled_inner::<A, false>(compiled, manager, scratch, None, budget, usize::MAX)
+            replay_compiled_inner::<A, false>(compiled, manager, scratch, None, budget, usize::MAX)?
         }
-    }
+    };
+    Ok(match complete {
+        Some(stats) => CappedReplay::Complete(Box::new(stats)),
+        // The replay stopped at the event that lifted the peak past the cap.
+        None => CappedReplay::Cut {
+            peak: manager.stats().peak_footprint,
+        },
+    })
 }
 
 /// Like [`replay_compiled`], additionally sampling the footprint curve
@@ -404,7 +432,7 @@ fn replay_uncapped<A: Allocator + ?Sized>(
     sample_every: Option<usize>,
     budget: Option<&ReplayBudget>,
 ) -> Result<FootprintStats> {
-    let replayed = replay_compiled_inner::<A, false>(
+    let stats = replay_compiled_inner::<A, false>(
         compiled,
         manager,
         scratch,
@@ -412,15 +440,13 @@ fn replay_uncapped<A: Allocator + ?Sized>(
         budget,
         usize::MAX,
     )?;
-    match replayed {
-        CappedReplay::Complete(stats) => Ok(stats),
-        CappedReplay::Cut { .. } => unreachable!("a replay without a cap is never cut"),
-    }
+    Ok(stats.expect("a replay without a cap is never cut"))
 }
 
-/// The replay loop. `CAPPED` selects the peak cap at compile time, so the
-/// uncapped kernels carry no per-event cap check; `cap` is read only when
-/// `CAPPED` is set.
+/// The replay loop: the full replay's stats, or `None` when the peak
+/// passed `cap` and the loop stopped at that event. `CAPPED` selects the
+/// peak cap at compile time, so the uncapped kernels carry no per-event
+/// cap check; `cap` is read only when `CAPPED` is set.
 fn replay_compiled_inner<A: Allocator + ?Sized, const CAPPED: bool>(
     compiled: &CompiledTrace,
     manager: &mut A,
@@ -428,7 +454,7 @@ fn replay_compiled_inner<A: Allocator + ?Sized, const CAPPED: bool>(
     sample_every: Option<usize>,
     budget: Option<&ReplayBudget>,
     cap: usize,
-) -> Result<CappedReplay> {
+) -> Result<Option<FootprintStats>> {
     scratch.prepare(compiled.slot_count);
     let deadline = budget
         .and_then(|b| b.max_millis)
@@ -470,11 +496,8 @@ fn replay_compiled_inner<A: Allocator + ?Sized, const CAPPED: bool>(
                 )?;
             }
         }
-        if CAPPED {
-            let peak = manager.stats().peak_footprint;
-            if peak > cap {
-                return Ok(CappedReplay::Cut { peak, event: i });
-            }
+        if CAPPED && manager.stats().peak_footprint > cap {
+            return Ok(None);
         }
         if let Some(ts) = series.as_mut() {
             if i % ts.sample_every == 0 {
@@ -507,7 +530,7 @@ fn replay_compiled_inner<A: Allocator + ?Sized, const CAPPED: bool>(
         }
     }
     let stats = manager.stats().clone();
-    Ok(CappedReplay::Complete(FootprintStats {
+    Ok(Some(FootprintStats {
         manager: manager.name_shared(),
         peak_footprint: stats.peak_footprint,
         final_footprint: stats.system,
@@ -730,7 +753,7 @@ mod tests {
     ) -> Result<FootprintStats> {
         let mut mgr = PolicyAllocator::new(cfg).unwrap();
         match replay_compiled_limited(ct, &mut mgr, &mut ReplayScratch::new(), &budget, None)? {
-            CappedReplay::Complete(stats) => Ok(stats),
+            CappedReplay::Complete(stats) => Ok(*stats),
             CappedReplay::Cut { .. } => unreachable!("a replay without a cap is never cut"),
         }
     }
@@ -794,30 +817,38 @@ mod tests {
         assert_eq!(curve.iter().max(), Some(&sampled.peak_footprint));
         let full = replay_compiled(&ct, &mut PolicyAllocator::new(cfg.clone()).unwrap()).unwrap();
 
+        // The record, and the manager as the replay left it.
         let mut capped = |cap| {
             let mut mgr = PolicyAllocator::new(cfg.clone()).unwrap();
-            replay_compiled_limited(
+            let replayed = replay_compiled_limited(
                 &ct,
                 &mut mgr,
                 &mut scratch,
                 &ReplayBudget::default(),
                 Some(cap),
             )
-            .unwrap()
+            .unwrap();
+            (replayed, mgr)
         };
         assert_eq!(
-            capped(full.peak_footprint),
-            CappedReplay::Complete(full.clone())
+            capped(full.peak_footprint).0,
+            CappedReplay::Complete(Box::new(full.clone()))
         );
         let cap = full.peak_footprint / 2;
         let first_past = curve.iter().position(|&f| f > cap).unwrap();
+        let (replayed, mgr) = capped(cap);
         assert_eq!(
-            capped(cap),
+            replayed,
             CappedReplay::Cut {
-                peak: curve[first_past],
-                event: first_past,
+                peak: curve[first_past]
             }
         );
+        // The churn trace has no phase markers, so the manager has seen
+        // exactly the events up to and including the first one past the
+        // cap, and its footprint is the curve's there.
+        let s = mgr.stats();
+        assert_eq!(s.allocs + s.frees, first_past as u64 + 1);
+        assert_eq!(s.system, curve[first_past]);
     }
 
     #[test]

@@ -609,8 +609,8 @@ mod tests {
     fn live_set_peak_is_phase_blind_on_reentrant_traces() {
         // Phase markers never move the live set: a re-entrant 0,1,0,1
         // trace and its marker-free twin report identical peaks, while
-        // the facts pass still merges re-entered segments into one
-        // profile per phase id.
+        // the facts pass still merges re-entered segments into one byte
+        // peak per phase id.
         let build = |with_markers: bool| {
             let mut b = Trace::builder();
             let mut carried: Option<u64> = None;
@@ -635,17 +635,29 @@ mod tests {
         assert_eq!(phased.live_set_peak(), flat.live_set_peak());
         let facts = crate::analyze::TraceFacts::of(&phased);
         assert_eq!(facts.peak, flat.live_set_peak());
-        assert_eq!(facts.phases.len(), 2, "re-entered phases merge");
-        // Every phase saw at most two simultaneously-live blocks.
-        for p in &facts.phases {
-            assert_eq!(p.peak_live_blocks, 2, "phase {}", p.phase);
-        }
+        // Snapshots at the block peak (event 3, the first time two blocks
+        // are live), at phase 0's byte peak over its three segments (event
+        // 12) and at phase 1's, which is also the global byte peak (event
+        // 15): one instant per phase, never one per segment.
+        let at: Vec<(usize, &[(usize, usize)])> = facts
+            .snapshots
+            .iter()
+            .map(|s| (s.event, s.histogram.as_slice()))
+            .collect();
+        assert_eq!(
+            at,
+            vec![
+                (3, &[(100, 1), (101, 1)][..]),
+                (12, &[(103, 1), (104, 1)][..]),
+                (15, &[(104, 1), (105, 1)][..]),
+            ]
+        );
     }
 
     #[test]
     fn live_set_peak_on_single_phase_traces_matches_the_unmarked_twin() {
         // A single leading marker delimits one segment covering the whole
-        // trace; peaks and per-phase facts must match the unmarked twin.
+        // trace; peaks and live-set snapshots must match the unmarked twin.
         let build = |marked: bool| {
             let mut b = Trace::builder();
             if marked {
@@ -666,13 +678,16 @@ mod tests {
         assert_eq!(marked.live_set_peak().blocks, 2);
         let mf = crate::analyze::TraceFacts::of(&marked);
         let ff = crate::analyze::TraceFacts::of(&flat);
-        assert_eq!(mf.phases.len(), 1);
+        // Phase 0's byte peak is the global one: a single snapshot, one
+        // event later behind the marker, holding the same 96 bytes.
+        assert_eq!(mf.snapshots.len(), 1);
+        assert_eq!(ff.snapshots.len(), 1);
+        assert_eq!(mf.snapshots[0].event, ff.snapshots[0].event + 1);
         assert_eq!(
-            mf.phases, ff.phases,
+            mf.snapshots[0].histogram, ff.snapshots[0].histogram,
             "a lone phase-0 marker changes nothing"
         );
-        assert_eq!(mf.phases[0].peak_live_bytes, 96);
-        assert_eq!(mf.phases[0].boundary.carried_blocks, 0);
+        assert_eq!(mf.snapshots[0].requested_bytes(), 96);
     }
 
     #[test]

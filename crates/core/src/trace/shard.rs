@@ -193,22 +193,10 @@ fn shard_by_windows(trace: &Trace, want: usize) -> Vec<TraceShard> {
     let slack = target / 4;
 
     // Pass 1: pick cut points (indices where a new window starts). Each
-    // cut searches a ±slack neighbourhood of its target for the first
-    // lifetime-closed boundary, falling back to the boundary crossed by
-    // the fewest live objects — forced cuts sever as little as possible.
-    let live_after: Vec<usize> = {
-        let mut v = Vec::with_capacity(n);
-        let mut live = 0usize;
-        for ev in trace.events() {
-            match ev {
-                TraceEvent::Alloc { .. } => live += 1,
-                TraceEvent::Free { .. } => live = live.saturating_sub(1),
-                TraceEvent::Phase { .. } => {}
-            }
-            v.push(live);
-        }
-        v
-    };
+    // cut searches a ±slack neighbourhood of its target for the cheapest
+    // boundary: the first lifetime-closed one, else the one crossed by the
+    // fewest live objects — forced cuts sever as little as possible.
+    let live: Vec<LiveAfter> = live_after(trace.events()).collect();
     let mut cuts: Vec<usize> = vec![0];
     let mut ideal = target;
     while cuts.len() < want && ideal < n {
@@ -220,13 +208,9 @@ fn shard_by_windows(trace: &Trace, want: usize) -> Vec<TraceShard> {
             break;
         }
         // A cut at `c` ends the previous window after event c-1.
-        let cut = (lo..=hi)
-            .find(|&c| live_after[c - 1] == 0)
-            .unwrap_or_else(|| {
-                (lo..=hi)
-                    .min_by_key(|&c| live_after[c - 1])
-                    .expect("range checked non-empty")
-            });
+        let (after, _) =
+            cheapest_cut((lo - 1..hi).map(|i| (i, live[i]))).expect("range checked non-empty");
+        let cut = after + 1;
         cuts.push(cut);
         ideal = cut + target;
     }
@@ -288,40 +272,61 @@ pub struct CutFeasibility {
     pub min_live_bytes: usize,
 }
 
-/// Scan `events` once and report the cheapest interior cut — the same
-/// `live-after` metric [`shard_trace`]'s forced-cut fallback minimises, so
-/// the `TR007` lint of [`crate::analyze::trace_lints`] predicts exactly
-/// what a forced cut would carry. Interior means after events
-/// `0..len-1`: cutting after the final event yields an empty window.
-/// Returns `None` for streams with fewer than two events.
+/// Report the cheapest interior cut of `events`: the cut [`shard_trace`]'s
+/// window cutter would force there, read from the same live-set walk and
+/// chosen by the same rule, so the `TR007` lint of
+/// [`crate::analyze::trace_lints`] predicts exactly what a forced cut would
+/// carry. Interior means after events `0..len-1`: cutting after the final
+/// event yields an empty window. Returns `None` for streams with fewer than
+/// two events.
 pub fn cut_feasibility(events: &[TraceEvent]) -> Option<CutFeasibility> {
-    if events.len() < 2 {
-        return None;
-    }
+    let interior = &events[..events.len().checked_sub(1)?];
+    let (after, live) = cheapest_cut(live_after(interior).enumerate())?;
+    Some(CutFeasibility {
+        best_cut_after: after,
+        min_live_blocks: live.blocks,
+        min_live_bytes: live.bytes,
+    })
+}
+
+/// The live set after one event.
+#[derive(Debug, Clone, Copy)]
+struct LiveAfter {
+    /// Live blocks.
+    blocks: usize,
+    /// Their requested bytes.
+    bytes: usize,
+}
+
+/// The live set after each event of `events`, in order: the one walk both
+/// the window cutter and [`cut_feasibility`] read. It also takes the raw
+/// streams the trace lints see: a free of an id that is not live frees
+/// nothing.
+fn live_after(events: &[TraceEvent]) -> impl Iterator<Item = LiveAfter> + '_ {
+    // id -> size; entries leave on free (bounded by the peak live set).
     let mut sizes: HashMap<u64, usize> = HashMap::new();
-    let mut live_bytes = 0usize;
-    let mut best: Option<CutFeasibility> = None;
-    for (i, ev) in events[..events.len() - 1].iter().enumerate() {
+    let mut bytes = 0usize;
+    events.iter().map(move |ev| {
         match ev {
             TraceEvent::Alloc { id, size } => {
                 sizes.insert(*id, *size);
-                live_bytes += size;
+                bytes += size;
             }
-            TraceEvent::Free { id } => {
-                live_bytes -= sizes.remove(id).unwrap_or(0);
-            }
+            TraceEvent::Free { id } => bytes -= sizes.remove(id).unwrap_or(0),
             TraceEvent::Phase { .. } => {}
         }
-        let here = CutFeasibility {
-            best_cut_after: i,
-            min_live_blocks: sizes.len(),
-            min_live_bytes: live_bytes,
-        };
-        if best.is_none_or(|b| here.min_live_blocks < b.min_live_blocks) {
-            best = Some(here);
+        LiveAfter {
+            blocks: sizes.len(),
+            bytes,
         }
-    }
-    best
+    })
+}
+
+/// The cheapest of `cuts`, each an event index and the live set after it:
+/// the fewest live blocks, earliest on ties, so a lifetime-closed point
+/// wins whenever there is one.
+fn cheapest_cut(cuts: impl Iterator<Item = (usize, LiveAfter)>) -> Option<(usize, LiveAfter)> {
+    cuts.min_by_key(|&(_, live)| live.blocks)
 }
 
 /// Result of a streaming sharded replay.

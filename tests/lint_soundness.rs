@@ -47,7 +47,10 @@
 //! whole space, under the sweep's parameters and under the ones the greedy
 //! methodology seeds on each quick trace and on each phase of the render
 //! trace, since the greedy traversal keys its replays by `ProjectedKey`
-//! too.
+//! too. Under the sweep's parameters they also check the sweep's cuts:
+//! every candidate the sweep decides lost on peak without a full replay
+//! (its replay cut at its cap, or a cached floor above the cap) peaks
+//! above that cap in its full replay, with projection on and off.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -109,26 +112,44 @@ fn reference_ranking(facts: &TraceFacts, configs: &[DmConfig]) -> Vec<(usize, us
     ranked
 }
 
+/// What a sweep returns: the winner, its peak and the evaluated count.
+type SweepResult = (DmConfig, usize, usize);
+
 /// The sweep through its public per-config steps: every config built and
 /// bounded on its own, then `evaluate_bounded` in rank order against the
 /// first-seen-minimum incumbent. Returns what `exhaustive_best_with_engine`
-/// returns.
+/// returns, and `(enumeration index, cap)` for every candidate the sweep
+/// decided lost on peak without a full replay: its replay was cut at the
+/// cap, or a cached floor above the cap answered it.
 fn reference_sweep(
     trace: &Trace,
     limit: Option<usize>,
     engine: &ExplorationEngine,
-) -> (DmConfig, usize, usize) {
+) -> (SweepResult, Vec<(usize, usize)>) {
     let configs = space(limit);
     let ranked = reference_ranking(&TraceFacts::of(trace), &configs);
     let key = TraceKey::of(trace);
     let before = engine.counters();
     let mut best: Option<(usize, usize)> = None;
+    let mut lost = Vec::new();
     for &(order, bound) in &ranked {
         let incumbent = best.map(|(peak, order)| Incumbent { peak, order });
+        let (cuts, hits) = (engine.peak_cut(), engine.counters().projection_hits);
         let Some(eval) = engine
             .evaluate_bounded(trace, key, &configs[order], bound, order, incumbent)
             .unwrap()
         else {
+            if engine.peak_cut() > cuts || engine.counters().projection_hits > hits {
+                // The cap `evaluate_bounded` documents: an earlier
+                // candidate wins a tie, a later one must beat the incumbent.
+                let inc = incumbent.expect("only a capped replay loses on peak");
+                let cap = if order < inc.order {
+                    inc.peak
+                } else {
+                    inc.peak - 1
+                };
+                lost.push((order, cap));
+            }
             continue;
         };
         let peak = eval.stats.peak_footprint;
@@ -140,7 +161,7 @@ fn reference_sweep(
     let evaluated =
         (after.evaluations - before.evaluations) + (after.projection_hits - before.projection_hits);
     let (peak, order) = best.expect("the sweep evaluated a candidate");
-    (configs[order].clone(), peak, evaluated)
+    ((configs[order].clone(), peak, evaluated), lost)
 }
 
 /// Returns `(enumerated, bound_skipped)` so callers can assert
@@ -250,22 +271,39 @@ fn memoised_ranking_equals_the_per_config_bounds_over_the_whole_space() {
     }
 }
 
-#[test]
-fn memoised_sweep_matches_the_per_config_steps() {
-    for w in quick_studies(0) {
-        let trace = w.record().unwrap();
-        for projection in [false, true] {
-            let engine = || ExplorationEngine::serial().with_projection(projection);
-            let (reference, swept) = (engine(), engine());
-            let (want_cfg, want_peak, want_n) = reference_sweep(&trace, sweep_limit(), &reference);
-            let (got_cfg, got_peak, got_n) =
-                exhaustive_best_with_engine(&trace, sweep_params(), sweep_limit(), &swept).unwrap();
-            let what = format!("{} (projection {projection})", w.name());
-            assert_eq!(got_cfg, want_cfg, "{what}: winner");
-            assert_eq!(got_peak, want_peak, "{what}");
-            assert_eq!(got_n, want_n, "{what}");
-            assert_eq!(swept.counters(), reference.counters(), "{what}");
-            assert_eq!(swept.peak_cut(), reference.peak_cut(), "{what}");
+/// The memoised sweep against the per-config steps on `trace`, with
+/// projection on and off: the same winner, count, counters and cuts. Every
+/// candidate either sweep decided lost on peak without a full replay must
+/// peak above its cap in the full replay `peaks` holds for it (indexed by
+/// enumeration order; the release pass holds every config's, debug builds
+/// a stride's).
+fn check_sweeps(what: &str, trace: &Trace, peaks: &[Option<usize>]) {
+    for projection in [false, true] {
+        let engine = || ExplorationEngine::serial().with_projection(projection);
+        let (reference, swept) = (engine(), engine());
+        let ((want_cfg, want_peak, want_n), lost) =
+            reference_sweep(trace, sweep_limit(), &reference);
+        let (got_cfg, got_peak, got_n) =
+            exhaustive_best_with_engine(trace, sweep_params(), sweep_limit(), &swept).unwrap();
+        let what = format!("{what} (projection {projection})");
+        assert_eq!(got_cfg, want_cfg, "{what}: winner");
+        assert_eq!(got_peak, want_peak, "{what}");
+        assert_eq!(got_n, want_n, "{what}");
+        assert_eq!(swept.counters(), reference.counters(), "{what}");
+        assert_eq!(swept.peak_cut(), reference.peak_cut(), "{what}");
+        assert!(
+            !lost.is_empty(),
+            "{what}: the sweep never lost a candidate on peak"
+        );
+        for &(order, cap) in &lost {
+            if let Some(peak) = peaks[order] {
+                assert!(
+                    peak > cap,
+                    "{what}: space-point-{} was decided lost at a cap of {cap} B but peaks \
+                     at {peak} B in a full replay",
+                    order + 1
+                );
+            }
         }
     }
 }
@@ -306,7 +344,10 @@ fn leaves(cfg: &DmConfig) -> Vec<Leaf> {
 ///   or the same error;
 /// - when a prune-safe lint flags it, it replays like the canonical
 ///   sibling the finding points at, if that sibling was replayed too.
-fn replay_space(what: &str, trace: &Trace, params: Params) {
+///
+/// Returns each config's replayed peak by enumeration index (`None` where
+/// the stride skipped it or its replay failed).
+fn replay_space(what: &str, trace: &Trace, params: Params) -> Vec<Option<usize>> {
     let facts = TraceFacts::of(trace);
     let projection = TraceProjection::of(&facts);
     let compiled = CompiledTrace::compile(trace);
@@ -314,8 +355,10 @@ fn replay_space(what: &str, trace: &Trace, params: Params) {
     let mut classes: HashMap<ProjectedKey, Result<FootprintStats, Error>> = HashMap::new();
     let mut by_leaves: HashMap<Vec<Leaf>, Result<FootprintStats, Error>> = HashMap::new();
     let (mut replayed, mut findings) = (0usize, 0usize);
-    for cfg in
-        SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), params).step_by(space_stride())
+    let mut peaks = vec![None; 39_840];
+    for (order, cfg) in SpaceIter::with_order_and_params(TRAVERSAL_ORDER.to_vec(), params)
+        .enumerate()
+        .step_by(space_stride())
     {
         let name = || format!("{what}: {} ({})", cfg.name, cfg.summary());
         let result = PolicyAllocator::new(cfg.clone()).and_then(|mut mgr| {
@@ -330,6 +373,7 @@ fn replay_space(what: &str, trace: &Trace, params: Params) {
                 "{} bounds at {bound} B above its replayed peak {peak} B",
                 name()
             );
+            peaks[order] = Some(peak);
         }
         match classes.entry(ProjectedKey::of(&cfg, &projection)) {
             Entry::Vacant(slot) => {
@@ -367,16 +411,19 @@ fn replay_space(what: &str, trace: &Trace, params: Params) {
         );
         assert!(findings > 0, "{what}: no prune-safe finding was compared");
     }
+    peaks
 }
 
 /// The sweep's pass over the whole space on each quick trace: bounds,
 /// projection classes and prune-safe findings (release replays all 39,840
-/// configs per trace, debug every 401st).
+/// configs per trace, debug every 401st), then the memoised sweep against
+/// the per-config steps, whose losses on peak the same replays check.
 #[test]
 fn bounds_are_admissible_over_the_whole_space_on_the_quick_traces() {
     for w in quick_studies(0) {
         let trace = w.record().unwrap();
-        replay_space(w.name(), &trace, sweep_params());
+        let peaks = replay_space(w.name(), &trace, sweep_params());
+        check_sweeps(w.name(), &trace, &peaks);
     }
 }
 
