@@ -54,7 +54,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dmm::core::analyze::{lower_bound_peak, prune_reason, rank_by_bound, TraceFacts};
 use dmm::core::methodology::cache::{ProjectedKey, TraceKey, TraceProjection};
@@ -271,41 +271,49 @@ fn memoised_ranking_equals_the_per_config_bounds_over_the_whole_space() {
     }
 }
 
-/// The memoised sweep against the per-config steps on `trace`, with
-/// projection on and off: the same winner, count, counters and cuts. Every
-/// candidate either sweep decided lost on peak without a full replay must
-/// peak above its cap in the full replay `peaks` holds for it (indexed by
-/// enumeration order; the release pass holds every config's, debug builds
-/// a stride's).
-fn check_sweeps(what: &str, trace: &Trace, peaks: &[Option<usize>]) {
-    for projection in [false, true] {
-        let engine = || ExplorationEngine::serial().with_projection(projection);
-        let (reference, swept) = (engine(), engine());
-        let ((want_cfg, want_peak, want_n), lost) =
-            reference_sweep(trace, sweep_limit(), &reference);
-        let (got_cfg, got_peak, got_n) =
-            exhaustive_best_with_engine(trace, sweep_params(), sweep_limit(), &swept).unwrap();
-        let what = format!("{what} (projection {projection})");
-        assert_eq!(got_cfg, want_cfg, "{what}: winner");
-        assert_eq!(got_peak, want_peak, "{what}");
-        assert_eq!(got_n, want_n, "{what}");
-        assert_eq!(swept.counters(), reference.counters(), "{what}");
-        assert_eq!(swept.peak_cut(), reference.peak_cut(), "{what}");
-        assert!(
-            !lost.is_empty(),
-            "{what}: the sweep never lost a candidate on peak"
-        );
-        for &(order, cap) in &lost {
-            if let Some(peak) = peaks[order] {
+/// Every candidate a reference sweep decided lost on peak without a full
+/// replay, as `(enumeration index, cap)`, by quick trace name and projection.
+type SweepLosses = HashMap<(String, bool), Vec<(usize, usize)>>;
+
+/// The memoised sweep against the per-config steps on each quick trace, with
+/// projection on and off: the same winner, count, counters and cuts. Runs
+/// once per test binary and returns the reference sweeps' losses on peak,
+/// which the whole-space pass checks against its own full replays, so the
+/// cut check adds neither a sweep nor a replay.
+fn checked_sweeps() -> &'static SweepLosses {
+    static SWEEPS: OnceLock<SweepLosses> = OnceLock::new();
+    SWEEPS.get_or_init(|| {
+        let mut losses = HashMap::new();
+        for w in quick_studies(0) {
+            let trace = w.record().unwrap();
+            for projection in [false, true] {
+                let engine = || ExplorationEngine::serial().with_projection(projection);
+                let (reference, swept) = (engine(), engine());
+                let ((want_cfg, want_peak, want_n), lost) =
+                    reference_sweep(&trace, sweep_limit(), &reference);
+                let (got_cfg, got_peak, got_n) =
+                    exhaustive_best_with_engine(&trace, sweep_params(), sweep_limit(), &swept)
+                        .unwrap();
+                let what = format!("{} (projection {projection})", w.name());
+                assert_eq!(got_cfg, want_cfg, "{what}: winner");
+                assert_eq!(got_peak, want_peak, "{what}");
+                assert_eq!(got_n, want_n, "{what}");
+                assert_eq!(swept.counters(), reference.counters(), "{what}");
+                assert_eq!(swept.peak_cut(), reference.peak_cut(), "{what}");
                 assert!(
-                    peak > cap,
-                    "{what}: space-point-{} was decided lost at a cap of {cap} B but peaks \
-                     at {peak} B in a full replay",
-                    order + 1
+                    !lost.is_empty(),
+                    "{what}: the sweep never lost a candidate on peak"
                 );
+                losses.insert((w.name().to_string(), projection), lost);
             }
         }
-    }
+        losses
+    })
+}
+
+#[test]
+fn memoised_sweep_matches_the_per_config_steps() {
+    assert_eq!(checked_sweeps().len(), 2 * quick_studies(0).len());
 }
 
 /// Debug builds replay every 401st config of the space, release builds all
@@ -416,14 +424,28 @@ fn replay_space(what: &str, trace: &Trace, params: Params) -> Vec<Option<usize>>
 
 /// The sweep's pass over the whole space on each quick trace: bounds,
 /// projection classes and prune-safe findings (release replays all 39,840
-/// configs per trace, debug every 401st), then the memoised sweep against
-/// the per-config steps, whose losses on peak the same replays check.
+/// configs per trace, debug every 401st). The same replays check the
+/// sweep's cuts: every candidate `checked_sweeps` decided lost on peak
+/// without a full replay peaks above its cap, with projection on and off
+/// (debug checks those the stride replayed).
 #[test]
 fn bounds_are_admissible_over_the_whole_space_on_the_quick_traces() {
     for w in quick_studies(0) {
         let trace = w.record().unwrap();
         let peaks = replay_space(w.name(), &trace, sweep_params());
-        check_sweeps(w.name(), &trace, &peaks);
+        for projection in [false, true] {
+            let what = format!("{} (projection {projection})", w.name());
+            for &(order, cap) in &checked_sweeps()[&(w.name().to_string(), projection)] {
+                if let Some(peak) = peaks[order] {
+                    assert!(
+                        peak > cap,
+                        "{what}: space-point-{} was decided lost at a cap of {cap} B but \
+                         peaks at {peak} B in a full replay",
+                        order + 1
+                    );
+                }
+            }
+        }
     }
 }
 
